@@ -54,6 +54,7 @@ from riskshift.risk import (
     mc_metric_risk,
     misclassification_risk,
     population_mc_risk,
+    quad_metric_risk,
     squared_risk,
 )
 from riskshift.shiftmodel import (
@@ -152,6 +153,7 @@ __all__ = [
     "population_ridge_risks",
     "principal_angles",
     "probit_arctan_gap",
+    "quad_metric_risk",
     "regression_relation",
     "ridge_fit",
     "sample_beta",

@@ -1,24 +1,9 @@
-"""Monte Carlo accumulation kernels with optional numba acceleration.
+"""Per-draw metric values for Monte Carlo risk estimates.
 
-The metric evaluation over millions of decision-value pairs is the hot loop of
-every Monte Carlo risk estimate in this package.  ``metric_sums`` dispatches to
-a numba-compiled kernel when available and to a vectorized numpy fallback
-otherwise.
-
-Backend selection via the ``RISKSHIFT_NUMBA`` environment variable, read at
-import time:
-
-* ``0``/``false``/``off``/``no``  -> force the numpy fallback,
-* ``1``/``true``/``on``/``yes``   -> require numba (ImportError if missing),
-* unset or anything else          -> use numba when importable.
-
-Both backends accumulate the same per-chunk (sum, sum of squares) pair; they
-may differ in the last few ulps because the accumulation order differs.  Within
-one backend results are bitwise reproducible.
+``metric_values`` maps paired decision values (z*, z) to the metric psi of
+each draw; ``metric_sums`` reduces them to (sum psi, sum psi^2).  Both are
+vectorized numpy, so results are bitwise reproducible on every install.
 """
-
-import math
-import os
 
 import numpy as np
 
@@ -27,79 +12,30 @@ METRIC_MISCLASS = 1
 METRIC_LOGISTIC = 2
 METRIC_HINGE = 3
 
-_METRIC_CODES = (METRIC_SQUARED, METRIC_MISCLASS, METRIC_LOGISTIC, METRIC_HINGE)
-
-
-def metric_sums_numpy(z_star, z, code):
-    """Vectorized (sum psi, sum psi^2) over paired decision values."""
-    if code == METRIC_SQUARED:
-        psi = (z_star - z) ** 2
-    elif code == METRIC_MISCLASS:
-        psi = (z_star * z < 0.0).astype(np.float64)
-    elif code == METRIC_LOGISTIC:
-        t = np.where(z_star >= 0.0, z, -z)
-        psi = np.logaddexp(0.0, -t)
-    elif code == METRIC_HINGE:
-        t = np.where(z_star >= 0.0, z, -z)
-        psi = np.maximum(0.0, 1.0 - t)
-    else:
-        raise ValueError(f"unknown metric code {code}")
-    return float(psi.sum()), float((psi * psi).sum())
-
-
-def _metric_sums_loop(z_star, z, code):
-    # loop body kept scalar so numba compiles it to a single fused pass
-    s = 0.0
-    s2 = 0.0
-    for i in range(z_star.shape[0]):
-        zs = z_star[i]
-        zi = z[i]
-        if code == 0:
-            psi = (zs - zi) * (zs - zi)
-        elif code == 1:
-            psi = 1.0 if zs * zi < 0.0 else 0.0
-        else:
-            t = zi if zs >= 0.0 else -zi
-            if code == 2:
-                if t >= 0.0:
-                    psi = math.log1p(math.exp(-t))
-                else:
-                    psi = -t + math.log1p(math.exp(t))
-            else:
-                u = 1.0 - t
-                psi = u if u > 0.0 else 0.0
-        s += psi
-        s2 += psi * psi
-    return s, s2
-
-
-def _resolve_numba_kernel():
-    flag = os.environ.get("RISKSHIFT_NUMBA", "auto").strip().lower()
-    if flag in ("0", "false", "off", "no"):
-        return None
-    try:
-        from numba import njit
-    except ImportError:
-        if flag in ("1", "true", "on", "yes"):
-            raise
-        return None
-    return njit(cache=True)(_metric_sums_loop)
-
-
-metric_sums_numba = _resolve_numba_kernel()
-
 
 def kernel_backend():
-    """Name of the active kernel backend: 'numba' or 'numpy'."""
-    return "numpy" if metric_sums_numba is None else "numba"
+    """Name of the kernel backend; numpy is the only one."""
+    return "numpy"
+
+
+def metric_values(z_star, z, code):
+    """Per-draw metric psi for the metric with the given code."""
+    z_star = np.asarray(z_star, dtype=np.float64)
+    z = np.asarray(z, dtype=np.float64)
+    if code == METRIC_SQUARED:
+        return (z_star - z) ** 2
+    if code == METRIC_MISCLASS:
+        return (z_star * z < 0.0).astype(np.float64)
+    # surrogate losses act on the estimator score signed by the true decision
+    t = np.where(z_star >= 0.0, z, -z)
+    if code == METRIC_LOGISTIC:
+        return np.logaddexp(0.0, -t)
+    if code == METRIC_HINGE:
+        return np.maximum(0.0, 1.0 - t)
+    raise ValueError(f"unknown metric code {code}")
 
 
 def metric_sums(z_star, z, code):
-    """(sum psi, sum psi^2) for the metric with the given code, active backend."""
-    if code not in _METRIC_CODES:
-        raise ValueError(f"unknown metric code {code}")
-    z_star = np.ascontiguousarray(z_star, dtype=np.float64)
-    z = np.ascontiguousarray(z, dtype=np.float64)
-    if metric_sums_numba is not None:
-        return metric_sums_numba(z_star, z, code)
-    return metric_sums_numpy(z_star, z, code)
+    """(sum psi, sum psi^2) for the metric with the given code."""
+    psi = metric_values(z_star, z, code)
+    return float(psi.sum()), float((psi * psi).sum())

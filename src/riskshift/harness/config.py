@@ -186,7 +186,6 @@ _SCHEMAS = {
         "a_min": _Field(_parse_float, 0.05, "smallest alignment value"),
         "a_max": _Field(_parse_float, 30.0, "largest alignment value"),
         "a_points": _Field(_parse_int, 40, "number of log-spaced alignment values"),
-        "mc_draws": _Field(_parse_int, 1_000_000, "Monte Carlo draws per surrogate metric"),
     },
     KIND_CS: {
         **_common_fields(KIND_CS),
@@ -328,8 +327,6 @@ def _validate_counterexample(values, explicit_keys):
         raise ConfigError("alignment sweep needs 0 < a_min < a_max")
     if values["a_points"] < 2:
         raise ConfigError("a_points must be >= 2")
-    if values["mc_draws"] < 100:
-        raise ConfigError("mc_draws must be >= 100")
 
 
 def _validate_cs(values, explicit_keys):

@@ -3,10 +3,9 @@
 RNG stream derivation (stable across versions): trial t of an experiment with
 master seed m draws from seed sequences with entropy [m, t, slot], where slot
 0 seeds the shift model / subspace pair, slot 1 the ground truth, slot 2 the
-covariates, slot 3 the labels, and slot 16 + j the j-th grid point (Monte
-Carlo sub-draws at a grid point use children of that sequence in documented
-order).  Rows are accumulated per task and sorted on a documented key before
-writing, so output bytes are identical for any execution schedule.
+covariates, slot 3 the labels, and slot 16 + j the j-th grid point.  Rows
+are accumulated per task and sorted on a documented key before writing, so
+output bytes are identical for any execution schedule.
 
 CSV columns per kind:
   regression-sweep:     trial,model,lambda,risk_p,risk_q,risk_q_pred,gamma,mu,kappa
@@ -20,11 +19,12 @@ CSV columns per kind:
 
 import dataclasses
 import math
+import os
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 
-from riskshift._rng import child_sequence
 from riskshift.datagen import (
     Dataset,
     LinearGaussian,
@@ -57,8 +57,8 @@ from riskshift.inverse import (
 from riskshift.risk import (
     MetricKind,
     decision_cov,
-    mc_metric_risk,
     misclassification_risk,
+    quad_metric_risk,
     squared_risk,
 )
 from riskshift.shiftmodel import (
@@ -88,10 +88,6 @@ _GRID_SLOT_BASE = 16
 def stream(master_seed, trial, slot):
     """Seed sequence for (trial, slot); see the module docstring for the slot table."""
     return np.random.SeedSequence([int(master_seed), int(trial), int(slot)])
-
-
-def grid_stream(master_seed, trial, grid_index):
-    return stream(master_seed, trial, _GRID_SLOT_BASE + int(grid_index))
 
 
 @dataclass(frozen=True)
@@ -127,12 +123,33 @@ def _format_cell(value):
     return f"{x:.17g}"
 
 
+def _umask():
+    mask = os.umask(0o022)
+    os.umask(mask)
+    return mask
+
+
 def write_csv(path, header, rows):
-    """CSV with LF newlines and 17 significant digits for floats."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_format_cell(row[name]) for name in header) + "\n")
+    """CSV with LF newlines and 17 significant digits for floats, written atomically.
+
+    Every cell is formatted (and non-finite values rejected) before the file is
+    touched; the text goes to a temporary file in the same directory that
+    replaces path only once complete, so a failed write leaves any previous
+    file intact and never a truncated one.
+    """
+    lines = [",".join(header)]
+    lines.extend(",".join(_format_cell(row[name]) for name in header) for row in rows)
+    directory, name = os.path.split(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory)
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
+            fh.write("\n".join(lines) + "\n")
+        # mkstemp creates the file as 0600; give it the mode open() would have
+        os.chmod(tmp, 0o666 & ~_umask())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _sweep_row_dicts(rows, extra_names):
@@ -359,10 +376,9 @@ def run_counterexample(config):
     """Parametric (risk_p, risk_q) curves of the estimator family along alignment a.
 
     Misclassification rows are closed form (zero standard errors); logistic and
-    hinge rows are Monte Carlo.  At grid point j, the four MC runs use children
-    0-3 of the grid stream: (logistic, P), (logistic, Q), (hinge, P), (hinge, Q).
+    hinge rows are quadrature, with the quadrature error estimate in the se
+    columns.  The runner draws no random numbers.
     """
-    ms = config["master_seed"]
     shift = ShiftParameters(
         gamma=config["gamma"],
         mu=config["mu"],
@@ -371,9 +387,8 @@ def run_counterexample(config):
         sigma_beta_sq=config["sigma_beta_sq"],
     )
     a_grid = np.geomspace(config["a_min"], config["a_max"], config["a_points"])
-    draws = config["mc_draws"]
     rows = []
-    for j, a in enumerate(a_grid):
+    for a in a_grid:
         cov_p, cov_q = asymptotic_decision_cov(
             AsymParams(a=float(a), b=config["b"], c=config["c"]), shift
         )
@@ -387,10 +402,9 @@ def run_counterexample(config):
                 "se_q": 0.0,
             }
         )
-        point = grid_stream(ms, 0, j)
-        for m_index, (name, metric) in enumerate(_COUNTEREXAMPLE_METRICS[1:]):
-            est_p, se_p = mc_metric_risk(cov_p, metric, draws, child_sequence(point, 2 * m_index))
-            est_q, se_q = mc_metric_risk(cov_q, metric, draws, child_sequence(point, 2 * m_index + 1))
+        for name, metric in _COUNTEREXAMPLE_METRICS[1:]:
+            est_p, se_p = quad_metric_risk(cov_p, metric)
+            est_q, se_q = quad_metric_risk(cov_q, metric)
             rows.append(
                 {
                     "metric": name,

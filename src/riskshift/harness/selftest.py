@@ -14,7 +14,6 @@ from itertools import combinations
 
 import numpy as np
 
-from riskshift._rng import as_seed_sequence, child_sequence
 from riskshift.harness.config import (
     KIND_CLASSIFICATION,
     KIND_COUNTEREXAMPLE,
@@ -35,7 +34,14 @@ from riskshift.inverse import (
     denoise_relation_residual,
     gaussian_measurement,
 )
-from riskshift.risk import DecisionCov, MetricKind, mc_metric_risk, misclassification_risk, squared_risk
+from riskshift.risk import (
+    DecisionCov,
+    MetricKind,
+    chunked_mc,
+    mc_metric_risk,
+    misclassification_risk,
+    squared_risk,
+)
 from riskshift.shiftmodel import (
     ShiftParameters,
     shift_parameters,
@@ -127,27 +133,16 @@ def _cs_mc_risk(op, problem, which, n_draws, seed, chunk_size=1024):
     n = a.shape[0]
     w_star = (problem.u_p.columns @ op.s) @ (problem.u_p.columns.T @ a.T)
     signal_map = w_star @ a
-    root = as_seed_sequence(seed)
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    index = 0
-    while done < n_draws:
-        m = min(chunk_size, n_draws - done)
-        rng = np.random.default_rng(child_sequence(root, index))
+
+    def draw(rng, m):
         coef = rng.standard_normal((m, u.shape[1]))
         noise = rng.standard_normal((m, n))
         x = coef @ u.T
         x_hat = x @ signal_map.T + sigma * (noise @ w_star.T)
         err = x - x_hat
-        vals = np.sum(err * err, axis=1) / denom
-        total += float(np.sum(vals))
-        total_sq += float(np.sum(vals * vals))
-        done += m
-        index += 1
-    mean = total / n_draws
-    var = max(total_sq - n_draws * mean * mean, 0.0) / (n_draws - 1)
-    return mean, math.sqrt(var / n_draws)
+        return np.sum(err * err, axis=1) / denom
+
+    return chunked_mc(draw, n_draws, seed, chunk_size)
 
 
 def criterion_1():

@@ -3,22 +3,26 @@
 Under Gaussian covariates the pair of decision scores is bivariate normal, so
 every metric here depends only on the 2x2 covariance (omega_star, chi, v):
 squared error has a closed form, misclassification reduces to the arccos of
-the score correlation, and surrogate metrics (logistic, hinge) are estimated
-by chunked Monte Carlo with a deterministic per-chunk seeding scheme.
+the score correlation, and surrogate metrics (logistic, hinge) are 2-D
+integrals evaluated by tensor quadrature with an error estimate.  Chunked
+Monte Carlo with a deterministic per-chunk seeding scheme covers every metric
+as an independent cross-check.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.special import ndtr
 
 from riskshift._kernels import (
     METRIC_HINGE,
     METRIC_LOGISTIC,
     METRIC_MISCLASS,
     METRIC_SQUARED,
-    metric_sums,
+    metric_values,
 )
 from riskshift._rng import as_seed_sequence, child_sequence
 from riskshift.errors import (
@@ -30,6 +34,11 @@ from riskshift.shiftmodel import _select_side
 
 _PSD_SLACK = 1e-12
 _CHOL_JITTER = 1e-14
+# order k of the surrogate quadrature; the value uses 2k nodes per axis
+_QUAD_ORDER = 150
+# |g1| > 9 has probability 2.3e-19, so the half-normal integral stops there
+_HALF_NORMAL_CUT = 9.0
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 class MetricKind(Enum):
@@ -129,38 +138,45 @@ def _validate_mc_args(metric, n_draws, chunk_size):
     return int(n_draws), int(chunk_size)
 
 
-def _finalize_mc(total, total_sq, n):
-    mean = total / n
-    var = max(total_sq - n * mean * mean, 0.0) / (n - 1)
-    return float(mean), float(math.sqrt(var / n))
+def chunked_mc(draw, n_draws, seed, chunk_size):
+    """Monte Carlo (mean, standard error) of per-draw values generated in seeded chunks.
+
+    draw(rng, m) returns the m values of one chunk; chunk i draws from the
+    child seed sequence (seed, i).  Per-chunk (mean, M2) pairs are merged in
+    ascending chunk order with the Chan-Golub-LeVeque update, so the variance
+    does not cancel when the values barely vary and reruns are bitwise equal.
+    """
+    root = as_seed_sequence(seed)
+    n = 0
+    mean = 0.0
+    m2 = 0.0
+    for index, start in enumerate(range(0, n_draws, chunk_size)):
+        m = min(chunk_size, n_draws - start)
+        values = draw(np.random.default_rng(child_sequence(root, index)), m)
+        chunk_mean = float(np.mean(values))
+        chunk_m2 = float(np.sum((values - chunk_mean) ** 2))
+        delta = chunk_mean - mean
+        total = n + m
+        mean += delta * m / total
+        m2 += chunk_m2 + delta * delta * n * m / total
+        n = total
+    return mean, math.sqrt(m2 / (n - 1) / n)
 
 
 def mc_metric_risk(cov, metric, n_draws, seed, chunk_size=2**18):
     """Monte Carlo (estimate, standard error) of a metric under a DecisionCov.
 
-    Draws are generated in chunks of chunk_size; chunk i uses the child seed
-    sequence (seed, i), and partial sums are combined in ascending chunk
-    order, so results are identical for any chunk schedule.
+    Draws are generated in chunks of chunk_size by chunked_mc; each draw is
+    one standard normal pair mapped through the Cholesky factor of cov.
     """
     n_draws, chunk_size = _validate_mc_args(metric, n_draws, chunk_size)
     l11, l21, l22 = _cholesky_2x2(cov)
-    root = as_seed_sequence(seed)
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    chunk_index = 0
-    while done < n_draws:
-        m = min(chunk_size, n_draws - done)
-        rng = np.random.default_rng(child_sequence(root, chunk_index))
+
+    def draw(rng, m):
         g = rng.standard_normal((m, 2))
-        z_star = l11 * g[:, 0]
-        z = l21 * g[:, 0] + l22 * g[:, 1]
-        s, s2 = metric_sums(z_star, z, metric.value)
-        total += s
-        total_sq += s2
-        done += m
-        chunk_index += 1
-    return _finalize_mc(total, total_sq, n_draws)
+        return metric_values(l11 * g[:, 0], l21 * g[:, 0] + l22 * g[:, 1], metric.value)
+
+    return chunked_mc(draw, n_draws, seed, chunk_size)
 
 
 def population_mc_risk(beta_star, beta_hat, pair, which, metric, n_draws, seed, chunk_size=4096):
@@ -182,18 +198,74 @@ def population_mc_risk(beta_star, beta_hat, pair, which, metric, n_draws, seed, 
     u_hat = v @ (np.sqrt(e) * (v.T @ beta_hat)) / sqrt_d
     if not (np.all(np.isfinite(u_star)) and np.all(np.isfinite(u_hat))):
         raise NumericInputError("decision vectors must be finite")
-    root = as_seed_sequence(seed)
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    chunk_index = 0
-    while done < n_draws:
-        m = min(chunk_size, n_draws - done)
-        rng = np.random.default_rng(child_sequence(root, chunk_index))
+
+    def draw(rng, m):
         g = rng.standard_normal((m, pair.d))
-        s, s2 = metric_sums(g @ u_star, g @ u_hat, metric.value)
-        total += s
-        total_sq += s2
-        done += m
-        chunk_index += 1
-    return _finalize_mc(total, total_sq, n_draws)
+        return metric_values(g @ u_star, g @ u_hat, metric.value)
+
+    return chunked_mc(draw, n_draws, seed, chunk_size)
+
+
+@functools.lru_cache(maxsize=2)
+def _gauss_rules(order):
+    """Read-only Gauss-Legendre rule on [-1, 1] and Gauss-Hermite rule for N(0, 1)."""
+    x, wx = np.polynomial.legendre.leggauss(order)
+    w, ww = np.polynomial.hermite_e.hermegauss(order)
+    rules = (x, wx, w, ww / _SQRT_2PI)
+    for a in rules:
+        a.flags.writeable = False
+    return rules
+
+
+def _half_normal_rule(order, cuts):
+    """Nodes and weights for E f(|g|), g ~ N(0, 1): Gauss-Legendre on each piece of cuts."""
+    x, wx = _gauss_rules(order)[:2]
+    nodes, weights = [], []
+    for lo, hi in zip(cuts, cuts[1:]):
+        h = lo + 0.5 * (hi - lo) * (x + 1.0)
+        nodes.append(h)
+        weights.append(wx * (hi - lo) * np.exp(-0.5 * h * h) / _SQRT_2PI)
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+def _surrogate_on_nodes(l21, l22, metric, order):
+    # t = sign(z*) z = l21 |g1| + l22 w with w ~ N(0, 1) independent of |g1|
+    if metric is MetricKind.LOGISTIC:
+        h, wh = _half_normal_rule(order, (0.0, _HALF_NORMAL_CUT))
+        w, ww = _gauss_rules(order)[2:]
+        inner = np.logaddexp(0.0, -(l21 * h[:, None] + l22 * w[None, :])) @ ww
+        return float(wh @ inner)
+    # the hinge integrand in |g1| bends at l21 |g1| = 1; splitting there keeps
+    # the Legendre rule exact on each side when l22 = 0 and accurate when small
+    if l21 * _HALF_NORMAL_CUT > 1.0:
+        cuts = (0.0, 1.0 / l21, _HALF_NORMAL_CUT)
+    else:
+        cuts = (0.0, _HALF_NORMAL_CUT)
+    h, wh = _half_normal_rule(order, cuts)
+    c = 1.0 - l21 * h
+    if l22 > 0.0:
+        # E max(0, c - l22 w) = c Phi(c / l22) + l22 phi(c / l22)
+        r = c / l22
+        inner = c * ndtr(r) + l22 * np.exp(-0.5 * r * r) / _SQRT_2PI
+    else:
+        inner = np.maximum(0.0, c)
+    return float(wh @ inner)
+
+
+def quad_metric_risk(cov, metric):
+    """Quadrature (value, error estimate) of the logistic or hinge risk under a DecisionCov.
+
+    Both risks are E psi(t) with t = sign(z*) z, which has the law of
+    l21 |g1| + l22 w for the Cholesky factor of cov and independent standard
+    normals g1, w.  The outer expectation over |g1| is Gauss-Legendre on
+    [0, 9] against the half-normal density (hinge splits it where the loss
+    bends); the inner one over w is Gauss-Hermite for logistic and closed form
+    for hinge.  The value is the rule of order 2k per axis, the error estimate
+    its distance to the rule of order k (k = 150).
+    """
+    if metric not in (MetricKind.LOGISTIC, MetricKind.HINGE):
+        raise NumericInputError(f"quadrature covers the logistic and hinge metrics, got {metric!r}")
+    _, l21, l22 = _cholesky_2x2(cov)
+    coarse = _surrogate_on_nodes(l21, l22, metric, _QUAD_ORDER)
+    fine = _surrogate_on_nodes(l21, l22, metric, 2 * _QUAD_ORDER)
+    return fine, abs(fine - coarse)

@@ -1,9 +1,6 @@
-"""Tests for the Monte Carlo accumulation kernels and backend selection."""
+"""Tests for the per-draw Monte Carlo metric kernels."""
 
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -15,7 +12,7 @@ from riskshift._kernels import (
     METRIC_SQUARED,
     kernel_backend,
     metric_sums,
-    metric_sums_numpy,
+    metric_values,
 )
 
 _ALL_CODES = (METRIC_SQUARED, METRIC_MISCLASS, METRIC_LOGISTIC, METRIC_HINGE)
@@ -29,27 +26,18 @@ def _draws(n, seed):
 def test_numpy_kernel_hand_values():
     z_star = np.array([1.0, -1.0, 2.0, -0.5])
     z = np.array([0.5, 0.5, -1.0, -2.0])
-    s, s2 = metric_sums_numpy(z_star, z, METRIC_SQUARED)
+    s, s2 = metric_sums(z_star, z, METRIC_SQUARED)
     assert s == pytest.approx(0.25 + 2.25 + 9.0 + 2.25, rel=1e-15)
-    s, _ = metric_sums_numpy(z_star, z, METRIC_MISCLASS)
+    s, _ = metric_sums(z_star, z, METRIC_MISCLASS)
     assert s == 2.0
     # losses act on the estimator score signed by the true decision
     t = np.array([0.5, -0.5, -1.0, 2.0])
-    s, s2 = metric_sums_numpy(z_star, z, METRIC_LOGISTIC)
+    s, s2 = metric_sums(z_star, z, METRIC_LOGISTIC)
     psi = np.logaddexp(0.0, -t)
     assert s == pytest.approx(float(psi.sum()), rel=1e-15)
     assert s2 == pytest.approx(float((psi * psi).sum()), rel=1e-15)
-    s, _ = metric_sums_numpy(z_star, z, METRIC_HINGE)
+    s, _ = metric_sums(z_star, z, METRIC_HINGE)
     assert s == pytest.approx(0.5 + 1.5 + 2.0 + 0.0, rel=1e-15)
-
-
-def test_active_backend_matches_numpy_reference():
-    z_star, z = _draws(20_000, 3)
-    for code in _ALL_CODES:
-        s_ref, s2_ref = metric_sums_numpy(z_star, z, code)
-        s, s2 = metric_sums(z_star, z, code)
-        assert s == pytest.approx(s_ref, rel=1e-12)
-        assert s2 == pytest.approx(s2_ref, rel=1e-12)
 
 
 def test_metric_sums_deterministic_and_validating():
@@ -59,7 +47,7 @@ def test_metric_sums_deterministic_and_validating():
     with pytest.raises(ValueError):
         metric_sums(z_star, z, 99)
     with pytest.raises(ValueError):
-        metric_sums_numpy(z_star, z, -1)
+        metric_values(z_star, z, -1)
 
 
 def test_logistic_kernel_stable_for_large_scores():
@@ -71,22 +59,5 @@ def test_logistic_kernel_stable_for_large_scores():
     assert s == pytest.approx(1600.0, rel=1e-12)
 
 
-def test_env_flag_forces_numpy_backend():
-    env = dict(os.environ, RISKSHIFT_NUMBA="0")
-    code = (
-        "from riskshift._kernels import kernel_backend, metric_sums\n"
-        "import numpy as np\n"
-        "assert kernel_backend() == 'numpy'\n"
-        "s, s2 = metric_sums(np.array([1.0, -1.0]), np.array([-1.0, -1.0]), 1)\n"
-        "assert (s, s2) == (1.0, 1.0)\n"
-        "print('ok')\n"
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "ok"
-
-
 def test_backend_name_is_consistent():
-    assert kernel_backend() in ("numba", "numpy")
+    assert kernel_backend() == "numpy"

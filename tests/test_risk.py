@@ -6,7 +6,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from riskshift._rng import as_seed_sequence, child_sequence
 from riskshift.errors import CovarianceError, NumericInputError
+from riskshift.harness.config import KIND_COUNTEREXAMPLE, config_from_mapping
 from riskshift.risk import (
     DecisionCov,
     MetricKind,
@@ -14,10 +16,12 @@ from riskshift.risk import (
     mc_metric_risk,
     misclassification_risk,
     population_mc_risk,
+    quad_metric_risk,
     squared_risk,
 )
-from riskshift.shiftmodel import subspace_shift_model
+from riskshift.shiftmodel import ShiftParameters, subspace_shift_model
 from riskshift.subspace import SubspacePairSpec
+from riskshift.theory import AsymParams, asymptotic_decision_cov
 
 # E max(0, 1 - |Z|) for Z standard normal: hinge value of a perfectly
 # aligned unit-variance decision pair, 2*(Phi(1) - Phi(0) - phi(0) + phi(1))
@@ -92,14 +96,17 @@ def test_mc_hinge_frozen_oracle():
     assert abs(est - _HINGE_ALIGNED) <= 4 * se
 
 
-def test_mc_logistic_quadrature_oracle():
-    # aligned unit pair: E log(1 + exp(-Z^2)) via dense numeric quadrature
+def _logistic_aligned_oracle():
+    # aligned unit pair: E log(1 + exp(-|Z|)) via dense numeric quadrature
     z = np.linspace(-10, 10, 400_001)
     phi = np.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
-    target = np.trapezoid(np.logaddexp(0.0, -np.abs(z)) * phi, z)
+    return np.trapezoid(np.logaddexp(0.0, -np.abs(z)) * phi, z)
+
+
+def test_mc_logistic_quadrature_oracle():
     cov = DecisionCov(omega_star=1.0, chi=1.0, v=1.0)
     est, se = mc_metric_risk(cov, MetricKind.LOGISTIC, 1_000_000, 10)
-    assert abs(est - target) <= 4 * se
+    assert abs(est - _logistic_aligned_oracle()) <= 4 * se
 
 
 def test_mc_determinism_and_seed_sensitivity():
@@ -117,6 +124,24 @@ def test_mc_chunk_schedule_independence():
     small = mc_metric_risk(cov, MetricKind.LOGISTIC, 3 * 4096, 13, chunk_size=4096)
     again = mc_metric_risk(cov, MetricKind.LOGISTIC, 3 * 4096, 13, chunk_size=4096)
     assert small == again
+
+
+def test_mc_standard_error_stable_for_nearly_constant_values():
+    # psi = log(1 + exp(-t)) with |t| ~ 1e-8: sum psi^2 - n mean^2 cancels to 0
+    cov = DecisionCov(omega_star=1.0, chi=0.0, v=1e-16)
+    chunk, chunks = 4096, 3
+    n = chunk * chunks
+    est, se = mc_metric_risk(cov, MetricKind.LOGISTIC, n, 20, chunk_size=chunk)
+    root = as_seed_sequence(20)
+    psi = []
+    for i in range(chunks):
+        g = np.random.default_rng(child_sequence(root, i)).standard_normal((chunk, 2))
+        z = 1e-8 * g[:, 1]
+        psi.append(np.logaddexp(0.0, -np.where(g[:, 0] >= 0.0, z, -z)))
+    psi = np.concatenate(psi)
+    assert se > 0.0
+    assert se == pytest.approx(np.std(psi, ddof=1) / math.sqrt(n), rel=1e-6)
+    assert est == pytest.approx(np.mean(psi), rel=1e-14)
 
 
 def test_mc_validates_arguments():
@@ -152,3 +177,56 @@ def test_population_mc_misclassification():
         beta_star, beta_hat, pair, "Q", MetricKind.MISCLASSIFICATION, 200_000, 19
     )
     assert abs(est - closed) <= 4 * se
+
+
+def test_quad_hinge_matches_aligned_closed_form():
+    value, err = quad_metric_risk(DecisionCov(omega_star=1.0, chi=1.0, v=1.0), MetricKind.HINGE)
+    assert abs(value - _HINGE_ALIGNED) <= 1e-9
+    assert err <= 1e-9
+
+
+def test_quad_logistic_matches_dense_trapezoid():
+    value, err = quad_metric_risk(DecisionCov(omega_star=1.0, chi=1.0, v=1.0), MetricKind.LOGISTIC)
+    assert abs(value - _logistic_aligned_oracle()) <= 1e-8
+    assert err <= 1e-9
+
+
+def test_quad_agrees_with_mc_on_random_covariances():
+    rng = np.random.default_rng(21)
+    covs = []
+    for _ in range(10):
+        b = rng.standard_normal((2, 2))
+        gram = b.T @ b
+        covs.append(DecisionCov(float(gram[0, 0]), float(gram[0, 1]), float(gram[1, 1])))
+    covs += [
+        DecisionCov(omega_star=1.0, chi=-0.6, v=0.8),
+        # near-singular: chi^2 = omega_star * v up to rounding, positive and negative chi
+        DecisionCov(omega_star=0.7, chi=0.7 * 1.3, v=0.7 * 1.3 * 1.3),
+        DecisionCov(omega_star=2.0, chi=-1.0, v=0.5 * (1.0 + 1e-9)),
+    ]
+    assert any(c.chi < 0 for c in covs)
+    for i, cov in enumerate(covs):
+        for j, metric in enumerate((MetricKind.LOGISTIC, MetricKind.HINGE)):
+            value, err = quad_metric_risk(cov, metric)
+            est, se = mc_metric_risk(cov, metric, 1_000_000, [22, i, j])
+            assert err <= 1e-9
+            assert abs(value - est) <= 4 * se, (cov, metric, value, est, se)
+
+
+def test_quad_error_estimate_small_on_counterexample_grid():
+    cfg = config_from_mapping(KIND_COUNTEREXAMPLE, {})
+    shift = ShiftParameters(
+        gamma=cfg["gamma"], mu=cfg["mu"], kappa=cfg["kappa"], r_p=cfg["r_p"],
+        sigma_beta_sq=cfg["sigma_beta_sq"],
+    )
+    for a in np.geomspace(cfg["a_min"], cfg["a_max"], cfg["a_points"]):
+        for cov in asymptotic_decision_cov(AsymParams(a=float(a), b=cfg["b"], c=cfg["c"]), shift):
+            for metric in (MetricKind.LOGISTIC, MetricKind.HINGE):
+                assert quad_metric_risk(cov, metric)[1] <= 1e-6
+
+
+def test_quad_rejects_closed_form_metrics():
+    cov = DecisionCov(omega_star=1.0, chi=0.3, v=1.0)
+    for metric in (MetricKind.SQUARED_ERROR, MetricKind.MISCLASSIFICATION, "logistic"):
+        with pytest.raises(NumericInputError):
+            quad_metric_risk(cov, metric)
