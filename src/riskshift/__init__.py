@@ -36,12 +36,10 @@ from riskshift.errors import (
 from riskshift.estimators import ERMConfig, FittedModel, Loss, erm_fit, population_ridge, ridge_fit
 from riskshift.inverse import (
     CSOperator,
-    DenoiseOperator,
     InverseProblem,
     cs_operator,
     cs_relation_residual,
     cs_risks,
-    denoise_operator,
     denoise_relation_residual,
     denoise_risks,
     gaussian_measurement,
@@ -102,7 +100,6 @@ __all__ = [
     "DecisionCov",
     "DegenerateDecisionError",
     "DegenerateShiftError",
-    "DenoiseOperator",
     "ERMConfig",
     "FittedModel",
     "FunctionalTuple",
@@ -132,7 +129,6 @@ __all__ = [
     "cs_relation_residual",
     "cs_risks",
     "decision_cov",
-    "denoise_operator",
     "denoise_relation_residual",
     "denoise_risks",
     "erm_fit",

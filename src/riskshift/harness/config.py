@@ -162,8 +162,6 @@ _SCHEMAS = {
         "risk_p_min": _Field(_parse_float, 0.01, "left end of the train-risk grid"),
         "risk_p_max": _Field(_parse_float, 0.49, "right end of the train-risk grid"),
         "risk_p_points": _Field(_parse_int, 99, "train-risk grid size"),
-        "r_p": _Field(_parse_float, 0.9, "train-support fraction (cosmetic for these curves)"),
-        "sigma_beta_sq": _Field(_parse_float, 1.0, "signal variance (cosmetic for these curves)"),
     },
     KIND_DENOISE: {
         **_common_fields(KIND_DENOISE),
@@ -296,9 +294,6 @@ def _validate_relation(values, explicit_keys):
         raise ConfigError("risk grid must satisfy 0 < risk_p_min < risk_p_max < 1/2")
     if values["risk_p_points"] < 2:
         raise ConfigError("risk_p_points must be >= 2")
-    if not 0.0 < values["r_p"] <= 1.0:
-        raise ConfigError("r_p must lie in (0, 1]")
-    _validate_positive(values, "sigma_beta_sq")
 
 
 def _validate_denoise(values, explicit_keys):

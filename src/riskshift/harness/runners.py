@@ -21,7 +21,6 @@ import dataclasses
 import math
 import os
 import tempfile
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,26 +89,6 @@ def stream(master_seed, trial, slot):
     return np.random.SeedSequence([int(master_seed), int(trial), int(slot)])
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One measured point of a risk sweep."""
-
-    trial: int
-    model: str
-    lam: float
-    risk_p: float
-    risk_q: float
-    risk_q_pred: float
-    extra: tuple = ()
-
-    def __post_init__(self):
-        numbers = (self.lam, self.risk_p, self.risk_q, self.risk_q_pred)
-        if not all(math.isfinite(t) for t in numbers):
-            raise NumericInputError(f"sweep row contains non-finite numbers: {numbers}")
-        if self.risk_p < 0 or self.risk_q < 0:
-            raise NumericInputError("risks must be nonnegative")
-
-
 def _format_cell(value):
     if isinstance(value, str):
         return value
@@ -152,25 +131,6 @@ def write_csv(path, header, rows):
         raise
 
 
-def _sweep_row_dicts(rows, extra_names):
-    out = []
-    for r in rows:
-        record = {
-            "trial": r.trial,
-            "model": r.model,
-            "lambda": r.lam,
-            "risk_p": r.risk_p,
-            "risk_q": r.risk_q,
-            "risk_q_pred": r.risk_q_pred,
-        }
-        record.update(dict(r.extra))
-        for name in extra_names:
-            if name not in record:
-                raise NumericInputError(f"sweep row missing extra column '{name}'")
-        out.append(record)
-    return out
-
-
 def run_regression_sweep(config):
     """Ridge sweeps under additive-noise labels, squared risks on both laws."""
     ms = config["master_seed"]
@@ -201,23 +161,21 @@ def run_regression_sweep(config):
             risk_p = squared_risk(cov_p)
             risk_q = squared_risk(cov_q)
             rows.append(
-                SweepRow(
-                    trial=t,
-                    model="ridge",
-                    lam=lam,
-                    risk_p=risk_p,
-                    risk_q=risk_q,
-                    risk_q_pred=regression_relation(risk_p, shift_pred),
-                    extra=(
-                        ("gamma", shift.gamma),
-                        ("mu", shift.mu),
-                        ("kappa", shift.kappa),
-                    ),
-                )
+                {
+                    "trial": t,
+                    "model": "ridge",
+                    "lambda": lam,
+                    "risk_p": risk_p,
+                    "risk_q": risk_q,
+                    "risk_q_pred": regression_relation(risk_p, shift_pred),
+                    "gamma": shift.gamma,
+                    "mu": shift.mu,
+                    "kappa": shift.kappa,
+                }
             )
-    rows.sort(key=lambda r: (r.trial, r.model, r.lam))
+    rows.sort(key=lambda r: (r["trial"], r["model"], r["lambda"]))
     header = ["trial", "model", "lambda", "risk_p", "risk_q", "risk_q_pred", "gamma", "mu", "kappa"]
-    return header, _sweep_row_dicts(rows, ("gamma", "mu", "kappa"))
+    return header, rows
 
 
 def run_classification_sweep(config):
@@ -255,15 +213,15 @@ def run_classification_sweep(config):
             cov_q = decision_cov(gt.beta_star, beta_hat, pair, "Q")
             risk_p = misclassification_risk(cov_p)
             rows.append(
-                SweepRow(
-                    trial=t,
-                    model=model,
-                    lam=lam,
-                    risk_p=risk_p,
-                    risk_q=misclassification_risk(cov_q),
-                    risk_q_pred=classification_relation(risk_p, shift),
-                    extra=(("converged", converged),),
-                )
+                {
+                    "trial": t,
+                    "model": model,
+                    "lambda": lam,
+                    "risk_p": risk_p,
+                    "risk_q": misclassification_risk(cov_q),
+                    "risk_q_pred": classification_relation(risk_p, shift),
+                    "converged": converged,
+                }
             )
 
         warm = None
@@ -276,29 +234,31 @@ def run_classification_sweep(config):
         for risk_p in np.linspace(0.01, 0.49, config["theory_points"]):
             pred = classification_relation(float(risk_p), shift)
             rows.append(
-                SweepRow(
-                    trial=t,
-                    model="theory",
-                    lam=0.0,
-                    risk_p=float(risk_p),
-                    risk_q=pred,
-                    risk_q_pred=pred,
-                    extra=(("converged", True),),
-                )
+                {
+                    "trial": t,
+                    "model": "theory",
+                    "lambda": 0.0,
+                    "risk_p": float(risk_p),
+                    "risk_q": pred,
+                    "risk_q_pred": pred,
+                    "converged": True,
+                }
             )
-    rows.sort(key=lambda r: (r.trial, r.model, r.lam, r.risk_p))
+    rows.sort(key=lambda r: (r["trial"], r["model"], r["lambda"], r["risk_p"]))
     header = ["trial", "model", "lambda", "risk_p", "risk_q", "risk_q_pred", "converged"]
-    return header, _sweep_row_dicts(rows, ("converged",))
+    return header, rows
 
 
 def run_relation_curves(config):
-    """Tabulated theory curves: risk_q versus risk_p for mu and kappa/gamma grids."""
+    """Tabulated theory curves: risk_q versus risk_p for mu and kappa/gamma grids.
+
+    The classification relation reads only gamma, mu and kappa; r_p and
+    sigma_beta_sq are fixed placeholders.
+    """
     grid = np.linspace(config["risk_p_min"], config["risk_p_max"], config["risk_p_points"])
     rows = []
     for mu in config["mu_grid"]:
-        shift = ShiftParameters(
-            gamma=1.0, mu=mu, kappa=1.0, r_p=config["r_p"], sigma_beta_sq=config["sigma_beta_sq"]
-        )
+        shift = ShiftParameters(gamma=1.0, mu=mu, kappa=1.0, r_p=1.0, sigma_beta_sq=1.0)
         for risk_p in grid:
             rows.append(
                 {
@@ -311,11 +271,7 @@ def run_relation_curves(config):
             )
     for ratio in config["ratio_grid"]:
         shift = ShiftParameters(
-            gamma=1.0,
-            mu=config["mu_fixed"],
-            kappa=ratio,
-            r_p=config["r_p"],
-            sigma_beta_sq=config["sigma_beta_sq"],
+            gamma=1.0, mu=config["mu_fixed"], kappa=ratio, r_p=1.0, sigma_beta_sq=1.0
         )
         for risk_p in grid:
             rows.append(
@@ -366,7 +322,6 @@ def run_denoising(config):
 
 
 _COUNTEREXAMPLE_METRICS = (
-    ("misclassification", None),
     ("logistic", MetricKind.LOGISTIC),
     ("hinge", MetricKind.HINGE),
 )
@@ -402,7 +357,7 @@ def run_counterexample(config):
                 "se_q": 0.0,
             }
         )
-        for name, metric in _COUNTEREXAMPLE_METRICS[1:]:
+        for name, metric in _COUNTEREXAMPLE_METRICS:
             est_p, se_p = quad_metric_risk(cov_p, metric)
             est_q, se_q = quad_metric_risk(cov_q, metric)
             rows.append(
@@ -465,8 +420,6 @@ def _load_matrix(path):
     for kwargs in ({}, {"delimiter": ","}):
         try:
             matrix = np.loadtxt(path, ndmin=2, **kwargs)
-        except OSError:
-            raise
         except ValueError:
             continue
         if matrix.size == 0:

@@ -10,6 +10,7 @@ Gaussian measurement matrices it holds up to a residual that shrinks with n.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -26,7 +27,6 @@ from riskshift.subspace import (
 )
 
 _SYM_TOL = 1e-10
-_ALPHA_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -69,45 +69,40 @@ class InverseProblem:
     def d_q(self):
         return self.u_q.rank
 
+    @cached_property
     def overlap(self):
         """Mean squared principal cosine a in [0, 1] between the subspaces."""
         return overlap_coefficient(
             principal_angles(self.u_p, self.u_q), self.d_q
         )
 
-
-@dataclass(frozen=True)
-class DenoiseOperator:
-    """Scalar shrinkage alpha applied to the projection onto the train subspace."""
-
-    alpha: float
-    pi_p: OrthonormalBasis
-
-    def __post_init__(self):
-        if not (math.isfinite(self.alpha) and 0.0 < self.alpha <= 1.0):
-            raise NumericInputError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if not isinstance(self.pi_p, OrthonormalBasis):
-            raise InvalidDimensionError("pi_p must be an OrthonormalBasis")
+    @property
+    def alpha(self):
+        """Ridge denoiser shrinkage 1/(1 + sigma_P^2 + lam)."""
+        return 1.0 / (1.0 + self.sigma_p_sq + self.lam)
 
 
-def denoise_operator(problem):
-    """Optimal ridge denoiser x_hat = alpha * Pi_P y with alpha = 1/(1+sigma_P^2+lam)."""
-    alpha = 1.0 / (1.0 + problem.sigma_p_sq + problem.lam)
-    op = DenoiseOperator(alpha=alpha, pi_p=problem.u_p)
-    if abs(op.alpha - alpha) > _ALPHA_TOL:
-        raise NumericInputError("alpha drifted from its defining expression")
-    return op
+def _relation_residual(problem, risk_p, risk_q):
+    """|risk_Q - a risk_P - (1-a) - alpha^2((d_P/d_Q) sigma_Q^2 - a sigma_P^2)|."""
+    a = problem.overlap
+    alpha = problem.alpha
+    predicted = (
+        a * risk_p
+        + (1.0 - a)
+        + alpha * alpha * ((problem.d_p / problem.d_q) * problem.sigma_q_sq - a * problem.sigma_p_sq)
+    )
+    return float(abs(risk_q - predicted))
 
 
 def denoise_risks(problem):
-    """Closed-form (risk_P, risk_Q, alpha) of the ridge denoiser.
+    """Closed-form (risk_P, risk_Q, alpha) of the ridge denoiser x_hat = alpha Pi_P y.
 
     risk_P = (1-alpha)^2 + alpha^2 sigma_P^2;
     risk_Q = 1 + (alpha^2 - 2 alpha) a + alpha^2 sigma_Q^2 d_P / d_Q,
     with a the subspace overlap coefficient.
     """
-    alpha = 1.0 / (1.0 + problem.sigma_p_sq + problem.lam)
-    a = problem.overlap()
+    alpha = problem.alpha
+    a = problem.overlap
     risk_p = (1.0 - alpha) ** 2 + alpha * alpha * problem.sigma_p_sq
     risk_q = (
         1.0
@@ -118,15 +113,9 @@ def denoise_risks(problem):
 
 
 def denoise_relation_residual(problem):
-    """|risk_Q - a risk_P - (1-a) - alpha^2((d_P/d_Q) sigma_Q^2 - a sigma_P^2)|."""
-    risk_p, risk_q, alpha = denoise_risks(problem)
-    a = problem.overlap()
-    predicted = (
-        a * risk_p
-        + (1.0 - a)
-        + alpha * alpha * ((problem.d_p / problem.d_q) * problem.sigma_q_sq - a * problem.sigma_p_sq)
-    )
-    return float(abs(risk_q - predicted))
+    """Residual of the affine train/test relation for the denoiser; exact up to roundoff."""
+    risk_p, risk_q, _ = denoise_risks(problem)
+    return _relation_residual(problem, risk_p, risk_q)
 
 
 def gaussian_measurement(n, d, seed):
@@ -187,8 +176,11 @@ def cs_operator(a_matrix, problem):
             f"({problem.d_p}, {problem.d_q})"
         )
     denom = problem.sigma_p_sq + problem.lam
-    if denom <= 0.0:
-        raise NumericInputError("sigma_p_sq + lam must be positive for the ridge operator")
+    # a subnormal denom is positive but its reciprocal overflows to inf
+    if not (denom > 0.0 and math.isfinite(1.0 / denom)):
+        raise NumericInputError(
+            f"sigma_p_sq + lam = {denom} must be positive with a finite reciprocal for the ridge operator"
+        )
     eta = 1.0 / denom
     b_p = a_matrix @ problem.u_p.columns
     m = b_p.T @ b_p
@@ -238,15 +230,7 @@ def cs_risks(op, problem):
 
 def cs_relation_residual(op, problem):
     """Absolute residual of the affine train/test risk relation at finite n."""
-    risk_p, risk_q = cs_risks(op, problem)
-    a = problem.overlap()
-    alpha = 1.0 / (1.0 + problem.sigma_p_sq + problem.lam)
-    predicted = (
-        a * risk_p
-        + (1.0 - a)
-        + alpha * alpha * ((problem.d_p / problem.d_q) * problem.sigma_q_sq - a * problem.sigma_p_sq)
-    )
-    return float(abs(risk_q - predicted))
+    return _relation_residual(problem, *cs_risks(op, problem))
 
 
 def inner_product_preservation_stats(a_matrix, vectors):

@@ -1,6 +1,7 @@
 """Tests for config parsing, experiment runners, CSV output, and the CLI."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -330,6 +331,25 @@ def test_cli_numeric_failure_exit_code(tmp_path, capsys):
         f"output_path = {tmp_path / 'out.csv'}\n",
     )
     assert main(["subspace-analyze", "--config", cfg]) == 3
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [None, "", "1.0 2.0\nthree 4.0\n"], ids=["missing", "empty", "non-numeric"])
+def test_cli_unreadable_matrix_is_io_error(tmp_path, capsys, content):
+    good = tmp_path / "good.txt"
+    np.savetxt(good, np.random.default_rng(3).standard_normal((10, 4)))
+    bad = tmp_path / "bad.txt"
+    if content is not None:
+        bad.write_text(content, encoding="utf-8")
+    out = tmp_path / "out.csv"
+    cfg = _cli_config(
+        tmp_path,
+        f"kind = subspace-analyze\ninput_p = {good}\ninput_q = {bad}\noutput_path = {out}\n",
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # numpy warns on a file with no data
+        assert main(["subspace-analyze", "--config", cfg]) == 4
+    assert not out.exists()
     assert "error:" in capsys.readouterr().err
 
 

@@ -1,24 +1,33 @@
 """Tests for subspace denoising and compressed-sensing risk identities."""
 
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskshift.errors import InvalidDimensionError, NumericInputError
 from riskshift.inverse import (
     CSOperator,
-    DenoiseOperator,
     InverseProblem,
     cs_operator,
     cs_relation_residual,
     cs_risks,
-    denoise_operator,
     denoise_relation_residual,
     denoise_risks,
     gaussian_measurement,
     inner_product_preservation_stats,
 )
-from riskshift.subspace import OrthonormalBasis, haar_basis
+from riskshift.subspace import (
+    OrthonormalBasis,
+    SubspacePairSpec,
+    haar_basis,
+    overlap_coefficient,
+    overlapping_pair,
+    principal_angles,
+)
 
 
 def _coordinate_problem(d=40, d_p=10, shared=5, d_q=10, **kw):
@@ -30,6 +39,21 @@ def _coordinate_problem(d=40, d_p=10, shared=5, d_q=10, **kw):
     defaults = dict(sigma_p_sq=0.01, sigma_q_sq=0.01, lam=0.1)
     defaults.update(kw)
     return InverseProblem(u_p, u_q, **defaults)
+
+
+_PROPERTY = settings(max_examples=150, deadline=None, database=None)
+
+
+@st.composite
+def inverse_problems(draw):
+    """Any valid problem: d <= 24, seeded overlapping pair, noise and ridge weights >= 0."""
+    d = draw(st.integers(1, 24))
+    d_p = draw(st.integers(1, d))
+    d_q = draw(st.integers(1, d))
+    d_pq = draw(st.integers(max(0, d_p + d_q - d), min(d_p, d_q)))
+    u_p, u_q = overlapping_pair(SubspacePairSpec(d, d_p, d_q, d_pq), draw(st.integers(0, 2**32 - 1)))
+    weights = st.floats(0.0, 10.0)
+    return InverseProblem(u_p, u_q, draw(weights), draw(weights), draw(st.floats(0.0, 100.0)))
 
 
 def test_inverse_problem_validation():
@@ -48,25 +72,14 @@ def test_inverse_problem_validation():
     assert (prob.d, prob.d_p, prob.d_q) == (20, 5, 7)
 
 
-def test_denoise_operator_shrinkage():
-    prob = _coordinate_problem(sigma_p_sq=1.0, lam=0.5)
-    op = denoise_operator(prob)
-    assert op.alpha == pytest.approx(1.0 / 2.5, rel=1e-14)
-    assert op.pi_p is prob.u_p
-    with pytest.raises(NumericInputError):
-        DenoiseOperator(alpha=0.0, pi_p=prob.u_p)
-    with pytest.raises(NumericInputError):
-        DenoiseOperator(alpha=1.5, pi_p=prob.u_p)
-
-
 def test_denoise_risks_hand_values():
     # noiseless interpolation recovers the signal on P and leaves 1 - a on Q
     prob = _coordinate_problem(sigma_p_sq=0.0, sigma_q_sq=0.0, lam=0.0)
     risk_p, risk_q, alpha = denoise_risks(prob)
     assert alpha == 1.0
     assert risk_p == pytest.approx(0.0, abs=1e-15)
-    assert risk_q == pytest.approx(1.0 - prob.overlap(), rel=1e-12)
-    assert prob.overlap() == pytest.approx(0.5, abs=1e-12)
+    assert risk_q == pytest.approx(1.0 - prob.overlap, rel=1e-12)
+    assert prob.overlap == pytest.approx(0.5, abs=1e-12)
     # identical subspaces and noise levels: no shift at all
     u = haar_basis(30, 8, seed=3)
     same = InverseProblem(u, u, 0.3, 0.3, 0.7)
@@ -98,6 +111,33 @@ def test_denoise_relation_is_identity():
         assert denoise_relation_residual(prob) <= 1e-12
         risk_p, risk_q, _ = denoise_risks(prob)
         assert risk_p >= -1e-12 and risk_q >= -1e-12
+
+
+@_PROPERTY
+@given(inverse_problems())
+def test_denoise_relation_exact_for_any_problem(prob):
+    assert denoise_relation_residual(prob) <= 1e-12
+
+
+@_PROPERTY
+@given(inverse_problems())
+def test_overlap_matches_fresh_principal_angles(prob):
+    assert prob.overlap == overlap_coefficient(principal_angles(prob.u_p, prob.u_q), prob.d_q)
+
+
+@_PROPERTY
+@given(inverse_problems())
+def test_cs_identity_measurement_matches_denoising_for_any_problem(prob):
+    denom = prob.sigma_p_sq + prob.lam
+    # eta = 1/(sigma_P^2 + lam) must exist as a finite float (subnormal sums overflow it)
+    if not (denom > 0.0 and math.isfinite(1.0 / denom)):
+        with pytest.raises(NumericInputError):
+            cs_operator(np.eye(prob.d), prob)
+        return
+    risk_p, risk_q = cs_risks(cs_operator(np.eye(prob.d), prob), prob)
+    den_p, den_q, _ = denoise_risks(prob)
+    assert risk_p == pytest.approx(den_p, abs=1e-10)
+    assert risk_q == pytest.approx(den_q, abs=1e-10)
 
 
 def test_denoise_curve_linearity_depends_on_snr():
@@ -185,6 +225,9 @@ def test_cs_operator_validation():
     noiseless = _coordinate_problem(sigma_p_sq=0.0, lam=0.0)
     with pytest.raises(NumericInputError):
         cs_operator(np.eye(prob.d), noiseless)
+    # a subnormal sigma_P^2 + lam overflows eta = 1/(sigma_P^2 + lam)
+    with pytest.raises(NumericInputError):
+        cs_operator(np.eye(prob.d), _coordinate_problem(sigma_p_sq=0.0, lam=1e-310))
     with pytest.raises(NumericInputError):
         CSOperator(eta=1.0, s=np.array([[0.0, 1.0], [0.5, 0.0]]), a=np.eye(2), m=np.eye(2))
 
