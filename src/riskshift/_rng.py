@@ -7,6 +7,7 @@ work is scheduled.
 """
 
 import numpy as np
+import numpy.random  # numpy loads it lazily; load it with the package, not inside a run
 
 
 def as_seed_sequence(seed):

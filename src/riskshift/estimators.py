@@ -10,8 +10,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.linalg
-from scipy.special import expit
 
 from riskshift.errors import InvalidDimensionError, NumericInputError
 from riskshift.subspace import _frozen_array
@@ -70,6 +68,10 @@ def _check_finite_data(data):
 
 def ridge_fit(data, lam):
     """Minimizer of 0.5 * ||y - X beta||^2 + 0.5 * lam * ||beta||^2."""
+    # scipy is imported by the solvers that use it, not by the package import,
+    # because loading it costs more than a closed-form run
+    import scipy.linalg
+
     if not (math.isfinite(lam) and lam > 0):
         raise NumericInputError("ridge weight lam must be a positive finite scalar")
     _check_finite_data(data)
@@ -104,6 +106,9 @@ def erm_fit(data, config, beta0=None):
     Stops when ||grad|| <= tol * (1 + ||beta||).  On reaching max_iter first,
     the returned model carries converged=False.  beta0 warm-starts the solver.
     """
+    import scipy.linalg  # see ridge_fit
+    from scipy.special import expit
+
     if not isinstance(config, ERMConfig):
         raise NumericInputError("config must be an ERMConfig")
     _check_finite_data(data)

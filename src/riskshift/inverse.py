@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from riskshift.errors import (
     InvalidDimensionError,
@@ -129,12 +128,16 @@ def gaussian_measurement(n, d, seed):
 
 @dataclass(frozen=True)
 class CSOperator:
-    """Reduced reconstruction data: x_hat = U_P S U_P^T A^T y."""
+    """Reduced reconstruction data: x_hat = U_P S U_P^T A^T y.
+
+    b_p = A U_P is kept because cs_risks needs it again; m = b_p^T b_p, symmetrized.
+    """
 
     eta: float
     s: np.ndarray
     a: np.ndarray
     m: np.ndarray
+    b_p: np.ndarray
 
     def __post_init__(self):
         if not (math.isfinite(self.eta) and self.eta > 0):
@@ -142,17 +145,21 @@ class CSOperator:
         s = np.asarray(self.s, dtype=np.float64)
         a = np.asarray(self.a, dtype=np.float64)
         m = np.asarray(self.m, dtype=np.float64)
+        b_p = np.asarray(self.b_p, dtype=np.float64)
         if s.ndim != 2 or s.shape[0] != s.shape[1]:
             raise InvalidDimensionError("S must be square")
         if m.shape != s.shape:
             raise InvalidDimensionError("M must match the shape of S")
         if a.ndim != 2:
             raise InvalidDimensionError("A must be a matrix")
+        if b_p.shape != (a.shape[0], s.shape[0]):
+            raise InvalidDimensionError("B_P must have the row count of A and the order of S")
         if np.max(np.abs(s - s.T)) > _SYM_TOL:
             raise NumericInputError("S must be symmetric within 1e-10")
         object.__setattr__(self, "s", _frozen_array(s))
         object.__setattr__(self, "a", _frozen_array(a))
         object.__setattr__(self, "m", _frozen_array(m))
+        object.__setattr__(self, "b_p", _frozen_array(b_p))
 
 
 def cs_operator(a_matrix, problem):
@@ -162,6 +169,8 @@ def cs_operator(a_matrix, problem):
     eta = 1/(sigma_P^2 + lam), which simplifies to eta (I + eta M)^{-1}; the
     solve is a d_P x d_P SPD factorization, never an n x n inverse.
     """
+    import scipy.linalg  # imported here so that the package import does not load scipy
+
     a_matrix = np.asarray(a_matrix, dtype=np.float64)
     if a_matrix.ndim != 2 or a_matrix.shape[1] != problem.d:
         raise InvalidDimensionError(
@@ -193,7 +202,7 @@ def cs_operator(a_matrix, problem):
     except scipy.linalg.LinAlgError as exc:
         raise NumericInputError(f"(I + eta M) is numerically singular: {exc}") from exc
     s = 0.5 * (s + s.T)
-    return CSOperator(eta=eta, s=s, a=a_matrix, m=m)
+    return CSOperator(eta=eta, s=s, a=a_matrix, m=m, b_p=b_p)
 
 
 def _check_op_matches(op, problem):
@@ -214,9 +223,8 @@ def cs_risks(op, problem):
     eye_minus = -s @ m
     eye_minus[np.diag_indices_from(eye_minus)] += 1.0
     risk_p = (float(np.sum(eye_minus * eye_minus)) + problem.sigma_p_sq * noise_core) / problem.d_p
-    b_p = op.a @ problem.u_p.columns
     b_q = op.a @ problem.u_q.columns
-    n_mat = b_p.T @ b_q
+    n_mat = op.b_p.T @ b_q
     g = problem.u_p.columns.T @ problem.u_q.columns
     resid = g - s @ n_mat
     risk_q = (

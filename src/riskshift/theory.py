@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from riskshift.errors import (
     DegenerateShiftError,
@@ -22,7 +21,7 @@ from riskshift.errors import (
     RelationInapplicableError,
     RiskDomainError,
 )
-from riskshift.risk import DecisionCov
+from riskshift.risk import DecisionCov, _std_normal_cdf
 from riskshift.shiftmodel import ShiftParameters
 
 _GAMMA_KAPPA_REL_TOL = 1e-6
@@ -338,6 +337,6 @@ def probit_arctan_gap(u_grid):
         raise NumericInputError("u_grid must cover [-10, 10]")
     if np.max(np.diff(u)) > 0.01 + 1e-12:
         raise NumericInputError("u_grid spacing must be at most 0.01")
-    probit = 0.5 * ndtr(u / math.sqrt(2.0))
+    probit = 0.5 * _std_normal_cdf(u / math.sqrt(2.0))
     arct = np.arctan(np.exp(np.minimum(u, 700.0))) / math.pi
     return float(np.max(np.abs(probit - arct)))

@@ -1,11 +1,18 @@
 """Tests for config parsing, experiment runners, CSV output, and the CLI."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import riskshift
 from riskshift.errors import ConfigError, NumericInputError
 from riskshift.harness.cli import main
 from riskshift.harness.config import (
@@ -23,6 +30,7 @@ from riskshift.harness.config import (
     parse_config_text,
 )
 from riskshift.harness.runners import (
+    _format_cell,
     run_and_write,
     run_counterexample,
     run_cs_validation,
@@ -120,6 +128,13 @@ def test_write_csv_17_digits_lf(tmp_path):
     data = path.read_bytes()
     assert b"\r" not in data
     assert data == b"name,x,n\nrow,0.10000000000000001,3\n"
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_format_cell_round_trips_every_finite_float(x):
+    for value in (x, np.float64(x)):
+        assert float(_format_cell(value)).hex() == x.hex()
 
 
 def test_write_csv_failure_leaves_no_partial_file(tmp_path):
@@ -365,3 +380,40 @@ def test_cli_seed_and_out_overrides(tmp_path, capsys):
     assert main(["regression-sweep", "--config", cfg, "--seed", "5", "--out", str(out_other)]) == 0
     capsys.readouterr()
     assert out_other.exists() and not out_default.exists()
+
+
+# Runs in a fresh interpreter because the test process has scipy loaded already.
+_IMPORT_PATH_PROBE = """
+import json, sys
+import riskshift
+import riskshift.harness
+from riskshift.harness import RUNNERS, config_from_mapping, write_csv
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+rows = {}
+for kind in ("denoise", "counterexample"):
+    cfg = config_from_mapping(kind, {}, out_override=f"{sys.argv[1]}/{kind}.csv")
+    header, out = RUNNERS[kind](cfg)
+    write_csv(cfg["output_path"], header, out)
+    rows[kind] = len(out)
+after_runs = scipy_modules()
+riskshift.ridge_fit(riskshift.Dataset(x=[[1.0, 0.0], [0.0, 1.0]], y=[1.0, 2.0]), 1.0)
+print(json.dumps({"rows": rows, "after_runs": after_runs, "after_ridge": scipy_modules()}))
+"""
+
+
+def test_package_import_and_closed_form_runners_load_no_scipy(tmp_path):
+    src = os.path.dirname(os.path.dirname(riskshift.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PATH_PROBE, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    probe = json.loads(done.stdout)
+    assert probe["rows"]["denoise"] > 0 and probe["rows"]["counterexample"] > 0
+    assert probe["after_runs"] == []
+    # the solvers still load scipy, so the empty list above is not vacuous
+    assert "scipy.linalg" in probe["after_ridge"]

@@ -5,12 +5,17 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.special import ndtr
 
 from riskshift._rng import as_seed_sequence, child_sequence
 from riskshift.errors import CovarianceError, NumericInputError
 from riskshift.harness.config import KIND_COUNTEREXAMPLE, config_from_mapping
 from riskshift.risk import (
     DecisionCov,
+    _std_normal_cdf,
     MetricKind,
     decision_cov,
     mc_metric_risk,
@@ -46,6 +51,31 @@ def test_decision_cov_rejects_psd_violations():
         DecisionCov(omega_star=1.0, chi=2.0, v=1.0)
     with pytest.raises(CovarianceError):
         DecisionCov(omega_star=-1.0, chi=0.0, v=1.0)
+
+
+_D = 12
+# magnitudes up to 1e50 keep every product omega_star * v below overflow
+_VECTORS = arrays(np.float64, _D, elements=st.floats(-1e50, 1e50, allow_nan=False))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_VECTORS, _VECTORS, st.floats(0.01, 10.0), st.integers(0, 2**32 - 1), st.sampled_from("PQ"))
+def test_decision_cov_of_any_finite_vectors_is_psd(beta_star, beta_hat, tau, seed, which):
+    pair = subspace_shift_model(SubspacePairSpec(_D, 8, 6, 4), tau, seed)
+    cov = decision_cov(beta_star, beta_hat, pair, which)  # DecisionCov raises if not PSD
+    assert cov.omega_star >= 0.0 and cov.v >= 0.0
+
+
+def test_std_normal_cdf_matches_ndtr():
+    x = np.concatenate([np.linspace(-38.0, 38.0, 7601), [0.0, -0.0, -37.5, 37.5]])
+    got = _std_normal_cdf(x)
+    want = ndtr(x)
+    assert got.dtype == np.float64 and got.shape == x.shape
+    assert np.all(np.abs(got - want) <= np.maximum(1e-12 * np.abs(want), 1e-300))
+    assert _std_normal_cdf(0.0) == _std_normal_cdf(-0.0) == 0.5
+    scalar = _std_normal_cdf(-1.25)
+    assert np.ndim(scalar) == 0
+    assert abs(scalar - ndtr(-1.25)) <= 1e-12 * ndtr(-1.25)
 
 
 def test_squared_risk_formula():

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from riskshift.errors import (
     DegenerateShiftError,
@@ -149,6 +151,34 @@ def test_classification_relation_monotone_and_invertible():
     assert np.all((vals > 0) & (vals < 0.5))
     for r, v in zip(grid, vals):
         assert classification_relation_inverse(v, shift) == pytest.approx(r, abs=1e-10)
+
+
+@st.composite
+def shift_descriptors(draw):
+    """Shifts with gamma, kappa in [0.2, 5] and mu in [1, 3]."""
+    slopes = st.floats(0.2, 5.0)
+    return ShiftParameters(
+        gamma=draw(slopes), mu=draw(st.floats(1.0, 3.0)), kappa=draw(slopes), r_p=0.9,
+        sigma_beta_sq=1.0,
+    )
+
+
+# Below r = 1e-3 the inverse loses digits to sec^2(pi r) - 1 ~ (pi r)^2, so
+# its error grows like 1/r (6e-12 measured at r = 1e-4).  Within a few ulp of
+# 1/2 the test risk rounds to 1/2 itself, which the inverse rejects.  The
+# round trip is held to 1e-12 in between.
+_TRAIN_RISKS = st.floats(1e-3, 0.5 - 1e-9)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_TRAIN_RISKS, _TRAIN_RISKS, shift_descriptors())
+def test_classification_relation_inverse_round_trip_and_increasing(r1, r2, shift):
+    for r in (r1, r2):
+        risk_q = classification_relation(r, shift)
+        assert abs(classification_relation_inverse(risk_q, shift) - r) <= 1e-12
+    lo, hi = sorted((r1, r2))
+    assume(hi - lo > 1e-9)
+    assert classification_relation(lo, shift) < classification_relation(hi, shift)
 
 
 def test_classification_relation_domain_errors():
