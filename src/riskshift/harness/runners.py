@@ -46,9 +46,9 @@ from riskshift.harness.config import (
 )
 from riskshift.inverse import (
     InverseProblem,
+    _relation_residual,
     cs_operator,
     cs_relation_residual,
-    denoise_relation_residual,
     denoise_risks,
     gaussian_measurement,
     inner_product_preservation_stats,
@@ -69,7 +69,6 @@ from riskshift.shiftmodel import (
 from riskshift.subspace import (
     OrthonormalBasis,
     SubspacePairSpec,
-    overlap_coefficient,
     overlapping_pair,
     principal_angles,
     subspace_similarity,
@@ -296,7 +295,6 @@ def run_denoising(config):
     for i, a_target in enumerate(config["a_grid"]):
         d_pq = int(round(a_target * d_q))
         u_p, u_q = overlapping_pair(SubspacePairSpec(d, d_p, d_q, d_pq), stream(ms, 0, _GRID_SLOT_BASE + i))
-        a_realized = overlap_coefficient(principal_angles(u_p, u_q), d_q)
         for snr in config["snr_grid"]:
             noise = 1.0 / snr
             for lam in config["lambda_grid"]:
@@ -307,13 +305,13 @@ def run_denoising(config):
                 rows.append(
                     {
                         "a_target": a_target,
-                        "a_realized": a_realized,
+                        "a_realized": problem.overlap,
                         "snr": snr,
                         "lambda": lam,
                         "risk_p": risk_p,
                         "risk_q": risk_q,
                         "alpha": alpha,
-                        "residual": denoise_relation_residual(problem),
+                        "residual": _relation_residual(problem, risk_p, risk_q),
                     }
                 )
     rows.sort(key=lambda r: (r["a_target"], r["snr"], r["lambda"]))

@@ -25,6 +25,7 @@ from riskshift.risk import DecisionCov, _std_normal_cdf
 from riskshift.shiftmodel import ShiftParameters
 
 _GAMMA_KAPPA_REL_TOL = 1e-6
+_BELOW_HALF = math.nextafter(0.5, 0.0)
 
 
 @dataclass(frozen=True)
@@ -118,7 +119,8 @@ def _risk_from_sec_sq(s):
         if s < 1.0 - 1e-9:
             raise RiskDomainError(f"sec^2 value {s} below 1; no risk in [0, 1/2) maps to it")
         s = 1.0
-    return math.acos(min(1.0, 1.0 / math.sqrt(s))) / math.pi
+    # a huge s rounds acos to exactly pi / 2; the relations' domain is open at 1/2
+    return min(math.acos(min(1.0, 1.0 / math.sqrt(s))) / math.pi, _BELOW_HALF)
 
 
 def classification_relation(risk_p, shift):

@@ -13,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import riskshift
+from riskshift import inverse
 from riskshift.errors import ConfigError, NumericInputError
+from riskshift.harness import runners
 from riskshift.harness.cli import main
 from riskshift.harness.config import (
     ALL_KINDS,
@@ -236,6 +238,23 @@ def test_denoise_runner_identity_and_high_snr_linearity():
         (slope, _), res, *_ = np.polyfit(pts[:, 0], pts[:, 1], 1, full=True)
         assert slope == pytest.approx(a, abs=0.02)
         assert (float(res[0]) if res.size else 0.0) <= 1e-3
+
+
+def test_denoise_runner_computes_each_overlap_once(monkeypatch):
+    calls = []
+
+    def counted(original):
+        def principal_angles(*args):
+            calls.append(args)
+            return original(*args)
+
+        return principal_angles
+
+    for module in (runners, inverse):
+        monkeypatch.setattr(module, "principal_angles", counted(module.principal_angles))
+    _, rows = run_denoising(config_from_mapping(KIND_DENOISE, {"d": "60", "d_p": "12", "d_q": "12"}))
+    # one per problem, cached on it; none of its own for a_realized
+    assert len(calls) == len(rows)
 
 
 def test_counterexample_runner_schema_and_identity():

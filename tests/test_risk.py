@@ -5,9 +5,11 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from numpy.polynomial.hermite_e import hermegauss
+from numpy.polynomial.legendre import leggauss
 from scipy.special import ndtr
 
 from riskshift._rng import as_seed_sequence, child_sequence
@@ -15,6 +17,8 @@ from riskshift.errors import CovarianceError, NumericInputError
 from riskshift.harness.config import KIND_COUNTEREXAMPLE, config_from_mapping
 from riskshift.risk import (
     DecisionCov,
+    _cholesky_2x2,
+    _half_normal_rule,
     _std_normal_cdf,
     MetricKind,
     decision_cov,
@@ -126,11 +130,16 @@ def test_mc_hinge_frozen_oracle():
     assert abs(est - _HINGE_ALIGNED) <= 4 * se
 
 
-def _logistic_aligned_oracle():
-    # aligned unit pair: E log(1 + exp(-|Z|)) via dense numeric quadrature
+def _normal_trapezoid(f):
+    # E f(Z) for Z standard normal via a dense trapezoid rule on [-10, 10]
     z = np.linspace(-10, 10, 400_001)
     phi = np.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
-    return np.trapezoid(np.logaddexp(0.0, -np.abs(z)) * phi, z)
+    return np.trapezoid(f(z) * phi, z)
+
+
+def _logistic_aligned_oracle():
+    # aligned unit pair: E log(1 + exp(-|Z|))
+    return _normal_trapezoid(lambda z: np.logaddexp(0.0, -np.abs(z)))
 
 
 def test_mc_logistic_quadrature_oracle():
@@ -260,3 +269,61 @@ def test_quad_rejects_closed_form_metrics():
     for metric in (MetricKind.SQUARED_ERROR, MetricKind.MISCLASSIFICATION, "logistic"):
         with pytest.raises(NumericInputError):
             quad_metric_risk(cov, metric)
+
+
+def _logistic_tensor_rule(cov, order):
+    # the 2-D rule the 1-D identity replaced: Gauss-Legendre over |g1| on
+    # [0, 9] against the half-normal density, Gauss-Hermite over w
+    _, l21, l22 = _cholesky_2x2(cov)
+    x, wx = leggauss(order)
+    h = 4.5 * (x + 1.0)
+    wh = 9.0 * wx * np.exp(-0.5 * h * h) / math.sqrt(2 * math.pi)
+    w, ww = hermegauss(order)
+    inner = np.logaddexp(0.0, -(l21 * h[:, None] + l22 * w[None, :])) @ (ww / math.sqrt(2 * math.pi))
+    return float(wh @ inner)
+
+
+@st.composite
+def factored_covariances(draw):
+    """DecisionCov from a Cholesky factor with s = hypot(l21, l22) <= 15.
+
+    l21 = 0 (chi = 0), l21 < 0 (chi < 0) and l22 = 0 (chi^2 = omega_star * v)
+    are each drawn with positive probability.
+    """
+    l11 = draw(st.floats(1e-3, 10.0))
+    l21 = draw(st.one_of(st.just(0.0), st.floats(-15.0, 15.0)))
+    l22 = draw(st.one_of(st.just(0.0), st.floats(0.0, math.sqrt(225.0 - l21 * l21))))
+    return DecisionCov(omega_star=l11 * l11, chi=l11 * l21, v=l21 * l21 + l22 * l22)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(factored_covariances())
+@example(DecisionCov(omega_star=1.0, chi=-0.6, v=0.8))
+@example(DecisionCov(omega_star=0.7, chi=0.7 * 1.3, v=0.7 * 1.3 * 1.3))
+@example(DecisionCov(omega_star=2.0, chi=0.0, v=0.5))
+def test_quad_logistic_identity_matches_tensor_rule(cov):
+    value, err = quad_metric_risk(cov, MetricKind.LOGISTIC)
+    assert err <= 1e-12
+    fine = _logistic_tensor_rule(cov, 300)
+    # the Gauss-Hermite rule loses accuracy once l22 exceeds about 3; compare
+    # only where its own error estimate vouches for it
+    if abs(fine - _logistic_tensor_rule(cov, 150)) <= 1e-13:
+        assert abs(value - fine) <= 1e-12 * value
+
+
+def test_quad_logistic_wide_independent_part():
+    # l22 = 10: the 2-D rule's Gauss-Hermite error estimate was 9.5e-5 here
+    value, err = quad_metric_risk(DecisionCov(omega_star=1e-4, chi=0.0, v=100.0), MetricKind.LOGISTIC)
+    assert err <= 1e-9
+    assert abs(value - _normal_trapezoid(lambda z: np.logaddexp(0.0, 10.0 * z))) <= 1e-8
+
+
+@pytest.mark.parametrize("cuts", [(0.0, 9.0), (0.0, 0.37, 9.0)])
+@pytest.mark.parametrize("order", [150, 300])
+def test_half_normal_rule_moments(order, cuts):
+    # the error estimate of quad_metric_risk cannot see an error shared by
+    # both orders, so the rule's own moments are pinned here
+    h, w = _half_normal_rule(order, cuts)
+    assert abs(w.sum() - 1.0) <= 1e-13
+    assert abs(w @ h - math.sqrt(2.0 / math.pi)) <= 1e-13
+    assert abs(w @ (h * h) - 1.0) <= 1e-13

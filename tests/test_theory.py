@@ -6,7 +6,7 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from riskshift.errors import (
@@ -164,9 +164,8 @@ def shift_descriptors(draw):
 
 
 # Below r = 1e-3 the inverse loses digits to sec^2(pi r) - 1 ~ (pi r)^2, so
-# its error grows like 1/r (6e-12 measured at r = 1e-4).  Within a few ulp of
-# 1/2 the test risk rounds to 1/2 itself, which the inverse rejects.  The
-# round trip is held to 1e-12 in between.
+# its error grows like 1/r (6e-12 measured at r = 1e-4).  The round trip is
+# held to 1e-12 above that; the last 1e-9 below 1/2 has its own test.
 _TRAIN_RISKS = st.floats(1e-3, 0.5 - 1e-9)
 
 
@@ -179,6 +178,18 @@ def test_classification_relation_inverse_round_trip_and_increasing(r1, r2, shift
     lo, hi = sorted((r1, r2))
     assume(hi - lo > 1e-9)
     assert classification_relation(lo, shift) < classification_relation(hi, shift)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.floats(0.5 - 1e-9, 0.5, exclude_max=True), shift_descriptors())
+@example(0.49999999999999994, ShiftParameters(gamma=0.5, mu=1.0, kappa=2.0, r_p=0.9, sigma_beta_sq=1.0))
+def test_classification_relation_stays_below_half(r, shift):
+    # sec^2(pi r) is huge here; the test risk must not round to 1/2 itself
+    risk_q = classification_relation(r, shift)
+    assert 0.0 < risk_q < 0.5
+    back = classification_relation_inverse(risk_q, shift)
+    assert 0.0 < back < 0.5
+    assert abs(back - r) <= 1e-12
 
 
 def test_classification_relation_domain_errors():
