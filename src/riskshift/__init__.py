@@ -10,7 +10,6 @@ counterparts (`inverse`), and drive reproducible experiment sweeps
 (`harness`).
 """
 
-from riskshift._kernels import kernel_backend
 from riskshift.datagen import (
     Dataset,
     GroundTruth,
@@ -33,7 +32,7 @@ from riskshift.errors import (
     RiskshiftError,
     UnreachableRatioError,
 )
-from riskshift.estimators import ERMConfig, FittedModel, Loss, erm_fit, population_ridge, ridge_fit
+from riskshift.estimators import ERMConfig, FittedModel, erm_fit, population_ridge, ridge_fit
 from riskshift.inverse import (
     CSOperator,
     InverseProblem,
@@ -107,7 +106,6 @@ __all__ = [
     "InvalidDimensionError",
     "InverseProblem",
     "LinearGaussian",
-    "Loss",
     "MetricKind",
     "MonotonicityVerdict",
     "NoiselessLinear",
@@ -136,7 +134,6 @@ __all__ = [
     "gaussian_measurement",
     "haar_basis",
     "inner_product_preservation_stats",
-    "kernel_backend",
     "label",
     "mc_metric_risk",
     "misclassification_risk",

@@ -1,13 +1,12 @@
 """Ridge-regularized empirical risk minimizers and the population ridge map.
 
 ridge_fit solves the normal equations directly.  erm_fit runs damped Newton
-with Armijo backtracking on the regularized objective for squared or logistic
-loss; it never raises on slow convergence, it flags the result instead.
+with Armijo backtracking on the ridge-regularized logistic objective; it never
+raises on slow convergence, it flags the result instead.
 """
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -18,23 +17,15 @@ _ARMIJO_C = 1e-4
 _MIN_STEP = 1e-12
 
 
-class Loss(Enum):
-    SQUARED = "squared"
-    LOGISTIC = "logistic"
-
-
 @dataclass(frozen=True)
 class ERMConfig:
-    """Loss, ridge weight, and Newton stopping controls."""
+    """Ridge weight and Newton stopping controls of logistic ERM."""
 
-    loss: Loss
     lam: float
     tol: float = 1e-10
     max_iter: int = 100
 
     def __post_init__(self):
-        if not isinstance(self.loss, Loss):
-            raise NumericInputError(f"loss must be a Loss member, got {self.loss!r}")
         if not (math.isfinite(self.lam) and self.lam > 0):
             raise NumericInputError("ridge weight lam must be a positive finite scalar")
         if not (math.isfinite(self.tol) and self.tol > 0):
@@ -48,7 +39,6 @@ class FittedModel:
     """Fitted coefficients plus solver diagnostics."""
 
     beta_hat: np.ndarray
-    final_grad_norm: float
     iterations: int
     converged: bool
 
@@ -76,23 +66,15 @@ def ridge_fit(data, lam):
         raise NumericInputError("ridge weight lam must be a positive finite scalar")
     _check_finite_data(data)
     x, y = data.x, data.y
-    d = data.d
     h = x.T @ x
     h[np.diag_indices_from(h)] += lam
     xty = x.T @ y
     beta = scipy.linalg.solve(h, xty, assume_a="pos")
-    grad = x.T @ (x @ beta - y) + lam * beta
     return FittedModel(
         beta_hat=beta,
-        final_grad_norm=float(np.linalg.norm(grad)),
         iterations=1,
         converged=True,
     )
-
-
-def _squared_objective(x, y, lam, beta):
-    r = x @ beta - y
-    return 0.5 * float(r @ r) + 0.5 * lam * float(beta @ beta)
 
 
 def _logistic_objective(x, y, lam, beta):
@@ -101,7 +83,7 @@ def _logistic_objective(x, y, lam, beta):
 
 
 def erm_fit(data, config, beta0=None):
-    """Damped Newton minimization of the regularized empirical risk.
+    """Damped Newton minimization of the ridge-regularized logistic empirical risk.
 
     Stops when ||grad|| <= tol * (1 + ||beta||).  On reaching max_iter first,
     the returned model carries converged=False.  beta0 warm-starts the solver.
@@ -113,9 +95,9 @@ def erm_fit(data, config, beta0=None):
         raise NumericInputError("config must be an ERMConfig")
     _check_finite_data(data)
     x, y = data.x, data.y
-    n, d = data.x.shape
+    d = data.d
     lam = config.lam
-    if config.loss is Loss.LOGISTIC and not np.all(np.abs(y) == 1.0):
+    if not np.all(np.abs(y) == 1.0):
         raise NumericInputError("logistic loss requires labels in {-1, +1}")
     if beta0 is None:
         beta = np.zeros(d)
@@ -126,30 +108,16 @@ def erm_fit(data, config, beta0=None):
         if not np.all(np.isfinite(beta)):
             raise NumericInputError("beta0 must be finite")
 
-    if config.loss is Loss.SQUARED:
-        objective = _squared_objective
+    def gradient(b):
+        m = y * (x @ b)
+        return -x.T @ (y * expit(-m)) + lam * b
 
-        def gradient(b):
-            return x.T @ (x @ b - y) + lam * b
-
-        def hessian(b):
-            h = x.T @ x
-            h[np.diag_indices_from(h)] += lam
-            return h
-
-    else:
-        objective = _logistic_objective
-
-        def gradient(b):
-            m = y * (x @ b)
-            return -x.T @ (y * expit(-m)) + lam * b
-
-        def hessian(b):
-            m = y * (x @ b)
-            w = expit(m) * expit(-m)
-            h = (x * w[:, None]).T @ x
-            h[np.diag_indices_from(h)] += lam
-            return h
+    def hessian(b):
+        m = y * (x @ b)
+        w = expit(m) * expit(-m)
+        h = (x * w[:, None]).T @ x
+        h[np.diag_indices_from(h)] += lam
+        return h
 
     iterations = 0
     grad = gradient(beta)
@@ -166,11 +134,11 @@ def erm_fit(data, config, beta0=None):
         if descent <= 0.0:
             step = grad
             descent = float(grad @ grad)
-        f0 = objective(x, y, lam, beta)
+        f0 = _logistic_objective(x, y, lam, beta)
         t = 1.0
         while t > _MIN_STEP:
             candidate = beta - t * step
-            if objective(x, y, lam, candidate) <= f0 - _ARMIJO_C * t * descent:
+            if _logistic_objective(x, y, lam, candidate) <= f0 - _ARMIJO_C * t * descent:
                 break
             t *= 0.5
         beta = beta - t * step
@@ -179,7 +147,6 @@ def erm_fit(data, config, beta0=None):
         converged = grad_norm <= config.tol * (1.0 + float(np.linalg.norm(beta)))
     return FittedModel(
         beta_hat=beta,
-        final_grad_norm=grad_norm,
         iterations=iterations,
         converged=bool(converged),
     )

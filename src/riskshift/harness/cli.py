@@ -1,7 +1,7 @@
 """Command-line entry point: one subcommand per experiment kind plus selftest.
 
 Exit codes: 0 success, 1 selftest failure, 2 configuration error,
-3 numerical error, 4 file I/O error.
+3 numerical error (including a config too large to allocate), 4 file I/O error.
 """
 
 import argparse
@@ -44,7 +44,7 @@ def main(argv=None):
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (RiskshiftError, np.linalg.LinAlgError) as exc:
+    except (RiskshiftError, np.linalg.LinAlgError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     print(f"wrote {n_rows} rows to {out_path}")

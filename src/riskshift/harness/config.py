@@ -80,24 +80,19 @@ def _parse_str(key, value):
     return text
 
 
-def _parse_float_list(key, value):
-    if isinstance(value, (list, tuple, np.ndarray)):
-        items = list(value)
-    else:
-        items = [t for t in str(value).split(",") if t.strip()]
-    if not items:
-        raise ConfigError(f"key '{key}' must be a nonempty comma-separated list")
-    return [_parse_float(key, item) for item in items]
+def _list_of(parse_item):
+    """Parser of a nonempty comma-separated list (or sequence) of parse_item values."""
 
+    def parse(key, value):
+        if isinstance(value, (list, tuple, np.ndarray)):
+            items = list(value)
+        else:
+            items = [t for t in str(value).split(",") if t.strip()]
+        if not items:
+            raise ConfigError(f"key '{key}' must be a nonempty comma-separated list")
+        return [parse_item(key, item) for item in items]
 
-def _parse_int_list(key, value):
-    if isinstance(value, (list, tuple, np.ndarray)):
-        items = list(value)
-    else:
-        items = [t for t in str(value).split(",") if t.strip()]
-    if not items:
-        raise ConfigError(f"key '{key}' must be a nonempty comma-separated list")
-    return [_parse_int(key, item) for item in items]
+    return parse
 
 
 @dataclass(frozen=True)
@@ -120,7 +115,7 @@ def _lambda_fields(points):
         "lambda_min": _Field(_parse_float, 1e-3, "smallest ridge weight of the log grid"),
         "lambda_max": _Field(_parse_float, 1e2, "largest ridge weight of the log grid"),
         "lambda_points": _Field(_parse_int, points, "number of log-spaced ridge weights"),
-        "lambda_grid": _Field(_parse_float_list, None, "explicit ridge grid (overrides the trio)"),
+        "lambda_grid": _Field(_list_of(_parse_float), None, "explicit ridge grid (overrides the trio)"),
     }
 
 
@@ -156,8 +151,8 @@ _SCHEMAS = {
     },
     KIND_RELATION: {
         **_common_fields(KIND_RELATION),
-        "mu_grid": _Field(_parse_float_list, [1.0, 1.05, 1.1, 1.2, 1.5], "mu values at kappa = gamma"),
-        "ratio_grid": _Field(_parse_float_list, [0.2, 0.5, 1.0, 2.0, 5.0], "kappa/gamma values"),
+        "mu_grid": _Field(_list_of(_parse_float), [1.0, 1.05, 1.1, 1.2, 1.5], "mu values at kappa = gamma"),
+        "ratio_grid": _Field(_list_of(_parse_float), [0.2, 0.5, 1.0, 2.0, 5.0], "kappa/gamma values"),
         "mu_fixed": _Field(_parse_float, 1.0, "mu used for the kappa/gamma curves"),
         "risk_p_min": _Field(_parse_float, 0.01, "left end of the train-risk grid"),
         "risk_p_max": _Field(_parse_float, 0.49, "right end of the train-risk grid"),
@@ -169,8 +164,8 @@ _SCHEMAS = {
         "d": _Field(_parse_int, 200, "ambient dimension"),
         "d_p": _Field(_parse_int, 40, "train subspace dimension"),
         "d_q": _Field(_parse_int, 40, "test subspace dimension"),
-        "a_grid": _Field(_parse_float_list, [0.0, 0.5, 1.0], "target overlap coefficients"),
-        "snr_grid": _Field(_parse_float_list, [1.0, 100.0], "signal-to-noise ratios 1/sigma^2"),
+        "a_grid": _Field(_list_of(_parse_float), [0.0, 0.5, 1.0], "target overlap coefficients"),
+        "snr_grid": _Field(_list_of(_parse_float), [1.0, 100.0], "signal-to-noise ratios 1/sigma^2"),
     },
     KIND_COUNTEREXAMPLE: {
         **_common_fields(KIND_COUNTEREXAMPLE),
@@ -193,7 +188,7 @@ _SCHEMAS = {
         "d_pq": _Field(_parse_int, 20, "overlap dimension"),
         "snr": _Field(_parse_float, 100.0, "signal-to-noise ratio 1/sigma^2"),
         "lambda": _Field(_parse_float, 8.0, "ridge weight of the reconstruction"),
-        "n_grid": _Field(_parse_int_list, [500, 2000, 8000], "measurement counts"),
+        "n_grid": _Field(_list_of(_parse_int), [500, 2000, 8000], "measurement counts"),
         "trials": _Field(_parse_int, 20, "number of independent seeds per n"),
         "include_identity": _Field(_parse_bool, True, "also emit A = I control rows"),
     },
@@ -216,12 +211,9 @@ class ExperimentConfig:
     def __getitem__(self, key):
         return self.values[key]
 
-    def get(self, key, default=None):
-        return self.values.get(key, default)
 
-
-def _build_lambda_grid(kind, values, explicit_keys):
-    grid = values.get("lambda_grid")
+def _build_lambda_grid(values, explicit_keys):
+    grid = values["lambda_grid"]
     trio_given = {"lambda_min", "lambda_max", "lambda_points"} & explicit_keys
     if grid is not None:
         if trio_given:
@@ -263,16 +255,14 @@ def _validate_positive(values, *keys):
             raise ConfigError(f"key '{key}' must be positive, got {values[key]}")
 
 
-def _validate_regression(values, explicit_keys):
-    _build_lambda_grid(KIND_REGRESSION, values, explicit_keys)
+def _validate_regression(values):
     _require_subspace_spec(values)
     _validate_positive(values, "n", "tau", "sigma_beta_sq", "trials")
     if values["noise_var"] < 0:
         raise ConfigError("noise_var must be >= 0")
 
 
-def _validate_classification(values, explicit_keys):
-    _build_lambda_grid(KIND_CLASSIFICATION, values, explicit_keys)
+def _validate_classification(values):
     _require_subspace_spec(values)
     _validate_positive(values, "n", "tau", "sigma_beta_sq", "trials", "kappa_over_gamma")
     if not 0.5 < values["sign_correct_prob"] <= 1.0:
@@ -281,7 +271,7 @@ def _validate_classification(values, explicit_keys):
         raise ConfigError("theory_points must be >= 2")
 
 
-def _validate_relation(values, explicit_keys):
+def _validate_relation(values):
     for mu in values["mu_grid"]:
         if mu < 1.0:
             raise ConfigError(f"mu_grid entries must be >= 1, got {mu}")
@@ -296,8 +286,7 @@ def _validate_relation(values, explicit_keys):
         raise ConfigError("risk_p_points must be >= 2")
 
 
-def _validate_denoise(values, explicit_keys):
-    _build_lambda_grid(KIND_DENOISE, values, explicit_keys)
+def _validate_denoise(values):
     d, d_p, d_q = values["d"], values["d_p"], values["d_q"]
     for a in values["a_grid"]:
         if not 0.0 <= a <= 1.0:
@@ -312,7 +301,7 @@ def _validate_denoise(values, explicit_keys):
             raise ConfigError(f"snr_grid entries must be positive, got {snr}")
 
 
-def _validate_counterexample(values, explicit_keys):
+def _validate_counterexample(values):
     _validate_positive(values, "sigma_beta_sq", "gamma", "kappa", "b", "c")
     if not 0.0 < values["r_p"] <= 1.0:
         raise ConfigError("r_p must lie in (0, 1]")
@@ -324,7 +313,7 @@ def _validate_counterexample(values, explicit_keys):
         raise ConfigError("a_points must be >= 2")
 
 
-def _validate_cs(values, explicit_keys):
+def _validate_cs(values):
     _require_subspace_spec(values)
     _validate_positive(values, "snr", "trials")
     if values["lambda"] < 0:
@@ -337,7 +326,7 @@ def _validate_cs(values, explicit_keys):
             )
 
 
-def _validate_subspace(values, explicit_keys):
+def _validate_subspace(values):
     if values["k_max"] < 0:
         raise ConfigError("k_max must be >= 0")
 
@@ -373,7 +362,9 @@ def _finalize(kind, raw, seed_override=None, out_override=None):
     if out_override is not None:
         values["output_path"] = _parse_str("output_path", out_override)
     _validate_common(values)
-    _VALIDATORS[kind](values, explicit_keys=set(raw))
+    if "lambda_grid" in schema:
+        _build_lambda_grid(values, explicit_keys=set(raw))
+    _VALIDATORS[kind](values)
     return ExperimentConfig(kind=kind, values=values)
 
 
@@ -399,11 +390,9 @@ def parse_config_text(text):
 
 def load_config(path, kind, seed_override=None, out_override=None):
     """Parse, type, and validate a config file for the given kind."""
-    if kind not in _SCHEMAS:
-        raise ConfigError(f"unknown experiment kind '{kind}'")
     with open(path, "r", encoding="utf-8") as fh:
         raw = parse_config_text(fh.read())
-    return _finalize(kind, raw, seed_override, out_override)
+    return config_from_mapping(kind, raw, seed_override, out_override)
 
 
 def config_from_mapping(kind, mapping=None, seed_override=None, out_override=None):

@@ -34,7 +34,7 @@ from riskshift.datagen import (
     sample_covariates,
 )
 from riskshift.errors import NumericInputError
-from riskshift.estimators import ERMConfig, Loss, erm_fit, ridge_fit
+from riskshift.estimators import ERMConfig, erm_fit, ridge_fit
 from riskshift.harness.config import (
     KIND_CLASSIFICATION,
     KIND_COUNTEREXAMPLE,
@@ -227,7 +227,7 @@ def run_classification_sweep(config):
         for lam in config["lambda_grid"]:
             emit("ridge-sign", lam, ridge_fit(data_sign, lam).beta_hat, True)
             emit("ridge-noiseless", lam, ridge_fit(data_clean, lam).beta_hat, True)
-            fit = erm_fit(data_sign, ERMConfig(loss=Loss.LOGISTIC, lam=lam), beta0=warm)
+            fit = erm_fit(data_sign, ERMConfig(lam=lam), beta0=warm)
             warm = fit.beta_hat
             emit("logistic-sign", lam, fit.beta_hat, fit.converged)
         for risk_p in np.linspace(0.01, 0.49, config["theory_points"]):
@@ -319,12 +319,6 @@ def run_denoising(config):
     return header, rows
 
 
-_COUNTEREXAMPLE_METRICS = (
-    ("logistic", MetricKind.LOGISTIC),
-    ("hinge", MetricKind.HINGE),
-)
-
-
 def run_counterexample(config):
     """Parametric (risk_p, risk_q) curves of the estimator family along alignment a.
 
@@ -347,7 +341,7 @@ def run_counterexample(config):
         )
         rows.append(
             {
-                "metric": "misclassification",
+                "metric": MetricKind.MISCLASSIFICATION.value,
                 "a": float(a),
                 "risk_p": misclassification_risk(cov_p),
                 "se_p": 0.0,
@@ -355,12 +349,12 @@ def run_counterexample(config):
                 "se_q": 0.0,
             }
         )
-        for name, metric in _COUNTEREXAMPLE_METRICS:
+        for metric in (MetricKind.LOGISTIC, MetricKind.HINGE):
             est_p, se_p = quad_metric_risk(cov_p, metric)
             est_q, se_q = quad_metric_risk(cov_q, metric)
             rows.append(
                 {
-                    "metric": name,
+                    "metric": metric.value,
                     "a": float(a),
                     "risk_p": est_p,
                     "se_p": se_p,
@@ -444,7 +438,7 @@ def run_subspace_analyze(config):
     for k in range(1, k_max + 1):
         basis_p = OrthonormalBasis(vt_p[:k].T)
         basis_q = OrthonormalBasis(vt_q[:k].T)
-        sim = subspace_similarity(principal_angles(basis_p, basis_q), k)
+        sim = subspace_similarity(principal_angles(basis_p, basis_q))
         rows.append(
             {
                 "k": k,

@@ -17,13 +17,6 @@ from enum import Enum
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from riskshift._kernels import (
-    METRIC_HINGE,
-    METRIC_LOGISTIC,
-    METRIC_MISCLASS,
-    METRIC_SQUARED,
-    metric_values,
-)
 from riskshift._rng import as_seed_sequence, child_sequence
 from riskshift.errors import (
     CovarianceError,
@@ -43,10 +36,12 @@ _ERFC = np.frompyfunc(math.erfc, 1, 1)
 
 
 class MetricKind(Enum):
-    SQUARED_ERROR = METRIC_SQUARED
-    MISCLASSIFICATION = METRIC_MISCLASS
-    LOGISTIC = METRIC_LOGISTIC
-    HINGE = METRIC_HINGE
+    """Risk metrics; each value is the metric's name in CSV output."""
+
+    SQUARED_ERROR = "squared_error"
+    MISCLASSIFICATION = "misclassification"
+    LOGISTIC = "logistic"
+    HINGE = "hinge"
 
 
 @dataclass(frozen=True)
@@ -129,6 +124,23 @@ def _cholesky_2x2(cov):
     raise CovarianceError("decision covariance is not PSD even after 1e-14 jitter")
 
 
+def metric_values(z_star, z, metric):
+    """Per-draw metric psi of paired decision values (z*, z)."""
+    z_star = np.asarray(z_star, dtype=np.float64)
+    z = np.asarray(z, dtype=np.float64)
+    if metric is MetricKind.SQUARED_ERROR:
+        return (z_star - z) ** 2
+    if metric is MetricKind.MISCLASSIFICATION:
+        return (z_star * z < 0.0).astype(np.float64)
+    # surrogate losses act on the estimator score signed by the true decision
+    t = np.where(z_star >= 0.0, z, -z)
+    if metric is MetricKind.LOGISTIC:
+        return np.logaddexp(0.0, -t)
+    if metric is MetricKind.HINGE:
+        return np.maximum(0.0, 1.0 - t)
+    raise NumericInputError(f"metric must be a MetricKind member, got {metric!r}")
+
+
 def _validate_mc_args(metric, n_draws, chunk_size):
     if not isinstance(metric, MetricKind):
         raise NumericInputError(f"metric must be a MetricKind member, got {metric!r}")
@@ -175,7 +187,7 @@ def mc_metric_risk(cov, metric, n_draws, seed, chunk_size=2**18):
 
     def draw(rng, m):
         g = rng.standard_normal((m, 2))
-        return metric_values(l11 * g[:, 0], l21 * g[:, 0] + l22 * g[:, 1], metric.value)
+        return metric_values(l11 * g[:, 0], l21 * g[:, 0] + l22 * g[:, 1], metric)
 
     return chunked_mc(draw, n_draws, seed, chunk_size)
 
@@ -202,7 +214,7 @@ def population_mc_risk(beta_star, beta_hat, pair, which, metric, n_draws, seed, 
 
     def draw(rng, m):
         g = rng.standard_normal((m, pair.d))
-        return metric_values(g @ u_star, g @ u_hat, metric.value)
+        return metric_values(g @ u_star, g @ u_hat, metric)
 
     return chunked_mc(draw, n_draws, seed, chunk_size)
 

@@ -153,11 +153,9 @@ def principal_angles(u_p, u_q):
     return PrincipalAngles(np.sort(theta))
 
 
-def subspace_similarity(theta, k):
-    """sqrt(sum_i cos^2 theta_i / k); 1 for aligned subspaces, 0 for orthogonal."""
-    if k != len(theta):
-        raise InvalidDimensionError(f"k={k} does not match {len(theta)} angles")
-    return float(np.sqrt(theta.cos_sq_sum() / k))
+def subspace_similarity(theta):
+    """sqrt(sum_i cos^2 theta_i / k) over the k angles; 1 if aligned, 0 if orthogonal."""
+    return float(np.sqrt(theta.cos_sq_sum() / len(theta)))
 
 
 def overlap_coefficient(theta, d_q):

@@ -5,8 +5,8 @@ import numpy.testing as npt
 import pytest
 
 from riskshift.datagen import Dataset, GroundTruth, LinearGaussian, NoisySign, label
-from riskshift.errors import NumericInputError
-from riskshift.estimators import ERMConfig, Loss, erm_fit, population_ridge, ridge_fit
+from riskshift.errors import InvalidDimensionError, NumericInputError
+from riskshift.estimators import ERMConfig, erm_fit, population_ridge, ridge_fit
 from riskshift.subspace import haar_basis
 
 
@@ -36,22 +36,13 @@ def test_ridge_fit_requires_positive_lambda():
         ridge_fit(data, -1.0)
 
 
-def test_erm_squared_agrees_with_ridge():
-    data, _ = _ridge_data(80, 10, 0.5, 12)
-    lam = 0.3
-    direct = ridge_fit(data, lam)
-    newton = erm_fit(data, ERMConfig(loss=Loss.SQUARED, lam=lam))
-    assert np.linalg.norm(newton.beta_hat - direct.beta_hat) <= 1e-8
-    assert newton.converged
-
-
 def test_logistic_fit_reaches_stationarity():
     rng = np.random.default_rng(13)
     n, d = 200, 8
     x = rng.standard_normal((n, d)) / np.sqrt(d)
     gt = GroundTruth(beta_star=rng.standard_normal(d) * 3, sigma_beta_sq=9.0)
     y = label(x, gt, NoisySign(p=0.9), 14)
-    config = ERMConfig(loss=Loss.LOGISTIC, lam=0.05)
+    config = ERMConfig(lam=0.05)
     fit = erm_fit(data := Dataset(x, y), config)
     assert fit.converged
     # stationarity of the full objective gradient
@@ -66,7 +57,7 @@ def test_logistic_requires_sign_labels():
     x = rng.standard_normal((30, 3))
     y = rng.standard_normal(30)  # not in {-1, +1}
     with pytest.raises(NumericInputError):
-        erm_fit(Dataset(x, y), ERMConfig(loss=Loss.LOGISTIC, lam=0.1))
+        erm_fit(Dataset(x, y), ERMConfig(lam=0.1))
 
 
 def test_logistic_heavy_regularization_shrinks_to_zero():
@@ -74,28 +65,59 @@ def test_logistic_heavy_regularization_shrinks_to_zero():
     x = rng.standard_normal((50, 5))
     y = np.sign(rng.standard_normal(50))
     y[y == 0] = 1.0
-    fit = erm_fit(Dataset(x, y), ERMConfig(loss=Loss.LOGISTIC, lam=1e6))
+    fit = erm_fit(Dataset(x, y), ERMConfig(lam=1e6))
     assert np.linalg.norm(fit.beta_hat) <= 1e-3
     assert fit.converged
 
 
-def test_non_convergence_is_flagged_not_raised():
-    data, _ = _ridge_data(120, 20, 0.2, 17)
+def _sign_data(n, d, seed):
+    data, _ = _ridge_data(n, d, 0.2, seed)
     y = np.sign(data.y)
     y[y == 0] = 1.0
-    config = ERMConfig(loss=Loss.LOGISTIC, lam=0.01, max_iter=1)
-    fit = erm_fit(Dataset(data.x, y), config)
+    return Dataset(data.x, y)
+
+
+def test_non_convergence_is_flagged_not_raised():
+    config = ERMConfig(lam=0.01, max_iter=1)
+    fit = erm_fit(_sign_data(120, 20, 17), config)
     assert not fit.converged
     assert fit.iterations == 1
 
 
+def test_warm_start_from_converged_fit_takes_no_step():
+    data = _sign_data(120, 10, 20)
+    config = ERMConfig(lam=0.1)
+    fit = erm_fit(data, config)
+    assert fit.converged and fit.iterations > 0
+    again = erm_fit(data, config, beta0=fit.beta_hat)
+    assert again.iterations == 0
+    assert again.converged
+    assert np.array_equal(again.beta_hat, fit.beta_hat)
+
+
+def test_warm_start_rejects_bad_beta0():
+    data = _sign_data(40, 6, 21)
+    config = ERMConfig(lam=0.1)
+    with pytest.raises(InvalidDimensionError):
+        erm_fit(data, config, beta0=np.zeros(5))
+    with pytest.raises(InvalidDimensionError):
+        erm_fit(data, config, beta0=np.zeros((6, 1)))
+    bad = np.zeros(6)
+    bad[2] = np.nan
+    with pytest.raises(NumericInputError):
+        erm_fit(data, config, beta0=bad)
+    bad[2] = np.inf
+    with pytest.raises(NumericInputError):
+        erm_fit(data, config, beta0=bad)
+
+
 def test_erm_config_validation():
     with pytest.raises(NumericInputError):
-        ERMConfig(loss=Loss.LOGISTIC, lam=0.0)
+        ERMConfig(lam=0.0)
     with pytest.raises(NumericInputError):
-        ERMConfig(loss=Loss.SQUARED, lam=1.0, tol=-1.0)
+        ERMConfig(lam=1.0, tol=-1.0)
     with pytest.raises(NumericInputError):
-        ERMConfig(loss=Loss.SQUARED, lam=1.0, max_iter=0)
+        ERMConfig(lam=1.0, max_iter=0)
 
 
 def test_population_ridge_shrinkage():

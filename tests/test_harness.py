@@ -42,6 +42,7 @@ from riskshift.harness.runners import (
     run_subspace_analyze,
     write_csv,
 )
+from riskshift.risk import MetricKind
 from riskshift.subspace import haar_basis
 
 _SMALL_REGRESSION = {
@@ -279,6 +280,18 @@ def test_counterexample_runner_schema_and_identity():
     assert again == rows
 
 
+def test_counterexample_metric_cells_are_metric_kind_values(tmp_path):
+    header, rows = run_counterexample(config_from_mapping(KIND_COUNTEREXAMPLE, {}))
+    path = tmp_path / "counterexample.csv"
+    write_csv(path, header, rows)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    column = lines[0].split(",").index("metric")
+    cells = {line.split(",")[column] for line in lines[1:]}
+    assert cells == {
+        MetricKind.MISCLASSIFICATION.value, MetricKind.LOGISTIC.value, MetricKind.HINGE.value
+    }
+
+
 def test_cs_validation_runner_identity_control():
     cfg = config_from_mapping(
         KIND_CS,
@@ -366,6 +379,19 @@ def test_cli_numeric_failure_exit_code(tmp_path, capsys):
     )
     assert main(["subspace-analyze", "--config", cfg]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+# 1e14 float64 entries (728 TiB) exceed any address space, so numpy refuses the
+# allocation at once: in config validation for the lambda grid, in the runner
+# for the alignment grid
+@pytest.mark.parametrize("kind,key", [("denoise", "lambda_points"), ("counterexample", "a_points")])
+def test_cli_unallocatable_config_is_numeric_error(tmp_path, capsys, kind, key):
+    out = tmp_path / "out.csv"
+    cfg = _cli_config(tmp_path, f"kind = {kind}\n{key} = 100000000000000\noutput_path = {out}\n")
+    assert main([kind, "--config", cfg]) == 3
+    err_lines = capsys.readouterr().err.splitlines()
+    assert len(err_lines) == 1 and err_lines[0].startswith("error:")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("content", [None, "", "1.0 2.0\nthree 4.0\n"], ids=["missing", "empty", "non-numeric"])

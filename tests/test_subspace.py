@@ -98,7 +98,7 @@ def test_similarity_overlap_identity():
     u_p, u_q = overlapping_pair(SubspacePairSpec(30, 12, 9, 4), rng)
     angles = principal_angles(u_p, u_q)
     k = len(angles.angles)
-    lhs = subspace_similarity(angles, k) ** 2 * k
+    lhs = subspace_similarity(angles) ** 2 * k
     rhs = overlap_coefficient(angles, 9) * 9
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
@@ -118,12 +118,12 @@ def test_identical_subspaces_similarity_one():
     basis = haar_basis(15, 6, 2)
     angles = principal_angles(basis, basis)
     npt.assert_allclose(angles.angles, 0.0, atol=1e-7)
-    assert subspace_similarity(angles, 6) == pytest.approx(1.0, abs=1e-9)
+    assert subspace_similarity(angles) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_disjoint_subspaces_similarity_zero():
     u_p = OrthonormalBasis(np.eye(10)[:, :4])
     u_q = OrthonormalBasis(np.eye(10)[:, 4:8])
     angles = principal_angles(u_p, u_q)
-    assert subspace_similarity(angles, 4) == pytest.approx(0.0, abs=1e-12)
+    assert subspace_similarity(angles) == pytest.approx(0.0, abs=1e-12)
     assert overlap_coefficient(angles, 4) == pytest.approx(0.0, abs=1e-12)
