@@ -63,7 +63,6 @@ from riskshift.shiftmodel import (
 )
 from riskshift.subspace import (
     OrthonormalBasis,
-    PrincipalAngles,
     SubspacePairSpec,
     haar_basis,
     overlap_coefficient,
@@ -112,7 +111,6 @@ __all__ = [
     "NoisySign",
     "NumericInputError",
     "OrthonormalBasis",
-    "PrincipalAngles",
     "RelationInapplicableError",
     "RiskDomainError",
     "RiskshiftError",

@@ -70,7 +70,6 @@ from riskshift.subspace import (
     OrthonormalBasis,
     SubspacePairSpec,
     overlapping_pair,
-    principal_angles,
     subspace_similarity,
 )
 from riskshift.theory import (
@@ -436,9 +435,7 @@ def run_subspace_analyze(config):
     k_max = available if config["k_max"] == 0 else min(config["k_max"], available)
     rows = []
     for k in range(1, k_max + 1):
-        basis_p = OrthonormalBasis(vt_p[:k].T)
-        basis_q = OrthonormalBasis(vt_q[:k].T)
-        sim = subspace_similarity(principal_angles(basis_p, basis_q))
+        sim = subspace_similarity(OrthonormalBasis(vt_p[:k].T), OrthonormalBasis(vt_q[:k].T))
         rows.append(
             {
                 "k": k,

@@ -22,7 +22,6 @@ from riskshift.subspace import (
     OrthonormalBasis,
     _frozen_array,
     overlap_coefficient,
-    principal_angles,
 )
 
 _SYM_TOL = 1e-10
@@ -71,9 +70,7 @@ class InverseProblem:
     @cached_property
     def overlap(self):
         """Mean squared principal cosine a in [0, 1] between the subspaces."""
-        return overlap_coefficient(
-            principal_angles(self.u_p, self.u_q), self.d_q
-        )
+        return overlap_coefficient(self.u_p, self.u_q)
 
     @property
     def alpha(self):

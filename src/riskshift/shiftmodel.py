@@ -131,8 +131,7 @@ def subspace_shift_model(spec, tau, seed):
     e_p = np.zeros(spec.d)
     e_p[: spec.d_p] = 1.0
     e_q = np.zeros(spec.d)
-    e_q[: spec.d_pq] = tau
-    e_q[spec.d_p : spec.d_p + spec.d_q - spec.d_pq] = tau
+    e_q[spec.q_coords] = tau
     return CovariancePair(v, e_p, e_q)
 
 

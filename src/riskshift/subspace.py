@@ -1,8 +1,9 @@
 """Linear subspaces: Haar-random bases, controlled-overlap pairs, principal angles.
 
 Subspaces are represented by column-orthonormal matrices.  Overlap between two
-subspaces is summarized by the principal angles, from which the similarity
-sqrt(sum cos^2 / k) and the overlap coefficient sum cos^2 / d_Q are derived.
+subspaces is summarized by sum_i cos^2 theta_i over their principal angles,
+which equals ||U_P^T U_Q||_F^2 (Bjorck & Golub 1973), so the similarity
+sqrt(sum cos^2 / k) and the overlap coefficient sum cos^2 / d_Q need no SVD.
 """
 
 from dataclasses import dataclass
@@ -82,28 +83,10 @@ class SubspacePairSpec:
         if self.d_p + self.d_q - self.d_pq > self.d:
             raise InvalidDimensionError("d_p + d_q - d_pq exceeds the ambient dimension")
 
-
-@dataclass(frozen=True)
-class PrincipalAngles:
-    """Principal angles between two subspaces, radians in [0, pi/2], ascending."""
-
-    angles: np.ndarray
-
-    def __post_init__(self):
-        theta = np.asarray(self.angles, dtype=np.float64)
-        if theta.ndim != 1 or theta.size == 0:
-            raise InvalidDimensionError("angles must form a nonempty 1-d array")
-        if np.any(theta < -1e-12) or np.any(theta > np.pi / 2 + 1e-12):
-            raise InvalidDimensionError("principal angles must lie in [0, pi/2]")
-        if np.any(np.diff(theta) < -1e-12):
-            raise InvalidDimensionError("principal angles must be sorted ascending")
-        object.__setattr__(self, "angles", _frozen_array(theta))
-
-    def __len__(self):
-        return self.angles.size
-
-    def cos_sq_sum(self):
-        return float(np.sum(np.cos(self.angles) ** 2))
+    @property
+    def q_coords(self):
+        """Coordinates spanning Q: the d_pq shared with P's [0, d_p), then d_q - d_pq after d_p."""
+        return np.r_[0 : self.d_pq, self.d_p : self.d_p + self.d_q - self.d_pq]
 
 
 def haar_basis(d, k, seed):
@@ -131,35 +114,40 @@ def overlapping_pair(spec, seed):
     if not isinstance(spec, SubspacePairSpec):
         raise InvalidDimensionError("spec must be a SubspacePairSpec")
     rot = haar_basis(spec.d, spec.d, seed).columns
-    u_p = rot[:, : spec.d_p]
-    q_idx = list(range(spec.d_pq)) + list(range(spec.d_p, spec.d_p + spec.d_q - spec.d_pq))
-    u_q = rot[:, q_idx]
-    return OrthonormalBasis(u_p), OrthonormalBasis(u_q)
+    return OrthonormalBasis(rot[:, : spec.d_p]), OrthonormalBasis(rot[:, spec.q_coords])
 
 
-def principal_angles(u_p, u_q):
-    """Principal angles between two subspaces via singular values of U_P^T U_Q."""
+def _check_same_ambient(u_p, u_q):
     if u_p.ambient_dim != u_q.ambient_dim:
         raise InvalidDimensionError(
             f"ambient dims differ: {u_p.ambient_dim} vs {u_q.ambient_dim}"
         )
+
+
+def principal_angles(u_p, u_q):
+    """Ascending principal angles (read-only array) via singular values of U_P^T U_Q."""
+    _check_same_ambient(u_p, u_q)
     s = np.linalg.svd(u_p.columns.T @ u_q.columns, compute_uv=False)
     s = np.clip(s, 0.0, 1.0)
     # a cosine within fp noise of 1 is numerically indistinguishable from an
     # exact alignment, and arccos would amplify the ulp-level error to ~1e-8;
     # snap so construction-exact overlaps report exactly-zero angles
     s[s >= 1.0 - 1e-13] = 1.0
-    theta = np.arccos(s)
-    return PrincipalAngles(np.sort(theta))
+    return _frozen_array(np.sort(np.arccos(s)))
 
 
-def subspace_similarity(theta):
-    """sqrt(sum_i cos^2 theta_i / k) over the k angles; 1 if aligned, 0 if orthogonal."""
-    return float(np.sqrt(theta.cos_sq_sum() / len(theta)))
+def _cos_sq_sum(u_p, u_q):
+    """sum_i cos^2 theta_i = ||U_P^T U_Q||_F^2, the sum of squared singular values."""
+    _check_same_ambient(u_p, u_q)
+    g = u_p.columns.T @ u_q.columns
+    return float(np.sum(g * g))
 
 
-def overlap_coefficient(theta, d_q):
-    """sum_i cos^2 theta_i / d_q, the fraction of Q-energy captured by P."""
-    if len(theta) > d_q:
-        raise InvalidDimensionError(f"{len(theta)} angles exceed d_q={d_q}")
-    return float(theta.cos_sq_sum() / d_q)
+def subspace_similarity(u_p, u_q):
+    """sqrt(sum_i cos^2 theta_i / min(d_P, d_Q)); 1 if one contains the other, 0 if orthogonal."""
+    return float(np.sqrt(_cos_sq_sum(u_p, u_q) / min(u_p.rank, u_q.rank)))
+
+
+def overlap_coefficient(u_p, u_q):
+    """sum_i cos^2 theta_i / d_Q, the fraction of Q-energy captured by P."""
+    return _cos_sq_sum(u_p, u_q) / u_q.rank

@@ -5,8 +5,6 @@ docstrings and the README's quality bar); this suite runs each one, prints a
 single PASS/FAIL line with the measured detail, and asserts the verdict.
 """
 
-import pytest
-
 from riskshift.harness import selftest
 
 

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -13,13 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import riskshift
-from riskshift import inverse
 from riskshift.errors import ConfigError, NumericInputError
-from riskshift.harness import runners
 from riskshift.harness.cli import main
 from riskshift.harness.config import (
     ALL_KINDS,
-    KIND_CLASSIFICATION,
     KIND_COUNTEREXAMPLE,
     KIND_CS,
     KIND_DENOISE,
@@ -89,6 +87,33 @@ def test_config_rejects_unknown_keys_and_kind_mismatch():
         config_from_mapping(KIND_DENOISE, {"d": "ten"})
     with pytest.raises(ConfigError, match="invalid subspace dimensions"):
         config_from_mapping(KIND_REGRESSION, {"d_pq": "700"})
+
+
+# integers stay <= 1e4 in magnitude: a larger lambda_points is a MemoryError by design
+_SMALL_INT = st.integers(-10**4, 10**4).map(str)
+_FREE_TEXT = st.text(max_size=30).filter(lambda t: not re.search(r"\d{5}", t.replace("_", "")))
+_NUMBER = st.one_of(_SMALL_INT, st.floats().map(repr))
+_VALUE = st.one_of(
+    _NUMBER, st.lists(_NUMBER, max_size=4).map(", ".join), st.sampled_from(ALL_KINDS), _FREE_TEXT
+)
+
+
+@st.composite
+def _config_texts(draw, kind):
+    key = st.one_of(st.sampled_from([k for k, _, _ in describe_keys(kind)]), _FREE_TEXT)
+    line = st.one_of(st.builds("{} = {}".format, key, _VALUE), _FREE_TEXT)
+    return "\n".join(draw(st.lists(line, max_size=8)))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@settings(max_examples=150, deadline=None, database=None)
+@given(data=st.data())
+def test_config_text_fails_only_with_config_error(kind, data):
+    text = data.draw(_config_texts(kind))
+    try:
+        config_from_mapping(kind, parse_config_text(text))
+    except ConfigError:
+        pass
 
 
 def test_config_lambda_grid_exclusive_with_trio():
@@ -241,21 +266,19 @@ def test_denoise_runner_identity_and_high_snr_linearity():
         assert (float(res[0]) if res.size else 0.0) <= 1e-3
 
 
-def test_denoise_runner_computes_each_overlap_once(monkeypatch):
+def test_denoise_runner_makes_no_svd(monkeypatch):
     calls = []
+    svd = np.linalg.svd
 
-    def counted(original):
-        def principal_angles(*args):
-            calls.append(args)
-            return original(*args)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return svd(*args, **kwargs)
 
-        return principal_angles
-
-    for module in (runners, inverse):
-        monkeypatch.setattr(module, "principal_angles", counted(module.principal_angles))
-    _, rows = run_denoising(config_from_mapping(KIND_DENOISE, {"d": "60", "d_p": "12", "d_q": "12"}))
-    # one per problem, cached on it; none of its own for a_realized
-    assert len(calls) == len(rows)
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    _, rows = run_denoising(config_from_mapping(KIND_DENOISE, {}))
+    assert len(rows) == 300
+    # overlaps are Frobenius norms of U_P^T U_Q; no principal angles are computed
+    assert len(calls) == 0
 
 
 def test_counterexample_runner_schema_and_identity():

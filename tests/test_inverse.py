@@ -27,6 +27,7 @@ from riskshift.subspace import (
     overlap_coefficient,
     overlapping_pair,
     principal_angles,
+    subspace_similarity,
 )
 
 
@@ -119,10 +120,28 @@ def test_denoise_relation_exact_for_any_problem(prob):
     assert denoise_relation_residual(prob) <= 1e-12
 
 
+@st.composite
+def subspace_pairs(draw):
+    """Any pair of bases of one ambient dimension d <= 24: a seeded overlapping pair or two Haar bases."""
+    d = draw(st.integers(1, 24))
+    d_p = draw(st.integers(1, d))
+    d_q = draw(st.integers(1, d))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        d_pq = draw(st.integers(max(0, d_p + d_q - d), min(d_p, d_q)))
+        return overlapping_pair(SubspacePairSpec(d, d_p, d_q, d_pq), seed)
+    return haar_basis(d, d_p, seed), haar_basis(d, d_q, seed + 1)
+
+
 @_PROPERTY
-@given(inverse_problems())
-def test_overlap_matches_fresh_principal_angles(prob):
-    assert prob.overlap == overlap_coefficient(principal_angles(prob.u_p, prob.u_q), prob.d_q)
+@given(subspace_pairs())
+def test_overlap_and_similarity_match_principal_angles(pair):
+    u_p, u_q = pair
+    cos_sq = float(np.sum(np.cos(principal_angles(u_p, u_q)) ** 2))
+    assert abs(overlap_coefficient(u_p, u_q) - cos_sq / u_q.rank) <= 1e-12
+    assert abs(subspace_similarity(u_p, u_q) ** 2 - cos_sq / min(u_p.rank, u_q.rank)) <= 1e-12
+    prob = InverseProblem(u_p, u_q, 0.0, 0.0, 0.0)
+    assert prob.overlap == overlap_coefficient(u_p, u_q)
 
 
 @_PROPERTY

@@ -3,7 +3,6 @@
 import math
 
 import numpy as np
-import numpy.testing as npt
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st

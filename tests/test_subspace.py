@@ -76,30 +76,28 @@ def test_overlapping_pair_exact_overlap_count():
         d_pq = int(rng.integers(lo, min(d_p, d_q) + 1))
         u_p, u_q = overlapping_pair(SubspacePairSpec(d, d_p, d_q, d_pq), rng)
         angles = principal_angles(u_p, u_q)
-        assert np.sum(angles.angles < 1e-8) == d_pq
-        assert angles.angles.shape == (min(d_p, d_q),)
-        assert np.all(np.diff(angles.angles) >= -1e-12)
+        assert np.sum(angles < 1e-8) == d_pq
+        assert angles.shape == (min(d_p, d_q),)
+        assert np.all(np.diff(angles) >= -1e-12)
+        assert not angles.flags.writeable
 
 
 def test_overlap_coefficient_matches_construction():
     # the Fig. 2 geometry: a = d_pq / d_q
     u_p, u_q = overlapping_pair(SubspacePairSpec(800, 720, 640, 560), 3)
-    angles = principal_angles(u_p, u_q)
-    assert overlap_coefficient(angles, 640) == pytest.approx(560 / 640, abs=1e-9)
+    assert overlap_coefficient(u_p, u_q) == pytest.approx(560 / 640, abs=1e-9)
 
     # half overlap gives a = 0.5
     u_p, u_q = overlapping_pair(SubspacePairSpec(40, 20, 10, 5), 4)
-    angles = principal_angles(u_p, u_q)
-    assert overlap_coefficient(angles, 10) == pytest.approx(0.5, abs=1e-9)
+    assert overlap_coefficient(u_p, u_q) == pytest.approx(0.5, abs=1e-9)
 
 
 def test_similarity_overlap_identity():
     rng = np.random.default_rng(21)
     u_p, u_q = overlapping_pair(SubspacePairSpec(30, 12, 9, 4), rng)
-    angles = principal_angles(u_p, u_q)
-    k = len(angles.angles)
-    lhs = subspace_similarity(angles) ** 2 * k
-    rhs = overlap_coefficient(angles, 9) * 9
+    k = len(principal_angles(u_p, u_q))
+    lhs = subspace_similarity(u_p, u_q) ** 2 * k
+    rhs = overlap_coefficient(u_p, u_q) * 9
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -107,8 +105,8 @@ def test_principal_angles_symmetric_in_arguments():
     rng = np.random.default_rng(5)
     u_p = haar_basis(25, 7, rng)
     u_q = haar_basis(25, 4, rng)
-    cos_a = np.cos(principal_angles(u_p, u_q).angles)
-    cos_b = np.cos(principal_angles(u_q, u_p).angles)
+    cos_a = np.cos(principal_angles(u_p, u_q))
+    cos_b = np.cos(principal_angles(u_q, u_p))
     nonzero_a = np.sort(cos_a[cos_a > 1e-9])
     nonzero_b = np.sort(cos_b[cos_b > 1e-9])
     npt.assert_allclose(nonzero_a, nonzero_b, atol=1e-9)
@@ -116,14 +114,20 @@ def test_principal_angles_symmetric_in_arguments():
 
 def test_identical_subspaces_similarity_one():
     basis = haar_basis(15, 6, 2)
-    angles = principal_angles(basis, basis)
-    npt.assert_allclose(angles.angles, 0.0, atol=1e-7)
-    assert subspace_similarity(angles) == pytest.approx(1.0, abs=1e-9)
+    npt.assert_allclose(principal_angles(basis, basis), 0.0, atol=1e-7)
+    assert subspace_similarity(basis, basis) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_disjoint_subspaces_similarity_zero():
     u_p = OrthonormalBasis(np.eye(10)[:, :4])
     u_q = OrthonormalBasis(np.eye(10)[:, 4:8])
-    angles = principal_angles(u_p, u_q)
-    assert subspace_similarity(angles) == pytest.approx(0.0, abs=1e-12)
-    assert overlap_coefficient(angles, 4) == pytest.approx(0.0, abs=1e-12)
+    assert subspace_similarity(u_p, u_q) == pytest.approx(0.0, abs=1e-12)
+    assert overlap_coefficient(u_p, u_q) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_mismatched_ambient_dimensions_rejected():
+    u_p = haar_basis(10, 3, 0)
+    u_q = haar_basis(12, 3, 1)
+    for fn in (principal_angles, overlap_coefficient, subspace_similarity):
+        with pytest.raises(InvalidDimensionError):
+            fn(u_p, u_q)
