@@ -15,6 +15,7 @@ from riskshift.subspace import _frozen_array
 
 _ARMIJO_C = 1e-4
 _MIN_STEP = 1e-12
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -58,10 +59,6 @@ def _check_finite_data(data):
 
 def ridge_fit(data, lam):
     """Minimizer of 0.5 * ||y - X beta||^2 + 0.5 * lam * ||beta||^2."""
-    # scipy is imported by the solvers that use it, not by the package import,
-    # because loading it costs more than a closed-form run
-    import scipy.linalg
-
     if not (math.isfinite(lam) and lam > 0):
         raise NumericInputError("ridge weight lam must be a positive finite scalar")
     _check_finite_data(data)
@@ -69,12 +66,18 @@ def ridge_fit(data, lam):
     h = x.T @ x
     h[np.diag_indices_from(h)] += lam
     xty = x.T @ y
-    beta = scipy.linalg.solve(h, xty, assume_a="pos")
+    beta = np.linalg.solve(h, xty)
     return FittedModel(
         beta_hat=beta,
         iterations=1,
         converged=True,
     )
+
+
+def _sigmoid(t):
+    """Logistic 1 / (1 + exp(-t)) from e = exp(-|t|) in [0, 1], so nothing overflows."""
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0.0, 1.0, e) / (1.0 + e)
 
 
 def _logistic_objective(x, y, lam, beta):
@@ -87,10 +90,11 @@ def erm_fit(data, config, beta0=None):
 
     Stops when ||grad|| <= tol * (1 + ||beta||).  On reaching max_iter first,
     the returned model carries converged=False.  beta0 warm-starts the solver.
-    """
-    import scipy.linalg  # see ridge_fit
-    from scipy.special import expit
 
+    Once the descent grad^T step is <= eps * |f(beta)|, the resolution of the
+    objective, the Armijo test could only compare rounding noise, so the line
+    search takes the full step.
+    """
     if not isinstance(config, ERMConfig):
         raise NumericInputError("config must be an ERMConfig")
     _check_finite_data(data)
@@ -110,11 +114,11 @@ def erm_fit(data, config, beta0=None):
 
     def gradient(b):
         m = y * (x @ b)
-        return -x.T @ (y * expit(-m)) + lam * b
+        return -x.T @ (y * _sigmoid(-m)) + lam * b
 
     def hessian(b):
         m = y * (x @ b)
-        w = expit(m) * expit(-m)
+        w = _sigmoid(m) * _sigmoid(-m)
         h = (x * w[:, None]).T @ x
         h[np.diag_indices_from(h)] += lam
         return h
@@ -127,8 +131,8 @@ def erm_fit(data, config, beta0=None):
         iterations += 1
         h = hessian(beta)
         try:
-            step = scipy.linalg.solve(h, grad, assume_a="pos")
-        except scipy.linalg.LinAlgError:
+            step = np.linalg.solve(h, grad)
+        except np.linalg.LinAlgError:
             step = grad
         descent = float(grad @ step)
         if descent <= 0.0:
@@ -136,7 +140,7 @@ def erm_fit(data, config, beta0=None):
             descent = float(grad @ grad)
         f0 = _logistic_objective(x, y, lam, beta)
         t = 1.0
-        while t > _MIN_STEP:
+        while descent > _EPS * abs(f0) and t > _MIN_STEP:
             candidate = beta - t * step
             if _logistic_objective(x, y, lam, candidate) <= f0 - _ARMIJO_C * t * descent:
                 break

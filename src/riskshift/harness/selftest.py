@@ -116,10 +116,11 @@ def _block_normalized_beta(pair, sigma_beta_sq, seed):
     return pair.eigenbasis @ b
 
 
-def _cs_mc_risk(op, problem, which, n_draws, seed, chunk_size=1024):
+def _cs_mc_risk(a, op, problem, which, n_draws, seed, chunk_size=1024):
     """Direct Monte Carlo reconstruction risk: sample signal and noise, apply W*.
 
-    Draw order per chunk: coefficients first, measurement noise second.
+    a is the measurement matrix that op was built from.  Draw order per
+    chunk: coefficients first, measurement noise second.
     """
     if which == "P":
         u = problem.u_p.columns
@@ -129,7 +130,6 @@ def _cs_mc_risk(op, problem, which, n_draws, seed, chunk_size=1024):
         u = problem.u_q.columns
         sigma = math.sqrt(problem.sigma_q_sq)
         denom = problem.d_q
-    a = op.a
     n = a.shape[0]
     w_star = (problem.u_p.columns @ op.s) @ (problem.u_p.columns.T @ a.T)
     signal_map = w_star @ a
@@ -235,8 +235,8 @@ def criterion_4():
     a_matrix = gaussian_measurement(500, config["d"], np.random.SeedSequence([_ROOT_SEED, 4, 1]))
     op = cs_operator(a_matrix, problem)
     risk_p, risk_q = cs_risks(op, problem)
-    mc_p, se_p = _cs_mc_risk(op, problem, "P", 100_000, np.random.SeedSequence([_ROOT_SEED, 4, 2]))
-    mc_q, se_q = _cs_mc_risk(op, problem, "Q", 100_000, np.random.SeedSequence([_ROOT_SEED, 4, 3]))
+    mc_p, se_p = _cs_mc_risk(a_matrix, op, problem, "P", 100_000, np.random.SeedSequence([_ROOT_SEED, 4, 2]))
+    mc_q, se_q = _cs_mc_risk(a_matrix, op, problem, "Q", 100_000, np.random.SeedSequence([_ROOT_SEED, 4, 3]))
     mc_ok = abs(mc_p - risk_p) <= 4.0 * se_p and abs(mc_q - risk_q) <= 4.0 * se_q
     passed = decreasing and slope_ok and mc_ok
     return CriterionResult(

@@ -125,49 +125,43 @@ def gaussian_measurement(n, d, seed):
 
 @dataclass(frozen=True)
 class CSOperator:
-    """Reduced reconstruction data: x_hat = U_P S U_P^T A^T y.
+    """Reduced reconstruction data of one problem: x_hat = U_P S U_P^T A^T y.
 
-    b_p = A U_P is kept because cs_risks needs it again; m = b_p^T b_p, symmetrized.
+    With B_P = A U_P and B_Q = A U_Q, m = B_P^T B_P (symmetrized) and
+    n = B_P^T B_Q are the only products of A that cs_risks needs.
     """
 
     eta: float
     s: np.ndarray
-    a: np.ndarray
     m: np.ndarray
-    b_p: np.ndarray
+    n: np.ndarray
 
     def __post_init__(self):
         if not (math.isfinite(self.eta) and self.eta > 0):
             raise NumericInputError(f"eta must be a positive finite scalar, got {self.eta}")
         s = np.asarray(self.s, dtype=np.float64)
-        a = np.asarray(self.a, dtype=np.float64)
         m = np.asarray(self.m, dtype=np.float64)
-        b_p = np.asarray(self.b_p, dtype=np.float64)
+        n = np.asarray(self.n, dtype=np.float64)
         if s.ndim != 2 or s.shape[0] != s.shape[1]:
             raise InvalidDimensionError("S must be square")
         if m.shape != s.shape:
             raise InvalidDimensionError("M must match the shape of S")
-        if a.ndim != 2:
-            raise InvalidDimensionError("A must be a matrix")
-        if b_p.shape != (a.shape[0], s.shape[0]):
-            raise InvalidDimensionError("B_P must have the row count of A and the order of S")
+        if n.ndim != 2 or n.shape[0] != s.shape[0]:
+            raise InvalidDimensionError("N must be a matrix with the order of S as its row count")
         if np.max(np.abs(s - s.T)) > _SYM_TOL:
             raise NumericInputError("S must be symmetric within 1e-10")
         object.__setattr__(self, "s", _frozen_array(s))
-        object.__setattr__(self, "a", _frozen_array(a))
         object.__setattr__(self, "m", _frozen_array(m))
-        object.__setattr__(self, "b_p", _frozen_array(b_p))
+        object.__setattr__(self, "n", _frozen_array(n))
 
 
 def cs_operator(a_matrix, problem):
     """Ridge reconstruction operator for measurements y = A x + noise.
 
-    Computes M = U_P^T A^T A U_P and S = eta I - eta^2 M (I + eta M)^{-1} with
-    eta = 1/(sigma_P^2 + lam), which simplifies to eta (I + eta M)^{-1}; the
-    solve is a d_P x d_P SPD factorization, never an n x n inverse.
+    Computes M = U_P^T A^T A U_P, N = U_P^T A^T A U_Q and
+    S = eta I - eta^2 M (I + eta M)^{-1} with eta = 1/(sigma_P^2 + lam), which
+    simplifies to eta (I + eta M)^{-1}; the inverse is d_P x d_P, never n x n.
     """
-    import scipy.linalg  # imported here so that the package import does not load scipy
-
     a_matrix = np.asarray(a_matrix, dtype=np.float64)
     if a_matrix.ndim != 2 or a_matrix.shape[1] != problem.d:
         raise InvalidDimensionError(
@@ -188,23 +182,20 @@ def cs_operator(a_matrix, problem):
             f"sigma_p_sq + lam = {denom} must be positive with a finite reciprocal for the ridge operator"
         )
     eta = 1.0 / denom
-    b_p = a_matrix @ problem.u_p.columns
+    b = a_matrix @ np.hstack([problem.u_p.columns, problem.u_q.columns])
+    b_p = b[:, : problem.d_p]
     m = b_p.T @ b_p
     m = 0.5 * (m + m.T)
     i_plus = eta * m
     i_plus[np.diag_indices_from(i_plus)] += 1.0
+    if not np.all(np.isfinite(i_plus)):
+        raise NumericInputError("eta * M overflows: (I + eta M) is not finite")
     try:
-        factor = scipy.linalg.cho_factor(i_plus)
-        s = eta * scipy.linalg.cho_solve(factor, np.eye(problem.d_p))
-    except scipy.linalg.LinAlgError as exc:
+        s = eta * np.linalg.inv(i_plus)
+    except np.linalg.LinAlgError as exc:
         raise NumericInputError(f"(I + eta M) is numerically singular: {exc}") from exc
     s = 0.5 * (s + s.T)
-    return CSOperator(eta=eta, s=s, a=a_matrix, m=m, b_p=b_p)
-
-
-def _check_op_matches(op, problem):
-    if op.a.shape[1] != problem.d or op.s.shape[0] != problem.d_p:
-        raise InvalidDimensionError("operator was not built for this problem")
+    return CSOperator(eta=eta, s=s, m=m, n=b_p.T @ b[:, problem.d_p :])
 
 
 def cs_risks(op, problem):
@@ -214,19 +205,19 @@ def cs_risks(op, problem):
     risk_Q = (||U_P^T U_Q - S N||_F^2 - ||U_P^T U_Q||_F^2 + d_Q
               + sigma_Q^2 tr(S^T S M)) / d_Q,  N = U_P^T A^T A U_Q.
     """
-    _check_op_matches(op, problem)
+    if op.n.shape != (problem.d_p, problem.d_q):
+        raise InvalidDimensionError("operator was not built for this problem")
     s, m = op.s, op.m
     noise_core = float(np.sum((s @ s) * m))
     eye_minus = -s @ m
     eye_minus[np.diag_indices_from(eye_minus)] += 1.0
     risk_p = (float(np.sum(eye_minus * eye_minus)) + problem.sigma_p_sq * noise_core) / problem.d_p
-    b_q = op.a @ problem.u_q.columns
-    n_mat = op.b_p.T @ b_q
     g = problem.u_p.columns.T @ problem.u_q.columns
-    resid = g - s @ n_mat
+    resid = g - s @ op.n
+    # ||U_P^T U_Q||_F^2 = d_Q a
     risk_q = (
         float(np.sum(resid * resid))
-        - float(np.sum(g * g))
+        - problem.d_q * problem.overlap
         + problem.d_q
         + problem.sigma_q_sq * noise_core
     ) / problem.d_q

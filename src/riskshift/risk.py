@@ -223,7 +223,7 @@ def _std_normal_cdf(x):
     """Standard normal CDF Phi(x) = erfc(-x / sqrt(2)) / 2, elementwise in float64.
 
     math.erfc keeps the lower tail relative-accurate where 1 + erf would
-    cancel; scipy.special.ndtr would put scipy on the package import path.
+    cancel; it replaces scipy.special.ndtr so the package needs numpy alone.
     """
     erfc = _ERFC(-np.asarray(x, dtype=np.float64) / math.sqrt(2.0))
     return 0.5 * np.asarray(erfc, dtype=np.float64)

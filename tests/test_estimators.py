@@ -1,12 +1,17 @@
 """Tests for ridge and Newton-based empirical risk minimization."""
 
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.special import expit
 
+import riskshift.harness.runners as runners
 from riskshift.datagen import Dataset, GroundTruth, LinearGaussian, NoisySign, label
 from riskshift.errors import InvalidDimensionError, NumericInputError
-from riskshift.estimators import ERMConfig, erm_fit, population_ridge, ridge_fit
+from riskshift.estimators import ERMConfig, _sigmoid, erm_fit, population_ridge, ridge_fit
+from riskshift.harness.config import KIND_CLASSIFICATION, config_from_mapping
 from riskshift.subspace import haar_basis
 
 
@@ -93,6 +98,40 @@ def test_warm_start_from_converged_fit_takes_no_step():
     assert again.iterations == 0
     assert again.converged
     assert np.array_equal(again.beta_hat, fit.beta_hat)
+
+
+def test_warm_started_classification_fit_takes_full_steps_near_optimum(monkeypatch):
+    # trial 0 of the default classification sweep at master_seed 0, warm-started
+    # up the lambda grid by the runner itself: at lambda = 100 the warm start is
+    # so close to the optimum that an Armijo test on roundoff backtracks for
+    # dozens of iterations
+    fits = {}
+
+    def recording_fit(data, config, beta0=None):
+        fit = erm_fit(data, config, beta0=beta0)
+        fits[config.lam] = fit
+        return fit
+
+    monkeypatch.setattr(runners, "erm_fit", recording_fit)
+    config = config_from_mapping(KIND_CLASSIFICATION, {"trials": 1, "master_seed": 0})
+    runners.run_classification_sweep(config)
+    assert len(fits) == len(config["lambda_grid"])
+    assert all(fit.converged for fit in fits.values())
+    assert fits[100.0].iterations <= 8
+
+
+def test_sigmoid_matches_scipy_expit():
+    t = np.concatenate(
+        [np.linspace(-800.0, 800.0, 200_001), np.random.default_rng(22).normal(0.0, 30.0, 100_000)]
+    )
+    ref = expit(t)
+    normal = ref >= np.finfo(np.float64).tiny
+    assert np.max(np.abs(_sigmoid(t[normal]) / ref[normal] - 1.0)) <= 1e-15
+    assert np.array_equal(_sigmoid(np.array([0.0, -0.0])), [0.5, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tails = _sigmoid(np.array([-800.0, 800.0]))
+    assert np.array_equal(tails, [0.0, 1.0])
 
 
 def test_warm_start_rejects_bad_beta0():

@@ -1,5 +1,6 @@
 """Tests for config parsing, experiment runners, CSV output, and the CLI."""
 
+import ast
 import json
 import math
 import os
@@ -18,6 +19,7 @@ from riskshift.errors import ConfigError, NumericInputError
 from riskshift.harness.cli import main
 from riskshift.harness.config import (
     ALL_KINDS,
+    KIND_CLASSIFICATION,
     KIND_COUNTEREXAMPLE,
     KIND_CS,
     KIND_DENOISE,
@@ -453,23 +455,42 @@ def test_cli_seed_and_out_overrides(tmp_path, capsys):
 # Runs in a fresh interpreter because the test process has scipy loaded already.
 _IMPORT_PATH_PROBE = """
 import json, sys
+import numpy as np
 import riskshift
-import riskshift.harness
 from riskshift.harness import RUNNERS, config_from_mapping, write_csv
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
+out, small = sys.argv[1], json.loads(sys.argv[2])
+rng = np.random.default_rng(0)
+for name in ("p", "q"):
+    np.savetxt(f"{out}/{name}.txt", rng.standard_normal((30, 6)))
+small["subspace-analyze"] = {"input_p": f"{out}/p.txt", "input_q": f"{out}/q.txt"}
 rows = {}
-for kind in ("denoise", "counterexample"):
-    cfg = config_from_mapping(kind, {}, out_override=f"{sys.argv[1]}/{kind}.csv")
-    header, out = RUNNERS[kind](cfg)
-    write_csv(cfg["output_path"], header, out)
-    rows[kind] = len(out)
-after_runs = scipy_modules()
-riskshift.ridge_fit(riskshift.Dataset(x=[[1.0, 0.0], [0.0, 1.0]], y=[1.0, 2.0]), 1.0)
-print(json.dumps({"rows": rows, "after_runs": after_runs, "after_ridge": scipy_modules()}))
+for kind in RUNNERS:
+    cfg = config_from_mapping(kind, small.get(kind, {}), out_override=f"{out}/{kind}.csv")
+    header, table = RUNNERS[kind](cfg)
+    write_csv(cfg["output_path"], header, table)
+    rows[kind] = len(table)
+x = rng.standard_normal((20, 3))
+data = riskshift.Dataset(x=x, y=np.where(x[:, 0] >= 0.0, 1.0, -1.0))
+riskshift.ridge_fit(data, 1.0)
+fit = riskshift.erm_fit(data, riskshift.ERMConfig(lam=1.0))
+u_p, u_q = riskshift.overlapping_pair(riskshift.SubspacePairSpec(6, 2, 2, 1), 0)
+problem = riskshift.InverseProblem(u_p, u_q, 0.1, 0.1, 0.1)
+riskshift.cs_risks(riskshift.cs_operator(riskshift.gaussian_measurement(10, 6, 0), problem), problem)
+loaded = scipy_modules()
+import scipy.special
+print(json.dumps({"rows": rows, "converged": fit.converged, "loaded": loaded,
+                  "detected": scipy_modules()}))
 """
+
+_PROBE_CONFIGS = {
+    KIND_REGRESSION: _SMALL_REGRESSION,
+    KIND_CLASSIFICATION: dict(_SMALL_REGRESSION, theory_points="3"),
+    KIND_CS: {"d": "30", "d_p": "6", "d_q": "6", "d_pq": "3", "n_grid": "40, 80", "trials": "1"},
+}
 
 
 def test_package_import_and_closed_form_runners_load_no_scipy(tmp_path):
@@ -477,11 +498,38 @@ def test_package_import_and_closed_form_runners_load_no_scipy(tmp_path):
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     done = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PATH_PROBE, str(tmp_path)],
+        [sys.executable, "-c", _IMPORT_PATH_PROBE, str(tmp_path), json.dumps(_PROBE_CONFIGS)],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     probe = json.loads(done.stdout)
-    assert probe["rows"]["denoise"] > 0 and probe["rows"]["counterexample"] > 0
-    assert probe["after_runs"] == []
-    # the solvers still load scipy, so the empty list above is not vacuous
-    assert "scipy.linalg" in probe["after_ridge"]
+    # every runner kind ran, then ridge, logistic ERM and the CS operator
+    assert sorted(probe["rows"]) == sorted(ALL_KINDS)
+    assert all(n > 0 for n in probe["rows"].values())
+    assert probe["converged"]
+    assert probe["loaded"] == []
+    # the probe imports scipy itself at the end, so the empty list above is not vacuous
+    assert "scipy.special" in probe["detected"]
+
+
+def test_no_module_under_src_imports_scipy():
+    package = os.path.dirname(riskshift.__file__)
+    modules = [
+        os.path.join(root, name)
+        for root, _, names in os.walk(package)
+        for name in names
+        if name.endswith(".py")
+    ]
+    assert len(modules) >= 15
+    offenders = []
+    for path in modules:
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            offenders += [(path, n) for n in names if n.split(".")[0] == "scipy"]
+    assert offenders == []

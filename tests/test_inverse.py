@@ -247,12 +247,13 @@ def test_cs_operator_validation():
     # a subnormal sigma_P^2 + lam overflows eta = 1/(sigma_P^2 + lam)
     with pytest.raises(NumericInputError):
         cs_operator(np.eye(prob.d), _coordinate_problem(sigma_p_sq=0.0, lam=1e-310))
+    # a finite eta whose product with M overflows
+    with pytest.raises(NumericInputError), np.errstate(over="ignore"):
+        cs_operator(1e5 * np.eye(prob.d), _coordinate_problem(sigma_p_sq=0.0, lam=1e-300))
     with pytest.raises(NumericInputError):
-        CSOperator(
-            eta=1.0, s=np.array([[0.0, 1.0], [0.5, 0.0]]), a=np.eye(2), m=np.eye(2), b_p=np.eye(2)
-        )
+        CSOperator(eta=1.0, s=np.array([[0.0, 1.0], [0.5, 0.0]]), m=np.eye(2), n=np.eye(2))
     with pytest.raises(InvalidDimensionError):
-        CSOperator(eta=1.0, s=np.eye(2), a=np.eye(3), m=np.eye(2), b_p=np.eye(2))
+        CSOperator(eta=1.0, s=np.eye(2), m=np.eye(2), n=np.eye(3))
 
 
 def test_cs_risks_identity_measurement_matches_denoising():
