@@ -32,7 +32,7 @@ from riskshift.errors import (
     RiskshiftError,
     UnreachableRatioError,
 )
-from riskshift.estimators import ERMConfig, FittedModel, erm_fit, population_ridge, ridge_fit
+from riskshift.estimators import FittedModel, erm_fit, population_ridge, ridge_fit
 from riskshift.inverse import (
     CSOperator,
     InverseProblem,
@@ -98,7 +98,6 @@ __all__ = [
     "DecisionCov",
     "DegenerateDecisionError",
     "DegenerateShiftError",
-    "ERMConfig",
     "FittedModel",
     "FunctionalTuple",
     "GroundTruth",

@@ -16,23 +16,8 @@ from riskshift.subspace import _frozen_array
 _ARMIJO_C = 1e-4
 _MIN_STEP = 1e-12
 _EPS = float(np.finfo(np.float64).eps)
-
-
-@dataclass(frozen=True)
-class ERMConfig:
-    """Ridge weight and Newton stopping controls of logistic ERM."""
-
-    lam: float
-    tol: float = 1e-10
-    max_iter: int = 100
-
-    def __post_init__(self):
-        if not (math.isfinite(self.lam) and self.lam > 0):
-            raise NumericInputError("ridge weight lam must be a positive finite scalar")
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise NumericInputError("tol must be a positive finite scalar")
-        if int(self.max_iter) < 1:
-            raise NumericInputError("max_iter must be >= 1")
+_TOL = 1e-10
+_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -52,16 +37,14 @@ class FittedModel:
         object.__setattr__(self, "beta_hat", _frozen_array(beta))
 
 
-def _check_finite_data(data):
-    if not (np.all(np.isfinite(data.x)) and np.all(np.isfinite(data.y))):
-        raise NumericInputError("dataset contains non-finite entries")
+def _check_lam(lam):
+    if not (math.isfinite(lam) and lam > 0):
+        raise NumericInputError("ridge weight lam must be a positive finite scalar")
 
 
 def ridge_fit(data, lam):
     """Minimizer of 0.5 * ||y - X beta||^2 + 0.5 * lam * ||beta||^2."""
-    if not (math.isfinite(lam) and lam > 0):
-        raise NumericInputError("ridge weight lam must be a positive finite scalar")
-    _check_finite_data(data)
+    _check_lam(lam)
     x, y = data.x, data.y
     h = x.T @ x
     h[np.diag_indices_from(h)] += lam
@@ -80,27 +63,25 @@ def _sigmoid(t):
     return np.where(t >= 0.0, 1.0, e) / (1.0 + e)
 
 
-def _logistic_objective(x, y, lam, beta):
-    m = y * (x @ beta)
-    return float(np.sum(np.logaddexp(0.0, -m))) + 0.5 * lam * float(beta @ beta)
+def _logistic_objective(margins, lam, beta):
+    return float(np.sum(np.logaddexp(0.0, -margins))) + 0.5 * lam * float(beta @ beta)
 
 
-def erm_fit(data, config, beta0=None):
+def erm_fit(data, lam, beta0=None):
     """Damped Newton minimization of the ridge-regularized logistic empirical risk.
 
-    Stops when ||grad|| <= tol * (1 + ||beta||).  On reaching max_iter first,
-    the returned model carries converged=False.  beta0 warm-starts the solver.
+    Minimizes sum_i log(1 + exp(-y_i x_i^T beta)) + 0.5 * lam * ||beta||^2 and
+    stops when ||grad|| <= 1e-10 * (1 + ||beta||).  After 100 Newton
+    iterations without meeting that rule, the returned model carries
+    converged=False.  beta0 warm-starts the solver.
 
     Once the descent grad^T step is <= eps * |f(beta)|, the resolution of the
     objective, the Armijo test could only compare rounding noise, so the line
     search takes the full step.
     """
-    if not isinstance(config, ERMConfig):
-        raise NumericInputError("config must be an ERMConfig")
-    _check_finite_data(data)
+    _check_lam(lam)
     x, y = data.x, data.y
     d = data.d
-    lam = config.lam
     if not np.all(np.abs(y) == 1.0):
         raise NumericInputError("logistic loss requires labels in {-1, +1}")
     if beta0 is None:
@@ -112,24 +93,21 @@ def erm_fit(data, config, beta0=None):
         if not np.all(np.isfinite(beta)):
             raise NumericInputError("beta0 must be finite")
 
-    def gradient(b):
-        m = y * (x @ b)
-        return -x.T @ (y * _sigmoid(-m)) + lam * b
-
-    def hessian(b):
-        m = y * (x @ b)
-        w = _sigmoid(m) * _sigmoid(-m)
+    # objective, gradient and Hessian weights all derive from the margins
+    # y_i x_i^T beta, so each point the solver visits costs one product x @ beta
+    iterations = 0
+    margins = y * (x @ beta)
+    f = _logistic_objective(margins, lam, beta)
+    while True:
+        tail = _sigmoid(-margins)
+        grad = -x.T @ (y * tail) + lam * beta
+        converged = float(np.linalg.norm(grad)) <= _TOL * (1.0 + float(np.linalg.norm(beta)))
+        if converged or iterations >= _MAX_ITER:
+            break
+        iterations += 1
+        w = _sigmoid(margins) * tail
         h = (x * w[:, None]).T @ x
         h[np.diag_indices_from(h)] += lam
-        return h
-
-    iterations = 0
-    grad = gradient(beta)
-    grad_norm = float(np.linalg.norm(grad))
-    converged = grad_norm <= config.tol * (1.0 + float(np.linalg.norm(beta)))
-    while not converged and iterations < config.max_iter:
-        iterations += 1
-        h = hessian(beta)
         try:
             step = np.linalg.solve(h, grad)
         except np.linalg.LinAlgError:
@@ -138,17 +116,20 @@ def erm_fit(data, config, beta0=None):
         if descent <= 0.0:
             step = grad
             descent = float(grad @ grad)
-        f0 = _logistic_objective(x, y, lam, beta)
         t = 1.0
-        while descent > _EPS * abs(f0) and t > _MIN_STEP:
+        while descent > _EPS * abs(f) and t > _MIN_STEP:
             candidate = beta - t * step
-            if _logistic_objective(x, y, lam, candidate) <= f0 - _ARMIJO_C * t * descent:
+            cand_margins = y * (x @ candidate)
+            cand_f = _logistic_objective(cand_margins, lam, candidate)
+            if cand_f <= f - _ARMIJO_C * t * descent:
+                beta, margins, f = candidate, cand_margins, cand_f
                 break
             t *= 0.5
-        beta = beta - t * step
-        grad = gradient(beta)
-        grad_norm = float(np.linalg.norm(grad))
-        converged = grad_norm <= config.tol * (1.0 + float(np.linalg.norm(beta)))
+        else:
+            # full step below the objective's resolution, or t reached _MIN_STEP
+            beta = beta - t * step
+            margins = y * (x @ beta)
+            f = _logistic_objective(margins, lam, beta)
     return FittedModel(
         beta_hat=beta,
         iterations=iterations,

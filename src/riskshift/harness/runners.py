@@ -34,7 +34,7 @@ from riskshift.datagen import (
     sample_covariates,
 )
 from riskshift.errors import NumericInputError
-from riskshift.estimators import ERMConfig, erm_fit, ridge_fit
+from riskshift.estimators import erm_fit, ridge_fit
 from riskshift.harness.config import (
     KIND_CLASSIFICATION,
     KIND_COUNTEREXAMPLE,
@@ -226,7 +226,7 @@ def run_classification_sweep(config):
         for lam in config["lambda_grid"]:
             emit("ridge-sign", lam, ridge_fit(data_sign, lam).beta_hat, True)
             emit("ridge-noiseless", lam, ridge_fit(data_clean, lam).beta_hat, True)
-            fit = erm_fit(data_sign, ERMConfig(lam=lam), beta0=warm)
+            fit = erm_fit(data_sign, lam, beta0=warm)
             warm = fit.beta_hat
             emit("logistic-sign", lam, fit.beta_hat, fit.converged)
         for risk_p in np.linspace(0.01, 0.49, config["theory_points"]):

@@ -62,6 +62,8 @@ from riskshift.theory import (
 )
 
 _ROOT_SEED = 20260814
+# a compressed-sensing MC draw costs O(d (n + d)); the chunk size fixes the draws
+_CS_MC_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -116,7 +118,7 @@ def _block_normalized_beta(pair, sigma_beta_sq, seed):
     return pair.eigenbasis @ b
 
 
-def _cs_mc_risk(a, op, problem, which, n_draws, seed, chunk_size=1024):
+def _cs_mc_risk(a, op, problem, which, n_draws, seed):
     """Direct Monte Carlo reconstruction risk: sample signal and noise, apply W*.
 
     a is the measurement matrix that op was built from.  Draw order per
@@ -142,7 +144,7 @@ def _cs_mc_risk(a, op, problem, which, n_draws, seed, chunk_size=1024):
         err = x - x_hat
         return np.sum(err * err, axis=1) / denom
 
-    return chunked_mc(draw, n_draws, seed, chunk_size)
+    return chunked_mc(draw, n_draws, seed, _CS_MC_CHUNK)
 
 
 def criterion_1():

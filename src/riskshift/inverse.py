@@ -230,14 +230,13 @@ def cs_relation_residual(op, problem):
 
 
 def inner_product_preservation_stats(a_matrix, vectors):
-    """Max |<Au, Av> - <u, v>| over all pairs from a collection of unit vectors."""
+    """Max |<Au, Av> - <u, v>| over all pairs of columns of vectors, each a unit vector."""
     a_matrix = np.asarray(a_matrix, dtype=np.float64)
     if a_matrix.ndim != 2:
         raise InvalidDimensionError("A must be a matrix")
-    if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
-        u = np.array(vectors, dtype=np.float64)
-    else:
-        u = np.column_stack([np.asarray(v, dtype=np.float64) for v in vectors])
+    u = np.asarray(vectors, dtype=np.float64)
+    if u.ndim != 2:
+        raise InvalidDimensionError("vectors must be a matrix with one unit vector per column")
     if u.shape[0] != a_matrix.shape[1]:
         raise InvalidDimensionError(
             f"vectors have length {u.shape[0]} but A has {a_matrix.shape[1]} columns"

@@ -32,6 +32,10 @@ _QUAD_ORDER = 150
 # |g1| > 9 has probability 2.3e-19, so the half-normal integral stops there
 _HALF_NORMAL_CUT = 9.0
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+# chunk i of a Monte Carlo estimate draws from child seed i, so the chunk
+# sizes fix the draws; a population draw costs O(d), hence its smaller chunk
+_MC_CHUNK = 2**18
+_POPULATION_MC_CHUNK = 4096
 _ERFC = np.frompyfunc(math.erfc, 1, 1)
 
 
@@ -141,14 +145,12 @@ def metric_values(z_star, z, metric):
     raise NumericInputError(f"metric must be a MetricKind member, got {metric!r}")
 
 
-def _validate_mc_args(metric, n_draws, chunk_size):
+def _validate_mc_args(metric, n_draws):
     if not isinstance(metric, MetricKind):
         raise NumericInputError(f"metric must be a MetricKind member, got {metric!r}")
     if int(n_draws) < 100:
         raise NumericInputError(f"n_draws must be >= 100, got {n_draws}")
-    if int(chunk_size) < 1:
-        raise NumericInputError(f"chunk_size must be >= 1, got {chunk_size}")
-    return int(n_draws), int(chunk_size)
+    return int(n_draws)
 
 
 def chunked_mc(draw, n_draws, seed, chunk_size):
@@ -176,31 +178,32 @@ def chunked_mc(draw, n_draws, seed, chunk_size):
     return mean, math.sqrt(m2 / (n - 1) / n)
 
 
-def mc_metric_risk(cov, metric, n_draws, seed, chunk_size=2**18):
+def mc_metric_risk(cov, metric, n_draws, seed):
     """Monte Carlo (estimate, standard error) of a metric under a DecisionCov.
 
-    Draws are generated in chunks of chunk_size by chunked_mc; each draw is
-    one standard normal pair mapped through the Cholesky factor of cov.
+    Draws are generated by chunked_mc in chunks of 2**18; each draw is one
+    standard normal pair mapped through the Cholesky factor of cov.  The
+    estimate is a function of (cov, metric, n_draws, seed) alone.
     """
-    n_draws, chunk_size = _validate_mc_args(metric, n_draws, chunk_size)
+    n_draws = _validate_mc_args(metric, n_draws)
     l11, l21, l22 = _cholesky_2x2(cov)
 
     def draw(rng, m):
         g = rng.standard_normal((m, 2))
         return metric_values(l11 * g[:, 0], l21 * g[:, 0] + l22 * g[:, 1], metric)
 
-    return chunked_mc(draw, n_draws, seed, chunk_size)
+    return chunked_mc(draw, n_draws, seed, _MC_CHUNK)
 
 
-def population_mc_risk(beta_star, beta_hat, pair, which, metric, n_draws, seed, chunk_size=4096):
+def population_mc_risk(beta_star, beta_hat, pair, which, metric, n_draws, seed):
     """Monte Carlo metric estimate drawing fresh covariate vectors directly.
 
     Independent cross-check of mc_metric_risk: instead of sampling the 2x2
     Gaussian of decision scores it samples x ~ N(0, Sigma_which / d) and
     evaluates the scores exactly.  Chunk seeding follows the same (seed, i)
-    scheme; the default chunk is smaller because each draw costs O(d).
+    scheme with chunks of 4096, smaller because each draw costs O(d).
     """
-    n_draws, chunk_size = _validate_mc_args(metric, n_draws, chunk_size)
+    n_draws = _validate_mc_args(metric, n_draws)
     side = _select_side(which)
     e = pair.eigvals(side)
     v = pair.eigenbasis
@@ -216,7 +219,7 @@ def population_mc_risk(beta_star, beta_hat, pair, which, metric, n_draws, seed, 
         g = rng.standard_normal((m, pair.d))
         return metric_values(g @ u_star, g @ u_hat, metric)
 
-    return chunked_mc(draw, n_draws, seed, chunk_size)
+    return chunked_mc(draw, n_draws, seed, _POPULATION_MC_CHUNK)
 
 
 def _std_normal_cdf(x):

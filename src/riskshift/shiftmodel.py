@@ -77,12 +77,11 @@ class CovariancePair:
             raise InvalidDimensionError(f"expected vector of length {self.d}, got {vec.shape}")
         return self.eigenbasis.T @ vec
 
-    def quad_form(self, which, x, y=None):
-        """x^T Sigma y (y defaults to x) for the selected covariance."""
+    def quad_form(self, which, x):
+        """x^T Sigma x for the selected covariance."""
         e = self.eigvals(which)
         xr = self.rotate(x)
-        yr = xr if y is None else self.rotate(y)
-        return float(np.sum(e * xr * yr))
+        return float(np.sum(e * xr * xr))
 
     def sigma_dense(self, which):
         """Dense d x d covariance; for tests and finite-dimensional checks only."""

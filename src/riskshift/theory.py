@@ -26,6 +26,9 @@ from riskshift.shiftmodel import ShiftParameters
 
 _GAMMA_KAPPA_REL_TOL = 1e-6
 _BELOW_HALF = math.nextafter(0.5, 0.0)
+# resolvent shifts b at which the monotonicity checks compare functionals
+_B_GRID = np.geomspace(1e-3, 1e3, 16)
+_MONO_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -172,29 +175,16 @@ def covariance_functionals(pair, beta_star, b):
     )
 
 
-def _b_grid_or_default(b_grid):
-    if b_grid is None:
-        return np.geomspace(1e-3, 1e3, 16)
-    grid = np.asarray(b_grid, dtype=np.float64)
-    if grid.ndim != 1 or grid.size == 0:
-        raise NumericInputError("b_grid must be a nonempty 1-d array")
-    if not np.all(np.isfinite(grid)) or np.min(grid) <= 0:
-        raise NumericInputError("b_grid entries must be positive and finite")
-    return grid
-
-
-def monotonicity_check_regression(pair, beta_star, b_grid=None, rel_tol=1e-8):
+def monotonicity_check_regression(pair, beta_star):
     """Do Gamma/Lambda/Theta under Q equal a single multiple rho of those under P?
 
     The squared-risk relation holds with slope rho exactly when the three
-    resolvent ratios agree for every shift in the grid.
+    resolvent ratios agree for every shift b > 0.  The check compares them at
+    16 log-spaced shifts in [1e-3, 1e3] and holds within relative deviation 1e-8.
     """
-    if not (math.isfinite(rel_tol) and rel_tol > 0):
-        raise NumericInputError("rel_tol must be positive")
-    grid = _b_grid_or_default(b_grid)
     rho = None
     max_dev = 0.0
-    for b in grid:
+    for b in _B_GRID:
         f = covariance_functionals(pair, beta_star, float(b))
         if f.gamma_p <= 0.0:
             raise DegenerateShiftError(
@@ -214,24 +204,22 @@ def monotonicity_check_regression(pair, beta_star, b_grid=None, rel_tol=1e-8):
             dev = abs(num - rho * den) / abs(rho * den)
             max_dev = max(max_dev, dev)
     return MonotonicityVerdict(
-        holds=bool(max_dev <= rel_tol), rho=float(rho), u0=0.0, max_deviation=float(max_dev)
+        holds=bool(max_dev <= _MONO_TOL), rho=float(rho), u0=0.0, max_deviation=float(max_dev)
     )
 
 
-def monotonicity_check_classification(pair, beta_star, b_grid=None, rel_tol=1e-8):
+def monotonicity_check_classification(pair, beta_star):
     """Are the two scale-free composites affinely locked across distributions?
 
     The composites Omega*Theta/Gamma^2 and Omega*Lambda/Gamma^2 drive the
     misclassification relation; it holds iff the Q-composites equal
-    rho * (P-composite) and rho * (P-composite) + u0 for all shifts b.
+    rho * (P-composite) and rho * (P-composite) + u0 for all shifts b > 0.
+    The check uses the same 16 shifts and 1e-8 tolerance as the regression one.
     """
-    if not (math.isfinite(rel_tol) and rel_tol > 0):
-        raise NumericInputError("rel_tol must be positive")
-    grid = _b_grid_or_default(b_grid)
     rho = None
     u0 = None
     max_dev = 0.0
-    for b in grid:
+    for b in _B_GRID:
         f = covariance_functionals(pair, beta_star, float(b))
         if f.gamma_p <= 0.0 or f.gamma_q <= 0.0:
             raise DegenerateShiftError(
@@ -251,7 +239,7 @@ def monotonicity_check_classification(pair, beta_star, b_grid=None, rel_tol=1e-8
         max_dev = max(max_dev, abs(ct_q - rho * ct_p) / abs(rho * ct_p))
         max_dev = max(max_dev, abs(cl_q - rho * cl_p - u0) / max(abs(cl_q), 1e-300))
     return MonotonicityVerdict(
-        holds=bool(max_dev <= rel_tol), rho=float(rho), u0=float(u0), max_deviation=float(max_dev)
+        holds=bool(max_dev <= _MONO_TOL), rho=float(rho), u0=float(u0), max_deviation=float(max_dev)
     )
 
 
@@ -261,10 +249,10 @@ def finite_dim_linearity(beta_star, basis, sigma_q, sigma_p_sq, sigma_q_sq):
     For population ridge with train covariance the projector onto `basis`,
     both risks are affine in the shrinkage factor, so the test risk is affine
     in the train risk with slope beta_P*^T Sigma_Q beta_P* / ||beta_P*||^2.
-    Returns (cross, slope, intercept, expected_slope, expected_intercept)
-    where cross = beta_P*^T Sigma_Q (beta* - beta_P*) measures the coupling
-    that breaks exactness, and the expected values replace the beta*-dependent
-    quadratic forms by their isotropic averages.
+    Returns (cross, slope, intercept) where cross =
+    beta_P*^T Sigma_Q (beta* - beta_P*) measures the coupling that breaks
+    exactness, and intercept = beta*^T Sigma_Q beta* - slope * ||beta_P*||^2
+    + sigma_q_sq - slope * sigma_p_sq.
     """
     beta_star = np.asarray(beta_star, dtype=np.float64)
     sigma_q = np.asarray(sigma_q, dtype=np.float64)
@@ -290,13 +278,7 @@ def finite_dim_linearity(beta_star, basis, sigma_q, sigma_p_sq, sigma_q_sq):
     cross = float(sq_bp @ b_perp)
     total = float(beta_star @ (sigma_q @ beta_star))
     intercept = total - slope * denom + sigma_q_sq - slope * sigma_p_sq
-    u = basis.columns
-    k = u.shape[1]
-    expected_slope = float(np.sum((sigma_q @ u) * u)) / k
-    expected_intercept = (
-        float(np.trace(sigma_q)) - expected_slope * k + sigma_q_sq - expected_slope * sigma_p_sq
-    )
-    return cross, slope, intercept, expected_slope, expected_intercept
+    return cross, slope, intercept
 
 
 def population_ridge_risks(beta_star, basis, sigma_q, sigma_p_sq, sigma_q_sq, lam):

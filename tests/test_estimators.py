@@ -7,10 +7,11 @@ import numpy.testing as npt
 import pytest
 from scipy.special import expit
 
+import riskshift.estimators as estimators
 import riskshift.harness.runners as runners
 from riskshift.datagen import Dataset, GroundTruth, LinearGaussian, NoisySign, label
 from riskshift.errors import InvalidDimensionError, NumericInputError
-from riskshift.estimators import ERMConfig, _sigmoid, erm_fit, population_ridge, ridge_fit
+from riskshift.estimators import _sigmoid, erm_fit, population_ridge, ridge_fit
 from riskshift.harness.config import KIND_CLASSIFICATION, config_from_mapping
 from riskshift.subspace import haar_basis
 
@@ -47,13 +48,13 @@ def test_logistic_fit_reaches_stationarity():
     x = rng.standard_normal((n, d)) / np.sqrt(d)
     gt = GroundTruth(beta_star=rng.standard_normal(d) * 3, sigma_beta_sq=9.0)
     y = label(x, gt, NoisySign(p=0.9), 14)
-    config = ERMConfig(lam=0.05)
-    fit = erm_fit(data := Dataset(x, y), config)
+    lam = 0.05
+    fit = erm_fit(data := Dataset(x, y), lam)
     assert fit.converged
-    # stationarity of the full objective gradient
+    # stationarity of the full objective gradient at the documented tolerance
     m = y * (x @ fit.beta_hat)
-    grad = -(x.T @ (y / (1.0 + np.exp(m)))) + config.lam * fit.beta_hat
-    assert np.linalg.norm(grad) <= config.tol * (1.0 + np.linalg.norm(fit.beta_hat))
+    grad = -(x.T @ (y / (1.0 + np.exp(m)))) + lam * fit.beta_hat
+    assert np.linalg.norm(grad) <= 1e-10 * (1.0 + np.linalg.norm(fit.beta_hat))
     assert data.n == n
 
 
@@ -62,7 +63,7 @@ def test_logistic_requires_sign_labels():
     x = rng.standard_normal((30, 3))
     y = rng.standard_normal(30)  # not in {-1, +1}
     with pytest.raises(NumericInputError):
-        erm_fit(Dataset(x, y), ERMConfig(lam=0.1))
+        erm_fit(Dataset(x, y), 0.1)
 
 
 def test_logistic_heavy_regularization_shrinks_to_zero():
@@ -70,7 +71,7 @@ def test_logistic_heavy_regularization_shrinks_to_zero():
     x = rng.standard_normal((50, 5))
     y = np.sign(rng.standard_normal(50))
     y[y == 0] = 1.0
-    fit = erm_fit(Dataset(x, y), ERMConfig(lam=1e6))
+    fit = erm_fit(Dataset(x, y), 1e6)
     assert np.linalg.norm(fit.beta_hat) <= 1e-3
     assert fit.converged
 
@@ -82,19 +83,18 @@ def _sign_data(n, d, seed):
     return Dataset(data.x, y)
 
 
-def test_non_convergence_is_flagged_not_raised():
-    config = ERMConfig(lam=0.01, max_iter=1)
-    fit = erm_fit(_sign_data(120, 20, 17), config)
+def test_non_convergence_is_flagged_not_raised(monkeypatch):
+    monkeypatch.setattr(estimators, "_MAX_ITER", 1)
+    fit = erm_fit(_sign_data(120, 20, 17), 0.01)
     assert not fit.converged
     assert fit.iterations == 1
 
 
 def test_warm_start_from_converged_fit_takes_no_step():
     data = _sign_data(120, 10, 20)
-    config = ERMConfig(lam=0.1)
-    fit = erm_fit(data, config)
+    fit = erm_fit(data, 0.1)
     assert fit.converged and fit.iterations > 0
-    again = erm_fit(data, config, beta0=fit.beta_hat)
+    again = erm_fit(data, 0.1, beta0=fit.beta_hat)
     assert again.iterations == 0
     assert again.converged
     assert np.array_equal(again.beta_hat, fit.beta_hat)
@@ -107,9 +107,9 @@ def test_warm_started_classification_fit_takes_full_steps_near_optimum(monkeypat
     # dozens of iterations
     fits = {}
 
-    def recording_fit(data, config, beta0=None):
-        fit = erm_fit(data, config, beta0=beta0)
-        fits[config.lam] = fit
+    def recording_fit(data, lam, beta0=None):
+        fit = erm_fit(data, lam, beta0=beta0)
+        fits[lam] = fit
         return fit
 
     monkeypatch.setattr(runners, "erm_fit", recording_fit)
@@ -136,27 +136,24 @@ def test_sigmoid_matches_scipy_expit():
 
 def test_warm_start_rejects_bad_beta0():
     data = _sign_data(40, 6, 21)
-    config = ERMConfig(lam=0.1)
     with pytest.raises(InvalidDimensionError):
-        erm_fit(data, config, beta0=np.zeros(5))
+        erm_fit(data, 0.1, beta0=np.zeros(5))
     with pytest.raises(InvalidDimensionError):
-        erm_fit(data, config, beta0=np.zeros((6, 1)))
+        erm_fit(data, 0.1, beta0=np.zeros((6, 1)))
     bad = np.zeros(6)
     bad[2] = np.nan
     with pytest.raises(NumericInputError):
-        erm_fit(data, config, beta0=bad)
+        erm_fit(data, 0.1, beta0=bad)
     bad[2] = np.inf
     with pytest.raises(NumericInputError):
-        erm_fit(data, config, beta0=bad)
+        erm_fit(data, 0.1, beta0=bad)
 
 
-def test_erm_config_validation():
-    with pytest.raises(NumericInputError):
-        ERMConfig(lam=0.0)
-    with pytest.raises(NumericInputError):
-        ERMConfig(lam=1.0, tol=-1.0)
-    with pytest.raises(NumericInputError):
-        ERMConfig(lam=1.0, max_iter=0)
+def test_erm_fit_requires_positive_lambda():
+    data = _sign_data(20, 4, 11)
+    for lam in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(NumericInputError):
+            erm_fit(data, lam)
 
 
 def test_population_ridge_shrinkage():

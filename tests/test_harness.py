@@ -1,6 +1,8 @@
 """Tests for config parsing, experiment runners, CSV output, and the CLI."""
 
 import ast
+import dataclasses
+import inspect
 import json
 import math
 import os
@@ -15,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import riskshift
+import riskshift.harness
 from riskshift.errors import ConfigError, NumericInputError
 from riskshift.harness.cli import main
 from riskshift.harness.config import (
@@ -476,7 +479,7 @@ for kind in RUNNERS:
 x = rng.standard_normal((20, 3))
 data = riskshift.Dataset(x=x, y=np.where(x[:, 0] >= 0.0, 1.0, -1.0))
 riskshift.ridge_fit(data, 1.0)
-fit = riskshift.erm_fit(data, riskshift.ERMConfig(lam=1.0))
+fit = riskshift.erm_fit(data, 1.0)
 u_p, u_q = riskshift.overlapping_pair(riskshift.SubspacePairSpec(6, 2, 2, 1), 0)
 problem = riskshift.InverseProblem(u_p, u_q, 0.1, 0.1, 0.1)
 riskshift.cs_risks(riskshift.cs_operator(riskshift.gaussian_measurement(10, 6, 0), problem), problem)
@@ -533,3 +536,52 @@ def test_no_module_under_src_imports_scipy():
                 continue
             offenders += [(path, n) for n in names if n.split(".")[0] == "scipy"]
     assert offenders == []
+
+
+def _defaulted_parameters(module):
+    """Qualified names of every defaulted parameter and dataclass field in module.__all__."""
+    found = set()
+    for name in module.__all__:
+        obj = getattr(module, name)
+        functions = []
+        if inspect.isclass(obj):
+            if dataclasses.is_dataclass(obj):
+                found |= {
+                    f"{name}.{f.name}"
+                    for f in dataclasses.fields(obj)
+                    if f.default is not dataclasses.MISSING
+                    or f.default_factory is not dataclasses.MISSING
+                }
+            for attr, member in vars(obj).items():
+                if isinstance(member, (staticmethod, classmethod)):
+                    member = member.__func__
+                if not attr.startswith("_") and inspect.isfunction(member):
+                    functions.append((f"{name}.{attr}", member))
+        elif callable(obj):
+            functions.append((name, obj))
+        for qualname, fn in functions:
+            found |= {
+                f"{qualname}.{p.name}"
+                for p in inspect.signature(fn).parameters.values()
+                if p.default is not inspect.Parameter.empty
+            }
+    return found
+
+
+def test_every_defaulted_public_parameter_has_a_caller():
+    # a default that no caller overrides is a constant; each entry names the caller that sets it
+    assert _defaulted_parameters(riskshift) | _defaulted_parameters(riskshift.harness) == {
+        # runners.run_classification_sweep warm-starts each fit from the previous lambda
+        "erm_fit.beta0",
+        # runners.run_classification_sweep passes the trial's ground-truth variance
+        "task_dependent_model.sigma_beta_sq",
+        # config.load_config passes the parsed file; selftest and perfbench/child.py pass {}
+        "config_from_mapping.mapping",
+        # config.load_config forwards the CLI's --seed and --out; perfbench/child.py
+        # passes each repetition's seed and CSV path
+        "config_from_mapping.seed_override",
+        "config_from_mapping.out_override",
+        # cli.main passes --seed and --out
+        "load_config.seed_override",
+        "load_config.out_override",
+    }

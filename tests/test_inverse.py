@@ -305,6 +305,8 @@ def test_inner_product_preservation():
         inner_product_preservation_stats(q, 2.0 * u)
     with pytest.raises(InvalidDimensionError):
         inner_product_preservation_stats(q, u[:-1])
+    with pytest.raises(InvalidDimensionError):
+        inner_product_preservation_stats(q, u[:, 0])
     # Gaussian sketches preserve 20 vectors within 0.2 in at least 95 of 100 seeds
     vecs = rng.standard_normal((d, 20))
     vecs /= np.linalg.norm(vecs, axis=0)

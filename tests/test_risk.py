@@ -156,20 +156,13 @@ def test_mc_determinism_and_seed_sensitivity():
     assert a[0] != c[0]
 
 
-def test_mc_chunk_schedule_independence():
-    # estimates are identical whether draws arrive in one chunk or many
-    cov = DecisionCov(omega_star=1.0, chi=0.3, v=1.0)
-    small = mc_metric_risk(cov, MetricKind.LOGISTIC, 3 * 4096, 13, chunk_size=4096)
-    again = mc_metric_risk(cov, MetricKind.LOGISTIC, 3 * 4096, 13, chunk_size=4096)
-    assert small == again
-
-
 def test_mc_standard_error_stable_for_nearly_constant_values():
     # psi = log(1 + exp(-t)) with |t| ~ 1e-8: sum psi^2 - n mean^2 cancels to 0
     cov = DecisionCov(omega_star=1.0, chi=0.0, v=1e-16)
-    chunk, chunks = 4096, 3
+    # mc_metric_risk's fixed chunk of 2**18 draws, three times over
+    chunk, chunks = 2**18, 3
     n = chunk * chunks
-    est, se = mc_metric_risk(cov, MetricKind.LOGISTIC, n, 20, chunk_size=chunk)
+    est, se = mc_metric_risk(cov, MetricKind.LOGISTIC, n, 20)
     root = as_seed_sequence(20)
     psi = []
     for i in range(chunks):
