@@ -4,9 +4,11 @@ Under Gaussian covariates the pair of decision scores is bivariate normal, so
 every metric here depends only on the 2x2 covariance (omega_star, chi, v):
 squared error has a closed form, misclassification reduces to the arccos of
 the score correlation, and surrogate metrics (logistic, hinge) reduce to 1-D
-integrals over a half-normal variable, evaluated by Gauss-Legendre quadrature
-with an error estimate.  Chunked Monte Carlo with a deterministic per-chunk
-seeding scheme covers every metric as an independent cross-check.
+integrals over a half-normal variable, evaluated for a whole batch of
+covariances in one vectorized pass by Gauss-Legendre quadrature (nodes from
+Newton's method on the Legendre recurrence) with an error estimate.  Chunked
+Monte Carlo with a deterministic per-chunk seeding scheme covers every metric
+as an independent cross-check.
 """
 
 import functools
@@ -15,7 +17,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from riskshift._rng import as_seed_sequence, child_sequence
 from riskshift.errors import (
@@ -29,6 +30,9 @@ _PSD_SLACK = 1e-12
 _CHOL_JITTER = 1e-14
 # order k of the surrogate quadrature; the value uses the rule of order 2k
 _QUAD_ORDER = 150
+# Tricomi's guess is within 2e-7 of every Gauss-Legendre node at orders 150
+# and 300, so two quadratically convergent steps reach rounding level
+_NEWTON_STEPS = 2
 # |g1| > 9 has probability 2.3e-19, so the half-normal integral stops there
 _HALF_NORMAL_CUT = 9.0
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -36,7 +40,6 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # sizes fix the draws; a population draw costs O(d), hence its smaller chunk
 _MC_CHUNK = 2**18
 _POPULATION_MC_CHUNK = 4096
-_ERFC = np.frompyfunc(math.erfc, 1, 1)
 
 
 class MetricKind(Enum):
@@ -228,76 +231,120 @@ def _std_normal_cdf(x):
     math.erfc keeps the lower tail relative-accurate where 1 + erf would
     cancel; it replaces scipy.special.ndtr so the package needs numpy alone.
     """
-    erfc = _ERFC(-np.asarray(x, dtype=np.float64) / math.sqrt(2.0))
-    return 0.5 * np.asarray(erfc, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    erfc = np.fromiter(map(math.erfc, (-x / math.sqrt(2.0)).ravel()), np.float64, x.size)
+    return 0.5 * erfc.reshape(x.shape)
+
+
+def _legendre_and_derivative(order, x):
+    """P_n(x) and P_n'(x) for n = order by the three-term recurrence."""
+    p0, p1 = np.ones_like(x), x
+    for j in range(1, order):
+        p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
+    return p1, order * (x * p1 - p0) / (x * x - 1.0)
 
 
 @functools.lru_cache(maxsize=2)
 def _gauss_rules(order):
-    """Read-only Gauss-Legendre rule on [-1, 1]."""
-    x, wx = leggauss(order)
-    x.flags.writeable = False
-    wx.flags.writeable = False
-    return x, wx
+    """Read-only ascending Gauss-Legendre rule on [-1, 1] of an even order.
+
+    The order / 2 positive nodes come from Newton's method on the Legendre
+    recurrence started at Tricomi's asymptotic guess (Hale & Townsend 2013,
+    "Fast and accurate computation of Gauss-Legendre and Gauss-Jacobi
+    quadrature nodes and weights"), are mirrored to the negative half and
+    weighted by w = 2 / ((1 - x^2) P_n'(x)^2).
+    """
+    n = order
+    theta = math.pi * (4.0 * np.arange(1, n // 2 + 1) - 1.0) / (4 * n + 2)
+    x = np.cos(theta) * (
+        1.0 - (n - 1) / (8.0 * n**3) - (39.0 - 28.0 / np.sin(theta) ** 2) / (384.0 * n**4)
+    )
+    for _ in range(_NEWTON_STEPS):
+        p, dp = _legendre_and_derivative(n, x)
+        x = x - p / dp
+    _, dp = _legendre_and_derivative(n, x)
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    nodes = np.concatenate([-x, x[::-1]])
+    weights = np.concatenate([w, w[::-1]])
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 def _half_normal_rule(order, cuts):
-    """Nodes and weights for E f(|g|), g ~ N(0, 1): Gauss-Legendre on each piece of cuts."""
+    """Nodes and weights for E f(|g|), g ~ N(0, 1): Gauss-Legendre on each piece of cuts.
+
+    cuts is one ascending sequence of cut points or an array with one such
+    sequence per row; the nodes and weights have one row per row of cuts.
+    """
     x, wx = _gauss_rules(order)
-    nodes, weights = [], []
-    for lo, hi in zip(cuts, cuts[1:]):
-        h = lo + 0.5 * (hi - lo) * (x + 1.0)
-        nodes.append(h)
-        weights.append(wx * (hi - lo) * np.exp(-0.5 * h * h) / _SQRT_2PI)
-    return np.concatenate(nodes), np.concatenate(weights)
+    cuts = np.asarray(cuts, dtype=np.float64)
+    lo, hi = cuts[..., :-1, None], cuts[..., 1:, None]
+    h = lo + 0.5 * (hi - lo) * (x + 1.0)
+    w = wx * (hi - lo) * np.exp(-0.5 * h * h) / _SQRT_2PI
+    shape = cuts.shape[:-1] + ((cuts.shape[-1] - 1) * order,)
+    return h.reshape(shape), w.reshape(shape)
+
+
+def _hinge_on_rule(l21, l22, h, wh):
+    # E max(0, c - l22 w) over w = c Phi(c / l22) + l22 phi(c / l22) if l22 > 0
+    c = 1.0 - l21[:, None] * h
+    smooth = (l22 > 0.0)[:, None]
+    scale = np.where(smooth, l22[:, None], 1.0)
+    r = c / scale
+    blurred = c * _std_normal_cdf(r) + scale * np.exp(-0.5 * r * r) / _SQRT_2PI
+    return (wh * np.where(smooth, blurred, np.maximum(0.0, c))).sum(axis=-1)
 
 
 def _surrogate_on_nodes(l21, l22, metric, order):
-    # t = sign(z*) z = l21 |g1| + l22 w with w ~ N(0, 1) independent of |g1|
+    # t = sign(z*) z = l21 |g1| + l22 w with w ~ N(0, 1) independent of |g1|.
+    # Entry i is the risk of (l21[i], l22[i]) under the rule of this order,
+    # computed elementwise and reduced by np.sum along its own row, so it does
+    # not depend on the other rows; a BLAS matrix-vector product would not do:
+    # OpenBLAS's dgemv rounds a row differently with the row count
     if metric is MetricKind.LOGISTIC:
         # t / s is skew-normal for s = hypot(l21, l22), so |t| has the law of
         # s |g|; with softplus(-t) = |t| / 2 - t / 2 + log1p(exp(-|t|)) and
         # E t = l21 sqrt(2 / pi), only the log1p term needs quadrature
-        s = math.hypot(l21, l22)
+        s = np.hypot(l21, l22)
         h, wh = _half_normal_rule(order, (0.0, _HALF_NORMAL_CUT))
-        return (s - l21) / _SQRT_2PI + float(wh @ np.log1p(np.exp(-s * h)))
+        return (s - l21) / _SQRT_2PI + (wh * np.log1p(np.exp(-s[:, None] * h))).sum(axis=-1)
     # the hinge integrand in |g1| bends at l21 |g1| = 1; splitting there keeps
     # the Legendre rule exact on each side when l22 = 0 and accurate when small
-    if l21 * _HALF_NORMAL_CUT > 1.0:
-        cuts = (0.0, 1.0 / l21, _HALF_NORMAL_CUT)
-    else:
-        cuts = (0.0, _HALF_NORMAL_CUT)
-    h, wh = _half_normal_rule(order, cuts)
-    c = 1.0 - l21 * h
-    if l22 > 0.0:
-        # E max(0, c - l22 w) = c Phi(c / l22) + l22 phi(c / l22)
-        r = c / l22
-        inner = c * _std_normal_cdf(r) + l22 * np.exp(-0.5 * r * r) / _SQRT_2PI
-    else:
-        inner = np.maximum(0.0, c)
-    return float(wh @ inner)
+    split = l21 * _HALF_NORMAL_CUT > 1.0
+    k = np.count_nonzero(split)
+    values = np.empty_like(l21)
+    for rows, cuts in (
+        (split, np.stack([np.zeros(k), 1.0 / l21[split], np.full(k, _HALF_NORMAL_CUT)], axis=1)),
+        (~split, (0.0, _HALF_NORMAL_CUT)),
+    ):
+        values[rows] = _hinge_on_rule(l21[rows], l22[rows], *_half_normal_rule(order, cuts))
+    return values
 
 
-def quad_metric_risk(cov, metric):
-    """Quadrature (value, error estimate) of the logistic or hinge risk under a DecisionCov.
+def quad_metric_risk(covs, metric):
+    """Quadrature (values, error estimates) of the logistic or hinge risk under each DecisionCov.
 
-    Both risks are E psi(t) with t = sign(z*) z, which has the law of
-    l21 |g1| + l22 w for the Cholesky factor of cov and independent standard
-    normals g1, w.  Each remaining integral is over a half-normal |g| and
-    uses Gauss-Legendre on [0, 9] against the half-normal density.  Logistic:
-    |t| has the law of s |g| with s = hypot(l21, l22) (t / s is skew-normal),
-    so E softplus(-t) = (s - l21) / sqrt(2 pi) + E log1p(exp(-s |g|)).
-    Hinge: the inner expectation over w is closed form and the rule over |g1|
-    is split where the loss bends.  The value is the rule of order 2k, the
-    error estimate its distance to the rule of order k (k = 150).  That
-    estimate measures convergence in the rule's order, not the error in its
-    nodes and weights: both orders integrate the half-normal mass to
-    1 - 2e-14, so the true relative error can reach about 2e-14 even where
-    the estimate is smaller.
+    covs is a sequence of DecisionCov; both returned float arrays have one
+    entry per covariance, and each entry depends on its own covariance alone,
+    bit for bit, whatever else is in the batch.  Both risks are E psi(t) with
+    t = sign(z*) z, which has the law of l21 |g1| + l22 w for the Cholesky
+    factor of cov and independent standard normals g1, w.  Each remaining
+    integral is over a half-normal |g| and uses Gauss-Legendre on [0, 9]
+    against the half-normal density.  Logistic: |t| has the law of s |g|
+    with s = hypot(l21, l22) (t / s is skew-normal), so E softplus(-t) =
+    (s - l21) / sqrt(2 pi) + E log1p(exp(-s |g|)).  Hinge: the inner
+    expectation over w is closed form and the rule over |g1| is split where
+    the loss bends.  The value is the rule of order 2k, the error estimate
+    its distance to the rule of order k (k = 150).  That estimate measures
+    convergence in the rule's order, not the error in its nodes and weights;
+    at both orders, split or not, those integrate the half-normal mass, E|g|
+    and E g^2 to within 4.5e-16.
     """
     if metric not in (MetricKind.LOGISTIC, MetricKind.HINGE):
         raise NumericInputError(f"quadrature covers the logistic and hinge metrics, got {metric!r}")
-    _, l21, l22 = _cholesky_2x2(cov)
+    factors = np.array([_cholesky_2x2(cov) for cov in covs], dtype=np.float64).reshape(-1, 3)
+    _, l21, l22 = factors.T
     coarse = _surrogate_on_nodes(l21, l22, metric, _QUAD_ORDER)
     fine = _surrogate_on_nodes(l21, l22, metric, 2 * _QUAD_ORDER)
-    return fine, abs(fine - coarse)
+    return fine, np.abs(fine - coarse)

@@ -462,20 +462,38 @@ import numpy as np
 import riskshift
 from riskshift.harness import RUNNERS, config_from_mapping, write_csv
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def modules(package):
+    return sorted(m for m in sys.modules if m == package or m.startswith(package + "."))
+
+linalg_calls = []
+
+def counted(name, fn):
+    def call(*args, **kwargs):
+        linalg_calls.append(name)
+        return fn(*args, **kwargs)
+    return call
+
+for name in np.linalg.__all__:
+    fn = getattr(np.linalg, name)
+    if callable(fn) and not isinstance(fn, type):
+        setattr(np.linalg, name, counted(name, fn))
 
 out, small = sys.argv[1], json.loads(sys.argv[2])
 rng = np.random.default_rng(0)
 for name in ("p", "q"):
     np.savetxt(f"{out}/{name}.txt", rng.standard_normal((30, 6)))
 small["subspace-analyze"] = {"input_p": f"{out}/p.txt", "input_q": f"{out}/q.txt"}
-rows = {}
-for kind in RUNNERS:
+rows, linalg = {}, {}
+# the default counterexample runs first, so the modules loaded after it are its own
+for kind in sorted(RUNNERS, key=lambda k: k != "counterexample"):
+    start = len(linalg_calls)
     cfg = config_from_mapping(kind, small.get(kind, {}), out_override=f"{out}/{kind}.csv")
     header, table = RUNNERS[kind](cfg)
     write_csv(cfg["output_path"], header, table)
     rows[kind] = len(table)
+    linalg[kind] = len(linalg_calls) - start
+    if kind == "counterexample":
+        polynomial = modules("numpy.polynomial")
 x = rng.standard_normal((20, 3))
 data = riskshift.Dataset(x=x, y=np.where(x[:, 0] >= 0.0, 1.0, -1.0))
 riskshift.ridge_fit(data, 1.0)
@@ -483,10 +501,10 @@ fit = riskshift.erm_fit(data, 1.0)
 u_p, u_q = riskshift.overlapping_pair(riskshift.SubspacePairSpec(6, 2, 2, 1), 0)
 problem = riskshift.InverseProblem(u_p, u_q, 0.1, 0.1, 0.1)
 riskshift.cs_risks(riskshift.cs_operator(riskshift.gaussian_measurement(10, 6, 0), problem), problem)
-loaded = scipy_modules()
+loaded = modules("scipy")
 import scipy.special
 print(json.dumps({"rows": rows, "converged": fit.converged, "loaded": loaded,
-                  "detected": scipy_modules()}))
+                  "detected": modules("scipy"), "polynomial": polynomial, "linalg": linalg}))
 """
 
 _PROBE_CONFIGS = {
@@ -512,6 +530,12 @@ def test_package_import_and_closed_form_runners_load_no_scipy(tmp_path):
     assert probe["loaded"] == []
     # the probe imports scipy itself at the end, so the empty list above is not vacuous
     assert "scipy.special" in probe["detected"]
+    # the quadrature rule is built without numpy.polynomial and without an eigensolver
+    assert probe["rows"][KIND_COUNTEREXAMPLE] == 3 * 40
+    assert probe["polynomial"] == []
+    assert probe["linalg"][KIND_COUNTEREXAMPLE] == 0
+    # the wrapped numpy.linalg functions do count: the sweeps' fits solve with them
+    assert probe["linalg"][KIND_REGRESSION] > 0
 
 
 def test_no_module_under_src_imports_scipy():

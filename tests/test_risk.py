@@ -17,6 +17,7 @@ from riskshift.harness.config import KIND_COUNTEREXAMPLE, config_from_mapping
 from riskshift.risk import (
     DecisionCov,
     _cholesky_2x2,
+    _gauss_rules,
     _half_normal_rule,
     _std_normal_cdf,
     MetricKind,
@@ -210,14 +211,19 @@ def test_population_mc_misclassification():
     assert abs(est - closed) <= 4 * se
 
 
+def _quad_one(cov, metric):
+    values, errs = quad_metric_risk([cov], metric)
+    return float(values[0]), float(errs[0])
+
+
 def test_quad_hinge_matches_aligned_closed_form():
-    value, err = quad_metric_risk(DecisionCov(omega_star=1.0, chi=1.0, v=1.0), MetricKind.HINGE)
+    value, err = _quad_one(DecisionCov(omega_star=1.0, chi=1.0, v=1.0), MetricKind.HINGE)
     assert abs(value - _HINGE_ALIGNED) <= 1e-9
     assert err <= 1e-9
 
 
 def test_quad_logistic_matches_dense_trapezoid():
-    value, err = quad_metric_risk(DecisionCov(omega_star=1.0, chi=1.0, v=1.0), MetricKind.LOGISTIC)
+    value, err = _quad_one(DecisionCov(omega_star=1.0, chi=1.0, v=1.0), MetricKind.LOGISTIC)
     assert abs(value - _logistic_aligned_oracle()) <= 1e-8
     assert err <= 1e-9
 
@@ -236,9 +242,9 @@ def test_quad_agrees_with_mc_on_random_covariances():
         DecisionCov(omega_star=2.0, chi=-1.0, v=0.5 * (1.0 + 1e-9)),
     ]
     assert any(c.chi < 0 for c in covs)
-    for i, cov in enumerate(covs):
-        for j, metric in enumerate((MetricKind.LOGISTIC, MetricKind.HINGE)):
-            value, err = quad_metric_risk(cov, metric)
+    for j, metric in enumerate((MetricKind.LOGISTIC, MetricKind.HINGE)):
+        values, errs = quad_metric_risk(covs, metric)
+        for i, (cov, value, err) in enumerate(zip(covs, values, errs)):
             est, se = mc_metric_risk(cov, metric, 1_000_000, [22, i, j])
             assert err <= 1e-9
             assert abs(value - est) <= 4 * se, (cov, metric, value, est, se)
@@ -250,17 +256,20 @@ def test_quad_error_estimate_small_on_counterexample_grid():
         gamma=cfg["gamma"], mu=cfg["mu"], kappa=cfg["kappa"], r_p=cfg["r_p"],
         sigma_beta_sq=cfg["sigma_beta_sq"],
     )
-    for a in np.geomspace(cfg["a_min"], cfg["a_max"], cfg["a_points"]):
-        for cov in asymptotic_decision_cov(AsymParams(a=float(a), b=cfg["b"], c=cfg["c"]), shift):
-            for metric in (MetricKind.LOGISTIC, MetricKind.HINGE):
-                assert quad_metric_risk(cov, metric)[1] <= 1e-6
+    covs = [
+        cov
+        for a in np.geomspace(cfg["a_min"], cfg["a_max"], cfg["a_points"])
+        for cov in asymptotic_decision_cov(AsymParams(a=float(a), b=cfg["b"], c=cfg["c"]), shift)
+    ]
+    for metric in (MetricKind.LOGISTIC, MetricKind.HINGE):
+        assert np.max(quad_metric_risk(covs, metric)[1]) <= 1e-6
 
 
 def test_quad_rejects_closed_form_metrics():
     cov = DecisionCov(omega_star=1.0, chi=0.3, v=1.0)
     for metric in (MetricKind.SQUARED_ERROR, MetricKind.MISCLASSIFICATION, "logistic"):
         with pytest.raises(NumericInputError):
-            quad_metric_risk(cov, metric)
+            quad_metric_risk([cov], metric)
 
 
 def _logistic_tensor_rule(cov, order):
@@ -294,7 +303,7 @@ def factored_covariances(draw):
 @example(DecisionCov(omega_star=0.7, chi=0.7 * 1.3, v=0.7 * 1.3 * 1.3))
 @example(DecisionCov(omega_star=2.0, chi=0.0, v=0.5))
 def test_quad_logistic_identity_matches_tensor_rule(cov):
-    value, err = quad_metric_risk(cov, MetricKind.LOGISTIC)
+    value, err = _quad_one(cov, MetricKind.LOGISTIC)
     assert err <= 1e-12
     fine = _logistic_tensor_rule(cov, 300)
     # the Gauss-Hermite rule loses accuracy once l22 exceeds about 3; compare
@@ -305,9 +314,39 @@ def test_quad_logistic_identity_matches_tensor_rule(cov):
 
 def test_quad_logistic_wide_independent_part():
     # l22 = 10: the 2-D rule's Gauss-Hermite error estimate was 9.5e-5 here
-    value, err = quad_metric_risk(DecisionCov(omega_star=1e-4, chi=0.0, v=100.0), MetricKind.LOGISTIC)
+    value, err = _quad_one(DecisionCov(omega_star=1e-4, chi=0.0, v=100.0), MetricKind.LOGISTIC)
     assert err <= 1e-9
     assert abs(value - _normal_trapezoid(lambda z: np.logaddexp(0.0, 10.0 * z))) <= 1e-8
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    factored_covariances(),
+    st.lists(factored_covariances(), max_size=9),
+    st.integers(0, 9),
+    st.sampled_from([MetricKind.LOGISTIC, MetricKind.HINGE]),
+)
+def test_quad_batch_entry_equals_lone_evaluation(cov, others, position, metric):
+    # a covariance gives the same (value, err) bit for bit in any batch, so
+    # CSV bytes do not depend on how a runner groups its rows
+    batch = others[:position] + [cov] + others[position:]
+    values, errs = quad_metric_risk(batch, metric)
+    i = min(position, len(others))
+    assert values.shape == errs.shape == (len(batch),)
+    assert (values[i], errs[i]) == _quad_one(cov, metric)
+
+
+@pytest.mark.parametrize("order", [150, 300])
+def test_gauss_rule_matches_leggauss(order):
+    x, w = _gauss_rules(order)
+    ref_x, ref_w = leggauss(order)
+    assert not x.flags.writeable and not w.flags.writeable
+    assert np.all(np.diff(x) > 0.0)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    assert abs(w.sum() - 2.0) <= 1e-15
+    assert np.all(np.abs(x - ref_x) <= 4 * np.spacing(np.abs(ref_x)))
+    # leggauss's own end weights are off by up to 6.3e-11 at order 300
+    assert np.all(np.abs(w - ref_w) <= 1e-10 * ref_w)
 
 
 @pytest.mark.parametrize("cuts", [(0.0, 9.0), (0.0, 0.37, 9.0)])
@@ -316,6 +355,6 @@ def test_half_normal_rule_moments(order, cuts):
     # the error estimate of quad_metric_risk cannot see an error shared by
     # both orders, so the rule's own moments are pinned here
     h, w = _half_normal_rule(order, cuts)
-    assert abs(w.sum() - 1.0) <= 1e-13
-    assert abs(w @ h - math.sqrt(2.0 / math.pi)) <= 1e-13
-    assert abs(w @ (h * h) - 1.0) <= 1e-13
+    assert abs(w.sum() - 1.0) <= 5e-15
+    assert abs(w @ h - math.sqrt(2.0 / math.pi)) <= 5e-15
+    assert abs(w @ (h * h) - 1.0) <= 5e-15
