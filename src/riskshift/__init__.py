@@ -43,6 +43,7 @@ from riskshift.inverse import (
     denoise_risks,
     gaussian_measurement,
     inner_product_preservation_stats,
+    sketch_bases,
 )
 from riskshift.risk import (
     DecisionCov,
@@ -149,6 +150,7 @@ __all__ = [
     "sample_beta",
     "sample_covariates",
     "shift_parameters",
+    "sketch_bases",
     "squared_risk",
     "subspace_shift_model",
     "subspace_similarity",

@@ -52,6 +52,7 @@ from riskshift.inverse import (
     denoise_risks,
     gaussian_measurement,
     inner_product_preservation_stats,
+    sketch_bases,
 )
 from riskshift.risk import (
     MetricKind,
@@ -294,12 +295,12 @@ def run_denoising(config):
     for i, a_target in enumerate(config["a_grid"]):
         d_pq = int(round(a_target * d_q))
         u_p, u_q = overlapping_pair(SubspacePairSpec(d, d_p, d_q, d_pq), stream(ms, 0, _GRID_SLOT_BASE + i))
+        # one overlap per pair; every (snr, lambda) problem carries it
+        pair = InverseProblem(u_p=u_p, u_q=u_q, sigma_p_sq=0.0, sigma_q_sq=0.0, lam=0.0)
         for snr in config["snr_grid"]:
             noise = 1.0 / snr
             for lam in config["lambda_grid"]:
-                problem = InverseProblem(
-                    u_p=u_p, u_q=u_q, sigma_p_sq=noise, sigma_q_sq=noise, lam=lam
-                )
+                problem = pair.with_weights(noise, noise, lam)
                 risk_p, risk_q, alpha = denoise_risks(problem)
                 rows.append(
                     {
@@ -383,26 +384,25 @@ def run_cs_validation(config):
         vectors = np.hstack([u_p.columns, u_q.columns])
         for i, n in enumerate(config["n_grid"]):
             a_matrix = gaussian_measurement(n, config["d"], stream(ms, t, _GRID_SLOT_BASE + i))
-            op = cs_operator(a_matrix, problem)
+            sketch = sketch_bases(a_matrix, problem)
             rows.append(
                 {
                     "matrix": "gaussian",
                     "n": int(n),
                     "trial": t,
-                    "residual": cs_relation_residual(op, problem),
-                    "ipp_max_dev": inner_product_preservation_stats(a_matrix, vectors),
+                    "residual": cs_relation_residual(cs_operator(sketch, problem), problem),
+                    "ipp_max_dev": inner_product_preservation_stats(sketch, vectors),
                 }
             )
         if config["include_identity"]:
-            identity = np.eye(config["d"])
-            op = cs_operator(identity, problem)
+            sketch = sketch_bases(np.eye(config["d"]), problem)
             rows.append(
                 {
                     "matrix": "identity",
                     "n": config["d"],
                     "trial": t,
-                    "residual": cs_relation_residual(op, problem),
-                    "ipp_max_dev": inner_product_preservation_stats(identity, vectors),
+                    "residual": cs_relation_residual(cs_operator(sketch, problem), problem),
+                    "ipp_max_dev": inner_product_preservation_stats(sketch, vectors),
                 }
             )
     rows.sort(key=lambda r: (r["matrix"], r["n"], r["trial"]))

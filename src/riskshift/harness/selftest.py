@@ -33,6 +33,7 @@ from riskshift.inverse import (
     cs_risks,
     denoise_relation_residual,
     gaussian_measurement,
+    sketch_bases,
 )
 from riskshift.risk import (
     DecisionCov,
@@ -235,7 +236,7 @@ def criterion_4():
     noise = 1.0 / config["snr"]
     problem = InverseProblem(u_p=u_p, u_q=u_q, sigma_p_sq=noise, sigma_q_sq=noise, lam=config["lambda"])
     a_matrix = gaussian_measurement(500, config["d"], np.random.SeedSequence([_ROOT_SEED, 4, 1]))
-    op = cs_operator(a_matrix, problem)
+    op = cs_operator(sketch_bases(a_matrix, problem), problem)
     risk_p, risk_q = cs_risks(op, problem)
     mc_p, se_p = _cs_mc_risk(a_matrix, op, problem, "P", 100_000, np.random.SeedSequence([_ROOT_SEED, 4, 2]))
     mc_q, se_q = _cs_mc_risk(a_matrix, op, problem, "Q", 100_000, np.random.SeedSequence([_ROOT_SEED, 4, 3]))

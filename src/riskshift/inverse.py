@@ -9,7 +9,7 @@ Gaussian measurement matrices it holds up to a residual that shrinks with n.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -77,6 +77,17 @@ class InverseProblem:
         """Ridge denoiser shrinkage 1/(1 + sigma_P^2 + lam)."""
         return 1.0 / (1.0 + self.sigma_p_sq + self.lam)
 
+    def with_weights(self, sigma_p_sq, sigma_q_sq, lam):
+        """The same subspace pair with other noise variances and ridge weight.
+
+        The new problem is validated like any other and carries this problem's
+        overlap, so a sweep over weights forms U_P^T U_Q once per pair.
+        """
+        problem = replace(self, sigma_p_sq=sigma_p_sq, sigma_q_sq=sigma_q_sq, lam=lam)
+        # cached_property keeps its value in the instance __dict__ under its own name
+        problem.__dict__["overlap"] = self.overlap
+        return problem
+
 
 def _relation_residual(problem, risk_p, risk_q):
     """|risk_Q - a risk_P - (1-a) - alpha^2((d_P/d_Q) sigma_Q^2 - a sigma_P^2)|."""
@@ -123,6 +134,22 @@ def gaussian_measurement(n, d, seed):
     return rng.standard_normal((n, d)) / math.sqrt(n)
 
 
+def sketch_bases(a_matrix, problem):
+    """B = A [U_P U_Q], the n x (d_P + d_Q) image of both bases under A.
+
+    It is the only product with A that cs_operator needs, and, with the
+    stacked bases, all that inner_product_preservation_stats needs.
+    """
+    a_matrix = np.asarray(a_matrix, dtype=np.float64)
+    if a_matrix.ndim != 2 or a_matrix.shape[1] != problem.d:
+        raise InvalidDimensionError(
+            f"A must have {problem.d} columns, got shape {a_matrix.shape}"
+        )
+    if not np.all(np.isfinite(a_matrix)):
+        raise NumericInputError("A must be finite")
+    return a_matrix @ np.hstack([problem.u_p.columns, problem.u_q.columns])
+
+
 @dataclass(frozen=True)
 class CSOperator:
     """Reduced reconstruction data of one problem: x_hat = U_P S U_P^T A^T y.
@@ -155,21 +182,22 @@ class CSOperator:
         object.__setattr__(self, "n", _frozen_array(n))
 
 
-def cs_operator(a_matrix, problem):
+def cs_operator(sketch, problem):
     """Ridge reconstruction operator for measurements y = A x + noise.
 
-    Computes M = U_P^T A^T A U_P, N = U_P^T A^T A U_Q and
+    From the sketch B = A [U_P U_Q] of sketch_bases, computes
+    M = U_P^T A^T A U_P, N = U_P^T A^T A U_Q and
     S = eta I - eta^2 M (I + eta M)^{-1} with eta = 1/(sigma_P^2 + lam), which
     simplifies to eta (I + eta M)^{-1}; the inverse is d_P x d_P, never n x n.
     """
-    a_matrix = np.asarray(a_matrix, dtype=np.float64)
-    if a_matrix.ndim != 2 or a_matrix.shape[1] != problem.d:
+    b = np.asarray(sketch, dtype=np.float64)
+    if b.ndim != 2 or b.shape[1] != problem.d_p + problem.d_q:
         raise InvalidDimensionError(
-            f"A must have {problem.d} columns, got shape {a_matrix.shape}"
+            f"the sketch A [U_P U_Q] must have {problem.d_p + problem.d_q} columns, got shape {b.shape}"
         )
-    if not np.all(np.isfinite(a_matrix)):
-        raise NumericInputError("A must be finite")
-    n = a_matrix.shape[0]
+    if not np.all(np.isfinite(b)):
+        raise NumericInputError("the sketch A [U_P U_Q] must be finite")
+    n = b.shape[0]
     if problem.d_p > n or problem.d_q > n:
         raise InvalidDimensionError(
             f"measurement count n={n} must be >= both subspace dimensions "
@@ -182,7 +210,6 @@ def cs_operator(a_matrix, problem):
             f"sigma_p_sq + lam = {denom} must be positive with a finite reciprocal for the ridge operator"
         )
     eta = 1.0 / denom
-    b = a_matrix @ np.hstack([problem.u_p.columns, problem.u_q.columns])
     b_p = b[:, : problem.d_p]
     m = b_p.T @ b_p
     m = 0.5 * (m + m.T)
@@ -229,22 +256,23 @@ def cs_relation_residual(op, problem):
     return _relation_residual(problem, *cs_risks(op, problem))
 
 
-def inner_product_preservation_stats(a_matrix, vectors):
-    """Max |<Au, Av> - <u, v>| over all pairs of columns of vectors, each a unit vector."""
-    a_matrix = np.asarray(a_matrix, dtype=np.float64)
-    if a_matrix.ndim != 2:
-        raise InvalidDimensionError("A must be a matrix")
+def inner_product_preservation_stats(sketch, vectors):
+    """Max |<Au, Av> - <u, v>| over all pairs of columns of vectors, each a unit vector.
+
+    sketch is the product A @ vectors, e.g. the output of sketch_bases with
+    vectors = [U_P U_Q].
+    """
+    au = np.asarray(sketch, dtype=np.float64)
     u = np.asarray(vectors, dtype=np.float64)
     if u.ndim != 2:
         raise InvalidDimensionError("vectors must be a matrix with one unit vector per column")
-    if u.shape[0] != a_matrix.shape[1]:
+    if au.ndim != 2 or au.shape[1] != u.shape[1]:
         raise InvalidDimensionError(
-            f"vectors have length {u.shape[0]} but A has {a_matrix.shape[1]} columns"
+            f"the sketch A @ vectors must be a matrix with {u.shape[1]} columns, got shape {au.shape}"
         )
     norms = np.linalg.norm(u, axis=0)
     if np.max(np.abs(norms - 1.0)) > 1e-8:
         raise NumericInputError("all vectors must be unit norm")
-    au = a_matrix @ u
     gram_before = u.T @ u
     gram_after = au.T @ au
     return float(np.max(np.abs(gram_after - gram_before)))

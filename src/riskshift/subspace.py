@@ -1,6 +1,10 @@
 """Linear subspaces: Haar-random bases, controlled-overlap pairs, principal angles.
 
-Subspaces are represented by column-orthonormal matrices.  Overlap between two
+Subspaces are represented by column-orthonormal matrices.  A Haar basis is the
+sign-fixed QR factor of a standard normal block.  An overlapping pair draws the
+full d x d block of a Haar rotation but orthonormalizes only the d_P + d_Q - d_PQ
+columns it uses: those are exactly the leading columns of the full rotation
+(Mezzadri 2007), so the draws and the law match the full QR.  Overlap between two
 subspaces is summarized by sum_i cos^2 theta_i over their principal angles,
 which equals ||U_P^T U_Q||_F^2 (Bjorck & Golub 1973), so the similarity
 sqrt(sum cos^2 / k) and the overlap coefficient sum cos^2 / d_Q need no SVD.
@@ -89,20 +93,25 @@ class SubspacePairSpec:
         return np.r_[0 : self.d_pq, self.d_p : self.d_p + self.d_q - self.d_pq]
 
 
-def haar_basis(d, k, seed):
-    """Haar-distributed orthonormal d x k basis, deterministic per seed.
+def _sign_fixed_qr(g):
+    """Q factor of g with the R diagonal forced positive.
 
-    QR of a standard normal matrix with the R diagonal forced positive; the
-    sign fix removes the QR ambiguity and makes the law exactly Haar.
+    The sign fix removes the QR ambiguity, so for a standard normal g the
+    result is exactly Haar, and its leading columns depend only on the leading
+    columns of g.
     """
-    if k < 1 or k > d:
-        raise InvalidDimensionError(f"need 1 <= k <= d, got k={k}, d={d}")
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((d, k))
     q, r = np.linalg.qr(g)
     signs = np.sign(np.diag(r))
     signs[signs == 0] = 1.0
-    return OrthonormalBasis(q * signs)
+    return q * signs
+
+
+def haar_basis(d, k, seed):
+    """Haar-distributed orthonormal d x k basis, deterministic per seed."""
+    if k < 1 or k > d:
+        raise InvalidDimensionError(f"need 1 <= k <= d, got k={k}, d={d}")
+    rng = np.random.default_rng(seed)
+    return OrthonormalBasis(_sign_fixed_qr(rng.standard_normal((d, k))))
 
 
 def overlapping_pair(spec, seed):
@@ -110,10 +119,14 @@ def overlapping_pair(spec, seed):
 
     Built from disjoint-plus-shared coordinate blocks conjugated by one common
     Haar rotation, so exactly d_pq principal angles are 0 and the rest pi/2.
+    The full d x d standard normal block of haar_basis(d, d, seed) is drawn, so
+    a Generator seed advances by d^2 draws; only its first d_p + d_q - d_pq
+    columns, the ones the pair uses, are orthonormalized.
     """
     if not isinstance(spec, SubspacePairSpec):
         raise InvalidDimensionError("spec must be a SubspacePairSpec")
-    rot = haar_basis(spec.d, spec.d, seed).columns
+    g = np.random.default_rng(seed).standard_normal((spec.d, spec.d))
+    rot = _sign_fixed_qr(g[:, : spec.d_p + spec.d_q - spec.d_pq])
     return OrthonormalBasis(rot[:, : spec.d_p]), OrthonormalBasis(rot[:, spec.q_coords])
 
 

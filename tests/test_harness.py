@@ -286,6 +286,22 @@ def test_denoise_runner_makes_no_svd(monkeypatch):
     assert len(calls) == 0
 
 
+def test_default_denoise_run_computes_each_pair_overlap_once(monkeypatch):
+    calls = []
+    cos_sq_sum = riskshift.subspace._cos_sq_sum
+
+    def counted(u_p, u_q):
+        calls.append((u_p, u_q))
+        return cos_sq_sum(u_p, u_q)
+
+    monkeypatch.setattr(riskshift.subspace, "_cos_sq_sum", counted)
+    config = config_from_mapping(KIND_DENOISE, {})
+    _, rows = run_denoising(config)
+    assert len(rows) == 300
+    # one U_P^T U_Q per subspace pair, not one per (snr, lambda) row
+    assert len(calls) == len(config["a_grid"]) == 3
+
+
 def test_counterexample_runner_schema_and_identity():
     overrides = {"a_min": "0.5", "a_max": "2.0", "a_points": "5"}
     cfg = config_from_mapping(KIND_COUNTEREXAMPLE, overrides)
@@ -500,7 +516,8 @@ riskshift.ridge_fit(data, 1.0)
 fit = riskshift.erm_fit(data, 1.0)
 u_p, u_q = riskshift.overlapping_pair(riskshift.SubspacePairSpec(6, 2, 2, 1), 0)
 problem = riskshift.InverseProblem(u_p, u_q, 0.1, 0.1, 0.1)
-riskshift.cs_risks(riskshift.cs_operator(riskshift.gaussian_measurement(10, 6, 0), problem), problem)
+sketch = riskshift.sketch_bases(riskshift.gaussian_measurement(10, 6, 0), problem)
+riskshift.cs_risks(riskshift.cs_operator(sketch, problem), problem)
 loaded = modules("scipy")
 import scipy.special
 print(json.dumps({"rows": rows, "converged": fit.converged, "loaded": loaded,

@@ -19,6 +19,7 @@ from riskshift.inverse import (
     denoise_risks,
     gaussian_measurement,
     inner_product_preservation_stats,
+    sketch_bases,
 )
 from riskshift.subspace import (
     OrthonormalBasis,
@@ -40,6 +41,10 @@ def _coordinate_problem(d=40, d_p=10, shared=5, d_q=10, **kw):
     defaults = dict(sigma_p_sq=0.01, sigma_q_sq=0.01, lam=0.1)
     defaults.update(kw)
     return InverseProblem(u_p, u_q, **defaults)
+
+
+def _operator(a_matrix, problem):
+    return cs_operator(sketch_bases(a_matrix, problem), problem)
 
 
 _PROPERTY = settings(max_examples=150, deadline=None, database=None)
@@ -151,12 +156,51 @@ def test_cs_identity_measurement_matches_denoising_for_any_problem(prob):
     # eta = 1/(sigma_P^2 + lam) must exist as a finite float (subnormal sums overflow it)
     if not (denom > 0.0 and math.isfinite(1.0 / denom)):
         with pytest.raises(NumericInputError):
-            cs_operator(np.eye(prob.d), prob)
+            _operator(np.eye(prob.d), prob)
         return
-    risk_p, risk_q = cs_risks(cs_operator(np.eye(prob.d), prob), prob)
+    risk_p, risk_q = cs_risks(_operator(np.eye(prob.d), prob), prob)
     den_p, den_q, _ = denoise_risks(prob)
     assert risk_p == pytest.approx(den_p, abs=1e-10)
     assert risk_q == pytest.approx(den_q, abs=1e-10)
+
+
+@_PROPERTY
+@given(inverse_problems(), st.integers(0, 2**32 - 1), st.integers(0, 20))
+def test_risks_are_rotation_equivariant(prob, seed, extra):
+    # the risks see the bases only through V-invariant products, so ulp-level
+    # changes in the Haar frame cannot move them beyond roundoff
+    v = haar_basis(prob.d, prob.d, seed).columns
+    rotated = InverseProblem(
+        OrthonormalBasis(v @ prob.u_p.columns),
+        OrthonormalBasis(v @ prob.u_q.columns),
+        prob.sigma_p_sq,
+        prob.sigma_q_sq,
+        prob.lam,
+    )
+    npt.assert_allclose(denoise_risks(rotated), denoise_risks(prob), rtol=0, atol=1e-12)
+    # the compressed-sensing half needs a finite eta * M, eta = 1/(sigma_P^2 + lam)
+    if prob.sigma_p_sq + prob.lam < 1e-200:
+        return
+    # well-conditioned measurements: n at least twice each subspace dimension
+    a = gaussian_measurement(2 * max(prob.d_p, prob.d_q) + extra, prob.d, seed)
+    expected = cs_risks(_operator(a, prob), prob)
+    npt.assert_allclose(cs_risks(_operator(a @ v.T, rotated), rotated), expected, rtol=0, atol=1e-12)
+
+
+def test_with_weights_keeps_the_pair_and_its_overlap():
+    prob = _coordinate_problem(sigma_p_sq=0.01, sigma_q_sq=0.02, lam=0.1)
+    moved = prob.with_weights(0.3, 0.4, 5.0)
+    assert (moved.sigma_p_sq, moved.sigma_q_sq, moved.lam) == (0.3, 0.4, 5.0)
+    assert moved.u_p is prob.u_p and moved.u_q is prob.u_q
+    assert moved.overlap == prob.overlap == pytest.approx(0.5, abs=1e-15)
+    assert denoise_risks(moved) == denoise_risks(
+        InverseProblem(prob.u_p, prob.u_q, 0.3, 0.4, 5.0)
+    )
+    # the new weights are validated like a fresh problem's
+    with pytest.raises(NumericInputError):
+        prob.with_weights(-0.1, 0.1, 0.0)
+    with pytest.raises(NumericInputError):
+        prob.with_weights(0.1, 0.1, math.nan)
 
 
 def test_denoise_curve_linearity_depends_on_snr():
@@ -207,14 +251,14 @@ def test_cs_operator_reduces_to_denoiser_scale():
     prob = _coordinate_problem(sigma_p_sq=0.5, lam=0.5)
     # orthogonal measurements make M the identity and S the denoising shrinkage
     q = haar_basis(prob.d, prob.d, seed=9).columns
-    op = cs_operator(q, prob)
+    op = _operator(q, prob)
     alpha = 1.0 / (1.0 + prob.sigma_p_sq + prob.lam)
     npt.assert_allclose(op.m, np.eye(prob.d_p), atol=1e-12)
     npt.assert_allclose(op.s, alpha * np.eye(prob.d_p), atol=1e-12)
     assert op.eta == pytest.approx(1.0 / (prob.sigma_p_sq + prob.lam), rel=1e-14)
     # infinite shrinkage kills the reconstruction
     heavy = _coordinate_problem(sigma_p_sq=0.5, lam=1e12)
-    op_heavy = cs_operator(q, heavy)
+    op_heavy = _operator(q, heavy)
     assert np.max(np.abs(op_heavy.s)) <= 1e-11
 
 
@@ -225,7 +269,7 @@ def test_cs_operator_concentrates_for_many_measurements():
     u_q = OrthonormalBasis(rot[:, d_p : 2 * d_p])
     prob = InverseProblem(u_p, u_q, 0.01, 0.01, 0.1)
     a = gaussian_measurement(8000, d, seed=13)
-    op = cs_operator(a, prob)
+    op = _operator(a, prob)
     alpha = 1.0 / (1.0 + prob.sigma_p_sq + prob.lam)
     target = alpha * np.eye(d_p)
     rel = np.linalg.norm(op.s - target) / np.linalg.norm(target)
@@ -235,21 +279,26 @@ def test_cs_operator_concentrates_for_many_measurements():
 def test_cs_operator_validation():
     prob = _coordinate_problem()
     with pytest.raises(InvalidDimensionError):
-        cs_operator(np.zeros((50, prob.d + 1)), prob)
+        sketch_bases(np.zeros((50, prob.d + 1)), prob)
     with pytest.raises(NumericInputError):
-        cs_operator(np.full((50, prob.d), np.nan), prob)
+        sketch_bases(np.full((50, prob.d), np.nan), prob)
+    # the operator checks the sketch it is given: one column per basis vector, finite
+    with pytest.raises(InvalidDimensionError):
+        cs_operator(np.zeros((50, prob.d_p + prob.d_q + 1)), prob)
+    with pytest.raises(NumericInputError):
+        cs_operator(np.full((50, prob.d_p + prob.d_q), np.inf), prob)
     # fewer measurements than either subspace dimension is underdetermined
     with pytest.raises(InvalidDimensionError):
-        cs_operator(np.zeros((prob.d_p - 1, prob.d)), prob)
+        _operator(np.zeros((prob.d_p - 1, prob.d)), prob)
     noiseless = _coordinate_problem(sigma_p_sq=0.0, lam=0.0)
     with pytest.raises(NumericInputError):
-        cs_operator(np.eye(prob.d), noiseless)
+        _operator(np.eye(prob.d), noiseless)
     # a subnormal sigma_P^2 + lam overflows eta = 1/(sigma_P^2 + lam)
     with pytest.raises(NumericInputError):
-        cs_operator(np.eye(prob.d), _coordinate_problem(sigma_p_sq=0.0, lam=1e-310))
+        _operator(np.eye(prob.d), _coordinate_problem(sigma_p_sq=0.0, lam=1e-310))
     # a finite eta whose product with M overflows
     with pytest.raises(NumericInputError), np.errstate(over="ignore"):
-        cs_operator(1e5 * np.eye(prob.d), _coordinate_problem(sigma_p_sq=0.0, lam=1e-300))
+        _operator(1e5 * np.eye(prob.d), _coordinate_problem(sigma_p_sq=0.0, lam=1e-300))
     with pytest.raises(NumericInputError):
         CSOperator(eta=1.0, s=np.array([[0.0, 1.0], [0.5, 0.0]]), m=np.eye(2), n=np.eye(2))
     with pytest.raises(InvalidDimensionError):
@@ -258,7 +307,7 @@ def test_cs_operator_validation():
 
 def test_cs_risks_identity_measurement_matches_denoising():
     prob = _coordinate_problem(sigma_p_sq=0.3, sigma_q_sq=0.7, lam=0.4)
-    op = cs_operator(np.eye(prob.d), prob)
+    op = _operator(np.eye(prob.d), prob)
     risk_p, risk_q = cs_risks(op, prob)
     den_p, den_q, _ = denoise_risks(prob)
     assert risk_p == pytest.approx(den_p, abs=1e-10)
@@ -269,13 +318,13 @@ def test_cs_risks_identity_measurement_matches_denoising():
 def test_cs_risks_limits_and_self_shift():
     prob = _coordinate_problem(sigma_p_sq=0.2, sigma_q_sq=0.2, lam=1e12)
     a = gaussian_measurement(100, prob.d, seed=17)
-    risk_p, risk_q = cs_risks(cs_operator(a, prob), prob)
+    risk_p, risk_q = cs_risks(_operator(a, prob), prob)
     assert risk_p == pytest.approx(1.0, abs=1e-9)
     assert risk_q == pytest.approx(1.0, abs=1e-9)
     # same subspace and noise on both sides: no shift in the exact risks
     u = haar_basis(60, 12, seed=19)
     same = InverseProblem(u, u, 0.4, 0.4, 0.8)
-    op = cs_operator(gaussian_measurement(150, 60, seed=23), same)
+    op = _operator(gaussian_measurement(150, 60, seed=23), same)
     risk_p, risk_q = cs_risks(op, same)
     assert risk_q == pytest.approx(risk_p, abs=1e-10)
     with pytest.raises(InvalidDimensionError):
@@ -288,8 +337,8 @@ def test_cs_relation_residual_shrinks_with_measurements():
     u_p = OrthonormalBasis(rot[:, :d_p])
     u_q = OrthonormalBasis(rot[:, d_p // 2 : d_p // 2 + d_q])
     prob = InverseProblem(u_p, u_q, 0.01, 0.01, 0.1)
-    res_small = cs_relation_residual(cs_operator(gaussian_measurement(500, d, 31), prob), prob)
-    res_large = cs_relation_residual(cs_operator(gaussian_measurement(40 * d, d, 31), prob), prob)
+    res_small = cs_relation_residual(_operator(gaussian_measurement(500, d, 31), prob), prob)
+    res_large = cs_relation_residual(_operator(gaussian_measurement(40 * d, d, 31), prob), prob)
     assert res_large <= 0.02
     assert res_large < res_small
 
@@ -300,18 +349,18 @@ def test_inner_product_preservation():
     # an orthogonal map preserves every inner product
     q = haar_basis(d, d, seed=41).columns
     u = haar_basis(d, 20, seed=43).columns
-    assert inner_product_preservation_stats(q, u) <= 1e-12
+    assert inner_product_preservation_stats(q @ u, u) <= 1e-12
     with pytest.raises(NumericInputError):
-        inner_product_preservation_stats(q, 2.0 * u)
+        inner_product_preservation_stats(q @ (2.0 * u), 2.0 * u)
     with pytest.raises(InvalidDimensionError):
-        inner_product_preservation_stats(q, u[:-1])
+        inner_product_preservation_stats(q @ u[:, :-1], u)
     with pytest.raises(InvalidDimensionError):
-        inner_product_preservation_stats(q, u[:, 0])
+        inner_product_preservation_stats(q @ u[:, 0], u[:, 0])
     # Gaussian sketches preserve 20 vectors within 0.2 in at least 95 of 100 seeds
     vecs = rng.standard_normal((d, 20))
     vecs /= np.linalg.norm(vecs, axis=0)
     hits = sum(
-        inner_product_preservation_stats(gaussian_measurement(2000, d, seed), vecs) <= 0.2
+        inner_product_preservation_stats(gaussian_measurement(2000, d, seed) @ vecs, vecs) <= 0.2
         for seed in range(100)
     )
     assert hits >= 95
@@ -325,7 +374,7 @@ def test_inner_product_preservation_scales_with_measurements():
     medians = []
     for n in (500, 8000):
         devs = [
-            inner_product_preservation_stats(gaussian_measurement(n, d, 1000 + s), vecs)
+            inner_product_preservation_stats(gaussian_measurement(n, d, 1000 + s) @ vecs, vecs)
             for s in range(20)
         ]
         medians.append(float(np.median(devs)))

@@ -82,6 +82,30 @@ def test_overlapping_pair_exact_overlap_count():
         assert not angles.flags.writeable
 
 
+@pytest.mark.parametrize(
+    "d,d_p,d_q,d_pq",
+    [(17, 5, 4, 0), (17, 6, 5, 3), (17, 6, 4, 4), (12, 8, 6, 2)],
+    ids=["disjoint", "partial", "nested", "spanning"],
+)
+def test_overlapping_pair_draws_the_full_rotation_block(d, d_p, d_q, d_pq):
+    spec = SubspacePairSpec(d, d_p, d_q, d_pq)
+    rng = np.random.default_rng(101)
+    u_p, u_q = overlapping_pair(spec, rng)
+    # a shared Generator advances by exactly d^2 normals, as for haar_basis(d, d, rng)
+    full = np.random.default_rng(101)
+    full.standard_normal((d, d))
+    assert rng.bit_generator.state == full.bit_generator.state
+    if d_p + d_q - d_pq < d:
+        # drawing only the used columns would leave the stream elsewhere
+        used = np.random.default_rng(101)
+        used.standard_normal((d, d_p + d_q - d_pq))
+        assert used.bit_generator.state != full.bit_generator.state
+    # the pair is made of the matching columns of the full Haar rotation
+    rot = haar_basis(d, d, 101).columns
+    npt.assert_allclose(u_p.columns, rot[:, :d_p], rtol=0, atol=1e-14)
+    npt.assert_allclose(u_q.columns, rot[:, spec.q_coords], rtol=0, atol=1e-14)
+
+
 def test_overlap_coefficient_matches_construction():
     # the Fig. 2 geometry: a = d_pq / d_q
     u_p, u_q = overlapping_pair(SubspacePairSpec(800, 720, 640, 560), 3)
