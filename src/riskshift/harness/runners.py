@@ -255,28 +255,16 @@ def run_relation_curves(config):
     sigma_beta_sq are fixed placeholders.
     """
     grid = np.linspace(config["risk_p_min"], config["risk_p_max"], config["risk_p_points"])
+    curves = [("mu", mu, 1.0) for mu in config["mu_grid"]]
+    curves += [("ratio", config["mu_fixed"], ratio) for ratio in config["ratio_grid"]]
     rows = []
-    for mu in config["mu_grid"]:
-        shift = ShiftParameters(gamma=1.0, mu=mu, kappa=1.0, r_p=1.0, sigma_beta_sq=1.0)
+    for curve, mu, ratio in curves:
+        shift = ShiftParameters(gamma=1.0, mu=mu, kappa=ratio, r_p=1.0, sigma_beta_sq=1.0)
         for risk_p in grid:
             rows.append(
                 {
-                    "curve": "mu",
+                    "curve": curve,
                     "mu": mu,
-                    "kappa_over_gamma": 1.0,
-                    "risk_p": float(risk_p),
-                    "risk_q": classification_relation(float(risk_p), shift),
-                }
-            )
-    for ratio in config["ratio_grid"]:
-        shift = ShiftParameters(
-            gamma=1.0, mu=config["mu_fixed"], kappa=ratio, r_p=1.0, sigma_beta_sq=1.0
-        )
-        for risk_p in grid:
-            rows.append(
-                {
-                    "curve": "ratio",
-                    "mu": config["mu_fixed"],
                     "kappa_over_gamma": ratio,
                     "risk_p": float(risk_p),
                     "risk_q": classification_relation(float(risk_p), shift),

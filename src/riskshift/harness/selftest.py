@@ -1,13 +1,17 @@
 """Acceptance criteria: one function per criterion, shared by CLI and tests.
 
-Each criterion returns a CriterionResult with a human-readable detail string;
-run_all prints one PASS/FAIL line per criterion.  Monte Carlo cross-checks use
-their own direct samplers (drawing signals and noise from the model
-definitions) rather than the closed forms they validate.
+Each criterion measures its values and hands one table of bounds, rows of
+(label, measured value, comparison, limit), to _judge, which derives both the
+verdict and the detail line from it, so every limit is written once and every
+detail line lists each bound with its measured value.  run_all prints one
+PASS/FAIL line per criterion.  Monte Carlo cross-checks use their own direct
+samplers (drawing signals and noise from the model definitions) rather than
+the closed forms they validate.
 """
 
 import dataclasses
 import math
+import operator
 import time
 from dataclasses import dataclass
 from itertools import combinations
@@ -63,6 +67,9 @@ from riskshift.theory import (
 )
 
 _ROOT_SEED = 20260814
+# a Monte Carlo estimate, or a one-step difference of one, is significant
+# beyond this many standard errors
+_SE_GATE = 4.0
 # a compressed-sensing MC draw costs O(d (n + d)); the chunk size fixes the draws
 _CS_MC_CHUNK = 1024
 
@@ -74,11 +81,28 @@ class CriterionResult:
     detail: str
 
 
+_COMPARISONS = {
+    "<=": operator.le, ">=": operator.ge, "<": operator.lt, ">": operator.gt, "==": operator.eq
+}
+
+
+def _judge(name, bounds):
+    """CriterionResult that passes iff every (label, value, comparison, limit) bound holds."""
+    parts = []
+    for label, value, comparison, limit in bounds:
+        holds = bool(_COMPARISONS[comparison](value, limit))
+        shown = [v if isinstance(v, bool) else f"{v:.4g}" for v in (value, limit)]
+        verb = comparison if holds else f"violates {comparison}"
+        parts.append((holds, f"{label} = {shown[0]} ({verb} {shown[1]})"))
+    return CriterionResult(name, all(h for h, _ in parts), "; ".join(p for _, p in parts))
+
+
 def count_significant_violations(risk_p, se_p, risk_q, se_q):
     """Consecutive sweep steps where the two risks move in opposite directions.
 
-    A step counts only if both one-step differences exceed 4 combined standard
-    errors, so closed-form curves (zero errors) count any strict sign flip.
+    A step counts only if both one-step differences exceed _SE_GATE combined
+    standard errors, so closed-form curves (zero errors) count any strict sign
+    flip.
     """
     rp = np.asarray(risk_p, dtype=np.float64)
     rq = np.asarray(risk_q, dtype=np.float64)
@@ -86,8 +110,8 @@ def count_significant_violations(risk_p, se_p, risk_q, se_q):
     sq = np.asarray(se_q, dtype=np.float64)
     dp = np.diff(rp)
     dq = np.diff(rq)
-    gate_p = 4.0 * np.sqrt(sp[:-1] ** 2 + sp[1:] ** 2)
-    gate_q = 4.0 * np.sqrt(sq[:-1] ** 2 + sq[1:] ** 2)
+    gate_p = _SE_GATE * np.sqrt(sp[:-1] ** 2 + sp[1:] ** 2)
+    gate_q = _SE_GATE * np.sqrt(sq[:-1] ** 2 + sq[1:] ** 2)
     mask = (dp * dq < 0.0) & (np.abs(dp) > gate_p) & (np.abs(dq) > gate_q)
     return int(np.sum(mask))
 
@@ -155,15 +179,10 @@ def criterion_1():
     _, rows = run_regression_sweep(config)
     elapsed = time.perf_counter() - start
     max_gap = max(abs(r["risk_q"] - r["risk_q_pred"]) for r in rows)
-    passed = max_gap <= 0.05 and elapsed <= 60.0
-    return CriterionResult(
-        name="criterion-1-regression-sweep",
-        passed=passed,
-        detail=(
-            f"max |risk_q - predicted| = {max_gap:.4g} (tol 0.05) over {len(rows)} rows; "
-            f"runtime {elapsed:.1f}s (limit 60s)"
-        ),
-    )
+    return _judge("criterion-1-regression-sweep", [
+        (f"max |risk_q - predicted| over {len(rows)} rows", max_gap, "<=", 0.05),
+        ("runtime s", elapsed, "<=", 60.0),
+    ])
 
 
 def criterion_2():
@@ -173,23 +192,15 @@ def criterion_2():
     measured = [r for r in rows if r["model"] != "theory"]
     max_gap = max(abs(r["risk_q"] - r["risk_q_pred"]) for r in measured)
     worst_pair = 0.0
-    trials = sorted({r["trial"] for r in measured})
-    for t in trials:
+    for t in sorted({r["trial"] for r in measured}):
         in_trial = [r for r in measured if r["trial"] == t]
         for r1, r2 in combinations(in_trial, 2):
-            if r1["model"] == r2["model"]:
-                continue
-            if abs(r1["risk_p"] - r2["risk_p"]) <= 0.005:
+            if r1["model"] != r2["model"] and abs(r1["risk_p"] - r2["risk_p"]) <= 0.005:
                 worst_pair = max(worst_pair, abs(r1["risk_q"] - r2["risk_q"]))
-    passed = max_gap <= 0.02 and worst_pair <= 0.01
-    return CriterionResult(
-        name="criterion-2-classification-sweep",
-        passed=passed,
-        detail=(
-            f"max |risk_q - theory| = {max_gap:.4g} (tol 0.02) over {len(measured)} rows; "
-            f"worst matched-pair risk_q gap = {worst_pair:.4g} (tol 0.01)"
-        ),
-    )
+    return _judge("criterion-2-classification-sweep", [
+        (f"max |risk_q - theory| over {len(measured)} rows", max_gap, "<=", 0.02),
+        ("worst matched-pair risk_q gap", worst_pair, "<=", 0.01),
+    ])
 
 
 def criterion_3():
@@ -210,12 +221,9 @@ def criterion_3():
             u_p=u_p, u_q=u_q, sigma_p_sq=sigma_p_sq, sigma_q_sq=sigma_q_sq, lam=lam
         )
         worst = max(worst, denoise_relation_residual(problem))
-    passed = worst <= 1e-12
-    return CriterionResult(
-        name="criterion-3-denoise-identity",
-        passed=passed,
-        detail=f"max residual over 1000 random problems = {worst:.3g} (tol 1e-12)",
-    )
+    return _judge("criterion-3-denoise-identity", [
+        ("max residual over 1000 random problems", worst, "<=", 1e-12),
+    ])
 
 
 def criterion_4():
@@ -227,9 +235,8 @@ def criterion_4():
     for n in n_values:
         residuals = [r["residual"] for r in rows if r["matrix"] == "gaussian" and r["n"] == n]
         medians.append(float(np.median(residuals)))
-    decreasing = all(medians[i] > medians[i + 1] for i in range(len(medians) - 1))
+    rising = sum(not medians[i] > medians[i + 1] for i in range(len(medians) - 1))
     slope = float(np.polyfit(np.log(n_values), np.log(medians), 1)[0])
-    slope_ok = -0.8 <= slope <= -0.2
 
     spec = SubspacePairSpec(config["d"], config["d_p"], config["d_q"], config["d_pq"])
     u_p, u_q = overlapping_pair(spec, np.random.SeedSequence([_ROOT_SEED, 4, 0]))
@@ -240,24 +247,18 @@ def criterion_4():
     risk_p, risk_q = cs_risks(op, problem)
     mc_p, se_p = _cs_mc_risk(a_matrix, op, problem, "P", 100_000, np.random.SeedSequence([_ROOT_SEED, 4, 2]))
     mc_q, se_q = _cs_mc_risk(a_matrix, op, problem, "Q", 100_000, np.random.SeedSequence([_ROOT_SEED, 4, 3]))
-    mc_ok = abs(mc_p - risk_p) <= 4.0 * se_p and abs(mc_q - risk_q) <= 4.0 * se_q
-    passed = decreasing and slope_ok and mc_ok
-    return CriterionResult(
-        name="criterion-4-cs-decay",
-        passed=passed,
-        detail=(
-            f"median residuals {['%.3g' % m for m in medians]} decreasing={decreasing}, "
-            f"log-log slope {slope:.3f} in [-0.8,-0.2]={slope_ok}; "
-            f"MC gap P {abs(mc_p - risk_p):.3g} <= {4 * se_p:.3g}, "
-            f"Q {abs(mc_q - risk_q):.3g} <= {4 * se_q:.3g}"
-        ),
-    )
+    return _judge("criterion-4-cs-decay", [
+        (f"non-decreasing steps of median residuals {['%.3g' % m for m in medians]}", rising, "==", 0),
+        ("log-log slope", slope, ">=", -0.8),
+        ("log-log slope", slope, "<=", -0.2),
+        ("MC gap P / s.e.", abs(mc_p - risk_p) / se_p, "<=", _SE_GATE),
+        ("MC gap Q / s.e.", abs(mc_q - risk_q) / se_q, "<=", _SE_GATE),
+    ])
 
 
 def criterion_5():
     """Gaussian sign-mismatch law: MC misclassification matches arccos closed form."""
     worst_ratio = 0.0
-    passed = True
     for i in range(50):
         rng = np.random.default_rng(np.random.SeedSequence([_ROOT_SEED, 5, i]))
         b = rng.standard_normal((2, 2))
@@ -267,16 +268,11 @@ def criterion_5():
         estimate, _ = mc_metric_risk(
             cov, MetricKind.MISCLASSIFICATION, 1_000_000, np.random.SeedSequence([_ROOT_SEED, 5, i, 1])
         )
-        bound = 4.0 * math.sqrt(max(closed * (1.0 - closed), 1e-12) / 1_000_000)
-        gap = abs(estimate - closed)
-        if gap > bound:
-            passed = False
-        worst_ratio = max(worst_ratio, gap / bound)
-    return CriterionResult(
-        name="criterion-5-gaussian-cosine",
-        passed=passed,
-        detail=f"worst |MC - closed| / (4 s.e.) = {worst_ratio:.3f} over 50 instances (must be <= 1)",
-    )
+        se = math.sqrt(max(closed * (1.0 - closed), 1e-12) / 1_000_000)
+        worst_ratio = max(worst_ratio, abs(estimate - closed) / se)
+    return _judge("criterion-5-gaussian-cosine", [
+        ("worst |MC - closed| / s.e. over 50 instances", worst_ratio, "<=", _SE_GATE),
+    ])
 
 
 def criterion_6():
@@ -295,35 +291,31 @@ def criterion_6():
             [r["risk_q"] for r in metric_rows],
             [r["se_q"] for r in metric_rows],
         )
-    shift = ShiftParameters(
-        gamma=config["gamma"],
-        mu=config["mu"],
-        kappa=config["kappa"],
-        r_p=config["r_p"],
-        sigma_beta_sq=config["sigma_beta_sq"],
-    )
-    slope = shift.kappa * shift.mu / shift.gamma
+    slope = config["kappa"] * config["mu"] / config["gamma"]
     worst_identity = 0.0
     for r in by_metric["misclassification"]:
         sec_p = 1.0 / math.cos(math.pi * r["risk_p"]) ** 2
         sec_q = 1.0 / math.cos(math.pi * r["risk_q"]) ** 2
-        worst_identity = max(worst_identity, abs(sec_q - (slope * (sec_p - 1.0) + shift.mu)))
-    passed = (
-        counts.get("logistic", 0) >= 1
-        and counts.get("hinge", 0) >= 1
-        and counts.get("misclassification", 0) == 0
-        and worst_identity <= 1e-9
-    )
-    return CriterionResult(
-        name="criterion-6-counterexample",
-        passed=passed,
-        detail=(
-            f"violations: logistic={counts.get('logistic', 0)} (need >=1), "
-            f"hinge={counts.get('hinge', 0)} (need >=1), "
-            f"misclassification={counts.get('misclassification', 0)} (need 0); "
-            f"sec^2 identity residual {worst_identity:.3g} (tol 1e-9)"
-        ),
-    )
+        worst_identity = max(worst_identity, abs(sec_q - (slope * (sec_p - 1.0) + config["mu"])))
+    return _judge("criterion-6-counterexample", [
+        ("logistic violations", counts.get("logistic", 0), ">=", 1),
+        ("hinge violations", counts.get("hinge", 0), ">=", 1),
+        ("misclassification violations", counts.get("misclassification", 0), "==", 0),
+        ("sec^2 identity residual", worst_identity, "<=", 1e-9),
+    ])
+
+
+def _classification_check_bounds(tag, pair, beta):
+    """The classification checker's verdict, rho and u0 against the shift parameters."""
+    shift = shift_parameters(pair, beta, 1.0)
+    check = monotonicity_check_classification(pair, beta)
+    rho = shift.kappa * shift.mu / shift.gamma
+    u0 = shift.mu * (1.0 - shift.kappa / shift.gamma)
+    return [
+        (f"{tag}: classification holds", check.holds, "==", True),
+        (f"{tag}: classification rho relative gap", abs(check.rho - rho) / rho, "<=", 1e-6),
+        (f"{tag}: classification u0 gap / max(1, |u0|)", abs(check.u0 - u0) / max(1.0, abs(u0)), "<=", 1e-6),
+    ]
 
 
 def criterion_7():
@@ -332,55 +324,25 @@ def criterion_7():
     pair = subspace_shift_model(spec, 2.0, np.random.SeedSequence([_ROOT_SEED, 7, 0]))
     beta = _block_normalized_beta(pair, 1.0, np.random.SeedSequence([_ROOT_SEED, 7, 1]))
     shift = shift_parameters(pair, beta, 1.0)
-
     reg = monotonicity_check_regression(pair, beta)
-    rho_gap = abs(reg.rho - shift.gamma) / shift.gamma
-    ok_reg = reg.holds and rho_gap <= 1e-8
-
-    cls = monotonicity_check_classification(pair, beta)
-    exp_rho = shift.kappa * shift.mu / shift.gamma
-    exp_u0 = shift.mu * (1.0 - shift.kappa / shift.gamma)
-    ok_cls = (
-        cls.holds
-        and abs(cls.rho - exp_rho) <= 1e-6 * exp_rho
-        and abs(cls.u0 - exp_u0) <= 1e-6 * max(1.0, abs(exp_u0))
-    )
-
     pair_td = task_dependent_model(pair, beta, target_ratio=5.0, target_gamma=shift.gamma)
-    shift_td = shift_parameters(pair_td, beta, 1.0)
     reg_td = monotonicity_check_regression(pair_td, beta)
-    ok_reg_td = (not reg_td.holds) and reg_td.max_deviation >= 1.0
-
-    cls_td = monotonicity_check_classification(pair_td, beta)
-    exp_rho_td = shift_td.kappa * shift_td.mu / shift_td.gamma
-    exp_u0_td = shift_td.mu * (1.0 - shift_td.kappa / shift_td.gamma)
-    ok_cls_td = (
-        cls_td.holds
-        and abs(cls_td.rho - exp_rho_td) <= 1e-6 * exp_rho_td
-        and abs(cls_td.u0 - exp_u0_td) <= 1e-6 * max(1.0, abs(exp_u0_td))
-    )
-    passed = ok_reg and ok_cls and ok_reg_td and ok_cls_td
-    return CriterionResult(
-        name="criterion-7-monotonicity-checkers",
-        passed=passed,
-        detail=(
-            f"subspace: regression holds={reg.holds} rho gap {rho_gap:.2g} (tol 1e-8), "
-            f"classification holds={cls.holds}; "
-            f"kappa=5gamma: regression fails={not reg_td.holds} "
-            f"max_dev {reg_td.max_deviation:.3g} (need >=1), classification holds={cls_td.holds}"
-        ),
-    )
+    return _judge("criterion-7-monotonicity-checkers", [
+        ("subspace: regression holds", reg.holds, "==", True),
+        ("subspace: regression rho relative gap", abs(reg.rho - shift.gamma) / shift.gamma, "<=", 1e-8),
+        *_classification_check_bounds("subspace", pair, beta),
+        ("kappa=5gamma: regression holds", reg_td.holds, "==", False),
+        ("kappa=5gamma: regression max_dev", reg_td.max_deviation, ">=", 1.0),
+        *_classification_check_bounds("kappa=5gamma", pair_td, beta),
+    ])
 
 
 def criterion_8():
-    """Probit and arctan link functions stay within 0.01 of each other."""
+    """Probit and arctan link functions stay uniformly close on [-10, 10]."""
     gap = probit_arctan_gap(np.linspace(-10.0, 10.0, 2001))
-    passed = gap <= 0.01
-    return CriterionResult(
-        name="criterion-8-probit-arctan",
-        passed=passed,
-        detail=f"max gap {gap:.6f} on [-10, 10] at spacing 0.01 (tol 0.01)",
-    )
+    return _judge("criterion-8-probit-arctan", [
+        ("max gap on [-10, 10] at spacing 0.01", gap, "<=", 0.01),
+    ])
 
 
 def _affine_fit_residual(risk_p, risk_q):
@@ -398,45 +360,32 @@ def criterion_9():
     sigma_p_sq, sigma_q_sq = 0.2, 0.3
     lams = np.geomspace(1e-3, 1e2, 20)
 
-    def sweep(beta_vec, sigma_q):
+    def cross_and_residual(beta_vec, sigma_q):
+        cross = finite_dim_linearity(beta_vec, basis, sigma_q, sigma_p_sq, sigma_q_sq)[0]
         pts = [
             population_ridge_risks(beta_vec, basis, sigma_q, sigma_p_sq, sigma_q_sq, lam)
             for lam in lams
         ]
-        return _affine_fit_residual([p[0] for p in pts], [p[1] for p in pts])
+        return abs(cross), _affine_fit_residual([p[0] for p in pts], [p[1] for p in pts])
 
     w = rng.uniform(0.5, 2.0, k)
     sigma_nested = (basis.columns * w) @ basis.columns.T
     g = rng.standard_normal((d, d))
     sigma_generic = g.T @ g / d
 
-    cross_a = finite_dim_linearity(beta, basis, sigma_nested, sigma_p_sq, sigma_q_sq)[0]
-    resid_a = sweep(beta, sigma_nested)
-    beta_in = basis.project(beta)
-    cross_b = finite_dim_linearity(beta_in, basis, sigma_generic, sigma_p_sq, sigma_q_sq)[0]
-    resid_b = sweep(beta_in, sigma_generic)
-    cross_c = finite_dim_linearity(beta, basis, sigma_generic, sigma_p_sq, sigma_q_sq)[0]
-    resid_c = sweep(beta, sigma_generic)
-
-    nested_floor = max(resid_a, resid_b, 1e-14)
-    passed = (
-        abs(cross_a) <= 1e-12
-        and abs(cross_b) <= 1e-12
-        and resid_a <= 1e-10
-        and resid_b <= 1e-10
-        and abs(cross_c) > 1e-8
-        and resid_c >= 10.0 * nested_floor
-    )
-    return CriterionResult(
-        name="criterion-9-finite-dim-linearity",
-        passed=passed,
-        detail=(
-            f"nested cross={abs(cross_a):.2g}, in-subspace cross={abs(cross_b):.2g} (tol 1e-12); "
-            f"affine residuals nested={resid_a:.2g}, in-subspace={resid_b:.2g} (tol 1e-10); "
-            f"generic cross={abs(cross_c):.3g} (>0), residual={resid_c:.3g} "
-            f"(need >= 10x nested = {10 * nested_floor:.2g})"
-        ),
-    )
+    exact = {
+        "nested": cross_and_residual(beta, sigma_nested),
+        "in-subspace": cross_and_residual(basis.project(beta), sigma_generic),
+    }
+    cross_c, resid_c = cross_and_residual(beta, sigma_generic)
+    bounds = []
+    for tag, (cross, resid) in exact.items():
+        bounds += [(f"{tag} |cross|", cross, "<=", 1e-12), (f"{tag} affine residual", resid, "<=", 1e-10)]
+    nested_floor = max(*(resid for _, resid in exact.values()), 1e-14)
+    return _judge("criterion-9-finite-dim-linearity", bounds + [
+        ("generic |cross|", cross_c, ">", 1e-8),
+        ("generic affine residual, vs 10x the nested ones", resid_c, ">=", 10.0 * nested_floor),
+    ])
 
 
 def criterion_10():
@@ -466,12 +415,9 @@ def criterion_10():
         sq_p = squared_risk(cov_p2)
         sq_q = squared_risk(cov_q2)
         worst = max(worst, abs(sq_q - regression_relation(sq_p, shift_eq)))
-    passed = worst <= 1e-10
-    return CriterionResult(
-        name="criterion-10-relation-identities",
-        passed=passed,
-        detail=f"max identity residual over 100 random tuples = {worst:.3g} (tol 1e-10)",
-    )
+    return _judge("criterion-10-relation-identities", [
+        ("max identity residual over 100 random tuples", worst, "<=", 1e-10),
+    ])
 
 
 ALL_CRITERIA = (

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+import numpy.random  # numpy loads it lazily; load it with the package, not inside a run
 
-from riskshift._rng import as_seed_sequence, child_sequence
 from riskshift.errors import (
     CovarianceError,
     DegenerateDecisionError,
@@ -160,17 +160,21 @@ def chunked_mc(draw, n_draws, seed, chunk_size):
     """Monte Carlo (mean, standard error) of per-draw values generated in seeded chunks.
 
     draw(rng, m) returns the m values of one chunk; chunk i draws from the
-    child seed sequence (seed, i).  Per-chunk (mean, M2) pairs are merged in
-    ascending chunk order with the Chan-Golub-LeVeque update, so the variance
-    does not cancel when the values barely vary and reruns are bitwise equal.
+    child seed sequence that keeps the root's entropy and appends i to its
+    spawn key, which is arithmetic on the key alone, so every chunk's draws
+    are fixed however the chunks are scheduled.  Per-chunk (mean, M2) pairs
+    are merged in ascending chunk order with the Chan-Golub-LeVeque update, so
+    the variance does not cancel when the values barely vary and reruns are
+    bitwise equal.
     """
-    root = as_seed_sequence(seed)
+    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     n = 0
     mean = 0.0
     m2 = 0.0
     for index, start in enumerate(range(0, n_draws, chunk_size)):
         m = min(chunk_size, n_draws - start)
-        values = draw(np.random.default_rng(child_sequence(root, index)), m)
+        child = np.random.SeedSequence(root.entropy, spawn_key=(*root.spawn_key, index))
+        values = draw(np.random.default_rng(child), m)
         chunk_mean = float(np.mean(values))
         chunk_m2 = float(np.sum((values - chunk_mean) ** 2))
         delta = chunk_mean - mean

@@ -18,9 +18,8 @@ from riskshift.errors import (
     NumericInputError,
     UnreachableRatioError,
 )
-from riskshift.subspace import SubspacePairSpec, _frozen_array, haar_basis
+from riskshift.subspace import _ORTHO_TOL, SubspacePairSpec, _frozen_array, haar_basis
 
-_ORTHO_TOL = 1e-10
 _RATIO_TOL = 1e-3
 _GAMMA_TOL = 1e-6
 
@@ -46,7 +45,7 @@ class CovariancePair:
             raise InvalidDimensionError("eigenbasis must be a square matrix")
         d = v.shape[0]
         if np.max(np.abs(v.T @ v - np.eye(d))) > _ORTHO_TOL:
-            raise InvalidDimensionError("eigenbasis is not orthonormal within 1e-10")
+            raise InvalidDimensionError(f"eigenbasis is not orthonormal within {_ORTHO_TOL:g}")
         e_p = np.asarray(self.eigvals_p, dtype=np.float64)
         e_q = np.asarray(self.eigvals_q, dtype=np.float64)
         if e_p.shape != (d,) or e_q.shape != (d,):

@@ -40,7 +40,7 @@ class OrthonormalBasis:
             raise InvalidDimensionError(f"need 1 <= rank <= ambient dim, got rank {k} in dim {d}")
         gram = u.T @ u
         if np.max(np.abs(gram - np.eye(k))) > _ORTHO_TOL:
-            raise InvalidDimensionError("columns are not orthonormal within 1e-10")
+            raise InvalidDimensionError(f"columns are not orthonormal within {_ORTHO_TOL:g}")
         object.__setattr__(self, "columns", _frozen_array(u))
 
     @property

@@ -1,11 +1,16 @@
 """Acceptance gate: one test per shipped criterion, each printing its verdict.
 
-Every criterion function bundles its own tolerances (they mirror the module
-docstrings and the README's quality bar); this suite runs each one, prints a
-single PASS/FAIL line with the measured detail, and asserts the verdict.
+Every criterion function states each of its bounds once, in the table it
+hands to selftest._judge; this suite runs each criterion, prints a single
+PASS/FAIL line listing every bound with its measured value, and asserts the
+verdict.  The last tests feed criteria 1, 2 and 6 rows that break exactly one
+bound, so none of those checks passes vacuously.
 """
 
 from riskshift.harness import selftest
+from riskshift.harness.config import KIND_COUNTEREXAMPLE, config_from_mapping
+from riskshift.shiftmodel import ShiftParameters
+from riskshift.theory import classification_relation
 
 
 def _run(criterion, capsys):
@@ -54,3 +59,61 @@ def test_criterion_9_finite_dim_linearity_conditions(capsys):
 
 def test_criterion_10_asymptotic_relation_identities(capsys):
     _run(selftest.criterion_10, capsys)
+
+
+def test_judge_keeps_strict_comparisons_strict_and_prints_booleans():
+    at_limit = selftest._judge("x", [("gap", 1e-8, ">", 1e-8), ("steps", 0, "==", 0)])
+    assert not at_limit.passed
+    assert at_limit.detail == "gap = 1e-08 (violates > 1e-08); steps = 0 (== 0)"
+    held = selftest._judge("y", [("holds", True, "==", True), ("gap", 0.05, "<=", 0.05)])
+    assert held.passed
+    assert held.detail == "holds = True (== True); gap = 0.05 (<= 0.05)"
+    broken = selftest._judge("z", [("holds", False, "==", True), ("gap", 0.05, "<", 0.05)])
+    assert not broken.passed
+    assert broken.detail == "holds = False (violates == True); gap = 0.05 (violates < 0.05)"
+
+
+def _only_violated_bound(result):
+    assert not result.passed
+    violated = [part for part in result.detail.split("; ") if "violates" in part]
+    assert len(violated) == 1, result.detail
+    return violated[0]
+
+
+def test_criterion_1_fails_on_one_gap_beyond_its_bound(monkeypatch):
+    # the worst gap of the default sweep at master seed 1
+    rows = [{"risk_q": 0.0647, "risk_q_pred": 0.0}]
+    monkeypatch.setattr(selftest, "run_regression_sweep", lambda config: (["risk_q"], rows))
+    violated = _only_violated_bound(selftest.criterion_1())
+    assert violated.startswith("max |risk_q - predicted| over 1 rows = 0.0647")
+
+
+def test_criterion_2_fails_when_matched_families_disagree(monkeypatch):
+    rows = [
+        {"model": "ridge", "trial": 0, "risk_p": 0.200, "risk_q": 0.30, "risk_q_pred": 0.30},
+        {"model": "logistic", "trial": 0, "risk_p": 0.204, "risk_q": 0.32, "risk_q_pred": 0.32},
+    ]
+    monkeypatch.setattr(selftest, "run_classification_sweep", lambda config: (["model"], rows))
+    violated = _only_violated_bound(selftest.criterion_2())
+    assert violated.startswith("worst matched-pair risk_q gap = 0.02")
+
+
+def test_criterion_6_fails_when_one_surrogate_stays_monotone(monkeypatch):
+    config = config_from_mapping(KIND_COUNTEREXAMPLE, {})
+    shift = ShiftParameters(
+        gamma=config["gamma"], mu=config["mu"], kappa=config["kappa"], r_p=1.0, sigma_beta_sq=1.0
+    )
+    risk_p = [0.1, 0.2, 0.3]
+    curves = {
+        "misclassification": [classification_relation(p, shift) for p in risk_p],
+        "hinge": [0.1, 0.2, 0.15],
+        "logistic": [0.1, 0.2, 0.3],
+    }
+    rows = [
+        {"metric": metric, "a": a, "risk_p": p, "se_p": 0.0, "risk_q": q, "se_q": 0.0}
+        for metric, risk_q in curves.items()
+        for a, p, q in zip((1.0, 2.0, 3.0), risk_p, risk_q)
+    ]
+    monkeypatch.setattr(selftest, "run_counterexample", lambda config: (["metric"], rows))
+    violated = _only_violated_bound(selftest.criterion_6())
+    assert violated == "logistic violations = 0 (violates >= 1)"

@@ -499,15 +499,16 @@ rng = np.random.default_rng(0)
 for name in ("p", "q"):
     np.savetxt(f"{out}/{name}.txt", rng.standard_normal((30, 6)))
 small["subspace-analyze"] = {"input_p": f"{out}/p.txt", "input_q": f"{out}/q.txt"}
-rows, linalg = {}, {}
-# the default counterexample runs first, so the modules loaded after it are its own
-for kind in sorted(RUNNERS, key=lambda k: k != "counterexample"):
-    start = len(linalg_calls)
+rows, linalg, imported = {}, {}, {}
+# the default counterexample and denoise run first, so the modules loaded during them are their own
+for kind in sorted(RUNNERS, key=lambda k: k not in ("counterexample", "denoise")):
+    start, before = len(linalg_calls), set(sys.modules)
     cfg = config_from_mapping(kind, small.get(kind, {}), out_override=f"{out}/{kind}.csv")
     header, table = RUNNERS[kind](cfg)
     write_csv(cfg["output_path"], header, table)
     rows[kind] = len(table)
     linalg[kind] = len(linalg_calls) - start
+    imported[kind] = sorted(set(sys.modules) - before)
     if kind == "counterexample":
         polynomial = modules("numpy.polynomial")
 x = rng.standard_normal((20, 3))
@@ -518,10 +519,11 @@ u_p, u_q = riskshift.overlapping_pair(riskshift.SubspacePairSpec(6, 2, 2, 1), 0)
 problem = riskshift.InverseProblem(u_p, u_q, 0.1, 0.1, 0.1)
 sketch = riskshift.sketch_bases(riskshift.gaussian_measurement(10, 6, 0), problem)
 riskshift.cs_risks(riskshift.cs_operator(sketch, problem), problem)
-loaded = modules("scipy")
+loaded, before = modules("scipy"), set(sys.modules)
 import scipy.special
 print(json.dumps({"rows": rows, "converged": fit.converged, "loaded": loaded,
-                  "detected": modules("scipy"), "polynomial": polynomial, "linalg": linalg}))
+                  "detected": sorted(set(sys.modules) - before), "polynomial": polynomial, "linalg": linalg,
+                  "imported": imported}))
 """
 
 _PROBE_CONFIGS = {
@@ -545,7 +547,8 @@ def test_package_import_and_closed_form_runners_load_no_scipy(tmp_path):
     assert all(n > 0 for n in probe["rows"].values())
     assert probe["converged"]
     assert probe["loaded"] == []
-    # the probe imports scipy itself at the end, so the empty list above is not vacuous
+    # the probe imports scipy itself at the end and sees it in the sys.modules diff,
+    # so the empty lists above and below are not vacuous
     assert "scipy.special" in probe["detected"]
     # the quadrature rule is built without numpy.polynomial and without an eigensolver
     assert probe["rows"][KIND_COUNTEREXAMPLE] == 3 * 40
@@ -553,6 +556,10 @@ def test_package_import_and_closed_form_runners_load_no_scipy(tmp_path):
     assert probe["linalg"][KIND_COUNTEREXAMPLE] == 0
     # the wrapped numpy.linalg functions do count: the sweeps' fits solve with them
     assert probe["linalg"][KIND_REGRESSION] > 0
+    # the benchmarked runs import nothing: a lazily loaded module would add its import
+    # time to their measured wall time (the package import loads numpy.random for them)
+    assert probe["imported"][KIND_COUNTEREXAMPLE] == []
+    assert probe["imported"][KIND_DENOISE] == []
 
 
 def test_no_module_under_src_imports_scipy():

@@ -11,7 +11,6 @@ from numpy.polynomial.hermite_e import hermegauss
 from numpy.polynomial.legendre import leggauss
 from scipy.special import ndtr
 
-from riskshift._rng import as_seed_sequence, child_sequence
 from riskshift.errors import CovarianceError, NumericInputError
 from riskshift.harness.config import KIND_COUNTEREXAMPLE, config_from_mapping
 from riskshift.risk import (
@@ -164,10 +163,11 @@ def test_mc_standard_error_stable_for_nearly_constant_values():
     chunk, chunks = 2**18, 3
     n = chunk * chunks
     est, se = mc_metric_risk(cov, MetricKind.LOGISTIC, n, 20)
-    root = as_seed_sequence(20)
+    root = np.random.SeedSequence(20)
     psi = []
     for i in range(chunks):
-        g = np.random.default_rng(child_sequence(root, i)).standard_normal((chunk, 2))
+        child = np.random.SeedSequence(root.entropy, spawn_key=(i,))
+        g = np.random.default_rng(child).standard_normal((chunk, 2))
         z = 1e-8 * g[:, 1]
         psi.append(np.logaddexp(0.0, -np.where(g[:, 0] >= 0.0, z, -z)))
     psi = np.concatenate(psi)
