@@ -89,16 +89,18 @@ def stream(master_seed, trial, slot):
 
 
 def _format_cell(value):
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    x = float(value)
-    if not math.isfinite(x):
-        raise NumericInputError(f"refusing to serialize non-finite value {x}")
-    return f"{x:.17g}"
+    # float first: nearly every cell is one, and np.float64 subclasses float
+    if not isinstance(value, float):
+        if isinstance(value, str):
+            return value
+        if isinstance(value, (bool, np.bool_)):
+            return str(int(value))
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        value = float(value)
+    if not math.isfinite(value):
+        raise NumericInputError(f"refusing to serialize non-finite value {value}")
+    return f"{value:.17g}"
 
 
 def _umask():

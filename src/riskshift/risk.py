@@ -5,10 +5,12 @@ every metric here depends only on the 2x2 covariance (omega_star, chi, v):
 squared error has a closed form, misclassification reduces to the arccos of
 the score correlation, and surrogate metrics (logistic, hinge) reduce to 1-D
 integrals over a half-normal variable, evaluated for a whole batch of
-covariances in one vectorized pass by Gauss-Legendre quadrature (nodes from
-Newton's method on the Legendre recurrence) with an error estimate.  Chunked
-Monte Carlo with a deterministic per-chunk seeding scheme covers every metric
-as an independent cross-check.
+covariances in one vectorized pass by Gauss-Legendre quadrature with an error
+estimate.  Both rules (orders 150 and 300) come from Newton's method on one
+shared Legendre recurrence pass, and the hinge's normal CDF evaluates Cody's
+rational approximations of erfc over the whole array.  Chunked Monte Carlo
+with a deterministic per-chunk seeding scheme covers every metric as an
+independent cross-check.
 """
 
 import functools
@@ -36,6 +38,37 @@ _NEWTON_STEPS = 2
 # |g1| > 9 has probability 2.3e-19, so the half-normal integral stops there
 _HALF_NORMAL_CUT = 9.0
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+# Cody 1969, "Rational Chebyshev approximations for the error function"
+# (Math. Comp. 23:631-637), coefficients of SPECFUN's CALERF: erf(z) = z R(z^2)
+# for |z| <= 0.46875, erfc(z) = exp(-z^2) R(|z|) up to |z| = 4 and beyond that
+# exp(-z^2) (1/sqrt(pi) - s R(s)) / |z| with s = 1/z^2, where erfc underflows
+# past 26.543; each pair is (numerator, monic denominator) for _cody_rational
+_ERF_NEAR_EDGE = 0.46875
+_ERFC_MID_EDGE = 4.0
+_ERFC_ZERO_EDGE = 26.543
+_ERF_NEAR = (
+    (3.16112374387056560e00, 1.13864154151050156e02, 3.77485237685302021e02,
+     3.20937758913846947e03, 1.85777706184603153e-1),
+    (2.36012909523441209e01, 2.44024637934444173e02, 1.28261652607737228e03,
+     2.84423683343917062e03),
+)
+_ERFC_MID = (
+    (5.64188496988670089e-1, 8.88314979438837594e00, 6.61191906371416295e01,
+     2.98635138197400131e02, 8.81952221241769090e02, 1.71204761263407058e03,
+     2.05107837782607147e03, 1.23033935479799725e03, 2.15311535474403846e-8),
+    (1.57449261107098347e01, 1.17693950891312499e02, 5.37181101862009858e02,
+     1.62138957456669019e03, 3.29079923573345963e03, 4.36261909014324716e03,
+     3.43936767414372164e03, 1.23033935480374942e03),
+)
+_ERFC_FAR = (
+    (3.05326634961232344e-1, 3.60344899949804439e-1, 1.25781726111229246e-1,
+     1.60837851487422766e-2, 6.58749161529837803e-4, 1.63153871373020978e-2),
+    (2.56852019228982242e00, 1.87295284992346725e00, 5.27905102951428412e-1,
+     6.05183413124413191e-2, 2.33520497626869185e-3),
+)
+_RSQRT_PI = 5.6418958354775628695e-1
+# flat block length of _std_normal_cdf, which bounds its temporaries
+_CDF_BLOCK = 8192
 # chunk i of a Monte Carlo estimate draws from child seed i, so the chunk
 # sizes fix the draws; a population draw costs O(d), hence its smaller chunk
 _MC_CHUNK = 2**18
@@ -229,50 +262,141 @@ def population_mc_risk(beta_star, beta_hat, pair, which, metric, n_draws, seed):
     return chunked_mc(draw, n_draws, seed, _POPULATION_MC_CHUNK)
 
 
+def _cody_rational(t, num, den):
+    """Cody's rational in t by Horner: numerator num[-1], num[0], ..., num[-2] over monic den."""
+    xnum = num[-1] * t
+    xden = t.copy()
+    for a, b in zip(num[:-2], den[:-1]):
+        xnum += a
+        xnum *= t
+        xden += b
+        xden *= t
+    xnum += num[-2]
+    xden += den[-1]
+    xnum /= xden
+    return xnum
+
+
+def _exp_minus_square(t):
+    # exp(-t^2) as exp(-s^2) exp(-(t - s)(t + s)) with s = t rounded down to a
+    # multiple of 1/16, so s^2 is exact and the rounding of t^2 is not
+    # amplified by the exponential; in place, to keep the temporaries few
+    s = np.floor(t * 16.0)
+    s /= 16.0
+    d = t - s
+    d *= t + s
+    s *= s
+    s = np.exp(np.negative(s, out=s), out=s)
+    s *= np.exp(np.negative(d, out=d), out=d)
+    return s
+
+
+def _erfc(z):
+    """erfc of a 1-d float64 array by Cody's rational approximations.
+
+    Each entry takes one of three branches by |z|, and its value depends on
+    that entry alone.  Beyond |z| = 26.543 erfc underflows and is set to 0
+    (or 2), which also covers +-inf, where the exponential split would give
+    0 * nan; nan stays nan.
+    """
+    y = np.abs(z)
+    out = np.zeros_like(y)
+    near = y <= _ERF_NEAR_EDGE
+    t = y[near]
+    out[near] = 1.0 - z[near] * _cody_rational(t * t, *_ERF_NEAR)
+    mid = ~near & (y <= _ERFC_MID_EDGE)
+    t = y[mid]
+    out[mid] = _exp_minus_square(t) * _cody_rational(t, *_ERFC_MID)
+    # negated comparisons, so that nan falls in this branch and stays nan
+    far = ~(y <= _ERFC_MID_EDGE) & ~(y >= _ERFC_ZERO_EDGE)
+    t = y[far]
+    s = 1.0 / (t * t)
+    out[far] = _exp_minus_square(t) * ((_RSQRT_PI - s * _cody_rational(s, *_ERFC_FAR)) / t)
+    flip = ~near & (z < 0.0)
+    out[flip] = 2.0 - out[flip]
+    return out
+
+
 def _std_normal_cdf(x):
     """Standard normal CDF Phi(x) = erfc(-x / sqrt(2)) / 2, elementwise in float64.
 
-    math.erfc keeps the lower tail relative-accurate where 1 + erf would
-    cancel; it replaces scipy.special.ndtr so the package needs numpy alone.
+    erfc is Cody's rational approximation evaluated over the whole array,
+    which keeps the lower tail relative-accurate where 1 + erf would cancel
+    (within 8.9e-16 of math.erfc wherever erfc > 1e-300 on [-30, 30]); it
+    replaces scipy.special.ndtr so the package needs numpy alone.  The array
+    is taken in flat blocks of 8192 so the temporaries stay small; every
+    entry is bit for bit the value of the same argument alone (a nan result
+    may differ in its sign bit).
     """
     x = np.asarray(x, dtype=np.float64)
-    erfc = np.fromiter(map(math.erfc, (-x / math.sqrt(2.0)).ravel()), np.float64, x.size)
-    return 0.5 * erfc.reshape(x.shape)
+    flat = x.ravel()
+    out = np.empty(flat.size)
+    for start in range(0, flat.size, _CDF_BLOCK):
+        block = slice(start, start + _CDF_BLOCK)
+        out[block] = _erfc(flat[block] / -math.sqrt(2.0))
+    out *= 0.5
+    # [()] turns a 0-d result into a scalar, as numpy arithmetic does
+    return out.reshape(x.shape)[()]
 
 
-def _legendre_and_derivative(order, x):
-    """P_n(x) and P_n'(x) for n = order by the three-term recurrence."""
-    p0, p1 = np.ones_like(x), x
-    for j in range(1, order):
-        p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
-    return p1, order * (x * p1 - p0) / (x * x - 1.0)
+def _legendre_and_derivative(x, parts):
+    """P_n(x) and P_n'(x) on each slice of x, with n its key in parts, by one recurrence pass.
 
-
-@functools.lru_cache(maxsize=2)
-def _gauss_rules(order):
-    """Read-only ascending Gauss-Legendre rule on [-1, 1] of an even order.
-
-    The order / 2 positive nodes come from Newton's method on the Legendre
-    recurrence started at Tricomi's asymptotic guess (Hale & Townsend 2013,
-    "Fast and accurate computation of Gauss-Legendre and Gauss-Jacobi
-    quadrature nodes and weights"), are mirrored to the negative half and
-    weighted by w = 2 / ((1 - x^2) P_n'(x)^2).
+    The three-term recurrence runs over all of x to the largest degree and
+    reads each slice's P_n and P_(n-1) on the way, so every entry takes the
+    operations of a pass to its own degree alone.
     """
-    n = order
-    theta = math.pi * (4.0 * np.arange(1, n // 2 + 1) - 1.0) / (4 * n + 2)
-    x = np.cos(theta) * (
-        1.0 - (n - 1) / (8.0 * n**3) - (39.0 - 28.0 / np.sin(theta) ** 2) / (384.0 * n**4)
-    )
+    p, dp = np.empty_like(x), np.empty_like(x)
+    p0, p1 = np.ones_like(x), x
+    for j in range(1, max(parts)):
+        p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
+        part = parts.get(j + 1)
+        if part is not None:
+            xs = x[part]
+            p[part] = p1[part]
+            dp[part] = (j + 1) * (xs * p1[part] - p0[part]) / (xs * xs - 1.0)
+    return p, dp
+
+
+@functools.cache
+def _gauss_rule_table():
+    """{order: read-only ascending Gauss-Legendre rule on [-1, 1]} for both quadrature orders.
+
+    The order / 2 positive nodes of each rule come from Newton's method on
+    the Legendre recurrence started at Tricomi's asymptotic guess (Hale &
+    Townsend 2013, "Fast and accurate computation of Gauss-Legendre and
+    Gauss-Jacobi quadrature nodes and weights"), are mirrored to the negative
+    half and weighted by w = 2 / ((1 - x^2) P_n'(x)^2).  The nodes of both
+    orders share each recurrence pass: the pass to degree 2k goes through
+    degrees k - 1 and k.
+    """
+    guesses, parts, start = [], {}, 0
+    for n in (_QUAD_ORDER, 2 * _QUAD_ORDER):
+        theta = math.pi * (4.0 * np.arange(1, n // 2 + 1) - 1.0) / (4 * n + 2)
+        guesses.append(np.cos(theta) * (
+            1.0 - (n - 1) / (8.0 * n**3) - (39.0 - 28.0 / np.sin(theta) ** 2) / (384.0 * n**4)
+        ))
+        parts[n] = slice(start, start + n // 2)
+        start += n // 2
+    x = np.concatenate(guesses)
     for _ in range(_NEWTON_STEPS):
-        p, dp = _legendre_and_derivative(n, x)
+        p, dp = _legendre_and_derivative(x, parts)
         x = x - p / dp
-    _, dp = _legendre_and_derivative(n, x)
+    _, dp = _legendre_and_derivative(x, parts)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
-    nodes = np.concatenate([-x, x[::-1]])
-    weights = np.concatenate([w, w[::-1]])
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return nodes, weights
+    rules = {}
+    for n, part in parts.items():
+        nodes = np.concatenate([-x[part], x[part][::-1]])
+        weights = np.concatenate([w[part], w[part][::-1]])
+        nodes.flags.writeable = False
+        weights.flags.writeable = False
+        rules[n] = nodes, weights
+    return rules
+
+
+def _gauss_rules(order):
+    """Read-only ascending Gauss-Legendre rule (nodes, weights) on [-1, 1] of order 150 or 300."""
+    return _gauss_rule_table()[order]
 
 
 def _half_normal_rule(order, cuts):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays
 from numpy.polynomial.hermite_e import hermegauss
 from numpy.polynomial.legendre import leggauss
 from scipy.special import ndtr
@@ -15,6 +15,7 @@ from riskshift.errors import CovarianceError, NumericInputError
 from riskshift.harness.config import KIND_COUNTEREXAMPLE, config_from_mapping
 from riskshift.risk import (
     DecisionCov,
+    _CDF_BLOCK,
     _cholesky_2x2,
     _gauss_rules,
     _half_normal_rule,
@@ -79,6 +80,73 @@ def test_std_normal_cdf_matches_ndtr():
     scalar = _std_normal_cdf(-1.25)
     assert np.ndim(scalar) == 0
     assert abs(scalar - ndtr(-1.25)) <= 1e-12 * ndtr(-1.25)
+    # the edges math.erfc handles: infinities saturate, nan propagates
+    assert _std_normal_cdf(-np.inf) == 0.0 and _std_normal_cdf(np.inf) == 1.0
+    assert np.isnan(_std_normal_cdf(np.nan))
+    edges = _std_normal_cdf(np.array([[-np.inf, np.nan], [np.inf, 0.0]]))
+    assert edges.shape == (2, 2)
+    assert np.array_equal(edges, [[0.0, np.nan], [1.0, 0.5]], equal_nan=True)
+    assert _std_normal_cdf(np.zeros((3, 0, 2))).shape == (3, 0, 2)
+    assert _std_normal_cdf(np.full((3, 4, 5), -1.25)).shape == (3, 4, 5)
+
+
+def test_std_normal_cdf_matches_math_erfc():
+    # a dense grid plus each side of Cody's branch edges |x| / sqrt(2) = 0.46875,
+    # 4 and 26.543, so a mistyped coefficient in any branch shows
+    edges = math.sqrt(2.0) * np.array([0.46875, 4.0, 26.543])
+    edges = np.concatenate([edges, -edges])
+    x = np.concatenate([
+        np.linspace(-38.0, 38.0, 152_001), edges, np.nextafter(edges, np.inf),
+        np.nextafter(edges, -np.inf),
+    ])
+    got = _std_normal_cdf(x)
+    want = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in x])
+    normal = want >= 1e-300
+    assert np.all(np.abs(got[normal] - want[normal]) <= 2e-15 * want[normal])
+    assert np.all(np.abs(got[~normal] - want[~normal]) <= 1e-300)
+
+
+def _bits(values):
+    # the bits of a float64 array, every nan as one pattern: SIMD and scalar
+    # loops may give a nan result either sign, and no nan reaches a CSV
+    values = np.where(np.isnan(values), np.nan, values)
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    arrays(np.float64, array_shapes(min_dims=0, max_dims=3, max_side=5), elements=st.floats()),
+    st.integers(0, 2 * _CDF_BLOCK),
+)
+def test_std_normal_cdf_entry_equals_lone_value(x, offset):
+    # Phi of a whole array equals Phi of each entry alone, bit for bit, also
+    # when an offset puts the entries on either side of a block boundary
+    got = _std_normal_cdf(x)
+    assert np.shape(got) == x.shape
+    padded = np.concatenate([np.full(offset, 0.3), x.ravel()])
+    shifted = _std_normal_cdf(padded)[offset:]
+    lone = np.array([_std_normal_cdf(v) for v in x.flat])
+    assert np.array_equal(_bits(got).ravel(), _bits(lone))
+    assert np.array_equal(_bits(shifted), _bits(lone))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(arrays(np.float64, st.integers(1, 60), elements=st.floats(allow_nan=False)))
+def test_std_normal_cdf_is_monotone_and_symmetric(x):
+    x = np.sort(x)
+    p = _std_normal_cdf(x)
+    assert np.all(np.diff(p) >= 0.0)
+    assert np.all(np.abs(p + _std_normal_cdf(-x) - 1.0) <= 2 * np.spacing(1.0))
+
+
+def test_std_normal_cdf_steps_between_adjacent_floats():
+    # between ulp-adjacent arguments, where Phi itself moves by under an ulp,
+    # the rounding of Cody's rationals can step Phi down; measured on 2.4e6
+    # adjacent pairs over [-40, 40] the largest such step is 4 ulp
+    for start in (-1.157, -1.133, -0.892, 0.294, 0.5, 0.857, 3.0):
+        x = start + np.arange(400) * abs(np.spacing(start))
+        p = _std_normal_cdf(x)
+        assert np.all(np.diff(p) >= -4 * np.spacing(p[:-1]))
 
 
 def test_squared_risk_formula():
@@ -336,9 +404,32 @@ def test_quad_batch_entry_equals_lone_evaluation(cov, others, position, metric):
     assert (values[i], errs[i]) == _quad_one(cov, metric)
 
 
+def _gauss_rule_alone(n):
+    # one order at a time: Newton from Tricomi's guess on P_n by its own
+    # recurrence passes, the construction the shared pass must reproduce
+    def legendre(x):
+        p0, p1 = np.ones_like(x), x
+        for j in range(1, n):
+            p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
+        return p1, n * (x * p1 - p0) / (x * x - 1.0)
+
+    theta = math.pi * (4.0 * np.arange(1, n // 2 + 1) - 1.0) / (4 * n + 2)
+    x = np.cos(theta) * (
+        1.0 - (n - 1) / (8.0 * n**3) - (39.0 - 28.0 / np.sin(theta) ** 2) / (384.0 * n**4)
+    )
+    for _ in range(2):
+        p, dp = legendre(x)
+        x = x - p / dp
+    _, dp = legendre(x)
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    return np.concatenate([-x, x[::-1]]), np.concatenate([w, w[::-1]])
+
+
 @pytest.mark.parametrize("order", [150, 300])
 def test_gauss_rule_matches_leggauss(order):
     x, w = _gauss_rules(order)
+    alone_x, alone_w = _gauss_rule_alone(order)
+    assert np.array_equal(_bits(x), _bits(alone_x)) and np.array_equal(_bits(w), _bits(alone_w))
     ref_x, ref_w = leggauss(order)
     assert not x.flags.writeable and not w.flags.writeable
     assert np.all(np.diff(x) > 0.0)
