@@ -11,7 +11,6 @@ the closed forms they validate.
 
 import dataclasses
 import math
-import operator
 import time
 from dataclasses import dataclass
 from itertools import combinations
@@ -23,6 +22,7 @@ from riskshift.harness.config import (
     KIND_COUNTEREXAMPLE,
     KIND_CS,
     KIND_REGRESSION,
+    _COMPARISONS,
     config_from_mapping,
 )
 from riskshift.harness.runners import (
@@ -79,11 +79,6 @@ class CriterionResult:
     name: str
     passed: bool
     detail: str
-
-
-_COMPARISONS = {
-    "<=": operator.le, ">=": operator.ge, "<": operator.lt, ">": operator.gt, "==": operator.eq
-}
 
 
 def _judge(name, bounds):

@@ -323,10 +323,13 @@ def _std_normal_cdf(x):
     erfc is Cody's rational approximation evaluated over the whole array,
     which keeps the lower tail relative-accurate where 1 + erf would cancel
     (within 8.9e-16 of math.erfc wherever erfc > 1e-300 on [-30, 30]); it
-    replaces scipy.special.ndtr so the package needs numpy alone.  The array
-    is taken in flat blocks of 8192 so the temporaries stay small; every
-    entry is bit for bit the value of the same argument alone (a nan result
-    may differ in its sign bit).
+    replaces scipy.special.ndtr so the package needs numpy alone.  It is not
+    monotone in the last bits: the rationals and the exp factor round
+    independently, so between ulp-adjacent arguments, where Phi moves by under
+    an ulp, it can step down by up to 4 ulp.  The array is taken in flat
+    blocks of 8192 so the temporaries stay small; every entry is bit for bit
+    the value of the same argument alone (a nan result may differ in its sign
+    bit).
     """
     x = np.asarray(x, dtype=np.float64)
     flat = x.ravel()

@@ -243,6 +243,23 @@ def monotonicity_check_classification(pair, beta_star):
     )
 
 
+def _ridge_inputs(beta_star, basis, sigma_q, sigma_p_sq, sigma_q_sq):
+    """beta* and Sigma_Q as float64 arrays, checked for shape and finiteness with both noise variances."""
+    beta_star = np.asarray(beta_star, dtype=np.float64)
+    sigma_q = np.asarray(sigma_q, dtype=np.float64)
+    d = basis.ambient_dim
+    if beta_star.shape != (d,):
+        raise InvalidDimensionError(f"beta_star must have shape ({d},)")
+    if sigma_q.shape != (d, d):
+        raise InvalidDimensionError(f"sigma_q must have shape ({d}, {d})")
+    if not (np.all(np.isfinite(beta_star)) and np.all(np.isfinite(sigma_q))):
+        raise NumericInputError("inputs must be finite")
+    for name, noise_var in (("sigma_p_sq", sigma_p_sq), ("sigma_q_sq", sigma_q_sq)):
+        if not (math.isfinite(noise_var) and noise_var >= 0):
+            raise NumericInputError(f"{name} must be finite and >= 0")
+    return beta_star, sigma_q
+
+
 def finite_dim_linearity(beta_star, basis, sigma_q, sigma_p_sq, sigma_q_sq):
     """Slope and intercept of test risk as an affine function of train risk.
 
@@ -254,19 +271,7 @@ def finite_dim_linearity(beta_star, basis, sigma_q, sigma_p_sq, sigma_q_sq):
     exactness, and intercept = beta*^T Sigma_Q beta* - slope * ||beta_P*||^2
     + sigma_q_sq - slope * sigma_p_sq.
     """
-    beta_star = np.asarray(beta_star, dtype=np.float64)
-    sigma_q = np.asarray(sigma_q, dtype=np.float64)
-    d = basis.ambient_dim
-    if beta_star.shape != (d,):
-        raise InvalidDimensionError(f"beta_star must have shape ({d},)")
-    if sigma_q.shape != (d, d):
-        raise InvalidDimensionError(f"sigma_q must have shape ({d}, {d})")
-    if not (np.all(np.isfinite(beta_star)) and np.all(np.isfinite(sigma_q))):
-        raise NumericInputError("inputs must be finite")
-    if not (math.isfinite(sigma_p_sq) and sigma_p_sq >= 0):
-        raise NumericInputError("sigma_p_sq must be finite and >= 0")
-    if not (math.isfinite(sigma_q_sq) and sigma_q_sq >= 0):
-        raise NumericInputError("sigma_q_sq must be finite and >= 0")
+    beta_star, sigma_q = _ridge_inputs(beta_star, basis, sigma_q, sigma_p_sq, sigma_q_sq)
     b_p = basis.project(beta_star)
     b_perp = beta_star - b_p
     denom = float(b_p @ b_p)
@@ -290,11 +295,7 @@ def population_ridge_risks(beta_star, basis, sigma_q, sigma_p_sq, sigma_q_sq, la
     """
     if not (math.isfinite(lam) and lam >= 0):
         raise NumericInputError("lam must be finite and >= 0")
-    beta_star = np.asarray(beta_star, dtype=np.float64)
-    sigma_q = np.asarray(sigma_q, dtype=np.float64)
-    d = basis.ambient_dim
-    if beta_star.shape != (d,) or sigma_q.shape != (d, d):
-        raise InvalidDimensionError("beta_star / sigma_q dimensions must match the basis")
+    beta_star, sigma_q = _ridge_inputs(beta_star, basis, sigma_q, sigma_p_sq, sigma_q_sq)
     alpha = 1.0 / (1.0 + lam)
     b_p = basis.project(beta_star)
     b_perp = beta_star - b_p

@@ -147,12 +147,102 @@ def test_config_overrides_and_defaults(tmp_path):
         load_config(path, KIND_CS, seed_override=-1)
 
 
+_TINY = 5e-324
+_BELOW_ONE = math.nextafter(1.0, 0.0)
+_ABOVE_ONE = math.nextafter(1.0, 2.0)
+
+# (kind, key, a value the range rejects, the accepted value at the edge of the range,
+# other keys); list-valued keys take a one-entry list
+_RANGE_EDGES = [
+    (KIND_RELATION, "master_seed", -1, 0, {}),
+    (KIND_DENOISE, "lambda_points", 0, 1, {}),
+    (KIND_DENOISE, "lambda_min", 0.0, _TINY, {}),
+    (KIND_DENOISE, "lambda_grid", [0.0], [_TINY], {}),
+    (KIND_REGRESSION, "n", 0, 1, {}),
+    (KIND_REGRESSION, "tau", 0.0, _TINY, {}),
+    (KIND_REGRESSION, "sigma_beta_sq", 0.0, _TINY, {}),
+    (KIND_REGRESSION, "noise_var", -_TINY, 0.0, {}),
+    (KIND_REGRESSION, "trials", 0, 1, {}),
+    (KIND_REGRESSION, "d_pq", 559, 560, {}),
+    (KIND_REGRESSION, "d_pq", 641, 640, {"d": 1000}),
+    (KIND_CLASSIFICATION, "n", 0, 1, {}),
+    (KIND_CLASSIFICATION, "tau", 0.0, _TINY, {}),
+    (KIND_CLASSIFICATION, "sigma_beta_sq", 0.0, _TINY, {}),
+    (KIND_CLASSIFICATION, "trials", 0, 1, {}),
+    (KIND_CLASSIFICATION, "kappa_over_gamma", 0.0, _TINY, {}),
+    (KIND_CLASSIFICATION, "sign_correct_prob", 0.5, math.nextafter(0.5, 1.0), {}),
+    (KIND_CLASSIFICATION, "sign_correct_prob", _ABOVE_ONE, 1.0, {}),
+    (KIND_CLASSIFICATION, "theory_points", 1, 2, {}),
+    (KIND_CLASSIFICATION, "d_pq", 559, 560, {}),
+    (KIND_RELATION, "mu_grid", [_BELOW_ONE], [1.0], {}),
+    (KIND_RELATION, "ratio_grid", [0.0], [_TINY], {}),
+    (KIND_RELATION, "mu_fixed", _BELOW_ONE, 1.0, {}),
+    (KIND_RELATION, "risk_p_min", 0.0, _TINY, {}),
+    (KIND_RELATION, "risk_p_min", 0.49, math.nextafter(0.49, 0.0), {}),
+    (KIND_RELATION, "risk_p_max", 0.5, math.nextafter(0.5, 0.0), {}),
+    (KIND_RELATION, "risk_p_points", 1, 2, {}),
+    (KIND_DENOISE, "a_grid", [-0.1], [0.0], {}),
+    (KIND_DENOISE, "a_grid", [_ABOVE_ONE], [1.0], {}),
+    (KIND_DENOISE, "snr_grid", [0.0], [_TINY], {}),
+    (KIND_DENOISE, "d_p", 161, 160, {}),
+    (KIND_COUNTEREXAMPLE, "r_p", 0.0, _TINY, {}),
+    (KIND_COUNTEREXAMPLE, "r_p", _ABOVE_ONE, 1.0, {}),
+    (KIND_COUNTEREXAMPLE, "sigma_beta_sq", 0.0, _TINY, {}),
+    (KIND_COUNTEREXAMPLE, "gamma", 0.0, _TINY, {}),
+    (KIND_COUNTEREXAMPLE, "kappa", 0.0, _TINY, {}),
+    (KIND_COUNTEREXAMPLE, "b", 0.0, _TINY, {}),
+    (KIND_COUNTEREXAMPLE, "c", 0.0, _TINY, {}),
+    (KIND_COUNTEREXAMPLE, "mu", _BELOW_ONE, 1.0, {}),
+    (KIND_COUNTEREXAMPLE, "a_min", 0.0, _TINY, {}),
+    (KIND_COUNTEREXAMPLE, "a_min", 30.0, math.nextafter(30.0, 0.0), {}),
+    (KIND_COUNTEREXAMPLE, "a_points", 1, 2, {}),
+    (KIND_CS, "snr", 0.0, _TINY, {}),
+    (KIND_CS, "trials", 0, 1, {}),
+    (KIND_CS, "lambda", -1e-9, 0.0, {}),
+    (KIND_CS, "n_grid", [39], [40], {}),
+    (KIND_CS, "d_pq", -1, 0, {}),
+    (KIND_SUBSPACE, "k_max", -1, 0, {"input_p": "p.txt", "input_q": "q.txt"}),
+]
+
+
+@pytest.mark.parametrize("kind,key,rejected,accepted,others", _RANGE_EDGES)
+def test_config_range_edges(kind, key, rejected, accepted, others):
+    with pytest.raises(ConfigError) as info:
+        config_from_mapping(kind, {**others, key: rejected})
+    # the message names the key; an underscore in the name may read as a space
+    assert re.search(rf"\b{key.replace('_', '[_ ]')}\b", str(info.value)), str(info.value)
+    assert config_from_mapping(kind, {**others, key: accepted})[key] == accepted
+
+
+def test_config_checks_ranges_after_overrides():
+    # every file value is parsed, so a malformed seed fails even under an override
+    with pytest.raises(ConfigError, match="master_seed"):
+        config_from_mapping(KIND_CS, {"master_seed": "x"}, seed_override=3)
+    # the range is checked on the final value, so the override replaces a bad seed
+    assert config_from_mapping(KIND_CS, {"master_seed": "-1"}, seed_override=3)["master_seed"] == 3
+
+
 def test_describe_keys_covers_every_kind():
     for kind in ALL_KINDS:
         rows = describe_keys(kind)
         keys = [k for k, _, _ in rows]
         assert "kind" in keys and "master_seed" in keys and "output_path" in keys
         assert all(help_text for _, _, help_text in rows)
+
+
+def test_readme_config_keys_name_every_schema_key():
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as fh:
+        section = fh.read().split("### Config keys", 1)[1].split("\n## ", 1)[0]
+    intro, *blocks = re.split(r"^\*\*([a-z-]+)\*\*", section, flags=re.M)
+    named = {kind: set(re.findall(r"`([^`]+)`", body)) for kind, body in zip(blocks[::2], blocks[1::2])}
+    assert sorted(named) == sorted(ALL_KINDS)
+    common = {"kind", "master_seed", "output_path"}
+    assert common <= set(re.findall(r"`([^`]+)`", intro))
+    for kind in ALL_KINDS:
+        if "lambda_*" in named[kind]:
+            named[kind] |= {"lambda_min", "lambda_max", "lambda_points", "lambda_grid"}
+        missing = {key for key, _, _ in describe_keys(kind)} - common - named[kind]
+        assert not missing, (kind, missing)
 
 
 def test_write_csv_17_digits_lf(tmp_path):

@@ -420,6 +420,28 @@ def test_population_ridge_risks_limits():
         population_ridge_risks(beta[:-1], basis, sigma_q, 0.1, 0.3, 1.0)
 
 
+_BAD_RIDGE_INPUTS = {
+    "negative sigma_p_sq": lambda args: dict(args, sigma_p_sq=-1.0),
+    "nan sigma_q_sq": lambda args: dict(args, sigma_q_sq=math.nan),
+    "nan in sigma_q": lambda args: dict(args, sigma_q=np.where(args["sigma_q"] > 0, math.nan, 0.0)),
+    "infinite beta_star": lambda args: dict(args, beta_star=np.r_[math.inf, args["beta_star"][1:]]),
+}
+
+
+@pytest.mark.parametrize("spoil", _BAD_RIDGE_INPUTS.values(), ids=_BAD_RIDGE_INPUTS)
+def test_ridge_risk_functions_reject_the_same_inputs(spoil):
+    d = 12
+    basis = haar_basis(d, 6, seed=15)
+    good = {"beta_star": np.random.default_rng(47).standard_normal(d), "sigma_q": np.eye(d),
+            "sigma_p_sq": 0.1, "sigma_q_sq": 0.2}
+    bad = spoil(good)
+    args = [bad[k] for k in ("beta_star", "sigma_q", "sigma_p_sq", "sigma_q_sq")]
+    with pytest.raises(NumericInputError):
+        finite_dim_linearity(args[0], basis, *args[1:])
+    with pytest.raises(NumericInputError):
+        population_ridge_risks(args[0], basis, *args[1:], 0.5)
+
+
 def test_probit_arctan_gap_certified_bound():
     gap = probit_arctan_gap(np.linspace(-10.0, 10.0, 2001))
     assert gap == pytest.approx(0.008503672025927389, rel=1e-9)
