@@ -123,7 +123,7 @@ def _schema(kind, fields, rule=lambda values: None):
 def _lambda_fields(points):
     return {
         "lambda_min": _Field(_parse_float, 1e-3, "smallest ridge weight of the log grid", _POSITIVE),
-        "lambda_max": _Field(_parse_float, 1e2, "largest ridge weight of the log grid"),
+        "lambda_max": _Field(_parse_float, 1e2, "largest ridge weight of the log grid", _POSITIVE),
         "lambda_points": _Field(_parse_int, points, "number of log-spaced ridge weights", _AT_LEAST_ONE),
         "lambda_grid": _Field(_parse_floats, None, "explicit ridge grid (overrides the trio)", _POSITIVE),
     }

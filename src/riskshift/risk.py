@@ -6,14 +6,14 @@ squared error has a closed form, misclassification reduces to the arccos of
 the score correlation, and surrogate metrics (logistic, hinge) reduce to 1-D
 integrals over a half-normal variable, evaluated for a whole batch of
 covariances in one vectorized pass by Gauss-Legendre quadrature with an error
-estimate.  Both rules (orders 150 and 300) come from Newton's method on one
-shared Legendre recurrence pass, and the hinge's normal CDF evaluates Cody's
+estimate.  Both rules (orders 150 and 300) are read from the table in
+riskshift._gauss_legendre, which holds bit for bit the rules of Newton's
+method on the Legendre recurrence, and the hinge's normal CDF evaluates Cody's
 rational approximations of erfc over the whole array.  Chunked Monte Carlo
 with a deterministic per-chunk seeding scheme covers every metric as an
 independent cross-check.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -21,6 +21,7 @@ from enum import Enum
 import numpy as np
 import numpy.random  # numpy loads it lazily; load it with the package, not inside a run
 
+from riskshift import _gauss_legendre
 from riskshift.errors import (
     CovarianceError,
     DegenerateDecisionError,
@@ -32,9 +33,6 @@ _PSD_SLACK = 1e-12
 _CHOL_JITTER = 1e-14
 # order k of the surrogate quadrature; the value uses the rule of order 2k
 _QUAD_ORDER = 150
-# Tricomi's guess is within 2e-7 of every Gauss-Legendre node at orders 150
-# and 300, so two quadratically convergent steps reach rounding level
-_NEWTON_STEPS = 2
 # |g1| > 9 has probability 2.3e-19, so the half-normal integral stops there
 _HALF_NORMAL_CUT = 9.0
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -342,64 +340,25 @@ def _std_normal_cdf(x):
     return out.reshape(x.shape)[()]
 
 
-def _legendre_and_derivative(x, parts):
-    """P_n(x) and P_n'(x) on each slice of x, with n its key in parts, by one recurrence pass.
-
-    The three-term recurrence runs over all of x to the largest degree and
-    reads each slice's P_n and P_(n-1) on the way, so every entry takes the
-    operations of a pass to its own degree alone.
-    """
-    p, dp = np.empty_like(x), np.empty_like(x)
-    p0, p1 = np.ones_like(x), x
-    for j in range(1, max(parts)):
-        p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
-        part = parts.get(j + 1)
-        if part is not None:
-            xs = x[part]
-            p[part] = p1[part]
-            dp[part] = (j + 1) * (xs * p1[part] - p0[part]) / (xs * xs - 1.0)
-    return p, dp
+def _mirrored_rule(nodes, weights):
+    """Read-only ascending rule on [-1, 1] from float.hex strings of its ascending positive half."""
+    x = np.array([float.fromhex(t) for t in nodes.split()])
+    w = np.array([float.fromhex(t) for t in weights.split()])
+    rule = np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
+    for values in rule:
+        values.flags.writeable = False
+    return rule
 
 
-@functools.cache
-def _gauss_rule_table():
-    """{order: read-only ascending Gauss-Legendre rule on [-1, 1]} for both quadrature orders.
-
-    The order / 2 positive nodes of each rule come from Newton's method on
-    the Legendre recurrence started at Tricomi's asymptotic guess (Hale &
-    Townsend 2013, "Fast and accurate computation of Gauss-Legendre and
-    Gauss-Jacobi quadrature nodes and weights"), are mirrored to the negative
-    half and weighted by w = 2 / ((1 - x^2) P_n'(x)^2).  The nodes of both
-    orders share each recurrence pass: the pass to degree 2k goes through
-    degrees k - 1 and k.
-    """
-    guesses, parts, start = [], {}, 0
-    for n in (_QUAD_ORDER, 2 * _QUAD_ORDER):
-        theta = math.pi * (4.0 * np.arange(1, n // 2 + 1) - 1.0) / (4 * n + 2)
-        guesses.append(np.cos(theta) * (
-            1.0 - (n - 1) / (8.0 * n**3) - (39.0 - 28.0 / np.sin(theta) ** 2) / (384.0 * n**4)
-        ))
-        parts[n] = slice(start, start + n // 2)
-        start += n // 2
-    x = np.concatenate(guesses)
-    for _ in range(_NEWTON_STEPS):
-        p, dp = _legendre_and_derivative(x, parts)
-        x = x - p / dp
-    _, dp = _legendre_and_derivative(x, parts)
-    w = 2.0 / ((1.0 - x * x) * dp * dp)
-    rules = {}
-    for n, part in parts.items():
-        nodes = np.concatenate([-x[part], x[part][::-1]])
-        weights = np.concatenate([w[part], w[part][::-1]])
-        nodes.flags.writeable = False
-        weights.flags.writeable = False
-        rules[n] = nodes, weights
-    return rules
+# {order: rule}, each parsed from the table of riskshift._gauss_legendre on first use
+_GAUSS_RULES = {}
 
 
 def _gauss_rules(order):
     """Read-only ascending Gauss-Legendre rule (nodes, weights) on [-1, 1] of order 150 or 300."""
-    return _gauss_rule_table()[order]
+    if order not in _GAUSS_RULES:
+        _GAUSS_RULES[order] = _mirrored_rule(_gauss_legendre.NODES[order], _gauss_legendre.WEIGHTS[order])
+    return _GAUSS_RULES[order]
 
 
 def _half_normal_rule(order, cuts):
@@ -467,10 +426,12 @@ def quad_metric_risk(covs, metric):
     (s - l21) / sqrt(2 pi) + E log1p(exp(-s |g|)).  Hinge: the inner
     expectation over w is closed form and the rule over |g1| is split where
     the loss bends.  The value is the rule of order 2k, the error estimate
-    its distance to the rule of order k (k = 150).  That estimate measures
-    convergence in the rule's order, not the error in its nodes and weights;
-    at both orders, split or not, those integrate the half-normal mass, E|g|
-    and E g^2 to within 4.5e-16.
+    its distance to the rule of order k (k = 150).  Both rules are tabulated,
+    not built at run time: riskshift._gauss_legendre holds them bit for bit as
+    Newton's method on the Legendre recurrence from Tricomi's guess gives them.
+    The estimate measures convergence in the rule's order, not the error in
+    its nodes and weights; at both orders, split or not, those integrate the
+    half-normal mass, E|g| and E g^2 to within 4.5e-16.
     """
     if metric not in (MetricKind.LOGISTIC, MetricKind.HINGE):
         raise NumericInputError(f"quadrature covers the logistic and hinge metrics, got {metric!r}")

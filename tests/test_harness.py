@@ -110,15 +110,28 @@ def _config_texts(draw, kind):
     return "\n".join(draw(st.lists(line, max_size=8)))
 
 
-@pytest.mark.parametrize("kind", ALL_KINDS)
-@settings(max_examples=150, deadline=None, database=None)
-@given(data=st.data())
-def test_config_text_fails_only_with_config_error(kind, data):
-    text = data.draw(_config_texts(kind))
+def _fails_only_with_config_error(kind, text):
     try:
         config_from_mapping(kind, parse_config_text(text))
     except ConfigError:
         pass
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@settings(max_examples=150, deadline=None, database=None)
+@given(data=st.data())
+def test_config_text_fails_only_with_config_error(kind, data):
+    _fails_only_with_config_error(kind, data.draw(_config_texts(kind)))
+
+
+# one grid point with lambda_max <= 0 once reached np.geomspace: 0 raised its
+# ValueError, and -5 gave a grid [lambda_min] with a RuntimeWarning
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", [KIND_REGRESSION, KIND_CLASSIFICATION, KIND_DENOISE])
+@pytest.mark.parametrize("lambda_max", ["0", "-5"])
+def test_config_text_one_point_nonpositive_lambda_max(kind, lambda_max):
+    _fails_only_with_config_error(kind, f"lambda_points = 1\nlambda_max = {lambda_max}\n")
 
 
 def test_config_lambda_grid_exclusive_with_trio():
@@ -202,6 +215,9 @@ _RANGE_EDGES = [
     (KIND_CS, "n_grid", [39], [40], {}),
     (KIND_CS, "d_pq", -1, 0, {}),
     (KIND_SUBSPACE, "k_max", -1, 0, {"input_p": "p.txt", "input_q": "q.txt"}),
+    (KIND_DENOISE, "lambda_max", 0.0, _TINY, {"lambda_points": 1}),
+    (KIND_REGRESSION, "lambda_max", 0.0, _TINY, {"lambda_points": 1}),
+    (KIND_CLASSIFICATION, "lambda_max", 0.0, _TINY, {"lambda_points": 1}),
 ]
 
 
@@ -515,6 +531,17 @@ def test_cli_numeric_failure_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_one_point_zero_lambda_max_is_config_error(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    cfg = _cli_config(
+        tmp_path, f"kind = denoise\nlambda_points = 1\nlambda_max = 0\noutput_path = {out}\n"
+    )
+    assert main(["denoise", "--config", cfg]) == 2
+    err_lines = capsys.readouterr().err.splitlines()
+    assert err_lines == ["error: key 'lambda_max' must be positive, got 0.0"]
+    assert not out.exists()
+
+
 # 1e14 float64 entries (728 TiB) exceed any address space, so numpy refuses the
 # allocation at once: in config validation for the lambda grid, in the runner
 # for the alignment grid
@@ -640,7 +667,7 @@ def test_package_import_and_closed_form_runners_load_no_scipy(tmp_path):
     # the probe imports scipy itself at the end and sees it in the sys.modules diff,
     # so the empty lists above and below are not vacuous
     assert "scipy.special" in probe["detected"]
-    # the quadrature rule is built without numpy.polynomial and without an eigensolver
+    # the quadrature rules are read from a table, without numpy.polynomial or an eigensolver
     assert probe["rows"][KIND_COUNTEREXAMPLE] == 3 * 40
     assert probe["polynomial"] == []
     assert probe["linalg"][KIND_COUNTEREXAMPLE] == 0

@@ -1,6 +1,7 @@
 """Tests for decision covariances, closed-form risks, and Monte Carlo metrics."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -11,11 +12,13 @@ from numpy.polynomial.hermite_e import hermegauss
 from numpy.polynomial.legendre import leggauss
 from scipy.special import ndtr
 
+from riskshift import _gauss_legendre
 from riskshift.errors import CovarianceError, NumericInputError
 from riskshift.harness.config import KIND_COUNTEREXAMPLE, config_from_mapping
 from riskshift.risk import (
     DecisionCov,
     _CDF_BLOCK,
+    _QUAD_ORDER,
     _cholesky_2x2,
     _gauss_rules,
     _half_normal_rule,
@@ -423,6 +426,64 @@ def _gauss_rule_alone(n):
     _, dp = legendre(x)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     return np.concatenate([-x, x[::-1]]), np.concatenate([w, w[::-1]])
+
+
+_GAUSS_TABLE_PATH = os.path.join(os.path.dirname(__file__), "..", "src", "riskshift", "_gauss_legendre.py")
+_GAUSS_TABLE_COMMAND = 'PYTHONPATH=src:tests python -c "import test_risk; test_risk._write_gauss_table()"'
+
+
+def _gauss_table_source():
+    # the text of riskshift/_gauss_legendre.py: the positive half of
+    # _gauss_rule_alone at both quadrature orders, three float.hex values a line
+    orders = (_QUAD_ORDER, 2 * _QUAD_ORDER)
+
+    def entries(halves):
+        lines = []
+        for order, half in zip(orders, halves):
+            values = [float(t).hex() for t in half]
+            rows = [" ".join(values[i:i + 3]) + " " for i in range(0, len(values), 3)]
+            rows[-1] = rows[-1].rstrip()
+            body = "\n".join(f'        "{row}"' for row in rows)
+            lines.append(f"    {order}: (\n{body}\n    ),")
+        return "\n".join(lines)
+
+    rules = [_gauss_rule_alone(order) for order in orders]
+    return f'''"""Gauss-Legendre rules of orders {orders[0]} and {orders[1]} on [-1, 1]; generated, do not edit.
+
+NODES maps each order n to its n / 2 positive nodes in ascending order and
+WEIGHTS to their weights, as whitespace-separated float.hex strings, exact to
+the bit; each rule is symmetric, so its negative half is the mirror image.
+The values are those of two Newton steps on the Legendre three-term recurrence
+from Tricomi's asymptotic guess (Hale & Townsend 2013, "Fast and accurate
+computation of Gauss-Legendre and Gauss-Jacobi quadrature nodes and weights"),
+weighted by w = 2 / ((1 - x^2) P_n'(x)^2): the construction of
+tests/test_risk.py::_gauss_rule_alone, which they must equal bit for bit.
+Regenerate from the repository root with
+
+    {_GAUSS_TABLE_COMMAND}
+"""
+
+NODES = {{
+{entries(x[order // 2:] for order, (x, _) in zip(orders, rules))}
+}}
+
+WEIGHTS = {{
+{entries(w[order // 2:] for order, (_, w) in zip(orders, rules))}
+}}
+'''
+
+
+def _write_gauss_table():
+    with open(_GAUSS_TABLE_PATH, "w", encoding="utf-8") as fh:
+        fh.write(_gauss_table_source())
+
+
+def test_gauss_table_holds_the_quadrature_orders():
+    # a new _QUAD_ORDER needs a regenerated table, or _gauss_rules has no rule for it
+    hint = f"regenerate riskshift/_gauss_legendre.py with: {_GAUSS_TABLE_COMMAND}"
+    assert set(_gauss_legendre.NODES) == set(_gauss_legendre.WEIGHTS) == {_QUAD_ORDER, 2 * _QUAD_ORDER}, hint
+    with open(_GAUSS_TABLE_PATH, encoding="utf-8") as fh:
+        assert fh.read() == _gauss_table_source(), hint
 
 
 @pytest.mark.parametrize("order", [150, 300])
