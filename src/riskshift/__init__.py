@@ -39,6 +39,7 @@ from riskshift.inverse import (
     cs_operator,
     cs_relation_residual,
     cs_risks,
+    denoise_grid,
     denoise_relation_residual,
     denoise_risks,
     gaussian_measurement,
@@ -73,7 +74,6 @@ from riskshift.subspace import (
 )
 from riskshift.theory import (
     AsymParams,
-    FunctionalTuple,
     MonotonicityVerdict,
     asymptotic_decision_cov,
     classification_relation,
@@ -100,7 +100,6 @@ __all__ = [
     "DegenerateDecisionError",
     "DegenerateShiftError",
     "FittedModel",
-    "FunctionalTuple",
     "GroundTruth",
     "InvalidDimensionError",
     "InverseProblem",
@@ -125,6 +124,7 @@ __all__ = [
     "cs_relation_residual",
     "cs_risks",
     "decision_cov",
+    "denoise_grid",
     "denoise_relation_residual",
     "denoise_risks",
     "erm_fit",

@@ -46,10 +46,9 @@ from riskshift.harness.config import (
 )
 from riskshift.inverse import (
     InverseProblem,
-    _relation_residual,
     cs_operator,
     cs_relation_residual,
-    denoise_risks,
+    denoise_grid,
     gaussian_measurement,
     inner_product_preservation_stats,
     sketch_bases,
@@ -70,6 +69,7 @@ from riskshift.shiftmodel import (
 from riskshift.subspace import (
     OrthonormalBasis,
     SubspacePairSpec,
+    overlap_coefficient,
     overlapping_pair,
     subspace_similarity,
 )
@@ -103,6 +103,18 @@ def _format_cell(value):
     return f"{value:.17g}"
 
 
+def _format_column(values):
+    """_format_cell of each value; a column of floats is formatted by one % operation."""
+    if not (values and all(isinstance(v, float) for v in values)):
+        return [_format_cell(v) for v in values]
+    text = ",".join(["%.17g"] * len(values)) % tuple(values)
+    # %.17g writes a finite float with digits, sign, point and exponent only: an n is nan or inf
+    if "n" in text:
+        for value in values:
+            _format_cell(value)  # raises on the first non-finite value
+    return text.split(",")
+
+
 def _umask():
     mask = os.umask(0o022)
     os.umask(mask)
@@ -115,10 +127,11 @@ def write_csv(path, header, rows):
     Every cell is formatted (and non-finite values rejected) before the file is
     touched; the text goes to a temporary file in the same directory that
     replaces path only once complete, so a failed write leaves any previous
-    file intact and never a truncated one.
+    file intact and never a truncated one.  The table is formatted column by
+    column (_format_column), then joined row by row.
     """
-    lines = [",".join(header)]
-    lines.extend(",".join(_format_cell(row[name]) for name in header) for row in rows)
+    columns = [_format_column([row[name] for row in rows]) for name in header]
+    lines = [",".join(header), *map(",".join, zip(*columns))]
     directory, name = os.path.split(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory)
     try:
@@ -278,34 +291,34 @@ def run_relation_curves(config):
 
 
 def run_denoising(config):
-    """Closed-form denoising risk trajectories over lambda, with identity residuals."""
+    """Closed-form denoising risk trajectories over lambda, with identity residuals.
+
+    Each subspace pair's snr x lambda grid is one denoise_grid evaluation.
+    """
     ms = config["master_seed"]
     d, d_p, d_q = config["d"], config["d_p"], config["d_q"]
-    rows = []
-    for i, a_target in enumerate(config["a_grid"]):
+    a_grid, snrs = config["a_grid"], config["snr_grid"]
+    # noise variances as a column against the lambda row
+    noise = np.array([[1.0 / snr] for snr in snrs])
+    lam = np.array(config["lambda_grid"])
+    overlaps, grids = [], []
+    for i, a_target in enumerate(a_grid):
         d_pq = int(round(a_target * d_q))
         u_p, u_q = overlapping_pair(SubspacePairSpec(d, d_p, d_q, d_pq), stream(ms, 0, _GRID_SLOT_BASE + i))
-        # one overlap per pair; every (snr, lambda) problem carries it
-        pair = InverseProblem(u_p=u_p, u_q=u_q, sigma_p_sq=0.0, sigma_q_sq=0.0, lam=0.0)
-        for snr in config["snr_grid"]:
-            noise = 1.0 / snr
-            for lam in config["lambda_grid"]:
-                problem = pair.with_weights(noise, noise, lam)
-                risk_p, risk_q, alpha = denoise_risks(problem)
-                rows.append(
-                    {
-                        "a_target": a_target,
-                        "a_realized": problem.overlap,
-                        "snr": snr,
-                        "lambda": lam,
-                        "risk_p": risk_p,
-                        "risk_q": risk_q,
-                        "alpha": alpha,
-                        "residual": _relation_residual(problem, risk_p, risk_q),
-                    }
-                )
-    rows.sort(key=lambda r: (r["a_target"], r["snr"], r["lambda"]))
+        overlaps.append(overlap_coefficient(u_p, u_q))
+        grids.append(denoise_grid(overlaps[-1], d_p, d_q, noise, noise, lam))
+    # one array per column over (pair, snr, lambda)
+    columns = [c.ravel() for c in np.broadcast_arrays(
+        np.reshape(a_grid, (-1, 1, 1)),
+        np.reshape(overlaps, (-1, 1, 1)),
+        np.reshape(snrs, (-1, 1)),
+        lam,
+        *np.moveaxis(np.array(grids), 1, 0),
+    )]
+    # stable like list.sort on the (a_target, snr, lambda) key
+    order = np.lexsort((columns[3], columns[2], columns[0]))
     header = ["a_target", "a_realized", "snr", "lambda", "risk_p", "risk_q", "alpha", "residual"]
+    rows = [dict(zip(header, cells)) for cells in zip(*(c[order].tolist() for c in columns))]
     return header, rows
 
 

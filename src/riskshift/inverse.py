@@ -9,7 +9,7 @@ Gaussian measurement matrices it holds up to a residual that shrinks with n.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -47,13 +47,7 @@ class InverseProblem:
                 f"subspaces live in different ambient dimensions: "
                 f"{self.u_p.ambient_dim} vs {self.u_q.ambient_dim}"
             )
-        for name, value in (
-            ("sigma_p_sq", self.sigma_p_sq),
-            ("sigma_q_sq", self.sigma_q_sq),
-            ("lam", self.lam),
-        ):
-            if not (math.isfinite(value) and value >= 0):
-                raise NumericInputError(f"{name} must be finite and >= 0, got {value}")
+        _check_weights(sigma_p_sq=self.sigma_p_sq, sigma_q_sq=self.sigma_q_sq, lam=self.lam)
 
     @property
     def d(self):
@@ -75,46 +69,70 @@ class InverseProblem:
     @property
     def alpha(self):
         """Ridge denoiser shrinkage 1/(1 + sigma_P^2 + lam)."""
-        return 1.0 / (1.0 + self.sigma_p_sq + self.lam)
+        return _shrinkage(self.sigma_p_sq, self.lam)
 
-    def with_weights(self, sigma_p_sq, sigma_q_sq, lam):
-        """The same subspace pair with other noise variances and ridge weight.
 
-        The new problem is validated like any other and carries this problem's
-        overlap, so a sweep over weights forms U_P^T U_Q once per pair.
-        """
-        problem = replace(self, sigma_p_sq=sigma_p_sq, sigma_q_sq=sigma_q_sq, lam=lam)
-        # cached_property keeps its value in the instance __dict__ under its own name
-        problem.__dict__["overlap"] = self.overlap
-        return problem
+def _check_weights(**weights):
+    """Each noise variance or ridge weight, a float or an array, must be finite and >= 0."""
+    for name, value in weights.items():
+        bad = ~(np.isfinite(value) & (np.asarray(value) >= 0))
+        if np.any(bad):
+            raise NumericInputError(
+                f"{name} must be finite and >= 0, got {np.asarray(value)[bad].flat[0]}"
+            )
+
+
+# The closed forms below are elementwise expressions that take floats or numpy
+# arrays alike.  They use only +, -, *, / and abs, each rounded correctly in
+# Python and in numpy, so an array cell equals the same point computed from
+# floats bit for bit; squares are written as products because float ** 2 calls
+# the C pow, which can differ from x * x in the last bit.
+
+
+def _shrinkage(sigma_p_sq, lam):
+    return 1.0 / (1.0 + sigma_p_sq + lam)
+
+
+def _relation_gap(a, d_p, d_q, alpha, sigma_p_sq, sigma_q_sq, risk_p, risk_q):
+    """|risk_Q - a risk_P - (1-a) - alpha^2((d_P/d_Q) sigma_Q^2 - a sigma_P^2)|."""
+    predicted = a * risk_p + (1.0 - a) + alpha * alpha * ((d_p / d_q) * sigma_q_sq - a * sigma_p_sq)
+    return abs(risk_q - predicted)
 
 
 def _relation_residual(problem, risk_p, risk_q):
-    """|risk_Q - a risk_P - (1-a) - alpha^2((d_P/d_Q) sigma_Q^2 - a sigma_P^2)|."""
-    a = problem.overlap
-    alpha = problem.alpha
-    predicted = (
-        a * risk_p
-        + (1.0 - a)
-        + alpha * alpha * ((problem.d_p / problem.d_q) * problem.sigma_q_sq - a * problem.sigma_p_sq)
+    return float(
+        _relation_gap(
+            problem.overlap, problem.d_p, problem.d_q, problem.alpha,
+            problem.sigma_p_sq, problem.sigma_q_sq, risk_p, risk_q,
+        )
     )
-    return float(abs(risk_q - predicted))
 
 
-def denoise_risks(problem):
-    """Closed-form (risk_P, risk_Q, alpha) of the ridge denoiser x_hat = alpha Pi_P y.
+def denoise_grid(a, d_p, d_q, sigma_p_sq, sigma_q_sq, lam):
+    """Closed-form (risk_P, risk_Q, alpha, residual) of the ridge denoiser x_hat = alpha Pi_P y.
 
     risk_P = (1-alpha)^2 + alpha^2 sigma_P^2;
     risk_Q = 1 + (alpha^2 - 2 alpha) a + alpha^2 sigma_Q^2 d_P / d_Q,
-    with a the subspace overlap coefficient.
+    with a the subspace overlap coefficient of a pair of ranks d_P and d_Q, and
+    residual the gap of the affine train/test relation, exact up to roundoff.
+    The weights are floats or arrays that broadcast against each other, so one
+    call evaluates a whole (noise, lambda) grid of a subspace pair.
     """
-    alpha = problem.alpha
-    a = problem.overlap
-    risk_p = (1.0 - alpha) ** 2 + alpha * alpha * problem.sigma_p_sq
-    risk_q = (
-        1.0
-        + (alpha * alpha - 2.0 * alpha) * a
-        + alpha * alpha * problem.sigma_q_sq * problem.d_p / problem.d_q
+    _check_weights(sigma_p_sq=sigma_p_sq, sigma_q_sq=sigma_q_sq, lam=lam)
+    # IEEE arithmetic as with floats: a non-finite cell is refused when it is written
+    with np.errstate(over="ignore", invalid="ignore"):
+        alpha = _shrinkage(sigma_p_sq, lam)
+        alpha_sq = alpha * alpha
+        risk_p = (1.0 - alpha) * (1.0 - alpha) + alpha_sq * sigma_p_sq
+        risk_q = 1.0 + (alpha_sq - 2.0 * alpha) * a + alpha_sq * sigma_q_sq * d_p / d_q
+        residual = _relation_gap(a, d_p, d_q, alpha, sigma_p_sq, sigma_q_sq, risk_p, risk_q)
+    return risk_p, risk_q, alpha, residual
+
+
+def denoise_risks(problem):
+    """(risk_P, risk_Q, alpha) of denoise_grid at the problem's one point."""
+    risk_p, risk_q, alpha, _ = denoise_grid(
+        problem.overlap, problem.d_p, problem.d_q, problem.sigma_p_sq, problem.sigma_q_sq, problem.lam
     )
     return float(risk_p), float(risk_q), float(alpha)
 

@@ -15,6 +15,7 @@ from riskshift.inverse import (
     cs_operator,
     cs_relation_residual,
     cs_risks,
+    denoise_grid,
     denoise_relation_residual,
     denoise_risks,
     gaussian_measurement,
@@ -187,20 +188,20 @@ def test_risks_are_rotation_equivariant(prob, seed, extra):
     npt.assert_allclose(cs_risks(_operator(a @ v.T, rotated), rotated), expected, rtol=0, atol=1e-12)
 
 
-def test_with_weights_keeps_the_pair_and_its_overlap():
-    prob = _coordinate_problem(sigma_p_sq=0.01, sigma_q_sq=0.02, lam=0.1)
-    moved = prob.with_weights(0.3, 0.4, 5.0)
-    assert (moved.sigma_p_sq, moved.sigma_q_sq, moved.lam) == (0.3, 0.4, 5.0)
-    assert moved.u_p is prob.u_p and moved.u_q is prob.u_q
-    assert moved.overlap == prob.overlap == pytest.approx(0.5, abs=1e-15)
-    assert denoise_risks(moved) == denoise_risks(
-        InverseProblem(prob.u_p, prob.u_q, 0.3, 0.4, 5.0)
-    )
-    # the new weights are validated like a fresh problem's
-    with pytest.raises(NumericInputError):
-        prob.with_weights(-0.1, 0.1, 0.0)
-    with pytest.raises(NumericInputError):
-        prob.with_weights(0.1, 0.1, math.nan)
+def test_denoise_grid_validates_every_weight():
+    snr_column = np.array([[0.1], [0.2]])
+    lams = np.array([0.0, 1.0])
+    # the first entry that is negative or not finite is named, in a grid as in a problem
+    with pytest.raises(NumericInputError, match="sigma_p_sq must be finite and >= 0, got -0.1"):
+        denoise_grid(0.5, 10, 10, np.array([[0.1], [-0.1]]), snr_column, lams)
+    with pytest.raises(NumericInputError, match="sigma_q_sq must be finite and >= 0, got inf"):
+        denoise_grid(0.5, 10, 10, snr_column, np.array([[math.inf], [0.1]]), lams)
+    with pytest.raises(NumericInputError, match="lam must be finite and >= 0, got nan"):
+        denoise_grid(0.5, 10, 10, snr_column, snr_column, np.array([1.0, math.nan]))
+    with pytest.raises(NumericInputError, match="lam must be finite and >= 0, got nan"):
+        _coordinate_problem(lam=math.nan)
+    risk_p, risk_q, alpha, residual = denoise_grid(0.5, 10, 10, snr_column, snr_column, lams)
+    assert risk_p.shape == risk_q.shape == alpha.shape == residual.shape == (2, 2)
 
 
 def test_denoise_curve_linearity_depends_on_snr():
