@@ -319,7 +319,7 @@ def csv_tables(draw):
         draw(st.lists(draw(st.sampled_from([_FLOAT_CELLS, _ANY_CELLS])), min_size=n_rows, max_size=n_rows))
         for _ in header
     ]
-    return header, [dict(zip(header, cells)) for cells in zip(*columns)] if n_rows else []
+    return header, [dict(zip(header, cells)) for cells in zip(*columns)]
 
 
 @settings(max_examples=300, deadline=None, database=None,
