@@ -32,7 +32,7 @@ from riskshift.errors import (
     RiskshiftError,
     UnreachableRatioError,
 )
-from riskshift.estimators import FittedModel, erm_fit, population_ridge, ridge_fit
+from riskshift.estimators import FittedModel, erm_fit, ridge_fit
 from riskshift.inverse import (
     CSOperator,
     InverseProblem,
@@ -40,8 +40,6 @@ from riskshift.inverse import (
     cs_relation_residual,
     cs_risks,
     denoise_grid,
-    denoise_relation_residual,
-    denoise_risks,
     gaussian_measurement,
     inner_product_preservation_stats,
     sketch_bases,
@@ -52,7 +50,6 @@ from riskshift.risk import (
     decision_cov,
     mc_metric_risk,
     misclassification_risk,
-    population_mc_risk,
     quad_metric_risk,
     squared_risk,
 )
@@ -69,7 +66,6 @@ from riskshift.subspace import (
     haar_basis,
     overlap_coefficient,
     overlapping_pair,
-    principal_angles,
     subspace_similarity,
 )
 from riskshift.theory import (
@@ -77,7 +73,6 @@ from riskshift.theory import (
     MonotonicityVerdict,
     asymptotic_decision_cov,
     classification_relation,
-    classification_relation_inverse,
     covariance_functionals,
     finite_dim_linearity,
     monotonicity_check_classification,
@@ -118,15 +113,12 @@ __all__ = [
     "UnreachableRatioError",
     "asymptotic_decision_cov",
     "classification_relation",
-    "classification_relation_inverse",
     "covariance_functionals",
     "cs_operator",
     "cs_relation_residual",
     "cs_risks",
     "decision_cov",
     "denoise_grid",
-    "denoise_relation_residual",
-    "denoise_risks",
     "erm_fit",
     "finite_dim_linearity",
     "gaussian_measurement",
@@ -139,10 +131,7 @@ __all__ = [
     "monotonicity_check_regression",
     "overlap_coefficient",
     "overlapping_pair",
-    "population_mc_risk",
-    "population_ridge",
     "population_ridge_risks",
-    "principal_angles",
     "probit_arctan_gap",
     "quad_metric_risk",
     "regression_relation",

@@ -1,4 +1,4 @@
-"""Ridge-regularized empirical risk minimizers and the population ridge map.
+"""Ridge-regularized empirical risk minimizers.
 
 ridge_fit solves the normal equations directly.  erm_fit runs damped Newton
 with Armijo backtracking on the ridge-regularized logistic objective; it never
@@ -136,16 +136,3 @@ def erm_fit(data, lam, beta0=None):
         converged=bool(converged),
     )
 
-
-def population_ridge(ground_truth, basis, lam):
-    """Infinite-sample ridge limit: the projection of beta* shrunk by 1/(1+lam).
-
-    basis spans the support of the train covariance projector.
-    """
-    if not (math.isfinite(lam) and lam >= 0):
-        raise NumericInputError("ridge weight lam must be finite and >= 0")
-    if basis.ambient_dim != ground_truth.d:
-        raise InvalidDimensionError(
-            f"basis ambient dimension {basis.ambient_dim} != beta* length {ground_truth.d}"
-        )
-    return basis.project(ground_truth.beta_star) / (1.0 + lam)

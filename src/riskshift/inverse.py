@@ -99,15 +99,6 @@ def _relation_gap(a, d_p, d_q, alpha, sigma_p_sq, sigma_q_sq, risk_p, risk_q):
     return abs(risk_q - predicted)
 
 
-def _relation_residual(problem, risk_p, risk_q):
-    return float(
-        _relation_gap(
-            problem.overlap, problem.d_p, problem.d_q, problem.alpha,
-            problem.sigma_p_sq, problem.sigma_q_sq, risk_p, risk_q,
-        )
-    )
-
-
 def denoise_grid(a, d_p, d_q, sigma_p_sq, sigma_q_sq, lam):
     """Closed-form (risk_P, risk_Q, alpha, residual) of the ridge denoiser x_hat = alpha Pi_P y.
 
@@ -127,20 +118,6 @@ def denoise_grid(a, d_p, d_q, sigma_p_sq, sigma_q_sq, lam):
         risk_q = 1.0 + (alpha_sq - 2.0 * alpha) * a + alpha_sq * sigma_q_sq * d_p / d_q
         residual = _relation_gap(a, d_p, d_q, alpha, sigma_p_sq, sigma_q_sq, risk_p, risk_q)
     return risk_p, risk_q, alpha, residual
-
-
-def denoise_risks(problem):
-    """(risk_P, risk_Q, alpha) of denoise_grid at the problem's one point."""
-    risk_p, risk_q, alpha, _ = denoise_grid(
-        problem.overlap, problem.d_p, problem.d_q, problem.sigma_p_sq, problem.sigma_q_sq, problem.lam
-    )
-    return float(risk_p), float(risk_q), float(alpha)
-
-
-def denoise_relation_residual(problem):
-    """Residual of the affine train/test relation for the denoiser; exact up to roundoff."""
-    risk_p, risk_q, _ = denoise_risks(problem)
-    return _relation_residual(problem, risk_p, risk_q)
 
 
 def gaussian_measurement(n, d, seed):
@@ -176,14 +153,11 @@ class CSOperator:
     n = B_P^T B_Q are the only products of A that cs_risks needs.
     """
 
-    eta: float
     s: np.ndarray
     m: np.ndarray
     n: np.ndarray
 
     def __post_init__(self):
-        if not (math.isfinite(self.eta) and self.eta > 0):
-            raise NumericInputError(f"eta must be a positive finite scalar, got {self.eta}")
         s = np.asarray(self.s, dtype=np.float64)
         m = np.asarray(self.m, dtype=np.float64)
         n = np.asarray(self.n, dtype=np.float64)
@@ -240,7 +214,7 @@ def cs_operator(sketch, problem):
     except np.linalg.LinAlgError as exc:
         raise NumericInputError(f"(I + eta M) is numerically singular: {exc}") from exc
     s = 0.5 * (s + s.T)
-    return CSOperator(eta=eta, s=s, m=m, n=b_p.T @ b[:, problem.d_p :])
+    return CSOperator(s=s, m=m, n=b_p.T @ b[:, problem.d_p :])
 
 
 def cs_risks(op, problem):
@@ -271,7 +245,13 @@ def cs_risks(op, problem):
 
 def cs_relation_residual(op, problem):
     """Absolute residual of the affine train/test risk relation at finite n."""
-    return _relation_residual(problem, *cs_risks(op, problem))
+    risk_p, risk_q = cs_risks(op, problem)
+    return float(
+        _relation_gap(
+            problem.overlap, problem.d_p, problem.d_q, problem.alpha,
+            problem.sigma_p_sq, problem.sigma_q_sq, risk_p, risk_q,
+        )
+    )
 
 
 def inner_product_preservation_stats(sketch, vectors):

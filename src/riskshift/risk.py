@@ -68,9 +68,8 @@ _RSQRT_PI = 5.6418958354775628695e-1
 # flat block length of _std_normal_cdf, which bounds its temporaries
 _CDF_BLOCK = 8192
 # chunk i of a Monte Carlo estimate draws from child seed i, so the chunk
-# sizes fix the draws; a population draw costs O(d), hence its smaller chunk
+# size fixes the draws
 _MC_CHUNK = 2**18
-_POPULATION_MC_CHUNK = 4096
 
 
 class MetricKind(Enum):
@@ -231,33 +230,6 @@ def mc_metric_risk(cov, metric, n_draws, seed):
         return metric_values(l11 * g[:, 0], l21 * g[:, 0] + l22 * g[:, 1], metric)
 
     return chunked_mc(draw, n_draws, seed, _MC_CHUNK)
-
-
-def population_mc_risk(beta_star, beta_hat, pair, which, metric, n_draws, seed):
-    """Monte Carlo metric estimate drawing fresh covariate vectors directly.
-
-    Independent cross-check of mc_metric_risk: instead of sampling the 2x2
-    Gaussian of decision scores it samples x ~ N(0, Sigma_which / d) and
-    evaluates the scores exactly.  Chunk seeding follows the same (seed, i)
-    scheme with chunks of 4096, smaller because each draw costs O(d).
-    """
-    n_draws = _validate_mc_args(metric, n_draws)
-    side = _select_side(which)
-    e = pair.eigvals(side)
-    v = pair.eigenbasis
-    sqrt_d = math.sqrt(pair.d)
-    beta_star = np.asarray(beta_star, dtype=np.float64)
-    beta_hat = np.asarray(beta_hat, dtype=np.float64)
-    u_star = v @ (np.sqrt(e) * (v.T @ beta_star)) / sqrt_d
-    u_hat = v @ (np.sqrt(e) * (v.T @ beta_hat)) / sqrt_d
-    if not (np.all(np.isfinite(u_star)) and np.all(np.isfinite(u_hat))):
-        raise NumericInputError("decision vectors must be finite")
-
-    def draw(rng, m):
-        g = rng.standard_normal((m, pair.d))
-        return metric_values(g @ u_star, g @ u_hat, metric)
-
-    return chunked_mc(draw, n_draws, seed, _POPULATION_MC_CHUNK)
 
 
 def _cody_rational(t, num, den):

@@ -4,7 +4,7 @@ A CovariancePair stores one shared eigenbasis V plus two eigenvalue vectors:
 Sigma_P = V diag(eigvals_p) V^T is a projector (binary eigenvalues) and
 Sigma_Q = V diag(eigvals_q) V^T is PSD.  All formulas in this package reduce to
 diagonal arithmetic after rotating vectors into that basis, so covariances are
-never materialized densely except on explicit request.
+never materialized densely.
 """
 
 import math
@@ -81,11 +81,6 @@ class CovariancePair:
         e = self.eigvals(which)
         xr = self.rotate(x)
         return float(np.sum(e * xr * xr))
-
-    def sigma_dense(self, which):
-        """Dense d x d covariance; for tests and finite-dimensional checks only."""
-        e = self.eigvals(which)
-        return (self.eigenbasis * e) @ self.eigenbasis.T
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Linear subspaces: Haar-random bases, controlled-overlap pairs, principal angles.
+"""Linear subspaces: Haar-random bases, controlled-overlap pairs, overlap coefficients.
 
 Subspaces are represented by column-orthonormal matrices.  A Haar basis is the
 sign-fixed QR factor of a standard normal block.  An overlapping pair draws the
@@ -50,10 +50,6 @@ class OrthonormalBasis:
     @property
     def rank(self):
         return self.columns.shape[1]
-
-    def projector(self):
-        """Dense projector U U^T onto the spanned subspace."""
-        return self.columns @ self.columns.T
 
     def project(self, vec):
         """Project a length-d vector onto the subspace."""
@@ -135,18 +131,6 @@ def _check_same_ambient(u_p, u_q):
         raise InvalidDimensionError(
             f"ambient dims differ: {u_p.ambient_dim} vs {u_q.ambient_dim}"
         )
-
-
-def principal_angles(u_p, u_q):
-    """Ascending principal angles (read-only array) via singular values of U_P^T U_Q."""
-    _check_same_ambient(u_p, u_q)
-    s = np.linalg.svd(u_p.columns.T @ u_q.columns, compute_uv=False)
-    s = np.clip(s, 0.0, 1.0)
-    # a cosine within fp noise of 1 is numerically indistinguishable from an
-    # exact alignment, and arccos would amplify the ulp-level error to ~1e-8;
-    # snap so construction-exact overlaps report exactly-zero angles
-    s[s >= 1.0 - 1e-13] = 1.0
-    return _frozen_array(np.sort(np.arccos(s)))
 
 
 def _cos_sq_sum(u_p, u_q):

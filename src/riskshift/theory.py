@@ -137,15 +137,6 @@ def classification_relation(risk_p, shift):
     return _risk_from_sec_sq(s_q)
 
 
-def classification_relation_inverse(risk_q, shift):
-    """Train risk whose image under classification_relation is risk_q."""
-    if not (math.isfinite(risk_q) and 0.0 < risk_q < 0.5):
-        raise RiskDomainError(f"misclassification risk must lie in (0, 1/2), got {risk_q}")
-    slope = shift.kappa * shift.mu / shift.gamma
-    s_p = (_sec_sq(risk_q) - shift.mu) / slope + 1.0
-    return _risk_from_sec_sq(s_p)
-
-
 def covariance_functionals(pair, beta_star, b):
     """Resolvent functionals of (Sigma_P, Sigma_Q) at shift b > 0.
 

@@ -1,0 +1,80 @@
+"""Reference implementations that the tests compare the package against.
+
+Each computes a quantity the package computes by another route: principal
+angles by SVD where the package reads sum cos^2 off a Frobenius norm, Monte
+Carlo over covariate vectors where the package reduces to a 2x2 decision
+covariance, the inverse of the classification relation for a round trip, and
+the dense covariance and projector matrices the package never forms.
+"""
+
+import math
+
+import numpy as np
+
+from riskshift.errors import NumericInputError, RiskDomainError
+from riskshift.risk import _validate_mc_args, chunked_mc, metric_values
+from riskshift.shiftmodel import _select_side
+from riskshift.subspace import _check_same_ambient, _frozen_array
+from riskshift.theory import _risk_from_sec_sq, _sec_sq
+
+# a population draw costs O(d), hence a smaller chunk than mc_metric_risk's
+_POPULATION_MC_CHUNK = 4096
+
+
+def principal_angles(u_p, u_q):
+    """Ascending principal angles (read-only array) via singular values of U_P^T U_Q."""
+    _check_same_ambient(u_p, u_q)
+    s = np.linalg.svd(u_p.columns.T @ u_q.columns, compute_uv=False)
+    s = np.clip(s, 0.0, 1.0)
+    # a cosine within fp noise of 1 is numerically indistinguishable from an
+    # exact alignment, and arccos would amplify the ulp-level error to ~1e-8;
+    # snap so construction-exact overlaps report exactly-zero angles
+    s[s >= 1.0 - 1e-13] = 1.0
+    return _frozen_array(np.sort(np.arccos(s)))
+
+
+def population_mc_risk(beta_star, beta_hat, pair, which, metric, n_draws, seed):
+    """Monte Carlo metric estimate drawing fresh covariate vectors directly.
+
+    Independent cross-check of mc_metric_risk: instead of sampling the 2x2
+    Gaussian of decision scores it samples x ~ N(0, Sigma_which / d) and
+    evaluates the scores exactly.  Chunk seeding follows the same (seed, i)
+    scheme with chunks of 4096, smaller because each draw costs O(d).
+    """
+    n_draws = _validate_mc_args(metric, n_draws)
+    side = _select_side(which)
+    e = pair.eigvals(side)
+    v = pair.eigenbasis
+    sqrt_d = math.sqrt(pair.d)
+    beta_star = np.asarray(beta_star, dtype=np.float64)
+    beta_hat = np.asarray(beta_hat, dtype=np.float64)
+    u_star = v @ (np.sqrt(e) * (v.T @ beta_star)) / sqrt_d
+    u_hat = v @ (np.sqrt(e) * (v.T @ beta_hat)) / sqrt_d
+    if not (np.all(np.isfinite(u_star)) and np.all(np.isfinite(u_hat))):
+        raise NumericInputError("decision vectors must be finite")
+
+    def draw(rng, m):
+        g = rng.standard_normal((m, pair.d))
+        return metric_values(g @ u_star, g @ u_hat, metric)
+
+    return chunked_mc(draw, n_draws, seed, _POPULATION_MC_CHUNK)
+
+
+def classification_relation_inverse(risk_q, shift):
+    """Train risk whose image under classification_relation is risk_q."""
+    if not (math.isfinite(risk_q) and 0.0 < risk_q < 0.5):
+        raise RiskDomainError(f"misclassification risk must lie in (0, 1/2), got {risk_q}")
+    slope = shift.kappa * shift.mu / shift.gamma
+    s_p = (_sec_sq(risk_q) - shift.mu) / slope + 1.0
+    return _risk_from_sec_sq(s_p)
+
+
+def sigma_dense(pair, which):
+    """Dense d x d covariance of a CovariancePair; for tests and finite-dimensional checks only."""
+    e = pair.eigvals(which)
+    return (pair.eigenbasis * e) @ pair.eigenbasis.T
+
+
+def projector(basis):
+    """Dense projector U U^T onto the subspace spanned by an OrthonormalBasis."""
+    return basis.columns @ basis.columns.T

@@ -3,8 +3,8 @@
 Every criterion function states each of its bounds once, in the table it
 hands to selftest._judge; this suite runs each criterion, prints a single
 PASS/FAIL line listing every bound with its measured value, and asserts the
-verdict.  The last tests feed criteria 1, 2 and 6 rows that break exactly one
-bound, so none of those checks passes vacuously.
+verdict.  The last tests feed criteria 1, 2, 3 and 6 values that break exactly
+one bound, so none of those checks passes vacuously.
 """
 
 from riskshift.harness import selftest
@@ -96,6 +96,21 @@ def test_criterion_2_fails_when_matched_families_disagree(monkeypatch):
     monkeypatch.setattr(selftest, "run_classification_sweep", lambda config: (["model"], rows))
     violated = _only_violated_bound(selftest.criterion_2())
     assert violated.startswith("worst matched-pair risk_q gap = 0.02")
+
+
+def test_criterion_3_fails_on_one_residual_beyond_its_bound(monkeypatch):
+    grid = selftest.denoise_grid
+    calls = []
+
+    def one_bad_residual(*args):
+        calls.append(args)
+        risk_p, risk_q, alpha, residual = grid(*args)
+        return risk_p, risk_q, alpha, 2e-12 if len(calls) == 500 else residual
+
+    monkeypatch.setattr(selftest, "denoise_grid", one_bad_residual)
+    violated = _only_violated_bound(selftest.criterion_3())
+    assert violated == "max residual over 1000 random problems = 2e-12 (violates <= 1e-12)"
+    assert len(calls) == 1000
 
 
 def test_criterion_6_fails_when_one_surrogate_stays_monotone(monkeypatch):

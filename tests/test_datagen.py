@@ -18,6 +18,8 @@ from riskshift.errors import InvalidDimensionError, NumericInputError
 from riskshift.shiftmodel import subspace_shift_model
 from riskshift.subspace import SubspacePairSpec
 
+from oracles import sigma_dense
+
 
 def test_sample_beta_moments_and_determinism():
     gt = sample_beta(5000, 2.5, 42)
@@ -49,7 +51,7 @@ def test_sample_covariates_second_moment():
     n = 200_000
     x = sample_covariates(pair, "Q", n, 4)
     emp = x.T @ x / n
-    npt.assert_allclose(emp, pair.sigma_dense("Q") / 10, atol=0.02)
+    npt.assert_allclose(emp, sigma_dense(pair, "Q") / 10, atol=0.02)
 
 
 def test_sample_covariates_bad_inputs():

@@ -11,9 +11,8 @@ import riskshift.estimators as estimators
 import riskshift.harness.runners as runners
 from riskshift.datagen import Dataset, GroundTruth, LinearGaussian, NoisySign, label
 from riskshift.errors import InvalidDimensionError, NumericInputError
-from riskshift.estimators import _sigmoid, erm_fit, population_ridge, ridge_fit
+from riskshift.estimators import _sigmoid, erm_fit, ridge_fit
 from riskshift.harness.config import KIND_CLASSIFICATION, config_from_mapping
-from riskshift.subspace import haar_basis
 
 
 def _ridge_data(n, d, sigma, seed):
@@ -155,13 +154,3 @@ def test_erm_fit_requires_positive_lambda():
         with pytest.raises(NumericInputError):
             erm_fit(data, lam)
 
-
-def test_population_ridge_shrinkage():
-    basis = haar_basis(10, 6, 18)
-    beta = np.random.default_rng(19).standard_normal(10)
-    gt = GroundTruth(beta_star=beta, sigma_beta_sq=1.0)
-    out = population_ridge(gt, basis, 0.5)
-    npt.assert_allclose(out, basis.project(beta) / 1.5, atol=1e-12)
-    npt.assert_allclose(population_ridge(gt, basis, 0.0), basis.project(beta), atol=1e-12)
-    with pytest.raises(NumericInputError):
-        population_ridge(gt, basis, -0.1)

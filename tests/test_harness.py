@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import functools
 import inspect
 import json
 import math
@@ -47,9 +48,9 @@ from riskshift.harness.runners import (
     stream,
     write_csv,
 )
-from riskshift.inverse import InverseProblem, denoise_relation_residual, denoise_risks
+from riskshift.inverse import denoise_grid
 from riskshift.risk import MetricKind
-from riskshift.subspace import SubspacePairSpec, haar_basis, overlapping_pair
+from riskshift.subspace import SubspacePairSpec, haar_basis, overlap_coefficient, overlapping_pair
 
 _SMALL_REGRESSION = {
     "d": "60",
@@ -249,9 +250,30 @@ def test_describe_keys_covers_every_kind():
         assert all(help_text for _, _, help_text in rows)
 
 
-def test_readme_config_keys_name_every_schema_key():
+def _readme():
     with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as fh:
-        section = fh.read().split("### Config keys", 1)[1].split("\n## ", 1)[0]
+        return fh.read()
+
+
+def _package_env():
+    """The environment with this package's src directory first on PYTHONPATH, for a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(riskshift.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_readme_quick_start_prints_its_closing_comment(tmp_path):
+    (code,) = re.findall(r"^```python\n(.*?)^```", _readme(), flags=re.M | re.S)
+    printed = code.rstrip().rsplit("\n", 1)[1]
+    assert printed.startswith("# train risk ")
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=_package_env(), cwd=tmp_path,
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert done.stdout == printed[2:] + "\n"
+
+
+def test_readme_config_keys_name_every_schema_key():
+    section = _readme().split("### Config keys", 1)[1].split("\n## ", 1)[0]
     intro, *blocks = re.split(r"^\*\*([a-z-]+)\*\*", section, flags=re.M)
     named = {kind: set(re.findall(r"`([^`]+)`", body)) for kind, body in zip(blocks[::2], blocks[1::2])}
     assert sorted(named) == sorted(ALL_KINDS)
@@ -460,27 +482,26 @@ def test_default_denoise_run_computes_each_pair_overlap_once(monkeypatch):
 
 
 def _denoise_rows_by_point(config):
-    """run_denoising's rows, each from its own one-point problem and the scalar closed forms."""
+    """run_denoising's rows, each from denoise_grid at its own one point, on floats."""
     rows = []
+    d_p, d_q = config["d_p"], config["d_q"]
     for i, a_target in enumerate(config["a_grid"]):
-        spec = SubspacePairSpec(
-            config["d"], config["d_p"], config["d_q"], int(round(a_target * config["d_q"]))
-        )
+        spec = SubspacePairSpec(config["d"], d_p, d_q, int(round(a_target * d_q)))
         u_p, u_q = overlapping_pair(spec, stream(config["master_seed"], 0, _GRID_SLOT_BASE + i))
+        a = overlap_coefficient(u_p, u_q)
         for snr in config["snr_grid"]:
             for lam in config["lambda_grid"]:
-                problem = InverseProblem(u_p, u_q, 1.0 / snr, 1.0 / snr, lam)
-                risk_p, risk_q, alpha = denoise_risks(problem)
+                risk_p, risk_q, alpha, residual = denoise_grid(a, d_p, d_q, 1.0 / snr, 1.0 / snr, lam)
                 rows.append(
                     {
                         "a_target": a_target,
-                        "a_realized": problem.overlap,
+                        "a_realized": a,
                         "snr": snr,
                         "lambda": lam,
                         "risk_p": risk_p,
                         "risk_q": risk_q,
                         "alpha": alpha,
-                        "residual": denoise_relation_residual(problem),
+                        "residual": residual,
                     }
                 )
     rows.sort(key=lambda r: (r["a_target"], r["snr"], r["lambda"]))
@@ -780,12 +801,9 @@ _PROBE_CONFIGS = {
 
 
 def test_package_import_and_closed_form_runners_load_no_scipy(tmp_path):
-    src = os.path.dirname(os.path.dirname(riskshift.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
     done = subprocess.run(
         [sys.executable, "-c", _IMPORT_PATH_PROBE, str(tmp_path), json.dumps(_PROBE_CONFIGS)],
-        env=env, capture_output=True, text=True, timeout=120, check=True,
+        env=_package_env(), capture_output=True, text=True, timeout=120, check=True,
     )
     probe = json.loads(done.stdout)
     # every runner kind ran, then ridge, logistic ERM and the CS operator
@@ -832,9 +850,28 @@ def test_no_module_under_src_imports_scipy():
     assert offenders == []
 
 
+def _public_members(module):
+    """Every name in module.__all__, and each public method, property and dataclass field of its classes."""
+    found = set(module.__all__)
+    for name in module.__all__:
+        obj = getattr(module, name)
+        if not inspect.isclass(obj):
+            continue
+        for attr, member in vars(obj).items():
+            if isinstance(member, (staticmethod, classmethod)):
+                member = member.__func__
+            if not attr.startswith("_") and (
+                inspect.isfunction(member) or isinstance(member, (property, functools.cached_property))
+            ):
+                found.add(f"{name}.{attr}")
+        if dataclasses.is_dataclass(obj):
+            found |= {f"{name}.{f.name}" for f in dataclasses.fields(obj)}
+    return found
+
+
 def test_every_public_name_has_a_caller():
-    # an export that no code under src/ or perfbench/ refers to is kept for its tests alone;
-    # the set pins those still waiting for a caller or a move into tests/ as oracles
+    # an export, or a public member of an exported class, that no code under src/ or
+    # perfbench/ refers to is kept for its tests alone: it belongs in tests/oracles.py
     root = os.path.dirname(os.path.dirname(os.path.dirname(riskshift.__file__)))
     paths = [
         os.path.join(base, name)
@@ -852,13 +889,9 @@ def test_every_public_name_has_a_caller():
                     referenced.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     referenced.add(node.attr)
-    exported = set(riskshift.__all__) | set(riskshift.harness.__all__)
-    assert exported - referenced == {
-        "classification_relation_inverse",
-        "population_mc_risk",
-        "population_ridge",
-        "principal_angles",
-    }
+    exported = _public_members(riskshift) | _public_members(riskshift.harness)
+    assert {"CovariancePair.quad_form", "InverseProblem.overlap", "CSOperator.s"} <= exported
+    assert {name for name in exported if name.rsplit(".", 1)[-1] not in referenced} == set()
 
 
 def _defaulted_parameters(module):

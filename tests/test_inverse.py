@@ -16,8 +16,6 @@ from riskshift.inverse import (
     cs_relation_residual,
     cs_risks,
     denoise_grid,
-    denoise_relation_residual,
-    denoise_risks,
     gaussian_measurement,
     inner_product_preservation_stats,
     sketch_bases,
@@ -28,9 +26,10 @@ from riskshift.subspace import (
     haar_basis,
     overlap_coefficient,
     overlapping_pair,
-    principal_angles,
     subspace_similarity,
 )
+
+from oracles import principal_angles
 
 
 def _coordinate_problem(d=40, d_p=10, shared=5, d_q=10, **kw):
@@ -46,6 +45,13 @@ def _coordinate_problem(d=40, d_p=10, shared=5, d_q=10, **kw):
 
 def _operator(a_matrix, problem):
     return cs_operator(sketch_bases(a_matrix, problem), problem)
+
+
+def _denoise_point(problem):
+    """denoise_grid at the problem's one point: (risk_P, risk_Q, alpha, residual)."""
+    return denoise_grid(
+        problem.overlap, problem.d_p, problem.d_q, problem.sigma_p_sq, problem.sigma_q_sq, problem.lam
+    )
 
 
 _PROPERTY = settings(max_examples=150, deadline=None, database=None)
@@ -82,7 +88,7 @@ def test_inverse_problem_validation():
 def test_denoise_risks_hand_values():
     # noiseless interpolation recovers the signal on P and leaves 1 - a on Q
     prob = _coordinate_problem(sigma_p_sq=0.0, sigma_q_sq=0.0, lam=0.0)
-    risk_p, risk_q, alpha = denoise_risks(prob)
+    risk_p, risk_q, alpha, _ = _denoise_point(prob)
     assert alpha == 1.0
     assert risk_p == pytest.approx(0.0, abs=1e-15)
     assert risk_q == pytest.approx(1.0 - prob.overlap, rel=1e-12)
@@ -90,11 +96,11 @@ def test_denoise_risks_hand_values():
     # identical subspaces and noise levels: no shift at all
     u = haar_basis(30, 8, seed=3)
     same = InverseProblem(u, u, 0.3, 0.3, 0.7)
-    risk_p, risk_q, _ = denoise_risks(same)
+    risk_p, risk_q, *_ = _denoise_point(same)
     assert risk_q == pytest.approx(risk_p, rel=1e-12)
     # unit signal-to-noise ratio halves the shrinkage
     snr_one = _coordinate_problem(sigma_p_sq=1.0, lam=0.0)
-    risk_p, _, alpha = denoise_risks(snr_one)
+    risk_p, _, alpha, _ = _denoise_point(snr_one)
     assert alpha == pytest.approx(0.5, rel=1e-14)
     assert risk_p == pytest.approx(0.5, rel=1e-14)
 
@@ -115,15 +121,15 @@ def test_denoise_relation_is_identity():
             float(rng.uniform(0.0, 2.0)),
             float(rng.uniform(0.0, 5.0)),
         )
-        assert denoise_relation_residual(prob) <= 1e-12
-        risk_p, risk_q, _ = denoise_risks(prob)
+        risk_p, risk_q, _, residual = _denoise_point(prob)
+        assert residual <= 1e-12
         assert risk_p >= -1e-12 and risk_q >= -1e-12
 
 
 @_PROPERTY
 @given(inverse_problems())
 def test_denoise_relation_exact_for_any_problem(prob):
-    assert denoise_relation_residual(prob) <= 1e-12
+    assert _denoise_point(prob)[3] <= 1e-12
 
 
 @st.composite
@@ -160,7 +166,7 @@ def test_cs_identity_measurement_matches_denoising_for_any_problem(prob):
             _operator(np.eye(prob.d), prob)
         return
     risk_p, risk_q = cs_risks(_operator(np.eye(prob.d), prob), prob)
-    den_p, den_q, _ = denoise_risks(prob)
+    den_p, den_q, *_ = _denoise_point(prob)
     assert risk_p == pytest.approx(den_p, abs=1e-10)
     assert risk_q == pytest.approx(den_q, abs=1e-10)
 
@@ -178,7 +184,7 @@ def test_risks_are_rotation_equivariant(prob, seed, extra):
         prob.sigma_q_sq,
         prob.lam,
     )
-    npt.assert_allclose(denoise_risks(rotated), denoise_risks(prob), rtol=0, atol=1e-12)
+    npt.assert_allclose(_denoise_point(rotated)[:3], _denoise_point(prob)[:3], rtol=0, atol=1e-12)
     # the compressed-sensing half needs a finite eta * M, eta = 1/(sigma_P^2 + lam)
     if prob.sigma_p_sq + prob.lam < 1e-200:
         return
@@ -213,8 +219,9 @@ def test_denoise_curve_linearity_depends_on_snr():
             prob = _coordinate_problem(
                 shared=shared, sigma_p_sq=sigma_sq, sigma_q_sq=sigma_sq, lam=float(lam)
             )
-            assert denoise_relation_residual(prob) <= 1e-12
-            pts.append(denoise_risks(prob)[:2])
+            risk_p, risk_q, _, residual = _denoise_point(prob)
+            assert residual <= 1e-12
+            pts.append((risk_p, risk_q))
         pts = np.asarray(pts)
         _, res, *_ = np.polyfit(pts[:, 0], pts[:, 1], 1, full=True)
         return float(res[0]) if res.size else 0.0
@@ -256,7 +263,6 @@ def test_cs_operator_reduces_to_denoiser_scale():
     alpha = 1.0 / (1.0 + prob.sigma_p_sq + prob.lam)
     npt.assert_allclose(op.m, np.eye(prob.d_p), atol=1e-12)
     npt.assert_allclose(op.s, alpha * np.eye(prob.d_p), atol=1e-12)
-    assert op.eta == pytest.approx(1.0 / (prob.sigma_p_sq + prob.lam), rel=1e-14)
     # infinite shrinkage kills the reconstruction
     heavy = _coordinate_problem(sigma_p_sq=0.5, lam=1e12)
     op_heavy = _operator(q, heavy)
@@ -301,16 +307,16 @@ def test_cs_operator_validation():
     with pytest.raises(NumericInputError), np.errstate(over="ignore"):
         _operator(1e5 * np.eye(prob.d), _coordinate_problem(sigma_p_sq=0.0, lam=1e-300))
     with pytest.raises(NumericInputError):
-        CSOperator(eta=1.0, s=np.array([[0.0, 1.0], [0.5, 0.0]]), m=np.eye(2), n=np.eye(2))
+        CSOperator(s=np.array([[0.0, 1.0], [0.5, 0.0]]), m=np.eye(2), n=np.eye(2))
     with pytest.raises(InvalidDimensionError):
-        CSOperator(eta=1.0, s=np.eye(2), m=np.eye(2), n=np.eye(3))
+        CSOperator(s=np.eye(2), m=np.eye(2), n=np.eye(3))
 
 
 def test_cs_risks_identity_measurement_matches_denoising():
     prob = _coordinate_problem(sigma_p_sq=0.3, sigma_q_sq=0.7, lam=0.4)
     op = _operator(np.eye(prob.d), prob)
     risk_p, risk_q = cs_risks(op, prob)
-    den_p, den_q, _ = denoise_risks(prob)
+    den_p, den_q, *_ = _denoise_point(prob)
     assert risk_p == pytest.approx(den_p, abs=1e-10)
     assert risk_q == pytest.approx(den_q, abs=1e-10)
     assert cs_relation_residual(op, prob) <= 1e-12

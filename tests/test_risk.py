@@ -27,13 +27,14 @@ from riskshift.risk import (
     decision_cov,
     mc_metric_risk,
     misclassification_risk,
-    population_mc_risk,
     quad_metric_risk,
     squared_risk,
 )
 from riskshift.shiftmodel import ShiftParameters, subspace_shift_model
 from riskshift.subspace import SubspacePairSpec
 from riskshift.theory import AsymParams, asymptotic_decision_cov
+
+from oracles import population_mc_risk, sigma_dense
 
 # E max(0, 1 - |Z|) for Z standard normal: hinge value of a perfectly
 # aligned unit-variance decision pair, 2*(Phi(1) - Phi(0) - phi(0) + phi(1))
@@ -47,7 +48,7 @@ def test_decision_cov_quadratic_forms():
     beta_hat = rng.standard_normal(12)
     for which in ("P", "Q"):
         cov = decision_cov(beta_star, beta_hat, pair, which)
-        sigma = pair.sigma_dense(which) / 12
+        sigma = sigma_dense(pair, which) / 12
         assert cov.omega_star == pytest.approx(beta_star @ sigma @ beta_star, rel=1e-12)
         assert cov.chi == pytest.approx(beta_star @ sigma @ beta_hat, rel=1e-12)
         assert cov.v == pytest.approx(beta_hat @ sigma @ beta_hat, rel=1e-12)

@@ -19,6 +19,8 @@ from riskshift.shiftmodel import (
 )
 from riskshift.subspace import SubspacePairSpec, haar_basis
 
+from oracles import sigma_dense
+
 
 def _random_beta(d, sigma_beta_sq, seed):
     rng = np.random.default_rng(seed)
@@ -58,10 +60,10 @@ def test_sigma_dense_and_quad_form_agree():
     pair = subspace_shift_model(SubspacePairSpec(12, 8, 6, 4), 1.5, 9)
     x = np.random.default_rng(1).standard_normal(12)
     for which in ("P", "Q"):
-        dense = pair.sigma_dense(which)
+        dense = sigma_dense(pair, which)
         npt.assert_allclose(pair.quad_form(which, x), x @ dense @ x, rtol=1e-12)
     npt.assert_allclose(
-        pair.sigma_dense("P"), pair.sigma_dense("P").T, atol=1e-12
+        sigma_dense(pair, "P"), sigma_dense(pair, "P").T, atol=1e-12
     )
 
 

@@ -29,7 +29,6 @@ from riskshift.theory import (
     AsymParams,
     asymptotic_decision_cov,
     classification_relation,
-    classification_relation_inverse,
     covariance_functionals,
     finite_dim_linearity,
     monotonicity_check_classification,
@@ -38,6 +37,8 @@ from riskshift.theory import (
     probit_arctan_gap,
     regression_relation,
 )
+
+from oracles import classification_relation_inverse
 
 
 def _block_equal_energy_beta(pair, sigma_beta_sq, seed):
