@@ -34,9 +34,7 @@ from riskshift.errors import (
 )
 from riskshift.estimators import FittedModel, erm_fit, ridge_fit
 from riskshift.inverse import (
-    CSOperator,
     InverseProblem,
-    cs_operator,
     cs_relation_residual,
     cs_risks,
     denoise_grid,
@@ -86,7 +84,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AsymParams",
-    "CSOperator",
     "ConfigError",
     "CovarianceError",
     "CovariancePair",
@@ -114,7 +111,6 @@ __all__ = [
     "asymptotic_decision_cov",
     "classification_relation",
     "covariance_functionals",
-    "cs_operator",
     "cs_relation_residual",
     "cs_risks",
     "decision_cov",

@@ -88,10 +88,6 @@ class Dataset:
         object.__setattr__(self, "y", _frozen_array(y))
 
     @property
-    def n(self):
-        return self.x.shape[0]
-
-    @property
     def d(self):
         return self.x.shape[1]
 

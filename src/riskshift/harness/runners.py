@@ -46,7 +46,6 @@ from riskshift.harness.config import (
 )
 from riskshift.inverse import (
     InverseProblem,
-    cs_operator,
     cs_relation_residual,
     denoise_grid,
     gaussian_measurement,
@@ -393,7 +392,7 @@ def run_cs_validation(config):
                     "matrix": "gaussian",
                     "n": int(n),
                     "trial": t,
-                    "residual": cs_relation_residual(cs_operator(sketch, problem), problem),
+                    "residual": cs_relation_residual(sketch, problem),
                     "ipp_max_dev": inner_product_preservation_stats(sketch, vectors),
                 }
             )
@@ -404,7 +403,7 @@ def run_cs_validation(config):
                     "matrix": "identity",
                     "n": config["d"],
                     "trial": t,
-                    "residual": cs_relation_residual(cs_operator(sketch, problem), problem),
+                    "residual": cs_relation_residual(sketch, problem),
                     "ipp_max_dev": inner_product_preservation_stats(sketch, vectors),
                 }
             )

@@ -33,7 +33,6 @@ from riskshift.harness.runners import (
 )
 from riskshift.inverse import (
     InverseProblem,
-    cs_operator,
     cs_risks,
     denoise_grid,
     gaussian_measurement,
@@ -138,11 +137,12 @@ def _block_normalized_beta(pair, sigma_beta_sq, seed):
     return pair.eigenbasis @ b
 
 
-def _cs_mc_risk(a, op, problem, which, n_draws, seed):
+def _cs_mc_risk(a, problem, which, n_draws, seed):
     """Direct Monte Carlo reconstruction risk: sample signal and noise, apply W*.
 
-    a is the measurement matrix that op was built from.  Draw order per
-    chunk: coefficients first, measurement noise second.
+    W* = U_P (B_P^T B_P + (sigma_P^2 + lam) I)^{-1} B_P^T with B_P = A U_P is
+    the ridge reconstruction map from its definition.  Draw order per chunk:
+    coefficients first, measurement noise second.
     """
     if which == "P":
         u = problem.u_p.columns
@@ -153,7 +153,10 @@ def _cs_mc_risk(a, op, problem, which, n_draws, seed):
         sigma = math.sqrt(problem.sigma_q_sq)
         denom = problem.d_q
     n = a.shape[0]
-    w_star = (problem.u_p.columns @ op.s) @ (problem.u_p.columns.T @ a.T)
+    b_p = a @ problem.u_p.columns
+    ridge_gram = b_p.T @ b_p
+    ridge_gram[np.diag_indices_from(ridge_gram)] += problem.sigma_p_sq + problem.lam
+    w_star = problem.u_p.columns @ np.linalg.solve(ridge_gram, b_p.T)
     signal_map = w_star @ a
 
     def draw(rng, m):
@@ -236,10 +239,9 @@ def criterion_4():
     noise = 1.0 / config["snr"]
     problem = InverseProblem(u_p=u_p, u_q=u_q, sigma_p_sq=noise, sigma_q_sq=noise, lam=config["lambda"])
     a_matrix = gaussian_measurement(500, config["d"], np.random.SeedSequence([_ROOT_SEED, 4, 1]))
-    op = cs_operator(sketch_bases(a_matrix, problem), problem)
-    risk_p, risk_q = cs_risks(op, problem)
-    mc_p, se_p = _cs_mc_risk(a_matrix, op, problem, "P", 100_000, np.random.SeedSequence([_ROOT_SEED, 4, 2]))
-    mc_q, se_q = _cs_mc_risk(a_matrix, op, problem, "Q", 100_000, np.random.SeedSequence([_ROOT_SEED, 4, 3]))
+    risk_p, risk_q = cs_risks(sketch_bases(a_matrix, problem), problem)
+    mc_p, se_p = _cs_mc_risk(a_matrix, problem, "P", 100_000, np.random.SeedSequence([_ROOT_SEED, 4, 2]))
+    mc_q, se_q = _cs_mc_risk(a_matrix, problem, "Q", 100_000, np.random.SeedSequence([_ROOT_SEED, 4, 3]))
     return _judge("criterion-4-cs-decay", [
         (f"non-decreasing steps of median residuals {['%.3g' % m for m in medians]}", rising, "==", 0),
         ("log-log slope", slope, ">=", -0.8),

@@ -18,13 +18,7 @@ from riskshift.errors import (
     InvalidDimensionError,
     NumericInputError,
 )
-from riskshift.subspace import (
-    OrthonormalBasis,
-    _frozen_array,
-    overlap_coefficient,
-)
-
-_SYM_TOL = 1e-10
+from riskshift.subspace import OrthonormalBasis, overlap_coefficient
 
 
 @dataclass(frozen=True)
@@ -47,7 +41,11 @@ class InverseProblem:
                 f"subspaces live in different ambient dimensions: "
                 f"{self.u_p.ambient_dim} vs {self.u_q.ambient_dim}"
             )
-        _check_weights(sigma_p_sq=self.sigma_p_sq, sigma_q_sq=self.sigma_q_sq, lam=self.lam)
+        weights = dict(sigma_p_sq=self.sigma_p_sq, sigma_q_sq=self.sigma_q_sq, lam=self.lam)
+        for name, value in weights.items():
+            if np.ndim(value) != 0:
+                raise NumericInputError(f"{name} must be a scalar, got shape {np.shape(value)}")
+        _check_weights(**weights)
 
     @property
     def d(self):
@@ -132,7 +130,7 @@ def gaussian_measurement(n, d, seed):
 def sketch_bases(a_matrix, problem):
     """B = A [U_P U_Q], the n x (d_P + d_Q) image of both bases under A.
 
-    It is the only product with A that cs_operator needs, and, with the
+    It is the only product with A that cs_risks needs, and, with the
     stacked bases, all that inner_product_preservation_stats needs.
     """
     a_matrix = np.asarray(a_matrix, dtype=np.float64)
@@ -145,42 +143,17 @@ def sketch_bases(a_matrix, problem):
     return a_matrix @ np.hstack([problem.u_p.columns, problem.u_q.columns])
 
 
-@dataclass(frozen=True)
-class CSOperator:
-    """Reduced reconstruction data of one problem: x_hat = U_P S U_P^T A^T y.
+def cs_risks(sketch, problem):
+    """Exact (risk_P, risk_Q) of the ridge reconstruction x_hat = U_P S B_P^T y at finite n.
 
-    With B_P = A U_P and B_Q = A U_Q, m = B_P^T B_P (symmetrized) and
-    n = B_P^T B_Q are the only products of A that cs_risks needs.
-    """
-
-    s: np.ndarray
-    m: np.ndarray
-    n: np.ndarray
-
-    def __post_init__(self):
-        s = np.asarray(self.s, dtype=np.float64)
-        m = np.asarray(self.m, dtype=np.float64)
-        n = np.asarray(self.n, dtype=np.float64)
-        if s.ndim != 2 or s.shape[0] != s.shape[1]:
-            raise InvalidDimensionError("S must be square")
-        if m.shape != s.shape:
-            raise InvalidDimensionError("M must match the shape of S")
-        if n.ndim != 2 or n.shape[0] != s.shape[0]:
-            raise InvalidDimensionError("N must be a matrix with the order of S as its row count")
-        if np.max(np.abs(s - s.T)) > _SYM_TOL:
-            raise NumericInputError("S must be symmetric within 1e-10")
-        object.__setattr__(self, "s", _frozen_array(s))
-        object.__setattr__(self, "m", _frozen_array(m))
-        object.__setattr__(self, "n", _frozen_array(n))
-
-
-def cs_operator(sketch, problem):
-    """Ridge reconstruction operator for measurements y = A x + noise.
-
-    From the sketch B = A [U_P U_Q] of sketch_bases, computes
-    M = U_P^T A^T A U_P, N = U_P^T A^T A U_Q and
-    S = eta I - eta^2 M (I + eta M)^{-1} with eta = 1/(sigma_P^2 + lam), which
+    From the sketch B = [B_P B_Q] = A [U_P U_Q] of sketch_bases, with
+    M = B_P^T B_P (symmetrized), N = B_P^T B_Q and
+    S = eta I - eta^2 M (I + eta M)^{-1}, eta = 1/(sigma_P^2 + lam), which
     simplifies to eta (I + eta M)^{-1}; the inverse is d_P x d_P, never n x n.
+
+    risk_P = (||I - S M||_F^2 + sigma_P^2 tr(S^T S M)) / d_P;
+    risk_Q = (||U_P^T U_Q - S N||_F^2 - ||U_P^T U_Q||_F^2 + d_Q
+              + sigma_Q^2 tr(S^T S M)) / d_Q.
     """
     b = np.asarray(sketch, dtype=np.float64)
     if b.ndim != 2 or b.shape[1] != problem.d_p + problem.d_q:
@@ -214,25 +187,13 @@ def cs_operator(sketch, problem):
     except np.linalg.LinAlgError as exc:
         raise NumericInputError(f"(I + eta M) is numerically singular: {exc}") from exc
     s = 0.5 * (s + s.T)
-    return CSOperator(s=s, m=m, n=b_p.T @ b[:, problem.d_p :])
-
-
-def cs_risks(op, problem):
-    """Exact (risk_P, risk_Q) of the ridge reconstruction at finite n.
-
-    risk_P = (||I - S M||_F^2 + sigma_P^2 tr(S^T S M)) / d_P;
-    risk_Q = (||U_P^T U_Q - S N||_F^2 - ||U_P^T U_Q||_F^2 + d_Q
-              + sigma_Q^2 tr(S^T S M)) / d_Q,  N = U_P^T A^T A U_Q.
-    """
-    if op.n.shape != (problem.d_p, problem.d_q):
-        raise InvalidDimensionError("operator was not built for this problem")
-    s, m = op.s, op.m
+    cross = b_p.T @ b[:, problem.d_p :]
     noise_core = float(np.sum((s @ s) * m))
     eye_minus = -s @ m
     eye_minus[np.diag_indices_from(eye_minus)] += 1.0
     risk_p = (float(np.sum(eye_minus * eye_minus)) + problem.sigma_p_sq * noise_core) / problem.d_p
     g = problem.u_p.columns.T @ problem.u_q.columns
-    resid = g - s @ op.n
+    resid = g - s @ cross
     # ||U_P^T U_Q||_F^2 = d_Q a
     risk_q = (
         float(np.sum(resid * resid))
@@ -243,9 +204,9 @@ def cs_risks(op, problem):
     return float(risk_p), float(risk_q)
 
 
-def cs_relation_residual(op, problem):
+def cs_relation_residual(sketch, problem):
     """Absolute residual of the affine train/test risk relation at finite n."""
-    risk_p, risk_q = cs_risks(op, problem)
+    risk_p, risk_q = cs_risks(sketch, problem)
     return float(
         _relation_gap(
             problem.overlap, problem.d_p, problem.d_q, problem.alpha,
@@ -262,8 +223,8 @@ def inner_product_preservation_stats(sketch, vectors):
     """
     au = np.asarray(sketch, dtype=np.float64)
     u = np.asarray(vectors, dtype=np.float64)
-    if u.ndim != 2:
-        raise InvalidDimensionError("vectors must be a matrix with one unit vector per column")
+    if u.ndim != 2 or u.shape[1] == 0:
+        raise InvalidDimensionError("vectors must be a matrix with one unit vector per column, at least one")
     if au.ndim != 2 or au.shape[1] != u.shape[1]:
         raise InvalidDimensionError(
             f"the sketch A @ vectors must be a matrix with {u.shape[1]} columns, got shape {au.shape}"

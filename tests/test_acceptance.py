@@ -4,8 +4,11 @@ Every criterion function states each of its bounds once, in the table it
 hands to selftest._judge; this suite runs each criterion, prints a single
 PASS/FAIL line listing every bound with its measured value, and asserts the
 verdict.  The last tests feed criteria 1, 2, 3 and 6 values that break exactly
-one bound, so none of those checks passes vacuously.
+one bound, and criterion 4 closed-form risks at a wrong ridge weight that break
+both of its Monte Carlo bounds, so none of those checks passes vacuously.
 """
+
+import dataclasses
 
 from riskshift.harness import selftest
 from riskshift.harness.config import KIND_COUNTEREXAMPLE, config_from_mapping
@@ -111,6 +114,21 @@ def test_criterion_3_fails_on_one_residual_beyond_its_bound(monkeypatch):
     violated = _only_violated_bound(selftest.criterion_3())
     assert violated == "max residual over 1000 random problems = 2e-12 (violates <= 1e-12)"
     assert len(calls) == 1000
+
+
+def test_criterion_4_fails_when_its_closed_form_uses_another_lambda(monkeypatch):
+    # the Monte Carlo builds the ridge map at the problem's own lambda, so closed-form
+    # risks evaluated at lambda / 2 must leave both MC gaps far beyond their bound
+    risks = selftest.cs_risks
+
+    def half_lambda_risks(sketch, problem):
+        return risks(sketch, dataclasses.replace(problem, lam=problem.lam / 2))
+
+    monkeypatch.setattr(selftest, "cs_risks", half_lambda_risks)
+    result = selftest.criterion_4()
+    assert not result.passed
+    violated = [part.split(" = ")[0] for part in result.detail.split("; ") if "violates" in part]
+    assert violated == ["MC gap P / s.e.", "MC gap Q / s.e."], result.detail
 
 
 def test_criterion_6_fails_when_one_surrogate_stays_monotone(monkeypatch):

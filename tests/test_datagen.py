@@ -110,7 +110,7 @@ def test_dataset_validation():
     x = np.ones((4, 2))
     y = np.ones(4)
     data = Dataset(x, y)
-    assert data.n == 4 and data.d == 2
+    assert data.x.shape == (4, 2) and data.d == 2
     with pytest.raises(InvalidDimensionError):
         Dataset(x, np.ones(3))
     with pytest.raises(InvalidDimensionError):

@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 
 from riskshift.errors import InvalidDimensionError, NumericInputError
 from riskshift.inverse import (
-    CSOperator,
     InverseProblem,
-    cs_operator,
     cs_relation_residual,
     cs_risks,
     denoise_grid,
@@ -43,8 +41,9 @@ def _coordinate_problem(d=40, d_p=10, shared=5, d_q=10, **kw):
     return InverseProblem(u_p, u_q, **defaults)
 
 
-def _operator(a_matrix, problem):
-    return cs_operator(sketch_bases(a_matrix, problem), problem)
+def _risks(a_matrix, problem):
+    """cs_risks of the measurements a_matrix: (risk_P, risk_Q)."""
+    return cs_risks(sketch_bases(a_matrix, problem), problem)
 
 
 def _denoise_point(problem):
@@ -83,6 +82,17 @@ def test_inverse_problem_validation():
         InverseProblem(u_p, u_q, 0.1, 0.1, np.inf)
     prob = InverseProblem(u_p, u_q, 0.1, 0.2, 0.3)
     assert (prob.d, prob.d_p, prob.d_q) == (20, 5, 7)
+    # each weight is one problem's value; grids of weights go to denoise_grid
+    for weights, name in [
+        ((np.array([0.1, 0.2]), 0.1, 0.1), "sigma_p_sq"),
+        ((0.1, np.array([[0.1]]), 0.1), "sigma_q_sq"),
+        ((0.1, 0.1, [0.1]), "lam"),
+    ]:
+        with pytest.raises(NumericInputError, match=f"{name} must be a scalar"):
+            InverseProblem(u_p, u_q, *weights)
+    # a zero-dimensional array is a scalar
+    zero_dim = InverseProblem(u_p, u_q, np.float64(0.1), np.array(0.2), 0.3)
+    assert _risks(np.eye(20), zero_dim) == _risks(np.eye(20), prob)
 
 
 def test_denoise_risks_hand_values():
@@ -163,9 +173,9 @@ def test_cs_identity_measurement_matches_denoising_for_any_problem(prob):
     # eta = 1/(sigma_P^2 + lam) must exist as a finite float (subnormal sums overflow it)
     if not (denom > 0.0 and math.isfinite(1.0 / denom)):
         with pytest.raises(NumericInputError):
-            _operator(np.eye(prob.d), prob)
+            _risks(np.eye(prob.d), prob)
         return
-    risk_p, risk_q = cs_risks(_operator(np.eye(prob.d), prob), prob)
+    risk_p, risk_q = _risks(np.eye(prob.d), prob)
     den_p, den_q, *_ = _denoise_point(prob)
     assert risk_p == pytest.approx(den_p, abs=1e-10)
     assert risk_q == pytest.approx(den_q, abs=1e-10)
@@ -190,8 +200,7 @@ def test_risks_are_rotation_equivariant(prob, seed, extra):
         return
     # well-conditioned measurements: n at least twice each subspace dimension
     a = gaussian_measurement(2 * max(prob.d_p, prob.d_q) + extra, prob.d, seed)
-    expected = cs_risks(_operator(a, prob), prob)
-    npt.assert_allclose(cs_risks(_operator(a @ v.T, rotated), rotated), expected, rtol=0, atol=1e-12)
+    npt.assert_allclose(_risks(a @ v.T, rotated), _risks(a, prob), rtol=0, atol=1e-12)
 
 
 def test_denoise_grid_validates_every_weight():
@@ -255,87 +264,81 @@ def test_gaussian_measurement_moments_and_determinism():
     assert abs(np.mean(col_vars) - 1.0 / n) <= 3.0 * se / n
 
 
-def test_cs_operator_reduces_to_denoiser_scale():
-    prob = _coordinate_problem(sigma_p_sq=0.5, lam=0.5)
+def test_cs_risks_reduce_to_denoiser_scale():
     # orthogonal measurements make M the identity and S the denoising shrinkage
-    q = haar_basis(prob.d, prob.d, seed=9).columns
-    op = _operator(q, prob)
-    alpha = 1.0 / (1.0 + prob.sigma_p_sq + prob.lam)
-    npt.assert_allclose(op.m, np.eye(prob.d_p), atol=1e-12)
-    npt.assert_allclose(op.s, alpha * np.eye(prob.d_p), atol=1e-12)
-    # infinite shrinkage kills the reconstruction
-    heavy = _coordinate_problem(sigma_p_sq=0.5, lam=1e12)
-    op_heavy = _operator(q, heavy)
-    assert np.max(np.abs(op_heavy.s)) <= 1e-11
+    q = haar_basis(40, 40, seed=9).columns
+    for lam in (0.5, 1e12):
+        prob = _coordinate_problem(sigma_p_sq=0.5, lam=lam)
+        npt.assert_allclose(_risks(q, prob), _denoise_point(prob)[:2], rtol=0, atol=1e-12)
 
 
-def test_cs_operator_concentrates_for_many_measurements():
+def test_cs_risks_concentrate_for_many_measurements():
     d, d_p = 200, 40
     rot = haar_basis(d, d, seed=11).columns
     u_p = OrthonormalBasis(rot[:, :d_p])
     u_q = OrthonormalBasis(rot[:, d_p : 2 * d_p])
     prob = InverseProblem(u_p, u_q, 0.01, 0.01, 0.1)
-    a = gaussian_measurement(8000, d, seed=13)
-    op = _operator(a, prob)
-    alpha = 1.0 / (1.0 + prob.sigma_p_sq + prob.lam)
-    target = alpha * np.eye(d_p)
-    rel = np.linalg.norm(op.s - target) / np.linalg.norm(target)
-    assert rel <= 0.1
+    denoised = np.array(_denoise_point(prob)[:2])
+    # relative gaps of (risk_P, risk_Q) to the denoising risks, which Gaussian
+    # measurements approach as n grows
+    gaps = [
+        np.abs(np.array(_risks(gaussian_measurement(n, d, seed=13), prob)) - denoised) / denoised
+        for n in (500, 2000, 8000)
+    ]
+    assert np.all(gaps[-1] <= 0.02)
+    assert gaps[0][0] > gaps[1][0] > gaps[2][0]
 
 
-def test_cs_operator_validation():
+def test_cs_risks_validation():
     prob = _coordinate_problem()
     with pytest.raises(InvalidDimensionError):
         sketch_bases(np.zeros((50, prob.d + 1)), prob)
     with pytest.raises(NumericInputError):
         sketch_bases(np.full((50, prob.d), np.nan), prob)
-    # the operator checks the sketch it is given: one column per basis vector, finite
+    # the risks check the sketch they are given: one column per basis vector, finite
     with pytest.raises(InvalidDimensionError):
-        cs_operator(np.zeros((50, prob.d_p + prob.d_q + 1)), prob)
+        cs_risks(np.zeros((50, prob.d_p + prob.d_q + 1)), prob)
     with pytest.raises(NumericInputError):
-        cs_operator(np.full((50, prob.d_p + prob.d_q), np.inf), prob)
+        cs_risks(np.full((50, prob.d_p + prob.d_q), np.inf), prob)
     # fewer measurements than either subspace dimension is underdetermined
     with pytest.raises(InvalidDimensionError):
-        _operator(np.zeros((prob.d_p - 1, prob.d)), prob)
+        _risks(np.zeros((prob.d_p - 1, prob.d)), prob)
     noiseless = _coordinate_problem(sigma_p_sq=0.0, lam=0.0)
     with pytest.raises(NumericInputError):
-        _operator(np.eye(prob.d), noiseless)
+        _risks(np.eye(prob.d), noiseless)
     # a subnormal sigma_P^2 + lam overflows eta = 1/(sigma_P^2 + lam)
     with pytest.raises(NumericInputError):
-        _operator(np.eye(prob.d), _coordinate_problem(sigma_p_sq=0.0, lam=1e-310))
+        _risks(np.eye(prob.d), _coordinate_problem(sigma_p_sq=0.0, lam=1e-310))
     # a finite eta whose product with M overflows
     with pytest.raises(NumericInputError), np.errstate(over="ignore"):
-        _operator(1e5 * np.eye(prob.d), _coordinate_problem(sigma_p_sq=0.0, lam=1e-300))
-    with pytest.raises(NumericInputError):
-        CSOperator(s=np.array([[0.0, 1.0], [0.5, 0.0]]), m=np.eye(2), n=np.eye(2))
-    with pytest.raises(InvalidDimensionError):
-        CSOperator(s=np.eye(2), m=np.eye(2), n=np.eye(3))
+        _risks(1e5 * np.eye(prob.d), _coordinate_problem(sigma_p_sq=0.0, lam=1e-300))
 
 
 def test_cs_risks_identity_measurement_matches_denoising():
     prob = _coordinate_problem(sigma_p_sq=0.3, sigma_q_sq=0.7, lam=0.4)
-    op = _operator(np.eye(prob.d), prob)
-    risk_p, risk_q = cs_risks(op, prob)
+    sketch = sketch_bases(np.eye(prob.d), prob)
+    risk_p, risk_q = cs_risks(sketch, prob)
     den_p, den_q, *_ = _denoise_point(prob)
     assert risk_p == pytest.approx(den_p, abs=1e-10)
     assert risk_q == pytest.approx(den_q, abs=1e-10)
-    assert cs_relation_residual(op, prob) <= 1e-12
+    assert cs_relation_residual(sketch, prob) <= 1e-12
 
 
 def test_cs_risks_limits_and_self_shift():
     prob = _coordinate_problem(sigma_p_sq=0.2, sigma_q_sq=0.2, lam=1e12)
     a = gaussian_measurement(100, prob.d, seed=17)
-    risk_p, risk_q = cs_risks(_operator(a, prob), prob)
+    risk_p, risk_q = _risks(a, prob)
     assert risk_p == pytest.approx(1.0, abs=1e-9)
     assert risk_q == pytest.approx(1.0, abs=1e-9)
     # same subspace and noise on both sides: no shift in the exact risks
     u = haar_basis(60, 12, seed=19)
     same = InverseProblem(u, u, 0.4, 0.4, 0.8)
-    op = _operator(gaussian_measurement(150, 60, seed=23), same)
-    risk_p, risk_q = cs_risks(op, same)
+    sketch = sketch_bases(gaussian_measurement(150, 60, seed=23), same)
+    risk_p, risk_q = cs_risks(sketch, same)
     assert risk_q == pytest.approx(risk_p, abs=1e-10)
+    # a sketch of another problem's bases has the wrong column count for this one
     with pytest.raises(InvalidDimensionError):
-        cs_risks(op, _coordinate_problem())
+        cs_risks(sketch, _coordinate_problem())
 
 
 def test_cs_relation_residual_shrinks_with_measurements():
@@ -344,8 +347,8 @@ def test_cs_relation_residual_shrinks_with_measurements():
     u_p = OrthonormalBasis(rot[:, :d_p])
     u_q = OrthonormalBasis(rot[:, d_p // 2 : d_p // 2 + d_q])
     prob = InverseProblem(u_p, u_q, 0.01, 0.01, 0.1)
-    res_small = cs_relation_residual(_operator(gaussian_measurement(500, d, 31), prob), prob)
-    res_large = cs_relation_residual(_operator(gaussian_measurement(40 * d, d, 31), prob), prob)
+    res_small = cs_relation_residual(sketch_bases(gaussian_measurement(500, d, 31), prob), prob)
+    res_large = cs_relation_residual(sketch_bases(gaussian_measurement(40 * d, d, 31), prob), prob)
     assert res_large <= 0.02
     assert res_large < res_small
 
@@ -363,6 +366,8 @@ def test_inner_product_preservation():
         inner_product_preservation_stats(q @ u[:, :-1], u)
     with pytest.raises(InvalidDimensionError):
         inner_product_preservation_stats(q @ u[:, 0], u[:, 0])
+    with pytest.raises(InvalidDimensionError):
+        inner_product_preservation_stats(np.zeros((5, 0)), np.zeros((3, 0)))
     # Gaussian sketches preserve 20 vectors within 0.2 in at least 95 of 100 seeds
     vecs = rng.standard_normal((d, 20))
     vecs /= np.linalg.norm(vecs, axis=0)
