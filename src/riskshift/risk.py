@@ -4,14 +4,14 @@ Under Gaussian covariates the pair of decision scores is bivariate normal, so
 every metric here depends only on the 2x2 covariance (omega_star, chi, v):
 squared error has a closed form, misclassification reduces to the arccos of
 the score correlation, and surrogate metrics (logistic, hinge) reduce to 1-D
-integrals over a half-normal variable, evaluated for a whole batch of
-covariances in one vectorized pass by Gauss-Legendre quadrature with an error
-estimate.  Both rules (orders 150 and 300) are read from the table in
-riskshift._gauss_legendre, which holds bit for bit the rules of Newton's
-method on the Legendre recurrence, and the hinge's normal CDF evaluates Cody's
-rational approximations of erfc over the whole array.  Chunked Monte Carlo
-with a deterministic per-chunk seeding scheme covers every metric as an
-independent cross-check.
+integrals over a half-normal variable, evaluated for a batch of covariances
+by Gauss-Legendre quadrature with an error estimate, in row blocks that bound
+every temporary whatever the batch size.  Both rules (orders 150 and 300) are
+read from the table in riskshift._gauss_legendre, which holds bit for bit the
+rules of Newton's method on the Legendre recurrence, and the hinge's normal
+CDF evaluates Cody's rational approximations of erfc over each block as one
+array.  Chunked Monte Carlo with a deterministic per-chunk seeding scheme
+covers every metric as an independent cross-check.
 """
 
 import math
@@ -65,8 +65,9 @@ _ERFC_FAR = (
      6.05183413124413191e-2, 2.33520497626869185e-3),
 )
 _RSQRT_PI = 5.6418958354775628695e-1
-# flat block length of _std_normal_cdf, which bounds its temporaries
-_CDF_BLOCK = 8192
+# quad_metric_risk takes its covariances in row blocks of at most this many
+# (covariance x node) entries, which bounds every quadrature temporary
+_QUAD_BLOCK = 16384
 # chunk i of a Monte Carlo estimate draws from child seed i, so the chunk
 # size fixes the draws
 _MC_CHUNK = 2**18
@@ -296,17 +297,12 @@ def _std_normal_cdf(x):
     replaces scipy.special.ndtr so the package needs numpy alone.  It is not
     monotone in the last bits: the rationals and the exp factor round
     independently, so between ulp-adjacent arguments, where Phi moves by under
-    an ulp, it can step down by up to 4 ulp.  The array is taken in flat
-    blocks of 8192 so the temporaries stay small; every entry is bit for bit
-    the value of the same argument alone (a nan result may differ in its sign
-    bit).
+    an ulp, it can step down by up to 4 ulp.  Every entry is bit for bit the
+    value of the same argument alone (a nan result may differ in its sign
+    bit); the temporaries are as large as x, so callers bound x.
     """
     x = np.asarray(x, dtype=np.float64)
-    flat = x.ravel()
-    out = np.empty(flat.size)
-    for start in range(0, flat.size, _CDF_BLOCK):
-        block = slice(start, start + _CDF_BLOCK)
-        out[block] = _erfc(flat[block] / -math.sqrt(2.0))
+    out = _erfc(x.ravel() / -math.sqrt(2.0))
     out *= 0.5
     # [()] turns a 0-d result into a scalar, as numpy arithmetic does
     return out.reshape(x.shape)[()]
@@ -403,12 +399,21 @@ def quad_metric_risk(covs, metric):
     Newton's method on the Legendre recurrence from Tricomi's guess gives them.
     The estimate measures convergence in the rule's order, not the error in
     its nodes and weights; at both orders, split or not, those integrate the
-    half-normal mass, E|g| and E g^2 to within 4.5e-16.
+    half-normal mass, E|g| and E g^2 to within 4.5e-16.  The covariances are
+    taken in consecutive row blocks, for each order, of at most 16384
+    (covariance x node) entries, so the working set stays near 1 MiB however
+    long the batch is.
     """
     if metric not in (MetricKind.LOGISTIC, MetricKind.HINGE):
         raise NumericInputError(f"quadrature covers the logistic and hinge metrics, got {metric!r}")
     factors = np.array([_cholesky_2x2(cov) for cov in covs], dtype=np.float64).reshape(-1, 3)
     _, l21, l22 = factors.T
-    coarse = _surrogate_on_nodes(l21, l22, metric, _QUAD_ORDER)
-    fine = _surrogate_on_nodes(l21, l22, metric, 2 * _QUAD_ORDER)
+    coarse, fine = np.empty_like(l21), np.empty_like(l21)
+    # the hinge splits a row's rule into at most two pieces
+    pieces = 2 if metric is MetricKind.HINGE else 1
+    for order, out in ((_QUAD_ORDER, coarse), (2 * _QUAD_ORDER, fine)):
+        rows = _QUAD_BLOCK // (pieces * order)
+        for start in range(0, len(out), rows):
+            block = slice(start, start + rows)
+            out[block] = _surrogate_on_nodes(l21[block], l22[block], metric, order)
     return fine, np.abs(fine - coarse)

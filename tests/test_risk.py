@@ -2,6 +2,7 @@
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from riskshift.errors import CovarianceError, NumericInputError
 from riskshift.harness.config import KIND_COUNTEREXAMPLE, config_from_mapping
 from riskshift.risk import (
     DecisionCov,
-    _CDF_BLOCK,
+    _QUAD_BLOCK,
     _QUAD_ORDER,
     _cholesky_2x2,
     _gauss_rules,
@@ -120,11 +121,11 @@ def _bits(values):
 @settings(max_examples=100, deadline=None, database=None)
 @given(
     arrays(np.float64, array_shapes(min_dims=0, max_dims=3, max_side=5), elements=st.floats()),
-    st.integers(0, 2 * _CDF_BLOCK),
+    st.integers(0, 64),
 )
 def test_std_normal_cdf_entry_equals_lone_value(x, offset):
     # Phi of a whole array equals Phi of each entry alone, bit for bit, also
-    # when an offset puts the entries on either side of a block boundary
+    # when an offset moves the entries to other positions of the array
     got = _std_normal_cdf(x)
     assert np.shape(got) == x.shape
     padded = np.concatenate([np.full(offset, 0.3), x.ravel()])
@@ -300,13 +301,18 @@ def test_quad_logistic_matches_dense_trapezoid():
     assert err <= 1e-9
 
 
-def test_quad_agrees_with_mc_on_random_covariances():
-    rng = np.random.default_rng(21)
+def _seeded_covariances(n, seed):
+    rng = np.random.default_rng(seed)
     covs = []
-    for _ in range(10):
+    for _ in range(n):
         b = rng.standard_normal((2, 2))
         gram = b.T @ b
         covs.append(DecisionCov(float(gram[0, 0]), float(gram[0, 1]), float(gram[1, 1])))
+    return covs
+
+
+def test_quad_agrees_with_mc_on_random_covariances():
+    covs = _seeded_covariances(10, 21)
     covs += [
         DecisionCov(omega_star=1.0, chi=-0.6, v=0.8),
         # near-singular: chi^2 = omega_star * v up to rounding, positive and negative chi
@@ -322,17 +328,22 @@ def test_quad_agrees_with_mc_on_random_covariances():
             assert abs(value - est) <= 4 * se, (cov, metric, value, est, se)
 
 
-def test_quad_error_estimate_small_on_counterexample_grid():
+def _counterexample_covs():
+    # the decision covariances of criterion 6's default counterexample grid
     cfg = config_from_mapping(KIND_COUNTEREXAMPLE, {})
     shift = ShiftParameters(
         gamma=cfg["gamma"], mu=cfg["mu"], kappa=cfg["kappa"], r_p=cfg["r_p"],
         sigma_beta_sq=cfg["sigma_beta_sq"],
     )
-    covs = [
+    return [
         cov
         for a in np.geomspace(cfg["a_min"], cfg["a_max"], cfg["a_points"])
         for cov in asymptotic_decision_cov(AsymParams(a=float(a), b=cfg["b"], c=cfg["c"]), shift)
     ]
+
+
+def test_quad_error_estimate_small_on_counterexample_grid():
+    covs = _counterexample_covs()
     for metric in (MetricKind.LOGISTIC, MetricKind.HINGE):
         assert np.max(quad_metric_risk(covs, metric)[1]) <= 1e-6
 
@@ -391,21 +402,74 @@ def test_quad_logistic_wide_independent_part():
     assert abs(value - _normal_trapezoid(lambda z: np.logaddexp(0.0, 10.0 * z))) <= 1e-8
 
 
+# padding rows of both hinge kinds: l21 > 1/9 splits the rule, l21 <= 1/9 does not
+_PADDING = (
+    DecisionCov(omega_star=1.0, chi=0.6, v=0.8),
+    DecisionCov(omega_star=1.0, chi=0.05, v=1.0),
+    DecisionCov(omega_star=2.0, chi=-1.0, v=0.7),
+)
+
+
 @settings(max_examples=60, deadline=None, database=None)
 @given(
     factored_covariances(),
     st.lists(factored_covariances(), max_size=9),
     st.integers(0, 9),
+    # enough rows ahead to reach the third row block at either order
+    st.integers(0, 3 * _QUAD_BLOCK // _QUAD_ORDER),
     st.sampled_from([MetricKind.LOGISTIC, MetricKind.HINGE]),
 )
-def test_quad_batch_entry_equals_lone_evaluation(cov, others, position, metric):
-    # a covariance gives the same (value, err) bit for bit in any batch, so
-    # CSV bytes do not depend on how a runner groups its rows
-    batch = others[:position] + [cov] + others[position:]
+def test_quad_batch_entry_equals_lone_evaluation(cov, others, position, padding, metric):
+    # a covariance gives the same (value, err) bit for bit in any batch and in
+    # any row block of it, so CSV bytes do not depend on how a runner groups
+    # its rows
+    ahead = [_PADDING[j % len(_PADDING)] for j in range(padding)]
+    batch = ahead + others[:position] + [cov] + others[position:]
     values, errs = quad_metric_risk(batch, metric)
-    i = min(position, len(others))
+    i = padding + min(position, len(others))
     assert values.shape == errs.shape == (len(batch),)
     assert (values[i], errs[i]) == _quad_one(cov, metric)
+
+
+def test_quad_counterexample_batch_equals_lone_evaluations():
+    covs = _counterexample_covs()
+    assert len(covs) == 80
+    for metric in (MetricKind.LOGISTIC, MetricKind.HINGE):
+        values, errs = quad_metric_risk(covs, metric)
+        lone = np.array([_quad_one(cov, metric) for cov in covs])
+        assert np.array_equal(_bits(values), _bits(lone[:, 0]))
+        assert np.array_equal(_bits(errs), _bits(lone[:, 1]))
+        reversed_values, reversed_errs = quad_metric_risk(covs[::-1], metric)
+        assert np.array_equal(_bits(reversed_values), _bits(values[::-1]))
+        assert np.array_equal(_bits(reversed_errs), _bits(errs[::-1]))
+
+
+# the traced peak of a quadrature call on 4000 covariances; a single pass over
+# the whole batch would trace 58 MiB (hinge) and 19 MiB (logistic)
+_QUAD_PEAK_BOUND = 4 * 2**20
+
+
+def test_quad_working_set_is_bounded():
+    covs = _seeded_covariances(4000, 31)
+    for metric in (MetricKind.LOGISTIC, MetricKind.HINGE):
+        tracemalloc.start()
+        try:
+            quad_metric_risk(covs, metric)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < _QUAD_PEAK_BOUND, (metric, peak)
+
+
+def test_quad_accepts_empty_batches_and_generators():
+    covs = _seeded_covariances(3, 32)
+    for metric in (MetricKind.LOGISTIC, MetricKind.HINGE):
+        values, errs = quad_metric_risk([], metric)
+        assert values.shape == errs.shape == (0,)
+        assert values.dtype == errs.dtype == np.float64
+        from_generator = quad_metric_risk((cov for cov in covs), metric)
+        for got, want in zip(from_generator, quad_metric_risk(covs, metric)):
+            assert np.array_equal(_bits(got), _bits(want))
 
 
 def _gauss_rule_alone(n):
