@@ -1,8 +1,8 @@
 """Sampling of ground truths, Gaussian covariates, and labels.
 
-Covariates are drawn as x ~ N(0, Sigma/d): a standard normal vector is rotated
-into the shared eigenbasis, scaled by sqrt(eigenvalues), rotated back, and
-divided by sqrt(d).  Labels support three generators: linear with additive
+Covariates are drawn from the train law, x ~ N(0, Sigma_P/d): a standard normal
+vector is rotated into the shared eigenbasis, scaled by sqrt(eigvals_p),
+rotated back, and divided by sqrt(d).  Labels support three generators: linear with additive
 Gaussian noise, noisy signs (the sign of the clean score kept with probability
 p), and noiseless linear scores.  sign(0) is +1 throughout.
 """
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from riskshift.errors import InvalidDimensionError, NumericInputError
-from riskshift.shiftmodel import _select_side
 from riskshift.subspace import _frozen_array
 
 
@@ -103,16 +102,14 @@ def sample_beta(d, sigma_beta_sq, seed):
     return GroundTruth(beta_star=beta, sigma_beta_sq=float(sigma_beta_sq))
 
 
-def sample_covariates(pair, which, n, seed):
-    """n iid rows from N(0, Sigma_which / d) for the selected covariance."""
-    side = _select_side(which)
+def sample_covariates(pair, n, seed):
+    """n iid rows from N(0, Sigma_P / d)."""
     if int(n) < 1:
         raise InvalidDimensionError(f"sample count must be >= 1, got {n}")
-    e = pair.eigvals(side)
     v = pair.eigenbasis
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((int(n), pair.d))
-    return ((g @ v) * np.sqrt(e)) @ v.T / math.sqrt(pair.d)
+    return ((g @ v) * np.sqrt(pair.eigvals_p)) @ v.T / math.sqrt(pair.d)
 
 
 def label(x, ground_truth, kind, seed):

@@ -158,19 +158,19 @@ def run_regression_sweep(config):
         # bias amplification and the intercept equals the realized
         # off-support energy under Sigma_Q, so the prediction is free of the
         # O(d^-1/2) ground-truth-norm fluctuation
-        support_ms = pair.quad_form("P", gt.beta_star) / pair.d_p
+        b = pair.rotate(gt.beta_star)
+        support_ms = float(np.sum(pair.eigvals_p * b * b)) / pair.d_p
         shift = shift_parameters(pair, gt.beta_star, support_ms)
         # the affine squared-risk map needs gamma = kappa exactly; for this
         # model class they differ only by finite-d fluctuation, so the
         # prediction uses the gamma plug-in for both
         shift_pred = dataclasses.replace(shift, kappa=shift.gamma)
-        x = sample_covariates(pair, "P", config["n"], stream(ms, t, 2))
+        x = sample_covariates(pair, config["n"], stream(ms, t, 2))
         y = label(x, gt, LinearGaussian(noise_sigma), stream(ms, t, 3))
         data = Dataset(x, y)
         for lam in config["lambda_grid"]:
             fit = ridge_fit(data, lam)
-            cov_p = decision_cov(gt.beta_star, fit.beta_hat, pair, "P")
-            cov_q = decision_cov(gt.beta_star, fit.beta_hat, pair, "Q")
+            cov_p, cov_q = decision_cov(gt.beta_star, fit.beta_hat, pair)
             risk_p = squared_risk(cov_p)
             risk_q = squared_risk(cov_q)
             rows.append(
@@ -215,15 +215,14 @@ def run_classification_sweep(config):
                 sigma_beta_sq=gt.sigma_beta_sq,
             )
         shift = shift_parameters(pair, gt.beta_star, gt.sigma_beta_sq)
-        x = sample_covariates(pair, "P", config["n"], stream(ms, t, 2))
+        x = sample_covariates(pair, config["n"], stream(ms, t, 2))
         y_sign = label(x, gt, NoisySign(config["sign_correct_prob"]), stream(ms, t, 3))
         y_clean = label(x, gt, NoiselessLinear(), stream(ms, t, 3))
         data_sign = Dataset(x, y_sign)
         data_clean = Dataset(x, y_clean)
 
         def emit(model, lam, beta_hat, converged):
-            cov_p = decision_cov(gt.beta_star, beta_hat, pair, "P")
-            cov_q = decision_cov(gt.beta_star, beta_hat, pair, "Q")
+            cov_p, cov_q = decision_cov(gt.beta_star, beta_hat, pair)
             risk_p = misclassification_risk(cov_p)
             rows.append(
                 {

@@ -27,7 +27,6 @@ from riskshift.errors import (
     DegenerateDecisionError,
     NumericInputError,
 )
-from riskshift.shiftmodel import _select_side
 
 _PSD_SLACK = 1e-12
 _CHOL_JITTER = 1e-14
@@ -102,19 +101,23 @@ class DecisionCov:
             )
 
 
-def decision_cov(beta_star, beta_hat, pair, which):
-    """DecisionCov of (x^T beta*, x^T beta_hat) under x ~ N(0, Sigma_which / d)."""
-    side = _select_side(which)
-    e = pair.eigvals(side)
+def decision_cov(beta_star, beta_hat, pair):
+    """(cov_p, cov_q): DecisionCovs of (x^T beta*, x^T beta_hat) under the two laws.
+
+    cov_p is taken under x ~ N(0, Sigma_P / d) and cov_q under x ~ N(0, Sigma_Q / d).
+    """
     bs = pair.rotate(np.asarray(beta_star, dtype=np.float64))
     bh = pair.rotate(np.asarray(beta_hat, dtype=np.float64))
     if not (np.all(np.isfinite(bs)) and np.all(np.isfinite(bh))):
         raise NumericInputError("decision vectors must be finite")
     d = pair.d
-    return DecisionCov(
-        omega_star=float(np.sum(e * bs * bs)) / d,
-        chi=float(np.sum(e * bs * bh)) / d,
-        v=float(np.sum(e * bh * bh)) / d,
+    return tuple(
+        DecisionCov(
+            omega_star=float(np.sum(e * bs * bs)) / d,
+            chi=float(np.sum(e * bs * bh)) / d,
+            v=float(np.sum(e * bh * bh)) / d,
+        )
+        for e in (pair.eigvals_p, pair.eigvals_q)
     )
 
 

@@ -24,13 +24,6 @@ _RATIO_TOL = 1e-3
 _GAMMA_TOL = 1e-6
 
 
-def _select_side(which):
-    side = str(which).upper()
-    if side not in ("P", "Q"):
-        raise NumericInputError(f"distribution selector must be 'P' or 'Q', got {which!r}")
-    return side
-
-
 @dataclass(frozen=True)
 class CovariancePair:
     """Shared eigenbasis plus eigenvalues of (Sigma_P, Sigma_Q)."""
@@ -44,7 +37,8 @@ class CovariancePair:
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise InvalidDimensionError("eigenbasis must be a square matrix")
         d = v.shape[0]
-        if np.max(np.abs(v.T @ v - np.eye(d))) > _ORTHO_TOL:
+        # written so that a NaN in the basis fails the comparison
+        if not np.max(np.abs(v.T @ v - np.eye(d))) <= _ORTHO_TOL:
             raise InvalidDimensionError(f"eigenbasis is not orthonormal within {_ORTHO_TOL:g}")
         e_p = np.asarray(self.eigvals_p, dtype=np.float64)
         e_q = np.asarray(self.eigvals_q, dtype=np.float64)
@@ -52,8 +46,8 @@ class CovariancePair:
             raise InvalidDimensionError("eigenvalue vectors must have length d")
         if not np.all((e_p == 0.0) | (e_p == 1.0)):
             raise NumericInputError("eigvals_p must be binary (projector spectrum)")
-        if np.min(e_q) < -1e-12:
-            raise NumericInputError("eigvals_q must be nonnegative")
+        if not (np.all(np.isfinite(e_q)) and np.min(e_q) >= -1e-12):
+            raise NumericInputError("eigvals_q must be finite and nonnegative")
         object.__setattr__(self, "eigenbasis", _frozen_array(v))
         object.__setattr__(self, "eigvals_p", _frozen_array(e_p))
         object.__setattr__(self, "eigvals_q", _frozen_array(np.maximum(e_q, 0.0)))
@@ -66,21 +60,12 @@ class CovariancePair:
     def d_p(self):
         return int(round(float(np.sum(self.eigvals_p))))
 
-    def eigvals(self, which):
-        return self.eigvals_p if _select_side(which) == "P" else self.eigvals_q
-
     def rotate(self, vec):
         """Coordinates of a length-d vector in the shared eigenbasis."""
         vec = np.asarray(vec, dtype=np.float64)
         if vec.shape != (self.d,):
             raise InvalidDimensionError(f"expected vector of length {self.d}, got {vec.shape}")
         return self.eigenbasis.T @ vec
-
-    def quad_form(self, which, x):
-        """x^T Sigma x for the selected covariance."""
-        e = self.eigvals(which)
-        xr = self.rotate(x)
-        return float(np.sum(e * xr * xr))
 
 
 @dataclass(frozen=True)

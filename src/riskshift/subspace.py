@@ -39,7 +39,8 @@ class OrthonormalBasis:
         if k < 1 or k > d:
             raise InvalidDimensionError(f"need 1 <= rank <= ambient dim, got rank {k} in dim {d}")
         gram = u.T @ u
-        if np.max(np.abs(gram - np.eye(k))) > _ORTHO_TOL:
+        # written so that a NaN in the columns fails the comparison
+        if not np.max(np.abs(gram - np.eye(k))) <= _ORTHO_TOL:
             raise InvalidDimensionError(f"columns are not orthonormal within {_ORTHO_TOL:g}")
         object.__setattr__(self, "columns", _frozen_array(u))
 

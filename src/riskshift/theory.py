@@ -5,8 +5,9 @@ the test risk is a deterministic function of the train risk.  This module
 provides the regression relation (affine when gamma = kappa), the
 classification relation (affine in sec^2 of pi times the risk), the
 asymptotic 2x2 decision covariances of a three-parameter estimator family,
-per-eigenvalue resolvent functionals with ratio-based monotonicity checks,
-finite-dimensional linearity diagnostics, and the probit/arctan gap bound.
+per-eigenvalue resolvent functionals evaluated at once over 16 fixed shifts,
+ratio-based monotonicity checks on those shifts, finite-dimensional linearity
+diagnostics, and the probit/arctan gap bound on a fixed grid of [-10, 10].
 """
 
 import math
@@ -53,16 +54,20 @@ class AsymParams:
 
 @dataclass(frozen=True)
 class FunctionalTuple:
-    """Resolvent functionals of a covariance pair at shift b, per distribution."""
+    """Resolvent functionals of a covariance pair, per distribution.
+
+    The omegas do not depend on the shift; every other field is an array over
+    the 16 shifts b of the monotonicity checks.
+    """
 
     omega_p: float
-    gamma_p: float
-    lambda_p: float
-    theta_p: float
+    gamma_p: np.ndarray
+    lambda_p: np.ndarray
+    theta_p: np.ndarray
     omega_q: float
-    gamma_q: float
-    lambda_q: float
-    theta_q: float
+    gamma_q: np.ndarray
+    lambda_q: np.ndarray
+    theta_q: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -137,14 +142,12 @@ def classification_relation(risk_p, shift):
     return _risk_from_sec_sq(s_q)
 
 
-def covariance_functionals(pair, beta_star, b):
-    """Resolvent functionals of (Sigma_P, Sigma_Q) at shift b > 0.
+def covariance_functionals(pair, beta_star):
+    """Resolvent functionals of (Sigma_P, Sigma_Q) at 16 log-spaced shifts b in [1e-3, 1e3].
 
     With s, q the shared-basis eigenvalues and b_j the rotated coordinates of
     beta*, each functional averages s^k q^l b_j^2 / (s + b)^m over j.
     """
-    if not (math.isfinite(b) and b > 0):
-        raise NumericInputError(f"resolvent shift b must be positive, got {b}")
     bb = pair.rotate(np.asarray(beta_star, dtype=np.float64))
     if not np.all(np.isfinite(bb)):
         raise NumericInputError("beta_star must be finite")
@@ -152,17 +155,18 @@ def covariance_functionals(pair, beta_star, b):
     q = pair.eigvals_q
     d = pair.d
     b_sq = bb * bb
-    res = s + b
+    # one row per shift
+    res = s + _B_GRID[:, None]
     res_sq = res * res
     return FunctionalTuple(
         omega_p=float(np.sum(s * b_sq)) / d,
-        gamma_p=float(np.sum(s * s * b_sq / res)) / d,
-        lambda_p=float(np.sum(s * s * s * b_sq / res_sq)) / d,
-        theta_p=float(np.sum(s * s / res_sq)) / d,
+        gamma_p=np.sum(s * s * b_sq / res, axis=1) / d,
+        lambda_p=np.sum(s * s * s * b_sq / res_sq, axis=1) / d,
+        theta_p=np.sum(s * s / res_sq, axis=1) / d,
         omega_q=float(np.sum(q * b_sq)) / d,
-        gamma_q=float(np.sum(q * s * b_sq / res)) / d,
-        lambda_q=float(np.sum(q * s * s * b_sq / res_sq)) / d,
-        theta_q=float(np.sum(q * s / res_sq)) / d,
+        gamma_q=np.sum(q * s * b_sq / res, axis=1) / d,
+        lambda_q=np.sum(q * s * s * b_sq / res_sq, axis=1) / d,
+        theta_q=np.sum(q * s / res_sq, axis=1) / d,
     )
 
 
@@ -173,30 +177,18 @@ def monotonicity_check_regression(pair, beta_star):
     resolvent ratios agree for every shift b > 0.  The check compares them at
     16 log-spaced shifts in [1e-3, 1e3] and holds within relative deviation 1e-8.
     """
-    rho = None
-    max_dev = 0.0
-    for b in _B_GRID:
-        f = covariance_functionals(pair, beta_star, float(b))
-        if f.gamma_p <= 0.0:
-            raise DegenerateShiftError(
-                "beta* carries no energy on the Sigma_P support; ratios are undefined"
-            )
-        if rho is None:
-            rho = f.gamma_q / f.gamma_p
-            if rho <= 0.0:
-                return MonotonicityVerdict(
-                    holds=False, rho=rho, u0=0.0, max_deviation=math.inf
-                )
-        for num, den in (
-            (f.gamma_q, f.gamma_p),
-            (f.lambda_q, f.lambda_p),
-            (f.theta_q, f.theta_p),
-        ):
-            dev = abs(num - rho * den) / abs(rho * den)
-            max_dev = max(max_dev, dev)
-    return MonotonicityVerdict(
-        holds=bool(max_dev <= _MONO_TOL), rho=float(rho), u0=0.0, max_deviation=float(max_dev)
-    )
+    f = covariance_functionals(pair, beta_star)
+    if np.any(f.gamma_p <= 0.0):
+        raise DegenerateShiftError(
+            "beta* carries no energy on the Sigma_P support; ratios are undefined"
+        )
+    rho = float(f.gamma_q[0] / f.gamma_p[0])
+    if rho <= 0.0:
+        return MonotonicityVerdict(holds=False, rho=rho, u0=0.0, max_deviation=math.inf)
+    num = np.stack([f.gamma_q, f.lambda_q, f.theta_q])
+    den = rho * np.stack([f.gamma_p, f.lambda_p, f.theta_p])
+    max_dev = float(np.max(np.abs(num - den) / np.abs(den)))
+    return MonotonicityVerdict(holds=max_dev <= _MONO_TOL, rho=rho, u0=0.0, max_deviation=max_dev)
 
 
 def monotonicity_check_classification(pair, beta_star):
@@ -207,31 +199,24 @@ def monotonicity_check_classification(pair, beta_star):
     rho * (P-composite) and rho * (P-composite) + u0 for all shifts b > 0.
     The check uses the same 16 shifts and 1e-8 tolerance as the regression one.
     """
-    rho = None
-    u0 = None
-    max_dev = 0.0
-    for b in _B_GRID:
-        f = covariance_functionals(pair, beta_star, float(b))
-        if f.gamma_p <= 0.0 or f.gamma_q <= 0.0:
-            raise DegenerateShiftError(
-                "beta* carries no energy on the Sigma_P support; composites are undefined"
-            )
-        ct_p = f.omega_p * f.theta_p / (f.gamma_p * f.gamma_p)
-        ct_q = f.omega_q * f.theta_q / (f.gamma_q * f.gamma_q)
-        cl_p = f.omega_p * f.lambda_p / (f.gamma_p * f.gamma_p)
-        cl_q = f.omega_q * f.lambda_q / (f.gamma_q * f.gamma_q)
-        if rho is None:
-            rho = ct_q / ct_p
-            u0 = cl_q - rho * cl_p
-            if rho <= 0.0:
-                return MonotonicityVerdict(
-                    holds=False, rho=rho, u0=u0, max_deviation=math.inf
-                )
-        max_dev = max(max_dev, abs(ct_q - rho * ct_p) / abs(rho * ct_p))
-        max_dev = max(max_dev, abs(cl_q - rho * cl_p - u0) / max(abs(cl_q), 1e-300))
-    return MonotonicityVerdict(
-        holds=bool(max_dev <= _MONO_TOL), rho=float(rho), u0=float(u0), max_deviation=float(max_dev)
-    )
+    f = covariance_functionals(pair, beta_star)
+    if np.any(f.gamma_p <= 0.0) or np.any(f.gamma_q <= 0.0):
+        raise DegenerateShiftError(
+            "beta* carries no energy on the Sigma_P support; composites are undefined"
+        )
+    ct_p = f.omega_p * f.theta_p / (f.gamma_p * f.gamma_p)
+    ct_q = f.omega_q * f.theta_q / (f.gamma_q * f.gamma_q)
+    cl_p = f.omega_p * f.lambda_p / (f.gamma_p * f.gamma_p)
+    cl_q = f.omega_q * f.lambda_q / (f.gamma_q * f.gamma_q)
+    rho = float(ct_q[0] / ct_p[0])
+    u0 = float(cl_q[0] - rho * cl_p[0])
+    if rho <= 0.0:
+        return MonotonicityVerdict(holds=False, rho=rho, u0=u0, max_deviation=math.inf)
+    max_dev = float(max(
+        np.max(np.abs(ct_q - rho * ct_p) / np.abs(rho * ct_p)),
+        np.max(np.abs(cl_q - rho * cl_p - u0) / np.maximum(np.abs(cl_q), 1e-300)),
+    ))
+    return MonotonicityVerdict(holds=max_dev <= _MONO_TOL, rho=rho, u0=u0, max_deviation=max_dev)
 
 
 def _ridge_inputs(beta_star, basis, sigma_q, sigma_p_sq, sigma_q_sq):
@@ -297,22 +282,13 @@ def population_ridge_risks(beta_star, basis, sigma_q, sigma_p_sq, sigma_q_sq, la
     return float(risk_p), float(risk_q)
 
 
-def probit_arctan_gap(u_grid):
-    """Max pointwise gap between the Gaussian tail probit curve and arctan(e^u)/pi.
+def probit_arctan_gap():
+    """Max gap between the Gaussian tail probit curve and arctan(e^u)/pi on [-10, 10].
 
-    The grid must cover [-10, 10] with spacing at most 0.01 so the reported
-    maximum is a certified bound for the continuous gap up to curvature error.
+    The 2001-point grid has spacing 0.01, so the reported maximum is a
+    certified bound for the continuous gap up to curvature error.
     """
-    u = np.asarray(u_grid, dtype=np.float64)
-    if u.ndim != 1 or u.size < 2:
-        raise NumericInputError("u_grid must be a 1-d array with at least two points")
-    if not np.all(np.isfinite(u)):
-        raise NumericInputError("u_grid must be finite")
-    u = np.sort(u)
-    if u[0] > -10.0 or u[-1] < 10.0:
-        raise NumericInputError("u_grid must cover [-10, 10]")
-    if np.max(np.diff(u)) > 0.01 + 1e-12:
-        raise NumericInputError("u_grid spacing must be at most 0.01")
+    u = np.linspace(-10.0, 10.0, 2001)
     probit = 0.5 * _std_normal_cdf(u / math.sqrt(2.0))
-    arct = np.arctan(np.exp(np.minimum(u, 700.0))) / math.pi
+    arct = np.arctan(np.exp(u)) / math.pi
     return float(np.max(np.abs(probit - arct)))

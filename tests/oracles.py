@@ -13,12 +13,16 @@ import numpy as np
 
 from riskshift.errors import NumericInputError, RiskDomainError
 from riskshift.risk import _validate_mc_args, chunked_mc, metric_values
-from riskshift.shiftmodel import _select_side
 from riskshift.subspace import _check_same_ambient, _frozen_array
 from riskshift.theory import _risk_from_sec_sq, _sec_sq
 
 # a population draw costs O(d), hence a smaller chunk than mc_metric_risk's
 _POPULATION_MC_CHUNK = 4096
+
+
+def _eigvals(pair, which):
+    """Eigenvalues of Sigma_P (which = "P") or Sigma_Q (which = "Q") in the shared basis."""
+    return {"P": pair.eigvals_p, "Q": pair.eigvals_q}[which]
 
 
 def principal_angles(u_p, u_q):
@@ -42,8 +46,7 @@ def population_mc_risk(beta_star, beta_hat, pair, which, metric, n_draws, seed):
     scheme with chunks of 4096, smaller because each draw costs O(d).
     """
     n_draws = _validate_mc_args(metric, n_draws)
-    side = _select_side(which)
-    e = pair.eigvals(side)
+    e = _eigvals(pair, which)
     v = pair.eigenbasis
     sqrt_d = math.sqrt(pair.d)
     beta_star = np.asarray(beta_star, dtype=np.float64)
@@ -71,7 +74,7 @@ def classification_relation_inverse(risk_q, shift):
 
 def sigma_dense(pair, which):
     """Dense d x d covariance of a CovariancePair; for tests and finite-dimensional checks only."""
-    e = pair.eigvals(which)
+    e = _eigvals(pair, which)
     return (pair.eigenbasis * e) @ pair.eigenbasis.T
 
 

@@ -909,7 +909,7 @@ def test_every_public_name_has_a_caller():
         with open(path, encoding="utf-8") as fh:
             readers.visit(ast.parse(fh.read(), filename=path))
     exported = _public_members(riskshift) | _public_members(riskshift.harness)
-    assert {"CovariancePair.quad_form", "InverseProblem.overlap", "DecisionCov.chi"} <= exported
+    assert {"CovariancePair.rotate", "InverseProblem.overlap", "DecisionCov.chi"} <= exported
 
     def is_read(name):
         if "." in name:

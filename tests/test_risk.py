@@ -47,8 +47,7 @@ def test_decision_cov_quadratic_forms():
     rng = np.random.default_rng(1)
     beta_star = rng.standard_normal(12)
     beta_hat = rng.standard_normal(12)
-    for which in ("P", "Q"):
-        cov = decision_cov(beta_star, beta_hat, pair, which)
+    for which, cov in zip("PQ", decision_cov(beta_star, beta_hat, pair)):
         sigma = sigma_dense(pair, which) / 12
         assert cov.omega_star == pytest.approx(beta_star @ sigma @ beta_star, rel=1e-12)
         assert cov.chi == pytest.approx(beta_star @ sigma @ beta_hat, rel=1e-12)
@@ -68,11 +67,13 @@ _VECTORS = arrays(np.float64, _D, elements=st.floats(-1e50, 1e50, allow_nan=Fals
 
 
 @settings(max_examples=300, deadline=None, database=None)
-@given(_VECTORS, _VECTORS, st.floats(0.01, 10.0), st.integers(0, 2**32 - 1), st.sampled_from("PQ"))
-def test_decision_cov_of_any_finite_vectors_is_psd(beta_star, beta_hat, tau, seed, which):
+@given(_VECTORS, _VECTORS, st.floats(0.01, 10.0), st.integers(0, 2**32 - 1))
+def test_decision_cov_of_any_finite_vectors_is_psd(beta_star, beta_hat, tau, seed):
     pair = subspace_shift_model(SubspacePairSpec(_D, 8, 6, 4), tau, seed)
-    cov = decision_cov(beta_star, beta_hat, pair, which)  # DecisionCov raises if not PSD
-    assert cov.omega_star >= 0.0 and cov.v >= 0.0
+    covs = decision_cov(beta_star, beta_hat, pair)  # DecisionCov raises if not PSD
+    assert len(covs) == 2
+    for cov in covs:
+        assert cov.omega_star >= 0.0 and cov.v >= 0.0
 
 
 def test_std_normal_cdf_matches_ndtr():
@@ -262,8 +263,7 @@ def test_population_mc_matches_decision_cov():
     rng = np.random.default_rng(15)
     beta_star = rng.standard_normal(40)
     beta_hat = beta_star + 0.3 * rng.standard_normal(40)
-    for which in ("P", "Q"):
-        cov = decision_cov(beta_star, beta_hat, pair, which)
+    for which, cov in zip("PQ", decision_cov(beta_star, beta_hat, pair)):
         closed = squared_risk(cov)
         est, se = population_mc_risk(
             beta_star, beta_hat, pair, which, MetricKind.SQUARED_ERROR, 200_000, 16
@@ -276,7 +276,7 @@ def test_population_mc_misclassification():
     rng = np.random.default_rng(18)
     beta_star = rng.standard_normal(30)
     beta_hat = beta_star + rng.standard_normal(30)
-    cov = decision_cov(beta_star, beta_hat, pair, "Q")
+    _, cov = decision_cov(beta_star, beta_hat, pair)
     closed = misclassification_risk(cov)
     est, se = population_mc_risk(
         beta_star, beta_hat, pair, "Q", MetricKind.MISCLASSIFICATION, 200_000, 19

@@ -10,6 +10,7 @@ from riskshift.errors import (
     NumericInputError,
     UnreachableRatioError,
 )
+from riskshift.harness.selftest import _block_normalized_beta
 from riskshift.shiftmodel import (
     CovariancePair,
     ShiftParameters,
@@ -25,18 +26,6 @@ from oracles import sigma_dense
 def _random_beta(d, sigma_beta_sq, seed):
     rng = np.random.default_rng(seed)
     return np.sqrt(sigma_beta_sq) * rng.standard_normal(d)
-
-
-def _block_equal_energy_beta(pair, sigma_beta_sq, seed):
-    """Beta with each (support, Q-weight) block carrying exactly its mean energy."""
-    rng = np.random.default_rng(seed)
-    b = np.sqrt(sigma_beta_sq) * rng.standard_normal(pair.d)
-    s, q = pair.eigvals_p, pair.eigvals_q
-    for mask in ((s == 1) & (q > 0), (s == 1) & (q == 0), (s == 0) & (q > 0), (s == 0) & (q == 0)):
-        k = int(np.sum(mask))
-        if k and np.sum(b[mask] ** 2) > 0:
-            b[mask] *= np.sqrt(k * sigma_beta_sq / np.sum(b[mask] ** 2))
-    return pair.eigenbasis @ b
 
 
 def test_covariance_pair_validation():
@@ -56,12 +45,27 @@ def test_covariance_pair_validation():
         CovariancePair(eigenbasis=2 * v, eigvals_p=p, eigvals_q=q)
 
 
-def test_sigma_dense_and_quad_form_agree():
+@pytest.mark.parametrize(
+    "basis, eigvals_q, error",
+    [
+        (np.eye(3), [np.nan, 0.0, 0.0], NumericInputError),
+        (np.eye(3), [np.inf, 0.0, 0.0], NumericInputError),
+        (np.full((3, 3), np.nan), [1.0, 0.0, 0.0], InvalidDimensionError),
+    ],
+    ids=["nan-eigvals-q", "inf-eigvals-q", "nan-eigenbasis"],
+)
+def test_covariance_pair_rejects_non_finite_input(basis, eigvals_q, error):
+    with pytest.raises(error):
+        CovariancePair(basis, [1.0, 0.0, 0.0], eigvals_q)
+
+
+def test_sigma_dense_and_rotated_quadratic_form_agree():
     pair = subspace_shift_model(SubspacePairSpec(12, 8, 6, 4), 1.5, 9)
     x = np.random.default_rng(1).standard_normal(12)
-    for which in ("P", "Q"):
+    xr = pair.rotate(x)
+    for which, e in (("P", pair.eigvals_p), ("Q", pair.eigvals_q)):
         dense = sigma_dense(pair, which)
-        npt.assert_allclose(pair.quad_form(which, x), x @ dense @ x, rtol=1e-12)
+        npt.assert_allclose(np.sum(e * xr * xr), x @ dense @ x, rtol=1e-12)
     npt.assert_allclose(
         sigma_dense(pair, "P"), sigma_dense(pair, "P").T, atol=1e-12
     )
@@ -105,7 +109,7 @@ def test_shift_parameters_figure_geometry():
 def test_shift_parameters_exact_for_block_equal_beta():
     spec = SubspacePairSpec(800, 720, 640, 560)
     pair = subspace_shift_model(spec, 2.0, 21)
-    beta = _block_equal_energy_beta(pair, 1.0, 22)
+    beta = _block_normalized_beta(pair, 1.0, 22)
     shift = shift_parameters(pair, beta, 1.0)
     assert shift.gamma == pytest.approx(14 / 9, rel=1e-12)
     assert shift.mu == pytest.approx(8 / 7, rel=1e-12)
@@ -130,7 +134,7 @@ def test_shift_parameters_invariants_enforced():
 
 def test_task_dependent_ratio_one_is_task_independent():
     pair = subspace_shift_model(SubspacePairSpec(200, 160, 120, 100), 2.0, 31)
-    beta = _block_equal_energy_beta(pair, 1.0, 32)
+    beta = _block_normalized_beta(pair, 1.0, 32)
     base = shift_parameters(pair, beta, 1.0)
     built = task_dependent_model(pair, beta, target_ratio=1.0, target_gamma=base.gamma)
     on_support = built.eigvals_q[built.eigvals_p == 1.0]

@@ -50,6 +50,11 @@ def test_orthonormal_basis_validates_columns():
         OrthonormalBasis(np.ones((2, 3)))
 
 
+def test_orthonormal_basis_rejects_nan_columns():
+    with pytest.raises(InvalidDimensionError):
+        OrthonormalBasis(np.full((3, 2), np.nan))
+
+
 def test_projector_and_project_agree():
     basis = haar_basis(9, 4, 11)
     x = np.random.default_rng(1).standard_normal(9)
