@@ -11,8 +11,6 @@ counterparts (`inverse`), and drive reproducible experiment sweeps
 """
 
 from riskshift.datagen import (
-    Dataset,
-    GroundTruth,
     LinearGaussian,
     NoiselessLinear,
     NoisySign,
@@ -87,12 +85,10 @@ __all__ = [
     "ConfigError",
     "CovarianceError",
     "CovariancePair",
-    "Dataset",
     "DecisionCov",
     "DegenerateDecisionError",
     "DegenerateShiftError",
     "FittedModel",
-    "GroundTruth",
     "InvalidDimensionError",
     "InverseProblem",
     "LinearGaussian",

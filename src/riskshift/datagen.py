@@ -1,4 +1,4 @@
-"""Sampling of ground truths, Gaussian covariates, and labels.
+"""Sampling of ground-truth vectors, Gaussian covariates, and labels.
 
 Covariates are drawn from the train law, x ~ N(0, Sigma_P/d): a standard normal
 vector is rotated into the shared eigenbasis, scaled by sqrt(eigvals_p),
@@ -14,28 +14,6 @@ import numpy as np
 
 from riskshift.errors import InvalidDimensionError, NumericInputError
 from riskshift.subspace import _frozen_array
-
-
-@dataclass(frozen=True)
-class GroundTruth:
-    """Target vector beta* together with its per-coordinate variance scale."""
-
-    beta_star: np.ndarray
-    sigma_beta_sq: float
-
-    def __post_init__(self):
-        beta = np.asarray(self.beta_star, dtype=np.float64)
-        if beta.ndim != 1 or beta.size == 0:
-            raise InvalidDimensionError("beta_star must be a nonempty 1-d vector")
-        if not np.all(np.isfinite(beta)):
-            raise NumericInputError("beta_star must be finite")
-        if not (math.isfinite(self.sigma_beta_sq) and self.sigma_beta_sq > 0):
-            raise NumericInputError("sigma_beta_sq must be a positive finite scalar")
-        object.__setattr__(self, "beta_star", _frozen_array(beta))
-
-    @property
-    def d(self):
-        return self.beta_star.size
 
 
 @dataclass(frozen=True)
@@ -65,41 +43,14 @@ class NoiselessLinear:
     """Labels are the clean scores x^T beta*."""
 
 
-@dataclass(frozen=True)
-class Dataset:
-    """Design matrix x (n rows) with aligned labels y."""
-
-    x: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=np.float64)
-        y = np.asarray(self.y, dtype=np.float64)
-        if x.ndim != 2 or x.shape[0] < 1:
-            raise InvalidDimensionError("x must be a matrix with at least one row")
-        if y.shape != (x.shape[0],):
-            raise InvalidDimensionError(
-                f"y must have one entry per row of x: {y.shape} vs {x.shape}"
-            )
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-            raise NumericInputError("x and y must be finite")
-        object.__setattr__(self, "x", _frozen_array(x))
-        object.__setattr__(self, "y", _frozen_array(y))
-
-    @property
-    def d(self):
-        return self.x.shape[1]
-
-
 def sample_beta(d, sigma_beta_sq, seed):
-    """Ground truth with iid N(0, sigma_beta_sq) coordinates."""
+    """Read-only ground truth beta* with iid N(0, sigma_beta_sq) coordinates."""
     if int(d) < 1:
         raise InvalidDimensionError(f"dimension must be >= 1, got {d}")
     if not (math.isfinite(sigma_beta_sq) and sigma_beta_sq > 0):
         raise NumericInputError("sigma_beta_sq must be a positive finite scalar")
     rng = np.random.default_rng(seed)
-    beta = math.sqrt(sigma_beta_sq) * rng.standard_normal(int(d))
-    return GroundTruth(beta_star=beta, sigma_beta_sq=float(sigma_beta_sq))
+    return _frozen_array(math.sqrt(sigma_beta_sq) * rng.standard_normal(int(d)))
 
 
 def sample_covariates(pair, n, seed):
@@ -112,16 +63,21 @@ def sample_covariates(pair, n, seed):
     return ((g @ v) * np.sqrt(pair.eigvals_p)) @ v.T / math.sqrt(pair.d)
 
 
-def label(x, ground_truth, kind, seed):
-    """Labels for the rows of x under the requested generator."""
+def label(x, beta_star, kind, seed):
+    """Labels for the rows of x under the requested generator, with ground truth beta_star."""
+    beta_star = np.asarray(beta_star, dtype=np.float64)
+    if beta_star.ndim != 1 or beta_star.size == 0:
+        raise InvalidDimensionError("beta_star must be a nonempty 1-d vector")
+    if not np.all(np.isfinite(beta_star)):
+        raise NumericInputError("beta_star must be finite")
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != ground_truth.d:
+    if x.ndim != 2 or x.shape[1] != beta_star.size:
         raise InvalidDimensionError(
-            f"x must be a matrix with {ground_truth.d} columns, got shape {x.shape}"
+            f"x must be a matrix with {beta_star.size} columns, got shape {x.shape}"
         )
     if not np.all(np.isfinite(x)):
         raise NumericInputError("x must be finite")
-    z = x @ ground_truth.beta_star
+    z = x @ beta_star
     rng = np.random.default_rng(seed)
     if isinstance(kind, LinearGaussian):
         return z + kind.sigma * rng.standard_normal(x.shape[0])

@@ -22,7 +22,7 @@ _MAX_ITER = 100
 
 @dataclass(frozen=True)
 class FittedModel:
-    """Fitted coefficients plus solver diagnostics."""
+    """erm_fit's coefficients plus its Newton diagnostics."""
 
     beta_hat: np.ndarray
     iterations: int
@@ -37,24 +37,30 @@ class FittedModel:
         object.__setattr__(self, "beta_hat", _frozen_array(beta))
 
 
-def _check_lam(lam):
+def _check_problem(x, y, lam):
+    """x and y as float arrays, once x is a nonempty finite matrix with one finite y per row."""
     if not (math.isfinite(lam) and lam > 0):
         raise NumericInputError("ridge weight lam must be a positive finite scalar")
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.ndim != 2 or x.size == 0:
+        raise InvalidDimensionError(f"x must be a nonempty matrix, got shape {x.shape}")
+    if y.shape != (x.shape[0],):
+        raise InvalidDimensionError(f"y must have one entry per row of x: {y.shape} vs {x.shape}")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise NumericInputError("x and y must be finite")
+    return x, y
 
 
-def ridge_fit(data, lam):
-    """Minimizer of 0.5 * ||y - X beta||^2 + 0.5 * lam * ||beta||^2."""
-    _check_lam(lam)
-    x, y = data.x, data.y
+def ridge_fit(x, y, lam):
+    """Read-only minimizer of 0.5 * ||y - X beta||^2 + 0.5 * lam * ||beta||^2."""
+    x, y = _check_problem(x, y, lam)
     h = x.T @ x
     h[np.diag_indices_from(h)] += lam
-    xty = x.T @ y
-    beta = np.linalg.solve(h, xty)
-    return FittedModel(
-        beta_hat=beta,
-        iterations=1,
-        converged=True,
-    )
+    beta = np.linalg.solve(h, x.T @ y)
+    if not np.all(np.isfinite(beta)):
+        raise NumericInputError("beta_hat must be finite")
+    return _frozen_array(beta)
 
 
 def _sigmoid(t):
@@ -67,7 +73,7 @@ def _logistic_objective(margins, lam, beta):
     return float(np.sum(np.logaddexp(0.0, -margins))) + 0.5 * lam * float(beta @ beta)
 
 
-def erm_fit(data, lam, beta0=None):
+def erm_fit(x, y, lam, beta0=None):
     """Damped Newton minimization of the ridge-regularized logistic empirical risk.
 
     Minimizes sum_i log(1 + exp(-y_i x_i^T beta)) + 0.5 * lam * ||beta||^2 and
@@ -79,9 +85,8 @@ def erm_fit(data, lam, beta0=None):
     objective, the Armijo test could only compare rounding noise, so the line
     search takes the full step.
     """
-    _check_lam(lam)
-    x, y = data.x, data.y
-    d = data.d
+    x, y = _check_problem(x, y, lam)
+    d = x.shape[1]
     if not np.all(np.abs(y) == 1.0):
         raise NumericInputError("logistic loss requires labels in {-1, +1}")
     if beta0 is None:

@@ -4,8 +4,8 @@ RNG stream derivation (stable across versions): trial t of an experiment with
 master seed m draws from seed sequences with entropy [m, t, slot], where slot
 0 seeds the shift model / subspace pair, slot 1 the ground truth, slot 2 the
 covariates, slot 3 the labels, and slot 16 + j the j-th grid point.  Rows
-are accumulated per task and sorted on a documented key before writing, so
-output bytes are identical for any execution schedule.
+are sorted on a documented key before writing, so a CSV's row order does not
+depend on the order in which the configured grids list their values.
 
 CSV columns per kind:
   regression-sweep:     trial,model,lambda,risk_p,risk_q,risk_q_pred,gamma,mu,kappa
@@ -25,7 +25,6 @@ import tempfile
 import numpy as np
 
 from riskshift.datagen import (
-    Dataset,
     LinearGaussian,
     NoiselessLinear,
     NoisySign,
@@ -144,33 +143,38 @@ def write_csv(path, header, rows):
         raise
 
 
+def _draw_trial(config, t):
+    """(pair, beta_star, x) of trial t, from stream slots 0, 1 and 2."""
+    ms = config["master_seed"]
+    spec = SubspacePairSpec(config["d"], config["d_p"], config["d_q"], config["d_pq"])
+    pair = subspace_shift_model(spec, config["tau"], stream(ms, t, 0))
+    beta_star = sample_beta(config["d"], config["sigma_beta_sq"], stream(ms, t, 1))
+    x = sample_covariates(pair, config["n"], stream(ms, t, 2))
+    return pair, beta_star, x
+
+
 def run_regression_sweep(config):
     """Ridge sweeps under additive-noise labels, squared risks on both laws."""
     ms = config["master_seed"]
-    spec = SubspacePairSpec(config["d"], config["d_p"], config["d_q"], config["d_pq"])
     noise_sigma = math.sqrt(config["noise_var"])
     rows = []
     for t in range(config["trials"]):
-        pair = subspace_shift_model(spec, config["tau"], stream(ms, t, 0))
-        gt = sample_beta(config["d"], config["sigma_beta_sq"], stream(ms, t, 1))
+        pair, beta_star, x = _draw_trial(config, t)
         # scale the plug-ins by the realized support energy rather than the
         # nominal per-coordinate variance: gamma then matches the realized
         # bias amplification and the intercept equals the realized
         # off-support energy under Sigma_Q, so the prediction is free of the
         # O(d^-1/2) ground-truth-norm fluctuation
-        b = pair.rotate(gt.beta_star)
+        b = pair.rotate(beta_star)
         support_ms = float(np.sum(pair.eigvals_p * b * b)) / pair.d_p
-        shift = shift_parameters(pair, gt.beta_star, support_ms)
+        shift = shift_parameters(pair, beta_star, support_ms)
         # the affine squared-risk map needs gamma = kappa exactly; for this
         # model class they differ only by finite-d fluctuation, so the
         # prediction uses the gamma plug-in for both
         shift_pred = dataclasses.replace(shift, kappa=shift.gamma)
-        x = sample_covariates(pair, config["n"], stream(ms, t, 2))
-        y = label(x, gt, LinearGaussian(noise_sigma), stream(ms, t, 3))
-        data = Dataset(x, y)
+        y = label(x, beta_star, LinearGaussian(noise_sigma), stream(ms, t, 3))
         for lam in config["lambda_grid"]:
-            fit = ridge_fit(data, lam)
-            cov_p, cov_q = decision_cov(gt.beta_star, fit.beta_hat, pair)
+            cov_p, cov_q = decision_cov(beta_star, ridge_fit(x, y, lam), pair)
             risk_p = squared_risk(cov_p)
             risk_q = squared_risk(cov_q)
             rows.append(
@@ -200,29 +204,22 @@ def run_classification_sweep(config):
     train-risk grid using that trial's realized shift parameters.
     """
     ms = config["master_seed"]
-    spec = SubspacePairSpec(config["d"], config["d_p"], config["d_q"], config["d_pq"])
+    sigma_beta_sq = config["sigma_beta_sq"]
     rows = []
     for t in range(config["trials"]):
-        pair = subspace_shift_model(spec, config["tau"], stream(ms, t, 0))
-        gt = sample_beta(config["d"], config["sigma_beta_sq"], stream(ms, t, 1))
+        # the task-dependent rebuild keeps the eigenbasis and Sigma_P, so x drawn
+        # from the input pair is the x of the rebuilt one
+        pair, beta_star, x = _draw_trial(config, t)
         if config["task_dependent"]:
-            base = shift_parameters(pair, gt.beta_star, gt.sigma_beta_sq)
             pair = task_dependent_model(
-                pair,
-                gt.beta_star,
-                target_ratio=config["kappa_over_gamma"],
-                target_gamma=base.gamma,
-                sigma_beta_sq=gt.sigma_beta_sq,
+                pair, beta_star, target_ratio=config["kappa_over_gamma"], sigma_beta_sq=sigma_beta_sq
             )
-        shift = shift_parameters(pair, gt.beta_star, gt.sigma_beta_sq)
-        x = sample_covariates(pair, config["n"], stream(ms, t, 2))
-        y_sign = label(x, gt, NoisySign(config["sign_correct_prob"]), stream(ms, t, 3))
-        y_clean = label(x, gt, NoiselessLinear(), stream(ms, t, 3))
-        data_sign = Dataset(x, y_sign)
-        data_clean = Dataset(x, y_clean)
+        shift = shift_parameters(pair, beta_star, sigma_beta_sq)
+        y_sign = label(x, beta_star, NoisySign(config["sign_correct_prob"]), stream(ms, t, 3))
+        y_clean = label(x, beta_star, NoiselessLinear(), stream(ms, t, 3))
 
         def emit(model, lam, beta_hat, converged):
-            cov_p, cov_q = decision_cov(gt.beta_star, beta_hat, pair)
+            cov_p, cov_q = decision_cov(beta_star, beta_hat, pair)
             risk_p = misclassification_risk(cov_p)
             rows.append(
                 {
@@ -238,9 +235,9 @@ def run_classification_sweep(config):
 
         warm = None
         for lam in config["lambda_grid"]:
-            emit("ridge-sign", lam, ridge_fit(data_sign, lam).beta_hat, True)
-            emit("ridge-noiseless", lam, ridge_fit(data_clean, lam).beta_hat, True)
-            fit = erm_fit(data_sign, lam, beta0=warm)
+            emit("ridge-sign", lam, ridge_fit(x, y_sign, lam), True)
+            emit("ridge-noiseless", lam, ridge_fit(x, y_clean, lam), True)
+            fit = erm_fit(x, y_sign, lam, beta0=warm)
             warm = fit.beta_hat
             emit("logistic-sign", lam, fit.beta_hat, fit.converged)
         for risk_p in np.linspace(0.01, 0.49, config["theory_points"]):
@@ -371,6 +368,15 @@ def run_counterexample(config):
     return header, rows
 
 
+def _cs_measurements(config, t):
+    """(matrix, A, n) of trial t: each Gaussian A of the n grid in turn, then A = I."""
+    for i, n in enumerate(config["n_grid"]):
+        slot = stream(config["master_seed"], t, _GRID_SLOT_BASE + i)
+        yield "gaussian", gaussian_measurement(n, config["d"], slot), int(n)
+    if config["include_identity"]:
+        yield "identity", np.eye(config["d"]), config["d"]
+
+
 def run_cs_validation(config):
     """Relation residual and inner-product preservation across measurement counts."""
     ms = config["master_seed"]
@@ -383,24 +389,12 @@ def run_cs_validation(config):
             u_p=u_p, u_q=u_q, sigma_p_sq=noise, sigma_q_sq=noise, lam=config["lambda"]
         )
         vectors = np.hstack([u_p.columns, u_q.columns])
-        for i, n in enumerate(config["n_grid"]):
-            a_matrix = gaussian_measurement(n, config["d"], stream(ms, t, _GRID_SLOT_BASE + i))
+        for matrix, a_matrix, n in _cs_measurements(config, t):
             sketch = sketch_bases(a_matrix, problem)
             rows.append(
                 {
-                    "matrix": "gaussian",
-                    "n": int(n),
-                    "trial": t,
-                    "residual": cs_relation_residual(sketch, problem),
-                    "ipp_max_dev": inner_product_preservation_stats(sketch, vectors),
-                }
-            )
-        if config["include_identity"]:
-            sketch = sketch_bases(np.eye(config["d"]), problem)
-            rows.append(
-                {
-                    "matrix": "identity",
-                    "n": config["d"],
+                    "matrix": matrix,
+                    "n": n,
                     "trial": t,
                     "residual": cs_relation_residual(sketch, problem),
                     "ipp_max_dev": inner_product_preservation_stats(sketch, vectors),

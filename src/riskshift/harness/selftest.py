@@ -320,7 +320,7 @@ def criterion_7():
     beta = _block_normalized_beta(pair, 1.0, np.random.SeedSequence([_ROOT_SEED, 7, 1]))
     shift = shift_parameters(pair, beta, 1.0)
     reg = monotonicity_check_regression(pair, beta)
-    pair_td = task_dependent_model(pair, beta, target_ratio=5.0, target_gamma=shift.gamma)
+    pair_td = task_dependent_model(pair, beta, target_ratio=5.0)
     reg_td = monotonicity_check_regression(pair_td, beta)
     return _judge("criterion-7-monotonicity-checkers", [
         ("subspace: regression holds", reg.holds, "==", True),

@@ -157,27 +157,23 @@ def _ratio_of_exponent(log_v, b_sq_sup, sigma_beta_sq, s):
     return sigma_beta_sq * float(np.sum(w)) / float(np.sum(w * b_sq_sup))
 
 
-def task_dependent_model(pair, beta_star, target_ratio, target_gamma, sigma_beta_sq=1.0):
+def task_dependent_model(pair, beta_star, target_ratio, sigma_beta_sq=1.0):
     """New Sigma_Q on the Sigma_P support whose eigenvalues track beta*'s energy.
 
     In the shared eigenbasis, support eigenvalues follow the one-parameter
     power family q_j = (b_j^2 + eps0)^s with eps0 = 1e-8 * sigma_beta_sq.  The
     realized kappa/gamma is strictly decreasing in s (s < 0 makes the shift
     harder, kappa > gamma), so bisection on s in [-8, 8] hits target_ratio; a
-    final global scale sets gamma to target_gamma without moving the ratio.
+    final global scale keeps the input pair's gamma without moving the ratio.
     """
     if not (math.isfinite(target_ratio) and target_ratio > 0):
         raise NumericInputError("target_ratio must be a positive finite scalar")
-    if not (math.isfinite(target_gamma) and target_gamma > 0):
-        raise NumericInputError("target_gamma must be a positive finite scalar")
-    if not (math.isfinite(sigma_beta_sq) and sigma_beta_sq > 0):
-        raise NumericInputError("sigma_beta_sq must be a positive finite scalar")
+    # also rejects a non-finite beta_star or sigma_beta_sq and an empty Sigma_P support
+    target_gamma = shift_parameters(pair, beta_star, sigma_beta_sq).gamma
     beta_star = np.asarray(beta_star, dtype=np.float64)
     b = pair.rotate(beta_star)
     sup = pair.eigvals_p == 1.0
     d_p = pair.d_p
-    if d_p == 0:
-        raise DegenerateShiftError("Sigma_P support is empty")
     b_sq_sup = b[sup] ** 2
     if float(np.sum(b_sq_sup)) <= 0.0:
         raise DegenerateShiftError("beta* vanishes on the Sigma_P support")

@@ -149,12 +149,13 @@ def covariance_functionals(pair, beta_star):
     beta*, each functional averages s^k q^l b_j^2 / (s + b)^m over j.
     """
     bb = pair.rotate(np.asarray(beta_star, dtype=np.float64))
-    if not np.all(np.isfinite(bb)):
-        raise NumericInputError("beta_star must be finite")
+    b_sq = bb * bb
+    # a finite coordinate above ~1.3e154 squares to inf
+    if not np.all(np.isfinite(b_sq)):
+        raise NumericInputError("beta_star must be finite and its squared coordinates too")
     s = pair.eigvals_p
     q = pair.eigvals_q
     d = pair.d
-    b_sq = bb * bb
     # one row per shift
     res = s + _B_GRID[:, None]
     res_sq = res * res

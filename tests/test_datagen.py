@@ -5,8 +5,6 @@ import numpy.testing as npt
 import pytest
 
 from riskshift.datagen import (
-    Dataset,
-    GroundTruth,
     LinearGaussian,
     NoiselessLinear,
     NoisySign,
@@ -22,12 +20,11 @@ from oracles import sigma_dense
 
 
 def test_sample_beta_moments_and_determinism():
-    gt = sample_beta(5000, 2.5, 42)
-    assert gt.d == 5000
-    assert gt.sigma_beta_sq == 2.5
-    assert np.mean(gt.beta_star ** 2) == pytest.approx(2.5, rel=0.1)
-    gt2 = sample_beta(5000, 2.5, 42)
-    npt.assert_array_equal(gt.beta_star, gt2.beta_star)
+    beta = sample_beta(5000, 2.5, 42)
+    assert beta.shape == (5000,)
+    assert not beta.flags.writeable
+    assert np.mean(beta ** 2) == pytest.approx(2.5, rel=0.1)
+    npt.assert_array_equal(beta, sample_beta(5000, 2.5, 42))
 
 
 def test_sample_beta_validation():
@@ -61,35 +58,35 @@ def test_sample_covariates_bad_inputs():
 
 
 def test_linear_gaussian_labels():
-    gt = GroundTruth(beta_star=np.array([1.0, -2.0]), sigma_beta_sq=1.0)
+    beta = np.array([1.0, -2.0])
     x = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 1.0]])
-    y = label(x, gt, LinearGaussian(sigma=0.0), 0)
-    npt.assert_allclose(y, x @ gt.beta_star, atol=1e-15)
-    rng_y = label(x, gt, LinearGaussian(sigma=3.0), 1)
-    assert np.max(np.abs(rng_y - x @ gt.beta_star)) > 0.1
+    y = label(x, beta, LinearGaussian(sigma=0.0), 0)
+    npt.assert_allclose(y, x @ beta, atol=1e-15)
+    rng_y = label(x, beta, LinearGaussian(sigma=3.0), 1)
+    assert np.max(np.abs(rng_y - x @ beta)) > 0.1
     # noise variance check on a large sample
     xs = np.zeros((100_000, 2))
-    noise = label(xs, gt, LinearGaussian(sigma=3.0), 2)
+    noise = label(xs, beta, LinearGaussian(sigma=3.0), 2)
     assert np.var(noise) == pytest.approx(9.0, rel=0.05)
 
 
 def test_noisy_sign_labels():
-    gt = GroundTruth(beta_star=np.array([1.0]), sigma_beta_sq=1.0)
+    beta = np.array([1.0])
     x = np.linspace(-2, 2, 200_001).reshape(-1, 1)
-    y = label(x, gt, NoisySign(p=0.8), 3)
+    y = label(x, beta, NoisySign(p=0.8), 3)
     assert set(np.unique(y)) == {-1.0, 1.0}
     clean = np.where(x[:, 0] >= 0, 1.0, -1.0)
     assert np.mean(y == clean) == pytest.approx(0.8, abs=0.01)
     # p_correct = 1 reproduces the clean signs exactly
-    y_clean = label(x, gt, NoisySign(p=1.0), 4)
+    y_clean = label(x, beta, NoisySign(p=1.0), 4)
     npt.assert_array_equal(y_clean, clean)
 
 
 def test_noiseless_linear_labels():
-    gt = GroundTruth(beta_star=np.array([0.5, 0.5]), sigma_beta_sq=1.0)
+    beta = np.array([0.5, 0.5])
     x = np.random.default_rng(5).standard_normal((10, 2))
-    y = label(x, gt, NoiselessLinear(), 6)
-    npt.assert_array_equal(y, x @ gt.beta_star)
+    y = label(x, beta, NoiselessLinear(), 6)
+    npt.assert_array_equal(y, x @ beta)
 
 
 def test_label_mechanism_validation():
@@ -99,19 +96,23 @@ def test_label_mechanism_validation():
         NoisySign(p=1.1)
     with pytest.raises(NumericInputError):
         LinearGaussian(sigma=-1.0)
-    gt = GroundTruth(beta_star=np.ones(2), sigma_beta_sq=1.0)
     with pytest.raises(NumericInputError):
-        label(np.ones((3, 2)), gt, "not-a-mechanism", 0)
+        label(np.ones((3, 2)), np.ones(2), "not-a-mechanism", 0)
 
 
-def test_dataset_validation():
-    x = np.ones((4, 2))
-    y = np.ones(4)
-    data = Dataset(x, y)
-    assert data.x.shape == (4, 2) and data.d == 2
+def test_label_validates_beta_star_and_x():
+    x = np.ones((3, 2))
+    kind = NoiselessLinear()
+    for bad_shape in (np.ones((2, 1)), np.ones(0), np.float64(1.0)):
+        with pytest.raises(InvalidDimensionError):
+            label(x, bad_shape, kind, 0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NumericInputError):
+            label(x, np.array([1.0, bad]), kind, 0)
+        with pytest.raises(NumericInputError):
+            label(x * bad, np.ones(2), kind, 0)
+    # beta_star's length must match the columns of x
     with pytest.raises(InvalidDimensionError):
-        Dataset(x, np.ones(3))
+        label(x, np.ones(3), kind, 0)
     with pytest.raises(InvalidDimensionError):
-        Dataset(np.ones(4), y)
-    with pytest.raises(NumericInputError):
-        Dataset(x * np.nan, y)
+        label(np.ones(2), np.ones(2), kind, 0)

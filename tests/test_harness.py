@@ -779,9 +779,9 @@ for kind in sorted(RUNNERS, key=lambda k: k not in ("counterexample", "denoise")
     if kind == "counterexample":
         polynomial = modules("numpy.polynomial")
 x = rng.standard_normal((20, 3))
-data = riskshift.Dataset(x=x, y=np.where(x[:, 0] >= 0.0, 1.0, -1.0))
-riskshift.ridge_fit(data, 1.0)
-fit = riskshift.erm_fit(data, 1.0)
+y = np.where(x[:, 0] >= 0.0, 1.0, -1.0)
+riskshift.ridge_fit(x, y, 1.0)
+fit = riskshift.erm_fit(x, y, 1.0)
 u_p, u_q = riskshift.overlapping_pair(riskshift.SubspacePairSpec(6, 2, 2, 1), 0)
 problem = riskshift.InverseProblem(u_p, u_q, 0.1, 0.1, 0.1)
 sketch = riskshift.sketch_bases(riskshift.gaussian_measurement(10, 6, 0), problem)
@@ -954,7 +954,7 @@ def test_every_defaulted_public_parameter_has_a_caller():
     assert _defaulted_parameters(riskshift) | _defaulted_parameters(riskshift.harness) == {
         # runners.run_classification_sweep warm-starts each fit from the previous lambda
         "erm_fit.beta0",
-        # runners.run_classification_sweep passes the trial's ground-truth variance
+        # runners.run_classification_sweep passes the configured sigma_beta_sq
         "task_dependent_model.sigma_beta_sq",
         # config.load_config passes the parsed file; selftest and perfbench/child.py pass {}
         "config_from_mapping.mapping",

@@ -135,8 +135,7 @@ def test_shift_parameters_invariants_enforced():
 def test_task_dependent_ratio_one_is_task_independent():
     pair = subspace_shift_model(SubspacePairSpec(200, 160, 120, 100), 2.0, 31)
     beta = _block_normalized_beta(pair, 1.0, 32)
-    base = shift_parameters(pair, beta, 1.0)
-    built = task_dependent_model(pair, beta, target_ratio=1.0, target_gamma=base.gamma)
+    built = task_dependent_model(pair, beta, target_ratio=1.0)
     on_support = built.eigvals_q[built.eigvals_p == 1.0]
     npt.assert_allclose(on_support, on_support[0], rtol=1e-9)
     shift = shift_parameters(built, beta, 1.0)
@@ -148,7 +147,7 @@ def test_task_dependent_hits_ratio_and_gamma():
     beta = _random_beta(300, 1.0, 42)
     base = shift_parameters(pair, beta, 1.0)
     for ratio in (0.3, 2.0, 5.0):
-        built = task_dependent_model(pair, beta, target_ratio=ratio, target_gamma=base.gamma)
+        built = task_dependent_model(pair, beta, target_ratio=ratio)
         shift = shift_parameters(built, beta, 1.0)
         assert shift.kappa / shift.gamma == pytest.approx(ratio, rel=5e-3)
         assert shift.gamma == pytest.approx(base.gamma, rel=1e-6)
@@ -162,7 +161,7 @@ def test_task_dependent_unreachable_ratio():
     pair = subspace_shift_model(SubspacePairSpec(60, 40, 30, 20), 2.0, 51)
     beta = _random_beta(60, 1.0, 52)
     with pytest.raises(UnreachableRatioError):
-        task_dependent_model(pair, beta, target_ratio=1e9, target_gamma=1.0)
+        task_dependent_model(pair, beta, target_ratio=1e9)
 
 
 def test_rotate_roundtrip():

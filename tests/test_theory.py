@@ -260,6 +260,15 @@ def test_covariance_functionals_validation():
         covariance_functionals(pair, np.full(pair.d, np.nan))
 
 
+def test_monotonicity_checks_reject_a_beta_star_whose_squares_overflow():
+    # finite coordinates whose squares are inf would give both verdicts rho = nan
+    pair = subspace_shift_model(SubspacePairSpec(20, 12, 10, 6), 2.0, 5)
+    beta = np.full(20, 1e200)
+    for check in (monotonicity_check_regression, monotonicity_check_classification):
+        with pytest.raises(NumericInputError):
+            check(pair, beta)
+
+
 def test_monotonicity_regression_subspace_model_holds():
     pair, beta = _subspace_setup(seed=13)
     shift = shift_parameters(pair, beta, 1.0)
@@ -271,8 +280,7 @@ def test_monotonicity_regression_subspace_model_holds():
 
 def test_monotonicity_regression_task_dependent_fails():
     pair, beta = _subspace_setup(seed=17)
-    base = shift_parameters(pair, beta, 1.0)
-    built = task_dependent_model(pair, beta, target_ratio=5.0, target_gamma=base.gamma)
+    built = task_dependent_model(pair, beta, target_ratio=5.0)
     verdict = monotonicity_check_regression(pair, beta)
     assert verdict.holds
     verdict_td = monotonicity_check_regression(built, beta)
@@ -304,7 +312,7 @@ def test_monotonicity_classification_subspace_and_task_dependent():
     assert verdict.rho == pytest.approx(shift.mu * shift.kappa / shift.gamma, abs=1e-6)
     assert verdict.u0 == pytest.approx(shift.mu * (1.0 - shift.kappa / shift.gamma), abs=1e-6)
     # classification tolerates task-dependent reweighting of the support
-    built = task_dependent_model(pair, beta, target_ratio=5.0, target_gamma=shift.gamma)
+    built = task_dependent_model(pair, beta, target_ratio=5.0)
     td_shift = shift_parameters(built, beta, 1.0)
     verdict_td = monotonicity_check_classification(built, beta)
     assert verdict_td.holds
