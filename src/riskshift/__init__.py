@@ -12,7 +12,6 @@ counterparts (`inverse`), and drive reproducible experiment sweeps
 
 from riskshift.datagen import (
     LinearGaussian,
-    NoiselessLinear,
     NoisySign,
     label,
     sample_beta,
@@ -94,7 +93,6 @@ __all__ = [
     "LinearGaussian",
     "MetricKind",
     "MonotonicityVerdict",
-    "NoiselessLinear",
     "NoisySign",
     "NumericInputError",
     "OrthonormalBasis",

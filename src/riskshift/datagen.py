@@ -2,9 +2,10 @@
 
 Covariates are drawn from the train law, x ~ N(0, Sigma_P/d): a standard normal
 vector is rotated into the shared eigenbasis, scaled by sqrt(eigvals_p),
-rotated back, and divided by sqrt(d).  Labels support three generators: linear with additive
-Gaussian noise, noisy signs (the sign of the clean score kept with probability
-p), and noiseless linear scores.  sign(0) is +1 throughout.
+rotated back, and divided by sqrt(d).  Labels support two generators: linear
+with additive Gaussian noise (sigma = 0 gives the noiseless linear scores) and
+noisy signs (the sign of the clean score kept with probability p).  sign(0) is
++1 throughout.
 """
 
 import math
@@ -36,11 +37,6 @@ class NoisySign:
     def __post_init__(self):
         if not (math.isfinite(self.p) and 0.5 < self.p <= 1.0):
             raise NumericInputError(f"sign-correct probability must lie in (1/2, 1], got {self.p}")
-
-
-@dataclass(frozen=True)
-class NoiselessLinear:
-    """Labels are the clean scores x^T beta*."""
 
 
 def sample_beta(d, sigma_beta_sq, seed):
@@ -85,6 +81,4 @@ def label(x, beta_star, kind, seed):
         signs = np.where(z >= 0.0, 1.0, -1.0)
         keep = np.where(rng.random(x.shape[0]) < kind.p, 1.0, -1.0)
         return signs * keep
-    if isinstance(kind, NoiselessLinear):
-        return z
     raise NumericInputError(f"unknown label kind: {kind!r}")

@@ -2,9 +2,9 @@
 
 One key per line, `#` starts a comment, unknown or duplicate keys are hard
 errors.  Every kind accepts `kind` (must match the subcommand), `master_seed`,
-and `output_path`.  Kinds with a regularization sweep accept either an
-explicit `lambda_grid` (comma-separated, positive, strictly increasing) or the
-trio `lambda_min` / `lambda_max` / `lambda_points`, but not both.
+and `output_path`.  Kinds with a regularization sweep take its log-spaced
+grid as the trio `lambda_min` / `lambda_max` / `lambda_points` and resolve it
+to the list `values["lambda_grid"]`.
 
 Each key declares its parser, its default and its range: (comparison, limit)
 bounds met by the value, or by each entry of a list.  Every given value is
@@ -56,17 +56,6 @@ def _parse_float(key, value):
     if not math.isfinite(out):
         raise ConfigError(f"key '{key}' must be finite, got {out}")
     return out
-
-
-def _parse_bool(key, value):
-    if isinstance(value, bool):
-        return value
-    text = str(value).strip().lower()
-    if text in ("true", "1", "yes", "on"):
-        return True
-    if text in ("false", "0", "no", "off"):
-        return False
-    raise ConfigError(f"key '{key}' expects true/false, got {value!r}")
 
 
 def _parse_str(key, value):
@@ -125,7 +114,6 @@ def _lambda_fields(points):
         "lambda_min": _Field(_parse_float, 1e-3, "smallest ridge weight of the log grid", _POSITIVE),
         "lambda_max": _Field(_parse_float, 1e2, "largest ridge weight of the log grid", _POSITIVE),
         "lambda_points": _Field(_parse_int, points, "number of log-spaced ridge weights", _AT_LEAST_ONE),
-        "lambda_grid": _Field(_parse_floats, None, "explicit ridge grid (overrides the trio)", _POSITIVE),
     }
 
 
@@ -133,9 +121,6 @@ _SWEEP_GEOMETRY = {
     "d": _Field(_parse_int, 800, "ambient dimension"),
     "n": _Field(_parse_int, 1000, "training sample size", _POSITIVE),
     "d_p": _Field(_parse_int, 720, "train-support dimension"),
-    "d_q": _Field(_parse_int, 640, "test-support dimension"),
-    "d_pq": _Field(_parse_int, 560, "overlap dimension"),
-    "sigma_beta_sq": _Field(_parse_float, 1.0, "per-coordinate variance of beta*", _POSITIVE),
 }
 _HAAR_GEOMETRY = {
     "d": _Field(_parse_int, 200, "ambient dimension"),
@@ -149,6 +134,11 @@ def _require_subspace_spec(values):
         SubspacePairSpec(values["d"], values["d_p"], values["d_q"], values["d_pq"])
     except InvalidDimensionError as exc:
         raise ConfigError(f"invalid subspace dimensions: {exc}") from exc
+
+
+def _require_support(values):
+    if not 1 <= values["d_p"] <= values["d"]:
+        raise ConfigError(f"d_p must lie in [1, d] = [1, {values['d']}], got {values['d_p']}")
 
 
 def _require_overlaps(values):
@@ -179,6 +169,9 @@ _SCHEMAS = {
     KIND_REGRESSION: _schema(KIND_REGRESSION, {
         **_lambda_fields(25),
         **_SWEEP_GEOMETRY,
+        "d_q": _Field(_parse_int, 640, "test-support dimension"),
+        "d_pq": _Field(_parse_int, 560, "overlap dimension"),
+        "sigma_beta_sq": _Field(_parse_float, 1.0, "per-coordinate variance of beta*", _POSITIVE),
         "tau": _Field(_parse_float, 2.0, "test covariance scale on its support", _POSITIVE),
         "noise_var": _Field(_parse_float, 0.2, "label noise variance", _NONNEGATIVE),
         "trials": _Field(_parse_int, 5, "number of independent trials", _POSITIVE),
@@ -186,15 +179,13 @@ _SCHEMAS = {
     KIND_CLASSIFICATION: _schema(KIND_CLASSIFICATION, {
         **_lambda_fields(25),
         **_SWEEP_GEOMETRY,
-        "tau": _Field(_parse_float, 2.0, "test covariance scale before task adjustment", _POSITIVE),
         "sign_correct_prob": _Field(
             _parse_float, 0.8, "probability a sign label is kept", ((">", 0.5), ("<=", 1))
         ),
-        "task_dependent": _Field(_parse_bool, True, "rebuild Sigma_Q from beta* energies"),
         "kappa_over_gamma": _Field(_parse_float, 5.0, "target kappa/gamma of the rebuild", _POSITIVE),
         "theory_points": _Field(_parse_int, 40, "risk grid size for theory rows", _AT_LEAST_TWO),
         "trials": _Field(_parse_int, 3, "number of independent trials", _POSITIVE),
-    }, _require_subspace_spec),
+    }, _require_support),
     KIND_RELATION: _schema(KIND_RELATION, {
         "mu_grid": _Field(
             _parse_floats, [1.0, 1.05, 1.1, 1.2, 1.5], "mu values at kappa = gamma", _AT_LEAST_ONE
@@ -232,7 +223,6 @@ _SCHEMAS = {
         "lambda": _Field(_parse_float, 8.0, "ridge weight of the reconstruction", _NONNEGATIVE),
         "n_grid": _Field(_list_of(_parse_int), [500, 2000, 8000], "measurement counts"),
         "trials": _Field(_parse_int, 20, "number of independent seeds per n", _POSITIVE),
-        "include_identity": _Field(_parse_bool, True, "also emit A = I control rows"),
     }, _require_cs),
     KIND_SUBSPACE: _schema(KIND_SUBSPACE, {
         "input_p": _Field(_parse_str, _REQUIRED, "path to the first numeric matrix (rows = samples)"),
@@ -265,17 +255,12 @@ def _check_range(key, field, value):
                 raise ConfigError(f"key '{key}' must be {bound}, got {item}")
 
 
-def _build_lambda_grid(values, explicit_keys):
-    grid = values["lambda_grid"]
-    if grid is not None:
-        if {"lambda_min", "lambda_max", "lambda_points"} & explicit_keys:
-            raise ConfigError("give lambda_grid or the lambda_min/lambda_max/lambda_points trio, not both")
-        arr = np.asarray(grid, dtype=np.float64)
-    else:
-        lo, hi, points = values["lambda_min"], values["lambda_max"], values["lambda_points"]
-        if points > 1 and not lo < hi:
-            raise ConfigError("lambda_min must be < lambda_max")
-        arr = np.geomspace(lo, hi, points)
+def _build_lambda_grid(values):
+    lo, hi, points = values["lambda_min"], values["lambda_max"], values["lambda_points"]
+    if points > 1 and not lo < hi:
+        raise ConfigError("lambda_min must be < lambda_max")
+    arr = np.geomspace(lo, hi, points)
+    # ends a few ulps apart give a grid with repeated values
     if arr.size > 1 and np.min(np.diff(arr)) <= 0:
         raise ConfigError("lambda grid must be strictly increasing")
     values["lambda_grid"] = [float(t) for t in arr]
@@ -333,16 +318,15 @@ def config_from_mapping(kind, mapping=None, seed_override=None, out_override=Non
     if out_override is not None:
         values["output_path"] = _parse_str("output_path", out_override)
     for key, field in fields.items():
-        if values[key] is not None:
-            _check_range(key, field, values[key])
-    if "lambda_grid" in fields:
-        _build_lambda_grid(values, explicit_keys=set(raw))
+        _check_range(key, field, values[key])
+    if "lambda_points" in fields:
+        _build_lambda_grid(values)
     rule(values)
     return ExperimentConfig(kind=kind, values=values)
 
 
 def describe_keys(kind):
-    """(key, default, help) rows for the README / --help reference."""
+    """(key, default, help) rows of the kind's schema, in schema order."""
     return [
         (key, "(required)" if field.default is _REQUIRED else repr(field.default), field.help)
         for key, field in _SCHEMAS[kind][0].items()

@@ -26,7 +26,6 @@ import numpy as np
 
 from riskshift.datagen import (
     LinearGaussian,
-    NoiselessLinear,
     NoisySign,
     label,
     sample_beta,
@@ -143,12 +142,11 @@ def write_csv(path, header, rows):
         raise
 
 
-def _draw_trial(config, t):
+def _draw_trial(config, t, spec, tau, sigma_beta_sq):
     """(pair, beta_star, x) of trial t, from stream slots 0, 1 and 2."""
     ms = config["master_seed"]
-    spec = SubspacePairSpec(config["d"], config["d_p"], config["d_q"], config["d_pq"])
-    pair = subspace_shift_model(spec, config["tau"], stream(ms, t, 0))
-    beta_star = sample_beta(config["d"], config["sigma_beta_sq"], stream(ms, t, 1))
+    pair = subspace_shift_model(spec, tau, stream(ms, t, 0))
+    beta_star = sample_beta(spec.d, sigma_beta_sq, stream(ms, t, 1))
     x = sample_covariates(pair, config["n"], stream(ms, t, 2))
     return pair, beta_star, x
 
@@ -156,10 +154,11 @@ def _draw_trial(config, t):
 def run_regression_sweep(config):
     """Ridge sweeps under additive-noise labels, squared risks on both laws."""
     ms = config["master_seed"]
+    spec = SubspacePairSpec(config["d"], config["d_p"], config["d_q"], config["d_pq"])
     noise_sigma = math.sqrt(config["noise_var"])
     rows = []
     for t in range(config["trials"]):
-        pair, beta_star, x = _draw_trial(config, t)
+        pair, beta_star, x = _draw_trial(config, t, spec, config["tau"], config["sigma_beta_sq"])
         # scale the plug-ins by the realized support energy rather than the
         # nominal per-coordinate variance: gamma then matches the realized
         # bias amplification and the intercept equals the realized
@@ -202,21 +201,24 @@ def run_classification_sweep(config):
     up the lambda grid), and ridge on noiseless linear scores.  Per trial, extra
     rows tagged model="theory" tabulate the predicted test risk over a fixed
     train-risk grid using that trial's realized shift parameters.
+
+    Sigma_Q is rebuilt from beta*'s energies on the Sigma_P support.  The risks
+    see the shift only through kappa/gamma and mu, which no rescaling of Sigma_Q
+    or beta* changes, so the input pair is Sigma_Q = Sigma_P and beta* has unit
+    variance.
     """
     ms = config["master_seed"]
-    sigma_beta_sq = config["sigma_beta_sq"]
+    d_p = config["d_p"]
+    spec = SubspacePairSpec(config["d"], d_p, d_p, d_p)
     rows = []
     for t in range(config["trials"]):
-        # the task-dependent rebuild keeps the eigenbasis and Sigma_P, so x drawn
-        # from the input pair is the x of the rebuilt one
-        pair, beta_star, x = _draw_trial(config, t)
-        if config["task_dependent"]:
-            pair = task_dependent_model(
-                pair, beta_star, target_ratio=config["kappa_over_gamma"], sigma_beta_sq=sigma_beta_sq
-            )
-        shift = shift_parameters(pair, beta_star, sigma_beta_sq)
+        # the rebuild keeps the eigenbasis and Sigma_P, so x drawn from the input
+        # pair is the x of the rebuilt one
+        pair, beta_star, x = _draw_trial(config, t, spec, 1.0, 1.0)
+        pair = task_dependent_model(pair, beta_star, target_ratio=config["kappa_over_gamma"])
+        shift = shift_parameters(pair, beta_star, 1.0)
         y_sign = label(x, beta_star, NoisySign(config["sign_correct_prob"]), stream(ms, t, 3))
-        y_clean = label(x, beta_star, NoiselessLinear(), stream(ms, t, 3))
+        y_clean = label(x, beta_star, LinearGaussian(0.0), stream(ms, t, 3))
 
         def emit(model, lam, beta_hat, converged):
             cov_p, cov_q = decision_cov(beta_star, beta_hat, pair)
@@ -373,8 +375,7 @@ def _cs_measurements(config, t):
     for i, n in enumerate(config["n_grid"]):
         slot = stream(config["master_seed"], t, _GRID_SLOT_BASE + i)
         yield "gaussian", gaussian_measurement(n, config["d"], slot), int(n)
-    if config["include_identity"]:
-        yield "identity", np.eye(config["d"]), config["d"]
+    yield "identity", np.eye(config["d"]), config["d"]
 
 
 def run_cs_validation(config):

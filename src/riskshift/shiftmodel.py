@@ -151,25 +151,27 @@ def shift_parameters(pair, beta_star, sigma_beta_sq):
     )
 
 
-def _ratio_of_exponent(log_v, b_sq_sup, sigma_beta_sq, s):
+def _ratio_of_exponent(log_v, b_sq_sup, s):
     # kappa/gamma of the power family q_j = v_j^s restricted to the support
     w = np.exp(s * log_v)
-    return sigma_beta_sq * float(np.sum(w)) / float(np.sum(w * b_sq_sup))
+    return float(np.sum(w)) / float(np.sum(w * b_sq_sup))
 
 
-def task_dependent_model(pair, beta_star, target_ratio, sigma_beta_sq=1.0):
+def task_dependent_model(pair, beta_star, target_ratio):
     """New Sigma_Q on the Sigma_P support whose eigenvalues track beta*'s energy.
 
-    In the shared eigenbasis, support eigenvalues follow the one-parameter
-    power family q_j = (b_j^2 + eps0)^s with eps0 = 1e-8 * sigma_beta_sq.  The
-    realized kappa/gamma is strictly decreasing in s (s < 0 makes the shift
-    harder, kappa > gamma), so bisection on s in [-8, 8] hits target_ratio; a
-    final global scale keeps the input pair's gamma without moving the ratio.
+    gamma and kappa/gamma are shift_parameters' plug-ins at sigma_beta_sq = 1,
+    i.e. for a beta* with unit-variance coordinates.  In the shared eigenbasis,
+    support eigenvalues follow the one-parameter power family
+    q_j = (b_j^2 + eps0)^s with eps0 = 1e-8.  The realized kappa/gamma is
+    strictly decreasing in s (s < 0 makes the shift harder, kappa > gamma), so
+    bisection on s in [-8, 8] hits target_ratio; a final global scale keeps the
+    input pair's gamma without moving the ratio.
     """
     if not (math.isfinite(target_ratio) and target_ratio > 0):
         raise NumericInputError("target_ratio must be a positive finite scalar")
-    # also rejects a non-finite beta_star or sigma_beta_sq and an empty Sigma_P support
-    target_gamma = shift_parameters(pair, beta_star, sigma_beta_sq).gamma
+    # also rejects a non-finite beta_star and an empty Sigma_P support
+    target_gamma = shift_parameters(pair, beta_star, 1.0).gamma
     beta_star = np.asarray(beta_star, dtype=np.float64)
     b = pair.rotate(beta_star)
     sup = pair.eigvals_p == 1.0
@@ -178,12 +180,11 @@ def task_dependent_model(pair, beta_star, target_ratio, sigma_beta_sq=1.0):
     if float(np.sum(b_sq_sup)) <= 0.0:
         raise DegenerateShiftError("beta* vanishes on the Sigma_P support")
 
-    eps0 = 1e-8 * sigma_beta_sq
-    log_v = np.log(b_sq_sup + eps0)
+    log_v = np.log(b_sq_sup + 1e-8)
     lo, hi = -8.0, 8.0
     # ratio is decreasing in s, so the reachable band is [ratio(hi), ratio(lo)]
-    ratio_lo = _ratio_of_exponent(log_v, b_sq_sup, sigma_beta_sq, lo)
-    ratio_hi = _ratio_of_exponent(log_v, b_sq_sup, sigma_beta_sq, hi)
+    ratio_lo = _ratio_of_exponent(log_v, b_sq_sup, lo)
+    ratio_hi = _ratio_of_exponent(log_v, b_sq_sup, hi)
     if not ratio_hi <= target_ratio <= ratio_lo:
         raise UnreachableRatioError(
             f"target kappa/gamma {target_ratio} outside reachable band "
@@ -192,7 +193,7 @@ def task_dependent_model(pair, beta_star, target_ratio, sigma_beta_sq=1.0):
     s_mid = 0.0
     for _ in range(200):
         s_mid = 0.5 * (lo + hi)
-        ratio_mid = _ratio_of_exponent(log_v, b_sq_sup, sigma_beta_sq, s_mid)
+        ratio_mid = _ratio_of_exponent(log_v, b_sq_sup, s_mid)
         if abs(ratio_mid - target_ratio) <= 1e-10 * target_ratio:
             break
         if ratio_mid > target_ratio:
@@ -200,13 +201,13 @@ def task_dependent_model(pair, beta_star, target_ratio, sigma_beta_sq=1.0):
         else:
             hi = s_mid
     q_sup = np.exp(s_mid * log_v)
-    gamma_raw = float(np.sum(q_sup * b_sq_sup)) / (d_p * sigma_beta_sq)
+    gamma_raw = float(np.sum(q_sup * b_sq_sup)) / d_p
     q_sup *= target_gamma / gamma_raw
 
     e_q = np.zeros(pair.d)
     e_q[sup] = q_sup
     out = CovariancePair(pair.eigenbasis, pair.eigvals_p, e_q)
-    realized = shift_parameters(out, beta_star, sigma_beta_sq)
+    realized = shift_parameters(out, beta_star, 1.0)
     ratio_err = abs(realized.kappa / realized.gamma - target_ratio) / target_ratio
     gamma_err = abs(realized.gamma - target_gamma) / target_gamma
     if ratio_err > _RATIO_TOL or gamma_err > _GAMMA_TOL:

@@ -6,7 +6,6 @@ import pytest
 
 from riskshift.datagen import (
     LinearGaussian,
-    NoiselessLinear,
     NoisySign,
     label,
     sample_beta,
@@ -60,8 +59,6 @@ def test_sample_covariates_bad_inputs():
 def test_linear_gaussian_labels():
     beta = np.array([1.0, -2.0])
     x = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 1.0]])
-    y = label(x, beta, LinearGaussian(sigma=0.0), 0)
-    npt.assert_allclose(y, x @ beta, atol=1e-15)
     rng_y = label(x, beta, LinearGaussian(sigma=3.0), 1)
     assert np.max(np.abs(rng_y - x @ beta)) > 0.1
     # noise variance check on a large sample
@@ -85,7 +82,8 @@ def test_noisy_sign_labels():
 def test_noiseless_linear_labels():
     beta = np.array([0.5, 0.5])
     x = np.random.default_rng(5).standard_normal((10, 2))
-    y = label(x, beta, NoiselessLinear(), 6)
+    # sigma = 0 gives the clean scores
+    y = label(x, beta, LinearGaussian(0.0), 6)
     npt.assert_array_equal(y, x @ beta)
 
 
@@ -102,7 +100,7 @@ def test_label_mechanism_validation():
 
 def test_label_validates_beta_star_and_x():
     x = np.ones((3, 2))
-    kind = NoiselessLinear()
+    kind = LinearGaussian(0.0)
     for bad_shape in (np.ones((2, 1)), np.ones(0), np.float64(1.0)):
         with pytest.raises(InvalidDimensionError):
             label(x, bad_shape, kind, 0)

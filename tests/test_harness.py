@@ -52,15 +52,17 @@ from riskshift.inverse import denoise_grid
 from riskshift.risk import MetricKind
 from riskshift.subspace import SubspacePairSpec, haar_basis, overlap_coefficient, overlapping_pair
 
-_SMALL_REGRESSION = {
+# the lambda trio gives the grid 0.01, 1.0, 100.0
+_SMALL_SWEEP = {
     "d": "60",
     "n": "120",
     "d_p": "40",
-    "d_q": "30",
-    "d_pq": "20",
     "trials": "1",
-    "lambda_grid": "0.01, 1.0, 100.0",
+    "lambda_min": "0.01",
+    "lambda_max": "100",
+    "lambda_points": "3",
 }
+_SMALL_REGRESSION = dict(_SMALL_SWEEP, d_q="30", d_pq="20")
 
 
 def test_parse_config_text_accepts_comments_and_blanks():
@@ -138,19 +140,23 @@ def test_config_text_one_point_nonpositive_lambda_max(kind, lambda_max):
     _fails_only_with_config_error(kind, f"lambda_points = 1\nlambda_max = {lambda_max}\n")
 
 
-def test_config_lambda_grid_exclusive_with_trio():
-    cfg = config_from_mapping(KIND_DENOISE, {"lambda_grid": "0.1, 1.0"})
+def test_config_lambda_grid_is_built_from_the_trio():
+    cfg = config_from_mapping(
+        KIND_DENOISE, {"lambda_min": "0.1", "lambda_max": "1.0", "lambda_points": "2"}
+    )
     assert cfg["lambda_grid"] == [0.1, 1.0]
     trio = config_from_mapping(
         KIND_DENOISE, {"lambda_min": "0.1", "lambda_max": "10", "lambda_points": "3"}
     )
     np.testing.assert_allclose(trio["lambda_grid"], [0.1, 1.0, 10.0], rtol=1e-12)
-    with pytest.raises(ConfigError, match="not both"):
-        config_from_mapping(KIND_DENOISE, {"lambda_grid": "0.1", "lambda_points": "5"})
+    with pytest.raises(ConfigError, match="lambda_min must be < lambda_max"):
+        config_from_mapping(KIND_DENOISE, {"lambda_min": "1.0", "lambda_max": "0.1"})
+    # ends one ulp apart: np.geomspace repeats a value
+    one_ulp = repr(math.nextafter(0.1, 1.0))
     with pytest.raises(ConfigError, match="strictly increasing"):
-        config_from_mapping(KIND_DENOISE, {"lambda_grid": "1.0, 0.1"})
-    with pytest.raises(ConfigError, match="positive"):
-        config_from_mapping(KIND_DENOISE, {"lambda_grid": "-1.0, 0.1"})
+        config_from_mapping(
+            KIND_DENOISE, {"lambda_min": "0.1", "lambda_max": one_ulp, "lambda_points": "5"}
+        )
 
 
 def test_config_overrides_and_defaults(tmp_path):
@@ -174,7 +180,7 @@ _RANGE_EDGES = [
     (KIND_RELATION, "master_seed", -1, 0, {}),
     (KIND_DENOISE, "lambda_points", 0, 1, {}),
     (KIND_DENOISE, "lambda_min", 0.0, _TINY, {}),
-    (KIND_DENOISE, "lambda_grid", [0.0], [_TINY], {}),
+    (KIND_DENOISE, "d_q", 41, 40, {}),
     (KIND_REGRESSION, "n", 0, 1, {}),
     (KIND_REGRESSION, "tau", 0.0, _TINY, {}),
     (KIND_REGRESSION, "sigma_beta_sq", 0.0, _TINY, {}),
@@ -183,14 +189,14 @@ _RANGE_EDGES = [
     (KIND_REGRESSION, "d_pq", 559, 560, {}),
     (KIND_REGRESSION, "d_pq", 641, 640, {"d": 1000}),
     (KIND_CLASSIFICATION, "n", 0, 1, {}),
-    (KIND_CLASSIFICATION, "tau", 0.0, _TINY, {}),
-    (KIND_CLASSIFICATION, "sigma_beta_sq", 0.0, _TINY, {}),
+    (KIND_CLASSIFICATION, "d_p", 0, 1, {}),
+    (KIND_CLASSIFICATION, "d_p", 801, 800, {}),
     (KIND_CLASSIFICATION, "trials", 0, 1, {}),
     (KIND_CLASSIFICATION, "kappa_over_gamma", 0.0, _TINY, {}),
     (KIND_CLASSIFICATION, "sign_correct_prob", 0.5, math.nextafter(0.5, 1.0), {}),
     (KIND_CLASSIFICATION, "sign_correct_prob", _ABOVE_ONE, 1.0, {}),
     (KIND_CLASSIFICATION, "theory_points", 1, 2, {}),
-    (KIND_CLASSIFICATION, "d_pq", 559, 560, {}),
+    (KIND_CLASSIFICATION, "d", 719, 720, {}),
     (KIND_RELATION, "mu_grid", [_BELOW_ONE], [1.0], {}),
     (KIND_RELATION, "ratio_grid", [0.0], [_TINY], {}),
     (KIND_RELATION, "mu_fixed", _BELOW_ONE, 1.0, {}),
@@ -234,6 +240,29 @@ def test_config_range_edges(kind, key, rejected, accepted, others):
     assert config_from_mapping(kind, {**others, key: accepted})[key] == accepted
 
 
+# the classification sweep's Sigma_Q is always rebuilt from Sigma_Q = Sigma_P, cs-validate
+# always writes its A = I rows, and the sweeps take their lambda grid as a trio
+_REMOVED_KEYS = [
+    *((KIND_CLASSIFICATION, key, "1") for key in ("tau", "d_q", "d_pq", "sigma_beta_sq")),
+    (KIND_CLASSIFICATION, "task_dependent", "true"),
+    (KIND_CS, "include_identity", "true"),
+    *((kind, "lambda_grid", "0.1, 1.0") for kind in (KIND_REGRESSION, KIND_CLASSIFICATION, KIND_DENOISE)),
+]
+
+
+@pytest.mark.parametrize("kind,key,value", _REMOVED_KEYS)
+def test_removed_config_keys_are_refused(tmp_path, capsys, kind, key, value):
+    message = f"unknown config key(s) for {kind}: {key}"
+    with pytest.raises(ConfigError) as info:
+        config_from_mapping(kind, {key: value})
+    assert str(info.value) == message
+    out = tmp_path / "out.csv"
+    cfg = _cli_config(tmp_path, f"kind = {kind}\n{key} = {value}\noutput_path = {out}\n")
+    assert main([kind, "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_config_checks_ranges_after_overrides():
     # every file value is parsed, so a malformed seed fails even under an override
     with pytest.raises(ConfigError, match="master_seed"):
@@ -275,15 +304,24 @@ def test_readme_quick_start_prints_its_closing_comment(tmp_path):
 def test_readme_config_keys_name_every_schema_key():
     section = _readme().split("### Config keys", 1)[1].split("\n## ", 1)[0]
     intro, *blocks = re.split(r"^\*\*([a-z-]+)\*\*", section, flags=re.M)
-    named = {kind: set(re.findall(r"`([^`]+)`", body)) for kind, body in zip(blocks[::2], blocks[1::2])}
-    assert sorted(named) == sorted(ALL_KINDS)
+    blocks = dict(zip(blocks[::2], blocks[1::2]))
+    assert sorted(blocks) == sorted(ALL_KINDS)
+
+    def names(text):
+        found = set(re.findall(r"`([^`]+)`", text))
+        if "lambda_*" in found:
+            found = found - {"lambda_*"} | {"lambda_min", "lambda_max", "lambda_points"}
+        return found
+
     common = {"kind", "master_seed", "output_path"}
-    assert common <= set(re.findall(r"`([^`]+)`", intro))
-    for kind in ALL_KINDS:
-        if "lambda_*" in named[kind]:
-            named[kind] |= {"lambda_min", "lambda_max", "lambda_points", "lambda_grid"}
-        missing = {key for key, _, _ in describe_keys(kind)} - common - named[kind]
+    assert common <= names(intro)
+    for kind, body in blocks.items():
+        keys = {key for key, _, _ in describe_keys(kind)}
+        missing = keys - common - names(body)
         assert not missing, (kind, missing)
+        # the first cell of each table row names keys of the schema only
+        tabled = names(" ".join(re.findall(r"^\| ([^|]*) \|", body, flags=re.M)))
+        assert tabled and tabled <= keys, (kind, tabled - keys)
 
 
 def test_write_csv_17_digits_lf(tmp_path):
@@ -522,7 +560,7 @@ def test_default_denoise_rows_equal_their_one_point_problems(seed):
 
 @st.composite
 def denoise_configs(draw):
-    """Small denoise configs: d <= 16, unsorted a and snr grids with repeats, any lambda grid."""
+    """Small denoise configs: d <= 16, unsorted a and snr grids with repeats, any lambda trio."""
     d = draw(st.integers(1, 16))
     d_p = draw(st.integers(1, d))
     d_q = draw(st.integers(1, d))
@@ -534,8 +572,12 @@ def denoise_configs(draw):
         "a_grid": draw(st.lists(shared.map(lambda d_pq: d_pq / d_q), min_size=1, max_size=3)),
         "snr_grid": draw(st.lists(st.sampled_from([1e-3, 0.5, 1.0, 100.0]) | st.floats(1e-3, 1e3),
                                   min_size=1, max_size=3)),
-        "lambda_grid": sorted(draw(st.sets(st.floats(1e-6, 1e3), min_size=1, max_size=4))),
     }
+    # ends at least 0.1% apart, so no grid of up to 4 points repeats a value
+    lambda_min = draw(st.floats(1e-6, 1e3))
+    mapping["lambda_min"] = lambda_min
+    mapping["lambda_max"] = lambda_min * draw(st.floats(1.001, 1e3))
+    mapping["lambda_points"] = draw(st.integers(1, 4))
     return config_from_mapping(KIND_DENOISE, mapping, seed_override=draw(st.integers(0, 2**32 - 1)))
 
 
@@ -795,7 +837,7 @@ print(json.dumps({"rows": rows, "converged": fit.converged, "loaded": loaded,
 
 _PROBE_CONFIGS = {
     KIND_REGRESSION: _SMALL_REGRESSION,
-    KIND_CLASSIFICATION: dict(_SMALL_REGRESSION, theory_points="3"),
+    KIND_CLASSIFICATION: dict(_SMALL_SWEEP, theory_points="3"),
     KIND_CS: {"d": "30", "d_p": "6", "d_q": "6", "d_pq": "3", "n_grid": "40, 80", "trials": "1"},
 }
 
@@ -954,8 +996,6 @@ def test_every_defaulted_public_parameter_has_a_caller():
     assert _defaulted_parameters(riskshift) | _defaulted_parameters(riskshift.harness) == {
         # runners.run_classification_sweep warm-starts each fit from the previous lambda
         "erm_fit.beta0",
-        # runners.run_classification_sweep passes the configured sigma_beta_sq
-        "task_dependent_model.sigma_beta_sq",
         # config.load_config passes the parsed file; selftest and perfbench/child.py pass {}
         "config_from_mapping.mapping",
         # config.load_config forwards the CLI's --seed and --out; perfbench/child.py

@@ -1,9 +1,12 @@
 """Tests for covariance pairs, plug-in shift parameters, and the task-dependent model."""
 
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from riskshift.datagen import sample_beta
 from riskshift.errors import (
     DegenerateShiftError,
     InvalidDimensionError,
@@ -11,6 +14,7 @@ from riskshift.errors import (
     UnreachableRatioError,
 )
 from riskshift.harness.selftest import _block_normalized_beta
+from riskshift.risk import decision_cov, misclassification_risk
 from riskshift.shiftmodel import (
     CovariancePair,
     ShiftParameters,
@@ -155,6 +159,35 @@ def test_task_dependent_hits_ratio_and_gamma():
         npt.assert_array_equal(built.eigvals_p, pair.eigvals_p)
         # Q-weights confined to the support
         assert np.all(built.eigvals_q[built.eigvals_p == 0.0] == 0.0)
+
+
+def test_task_dependent_rebuild_sees_the_input_pair_only_through_its_scale():
+    # why the classification sweep has no tau, d_q, d_pq or sigma_beta_sq: from the
+    # default regression pair or from Sigma_Q = Sigma_P, the rebuilt Sigma_Q differs
+    # by one factor, which kappa/gamma, mu and misclassification risk do not see
+    beta = sample_beta(800, 1.0, 1)
+    shifted, plain = (
+        task_dependent_model(subspace_shift_model(SubspacePairSpec(800, 720, d_q, d_pq), tau, 0), beta, 5.0)
+        for d_q, d_pq, tau in ((640, 560, 2.0), (720, 720, 1.0))
+    )
+    npt.assert_array_equal(shifted.eigvals_p, plain.eigvals_p)
+    scale = shifted.eigvals_q[0] / plain.eigvals_q[0]
+    npt.assert_allclose(shifted.eigvals_q, scale * plain.eigvals_q, rtol=1e-12, atol=0.0)
+    a, b = shift_parameters(shifted, beta, 1.0), shift_parameters(plain, beta, 1.0)
+    assert a.kappa / a.gamma == pytest.approx(b.kappa / b.gamma, rel=1e-12)
+    assert a.mu == pytest.approx(b.mu, rel=1e-12)
+    rng = np.random.default_rng(2)
+    # a wide angle and a tiny one, where arccos magnifies a change in the correlation
+    for spread in (1.0, 1e-6):
+        beta_hat = beta + spread * rng.standard_normal(800)
+        (p_shifted, q_shifted), (p_plain, q_plain) = (
+            decision_cov(beta, beta_hat, pair) for pair in (shifted, plain)
+        )
+        assert p_shifted == p_plain
+        corr = q_shifted.chi / math.sqrt(q_shifted.omega_star * q_shifted.v)
+        ulps = 4 * np.spacing(corr)
+        risk = misclassification_risk(q_plain)
+        assert math.acos(min(corr + ulps, 1.0)) / math.pi <= risk <= math.acos(corr - ulps) / math.pi
 
 
 def test_task_dependent_unreachable_ratio():
