@@ -19,15 +19,9 @@ from riskshift.datagen import (
 )
 from riskshift.errors import (
     ConfigError,
-    CovarianceError,
-    DegenerateDecisionError,
-    DegenerateShiftError,
     InvalidDimensionError,
     NumericInputError,
-    RelationInapplicableError,
-    RiskDomainError,
     RiskshiftError,
-    UnreachableRatioError,
 )
 from riskshift.estimators import FittedModel, erm_fit, ridge_fit
 from riskshift.inverse import (
@@ -82,11 +76,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AsymParams",
     "ConfigError",
-    "CovarianceError",
     "CovariancePair",
     "DecisionCov",
-    "DegenerateDecisionError",
-    "DegenerateShiftError",
     "FittedModel",
     "InvalidDimensionError",
     "InverseProblem",
@@ -96,12 +87,9 @@ __all__ = [
     "NoisySign",
     "NumericInputError",
     "OrthonormalBasis",
-    "RelationInapplicableError",
-    "RiskDomainError",
     "RiskshiftError",
     "ShiftParameters",
     "SubspacePairSpec",
-    "UnreachableRatioError",
     "asymptotic_decision_cov",
     "classification_relation",
     "covariance_functionals",

@@ -1,8 +1,11 @@
 """Exception taxonomy shared across the package.
 
 Every error raised by riskshift derives from RiskshiftError so callers can
-catch the whole family.  Each subclass marks one contract violation kind; the
-CLI maps them onto exit codes (config = 2, numeric = 3, IO = 4).
+catch the whole family.  There are three kinds: a malformed configuration
+(ConfigError), a wrong shape (InvalidDimensionError) and an unusable value
+(NumericInputError), which includes every input outside the domain on which
+the paper's relations hold.  The CLI maps them onto exit codes (config = 2,
+dimension and numeric = 3; IO errors are OSError, exit 4).
 """
 
 
@@ -15,31 +18,15 @@ class InvalidDimensionError(RiskshiftError, ValueError):
 
 
 class NumericInputError(RiskshiftError, ValueError):
-    """Inputs are numerically unusable: non-finite entries, out-of-range parameters."""
+    """Inputs are numerically unusable.
 
-
-class DegenerateShiftError(RiskshiftError, ValueError):
-    """Shift parameters undefined because the ground truth has no energy under the shift."""
-
-
-class UnreachableRatioError(RiskshiftError, ValueError):
-    """Requested covariance-shift ratio lies outside the constructible family."""
-
-
-class CovarianceError(RiskshiftError, ValueError):
-    """A claimed covariance is not positive semidefinite beyond tolerance."""
-
-
-class DegenerateDecisionError(RiskshiftError, ValueError):
-    """A decision-function correlation is undefined (zero variance on one side)."""
-
-
-class RelationInapplicableError(RiskshiftError, ValueError):
-    """The requested risk relation does not exist for these shift parameters."""
-
-
-class RiskDomainError(RiskshiftError, ValueError):
-    """A risk value lies outside the domain of the requested relation."""
+    Besides non-finite entries and out-of-range parameters, this covers every
+    input outside a relation's domain: a decision covariance that is not PSD
+    beyond tolerance, a zero-variance decision score, a ground truth with no
+    energy on the train support, a kappa/gamma outside the reachable band of
+    the task-dependent rebuild, the affine squared-risk map at gamma != kappa,
+    and a risk outside the relation's domain.  The message names the condition.
+    """
 
 
 class ConfigError(RiskshiftError, ValueError):

@@ -71,6 +71,8 @@ _ROOT_SEED = 20260814
 _SE_GATE = 4.0
 # a compressed-sensing MC draw costs O(d (n + d)); the chunk size fixes the draws
 _CS_MC_CHUNK = 1024
+# draws of each of criterion 4's Monte Carlo risks
+_CS_MC_DRAWS = 100_000
 
 
 @dataclass(frozen=True)
@@ -110,16 +112,16 @@ def count_significant_violations(risk_p, se_p, risk_q, se_q):
     return int(np.sum(mask))
 
 
-def _block_normalized_beta(pair, sigma_beta_sq, seed):
-    """Gaussian beta* rescaled so each spectral block carries its mean energy.
+def _block_normalized_beta(pair, seed):
+    """Unit-variance Gaussian beta* rescaled so each spectral block carries its mean energy.
 
     Blocks are defined by the joint pattern of the two eigenvalue vectors
     (support/overlap structure); within each block the squared norm is set to
-    (block size) * sigma_beta_sq exactly, removing O(d^-1/2) energy
-    fluctuations from plug-in shift parameters.
+    the block size exactly, removing O(d^-1/2) energy fluctuations from
+    plug-in shift parameters.
     """
     rng = np.random.default_rng(seed)
-    b = rng.standard_normal(pair.d) * math.sqrt(sigma_beta_sq)
+    b = rng.standard_normal(pair.d)
     s = pair.eigvals_p
     q = pair.eigvals_q
     for mask in (
@@ -133,11 +135,11 @@ def _block_normalized_beta(pair, sigma_beta_sq, seed):
             continue
         energy = float(np.sum(b[mask] ** 2))
         if energy > 0.0:
-            b[mask] *= math.sqrt(k * sigma_beta_sq / energy)
+            b[mask] *= math.sqrt(k / energy)
     return pair.eigenbasis @ b
 
 
-def _cs_mc_risk(a, problem, which, n_draws, seed):
+def _cs_mc_risk(a, problem, which, seed):
     """Direct Monte Carlo reconstruction risk: sample signal and noise, apply W*.
 
     W* = U_P (B_P^T B_P + (sigma_P^2 + lam) I)^{-1} B_P^T with B_P = A U_P is
@@ -167,7 +169,7 @@ def _cs_mc_risk(a, problem, which, n_draws, seed):
         err = x - x_hat
         return np.sum(err * err, axis=1) / denom
 
-    return chunked_mc(draw, n_draws, seed, _CS_MC_CHUNK)
+    return chunked_mc(draw, _CS_MC_DRAWS, seed, _CS_MC_CHUNK)
 
 
 def criterion_1():
@@ -240,8 +242,8 @@ def criterion_4():
     problem = InverseProblem(u_p=u_p, u_q=u_q, sigma_p_sq=noise, sigma_q_sq=noise, lam=config["lambda"])
     a_matrix = gaussian_measurement(500, config["d"], np.random.SeedSequence([_ROOT_SEED, 4, 1]))
     risk_p, risk_q = cs_risks(sketch_bases(a_matrix, problem), problem)
-    mc_p, se_p = _cs_mc_risk(a_matrix, problem, "P", 100_000, np.random.SeedSequence([_ROOT_SEED, 4, 2]))
-    mc_q, se_q = _cs_mc_risk(a_matrix, problem, "Q", 100_000, np.random.SeedSequence([_ROOT_SEED, 4, 3]))
+    mc_p, se_p = _cs_mc_risk(a_matrix, problem, "P", np.random.SeedSequence([_ROOT_SEED, 4, 2]))
+    mc_q, se_q = _cs_mc_risk(a_matrix, problem, "Q", np.random.SeedSequence([_ROOT_SEED, 4, 3]))
     return _judge("criterion-4-cs-decay", [
         (f"non-decreasing steps of median residuals {['%.3g' % m for m in medians]}", rising, "==", 0),
         ("log-log slope", slope, ">=", -0.8),
@@ -317,7 +319,7 @@ def criterion_7():
     """Monotonicity checkers agree with the per-coordinate identities."""
     spec = SubspacePairSpec(400, 360, 320, 280)
     pair = subspace_shift_model(spec, 2.0, np.random.SeedSequence([_ROOT_SEED, 7, 0]))
-    beta = _block_normalized_beta(pair, 1.0, np.random.SeedSequence([_ROOT_SEED, 7, 1]))
+    beta = _block_normalized_beta(pair, np.random.SeedSequence([_ROOT_SEED, 7, 1]))
     shift = shift_parameters(pair, beta, 1.0)
     reg = monotonicity_check_regression(pair, beta)
     pair_td = task_dependent_model(pair, beta, target_ratio=5.0)
@@ -429,11 +431,11 @@ ALL_CRITERIA = (
 )
 
 
-def run_all(print_fn=print):
+def run_all():
     """Run every criterion, print one PASS/FAIL line each, return the results."""
     results = []
     for fn in ALL_CRITERIA:
         result = fn()
-        print_fn(f"{'PASS' if result.passed else 'FAIL'} {result.name}: {result.detail}")
+        print(f"{'PASS' if result.passed else 'FAIL'} {result.name}: {result.detail}")
         results.append(result)
     return results

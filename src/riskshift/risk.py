@@ -22,14 +22,9 @@ import numpy as np
 import numpy.random  # numpy loads it lazily; load it with the package, not inside a run
 
 from riskshift import _gauss_legendre
-from riskshift.errors import (
-    CovarianceError,
-    DegenerateDecisionError,
-    NumericInputError,
-)
+from riskshift.errors import NumericInputError
 
 _PSD_SLACK = 1e-12
-_CHOL_JITTER = 1e-14
 # order k of the surrogate quadrature; the value uses the rule of order 2k
 _QUAD_ORDER = 150
 # |g1| > 9 has probability 2.3e-19, so the half-normal integral stops there
@@ -91,12 +86,12 @@ class DecisionCov:
 
     def __post_init__(self):
         if not all(math.isfinite(t) for t in (self.omega_star, self.chi, self.v)):
-            raise CovarianceError("decision covariance entries must be finite")
+            raise NumericInputError("decision covariance entries must be finite")
         if self.omega_star < 0 or self.v < 0:
-            raise CovarianceError("variances must be nonnegative")
+            raise NumericInputError("variances must be nonnegative")
         bound = self.omega_star * self.v
         if self.chi * self.chi > bound + _PSD_SLACK * max(1.0, bound):
-            raise CovarianceError(
+            raise NumericInputError(
                 f"chi^2 = {self.chi**2:.6g} exceeds omega_star * v = {bound:.6g}"
             )
 
@@ -130,7 +125,7 @@ def misclassification_risk(cov):
     """Pr(z* z < 0) = arccos(corr) / pi for a centered Gaussian pair."""
     bound = cov.omega_star * cov.v
     if bound <= 0.0:
-        raise DegenerateDecisionError(
+        raise NumericInputError(
             "misclassification risk needs both decision scores nondegenerate"
         )
     corr = cov.chi / math.sqrt(bound)
@@ -140,29 +135,17 @@ def misclassification_risk(cov):
 def _cholesky_2x2(cov):
     """Lower factor (l11, l21, l22) of [[omega_star, chi], [chi, v]].
 
-    A diagonal jitter of 1e-14 is applied if the exact factorization fails;
-    remaining deficits within a few ulps of v are clamped to zero.
+    Factors every covariance DecisionCov accepts.  omega_star = 0 gives
+    l21 = 0.  A deficit v - l21^2 of at most 4 eps * max(v, 1) is clamped
+    to l22 = 0; a larger one, where chi^2 exceeds omega_star * v within the
+    constructor's slack, puts all of v on l21 (|l21| = sqrt(v), l22 = 0).
     """
-    for jitter in (0.0, _CHOL_JITTER):
-        w = cov.omega_star + jitter
-        vv = cov.v + jitter
-        if w < 0.0:
-            continue
-        l11 = math.sqrt(w)
-        if l11 == 0.0:
-            if cov.chi != 0.0:
-                continue
-            l21 = 0.0
-        else:
-            l21 = cov.chi / l11
-        rem = vv - l21 * l21
-        if rem < 0.0:
-            if rem >= -4.0 * np.finfo(np.float64).eps * max(vv, 1.0):
-                rem = 0.0
-            else:
-                continue
-        return l11, l21, math.sqrt(rem)
-    raise CovarianceError("decision covariance is not PSD even after 1e-14 jitter")
+    l11 = math.sqrt(cov.omega_star)
+    l21 = cov.chi / l11 if l11 > 0.0 else 0.0
+    rem = cov.v - l21 * l21
+    if rem < -4.0 * np.finfo(np.float64).eps * max(cov.v, 1.0):
+        l21 = math.copysign(math.sqrt(cov.v), l21)
+    return l11, l21, math.sqrt(max(rem, 0.0))
 
 
 def metric_values(z_star, z, metric):

@@ -12,12 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from riskshift.errors import (
-    DegenerateShiftError,
-    InvalidDimensionError,
-    NumericInputError,
-    UnreachableRatioError,
-)
+from riskshift.errors import InvalidDimensionError, NumericInputError
 from riskshift.subspace import _ORTHO_TOL, SubspacePairSpec, _frozen_array, haar_basis
 
 _RATIO_TOL = 1e-3
@@ -131,14 +126,14 @@ def shift_parameters(pair, beta_star, sigma_beta_sq):
     q = pair.eigvals_q
     d_p = pair.d_p
     if d_p == 0:
-        raise DegenerateShiftError("Sigma_P support is empty")
+        raise NumericInputError("Sigma_P support is empty")
     b_sq = b * b
     support_energy = float(np.sum(q * s * b_sq))
     total_energy = float(np.sum(q * b_sq))
     # relative gate: rotation roundoff leaves O(eps^2) energy on coordinates
     # that are exactly zero in exact arithmetic
     if support_energy <= 1e-20 * max(total_energy, 1e-300):
-        raise DegenerateShiftError("beta* carries no Sigma_Q energy on the Sigma_P support")
+        raise NumericInputError("beta* carries no Sigma_Q energy on the Sigma_P support")
     gamma = support_energy / (d_p * sigma_beta_sq)
     mu = total_energy / support_energy
     kappa = float(np.sum(q * s)) / d_p
@@ -178,7 +173,7 @@ def task_dependent_model(pair, beta_star, target_ratio):
     d_p = pair.d_p
     b_sq_sup = b[sup] ** 2
     if float(np.sum(b_sq_sup)) <= 0.0:
-        raise DegenerateShiftError("beta* vanishes on the Sigma_P support")
+        raise NumericInputError("beta* vanishes on the Sigma_P support")
 
     log_v = np.log(b_sq_sup + 1e-8)
     lo, hi = -8.0, 8.0
@@ -186,7 +181,7 @@ def task_dependent_model(pair, beta_star, target_ratio):
     ratio_lo = _ratio_of_exponent(log_v, b_sq_sup, lo)
     ratio_hi = _ratio_of_exponent(log_v, b_sq_sup, hi)
     if not ratio_hi <= target_ratio <= ratio_lo:
-        raise UnreachableRatioError(
+        raise NumericInputError(
             f"target kappa/gamma {target_ratio} outside reachable band "
             f"[{ratio_hi:.6g}, {ratio_lo:.6g}] of the power family"
         )
@@ -211,7 +206,7 @@ def task_dependent_model(pair, beta_star, target_ratio):
     ratio_err = abs(realized.kappa / realized.gamma - target_ratio) / target_ratio
     gamma_err = abs(realized.gamma - target_gamma) / target_gamma
     if ratio_err > _RATIO_TOL or gamma_err > _GAMMA_TOL:
-        raise UnreachableRatioError(
+        raise NumericInputError(
             f"construction missed targets: kappa/gamma off by {ratio_err:.3g} rel, "
             f"gamma off by {gamma_err:.3g} rel"
         )

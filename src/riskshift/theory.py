@@ -15,13 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from riskshift.errors import (
-    DegenerateShiftError,
-    InvalidDimensionError,
-    NumericInputError,
-    RelationInapplicableError,
-    RiskDomainError,
-)
+from riskshift.errors import InvalidDimensionError, NumericInputError
 from riskshift.risk import DecisionCov, _std_normal_cdf
 from riskshift.shiftmodel import ShiftParameters
 
@@ -108,10 +102,10 @@ def regression_relation(risk_p, shift):
     risk_q = gamma * risk_p + gamma * r_p * sigma_beta_sq * (mu - 1).
     """
     if not (math.isfinite(risk_p) and risk_p >= 0):
-        raise RiskDomainError(f"squared risk must be finite and >= 0, got {risk_p}")
+        raise NumericInputError(f"squared risk must be finite and >= 0, got {risk_p}")
     rel_gap = abs(shift.gamma - shift.kappa) / shift.gamma
     if rel_gap > _GAMMA_KAPPA_REL_TOL:
-        raise RelationInapplicableError(
+        raise NumericInputError(
             f"regression relation needs gamma = kappa; relative gap is {rel_gap:.3g}"
         )
     return shift.gamma * risk_p + shift.gamma * shift.r_p * shift.sigma_beta_sq * (shift.mu - 1.0)
@@ -125,7 +119,7 @@ def _sec_sq(risk):
 def _risk_from_sec_sq(s):
     if s < 1.0:
         if s < 1.0 - 1e-9:
-            raise RiskDomainError(f"sec^2 value {s} below 1; no risk in [0, 1/2) maps to it")
+            raise NumericInputError(f"sec^2 value {s} below 1; no risk in [0, 1/2) maps to it")
         s = 1.0
     # a huge s rounds acos to exactly pi / 2; the relations' domain is open at 1/2
     return min(math.acos(min(1.0, 1.0 / math.sqrt(s))) / math.pi, _BELOW_HALF)
@@ -137,7 +131,7 @@ def classification_relation(risk_p, shift):
     sec^2(pi * risk_q) = (kappa * mu / gamma) * (sec^2(pi * risk_p) - 1) + mu.
     """
     if not (math.isfinite(risk_p) and 0.0 < risk_p < 0.5):
-        raise RiskDomainError(f"misclassification risk must lie in (0, 1/2), got {risk_p}")
+        raise NumericInputError(f"misclassification risk must lie in (0, 1/2), got {risk_p}")
     s_q = (shift.kappa * shift.mu / shift.gamma) * (_sec_sq(risk_p) - 1.0) + shift.mu
     return _risk_from_sec_sq(s_q)
 
@@ -180,7 +174,7 @@ def monotonicity_check_regression(pair, beta_star):
     """
     f = covariance_functionals(pair, beta_star)
     if np.any(f.gamma_p <= 0.0):
-        raise DegenerateShiftError(
+        raise NumericInputError(
             "beta* carries no energy on the Sigma_P support; ratios are undefined"
         )
     rho = float(f.gamma_q[0] / f.gamma_p[0])
@@ -202,7 +196,7 @@ def monotonicity_check_classification(pair, beta_star):
     """
     f = covariance_functionals(pair, beta_star)
     if np.any(f.gamma_p <= 0.0) or np.any(f.gamma_q <= 0.0):
-        raise DegenerateShiftError(
+        raise NumericInputError(
             "beta* carries no energy on the Sigma_P support; composites are undefined"
         )
     ct_p = f.omega_p * f.theta_p / (f.gamma_p * f.gamma_p)
@@ -254,7 +248,7 @@ def finite_dim_linearity(beta_star, basis, sigma_q, sigma_p_sq, sigma_q_sq):
     denom = float(b_p @ b_p)
     # projection roundoff leaves O(eps^2) energy even for orthogonal inputs
     if denom <= 1e-20 * max(float(beta_star @ beta_star), 1e-300):
-        raise DegenerateShiftError("beta* has no energy in the projector range")
+        raise NumericInputError("beta* has no energy in the projector range")
     sq_bp = sigma_q @ b_p
     slope = float(b_p @ sq_bp) / denom
     cross = float(sq_bp @ b_perp)

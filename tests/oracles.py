@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from riskshift.errors import NumericInputError, RiskDomainError
+from riskshift.errors import NumericInputError
 from riskshift.risk import _validate_mc_args, chunked_mc, metric_values
 from riskshift.subspace import _check_same_ambient, _frozen_array
 from riskshift.theory import _risk_from_sec_sq, _sec_sq
@@ -66,7 +66,7 @@ def population_mc_risk(beta_star, beta_hat, pair, which, metric, n_draws, seed):
 def classification_relation_inverse(risk_q, shift):
     """Train risk whose image under classification_relation is risk_q."""
     if not (math.isfinite(risk_q) and 0.0 < risk_q < 0.5):
-        raise RiskDomainError(f"misclassification risk must lie in (0, 1/2), got {risk_q}")
+        raise NumericInputError(f"misclassification risk must lie in (0, 1/2), got {risk_q}")
     slope = shift.kappa * shift.mu / shift.gamma
     s_p = (_sec_sq(risk_q) - shift.mu) / slope + 1.0
     return _risk_from_sec_sq(s_p)

@@ -175,59 +175,60 @@ _BELOW_ONE = math.nextafter(1.0, 0.0)
 _ABOVE_ONE = math.nextafter(1.0, 2.0)
 
 # (kind, key, a value the range rejects, the accepted value at the edge of the range,
-# other keys); list-valued keys take a one-entry list
+# other keys); list-valued keys take a one-entry list.  Each case carries its own id,
+# so deleting a row renames no other case; the ids keep the names the cases had
 _RANGE_EDGES = [
-    (KIND_RELATION, "master_seed", -1, 0, {}),
-    (KIND_DENOISE, "lambda_points", 0, 1, {}),
-    (KIND_DENOISE, "lambda_min", 0.0, _TINY, {}),
-    (KIND_DENOISE, "d_q", 41, 40, {}),
-    (KIND_REGRESSION, "n", 0, 1, {}),
-    (KIND_REGRESSION, "tau", 0.0, _TINY, {}),
-    (KIND_REGRESSION, "sigma_beta_sq", 0.0, _TINY, {}),
-    (KIND_REGRESSION, "noise_var", -_TINY, 0.0, {}),
-    (KIND_REGRESSION, "trials", 0, 1, {}),
-    (KIND_REGRESSION, "d_pq", 559, 560, {}),
-    (KIND_REGRESSION, "d_pq", 641, 640, {"d": 1000}),
-    (KIND_CLASSIFICATION, "n", 0, 1, {}),
-    (KIND_CLASSIFICATION, "d_p", 0, 1, {}),
-    (KIND_CLASSIFICATION, "d_p", 801, 800, {}),
-    (KIND_CLASSIFICATION, "trials", 0, 1, {}),
-    (KIND_CLASSIFICATION, "kappa_over_gamma", 0.0, _TINY, {}),
-    (KIND_CLASSIFICATION, "sign_correct_prob", 0.5, math.nextafter(0.5, 1.0), {}),
-    (KIND_CLASSIFICATION, "sign_correct_prob", _ABOVE_ONE, 1.0, {}),
-    (KIND_CLASSIFICATION, "theory_points", 1, 2, {}),
-    (KIND_CLASSIFICATION, "d", 719, 720, {}),
-    (KIND_RELATION, "mu_grid", [_BELOW_ONE], [1.0], {}),
-    (KIND_RELATION, "ratio_grid", [0.0], [_TINY], {}),
-    (KIND_RELATION, "mu_fixed", _BELOW_ONE, 1.0, {}),
-    (KIND_RELATION, "risk_p_min", 0.0, _TINY, {}),
-    (KIND_RELATION, "risk_p_min", 0.49, math.nextafter(0.49, 0.0), {}),
-    (KIND_RELATION, "risk_p_max", 0.5, math.nextafter(0.5, 0.0), {}),
-    (KIND_RELATION, "risk_p_points", 1, 2, {}),
-    (KIND_DENOISE, "a_grid", [-0.1], [0.0], {}),
-    (KIND_DENOISE, "a_grid", [_ABOVE_ONE], [1.0], {}),
-    (KIND_DENOISE, "snr_grid", [0.0], [_TINY], {}),
-    (KIND_DENOISE, "d_p", 161, 160, {}),
-    (KIND_COUNTEREXAMPLE, "r_p", 0.0, _TINY, {}),
-    (KIND_COUNTEREXAMPLE, "r_p", _ABOVE_ONE, 1.0, {}),
-    (KIND_COUNTEREXAMPLE, "sigma_beta_sq", 0.0, _TINY, {}),
-    (KIND_COUNTEREXAMPLE, "gamma", 0.0, _TINY, {}),
-    (KIND_COUNTEREXAMPLE, "kappa", 0.0, _TINY, {}),
-    (KIND_COUNTEREXAMPLE, "b", 0.0, _TINY, {}),
-    (KIND_COUNTEREXAMPLE, "c", 0.0, _TINY, {}),
-    (KIND_COUNTEREXAMPLE, "mu", _BELOW_ONE, 1.0, {}),
-    (KIND_COUNTEREXAMPLE, "a_min", 0.0, _TINY, {}),
-    (KIND_COUNTEREXAMPLE, "a_min", 30.0, math.nextafter(30.0, 0.0), {}),
-    (KIND_COUNTEREXAMPLE, "a_points", 1, 2, {}),
-    (KIND_CS, "snr", 0.0, _TINY, {}),
-    (KIND_CS, "trials", 0, 1, {}),
-    (KIND_CS, "lambda", -1e-9, 0.0, {}),
-    (KIND_CS, "n_grid", [39], [40], {}),
-    (KIND_CS, "d_pq", -1, 0, {}),
-    (KIND_SUBSPACE, "k_max", -1, 0, {"input_p": "p.txt", "input_q": "q.txt"}),
-    (KIND_DENOISE, "lambda_max", 0.0, _TINY, {"lambda_points": 1}),
-    (KIND_REGRESSION, "lambda_max", 0.0, _TINY, {"lambda_points": 1}),
-    (KIND_CLASSIFICATION, "lambda_max", 0.0, _TINY, {"lambda_points": 1}),
+    pytest.param(KIND_RELATION, "master_seed", -1, 0, {}, id="relation-curves-master_seed--1-0-others0"),
+    pytest.param(KIND_DENOISE, "lambda_points", 0, 1, {}, id="denoise-lambda_points-0-1-others1"),
+    pytest.param(KIND_DENOISE, "lambda_min", 0.0, _TINY, {}, id="denoise-lambda_min-0.0-5e-324-others2"),
+    pytest.param(KIND_DENOISE, "d_q", 41, 40, {}, id="denoise-d_q-41-40-others3"),
+    pytest.param(KIND_REGRESSION, "n", 0, 1, {}, id="regression-sweep-n-0-1-others4"),
+    pytest.param(KIND_REGRESSION, "tau", 0.0, _TINY, {}, id="regression-sweep-tau-0.0-5e-324-others5"),
+    pytest.param(KIND_REGRESSION, "sigma_beta_sq", 0.0, _TINY, {}, id="regression-sweep-sigma_beta_sq-0.0-5e-324-others6"),
+    pytest.param(KIND_REGRESSION, "noise_var", -_TINY, 0.0, {}, id="regression-sweep-noise_var--5e-324-0.0-others7"),
+    pytest.param(KIND_REGRESSION, "trials", 0, 1, {}, id="regression-sweep-trials-0-1-others8"),
+    pytest.param(KIND_REGRESSION, "d_pq", 559, 560, {}, id="regression-sweep-d_pq-559-560-others9"),
+    pytest.param(KIND_REGRESSION, "d_pq", 641, 640, {"d": 1000}, id="regression-sweep-d_pq-641-640-others10"),
+    pytest.param(KIND_CLASSIFICATION, "n", 0, 1, {}, id="classification-sweep-n-0-1-others11"),
+    pytest.param(KIND_CLASSIFICATION, "d_p", 0, 1, {}, id="classification-sweep-d_p-0-1-others12"),
+    pytest.param(KIND_CLASSIFICATION, "d_p", 801, 800, {}, id="classification-sweep-d_p-801-800-others13"),
+    pytest.param(KIND_CLASSIFICATION, "trials", 0, 1, {}, id="classification-sweep-trials-0-1-others14"),
+    pytest.param(KIND_CLASSIFICATION, "kappa_over_gamma", 0.0, _TINY, {}, id="classification-sweep-kappa_over_gamma-0.0-5e-324-others15"),
+    pytest.param(KIND_CLASSIFICATION, "sign_correct_prob", 0.5, math.nextafter(0.5, 1.0), {}, id="classification-sweep-sign_correct_prob-0.5-0.5000000000000001-others16"),
+    pytest.param(KIND_CLASSIFICATION, "sign_correct_prob", _ABOVE_ONE, 1.0, {}, id="classification-sweep-sign_correct_prob-1.0000000000000002-1.0-others17"),
+    pytest.param(KIND_CLASSIFICATION, "theory_points", 1, 2, {}, id="classification-sweep-theory_points-1-2-others18"),
+    pytest.param(KIND_CLASSIFICATION, "d", 719, 720, {}, id="classification-sweep-d-719-720-others19"),
+    pytest.param(KIND_RELATION, "mu_grid", [_BELOW_ONE], [1.0], {}, id="relation-curves-mu_grid-rejected20-accepted20-others20"),
+    pytest.param(KIND_RELATION, "ratio_grid", [0.0], [_TINY], {}, id="relation-curves-ratio_grid-rejected21-accepted21-others21"),
+    pytest.param(KIND_RELATION, "mu_fixed", _BELOW_ONE, 1.0, {}, id="relation-curves-mu_fixed-0.9999999999999999-1.0-others22"),
+    pytest.param(KIND_RELATION, "risk_p_min", 0.0, _TINY, {}, id="relation-curves-risk_p_min-0.0-5e-324-others23"),
+    pytest.param(KIND_RELATION, "risk_p_min", 0.49, math.nextafter(0.49, 0.0), {}, id="relation-curves-risk_p_min-0.49-0.48999999999999994-others24"),
+    pytest.param(KIND_RELATION, "risk_p_max", 0.5, math.nextafter(0.5, 0.0), {}, id="relation-curves-risk_p_max-0.5-0.49999999999999994-others25"),
+    pytest.param(KIND_RELATION, "risk_p_points", 1, 2, {}, id="relation-curves-risk_p_points-1-2-others26"),
+    pytest.param(KIND_DENOISE, "a_grid", [-0.1], [0.0], {}, id="denoise-a_grid-rejected27-accepted27-others27"),
+    pytest.param(KIND_DENOISE, "a_grid", [_ABOVE_ONE], [1.0], {}, id="denoise-a_grid-rejected28-accepted28-others28"),
+    pytest.param(KIND_DENOISE, "snr_grid", [0.0], [_TINY], {}, id="denoise-snr_grid-rejected29-accepted29-others29"),
+    pytest.param(KIND_DENOISE, "d_p", 161, 160, {}, id="denoise-d_p-161-160-others30"),
+    pytest.param(KIND_COUNTEREXAMPLE, "r_p", 0.0, _TINY, {}, id="counterexample-r_p-0.0-5e-324-others31"),
+    pytest.param(KIND_COUNTEREXAMPLE, "r_p", _ABOVE_ONE, 1.0, {}, id="counterexample-r_p-1.0000000000000002-1.0-others32"),
+    pytest.param(KIND_COUNTEREXAMPLE, "sigma_beta_sq", 0.0, _TINY, {}, id="counterexample-sigma_beta_sq-0.0-5e-324-others33"),
+    pytest.param(KIND_COUNTEREXAMPLE, "gamma", 0.0, _TINY, {}, id="counterexample-gamma-0.0-5e-324-others34"),
+    pytest.param(KIND_COUNTEREXAMPLE, "kappa", 0.0, _TINY, {}, id="counterexample-kappa-0.0-5e-324-others35"),
+    pytest.param(KIND_COUNTEREXAMPLE, "b", 0.0, _TINY, {}, id="counterexample-b-0.0-5e-324-others36"),
+    pytest.param(KIND_COUNTEREXAMPLE, "c", 0.0, _TINY, {}, id="counterexample-c-0.0-5e-324-others37"),
+    pytest.param(KIND_COUNTEREXAMPLE, "mu", _BELOW_ONE, 1.0, {}, id="counterexample-mu-0.9999999999999999-1.0-others38"),
+    pytest.param(KIND_COUNTEREXAMPLE, "a_min", 0.0, _TINY, {}, id="counterexample-a_min-0.0-5e-324-others39"),
+    pytest.param(KIND_COUNTEREXAMPLE, "a_min", 30.0, math.nextafter(30.0, 0.0), {}, id="counterexample-a_min-30.0-29.999999999999996-others40"),
+    pytest.param(KIND_COUNTEREXAMPLE, "a_points", 1, 2, {}, id="counterexample-a_points-1-2-others41"),
+    pytest.param(KIND_CS, "snr", 0.0, _TINY, {}, id="cs-validate-snr-0.0-5e-324-others42"),
+    pytest.param(KIND_CS, "trials", 0, 1, {}, id="cs-validate-trials-0-1-others43"),
+    pytest.param(KIND_CS, "lambda", -1e-9, 0.0, {}, id="cs-validate-lambda--1e-09-0.0-others44"),
+    pytest.param(KIND_CS, "n_grid", [39], [40], {}, id="cs-validate-n_grid-rejected45-accepted45-others45"),
+    pytest.param(KIND_CS, "d_pq", -1, 0, {}, id="cs-validate-d_pq--1-0-others46"),
+    pytest.param(KIND_SUBSPACE, "k_max", -1, 0, {"input_p": "p.txt", "input_q": "q.txt"}, id="subspace-analyze-k_max--1-0-others47"),
+    pytest.param(KIND_DENOISE, "lambda_max", 0.0, _TINY, {"lambda_points": 1}, id="denoise-lambda_max-0.0-5e-324-others48"),
+    pytest.param(KIND_REGRESSION, "lambda_max", 0.0, _TINY, {"lambda_points": 1}, id="regression-sweep-lambda_max-0.0-5e-324-others49"),
+    pytest.param(KIND_CLASSIFICATION, "lambda_max", 0.0, _TINY, {"lambda_points": 1}, id="classification-sweep-lambda_max-0.0-5e-324-others50"),
 ]
 
 
@@ -721,6 +722,22 @@ def test_cli_numeric_failure_exit_code(tmp_path, capsys):
     )
     assert main(["subspace-analyze", "--config", cfg]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_unreachable_shift_ratio_is_numeric_error(tmp_path, capsys):
+    # the power family of the Sigma_Q rebuild cannot reach kappa/gamma = 1e9
+    out = tmp_path / "out.csv"
+    cfg = _cli_config(
+        tmp_path,
+        "kind = classification-sweep\nd = 8\nd_p = 4\nn = 10\ntrials = 1\nlambda_min = 0.1\n"
+        f"lambda_max = 1\nlambda_points = 2\ntheory_points = 2\nkappa_over_gamma = 1e9\n"
+        f"output_path = {out}\n",
+    )
+    assert main(["classification-sweep", "--config", cfg]) == 3
+    err_lines = capsys.readouterr().err.splitlines()
+    assert len(err_lines) == 1 and err_lines[0].startswith("error: target kappa/gamma 1000000000.0")
+    assert "outside reachable band" in err_lines[0]
+    assert not out.exists()
 
 
 def test_cli_one_point_zero_lambda_max_is_config_error(tmp_path, capsys):

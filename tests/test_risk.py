@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 from numpy.polynomial.hermite_e import hermegauss
@@ -14,10 +14,11 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import ndtr
 
 from riskshift import _gauss_legendre
-from riskshift.errors import CovarianceError, NumericInputError
+from riskshift.errors import NumericInputError
 from riskshift.harness.config import KIND_COUNTEREXAMPLE, config_from_mapping
 from riskshift.risk import (
     DecisionCov,
+    _PSD_SLACK,
     _QUAD_BLOCK,
     _QUAD_ORDER,
     _cholesky_2x2,
@@ -55,9 +56,9 @@ def test_decision_cov_quadratic_forms():
 
 
 def test_decision_cov_rejects_psd_violations():
-    with pytest.raises(CovarianceError):
+    with pytest.raises(NumericInputError, match="exceeds omega_star"):
         DecisionCov(omega_star=1.0, chi=2.0, v=1.0)
-    with pytest.raises(CovarianceError):
+    with pytest.raises(NumericInputError, match="variances must be nonnegative"):
         DecisionCov(omega_star=-1.0, chi=0.0, v=1.0)
 
 
@@ -177,9 +178,7 @@ def test_misclassification_closed_form_anchors():
 
 def test_degenerate_decision_risks():
     # correlation undefined once either score has zero variance
-    from riskshift.errors import DegenerateDecisionError
-
-    with pytest.raises(DegenerateDecisionError):
+    with pytest.raises(NumericInputError, match="both decision scores nondegenerate"):
         misclassification_risk(DecisionCov(omega_star=1.0, chi=0.0, v=0.0))
 
 
@@ -290,9 +289,14 @@ def _quad_one(cov, metric):
 
 
 def test_quad_hinge_matches_aligned_closed_form():
-    value, err = _quad_one(DecisionCov(omega_star=1.0, chi=1.0, v=1.0), MetricKind.HINGE)
-    assert abs(value - _HINGE_ALIGNED) <= 1e-9
-    assert err <= 1e-9
+    # chi^2 may exceed omega_star * v by less than DecisionCov's slack: such a
+    # pair is aligned too, as misclassification_risk = 0 says
+    for cov in (DecisionCov(1.0, 1.0, 1.0), DecisionCov(1.0, 1.0 + 1e-13, 1.0),
+                DecisionCov(4.0, 2.0 * (1.0 + 4e-14), 1.0)):
+        assert misclassification_risk(cov) == 0.0
+        value, err = _quad_one(cov, MetricKind.HINGE)
+        assert abs(value - _HINGE_ALIGNED) <= 1e-9
+        assert err <= 1e-9
 
 
 def test_quad_logistic_matches_dense_trapezoid():
@@ -353,6 +357,50 @@ def test_quad_rejects_closed_form_metrics():
     for metric in (MetricKind.SQUARED_ERROR, MetricKind.MISCLASSIFICATION, "logistic"):
         with pytest.raises(NumericInputError):
             quad_metric_risk([cov], metric)
+
+
+@st.composite
+def psd_edge_covariances(draw):
+    """DecisionCov with chi anywhere up to the constructor's PSD slack.
+
+    omega_star = 0, v = 0, chi^2 = omega_star * v and chi^2 at the slack's
+    edge are each drawn with positive probability.
+    """
+    omega_star = draw(st.one_of(st.just(0.0), st.floats(0.0, 1e6)))
+    v = draw(st.one_of(st.just(0.0), st.floats(0.0, 1e6)))
+    bound = omega_star * v
+    edge = math.sqrt(bound + _PSD_SLACK * max(1.0, bound))
+    chi = draw(st.one_of(st.floats(0.0, edge), st.just(edge), st.just(math.sqrt(bound))))
+    try:
+        return DecisionCov(omega_star, chi * draw(st.sampled_from((1.0, -1.0))), v)
+    except NumericInputError:
+        # edge rounded past the slack
+        assume(False)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(psd_edge_covariances())
+@example(DecisionCov(1.0, 1.0 + 1e-13, 1.0))
+@example(DecisionCov(4.0, 2.0 * (1.0 + 4e-14), 1.0))
+@example(DecisionCov(0.0, 1e-8, 1.0))
+@example(DecisionCov(1e-300, 1e-6, 1.0))
+@example(DecisionCov(1.0, -1e-6, 0.0))
+def test_cholesky_factors_every_accepted_covariance(cov):
+    eps = np.finfo(np.float64).eps
+    l11, l21, l22 = _cholesky_2x2(cov)
+    assert l11 * l11 == pytest.approx(cov.omega_star, rel=2 * eps, abs=0.0)
+    if cov.omega_star == 0.0:
+        assert l21 == 0.0
+    assert abs(l21 * l21 + l22 * l22 - cov.v) <= 8 * eps * max(cov.v, 1.0)
+    bound = cov.omega_star * cov.v
+    assert abs(cov.chi * cov.chi - (l11 * l21) ** 2) <= (_PSD_SLACK + 8 * eps) * max(1.0, bound)
+    # where the plain factor exists, it is the one returned, bit for bit
+    if l11 > 0.0:
+        plain = cov.chi / l11
+        if cov.v - plain * plain >= 0.0:
+            assert (l21, l22) == (plain, math.sqrt(cov.v - plain * plain))
+    for metric in (MetricKind.LOGISTIC, MetricKind.HINGE):
+        assert np.all(np.isfinite(quad_metric_risk([cov], metric)[0]))
 
 
 def _logistic_tensor_rule(cov, order):

@@ -7,12 +7,7 @@ import numpy.testing as npt
 import pytest
 
 from riskshift.datagen import sample_beta
-from riskshift.errors import (
-    DegenerateShiftError,
-    InvalidDimensionError,
-    NumericInputError,
-    UnreachableRatioError,
-)
+from riskshift.errors import InvalidDimensionError, NumericInputError
 from riskshift.harness.selftest import _block_normalized_beta
 from riskshift.risk import decision_cov, misclassification_risk
 from riskshift.shiftmodel import (
@@ -113,7 +108,7 @@ def test_shift_parameters_figure_geometry():
 def test_shift_parameters_exact_for_block_equal_beta():
     spec = SubspacePairSpec(800, 720, 640, 560)
     pair = subspace_shift_model(spec, 2.0, 21)
-    beta = _block_normalized_beta(pair, 1.0, 22)
+    beta = _block_normalized_beta(pair, 22)
     shift = shift_parameters(pair, beta, 1.0)
     assert shift.gamma == pytest.approx(14 / 9, rel=1e-12)
     assert shift.mu == pytest.approx(8 / 7, rel=1e-12)
@@ -123,7 +118,7 @@ def test_shift_parameters_requires_support_energy():
     pair = subspace_shift_model(SubspacePairSpec(10, 4, 3, 2), 1.0, 7)
     # beta orthogonal to the support: zero support energy
     beta = pair.eigenbasis @ np.concatenate([np.zeros(4), np.ones(6)])
-    with pytest.raises(DegenerateShiftError):
+    with pytest.raises(NumericInputError, match="no Sigma_Q energy on the Sigma_P support"):
         shift_parameters(pair, beta, 1.0)
 
 
@@ -138,7 +133,7 @@ def test_shift_parameters_invariants_enforced():
 
 def test_task_dependent_ratio_one_is_task_independent():
     pair = subspace_shift_model(SubspacePairSpec(200, 160, 120, 100), 2.0, 31)
-    beta = _block_normalized_beta(pair, 1.0, 32)
+    beta = _block_normalized_beta(pair, 32)
     built = task_dependent_model(pair, beta, target_ratio=1.0)
     on_support = built.eigvals_q[built.eigvals_p == 1.0]
     npt.assert_allclose(on_support, on_support[0], rtol=1e-9)
@@ -193,7 +188,7 @@ def test_task_dependent_rebuild_sees_the_input_pair_only_through_its_scale():
 def test_task_dependent_unreachable_ratio():
     pair = subspace_shift_model(SubspacePairSpec(60, 40, 30, 20), 2.0, 51)
     beta = _random_beta(60, 1.0, 52)
-    with pytest.raises(UnreachableRatioError):
+    with pytest.raises(NumericInputError, match="outside reachable band"):
         task_dependent_model(pair, beta, target_ratio=1e9)
 
 
