@@ -58,7 +58,6 @@ from riskshift.subspace import (
     subspace_similarity,
 )
 from riskshift.theory import (
-    AsymParams,
     MonotonicityVerdict,
     asymptotic_decision_cov,
     classification_relation,
@@ -74,7 +73,6 @@ from riskshift.theory import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AsymParams",
     "ConfigError",
     "CovariancePair",
     "DecisionCov",

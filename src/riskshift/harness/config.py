@@ -87,7 +87,6 @@ _parse_floats = _list_of(_parse_float)
 class _Field:
     parse: callable
     default: object
-    help: str
     # (comparison, limit) pairs the value, or each entry of a list value, must meet
     bounds: tuple = ()
 
@@ -102,30 +101,30 @@ _AT_LEAST_TWO = ((">=", 2),)
 def _schema(kind, fields, rule=lambda values: None):
     """(fields, rule): the common keys then the kind's, and the kind's check across keys."""
     common = {
-        "kind": _Field(_parse_str, kind, "experiment kind; must match the subcommand"),
-        "master_seed": _Field(_parse_int, 0, "root seed for all RNG streams", _NONNEGATIVE),
-        "output_path": _Field(_parse_str, f"{kind}.csv", "CSV destination"),
+        "kind": _Field(_parse_str, kind),
+        "master_seed": _Field(_parse_int, 0, _NONNEGATIVE),
+        "output_path": _Field(_parse_str, f"{kind}.csv"),
     }
     return {**common, **fields}, rule
 
 
 def _lambda_fields(points):
     return {
-        "lambda_min": _Field(_parse_float, 1e-3, "smallest ridge weight of the log grid", _POSITIVE),
-        "lambda_max": _Field(_parse_float, 1e2, "largest ridge weight of the log grid", _POSITIVE),
-        "lambda_points": _Field(_parse_int, points, "number of log-spaced ridge weights", _AT_LEAST_ONE),
+        "lambda_min": _Field(_parse_float, 1e-3, _POSITIVE),
+        "lambda_max": _Field(_parse_float, 1e2, _POSITIVE),
+        "lambda_points": _Field(_parse_int, points, _AT_LEAST_ONE),
     }
 
 
 _SWEEP_GEOMETRY = {
-    "d": _Field(_parse_int, 800, "ambient dimension"),
-    "n": _Field(_parse_int, 1000, "training sample size", _POSITIVE),
-    "d_p": _Field(_parse_int, 720, "train-support dimension"),
+    "d": _Field(_parse_int, 800),
+    "n": _Field(_parse_int, 1000, _POSITIVE),
+    "d_p": _Field(_parse_int, 720),
 }
 _HAAR_GEOMETRY = {
-    "d": _Field(_parse_int, 200, "ambient dimension"),
-    "d_p": _Field(_parse_int, 40, "train subspace dimension"),
-    "d_q": _Field(_parse_int, 40, "test subspace dimension"),
+    "d": _Field(_parse_int, 200),
+    "d_p": _Field(_parse_int, 40),
+    "d_q": _Field(_parse_int, 40),
 }
 
 
@@ -169,67 +168,59 @@ _SCHEMAS = {
     KIND_REGRESSION: _schema(KIND_REGRESSION, {
         **_lambda_fields(25),
         **_SWEEP_GEOMETRY,
-        "d_q": _Field(_parse_int, 640, "test-support dimension"),
-        "d_pq": _Field(_parse_int, 560, "overlap dimension"),
-        "sigma_beta_sq": _Field(_parse_float, 1.0, "per-coordinate variance of beta*", _POSITIVE),
-        "tau": _Field(_parse_float, 2.0, "test covariance scale on its support", _POSITIVE),
-        "noise_var": _Field(_parse_float, 0.2, "label noise variance", _NONNEGATIVE),
-        "trials": _Field(_parse_int, 5, "number of independent trials", _POSITIVE),
+        "d_q": _Field(_parse_int, 640),
+        "d_pq": _Field(_parse_int, 560),
+        "sigma_beta_sq": _Field(_parse_float, 1.0, _POSITIVE),
+        "tau": _Field(_parse_float, 2.0, _POSITIVE),
+        "noise_var": _Field(_parse_float, 0.2, _NONNEGATIVE),
+        "trials": _Field(_parse_int, 5, _POSITIVE),
     }, _require_subspace_spec),
     KIND_CLASSIFICATION: _schema(KIND_CLASSIFICATION, {
         **_lambda_fields(25),
         **_SWEEP_GEOMETRY,
-        "sign_correct_prob": _Field(
-            _parse_float, 0.8, "probability a sign label is kept", ((">", 0.5), ("<=", 1))
-        ),
-        "kappa_over_gamma": _Field(_parse_float, 5.0, "target kappa/gamma of the rebuild", _POSITIVE),
-        "theory_points": _Field(_parse_int, 40, "risk grid size for theory rows", _AT_LEAST_TWO),
-        "trials": _Field(_parse_int, 3, "number of independent trials", _POSITIVE),
+        "sign_correct_prob": _Field(_parse_float, 0.8, ((">", 0.5), ("<=", 1))),
+        "kappa_over_gamma": _Field(_parse_float, 5.0, _POSITIVE),
+        "theory_points": _Field(_parse_int, 40, _AT_LEAST_TWO),
+        "trials": _Field(_parse_int, 3, _POSITIVE),
     }, _require_support),
     KIND_RELATION: _schema(KIND_RELATION, {
-        "mu_grid": _Field(
-            _parse_floats, [1.0, 1.05, 1.1, 1.2, 1.5], "mu values at kappa = gamma", _AT_LEAST_ONE
-        ),
-        "ratio_grid": _Field(_parse_floats, [0.2, 0.5, 1.0, 2.0, 5.0], "kappa/gamma values", _POSITIVE),
-        "mu_fixed": _Field(_parse_float, 1.0, "mu used for the kappa/gamma curves", _AT_LEAST_ONE),
-        "risk_p_min": _Field(_parse_float, 0.01, "left end of the train-risk grid", _POSITIVE),
-        "risk_p_max": _Field(_parse_float, 0.49, "right end of the train-risk grid", (("<", 0.5),)),
-        "risk_p_points": _Field(_parse_int, 99, "train-risk grid size", _AT_LEAST_TWO),
+        "mu_grid": _Field(_parse_floats, [1.0, 1.05, 1.1, 1.2, 1.5], _AT_LEAST_ONE),
+        "ratio_grid": _Field(_parse_floats, [0.2, 0.5, 1.0, 2.0, 5.0], _POSITIVE),
+        "mu_fixed": _Field(_parse_float, 1.0, _AT_LEAST_ONE),
+        "risk_p_min": _Field(_parse_float, 0.01, _POSITIVE),
+        "risk_p_max": _Field(_parse_float, 0.49, (("<", 0.5),)),
+        "risk_p_points": _Field(_parse_int, 99, _AT_LEAST_TWO),
     }, _require_increasing("risk_p_min", "risk_p_max")),
     KIND_DENOISE: _schema(KIND_DENOISE, {
         **_lambda_fields(50),
         **_HAAR_GEOMETRY,
-        "a_grid": _Field(
-            _parse_floats, [0.0, 0.5, 1.0], "target overlap coefficients", ((">=", 0), ("<=", 1))
-        ),
-        "snr_grid": _Field(_parse_floats, [1.0, 100.0], "signal-to-noise ratios 1/sigma^2", _POSITIVE),
+        "a_grid": _Field(_parse_floats, [0.0, 0.5, 1.0], ((">=", 0), ("<=", 1))),
+        "snr_grid": _Field(_parse_floats, [1.0, 100.0], _POSITIVE),
     }, _require_overlaps),
     KIND_COUNTEREXAMPLE: _schema(KIND_COUNTEREXAMPLE, {
-        "r_p": _Field(_parse_float, 0.9, "train-support fraction", ((">", 0), ("<=", 1))),
-        "sigma_beta_sq": _Field(_parse_float, 1.0, "signal variance", _POSITIVE),
-        "gamma": _Field(_parse_float, 1.0, "shift slope", _POSITIVE),
-        "kappa": _Field(_parse_float, 1.0, "shift trace factor", _POSITIVE),
-        "mu": _Field(_parse_float, 1.2, "shift task factor", _AT_LEAST_ONE),
-        "b": _Field(_parse_float, 1.0, "resolvent-shift parameter of the estimator family", _POSITIVE),
-        "c": _Field(_parse_float, 1.0, "noise-energy parameter of the estimator family", _POSITIVE),
-        "a_min": _Field(_parse_float, 0.05, "smallest alignment value", _POSITIVE),
-        "a_max": _Field(_parse_float, 30.0, "largest alignment value"),
-        "a_points": _Field(_parse_int, 40, "number of log-spaced alignment values", _AT_LEAST_TWO),
+        "r_p": _Field(_parse_float, 0.9, ((">", 0), ("<=", 1))),
+        "sigma_beta_sq": _Field(_parse_float, 1.0, _POSITIVE),
+        "gamma": _Field(_parse_float, 1.0, _POSITIVE),
+        "kappa": _Field(_parse_float, 1.0, _POSITIVE),
+        "mu": _Field(_parse_float, 1.2, _AT_LEAST_ONE),
+        "b": _Field(_parse_float, 1.0, _POSITIVE),
+        "c": _Field(_parse_float, 1.0, _POSITIVE),
+        "a_min": _Field(_parse_float, 0.05, _POSITIVE),
+        "a_max": _Field(_parse_float, 30.0),
+        "a_points": _Field(_parse_int, 40, _AT_LEAST_TWO),
     }, _require_increasing("a_min", "a_max")),
     KIND_CS: _schema(KIND_CS, {
         **_HAAR_GEOMETRY,
-        "d_pq": _Field(_parse_int, 20, "overlap dimension"),
-        "snr": _Field(_parse_float, 100.0, "signal-to-noise ratio 1/sigma^2", _POSITIVE),
-        "lambda": _Field(_parse_float, 8.0, "ridge weight of the reconstruction", _NONNEGATIVE),
-        "n_grid": _Field(_list_of(_parse_int), [500, 2000, 8000], "measurement counts"),
-        "trials": _Field(_parse_int, 20, "number of independent seeds per n", _POSITIVE),
+        "d_pq": _Field(_parse_int, 20),
+        "snr": _Field(_parse_float, 100.0, _POSITIVE),
+        "lambda": _Field(_parse_float, 8.0, _NONNEGATIVE),
+        "n_grid": _Field(_list_of(_parse_int), [500, 2000, 8000]),
+        "trials": _Field(_parse_int, 20, _POSITIVE),
     }, _require_cs),
     KIND_SUBSPACE: _schema(KIND_SUBSPACE, {
-        "input_p": _Field(_parse_str, _REQUIRED, "path to the first numeric matrix (rows = samples)"),
-        "input_q": _Field(_parse_str, _REQUIRED, "path to the second numeric matrix"),
-        "k_max": _Field(
-            _parse_int, 0, "largest subspace size compared; 0 means all available", _NONNEGATIVE
-        ),
+        "input_p": _Field(_parse_str, _REQUIRED),
+        "input_q": _Field(_parse_str, _REQUIRED),
+        "k_max": _Field(_parse_int, 0, _NONNEGATIVE),
     }),
 }
 
@@ -323,11 +314,3 @@ def config_from_mapping(kind, mapping=None, seed_override=None, out_override=Non
         _build_lambda_grid(values)
     rule(values)
     return ExperimentConfig(kind=kind, values=values)
-
-
-def describe_keys(kind):
-    """(key, default, help) rows of the kind's schema, in schema order."""
-    return [
-        (key, "(required)" if field.default is _REQUIRED else repr(field.default), field.help)
-        for key, field in _SCHEMAS[kind][0].items()
-    ]

@@ -71,7 +71,6 @@ from riskshift.subspace import (
     subspace_similarity,
 )
 from riskshift.theory import (
-    AsymParams,
     asymptotic_decision_cov,
     classification_relation,
     regression_relation,
@@ -334,10 +333,7 @@ def run_counterexample(config):
         sigma_beta_sq=config["sigma_beta_sq"],
     )
     a_grid = np.geomspace(config["a_min"], config["a_max"], config["a_points"]).tolist()
-    covs = [
-        asymptotic_decision_cov(AsymParams(a=a, b=config["b"], c=config["c"]), shift)
-        for a in a_grid
-    ]
+    covs = [asymptotic_decision_cov(a, config["b"], config["c"], shift) for a in a_grid]
     rows = [
         {
             "metric": MetricKind.MISCLASSIFICATION.value,

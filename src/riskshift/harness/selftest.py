@@ -54,7 +54,6 @@ from riskshift.shiftmodel import (
 )
 from riskshift.subspace import SubspacePairSpec, haar_basis, overlap_coefficient, overlapping_pair
 from riskshift.theory import (
-    AsymParams,
     asymptotic_decision_cov,
     classification_relation,
     finite_dim_linearity,
@@ -390,11 +389,9 @@ def criterion_10():
     rng = np.random.default_rng(np.random.SeedSequence([_ROOT_SEED, 10]))
     worst = 0.0
     for _ in range(100):
-        params = AsymParams(
-            a=float(rng.uniform(0.1, 2.0)),
-            b=float(rng.uniform(0.1, 3.0)),
-            c=float(rng.uniform(0.5, 3.0)),
-        )
+        a = float(rng.uniform(0.1, 2.0))
+        b = float(rng.uniform(0.1, 3.0))
+        c = float(rng.uniform(0.5, 3.0))
         shift = ShiftParameters(
             gamma=float(rng.uniform(0.2, 3.0)),
             mu=float(rng.uniform(1.0, 3.0)),
@@ -402,13 +399,13 @@ def criterion_10():
             r_p=float(rng.uniform(0.1, 1.0)),
             sigma_beta_sq=float(rng.uniform(0.3, 2.0)),
         )
-        cov_p, cov_q = asymptotic_decision_cov(params, shift)
+        cov_p, cov_q = asymptotic_decision_cov(a, b, c, shift)
         risk_p = misclassification_risk(cov_p)
         risk_q = misclassification_risk(cov_q)
         worst = max(worst, abs(risk_q - classification_relation(risk_p, shift)))
 
         shift_eq = dataclasses.replace(shift, kappa=shift.gamma)
-        cov_p2, cov_q2 = asymptotic_decision_cov(params, shift_eq)
+        cov_p2, cov_q2 = asymptotic_decision_cov(a, b, c, shift_eq)
         sq_p = squared_risk(cov_p2)
         sq_q = squared_risk(cov_q2)
         worst = max(worst, abs(sq_q - regression_relation(sq_p, shift_eq)))

@@ -336,7 +336,10 @@ def _hinge_on_rule(l21, l22, h, wh):
     smooth = (l22 > 0.0)[:, None]
     scale = np.where(smooth, l22[:, None], 1.0)
     r = c / scale
-    blurred = c * _std_normal_cdf(r) + scale * np.exp(-0.5 * r * r) / _SQRT_2PI
+    # a tiny l22 squares r past the float range; exp(-inf) = 0 is then the density
+    with np.errstate(over="ignore"):
+        density = np.exp(-0.5 * r * r)
+    blurred = c * _std_normal_cdf(r) + scale * density / _SQRT_2PI
     return (wh * np.where(smooth, blurred, np.maximum(0.0, c))).sum(axis=-1)
 
 

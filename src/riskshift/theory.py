@@ -27,26 +27,6 @@ _MONO_TOL = 1e-8
 
 
 @dataclass(frozen=True)
-class AsymParams:
-    """Alignment a, resolvent shift b, and noise-energy c of the estimator family.
-
-    The family covers ridge-type estimators whose rotated coefficients are
-    (a * beta_j + noise) / (1 + b) per eigendirection, with c the variance of
-    the noise energy per direction.
-    """
-
-    a: float
-    b: float
-    c: float
-
-    def __post_init__(self):
-        if not all(math.isfinite(t) for t in (self.a, self.b, self.c)):
-            raise NumericInputError("asymptotic parameters must be finite")
-        if self.b <= 0 or self.c <= 0:
-            raise NumericInputError("b and c must be positive")
-
-
-@dataclass(frozen=True)
 class FunctionalTuple:
     """Resolvent functionals of a covariance pair, per distribution.
 
@@ -74,13 +54,19 @@ class MonotonicityVerdict:
     max_deviation: float
 
 
-def asymptotic_decision_cov(params, shift):
-    """Decision covariances (train, test) of the (a, b, c) estimator family."""
-    if not isinstance(params, AsymParams):
-        raise NumericInputError("params must be an AsymParams")
+def asymptotic_decision_cov(a, b, c, shift):
+    """Decision covariances (train, test) of the (a, b, c) estimator family.
+
+    The family covers ridge-type estimators whose rotated coefficients are
+    (a * beta_j + noise) / (1 + b) per eigendirection: a is the alignment,
+    b the resolvent shift and c the variance of the noise energy per direction.
+    """
+    if not all(math.isfinite(t) for t in (a, b, c)):
+        raise NumericInputError("asymptotic parameters must be finite")
+    if b <= 0 or c <= 0:
+        raise NumericInputError("b and c must be positive")
     if not isinstance(shift, ShiftParameters):
         raise NumericInputError("shift must be a ShiftParameters")
-    a, b, c = params.a, params.b, params.c
     base = shift.r_p * shift.sigma_beta_sq
     scale = 1.0 + b
     cov_p = DecisionCov(

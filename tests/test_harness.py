@@ -3,10 +3,12 @@
 import ast
 import dataclasses
 import functools
+import importlib
 import inspect
 import json
 import math
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -22,6 +24,8 @@ import riskshift.harness
 from riskshift.errors import ConfigError, NumericInputError
 from riskshift.harness.cli import main
 from riskshift.harness.config import (
+    _REQUIRED,
+    _SCHEMAS,
     ALL_KINDS,
     KIND_CLASSIFICATION,
     KIND_COUNTEREXAMPLE,
@@ -31,7 +35,6 @@ from riskshift.harness.config import (
     KIND_RELATION,
     KIND_SUBSPACE,
     config_from_mapping,
-    describe_keys,
     load_config,
     parse_config_text,
 )
@@ -111,7 +114,7 @@ _VALUE = st.one_of(
 
 @st.composite
 def _config_texts(draw, kind):
-    key = st.one_of(st.sampled_from([k for k, _, _ in describe_keys(kind)]), _FREE_TEXT)
+    key = st.one_of(st.sampled_from(list(_SCHEMAS[kind][0])), _FREE_TEXT)
     line = st.one_of(st.builds("{} = {}".format, key, _VALUE), _FREE_TEXT)
     return "\n".join(draw(st.lists(line, max_size=8)))
 
@@ -272,14 +275,6 @@ def test_config_checks_ranges_after_overrides():
     assert config_from_mapping(KIND_CS, {"master_seed": "-1"}, seed_override=3)["master_seed"] == 3
 
 
-def test_describe_keys_covers_every_kind():
-    for kind in ALL_KINDS:
-        rows = describe_keys(kind)
-        keys = [k for k, _, _ in rows]
-        assert "kind" in keys and "master_seed" in keys and "output_path" in keys
-        assert all(help_text for _, _, help_text in rows)
-
-
 def _readme():
     with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as fh:
         return fh.read()
@@ -314,15 +309,36 @@ def test_readme_config_keys_name_every_schema_key():
             found = found - {"lambda_*"} | {"lambda_min", "lambda_max", "lambda_points"}
         return found
 
+    def defaults(first, cell):
+        """Key -> default as a table row gives it: one entry of `cell` per key, or a list."""
+        row_keys = re.findall(r"`([^`]+)`", first)
+        if row_keys == ["lambda_*"]:
+            points, low, high = re.fullmatch(r"(\d+) points in \[(\S+), (\S+)\]", cell).groups()
+            return {"lambda_min": float(low), "lambda_max": float(high), "lambda_points": int(points)}
+        if cell == "required":
+            return dict.fromkeys(row_keys, _REQUIRED)
+        items = [float(t) for t in cell.split(", ")]
+        if len(row_keys) == 1 and len(items) > 1:
+            return {row_keys[0]: items}
+        assert len(items) == len(row_keys), (first, cell)
+        return dict(zip(row_keys, items))
+
     common = {"kind", "master_seed", "output_path"}
     assert common <= names(intro)
     for kind, body in blocks.items():
-        keys = {key for key, _, _ in describe_keys(kind)}
-        missing = keys - common - names(body)
+        fields = _SCHEMAS[kind][0]
+        missing = set(fields) - common - names(body)
         assert not missing, (kind, missing)
+        rows = re.findall(r"^\| ([^|]*`[^|]*) \| ([^|]*) \|", body, flags=re.M)
         # the first cell of each table row names keys of the schema only
-        tabled = names(" ".join(re.findall(r"^\| ([^|]*) \|", body, flags=re.M)))
-        assert tabled and tabled <= keys, (kind, tabled - keys)
+        tabled = names(" ".join(first for first, _ in rows))
+        assert tabled and tabled <= set(fields), (kind, tabled - set(fields))
+        # and the default cell gives each of those keys its schema default
+        for first, cell in rows:
+            given = defaults(first, cell)
+            assert given.keys() == names(first), (kind, first)
+            for key, value in given.items():
+                assert value == fields[key].default, (kind, key, value)
 
 
 def test_write_csv_17_digits_lf(tmp_path):
@@ -948,12 +964,9 @@ class _Readers(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def test_every_public_name_has_a_caller():
-    # an export, or a public member of an exported class, that no code under src/ or
-    # perfbench/ refers to is kept for its tests alone: it belongs in tests/oracles.py.
-    # A member is read only through an attribute of something other than a class's own
-    # self, so a field that only its __post_init__ checks, or a local variable of the
-    # same name, does not count as a reader.
+@functools.cache
+def _source_readers():
+    """The names and attributes read by the code under src/ and perfbench/."""
     root = os.path.dirname(os.path.dirname(os.path.dirname(riskshift.__file__)))
     paths = [
         os.path.join(base, name)
@@ -967,6 +980,16 @@ def test_every_public_name_has_a_caller():
     for path in paths:
         with open(path, encoding="utf-8") as fh:
             readers.visit(ast.parse(fh.read(), filename=path))
+    return readers
+
+
+def test_every_public_name_has_a_caller():
+    # an export, or a public member of an exported class, that no code under src/ or
+    # perfbench/ refers to is kept for its tests alone: it belongs in tests/oracles.py.
+    # A member is read only through an attribute of something other than a class's own
+    # self, so a field that only its __post_init__ checks, or a local variable of the
+    # same name, does not count as a reader.
+    readers = _source_readers()
     exported = _public_members(riskshift) | _public_members(riskshift.harness)
     assert {"CovariancePair.rotate", "InverseProblem.overlap", "DecisionCov.chi"} <= exported
 
@@ -976,6 +999,26 @@ def test_every_public_name_has_a_caller():
         return name in readers.names | readers.attributes
 
     assert {name for name in exported if not is_read(name)} == set()
+
+
+def test_every_public_module_function_has_a_caller():
+    # a module-level function without a leading underscore, exported or not, that no
+    # code under src/ or perfbench/ names is package code kept for its tests alone
+    modules = [riskshift] + [
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(riskshift.__path__, "riskshift.")
+    ]
+    assert riskshift.harness.config in modules
+    functions = {
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name, fn in vars(module).items()
+        if inspect.isfunction(fn) and fn.__module__ == module.__name__ and not name.startswith("_")
+    }
+    assert "riskshift.harness.config.config_from_mapping" in functions
+    readers = _source_readers()
+    unread = {f for f in functions if f.rsplit(".", 1)[1] not in readers.names | readers.attributes}
+    assert unread == set()
 
 
 def _defaulted_parameters(module):

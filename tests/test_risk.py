@@ -34,7 +34,7 @@ from riskshift.risk import (
 )
 from riskshift.shiftmodel import ShiftParameters, subspace_shift_model
 from riskshift.subspace import SubspacePairSpec
-from riskshift.theory import AsymParams, asymptotic_decision_cov
+from riskshift.theory import asymptotic_decision_cov
 
 from oracles import population_mc_risk, sigma_dense
 
@@ -342,7 +342,7 @@ def _counterexample_covs():
     return [
         cov
         for a in np.geomspace(cfg["a_min"], cfg["a_max"], cfg["a_points"])
-        for cov in asymptotic_decision_cov(AsymParams(a=float(a), b=cfg["b"], c=cfg["c"]), shift)
+        for cov in asymptotic_decision_cov(float(a), cfg["b"], cfg["c"], shift)
     ]
 
 
@@ -385,6 +385,8 @@ def psd_edge_covariances(draw):
 @example(DecisionCov(0.0, 1e-8, 1.0))
 @example(DecisionCov(1e-300, 1e-6, 1.0))
 @example(DecisionCov(1.0, -1e-6, 0.0))
+# l22 = sqrt(5e-324) ~ 2.2e-162: the hinge's (c / l22)^2 is past the float range
+@example(DecisionCov(1.0, 0.0, 5e-324))
 def test_cholesky_factors_every_accepted_covariance(cov):
     eps = np.finfo(np.float64).eps
     l11, l21, l22 = _cholesky_2x2(cov)
@@ -400,7 +402,8 @@ def test_cholesky_factors_every_accepted_covariance(cov):
         if cov.v - plain * plain >= 0.0:
             assert (l21, l22) == (plain, math.sqrt(cov.v - plain * plain))
     for metric in (MetricKind.LOGISTIC, MetricKind.HINGE):
-        assert np.all(np.isfinite(quad_metric_risk([cov], metric)[0]))
+        with np.errstate(over="raise"):
+            assert np.all(np.isfinite(quad_metric_risk([cov], metric)[0]))
 
 
 def _logistic_tensor_rule(cov, order):

@@ -22,7 +22,6 @@ from riskshift.shiftmodel import (
 from riskshift.subspace import SubspacePairSpec, haar_basis
 from riskshift.theory import (
     _B_GRID,
-    AsymParams,
     asymptotic_decision_cov,
     classification_relation,
     covariance_functionals,
@@ -44,20 +43,23 @@ def _subspace_setup(seed=3, tau=2.0):
     return pair, beta
 
 
-def test_asym_params_validation():
-    AsymParams(a=-2.0, b=0.5, c=3.0)
-    with pytest.raises(NumericInputError):
-        AsymParams(a=1.0, b=0.0, c=1.0)
-    with pytest.raises(NumericInputError):
-        AsymParams(a=1.0, b=1.0, c=-1.0)
-    with pytest.raises(NumericInputError):
-        AsymParams(a=math.nan, b=1.0, c=1.0)
+def test_asymptotic_decision_cov_validates_parameters():
+    shift = ShiftParameters(gamma=1.0, mu=1.0, kappa=1.0, r_p=0.5, sigma_beta_sq=1.0)
+    asymptotic_decision_cov(-2.0, 0.5, 3.0, shift)
+    with pytest.raises(NumericInputError, match="b and c must be positive"):
+        asymptotic_decision_cov(1.0, 0.0, 1.0, shift)
+    with pytest.raises(NumericInputError, match="b and c must be positive"):
+        asymptotic_decision_cov(1.0, 1.0, -1.0, shift)
+    with pytest.raises(NumericInputError, match="asymptotic parameters must be finite"):
+        asymptotic_decision_cov(math.nan, 1.0, 1.0, shift)
+    with pytest.raises(NumericInputError, match="asymptotic parameters must be finite"):
+        asymptotic_decision_cov(1.0, math.inf, 1.0, shift)
 
 
 def test_asymptotic_decision_cov_hand_values():
     # r_p = 0.9, unit signal, mu = 1.2, no spectral reweighting on the support
     shift = ShiftParameters(gamma=1.0, mu=1.2, kappa=1.0, r_p=0.9, sigma_beta_sq=1.0)
-    cov_p, cov_q = asymptotic_decision_cov(AsymParams(1.0, 1.0, 1.0), shift)
+    cov_p, cov_q = asymptotic_decision_cov(1.0, 1.0, 1.0, shift)
     npt.assert_allclose([cov_p.omega_star, cov_p.chi, cov_p.v], [0.9, 0.45, 0.45], rtol=1e-14)
     npt.assert_allclose([cov_q.omega_star, cov_q.chi, cov_q.v], [1.08, 0.45, 0.45], rtol=1e-14)
     assert misclassification_risk(cov_p) == pytest.approx(0.25, abs=1e-13)
@@ -69,16 +71,13 @@ def test_asymptotic_decision_cov_hand_values():
 
 def test_asymptotic_decision_cov_no_shift_collapses():
     shift = ShiftParameters(gamma=1.0, mu=1.0, kappa=1.0, r_p=0.7, sigma_beta_sq=2.0)
-    cov_p, cov_q = asymptotic_decision_cov(AsymParams(0.8, 0.3, 1.7), shift)
+    cov_p, cov_q = asymptotic_decision_cov(0.8, 0.3, 1.7, shift)
     assert cov_p == cov_q
 
 
 def test_asymptotic_decision_cov_rejects_bad_types():
-    shift = ShiftParameters(gamma=1.0, mu=1.0, kappa=1.0, r_p=0.5, sigma_beta_sq=1.0)
-    with pytest.raises(NumericInputError):
-        asymptotic_decision_cov((1.0, 1.0, 1.0), shift)
-    with pytest.raises(NumericInputError):
-        asymptotic_decision_cov(AsymParams(1.0, 1.0, 1.0), (1.0, 1.0, 1.0, 0.5, 1.0))
+    with pytest.raises(NumericInputError, match="shift must be a ShiftParameters"):
+        asymptotic_decision_cov(1.0, 1.0, 1.0, (1.0, 1.0, 1.0, 0.5, 1.0))
 
 
 def test_regression_relation_values_and_affinity():
@@ -194,11 +193,9 @@ def test_relation_identities_of_asymptotic_family():
     rng = np.random.default_rng(11)
     for _ in range(50):
         # positive alignment keeps the train risk inside the relation's (0, 1/2) domain
-        params = AsymParams(
-            a=float(rng.uniform(0.05, 2.0)),
-            b=float(rng.uniform(0.05, 4.0)),
-            c=float(rng.uniform(0.05, 4.0)),
-        )
+        a = float(rng.uniform(0.05, 2.0))
+        b = float(rng.uniform(0.05, 4.0))
+        c = float(rng.uniform(0.05, 4.0))
         shift = ShiftParameters(
             gamma=float(rng.uniform(0.2, 3.0)),
             mu=float(rng.uniform(1.0, 2.5)),
@@ -206,13 +203,13 @@ def test_relation_identities_of_asymptotic_family():
             r_p=float(rng.uniform(0.1, 1.0)),
             sigma_beta_sq=float(rng.uniform(0.5, 2.0)),
         )
-        cov_p, cov_q = asymptotic_decision_cov(params, shift)
+        cov_p, cov_q = asymptotic_decision_cov(a, b, c, shift)
         risk_p = misclassification_risk(cov_p)
         assert classification_relation(risk_p, shift) == pytest.approx(
             misclassification_risk(cov_q), abs=1e-10
         )
         eq = dataclasses.replace(shift, kappa=shift.gamma)
-        cov_p, cov_q = asymptotic_decision_cov(params, eq)
+        cov_p, cov_q = asymptotic_decision_cov(a, b, c, eq)
         assert regression_relation(squared_risk(cov_p), eq) == pytest.approx(
             squared_risk(cov_q), abs=1e-10
         )
