@@ -1,11 +1,11 @@
 """Ridge-regularized empirical risk minimizers.
 
-ridge_fit solves the normal equations directly.  erm_fit runs damped Newton
-with Armijo backtracking on the ridge-regularized logistic objective; it never
-raises on slow convergence, it flags the result instead.
+ridge_fit solves the normal equations of a whole ridge-weight grid from one X^T X.
+erm_fit runs damped Newton, one weight per call, on the ridge-regularized logistic
+objective with Armijo backtracking; it never raises on slow convergence, it flags
+the result instead.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,9 +37,12 @@ class FittedModel:
         object.__setattr__(self, "beta_hat", _frozen_array(beta))
 
 
-def _check_problem(x, y, lam):
-    """x and y as float arrays, once x is a nonempty finite matrix with one finite y per row."""
-    if not (math.isfinite(lam) and lam > 0):
+def _check_problem(x, y, lams):
+    """x, y and lams as float arrays, once lams is a grid of positive finite weights and x, y are finite."""
+    lams = np.asarray(lams, dtype=np.float64)
+    if lams.ndim != 1 or lams.size == 0:
+        raise InvalidDimensionError(f"lams must be a nonempty 1-d grid, got shape {lams.shape}")
+    if not np.all(np.isfinite(lams) & (lams > 0)):
         raise NumericInputError("ridge weight lam must be a positive finite scalar")
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -49,18 +52,21 @@ def _check_problem(x, y, lam):
         raise InvalidDimensionError(f"y must have one entry per row of x: {y.shape} vs {x.shape}")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise NumericInputError("x and y must be finite")
-    return x, y
+    return x, y, lams
 
 
-def ridge_fit(x, y, lam):
-    """Read-only minimizer of 0.5 * ||y - X beta||^2 + 0.5 * lam * ||beta||^2."""
-    x, y = _check_problem(x, y, lam)
-    h = x.T @ x
-    h[np.diag_indices_from(h)] += lam
-    beta = np.linalg.solve(h, x.T @ y)
-    if not np.all(np.isfinite(beta)):
+def ridge_fit(x, y, lams):
+    """Read-only (len(lams), d) rows argmin 0.5 * ||y - X beta||^2 + 0.5 * lam * ||beta||^2 from one X^T X."""
+    x, y, lams = _check_problem(x, y, lams)
+    gram, xty = x.T @ x, x.T @ y
+    betas = np.empty((lams.size, x.shape[1]))
+    for i, lam in enumerate(lams):
+        h = gram.copy()
+        h[np.diag_indices_from(h)] += lam
+        betas[i] = np.linalg.solve(h, xty)
+    if not np.all(np.isfinite(betas)):
         raise NumericInputError("beta_hat must be finite")
-    return _frozen_array(beta)
+    return _frozen_array(betas)
 
 
 def _sigmoid(t):
@@ -85,7 +91,7 @@ def erm_fit(x, y, lam, beta0=None):
     objective, the Armijo test could only compare rounding noise, so the line
     search takes the full step.
     """
-    x, y = _check_problem(x, y, lam)
+    x, y, _ = _check_problem(x, y, [lam])
     d = x.shape[1]
     if not np.all(np.abs(y) == 1.0):
         raise NumericInputError("logistic loss requires labels in {-1, +1}")

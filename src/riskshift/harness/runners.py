@@ -171,8 +171,8 @@ def run_regression_sweep(config):
         # prediction uses the gamma plug-in for both
         shift_pred = dataclasses.replace(shift, kappa=shift.gamma)
         y = label(x, beta_star, LinearGaussian(noise_sigma), stream(ms, t, 3))
-        for lam in config["lambda_grid"]:
-            cov_p, cov_q = decision_cov(beta_star, ridge_fit(x, y, lam), pair)
+        for lam, beta_hat in zip(config["lambda_grid"], ridge_fit(x, y, config["lambda_grid"])):
+            cov_p, cov_q = decision_cov(beta_star, beta_hat, pair)
             risk_p = squared_risk(cov_p)
             risk_q = squared_risk(cov_q)
             rows.append(
@@ -235,9 +235,10 @@ def run_classification_sweep(config):
             )
 
         warm = None
-        for lam in config["lambda_grid"]:
-            emit("ridge-sign", lam, ridge_fit(x, y_sign, lam), True)
-            emit("ridge-noiseless", lam, ridge_fit(x, y_clean, lam), True)
+        lams = config["lambda_grid"]
+        for lam, beta_sign, beta_clean in zip(lams, ridge_fit(x, y_sign, lams), ridge_fit(x, y_clean, lams)):
+            emit("ridge-sign", lam, beta_sign, True)
+            emit("ridge-noiseless", lam, beta_clean, True)
             fit = erm_fit(x, y_sign, lam, beta0=warm)
             warm = fit.beta_hat
             emit("logistic-sign", lam, fit.beta_hat, fit.converged)

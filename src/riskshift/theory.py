@@ -129,8 +129,9 @@ def covariance_functionals(pair, beta_star):
     beta*, each functional averages s^k q^l b_j^2 / (s + b)^m over j.
     """
     bb = pair.rotate(np.asarray(beta_star, dtype=np.float64))
-    b_sq = bb * bb
     # a finite coordinate above ~1.3e154 squares to inf
+    with np.errstate(over="ignore"):
+        b_sq = bb * bb
     if not np.all(np.isfinite(b_sq)):
         raise NumericInputError("beta_star must be finite and its squared coordinates too")
     s = pair.eigvals_p

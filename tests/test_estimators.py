@@ -27,7 +27,7 @@ def _ridge_data(n, d, sigma, seed):
 def test_ridge_fit_matches_normal_equations():
     x, y = _ridge_data(60, 12, 0.3, 10)
     lam = 0.7
-    beta_hat = ridge_fit(x, y, lam)
+    beta_hat = ridge_fit(x, y, [lam])[0]
     expected = np.linalg.solve(x.T @ x + lam * np.eye(12), x.T @ y)
     npt.assert_allclose(beta_hat, expected, atol=1e-10)
     assert not beta_hat.flags.writeable
@@ -41,54 +41,85 @@ def _lstsq_ridge(x, y, lam):
     return np.linalg.lstsq(stacked_x, stacked_y, rcond=None)[0]
 
 
-@pytest.mark.parametrize("lam", [1e-3, 0.1, 10.0])
-def test_ridge_fit_matches_stacked_least_squares(lam):
-    # n > d with a full-rank X
-    x, y = _ridge_data(80, 30, 0.3, 12)
-    expected = _lstsq_ridge(x, y, lam)
-    beta_hat = ridge_fit(x, y, lam)
-    assert np.linalg.norm(beta_hat - expected) <= 1e-10 * np.linalg.norm(expected)
-    # rank-deficient X as in the sweeps: n > d, rows confined to a d_p < d subspace
+def _one_lambda_solve(x, y, lam):
+    """The normal equations of one ridge weight, solved on their own Gram matrix."""
+    h = x.T @ x
+    h[np.diag_indices_from(h)] += lam
+    return np.linalg.solve(h, x.T @ y)
+
+
+def _ridge_problems():
+    """A full-rank X with n > d, and a rank-deficient X as in the sweeps: rows in a d_p < d subspace."""
+    full_rank = _ridge_data(80, 30, 0.3, 12)
     pair = subspace_shift_model(SubspacePairSpec(40, 30, 20, 15), 2.0, 13)
     x = sample_covariates(pair, 60, 14)
     assert np.linalg.matrix_rank(x) == 30
     y = label(x, np.random.default_rng(15).standard_normal(40), LinearGaussian(sigma=0.3), 16)
-    expected = _lstsq_ridge(x, y, lam)
-    beta_hat = ridge_fit(x, y, lam)
-    assert np.linalg.norm(beta_hat - expected) <= 1e-10 * np.linalg.norm(expected)
+    return [full_rank, (x, y)]
 
 
-@pytest.mark.parametrize("fit", [ridge_fit, erm_fit])
-def test_fits_validate_their_data(fit):
+@pytest.mark.parametrize("lam", [1e-3, 0.1, 10.0])
+def test_ridge_fit_matches_stacked_least_squares(lam):
+    for x, y in _ridge_problems():
+        expected = _lstsq_ridge(x, y, lam)
+        beta_hat = ridge_fit(x, y, [lam])[0]
+        assert np.linalg.norm(beta_hat - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+def test_ridge_fit_grid_rows_are_one_lambda_solves():
+    # unsorted, with a repeat: each row is its own weight's solve, whatever the others are
+    lams = [10.0, 1e-3, 0.1, 2.5, 1e-3]
+    for x, y in _ridge_problems():
+        betas = ridge_fit(x, y, lams)
+        assert betas.shape == (len(lams), x.shape[1])
+        assert not betas.flags.writeable
+        for lam, beta_hat in zip(lams, betas):
+            assert np.array_equal(beta_hat, _one_lambda_solve(x, y, lam))
+            assert np.array_equal(beta_hat, ridge_fit(x, y, [lam])[0])
+            expected = _lstsq_ridge(x, y, lam)
+            assert np.linalg.norm(beta_hat - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("fit, lam", [pytest.param(ridge_fit, [0.1], id="ridge_fit"),
+                                      pytest.param(erm_fit, 0.1, id="erm_fit")])
+def test_fits_validate_their_data(fit, lam):
     x = np.ones((4, 2))
     y = np.ones(4)
     with pytest.raises(InvalidDimensionError):
-        fit(x, np.ones(3), 0.1)
+        fit(x, np.ones(3), lam)
     with pytest.raises(InvalidDimensionError):
-        fit(x, np.ones((4, 1)), 0.1)
+        fit(x, np.ones((4, 1)), lam)
     with pytest.raises(InvalidDimensionError):
-        fit(np.ones(4), y, 0.1)
+        fit(np.ones(4), y, lam)
     with pytest.raises(InvalidDimensionError):
-        fit(np.ones((0, 2)), np.ones(0), 0.1)
+        fit(np.ones((0, 2)), np.ones(0), lam)
     for bad in (np.nan, np.inf):
         with pytest.raises(NumericInputError):
-            fit(x * bad, y, 0.1)
+            fit(x * bad, y, lam)
         with pytest.raises(NumericInputError):
-            fit(x, y * bad, 0.1)
+            fit(x, y * bad, lam)
 
 
 def test_ridge_fit_rejects_a_non_finite_solution():
     # X^T X underflows to 0, so the finite system lam * beta = X^T y has the solution 3e100 / 1e-300 = inf
     x = np.full((3, 2), 1e-200)
-    with pytest.raises(NumericInputError):
-        ridge_fit(x, np.full(3, 1e300), 1e-300)
+    for lams in ([1e-300], [1.0, 1e-300]):
+        with pytest.raises(NumericInputError):
+            ridge_fit(x, np.full(3, 1e300), lams)
 
 
 def test_ridge_fit_requires_positive_lambda():
     x, y = _ridge_data(20, 4, 0.1, 11)
+    # the grid is a nonempty 1-d sequence: a bare scalar is not one
+    for shapeless in ([], 0.1, [[0.1, 1.0]]):
+        with pytest.raises(InvalidDimensionError):
+            ridge_fit(x, y, shapeless)
     for lam in (0.0, -1.0, np.nan, np.inf):
-        with pytest.raises(NumericInputError):
-            ridge_fit(x, y, lam)
+        for at in range(3):
+            lams = [0.1, 1.0, 10.0]
+            lams[at] = lam
+            with pytest.raises(NumericInputError, match="ridge weight lam must be a positive finite scalar"):
+                ridge_fit(x, y, lams)
 
 
 def test_logistic_fit_reaches_stationarity():

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import riskshift
 import riskshift.harness
+import riskshift.harness.runners as runners
 from riskshift.errors import ConfigError, NumericInputError
 from riskshift.harness.cli import main
 from riskshift.harness.config import (
@@ -455,6 +456,24 @@ def test_regression_sweep_without_shift_keeps_risk():
         assert row["mu"] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_each_sweep_fits_its_ridge_grid_once_per_label_vector(monkeypatch):
+    calls = []
+    ridge_fit = runners.ridge_fit
+
+    def counted(x, y, lams):
+        calls.append(lams)
+        return ridge_fit(x, y, lams)
+
+    monkeypatch.setattr(runners, "ridge_fit", counted)
+    # one label vector per regression trial; noisy signs and noiseless scores per classification trial
+    sweeps = ((KIND_REGRESSION, _SMALL_REGRESSION, 1), (KIND_CLASSIFICATION, _SMALL_SWEEP, 2))
+    for kind, small, per_trial in sweeps:
+        calls.clear()
+        config = config_from_mapping(kind, dict(small, trials="2"))
+        riskshift.harness.RUNNERS[kind](config)
+        assert calls == [config["lambda_grid"]] * (2 * per_trial)
+
+
 def test_relation_curves_identity_and_ordering():
     cfg = config_from_mapping(
         KIND_RELATION,
@@ -855,7 +874,7 @@ for kind in sorted(RUNNERS, key=lambda k: k not in ("counterexample", "denoise")
         polynomial = modules("numpy.polynomial")
 x = rng.standard_normal((20, 3))
 y = np.where(x[:, 0] >= 0.0, 1.0, -1.0)
-riskshift.ridge_fit(x, y, 1.0)
+riskshift.ridge_fit(x, y, [1.0])
 fit = riskshift.erm_fit(x, y, 1.0)
 u_p, u_q = riskshift.overlapping_pair(riskshift.SubspacePairSpec(6, 2, 2, 1), 0)
 problem = riskshift.InverseProblem(u_p, u_q, 0.1, 0.1, 0.1)
