@@ -253,13 +253,13 @@ def criterion_4():
 
 
 def criterion_5():
-    """Gaussian sign-mismatch law: MC misclassification matches arccos closed form."""
+    """Gaussian sign-mismatch law: MC misclassification matches the closed-form angle."""
     worst_ratio = 0.0
     for i in range(50):
         rng = np.random.default_rng(np.random.SeedSequence([_ROOT_SEED, 5, i]))
         b = rng.standard_normal((2, 2))
-        gram = b.T @ b
-        cov = DecisionCov(omega_star=float(gram[0, 0]), chi=float(gram[0, 1]), v=float(gram[1, 1]))
+        factor = np.linalg.cholesky(b.T @ b)
+        cov = DecisionCov(float(factor[0, 0]), float(factor[1, 0]), float(factor[1, 1]))
         closed = misclassification_risk(cov)
         estimate, _ = mc_metric_risk(
             cov, MetricKind.MISCLASSIFICATION, 1_000_000, np.random.SeedSequence([_ROOT_SEED, 5, i, 1])

@@ -1,17 +1,20 @@
 """Risks of linear decision rules via the joint law of (x^T beta*, x^T beta_hat).
 
 Under Gaussian covariates the pair of decision scores is bivariate normal, so
-every metric here depends only on the 2x2 covariance (omega_star, chi, v):
-squared error has a closed form, misclassification reduces to the arccos of
-the score correlation, and surrogate metrics (logistic, hinge) reduce to 1-D
-integrals over a half-normal variable, evaluated for a batch of covariances
-by Gauss-Legendre quadrature with an error estimate, in row blocks that bound
-every temporary whatever the batch size.  Both rules (orders 150 and 300) are
-read from the table in riskshift._gauss_legendre, which holds bit for bit the
-rules of Newton's method on the Legendre recurrence, and the hinge's normal
-CDF evaluates Cody's rational approximations of erfc over each block as one
-array.  Chunked Monte Carlo with a deterministic per-chunk seeding scheme
-covers every metric as an independent cross-check.
+every metric here depends only on the lower Cholesky factor (l11, l21, l22)
+of its 2x2 covariance: z* = l11 g1 and z = l21 g1 + l22 g2 for independent
+standard normals.  The factor is PSD by construction and is built without the
+cancellation of v - chi^2 / omega*.  Squared error is (l11 - l21)^2 + l22^2,
+misclassification is the angle atan2(l22, l21) between the scores over pi, and
+surrogate metrics (logistic, hinge) reduce to 1-D integrals over a half-normal
+variable, evaluated for a batch of factors by Gauss-Legendre quadrature with
+an error estimate, in row blocks that bound every temporary whatever the
+batch size.  Both rules (orders 150 and 300) are read from the table in
+riskshift._gauss_legendre, which holds bit for bit the rules of Newton's
+method on the Legendre recurrence, and the hinge's normal CDF evaluates Cody's
+rational approximations of erfc over each block as one array.  Chunked Monte
+Carlo with a deterministic per-chunk seeding scheme covers every metric as an
+independent cross-check.
 """
 
 import math
@@ -24,7 +27,6 @@ import numpy.random  # numpy loads it lazily; load it with the package, not insi
 from riskshift import _gauss_legendre
 from riskshift.errors import NumericInputError
 
-_PSD_SLACK = 1e-12
 # order k of the surrogate quadrature; the value uses the rule of order 2k
 _QUAD_ORDER = 150
 # |g1| > 9 has probability 2.3e-19, so the half-normal integral stops there
@@ -78,74 +80,63 @@ class MetricKind(Enum):
 
 @dataclass(frozen=True)
 class DecisionCov:
-    """Covariance of the decision pair: Var z*, Cov(z*, z), Var z."""
+    """Lower Cholesky factor of the decision pair's covariance.
 
-    omega_star: float
-    chi: float
-    v: float
+    z* = l11 g1 and z = l21 g1 + l22 g2 for independent standard normals, so
+    Var z* = l11^2, Cov(z*, z) = l11 l21 and Var z = l21^2 + l22^2.
+    """
+
+    l11: float
+    l21: float
+    l22: float
 
     def __post_init__(self):
-        if not all(math.isfinite(t) for t in (self.omega_star, self.chi, self.v)):
+        if not all(math.isfinite(t) for t in (self.l11, self.l21, self.l22)):
             raise NumericInputError("decision covariance entries must be finite")
-        if self.omega_star < 0 or self.v < 0:
-            raise NumericInputError("variances must be nonnegative")
-        bound = self.omega_star * self.v
-        if self.chi * self.chi > bound + _PSD_SLACK * max(1.0, bound):
-            raise NumericInputError(
-                f"chi^2 = {self.chi**2:.6g} exceeds omega_star * v = {bound:.6g}"
-            )
+        if self.l11 < 0 or self.l22 < 0:
+            raise NumericInputError("factor diagonal l11, l22 must be nonnegative")
+        if self.l11 == 0 and self.l21 != 0:
+            raise NumericInputError("l21 must be 0 where l11 = 0")
 
 
 def decision_cov(beta_star, beta_hat, pair):
     """(cov_p, cov_q): DecisionCovs of (x^T beta*, x^T beta_hat) under the two laws.
 
     cov_p is taken under x ~ N(0, Sigma_P / d) and cov_q under x ~ N(0, Sigma_Q / d).
+    With e the law's eigenvalues and b*, b the rotated vectors, l11^2 = sum e b*^2 / d
+    and l21 = chi / l11 for chi = sum e b* b / d; l22^2 = sum e r^2 / d is taken from the
+    residual r = b - (chi / l11^2) b*, so it does not cancel as v - l21^2 would.
     """
     bs = pair.rotate(np.asarray(beta_star, dtype=np.float64))
     bh = pair.rotate(np.asarray(beta_hat, dtype=np.float64))
     if not (np.all(np.isfinite(bs)) and np.all(np.isfinite(bh))):
         raise NumericInputError("decision vectors must be finite")
     d = pair.d
-    return tuple(
-        DecisionCov(
-            omega_star=float(np.sum(e * bs * bs)) / d,
-            chi=float(np.sum(e * bs * bh)) / d,
-            v=float(np.sum(e * bh * bh)) / d,
-        )
-        for e in (pair.eigvals_p, pair.eigvals_q)
-    )
+    covs = []
+    for e in (pair.eigvals_p, pair.eigvals_q):
+        omega_star = float(np.sum(e * bs * bs)) / d
+        chi = float(np.sum(e * bs * bh)) / d
+        l11 = math.sqrt(omega_star)
+        # with no energy in b* (or all of it underflowed) the factor is (0, 0, |b|)
+        r = bh - chi / omega_star * bs if l11 > 0 else bh
+        l21 = chi / l11 if l11 > 0 else 0.0
+        covs.append(DecisionCov(l11, l21, math.sqrt(float(np.sum(e * r * r)) / d)))
+    return tuple(covs)
 
 
 def squared_risk(cov):
-    """E (z* - z)^2 = omega_star - 2 chi + v."""
-    return cov.omega_star - 2.0 * cov.chi + cov.v
+    """E (z* - z)^2 = (l11 - l21)^2 + l22^2."""
+    gap = cov.l11 - cov.l21
+    return gap * gap + cov.l22 * cov.l22
 
 
 def misclassification_risk(cov):
-    """Pr(z* z < 0) = arccos(corr) / pi for a centered Gaussian pair."""
-    bound = cov.omega_star * cov.v
-    if bound <= 0.0:
+    """Pr(z* z < 0) = theta / pi for a centered Gaussian pair, theta = atan2(l22, l21)."""
+    if cov.l11 == 0 or (cov.l21 == 0 and cov.l22 == 0):
         raise NumericInputError(
             "misclassification risk needs both decision scores nondegenerate"
         )
-    corr = cov.chi / math.sqrt(bound)
-    return math.acos(min(1.0, max(-1.0, corr))) / math.pi
-
-
-def _cholesky_2x2(cov):
-    """Lower factor (l11, l21, l22) of [[omega_star, chi], [chi, v]].
-
-    Factors every covariance DecisionCov accepts.  omega_star = 0 gives
-    l21 = 0.  A deficit v - l21^2 of at most 4 eps * max(v, 1) is clamped
-    to l22 = 0; a larger one, where chi^2 exceeds omega_star * v within the
-    constructor's slack, puts all of v on l21 (|l21| = sqrt(v), l22 = 0).
-    """
-    l11 = math.sqrt(cov.omega_star)
-    l21 = cov.chi / l11 if l11 > 0.0 else 0.0
-    rem = cov.v - l21 * l21
-    if rem < -4.0 * np.finfo(np.float64).eps * max(cov.v, 1.0):
-        l21 = math.copysign(math.sqrt(cov.v), l21)
-    return l11, l21, math.sqrt(max(rem, 0.0))
+    return math.atan2(cov.l22, cov.l21) / math.pi
 
 
 def metric_values(z_star, z, metric):
@@ -206,15 +197,14 @@ def mc_metric_risk(cov, metric, n_draws, seed):
     """Monte Carlo (estimate, standard error) of a metric under a DecisionCov.
 
     Draws are generated by chunked_mc in chunks of 2**18; each draw is one
-    standard normal pair mapped through the Cholesky factor of cov.  The
+    standard normal pair mapped through the Cholesky factor cov.  The
     estimate is a function of (cov, metric, n_draws, seed) alone.
     """
     n_draws = _validate_mc_args(metric, n_draws)
-    l11, l21, l22 = _cholesky_2x2(cov)
 
     def draw(rng, m):
         g = rng.standard_normal((m, 2))
-        return metric_values(l11 * g[:, 0], l21 * g[:, 0] + l22 * g[:, 1], metric)
+        return metric_values(cov.l11 * g[:, 0], cov.l21 * g[:, 0] + cov.l22 * g[:, 1], metric)
 
     return chunked_mc(draw, n_draws, seed, _MC_CHUNK)
 
@@ -335,9 +325,10 @@ def _hinge_on_rule(l21, l22, h, wh):
     c = 1.0 - l21[:, None] * h
     smooth = (l22 > 0.0)[:, None]
     scale = np.where(smooth, l22[:, None], 1.0)
-    r = c / scale
-    # a tiny l22 squares r past the float range; exp(-inf) = 0 is then the density
+    # a tiny l22 sends r or its square past the float range; Phi(+-inf) and
+    # exp(-inf) = 0 are then the right limits
     with np.errstate(over="ignore"):
+        r = c / scale
         density = np.exp(-0.5 * r * r)
     blurred = c * _std_normal_cdf(r) + scale * density / _SQRT_2PI
     return (wh * np.where(smooth, blurred, np.maximum(0.0, c))).sum(axis=-1)
@@ -376,7 +367,7 @@ def quad_metric_risk(covs, metric):
     entry per covariance, and each entry depends on its own covariance alone,
     bit for bit, whatever else is in the batch.  Both risks are E psi(t) with
     t = sign(z*) z, which has the law of l21 |g1| + l22 w for the Cholesky
-    factor of cov and independent standard normals g1, w.  Each remaining
+    factor cov and independent standard normals g1, w.  Each remaining
     integral is over a half-normal |g| and uses Gauss-Legendre on [0, 9]
     against the half-normal density.  Logistic: |t| has the law of s |g|
     with s = hypot(l21, l22) (t / s is skew-normal), so E softplus(-t) =
@@ -395,8 +386,8 @@ def quad_metric_risk(covs, metric):
     """
     if metric not in (MetricKind.LOGISTIC, MetricKind.HINGE):
         raise NumericInputError(f"quadrature covers the logistic and hinge metrics, got {metric!r}")
-    factors = np.array([_cholesky_2x2(cov) for cov in covs], dtype=np.float64).reshape(-1, 3)
-    _, l21, l22 = factors.T
+    factors = np.array([(cov.l21, cov.l22) for cov in covs], dtype=np.float64).reshape(-1, 2)
+    l21, l22 = factors.T
     coarse, fine = np.empty_like(l21), np.empty_like(l21)
     # the hinge splits a row's rule into at most two pieces
     pieces = 2 if metric is MetricKind.HINGE else 1

@@ -70,16 +70,23 @@ def asymptotic_decision_cov(a, b, c, shift):
     base = shift.r_p * shift.sigma_beta_sq
     scale = 1.0 + b
     cov_p = DecisionCov(
-        omega_star=base,
-        chi=a * base / scale,
-        v=(a * a * base + c * shift.r_p) / (scale * scale),
+        l11=math.sqrt(base),
+        l21=a * math.sqrt(base) / scale,
+        l22=math.sqrt(c * shift.r_p) / scale,
     )
+    # a^2 gamma base (1 - 1/mu): the signal part of Var z that l21 does not carry
+    tilted = a * a * shift.gamma * base * _mu_minus_one(shift) / shift.mu
     cov_q = DecisionCov(
-        omega_star=shift.gamma * shift.mu * base,
-        chi=a * shift.gamma * base / scale,
-        v=(a * a * shift.gamma * base + c * shift.kappa * shift.r_p) / (scale * scale),
+        l11=math.sqrt(shift.gamma * shift.mu * base),
+        l21=a * math.sqrt(shift.gamma * base / shift.mu) / scale,
+        l22=math.sqrt(tilted + c * shift.kappa * shift.r_p) / scale,
     )
     return cov_p, cov_q
+
+
+def _mu_minus_one(shift):
+    # a mu inside ShiftParameters' tolerance below 1 counts as 1
+    return max(shift.mu - 1.0, 0.0)
 
 
 def regression_relation(risk_p, shift):
@@ -97,29 +104,19 @@ def regression_relation(risk_p, shift):
     return shift.gamma * risk_p + shift.gamma * shift.r_p * shift.sigma_beta_sq * (shift.mu - 1.0)
 
 
-def _sec_sq(risk):
-    c = math.cos(math.pi * risk)
-    return 1.0 / (c * c)
-
-
-def _risk_from_sec_sq(s):
-    if s < 1.0:
-        if s < 1.0 - 1e-9:
-            raise NumericInputError(f"sec^2 value {s} below 1; no risk in [0, 1/2) maps to it")
-        s = 1.0
-    # a huge s rounds acos to exactly pi / 2; the relations' domain is open at 1/2
-    return min(math.acos(min(1.0, 1.0 / math.sqrt(s))) / math.pi, _BELOW_HALF)
-
-
 def classification_relation(risk_p, shift):
     """Test misclassification risk from the train one.
 
-    sec^2(pi * risk_q) = (kappa * mu / gamma) * (sec^2(pi * risk_p) - 1) + mu.
+    sec^2(pi * risk_q) = (kappa * mu / gamma) * (sec^2(pi * risk_p) - 1) + mu,
+    evaluated as tan^2(pi * risk_q) = (kappa * mu / gamma) * tan^2(pi * risk_p)
+    + mu - 1, which does not cancel at small risks.
     """
     if not (math.isfinite(risk_p) and 0.0 < risk_p < 0.5):
         raise NumericInputError(f"misclassification risk must lie in (0, 1/2), got {risk_p}")
-    s_q = (shift.kappa * shift.mu / shift.gamma) * (_sec_sq(risk_p) - 1.0) + shift.mu
-    return _risk_from_sec_sq(s_q)
+    tan_p = math.tan(math.pi * risk_p)
+    tan_sq_q = (shift.kappa * shift.mu / shift.gamma) * tan_p * tan_p + _mu_minus_one(shift)
+    # a huge tan^2 rounds atan to exactly pi / 2; the relation's domain is open at 1/2
+    return min(math.atan(math.sqrt(tan_sq_q)) / math.pi, _BELOW_HALF)
 
 
 def covariance_functionals(pair, beta_star):

@@ -3,18 +3,21 @@
 Each computes a quantity the package computes by another route: principal
 angles by SVD where the package reads sum cos^2 off a Frobenius norm, Monte
 Carlo over covariate vectors where the package reduces to a 2x2 decision
-covariance, the inverse of the classification relation for a round trip, and
-the dense covariance and projector matrices the package never forms.
+covariance, exact decision moments and angles from rational arithmetic where
+the package rounds, the inverse of the classification relation for a round
+trip, and the dense covariance and projector matrices the package never forms.
 """
 
+import decimal
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from riskshift.errors import NumericInputError
 from riskshift.risk import _validate_mc_args, chunked_mc, metric_values
 from riskshift.subspace import _check_same_ambient, _frozen_array
-from riskshift.theory import _risk_from_sec_sq, _sec_sq
+from riskshift.theory import _BELOW_HALF
 
 # a population draw costs O(d), hence a smaller chunk than mc_metric_risk's
 _POPULATION_MC_CHUNK = 4096
@@ -61,6 +64,63 @@ def population_mc_risk(beta_star, beta_hat, pair, which, metric, n_draws, seed):
         return metric_values(g @ u_star, g @ u_hat, metric)
 
     return chunked_mc(draw, n_draws, seed, _POPULATION_MC_CHUNK)
+
+
+def exact_decision_moments(beta_star, beta_hat, pair):
+    """Exact (omega*, chi, v) per law, as Fractions, of the rotated float vectors.
+
+    Each is the exact sum of e * b* * b* (or b* * b, b * b) / d over the float
+    eigenvalues e and the float rotated coordinates, with no rounding at all.
+    """
+    bs = [Fraction(t) for t in pair.rotate(beta_star).tolist()]
+    bh = [Fraction(t) for t in pair.rotate(beta_hat).tolist()]
+    moments = []
+    for e in (pair.eigvals_p, pair.eigvals_q):
+        terms = [(Fraction(w), s, h) for w, s, h in zip(e.tolist(), bs, bh) if w != 0.0]
+        moments.append(tuple(
+            sum((w * x * y for w, x, y in rows), Fraction(0)) / pair.d
+            for rows in (
+                ((w, s, s) for w, s, _ in terms),
+                ((w, s, h) for w, s, h in terms),
+                ((w, h, h) for w, _, h in terms),
+            )
+        ))
+    return tuple(moments)
+
+
+def _sqrt_40_digits(value):
+    with decimal.localcontext(decimal.Context(prec=40)):
+        return float((decimal.Decimal(value.numerator) / decimal.Decimal(value.denominator)).sqrt())
+
+
+def exact_misclassification_risks(beta_star, beta_hat, pair):
+    """(risk_p, risk_q) from the exact moments, rounded once per leg of the angle.
+
+    l21^2 = chi^2 / omega* and l22^2 = v_perp = v - chi^2 / omega* are exact;
+    their square roots are taken to 40 digits, so both legs are within about
+    half an ulp, and math.atan2(l22, l21) / pi is within a few ulp of the
+    exact risk.
+    """
+    risks = []
+    for omega_star, chi, v in exact_decision_moments(beta_star, beta_hat, pair):
+        l21_sq = chi * chi / omega_star
+        l21 = math.copysign(_sqrt_40_digits(l21_sq), chi)
+        risks.append(math.atan2(_sqrt_40_digits(v - l21_sq), l21) / math.pi)
+    return tuple(risks)
+
+
+def _sec_sq(risk):
+    c = math.cos(math.pi * risk)
+    return 1.0 / (c * c)
+
+
+def _risk_from_sec_sq(s):
+    if s < 1.0:
+        if s < 1.0 - 1e-9:
+            raise NumericInputError(f"sec^2 value {s} below 1; no risk in [0, 1/2) maps to it")
+        s = 1.0
+    # a huge s rounds acos to exactly pi / 2; the relations' domain is open at 1/2
+    return min(math.acos(min(1.0, 1.0 / math.sqrt(s))) / math.pi, _BELOW_HALF)
 
 
 def classification_relation_inverse(risk_q, shift):

@@ -1010,7 +1010,7 @@ def test_every_public_name_has_a_caller():
     # same name, does not count as a reader.
     readers = _source_readers()
     exported = _public_members(riskshift) | _public_members(riskshift.harness)
-    assert {"CovariancePair.rotate", "InverseProblem.overlap", "DecisionCov.chi"} <= exported
+    assert {"CovariancePair.rotate", "InverseProblem.overlap", "DecisionCov.l21"} <= exported
 
     def is_read(name):
         if "." in name:

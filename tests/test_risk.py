@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 from numpy.polynomial.hermite_e import hermegauss
@@ -15,13 +15,14 @@ from scipy.special import ndtr
 
 from riskshift import _gauss_legendre
 from riskshift.errors import NumericInputError
-from riskshift.harness.config import KIND_COUNTEREXAMPLE, config_from_mapping
+from riskshift.datagen import LinearGaussian, label
+from riskshift.estimators import ridge_fit
+from riskshift.harness.config import KIND_CLASSIFICATION, KIND_COUNTEREXAMPLE, config_from_mapping
+from riskshift.harness.runners import _draw_trial, stream
 from riskshift.risk import (
     DecisionCov,
-    _PSD_SLACK,
     _QUAD_BLOCK,
     _QUAD_ORDER,
-    _cholesky_2x2,
     _gauss_rules,
     _half_normal_rule,
     _std_normal_cdf,
@@ -32,15 +33,22 @@ from riskshift.risk import (
     quad_metric_risk,
     squared_risk,
 )
-from riskshift.shiftmodel import ShiftParameters, subspace_shift_model
+from riskshift.shiftmodel import CovariancePair, ShiftParameters, subspace_shift_model, task_dependent_model
 from riskshift.subspace import SubspacePairSpec
 from riskshift.theory import asymptotic_decision_cov
 
-from oracles import population_mc_risk, sigma_dense
+from oracles import exact_decision_moments, exact_misclassification_risks, population_mc_risk, sigma_dense
 
 # E max(0, 1 - |Z|) for Z standard normal: hinge value of a perfectly
 # aligned unit-variance decision pair, 2*(Phi(1) - Phi(0) - phi(0) + phi(1))
 _HINGE_ALIGNED = 0.3687463803725073
+
+
+def _moments_cov(omega_star, chi, v):
+    # the DecisionCov of a positive definite [[omega*, chi], [chi, v]]
+    l11 = math.sqrt(omega_star)
+    l21 = chi / l11
+    return DecisionCov(l11, l21, math.sqrt(v - l21 * l21))
 
 
 def test_decision_cov_quadratic_forms():
@@ -50,20 +58,27 @@ def test_decision_cov_quadratic_forms():
     beta_hat = rng.standard_normal(12)
     for which, cov in zip("PQ", decision_cov(beta_star, beta_hat, pair)):
         sigma = sigma_dense(pair, which) / 12
-        assert cov.omega_star == pytest.approx(beta_star @ sigma @ beta_star, rel=1e-12)
-        assert cov.chi == pytest.approx(beta_star @ sigma @ beta_hat, rel=1e-12)
-        assert cov.v == pytest.approx(beta_hat @ sigma @ beta_hat, rel=1e-12)
+        assert cov.l11 * cov.l11 == pytest.approx(beta_star @ sigma @ beta_star, rel=1e-12)
+        assert cov.l11 * cov.l21 == pytest.approx(beta_star @ sigma @ beta_hat, rel=1e-12)
+        assert cov.l21 * cov.l21 + cov.l22 * cov.l22 == pytest.approx(beta_hat @ sigma @ beta_hat, rel=1e-12)
 
 
 def test_decision_cov_rejects_psd_violations():
-    with pytest.raises(NumericInputError, match="exceeds omega_star"):
-        DecisionCov(omega_star=1.0, chi=2.0, v=1.0)
-    with pytest.raises(NumericInputError, match="variances must be nonnegative"):
-        DecisionCov(omega_star=-1.0, chi=0.0, v=1.0)
+    # a lower factor with a nonnegative diagonal is PSD; nothing else is accepted
+    with pytest.raises(NumericInputError, match="factor diagonal l11, l22 must be nonnegative"):
+        DecisionCov(-1.0, 0.0, 1.0)
+    with pytest.raises(NumericInputError, match="factor diagonal l11, l22 must be nonnegative"):
+        DecisionCov(1.0, 0.5, -1e-300)
+    with pytest.raises(NumericInputError, match="l21 must be 0 where l11 = 0"):
+        DecisionCov(0.0, 5e-324, 1.0)
+    with pytest.raises(NumericInputError, match="entries must be finite"):
+        DecisionCov(1.0, math.inf, 1.0)
+    DecisionCov(0.0, 0.0, 0.0)
+    DecisionCov(0.0, -0.0, 1.0)
 
 
 _D = 12
-# magnitudes up to 1e50 keep every product omega_star * v below overflow
+# magnitudes up to 1e50 keep every product e * b * b below overflow
 _VECTORS = arrays(np.float64, _D, elements=st.floats(-1e50, 1e50, allow_nan=False))
 
 
@@ -71,10 +86,69 @@ _VECTORS = arrays(np.float64, _D, elements=st.floats(-1e50, 1e50, allow_nan=Fals
 @given(_VECTORS, _VECTORS, st.floats(0.01, 10.0), st.integers(0, 2**32 - 1))
 def test_decision_cov_of_any_finite_vectors_is_psd(beta_star, beta_hat, tau, seed):
     pair = subspace_shift_model(SubspacePairSpec(_D, 8, 6, 4), tau, seed)
-    covs = decision_cov(beta_star, beta_hat, pair)  # DecisionCov raises if not PSD
+    covs = decision_cov(beta_star, beta_hat, pair)  # DecisionCov raises on an invalid factor
     assert len(covs) == 2
     for cov in covs:
-        assert cov.omega_star >= 0.0 and cov.v >= 0.0
+        assert cov.l11 >= 0.0 and cov.l22 >= 0.0
+
+
+# one entry of either sign anywhere in [1e-100, 1e100], or 0: no product e * b * b
+# underflows or overflows, so each moment is held to its own scale
+_SPREAD_VECTORS = arrays(np.float64, _D, elements=st.one_of(
+    st.just(0.0), st.floats(1e-100, 1e100), st.floats(-1e100, -1e-100),
+))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_SPREAD_VECTORS, _SPREAD_VECTORS, st.floats(0.01, 10.0), st.integers(0, 2**32 - 1))
+def test_decision_cov_factor_reproduces_exact_moments(beta_star, beta_hat, tau, seed):
+    # l11^2, l11 l21 and l21^2 + l22^2 against the exact omega*, chi and v of the same
+    # rotated floats, each within a few eps of its scale (sqrt(omega* v) for chi)
+    pair = subspace_shift_model(SubspacePairSpec(_D, 8, 6, 4), tau, seed)
+    tol = 8 * np.finfo(np.float64).eps
+    for cov, (omega_star, chi, v) in zip(decision_cov(beta_star, beta_hat, pair),
+                                         exact_decision_moments(beta_star, beta_hat, pair)):
+        omega_star, chi, v = float(omega_star), float(chi), float(v)
+        assert abs(cov.l11 * cov.l11 - omega_star) <= tol * omega_star
+        assert abs(cov.l11 * cov.l21 - chi) <= tol * math.sqrt(omega_star) * math.sqrt(v)
+        assert abs(cov.l21 * cov.l21 + cov.l22 * cov.l22 - v) <= tol * v
+
+
+def _unit_pair(d):
+    return CovariancePair(np.eye(d), np.ones(d), np.ones(d))
+
+
+def test_misclassification_is_exact_at_huge_scale():
+    # omega* v overflowed the old correlation route to inf, giving risk 1/2
+    beta = np.array([1e100, -2e100, 3e100])
+    for cov in decision_cov(beta, beta, _unit_pair(3)):
+        assert misclassification_risk(cov) == 0.0
+
+
+def test_misclassification_is_exact_at_tiny_scale():
+    # omega* = v = 1e-200 and chi = 5e-201: omega* v underflowed to 0 on the old
+    # correlation route, which then called the scores degenerate
+    beta_star = 1e-100 * np.array([math.sqrt(2.0), 0.0])
+    beta_hat = 1e-100 * np.array([math.sqrt(0.5), math.sqrt(1.5)])
+    for cov in decision_cov(beta_star, beta_hat, _unit_pair(2)):
+        assert misclassification_risk(cov) == pytest.approx(1.0 / 3.0, rel=4 * np.finfo(np.float64).eps)
+
+
+def test_classification_sweep_noiseless_ridge_risks_match_exact_angle():
+    # the default classification sweep's ridge-noiseless fits at its 6 smallest
+    # lambdas, drawn as run_classification_sweep draws them: risks near 1e-3,
+    # where an arccos of the score correlation was off by up to 9e-12 relative
+    config = config_from_mapping(KIND_CLASSIFICATION, {})
+    spec = SubspacePairSpec(config["d"], config["d_p"], config["d_p"], config["d_p"])
+    lams = config["lambda_grid"][:6]
+    for t in range(config["trials"]):
+        pair, beta_star, x = _draw_trial(config, t, spec, 1.0, 1.0)
+        pair = task_dependent_model(pair, beta_star, target_ratio=config["kappa_over_gamma"])
+        y = label(x, beta_star, LinearGaussian(0.0), stream(config["master_seed"], t, 3))
+        for beta_hat in ridge_fit(x, y, lams):
+            exact = exact_misclassification_risks(beta_star, beta_hat, pair)
+            for cov, want in zip(decision_cov(beta_star, beta_hat, pair), exact):
+                assert abs(misclassification_risk(cov) - want) <= 1e-15 * want
 
 
 def test_std_normal_cdf_matches_ndtr():
@@ -157,47 +231,49 @@ def test_std_normal_cdf_steps_between_adjacent_floats():
 
 
 def test_squared_risk_formula():
-    cov = DecisionCov(omega_star=2.0, chi=0.5, v=1.0)
+    # omega* = 2, chi = 0.5, v = 1
+    cov = DecisionCov(math.sqrt(2.0), 0.5 / math.sqrt(2.0), math.sqrt(0.875))
     assert squared_risk(cov) == pytest.approx(2.0 - 1.0 + 1.0)
 
 
 def test_misclassification_closed_form_anchors():
     # independent scores mismatch half the time; aligned never; anti-aligned always
-    assert misclassification_risk(DecisionCov(1.0, 0.0, 1.0)) == pytest.approx(0.5)
-    assert misclassification_risk(DecisionCov(1.0, 1.0, 1.0)) == pytest.approx(0.0, abs=1e-7)
-    assert misclassification_risk(DecisionCov(1.0, -1.0, 1.0)) == pytest.approx(1.0, abs=1e-7)
+    assert misclassification_risk(DecisionCov(1.0, 0.0, 1.0)) == 0.5
+    assert misclassification_risk(DecisionCov(1.0, 1.0, 0.0)) == 0.0
+    assert misclassification_risk(DecisionCov(1.0, -1.0, 0.0)) == 1.0
     # the arccos law at correlation 1/2
-    cov = DecisionCov(1.0, 0.5, 1.0)
+    cov = DecisionCov(1.0, 0.5, math.sqrt(0.75))
     assert misclassification_risk(cov) == pytest.approx(math.acos(0.5) / math.pi, rel=1e-12)
-    # scale invariance: rescaling the estimator leaves the sign law unchanged
+    # scale invariance: rescaling either score leaves the sign law unchanged
     base = misclassification_risk(DecisionCov(1.3, 0.4, 0.9))
-    for t in (0.01, 7.0):
-        scaled = misclassification_risk(DecisionCov(1.3, 0.4 * t, 0.9 * t * t))
-        assert scaled == pytest.approx(base, abs=1e-12)
+    for t in (2.0**-600, 2.0**-7, 8.0, 2.0**600):
+        assert misclassification_risk(DecisionCov(1.3, 0.4 * t, 0.9 * t)) == base
+        assert misclassification_risk(DecisionCov(1.3 * t, 0.4, 0.9)) == base
 
 
 def test_degenerate_decision_risks():
     # correlation undefined once either score has zero variance
-    with pytest.raises(NumericInputError, match="both decision scores nondegenerate"):
-        misclassification_risk(DecisionCov(omega_star=1.0, chi=0.0, v=0.0))
+    for cov in (DecisionCov(1.0, 0.0, 0.0), DecisionCov(0.0, 0.0, 1.0)):
+        with pytest.raises(NumericInputError, match="both decision scores nondegenerate"):
+            misclassification_risk(cov)
 
 
 def test_mc_squared_matches_closed_form():
-    cov = DecisionCov(omega_star=1.3, chi=0.4, v=0.9)
+    cov = _moments_cov(1.3, 0.4, 0.9)
     est, se = mc_metric_risk(cov, MetricKind.SQUARED_ERROR, 400_000, 7)
     assert abs(est - squared_risk(cov)) <= 4 * se
     assert se < 0.02
 
 
 def test_mc_misclassification_matches_closed_form():
-    cov = DecisionCov(omega_star=1.0, chi=0.35, v=0.8)
+    cov = _moments_cov(1.0, 0.35, 0.8)
     closed = misclassification_risk(cov)
     est, se = mc_metric_risk(cov, MetricKind.MISCLASSIFICATION, 400_000, 8)
     assert abs(est - closed) <= 4 * se
 
 
 def test_mc_hinge_frozen_oracle():
-    cov = DecisionCov(omega_star=1.0, chi=1.0, v=1.0)
+    cov = DecisionCov(1.0, 1.0, 0.0)
     est, se = mc_metric_risk(cov, MetricKind.HINGE, 1_000_000, 9)
     assert abs(est - _HINGE_ALIGNED) <= 4 * se
 
@@ -215,13 +291,13 @@ def _logistic_aligned_oracle():
 
 
 def test_mc_logistic_quadrature_oracle():
-    cov = DecisionCov(omega_star=1.0, chi=1.0, v=1.0)
+    cov = DecisionCov(1.0, 1.0, 0.0)
     est, se = mc_metric_risk(cov, MetricKind.LOGISTIC, 1_000_000, 10)
     assert abs(est - _logistic_aligned_oracle()) <= 4 * se
 
 
 def test_mc_determinism_and_seed_sensitivity():
-    cov = DecisionCov(omega_star=1.0, chi=0.2, v=1.5)
+    cov = _moments_cov(1.0, 0.2, 1.5)
     a = mc_metric_risk(cov, MetricKind.HINGE, 300_000, 11)
     b = mc_metric_risk(cov, MetricKind.HINGE, 300_000, 11)
     assert a == b
@@ -231,7 +307,7 @@ def test_mc_determinism_and_seed_sensitivity():
 
 def test_mc_standard_error_stable_for_nearly_constant_values():
     # psi = log(1 + exp(-t)) with |t| ~ 1e-8: sum psi^2 - n mean^2 cancels to 0
-    cov = DecisionCov(omega_star=1.0, chi=0.0, v=1e-16)
+    cov = DecisionCov(1.0, 0.0, 1e-8)
     # mc_metric_risk's fixed chunk of 2**18 draws, three times over
     chunk, chunks = 2**18, 3
     n = chunk * chunks
@@ -250,7 +326,7 @@ def test_mc_standard_error_stable_for_nearly_constant_values():
 
 
 def test_mc_validates_arguments():
-    cov = DecisionCov(omega_star=1.0, chi=0.0, v=1.0)
+    cov = DecisionCov(1.0, 0.0, 1.0)
     with pytest.raises(NumericInputError):
         mc_metric_risk(cov, MetricKind.LOGISTIC, 10, 0)  # too few draws
     with pytest.raises(NumericInputError):
@@ -289,10 +365,8 @@ def _quad_one(cov, metric):
 
 
 def test_quad_hinge_matches_aligned_closed_form():
-    # chi^2 may exceed omega_star * v by less than DecisionCov's slack: such a
-    # pair is aligned too, as misclassification_risk = 0 says
-    for cov in (DecisionCov(1.0, 1.0, 1.0), DecisionCov(1.0, 1.0 + 1e-13, 1.0),
-                DecisionCov(4.0, 2.0 * (1.0 + 4e-14), 1.0)):
+    # t = sign(z*) z = l21 |g1| for an aligned pair, whatever the scale l11 of z*
+    for cov in (DecisionCov(1.0, 1.0, 0.0), DecisionCov(2.0, 1.0, 0.0), DecisionCov(1e-200, 1.0, 0.0)):
         assert misclassification_risk(cov) == 0.0
         value, err = _quad_one(cov, MetricKind.HINGE)
         assert abs(value - _HINGE_ALIGNED) <= 1e-9
@@ -300,7 +374,7 @@ def test_quad_hinge_matches_aligned_closed_form():
 
 
 def test_quad_logistic_matches_dense_trapezoid():
-    value, err = _quad_one(DecisionCov(omega_star=1.0, chi=1.0, v=1.0), MetricKind.LOGISTIC)
+    value, err = _quad_one(DecisionCov(1.0, 1.0, 0.0), MetricKind.LOGISTIC)
     assert abs(value - _logistic_aligned_oracle()) <= 1e-8
     assert err <= 1e-9
 
@@ -310,20 +384,20 @@ def _seeded_covariances(n, seed):
     covs = []
     for _ in range(n):
         b = rng.standard_normal((2, 2))
-        gram = b.T @ b
-        covs.append(DecisionCov(float(gram[0, 0]), float(gram[0, 1]), float(gram[1, 1])))
+        factor = np.linalg.cholesky(b.T @ b)
+        covs.append(DecisionCov(float(factor[0, 0]), float(factor[1, 0]), float(factor[1, 1])))
     return covs
 
 
 def test_quad_agrees_with_mc_on_random_covariances():
     covs = _seeded_covariances(10, 21)
     covs += [
-        DecisionCov(omega_star=1.0, chi=-0.6, v=0.8),
-        # near-singular: chi^2 = omega_star * v up to rounding, positive and negative chi
-        DecisionCov(omega_star=0.7, chi=0.7 * 1.3, v=0.7 * 1.3 * 1.3),
-        DecisionCov(omega_star=2.0, chi=-1.0, v=0.5 * (1.0 + 1e-9)),
+        _moments_cov(1.0, -0.6, 0.8),
+        # singular and near-singular, positive and negative l21
+        DecisionCov(math.sqrt(0.7), 1.3 * math.sqrt(0.7), 0.0),
+        DecisionCov(math.sqrt(2.0), -math.sqrt(0.5), math.sqrt(5e-10)),
     ]
-    assert any(c.chi < 0 for c in covs)
+    assert any(c.l21 < 0 for c in covs)
     for j, metric in enumerate((MetricKind.LOGISTIC, MetricKind.HINGE)):
         values, errs = quad_metric_risk(covs, metric)
         for i, (cov, value, err) in enumerate(zip(covs, values, errs)):
@@ -353,54 +427,33 @@ def test_quad_error_estimate_small_on_counterexample_grid():
 
 
 def test_quad_rejects_closed_form_metrics():
-    cov = DecisionCov(omega_star=1.0, chi=0.3, v=1.0)
+    cov = DecisionCov(1.0, 0.3, 1.0)
     for metric in (MetricKind.SQUARED_ERROR, MetricKind.MISCLASSIFICATION, "logistic"):
         with pytest.raises(NumericInputError):
             quad_metric_risk([cov], metric)
 
 
 @st.composite
-def psd_edge_covariances(draw):
-    """DecisionCov with chi anywhere up to the constructor's PSD slack.
+def edge_factors(draw):
+    """Any DecisionCov with |l21|, l22 <= 1e3.
 
-    omega_star = 0, v = 0, chi^2 = omega_star * v and chi^2 at the slack's
-    edge are each drawn with positive probability.
+    l11 = 0, l21 = 0, l22 = 0 and the smallest subnormal l22 are each drawn
+    with positive probability.
     """
-    omega_star = draw(st.one_of(st.just(0.0), st.floats(0.0, 1e6)))
-    v = draw(st.one_of(st.just(0.0), st.floats(0.0, 1e6)))
-    bound = omega_star * v
-    edge = math.sqrt(bound + _PSD_SLACK * max(1.0, bound))
-    chi = draw(st.one_of(st.floats(0.0, edge), st.just(edge), st.just(math.sqrt(bound))))
-    try:
-        return DecisionCov(omega_star, chi * draw(st.sampled_from((1.0, -1.0))), v)
-    except NumericInputError:
-        # edge rounded past the slack
-        assume(False)
+    l11 = draw(st.one_of(st.just(0.0), st.floats(0.0, 1e6)))
+    l21 = draw(st.one_of(st.just(0.0), st.floats(-1e3, 1e3))) if l11 > 0.0 else 0.0
+    l22 = draw(st.one_of(st.just(0.0), st.just(5e-324), st.floats(0.0, 1e3)))
+    return DecisionCov(l11, l21, l22)
 
 
 @settings(max_examples=300, deadline=None, database=None)
-@given(psd_edge_covariances())
-@example(DecisionCov(1.0, 1.0 + 1e-13, 1.0))
-@example(DecisionCov(4.0, 2.0 * (1.0 + 4e-14), 1.0))
-@example(DecisionCov(0.0, 1e-8, 1.0))
-@example(DecisionCov(1e-300, 1e-6, 1.0))
+@given(edge_factors())
+@example(DecisionCov(0.0, 0.0, 1.0))
+@example(DecisionCov(1e-150, 1.0, 1e-3))
 @example(DecisionCov(1.0, -1e-6, 0.0))
-# l22 = sqrt(5e-324) ~ 2.2e-162: the hinge's (c / l22)^2 is past the float range
-@example(DecisionCov(1.0, 0.0, 5e-324))
-def test_cholesky_factors_every_accepted_covariance(cov):
-    eps = np.finfo(np.float64).eps
-    l11, l21, l22 = _cholesky_2x2(cov)
-    assert l11 * l11 == pytest.approx(cov.omega_star, rel=2 * eps, abs=0.0)
-    if cov.omega_star == 0.0:
-        assert l21 == 0.0
-    assert abs(l21 * l21 + l22 * l22 - cov.v) <= 8 * eps * max(cov.v, 1.0)
-    bound = cov.omega_star * cov.v
-    assert abs(cov.chi * cov.chi - (l11 * l21) ** 2) <= (_PSD_SLACK + 8 * eps) * max(1.0, bound)
-    # where the plain factor exists, it is the one returned, bit for bit
-    if l11 > 0.0:
-        plain = cov.chi / l11
-        if cov.v - plain * plain >= 0.0:
-            assert (l21, l22) == (plain, math.sqrt(cov.v - plain * plain))
+# the hinge's (c / l22)^2 is past the float range
+@example(DecisionCov(1.0, 0.0, math.sqrt(5e-324)))
+def test_quad_is_finite_on_every_accepted_factor(cov):
     for metric in (MetricKind.LOGISTIC, MetricKind.HINGE):
         with np.errstate(over="raise"):
             assert np.all(np.isfinite(quad_metric_risk([cov], metric)[0]))
@@ -409,7 +462,7 @@ def test_cholesky_factors_every_accepted_covariance(cov):
 def _logistic_tensor_rule(cov, order):
     # the 2-D rule the 1-D identity replaced: Gauss-Legendre over |g1| on
     # [0, 9] against the half-normal density, Gauss-Hermite over w
-    _, l21, l22 = _cholesky_2x2(cov)
+    l21, l22 = cov.l21, cov.l22
     x, wx = leggauss(order)
     h = 4.5 * (x + 1.0)
     wh = 9.0 * wx * np.exp(-0.5 * h * h) / math.sqrt(2 * math.pi)
@@ -420,22 +473,22 @@ def _logistic_tensor_rule(cov, order):
 
 @st.composite
 def factored_covariances(draw):
-    """DecisionCov from a Cholesky factor with s = hypot(l21, l22) <= 15.
+    """DecisionCov with s = hypot(l21, l22) <= 15.
 
-    l21 = 0 (chi = 0), l21 < 0 (chi < 0) and l22 = 0 (chi^2 = omega_star * v)
-    are each drawn with positive probability.
+    l21 = 0 (uncorrelated scores), l21 < 0 and l22 = 0 (aligned or opposed
+    scores) are each drawn with positive probability.
     """
     l11 = draw(st.floats(1e-3, 10.0))
     l21 = draw(st.one_of(st.just(0.0), st.floats(-15.0, 15.0)))
     l22 = draw(st.one_of(st.just(0.0), st.floats(0.0, math.sqrt(225.0 - l21 * l21))))
-    return DecisionCov(omega_star=l11 * l11, chi=l11 * l21, v=l21 * l21 + l22 * l22)
+    return DecisionCov(l11, l21, l22)
 
 
 @settings(max_examples=150, deadline=None, database=None)
 @given(factored_covariances())
-@example(DecisionCov(omega_star=1.0, chi=-0.6, v=0.8))
-@example(DecisionCov(omega_star=0.7, chi=0.7 * 1.3, v=0.7 * 1.3 * 1.3))
-@example(DecisionCov(omega_star=2.0, chi=0.0, v=0.5))
+@example(_moments_cov(1.0, -0.6, 0.8))
+@example(DecisionCov(math.sqrt(0.7), 1.3 * math.sqrt(0.7), 0.0))
+@example(DecisionCov(math.sqrt(2.0), 0.0, math.sqrt(0.5)))
 def test_quad_logistic_identity_matches_tensor_rule(cov):
     value, err = _quad_one(cov, MetricKind.LOGISTIC)
     assert err <= 1e-12
@@ -448,16 +501,16 @@ def test_quad_logistic_identity_matches_tensor_rule(cov):
 
 def test_quad_logistic_wide_independent_part():
     # l22 = 10: the 2-D rule's Gauss-Hermite error estimate was 9.5e-5 here
-    value, err = _quad_one(DecisionCov(omega_star=1e-4, chi=0.0, v=100.0), MetricKind.LOGISTIC)
+    value, err = _quad_one(DecisionCov(1e-2, 0.0, 10.0), MetricKind.LOGISTIC)
     assert err <= 1e-9
     assert abs(value - _normal_trapezoid(lambda z: np.logaddexp(0.0, 10.0 * z))) <= 1e-8
 
 
 # padding rows of both hinge kinds: l21 > 1/9 splits the rule, l21 <= 1/9 does not
 _PADDING = (
-    DecisionCov(omega_star=1.0, chi=0.6, v=0.8),
-    DecisionCov(omega_star=1.0, chi=0.05, v=1.0),
-    DecisionCov(omega_star=2.0, chi=-1.0, v=0.7),
+    _moments_cov(1.0, 0.6, 0.8),
+    _moments_cov(1.0, 0.05, 1.0),
+    _moments_cov(2.0, -1.0, 0.7),
 )
 
 

@@ -1,7 +1,5 @@
 """Tests for covariance pairs, plug-in shift parameters, and the task-dependent model."""
 
-import math
-
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -172,17 +170,17 @@ def test_task_dependent_rebuild_sees_the_input_pair_only_through_its_scale():
     assert a.kappa / a.gamma == pytest.approx(b.kappa / b.gamma, rel=1e-12)
     assert a.mu == pytest.approx(b.mu, rel=1e-12)
     rng = np.random.default_rng(2)
-    # a wide angle and a tiny one, where arccos magnifies a change in the correlation
+    # a wide angle and a tiny one: the risk is the angle atan2(l22, l21) / pi, which
+    # the common factor of Sigma_Q's rebuild moves by rounding only
     for spread in (1.0, 1e-6):
         beta_hat = beta + spread * rng.standard_normal(800)
         (p_shifted, q_shifted), (p_plain, q_plain) = (
             decision_cov(beta, beta_hat, pair) for pair in (shifted, plain)
         )
         assert p_shifted == p_plain
-        corr = q_shifted.chi / math.sqrt(q_shifted.omega_star * q_shifted.v)
-        ulps = 4 * np.spacing(corr)
-        risk = misclassification_risk(q_plain)
-        assert math.acos(min(corr + ulps, 1.0)) / math.pi <= risk <= math.acos(corr - ulps) / math.pi
+        assert misclassification_risk(q_shifted) == pytest.approx(
+            misclassification_risk(q_plain), rel=8 * np.finfo(np.float64).eps
+        )
 
 
 def test_task_dependent_unreachable_ratio():

@@ -60,8 +60,9 @@ def test_asymptotic_decision_cov_hand_values():
     # r_p = 0.9, unit signal, mu = 1.2, no spectral reweighting on the support
     shift = ShiftParameters(gamma=1.0, mu=1.2, kappa=1.0, r_p=0.9, sigma_beta_sq=1.0)
     cov_p, cov_q = asymptotic_decision_cov(1.0, 1.0, 1.0, shift)
-    npt.assert_allclose([cov_p.omega_star, cov_p.chi, cov_p.v], [0.9, 0.45, 0.45], rtol=1e-14)
-    npt.assert_allclose([cov_q.omega_star, cov_q.chi, cov_q.v], [1.08, 0.45, 0.45], rtol=1e-14)
+    for cov, moments in ((cov_p, [0.9, 0.45, 0.45]), (cov_q, [1.08, 0.45, 0.45])):
+        # (omega*, chi, v) from the factor
+        npt.assert_allclose([cov.l11**2, cov.l11 * cov.l21, cov.l21**2 + cov.l22**2], moments, rtol=1e-14)
     assert misclassification_risk(cov_p) == pytest.approx(0.25, abs=1e-13)
     risk_q = misclassification_risk(cov_q)
     assert risk_q == pytest.approx(0.2766501895190568, abs=1e-13)
@@ -213,6 +214,23 @@ def test_relation_identities_of_asymptotic_family():
         assert regression_relation(squared_risk(cov_p), eq) == pytest.approx(
             squared_risk(cov_q), abs=1e-10
         )
+
+
+@pytest.mark.parametrize("mu", [1.0 - 5e-10, 1.0, 1.3])
+def test_classification_identity_is_relative_exact_at_small_train_risks(mu):
+    # criterion 10's identity on asymptotic factors, relative to the test risk, where
+    # the train risk is tiny: a sec^2 - 1 route loses 6e-7 of it at risk_p = 1e-6
+    shift = ShiftParameters(gamma=1.0, mu=mu, kappa=5.0, r_p=0.6, sigma_beta_sq=1.5)
+    b, c = 0.7, 1.3
+    base = shift.r_p * shift.sigma_beta_sq
+    for target in (1e-6, 1e-5, 1e-4, 1.3e-3, 0.02, 0.3):
+        # tan(pi risk_p) = l22 / l21 = sqrt(c r_p) / (a sqrt(base))
+        a = math.sqrt(c * shift.r_p / base) / math.tan(math.pi * target)
+        cov_p, cov_q = asymptotic_decision_cov(a, b, c, shift)
+        risk_p = misclassification_risk(cov_p)
+        assert risk_p == pytest.approx(target, rel=1e-12)
+        risk_q = misclassification_risk(cov_q)
+        assert abs(classification_relation(risk_p, shift) - risk_q) <= 1e-12 * risk_q
 
 
 def test_covariance_functionals_projector_simplifications():
