@@ -6,14 +6,16 @@ of its 2x2 covariance: z* = l11 g1 and z = l21 g1 + l22 g2 for independent
 standard normals.  The factor is PSD by construction and is built without the
 cancellation of v - chi^2 / omega*.  Squared error is (l11 - l21)^2 + l22^2,
 misclassification is the angle atan2(l22, l21) between the scores over pi, and
-surrogate metrics (logistic, hinge) reduce to 1-D integrals over a half-normal
-variable, evaluated for a batch of factors by Gauss-Legendre quadrature with
-an error estimate, in row blocks that bound every temporary whatever the
-batch size.  Both rules (orders 150 and 300) are read from the table in
+the surrogate metrics (logistic, hinge) of a batch of factors are evaluated in
+row blocks that bound every temporary whatever the batch size, each with an
+error estimate.  The logistic risk is a 1-D integral over a half-normal
+variable; the hinge risk is closed form in Phi and phi plus Owen's T function,
+taken as Craig's finite-range integral over an angle.  Both integrals use
+Gauss-Legendre rules (orders 150 and 300) read from the table in
 riskshift._gauss_legendre, which holds bit for bit the rules of Newton's
-method on the Legendre recurrence, and the hinge's normal CDF evaluates Cody's
-rational approximations of erfc over each block as one array.  Chunked Monte
-Carlo with a deterministic per-chunk seeding scheme covers every metric as an
+method on the Legendre recurrence, and the normal CDF evaluates Cody's
+rational approximations of erfc over an array at once.  Chunked Monte Carlo
+with a deterministic per-chunk seeding scheme covers every metric as an
 independent cross-check.
 """
 
@@ -32,6 +34,7 @@ _QUAD_ORDER = 150
 # |g1| > 9 has probability 2.3e-19, so the half-normal integral stops there
 _HALF_NORMAL_CUT = 9.0
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 # Cody 1969, "Rational Chebyshev approximations for the error function"
 # (Math. Comp. 23:631-637), coefficients of SPECFUN's CALERF: erf(z) = z R(z^2)
 # for |z| <= 0.46875, erfc(z) = exp(-z^2) R(|z|) up to |z| = 4 and beyond that
@@ -111,17 +114,31 @@ def decision_cov(beta_star, beta_hat, pair):
     bh = pair.rotate(np.asarray(beta_hat, dtype=np.float64))
     if not (np.all(np.isfinite(bs)) and np.all(np.isfinite(bh))):
         raise NumericInputError("decision vectors must be finite")
+    # each vector is scaled by a power of two to a largest entry in [1/2, 1),
+    # exactly, so that no square under- or overflows; the factor is scaled back
+    (bs, ps), (bh, ph) = _unit_scaled(bs), _unit_scaled(bh)
     d = pair.d
     covs = []
     for e in (pair.eigvals_p, pair.eigvals_q):
         omega_star = float(np.sum(e * bs * bs)) / d
         chi = float(np.sum(e * bs * bh)) / d
         l11 = math.sqrt(omega_star)
-        # with no energy in b* (or all of it underflowed) the factor is (0, 0, |b|)
+        # with no energy in b* the factor is (0, 0, |b|)
         r = bh - chi / omega_star * bs if l11 > 0 else bh
         l21 = chi / l11 if l11 > 0 else 0.0
-        covs.append(DecisionCov(l11, l21, math.sqrt(float(np.sum(e * r * r)) / d)))
+        l22 = math.sqrt(float(np.sum(e * r * r)) / d)
+        # a factor past the float range is inf here, which DecisionCov refuses
+        with np.errstate(over="ignore"):
+            factor = np.ldexp([l11, l21, l22], [ps, ph, ph])
+        covs.append(DecisionCov(*factor.tolist()))
     return tuple(covs)
+
+
+def _unit_scaled(b):
+    """(b 2^-p, p) with the largest |entry| of b 2^-p in [1/2, 1); p = 0 for b = 0."""
+    top = float(np.max(np.abs(b)))
+    p = math.frexp(top)[1] if top > 0 else 0
+    return np.ldexp(b, -p), p
 
 
 def squared_risk(cov):
@@ -238,6 +255,11 @@ def _exp_minus_square(t):
     return s
 
 
+def _erf_near(z):
+    """erf of an array with |z| <= 0.46875 by Cody's near rational, z R(z^2)."""
+    return z * _cody_rational(z * z, *_ERF_NEAR)
+
+
 def _erfc(z):
     """erfc of a 1-d float64 array by Cody's rational approximations.
 
@@ -249,8 +271,7 @@ def _erfc(z):
     y = np.abs(z)
     out = np.zeros_like(y)
     near = y <= _ERF_NEAR_EDGE
-    t = y[near]
-    out[near] = 1.0 - z[near] * _cody_rational(t * t, *_ERF_NEAR)
+    out[near] = 1.0 - _erf_near(z[near])
     mid = ~near & (y <= _ERFC_MID_EDGE)
     t = y[mid]
     out[mid] = _exp_minus_square(t) * _cody_rational(t, *_ERFC_MID)
@@ -305,59 +326,98 @@ def _gauss_rules(order):
     return _GAUSS_RULES[order]
 
 
-def _half_normal_rule(order, cuts):
-    """Nodes and weights for E f(|g|), g ~ N(0, 1): Gauss-Legendre on each piece of cuts.
+def _half_normal_rule(order):
+    """Nodes and weights for E f(|g|), g ~ N(0, 1): Gauss-Legendre on [0, 9]."""
+    x, wx = _gauss_rules(order)
+    h = 0.5 * _HALF_NORMAL_CUT * (x + 1.0)
+    return h, wx * _HALF_NORMAL_CUT * np.exp(-0.5 * h * h) / _SQRT_2PI
 
-    cuts is one ascending sequence of cut points or an array with one such
-    sequence per row; the nodes and weights have one row per row of cuts.
+
+def _craig_piece(h, lo, hi, x, wx):
+    # Gauss-Legendre on [lo, hi] of exp(-h^2 / (2 sin^2 u)) for each row; a
+    # huge h or a node at u = 0 sends h / sin u past the float range, and
+    # exp(-inf) = 0 is then the right limit
+    half = 0.5 * (hi - lo)
+    u = (lo + half)[:, None] + half[:, None] * x
+    with np.errstate(over="ignore", divide="ignore"):
+        r = h[:, None] / np.sin(u)
+        r *= r
+    r *= -0.5
+    return half * (wx * np.exp(r, out=r)).sum(axis=-1)
+
+
+def _craig_integral(h, theta, order):
+    """(1 / pi) int_0^theta exp(-h^2 / (2 sin^2 u)) du for each row, by Gauss-Legendre of this order.
+
+    The integrand rises from 0 to nearly 1 in a layer of width about h at
+    u = 0; where that layer is under theta / 30 wide, [0, 8h] is a piece of
+    its own, so only rows with s = 1 / h above 60 / pi (theta <= pi / 2)
+    take a second piece.  At theta / 100 the value was as accurate, but the
+    order-150 rule, and so the error estimate, was off by up to 5e-11
+    relative.
     """
     x, wx = _gauss_rules(order)
-    cuts = np.asarray(cuts, dtype=np.float64)
-    lo, hi = cuts[..., :-1, None], cuts[..., 1:, None]
-    h = lo + 0.5 * (hi - lo) * (x + 1.0)
-    w = wx * (hi - lo) * np.exp(-0.5 * h * h) / _SQRT_2PI
-    shape = cuts.shape[:-1] + ((cuts.shape[-1] - 1) * order,)
-    return h.reshape(shape), w.reshape(shape)
+    layer = h < theta / 30.0
+    edge = theta.copy()
+    edge[layer] = 8.0 * h[layer]
+    total = _craig_piece(h, np.zeros_like(h), edge, x, wx)
+    if layer.any():
+        total[layer] += _craig_piece(h[layer], edge[layer], theta[layer], x, wx)
+    return total / math.pi
 
 
-def _hinge_on_rule(l21, l22, h, wh):
-    # E max(0, c - l22 w) over w = c Phi(c / l22) + l22 phi(c / l22) if l22 > 0
-    c = 1.0 - l21[:, None] * h
-    smooth = (l22 > 0.0)[:, None]
-    scale = np.where(smooth, l22[:, None], 1.0)
-    # a tiny l22 sends r or its square past the float range; Phi(+-inf) and
-    # exp(-inf) = 0 are then the right limits
-    with np.errstate(over="ignore"):
-        r = c / scale
-        density = np.exp(-0.5 * r * r)
-    blurred = c * _std_normal_cdf(r) + scale * density / _SQRT_2PI
-    return (wh * np.where(smooth, blurred, np.maximum(0.0, c))).sum(axis=-1)
+def _hinge_closed_form(l21, l22):
+    """The hinge risk of each row less its signed Craig integral (see quad_metric_risk)."""
+    # t = 0 where l21 = l22 = 0, and the risk is 1; such rows are evaluated
+    # at l22 = 1 and then replaced, so that no 0 / 0 arises
+    zero = (l21 == 0.0) & (l22 == 0.0)
+    l22 = np.where(zero, 1.0, l22)
+    s = np.hypot(l21, l22)
+    # h or k past the float range, or k = 1 / 0 where l22 = 0, take the
+    # limits Phi(-inf) = 0 and expm1(-inf) = -1
+    with np.errstate(over="ignore", divide="ignore"):
+        h = 1.0 / s
+        em1 = np.expm1(-0.5 * h * h)
+        # |delta| k, k = 1 / l22 and h as the three normal CDF arguments of a row
+        args = np.concatenate([np.abs(l21) / s / l22, 1.0 / l22, h])
+    q_dk, q_k, q_h = np.split(_std_normal_cdf(np.negative(args, out=args)), 3)
+    z = h / math.sqrt(2.0)
+    near = z <= _ERF_NEAR_EDGE
+    erf = 1.0 - 2.0 * q_h
+    erf[near] = _erf_near(z[near])
+    # 2 phi(0) [s e^{-h^2/2} Phi(delta k) - l21 Phi(k)]; for l21 >= 0 it is
+    # written so that neither s e^{-h^2/2} - l21 nor Phi(k) - Phi(delta k)
+    # cancels: Phi(delta k) = 1 - Q(|delta| k) and Phi(k) = 1 - Q(k)
+    rise = l22 * (l22 / (s + np.abs(l21))) + s * em1
+    pos = l21 >= 0.0
+    tilted = np.where(
+        pos,
+        rise * (1.0 - q_dk) - l21 * (q_dk - q_k),
+        s * (1.0 + em1) * q_dk - l21 * (1.0 - q_k),
+    )
+    value = np.where(pos, erf, 1.0) + _SQRT_2_OVER_PI * tilted
+    return np.where(zero, 1.0, value)
 
 
 def _surrogate_on_nodes(l21, l22, metric, order):
     # t = sign(z*) z = l21 |g1| + l22 w with w ~ N(0, 1) independent of |g1|.
-    # Entry i is the risk of (l21[i], l22[i]) under the rule of this order,
-    # computed elementwise and reduced by np.sum along its own row, so it does
-    # not depend on the other rows; a BLAS matrix-vector product would not do:
-    # OpenBLAS's dgemv rounds a row differently with the row count
+    # Entry i is the logistic risk of (l21[i], l22[i]), or the hinge's signed
+    # Craig term, under the rule of this order, computed elementwise and
+    # reduced by np.sum along its own row, so it does not depend on the other
+    # rows; a BLAS matrix-vector product would not do: OpenBLAS's dgemv rounds
+    # a row differently with the row count
+    s = np.hypot(l21, l22)
     if metric is MetricKind.LOGISTIC:
         # t / s is skew-normal for s = hypot(l21, l22), so |t| has the law of
         # s |g|; with softplus(-t) = |t| / 2 - t / 2 + log1p(exp(-|t|)) and
         # E t = l21 sqrt(2 / pi), only the log1p term needs quadrature
-        s = np.hypot(l21, l22)
-        h, wh = _half_normal_rule(order, (0.0, _HALF_NORMAL_CUT))
+        h, wh = _half_normal_rule(order)
         return (s - l21) / _SQRT_2PI + (wh * np.log1p(np.exp(-s[:, None] * h))).sum(axis=-1)
-    # the hinge integrand in |g1| bends at l21 |g1| = 1; splitting there keeps
-    # the Legendre rule exact on each side when l22 = 0 and accurate when small
-    split = l21 * _HALF_NORMAL_CUT > 1.0
-    k = np.count_nonzero(split)
-    values = np.empty_like(l21)
-    for rows, cuts in (
-        (split, np.stack([np.zeros(k), 1.0 / l21[split], np.full(k, _HALF_NORMAL_CUT)], axis=1)),
-        (~split, (0.0, _HALF_NORMAL_CUT)),
-    ):
-        values[rows] = _hinge_on_rule(l21[rows], l22[rows], *_half_normal_rule(order, cuts))
-    return values
+    # the hinge's Craig integral enters with the sign of l21 (+ for l21 = 0)
+    with np.errstate(over="ignore", divide="ignore"):
+        h = 1.0 / s
+    term = _craig_integral(h, np.arctan2(l22, np.abs(l21)), order)
+    return np.where(l21 < 0.0, -term, term)
 
 
 def quad_metric_risk(covs, metric):
@@ -367,33 +427,56 @@ def quad_metric_risk(covs, metric):
     entry per covariance, and each entry depends on its own covariance alone,
     bit for bit, whatever else is in the batch.  Both risks are E psi(t) with
     t = sign(z*) z, which has the law of l21 |g1| + l22 w for the Cholesky
-    factor cov and independent standard normals g1, w.  Each remaining
-    integral is over a half-normal |g| and uses Gauss-Legendre on [0, 9]
-    against the half-normal density.  Logistic: |t| has the law of s |g|
-    with s = hypot(l21, l22) (t / s is skew-normal), so E softplus(-t) =
-    (s - l21) / sqrt(2 pi) + E log1p(exp(-s |g|)).  Hinge: the inner
-    expectation over w is closed form and the rule over |g1| is split where
-    the loss bends.  The value is the rule of order 2k, the error estimate
-    its distance to the rule of order k (k = 150).  Both rules are tabulated,
-    not built at run time: riskshift._gauss_legendre holds them bit for bit as
-    Newton's method on the Legendre recurrence from Tricomi's guess gives them.
-    The estimate measures convergence in the rule's order, not the error in
-    its nodes and weights; at both orders, split or not, those integrate the
-    half-normal mass, E|g| and E g^2 to within 4.5e-16.  The covariances are
-    taken in consecutive row blocks, for each order, of at most 16384
-    (covariance x node) entries, so the working set stays near 1 MiB however
-    long the batch is.
+    factor cov and independent standard normals g1, w, so t / s is
+    skew-normal for s = hypot(l21, l22).
+
+    Logistic: |t| has the law of s |g|, so E softplus(-t) = (s - l21) /
+    sqrt(2 pi) + E log1p(exp(-s |g|)), and the last term is Gauss-Legendre on
+    [0, 9] against the half-normal density.  At both orders that rule
+    integrates the half-normal mass, E|g| and E g^2 to within 4.5e-16.
+
+    Hinge: with h = 1 / s, k = 1 / l22, delta = l21 / s and theta =
+    atan2(l22, |l21|), E (1 - t)^+ is erf(h / sqrt 2) + C for l21 >= 0 and
+    1 - C for l21 < 0, plus 2 phi(0) [s e^{-h^2/2} Phi(delta k) - l21 Phi(k)],
+    where C = (1 / pi) int_0^theta exp(-h^2 / (2 sin^2 u)) du is Craig's form
+    of Owen's T term (for l21 < 0 the integral over [0, pi - theta] is
+    reflected about pi / 2).  The closed-form part takes its three Phi
+    arguments a row in one call, erf from Cody's near rational where h /
+    sqrt 2 <= 0.46875, and for l21 >= 0 writes s e^{-h^2/2} - l21 and
+    Phi(k) - Phi(delta k) so that neither cancels; l22 = 0 and s = 0 take
+    their limits.  C is Gauss-Legendre on [0, theta], with the layer [0, 8h]
+    as a piece of its own where h < theta / 30.
+
+    The value is the rule of order 2k, the error estimate its distance to the
+    rule of order k (k = 150).  The estimate measures convergence in the
+    rule's order: it covers neither the error in the rule's nodes and weights
+    nor the rounding of the hinge's closed-form terms, which is within a few
+    eps relative for s <= 30 and grows like eps s^2 beyond (3.4e-12 at
+    s = 316 against a 30-digit reference).  Both rules are tabulated, not
+    built at run time: riskshift._gauss_legendre holds them bit for bit as
+    Newton's method on the Legendre recurrence from Tricomi's guess gives
+    them.  The covariances are taken in consecutive row blocks, for each
+    order, of at most 16384 (covariance x node) entries, and the hinge's
+    closed form in blocks of 16384 normal CDF arguments, so the working set
+    stays near 1 MiB however long the batch is.
     """
     if metric not in (MetricKind.LOGISTIC, MetricKind.HINGE):
         raise NumericInputError(f"quadrature covers the logistic and hinge metrics, got {metric!r}")
     factors = np.array([(cov.l21, cov.l22) for cov in covs], dtype=np.float64).reshape(-1, 2)
     l21, l22 = factors.T
     coarse, fine = np.empty_like(l21), np.empty_like(l21)
-    # the hinge splits a row's rule into at most two pieces
+    # the hinge's Craig integral takes a row in at most two pieces
     pieces = 2 if metric is MetricKind.HINGE else 1
     for order, out in ((_QUAD_ORDER, coarse), (2 * _QUAD_ORDER, fine)):
         rows = _QUAD_BLOCK // (pieces * order)
         for start in range(0, len(out), rows):
             block = slice(start, start + rows)
             out[block] = _surrogate_on_nodes(l21[block], l22[block], metric, order)
-    return fine, np.abs(fine - coarse)
+    errs = np.abs(fine - coarse)
+    if metric is MetricKind.HINGE:
+        # the closed-form part has three normal CDF arguments a row
+        rows = _QUAD_BLOCK // 3
+        for start in range(0, len(fine), rows):
+            block = slice(start, start + rows)
+            fine[block] += _hinge_closed_form(l21[block], l22[block])
+    return fine, errs

@@ -37,7 +37,13 @@ from riskshift.shiftmodel import CovariancePair, ShiftParameters, subspace_shift
 from riskshift.subspace import SubspacePairSpec
 from riskshift.theory import asymptotic_decision_cov
 
-from oracles import exact_decision_moments, exact_misclassification_risks, population_mc_risk, sigma_dense
+from oracles import (
+    exact_decision_moments,
+    exact_misclassification_risks,
+    hinge_risk_oracle,
+    population_mc_risk,
+    sigma_dense,
+)
 
 # E max(0, 1 - |Z|) for Z standard normal: hinge value of a perfectly
 # aligned unit-variance decision pair, 2*(Phi(1) - Phi(0) - phi(0) + phi(1))
@@ -132,6 +138,22 @@ def test_misclassification_is_exact_at_tiny_scale():
     beta_hat = 1e-100 * np.array([math.sqrt(0.5), math.sqrt(1.5)])
     for cov in decision_cov(beta_star, beta_hat, _unit_pair(2)):
         assert misclassification_risk(cov) == pytest.approx(1.0 / 3.0, rel=4 * np.finfo(np.float64).eps)
+
+
+def test_misclassification_is_the_same_at_extreme_scales():
+    # b* and b-hat each scaled by 2^-560, 1 or 2^560, where their squares would
+    # underflow or overflow: the angle does not see the scale, bit for bit
+    pair = subspace_shift_model(SubspacePairSpec(12, 8, 6, 4), 2.0, 3)
+    beta_star, beta_hat = np.random.default_rng(33).standard_normal((2, 12))
+    want = [misclassification_risk(cov) for cov in decision_cov(beta_star, beta_hat, pair)]
+    for e_star in (-560, 0, 560):
+        for e_hat in (-560, 0, 560):
+            covs = decision_cov(np.ldexp(beta_star, e_star), np.ldexp(beta_hat, e_hat), pair)
+            assert [misclassification_risk(cov) for cov in covs] == want, (e_star, e_hat)
+    # every square of b* underflows unscaled, though chi does not
+    tiny = decision_cov(1e-170 * np.array([1.0, 0.0]), np.array([1.0, 1.0]), _unit_pair(2))
+    unit = decision_cov(np.array([1.0, 0.0]), np.array([1.0, 1.0]), _unit_pair(2))
+    assert [misclassification_risk(cov) for cov in tiny] == [misclassification_risk(cov) for cov in unit]
 
 
 def test_classification_sweep_noiseless_ridge_risks_match_exact_angle():
@@ -373,6 +395,21 @@ def test_quad_hinge_matches_aligned_closed_form():
         assert err <= 1e-9
 
 
+def test_quad_hinge_matches_oracle_on_a_wide_grid():
+    # l21 over six decades of either sign, l22 over seven: 220 factors, down to
+    # l22 << l21, where a rule over |g1| misses the kink's blur of width l22 / l21
+    l21s = np.concatenate([-np.geomspace(1e-3, 1e3, 7), np.geomspace(1e-3, 1e3, 13)])
+    covs = [DecisionCov(1.0, float(a), float(b)) for a in l21s for b in np.geomspace(1e-4, 1e3, 11)]
+    values, errs = quad_metric_risk(covs, MetricKind.HINGE)
+    for cov, value, err in zip(covs, values, errs):
+        want = hinge_risk_oracle(cov.l21, cov.l22)
+        assert abs(value - want) <= max(err, 1e-11 * value), (cov, value, want, err)
+        # both rule orders converge, so the estimate vouches for the value too
+        assert err <= 1e-12 * value, (cov, value, err)
+        if math.hypot(cov.l21, cov.l22) <= 30.0:
+            assert abs(value - want) <= 1e-12 * want, (cov, value, want)
+
+
 def test_quad_logistic_matches_dense_trapezoid():
     value, err = _quad_one(DecisionCov(1.0, 1.0, 0.0), MetricKind.LOGISTIC)
     assert abs(value - _logistic_aligned_oracle()) <= 1e-8
@@ -451,8 +488,10 @@ def edge_factors(draw):
 @example(DecisionCov(0.0, 0.0, 1.0))
 @example(DecisionCov(1e-150, 1.0, 1e-3))
 @example(DecisionCov(1.0, -1e-6, 0.0))
-# the hinge's (c / l22)^2 is past the float range
+# the hinge's h = 1 / s or k = 1 / l22, or their squares, are past the float range
 @example(DecisionCov(1.0, 0.0, math.sqrt(5e-324)))
+@example(DecisionCov(0.0, 0.0, 2.2250738585072014e-308))
+@example(DecisionCov(1.0, 2.2250738585072014e-308, 0.0))
 def test_quad_is_finite_on_every_accepted_factor(cov):
     for metric in (MetricKind.LOGISTIC, MetricKind.HINGE):
         with np.errstate(over="raise"):
@@ -506,11 +545,13 @@ def test_quad_logistic_wide_independent_part():
     assert abs(value - _normal_trapezoid(lambda z: np.logaddexp(0.0, 10.0 * z))) <= 1e-8
 
 
-# padding rows of both hinge kinds: l21 > 1/9 splits the rule, l21 <= 1/9 does not
+# padding rows of every hinge kind: l21 >= 0, l21 < 0, and s = 141, where the
+# Craig integral takes its layer as a second piece
 _PADDING = (
     _moments_cov(1.0, 0.6, 0.8),
     _moments_cov(1.0, 0.05, 1.0),
     _moments_cov(2.0, -1.0, 0.7),
+    DecisionCov(1.0, 100.0, 100.0),
 )
 
 
@@ -670,12 +711,11 @@ def test_gauss_rule_matches_leggauss(order):
     assert np.all(np.abs(w - ref_w) <= 1e-10 * ref_w)
 
 
-@pytest.mark.parametrize("cuts", [(0.0, 9.0), (0.0, 0.37, 9.0)])
 @pytest.mark.parametrize("order", [150, 300])
-def test_half_normal_rule_moments(order, cuts):
+def test_half_normal_rule_moments(order):
     # the error estimate of quad_metric_risk cannot see an error shared by
     # both orders, so the rule's own moments are pinned here
-    h, w = _half_normal_rule(order, cuts)
+    h, w = _half_normal_rule(order)
     assert abs(w.sum() - 1.0) <= 5e-15
     assert abs(w @ h - math.sqrt(2.0 / math.pi)) <= 5e-15
     assert abs(w @ (h * h) - 1.0) <= 5e-15
