@@ -20,7 +20,6 @@ CSV columns per kind:
 import dataclasses
 import math
 import os
-import tempfile
 
 import numpy as np
 
@@ -111,12 +110,6 @@ def _format_column(values):
     return text.split(",")
 
 
-def _umask():
-    mask = os.umask(0o022)
-    os.umask(mask)
-    return mask
-
-
 def write_csv(path, header, rows):
     """CSV with LF newlines and 17 significant digits for floats, written atomically.
 
@@ -129,12 +122,13 @@ def write_csv(path, header, rows):
     columns = [_format_column([row[name] for row in rows]) for name in header]
     lines = [",".join(header), *map(",".join, zip(*columns))]
     directory, name = os.path.split(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory)
+    tmp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
+    # O_EXCL refuses a file that is already there; mode 0o666 under the
+    # process umask is the mode a plain open() would give
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write("\n".join(lines) + "\n")
-        # mkstemp creates the file as 0600; give it the mode open() would have
-        os.chmod(tmp, 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

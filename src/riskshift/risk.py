@@ -13,10 +13,9 @@ variable; the hinge risk is closed form in Phi and phi plus Owen's T function,
 taken as Craig's finite-range integral over an angle.  Both integrals use
 Gauss-Legendre rules (orders 150 and 300) read from the table in
 riskshift._gauss_legendre, which holds bit for bit the rules of Newton's
-method on the Legendre recurrence, and the normal CDF evaluates Cody's
-rational approximations of erfc over an array at once.  Chunked Monte Carlo
-with a deterministic per-chunk seeding scheme covers every metric as an
-independent cross-check.
+method on the Legendre recurrence; the normal CDF and erf are the standard
+library's math.erfc and math.erf.  Chunked Monte Carlo with a deterministic
+per-chunk seeding scheme covers every metric as an independent cross-check.
 """
 
 import math
@@ -35,35 +34,6 @@ _QUAD_ORDER = 150
 _HALF_NORMAL_CUT = 9.0
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
-# Cody 1969, "Rational Chebyshev approximations for the error function"
-# (Math. Comp. 23:631-637), coefficients of SPECFUN's CALERF: erf(z) = z R(z^2)
-# for |z| <= 0.46875, erfc(z) = exp(-z^2) R(|z|) up to |z| = 4 and beyond that
-# exp(-z^2) (1/sqrt(pi) - s R(s)) / |z| with s = 1/z^2, where erfc underflows
-# past 26.543; each pair is (numerator, monic denominator) for _cody_rational
-_ERF_NEAR_EDGE = 0.46875
-_ERFC_MID_EDGE = 4.0
-_ERFC_ZERO_EDGE = 26.543
-_ERF_NEAR = (
-    (3.16112374387056560e00, 1.13864154151050156e02, 3.77485237685302021e02,
-     3.20937758913846947e03, 1.85777706184603153e-1),
-    (2.36012909523441209e01, 2.44024637934444173e02, 1.28261652607737228e03,
-     2.84423683343917062e03),
-)
-_ERFC_MID = (
-    (5.64188496988670089e-1, 8.88314979438837594e00, 6.61191906371416295e01,
-     2.98635138197400131e02, 8.81952221241769090e02, 1.71204761263407058e03,
-     2.05107837782607147e03, 1.23033935479799725e03, 2.15311535474403846e-8),
-    (1.57449261107098347e01, 1.17693950891312499e02, 5.37181101862009858e02,
-     1.62138957456669019e03, 3.29079923573345963e03, 4.36261909014324716e03,
-     3.43936767414372164e03, 1.23033935480374942e03),
-)
-_ERFC_FAR = (
-    (3.05326634961232344e-1, 3.60344899949804439e-1, 1.25781726111229246e-1,
-     1.60837851487422766e-2, 6.58749161529837803e-4, 1.63153871373020978e-2),
-    (2.56852019228982242e00, 1.87295284992346725e00, 5.27905102951428412e-1,
-     6.05183413124413191e-2, 2.33520497626869185e-3),
-)
-_RSQRT_PI = 5.6418958354775628695e-1
 # quad_metric_risk takes its covariances in row blocks of at most this many
 # (covariance x node) entries, which bounds every quadrature temporary
 _QUAD_BLOCK = 16384
@@ -226,80 +196,17 @@ def mc_metric_risk(cov, metric, n_draws, seed):
     return chunked_mc(draw, n_draws, seed, _MC_CHUNK)
 
 
-def _cody_rational(t, num, den):
-    """Cody's rational in t by Horner: numerator num[-1], num[0], ..., num[-2] over monic den."""
-    xnum = num[-1] * t
-    xden = t.copy()
-    for a, b in zip(num[:-2], den[:-1]):
-        xnum += a
-        xnum *= t
-        xden += b
-        xden *= t
-    xnum += num[-2]
-    xden += den[-1]
-    xnum /= xden
-    return xnum
-
-
-def _exp_minus_square(t):
-    # exp(-t^2) as exp(-s^2) exp(-(t - s)(t + s)) with s = t rounded down to a
-    # multiple of 1/16, so s^2 is exact and the rounding of t^2 is not
-    # amplified by the exponential; in place, to keep the temporaries few
-    s = np.floor(t * 16.0)
-    s /= 16.0
-    d = t - s
-    d *= t + s
-    s *= s
-    s = np.exp(np.negative(s, out=s), out=s)
-    s *= np.exp(np.negative(d, out=d), out=d)
-    return s
-
-
-def _erf_near(z):
-    """erf of an array with |z| <= 0.46875 by Cody's near rational, z R(z^2)."""
-    return z * _cody_rational(z * z, *_ERF_NEAR)
-
-
-def _erfc(z):
-    """erfc of a 1-d float64 array by Cody's rational approximations.
-
-    Each entry takes one of three branches by |z|, and its value depends on
-    that entry alone.  Beyond |z| = 26.543 erfc underflows and is set to 0
-    (or 2), which also covers +-inf, where the exponential split would give
-    0 * nan; nan stays nan.
-    """
-    y = np.abs(z)
-    out = np.zeros_like(y)
-    near = y <= _ERF_NEAR_EDGE
-    out[near] = 1.0 - _erf_near(z[near])
-    mid = ~near & (y <= _ERFC_MID_EDGE)
-    t = y[mid]
-    out[mid] = _exp_minus_square(t) * _cody_rational(t, *_ERFC_MID)
-    # negated comparisons, so that nan falls in this branch and stays nan
-    far = ~(y <= _ERFC_MID_EDGE) & ~(y >= _ERFC_ZERO_EDGE)
-    t = y[far]
-    s = 1.0 / (t * t)
-    out[far] = _exp_minus_square(t) * ((_RSQRT_PI - s * _cody_rational(s, *_ERFC_FAR)) / t)
-    flip = ~near & (z < 0.0)
-    out[flip] = 2.0 - out[flip]
-    return out
-
-
 def _std_normal_cdf(x):
     """Standard normal CDF Phi(x) = erfc(-x / sqrt(2)) / 2, elementwise in float64.
 
-    erfc is Cody's rational approximation evaluated over the whole array,
-    which keeps the lower tail relative-accurate where 1 + erf would cancel
-    (within 8.9e-16 of math.erfc wherever erfc > 1e-300 on [-30, 30]); it
-    replaces scipy.special.ndtr so the package needs numpy alone.  It is not
-    monotone in the last bits: the rationals and the exp factor round
-    independently, so between ulp-adjacent arguments, where Phi moves by under
-    an ulp, it can step down by up to 4 ulp.  Every entry is bit for bit the
-    value of the same argument alone (a nan result may differ in its sign
-    bit); the temporaries are as large as x, so callers bound x.
+    erfc is the standard library's math.erfc, one entry at a time, which
+    keeps the lower tail relative-accurate where 1 + erf would cancel and
+    replaces scipy.special.ndtr so the package needs numpy alone.  Every entry
+    is the value of its argument alone; +-inf saturate and nan propagates.
     """
     x = np.asarray(x, dtype=np.float64)
-    out = _erfc(x.ravel() / -math.sqrt(2.0))
+    z = (x.ravel() / -math.sqrt(2.0)).tolist()
+    out = np.fromiter(map(math.erfc, z), dtype=np.float64, count=len(z))
     out *= 0.5
     # [()] turns a 0-d result into a scalar, as numpy arithmetic does
     return out.reshape(x.shape)[()]
@@ -366,57 +273,84 @@ def _craig_integral(h, theta, order):
     return total / math.pi
 
 
+def _unit_factor(l21, l22):
+    """(a, b, s, h, p) for each row: (a, b) = (l21, l22) 2^-p, s = hypot(a, b) and h = 1 / hypot(l21, l22).
+
+    p puts max(|a|, b) in [1/2, 1) (p = 0 and h = inf for a zero row), so a
+    hypot or sum of (a, b) stays in the float range, and a result scaled back
+    by 2^p has the bits of the unscaled one wherever that stays in range too.
+    """
+    p = np.frexp(np.maximum(np.abs(l21), l22))[1]
+    a, b = np.ldexp(l21, -p), np.ldexp(l22, -p)
+    s = np.hypot(a, b)
+    with np.errstate(over="ignore", divide="ignore"):
+        return a, b, s, np.ldexp(1.0 / s, -p), p
+
+
 def _hinge_closed_form(l21, l22):
     """The hinge risk of each row less its signed Craig integral (see quad_metric_risk)."""
     # t = 0 where l21 = l22 = 0, and the risk is 1; such rows are evaluated
     # at l22 = 1 and then replaced, so that no 0 / 0 arises
     zero = (l21 == 0.0) & (l22 == 0.0)
     l22 = np.where(zero, 1.0, l22)
-    s = np.hypot(l21, l22)
-    # h or k past the float range, or k = 1 / 0 where l22 = 0, take the
-    # limits Phi(-inf) = 0 and expm1(-inf) = -1
+    # the bracket below is O(s), so it is taken in units of 2^p
+    a, b, s, h, p = _unit_factor(l21, l22)
+    # k past the float range, or k = 1 / 0 where l22 = 0, takes the limit
+    # Phi(-inf) = 0
     with np.errstate(over="ignore", divide="ignore"):
-        h = 1.0 / s
         em1 = np.expm1(-0.5 * h * h)
-        # |delta| k, k = 1 / l22 and h as the three normal CDF arguments of a row
-        args = np.concatenate([np.abs(l21) / s / l22, 1.0 / l22, h])
-    q_dk, q_k, q_h = np.split(_std_normal_cdf(np.negative(args, out=args)), 3)
-    z = h / math.sqrt(2.0)
-    near = z <= _ERF_NEAR_EDGE
-    erf = 1.0 - 2.0 * q_h
-    erf[near] = _erf_near(z[near])
+        # |delta| k and k = 1 / l22 as the two normal CDF arguments of a row
+        args = np.concatenate([np.abs(a) / s / l22, 1.0 / l22])
+    q_dk, q_k = np.split(_std_normal_cdf(np.negative(args, out=args)), 2)
+    erf = np.fromiter(map(math.erf, (h / math.sqrt(2.0)).tolist()), dtype=np.float64, count=len(h))
     # 2 phi(0) [s e^{-h^2/2} Phi(delta k) - l21 Phi(k)]; for l21 >= 0 it is
     # written so that neither s e^{-h^2/2} - l21 nor Phi(k) - Phi(delta k)
     # cancels: Phi(delta k) = 1 - Q(|delta| k) and Phi(k) = 1 - Q(k)
-    rise = l22 * (l22 / (s + np.abs(l21))) + s * em1
+    rise = b * (b / (s + np.abs(a))) + s * em1
     pos = l21 >= 0.0
     tilted = np.where(
         pos,
-        rise * (1.0 - q_dk) - l21 * (q_dk - q_k),
-        s * (1.0 + em1) * q_dk - l21 * (1.0 - q_k),
+        rise * (1.0 - q_dk) - a * (q_dk - q_k),
+        s * (1.0 + em1) * q_dk - a * (1.0 - q_k),
     )
-    value = np.where(pos, erf, 1.0) + _SQRT_2_OVER_PI * tilted
+    value = np.where(pos, erf, 1.0) + np.ldexp(_SQRT_2_OVER_PI * tilted, p)
     return np.where(zero, 1.0, value)
 
 
-def _surrogate_on_nodes(l21, l22, metric, order):
-    # t = sign(z*) z = l21 |g1| + l22 w with w ~ N(0, 1) independent of |g1|.
-    # Entry i is the logistic risk of (l21[i], l22[i]), or the hinge's signed
-    # Craig term, under the rule of this order, computed elementwise and
-    # reduced by np.sum along its own row, so it does not depend on the other
-    # rows; a BLAS matrix-vector product would not do: OpenBLAS's dgemv rounds
-    # a row differently with the row count
-    s = np.hypot(l21, l22)
-    if metric is MetricKind.LOGISTIC:
-        # t / s is skew-normal for s = hypot(l21, l22), so |t| has the law of
-        # s |g|; with softplus(-t) = |t| / 2 - t / 2 + log1p(exp(-|t|)) and
-        # E t = l21 sqrt(2 / pi), only the log1p term needs quadrature
-        h, wh = _half_normal_rule(order)
-        return (s - l21) / _SQRT_2PI + (wh * np.log1p(np.exp(-s[:, None] * h))).sum(axis=-1)
-    # the hinge's Craig integral enters with the sign of l21 (+ for l21 = 0)
-    with np.errstate(over="ignore", divide="ignore"):
-        h = 1.0 / s
-    term = _craig_integral(h, np.arctan2(l22, np.abs(l21)), order)
+def _logistic_closed_form(l21, l22):
+    """The logistic risk of each row less its log1p term: (s - l21) / sqrt(2 pi) (see quad_metric_risk)."""
+    a, b, s, _, p = _unit_factor(l21, l22)
+    # s - l21 as l22^2 / (s + l21) for l21 >= 0, where it would cancel
+    gap = np.where(l21 >= 0.0, b * np.divide(b, s + np.abs(a), out=np.zeros_like(b), where=b > 0.0), s - a)
+    return np.ldexp(gap / _SQRT_2PI, p)
+
+
+def _log1p_term(l21, l22, order):
+    # E log1p(exp(-s |g|)) for each row; s or s g past the float range takes
+    # exp(-inf) = 0, and s = inf the limit 0 of the term, far below the
+    # closed form's eps
+    g, wg = _half_normal_rule(order)
+    with np.errstate(over="ignore"):
+        s = np.hypot(l21, l22)
+        term = (wg * np.log1p(np.exp(-s[:, None] * g))).sum(axis=-1)
+    # the term falls off in a layer of width 1 / s at g = 0, which the rule
+    # on [0, 9] resolves to within 1.1e-15 relative for s <= 16 (2.3e-15 at
+    # s = 30); beyond, the rule takes g = u / s for u in [0, 40], past which
+    # the term is under e^-40 of its value
+    layer = s > 16.0
+    if layer.any():
+        x, wx = _gauss_rules(order)
+        u = 20.0 * (x + 1.0)
+        wu = 20.0 * _SQRT_2_OVER_PI * wx * np.log1p(np.exp(-u))
+        h = 1.0 / s[layer]
+        v = h[:, None] * u
+        term[layer] = h * (wu * np.exp(-0.5 * v * v)).sum(axis=-1)
+    return term
+
+
+def _signed_craig_term(l21, l22, order):
+    # the hinge's Craig integral, which enters with the sign of l21 (+ for l21 = 0)
+    term = _craig_integral(_unit_factor(l21, l22)[3], np.arctan2(l22, np.abs(l21)), order)
     return np.where(l21 < 0.0, -term, term)
 
 
@@ -431,52 +365,63 @@ def quad_metric_risk(covs, metric):
     skew-normal for s = hypot(l21, l22).
 
     Logistic: |t| has the law of s |g|, so E softplus(-t) = (s - l21) /
-    sqrt(2 pi) + E log1p(exp(-s |g|)), and the last term is Gauss-Legendre on
-    [0, 9] against the half-normal density.  At both orders that rule
-    integrates the half-normal mass, E|g| and E g^2 to within 4.5e-16.
+    sqrt(2 pi) + E log1p(exp(-s |g|)), where s - l21 is written l22^2 / (s +
+    l21) for l21 >= 0 so that it does not cancel.  The last term is
+    Gauss-Legendre on [0, 9] against the half-normal density, and for s > 16
+    on g in [0, 40 / s], the layer where it falls off; at both orders the
+    rule on [0, 9] integrates the half-normal mass, E|g| and E g^2 to within
+    4.5e-16.
 
     Hinge: with h = 1 / s, k = 1 / l22, delta = l21 / s and theta =
     atan2(l22, |l21|), E (1 - t)^+ is erf(h / sqrt 2) + C for l21 >= 0 and
     1 - C for l21 < 0, plus 2 phi(0) [s e^{-h^2/2} Phi(delta k) - l21 Phi(k)],
     where C = (1 / pi) int_0^theta exp(-h^2 / (2 sin^2 u)) du is Craig's form
     of Owen's T term (for l21 < 0 the integral over [0, pi - theta] is
-    reflected about pi / 2).  The closed-form part takes its three Phi
-    arguments a row in one call, erf from Cody's near rational where h /
-    sqrt 2 <= 0.46875, and for l21 >= 0 writes s e^{-h^2/2} - l21 and
-    Phi(k) - Phi(delta k) so that neither cancels; l22 = 0 and s = 0 take
-    their limits.  C is Gauss-Legendre on [0, theta], with the layer [0, 8h]
-    as a piece of its own where h < theta / 30.
+    reflected about pi / 2).  The closed-form part takes its two Phi
+    arguments a row in one call and erf from math.erf, and for l21 >= 0
+    writes s e^{-h^2/2} - l21 and Phi(k) - Phi(delta k) so that neither
+    cancels; l22 = 0 and s = 0 take their limits.  C is Gauss-Legendre on
+    [0, theta], with the layer [0, 8h] as a piece of its own where h <
+    theta / 30.  Both metrics are finite for every factor DecisionCov
+    accepts: a factor is scaled by a power of two before a hypot or sum of
+    its entries is taken.
 
-    The value is the rule of order 2k, the error estimate its distance to the
-    rule of order k (k = 150).  The estimate measures convergence in the
-    rule's order: it covers neither the error in the rule's nodes and weights
-    nor the rounding of the hinge's closed-form terms, which is within a few
-    eps relative for s <= 30 and grows like eps s^2 beyond (3.4e-12 at
-    s = 316 against a 30-digit reference).  Both rules are tabulated, not
+    The value is the closed-form part plus the integral by the rule of order
+    2k, the error estimate the integral's distance to the rule of order k
+    (k = 150).  The estimate measures convergence in the rule's order: it
+    covers neither the error in the rule's nodes and weights nor the
+    rounding of the closed-form parts; the hinge's is within a few
+    eps relative for s <= 30 and grows like eps s^2 beyond (3.2e-12 at
+    s = 1000 against a 30-digit reference).  Both rules are tabulated, not
     built at run time: riskshift._gauss_legendre holds them bit for bit as
     Newton's method on the Legendre recurrence from Tricomi's guess gives
     them.  The covariances are taken in consecutive row blocks, for each
-    order, of at most 16384 (covariance x node) entries, and the hinge's
-    closed form in blocks of 16384 normal CDF arguments, so the working set
-    stays near 1 MiB however long the batch is.
+    order, of at most 16384 (covariance x node) entries, and the closed
+    forms in blocks of 8192 rows, so the working set stays near 1 MiB
+    however long the batch is.
     """
     if metric not in (MetricKind.LOGISTIC, MetricKind.HINGE):
         raise NumericInputError(f"quadrature covers the logistic and hinge metrics, got {metric!r}")
     factors = np.array([(cov.l21, cov.l22) for cov in covs], dtype=np.float64).reshape(-1, 2)
     l21, l22 = factors.T
+    hinge = metric is MetricKind.HINGE
+    on_nodes, closed_form = (_signed_craig_term, _hinge_closed_form) if hinge else (_log1p_term, _logistic_closed_form)
     coarse, fine = np.empty_like(l21), np.empty_like(l21)
     # the hinge's Craig integral takes a row in at most two pieces
-    pieces = 2 if metric is MetricKind.HINGE else 1
+    pieces = 2 if hinge else 1
+    # entry i of on_nodes is computed elementwise and reduced by np.sum along
+    # its own row, so it does not depend on the other rows; a BLAS
+    # matrix-vector product would not do: OpenBLAS's dgemv rounds a row
+    # differently with the row count
     for order, out in ((_QUAD_ORDER, coarse), (2 * _QUAD_ORDER, fine)):
         rows = _QUAD_BLOCK // (pieces * order)
         for start in range(0, len(out), rows):
             block = slice(start, start + rows)
-            out[block] = _surrogate_on_nodes(l21[block], l22[block], metric, order)
+            out[block] = on_nodes(l21[block], l22[block], order)
     errs = np.abs(fine - coarse)
-    if metric is MetricKind.HINGE:
-        # the closed-form part has three normal CDF arguments a row
-        rows = _QUAD_BLOCK // 3
-        for start in range(0, len(fine), rows):
-            block = slice(start, start + rows)
-            fine[block] += _hinge_closed_form(l21[block], l22[block])
+    # the hinge's closed form has two normal CDF arguments a row
+    rows = _QUAD_BLOCK // 2
+    for start in range(0, len(fine), rows):
+        block = slice(start, start + rows)
+        fine[block] += closed_form(l21[block], l22[block])
     return fine, errs

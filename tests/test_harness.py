@@ -10,6 +10,7 @@ import math
 import os
 import pkgutil
 import re
+import stat
 import subprocess
 import sys
 import warnings
@@ -372,6 +373,27 @@ def test_write_csv_failure_leaves_no_partial_file(tmp_path):
     reference = tmp_path / "reference"
     reference.write_text("x\n")
     assert path.stat().st_mode == reference.stat().st_mode
+
+
+def test_write_csv_mode_follows_the_umask(tmp_path):
+    path = tmp_path / "out.csv"
+    mask = os.umask(0o077)
+    try:
+        write_csv(path, ["x"], [{"x": 1.0}])
+    finally:
+        os.umask(mask)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600
+
+
+def test_write_csv_leaves_the_umask_alone(tmp_path, monkeypatch):
+    # a umask set and restored around the write would also reach a file that
+    # another thread creates in between
+    def refuse(mask):
+        raise AssertionError("write_csv changed the process umask")
+
+    monkeypatch.setattr(os, "umask", refuse)
+    write_csv(tmp_path / "out.csv", ["x"], [{"x": 1.0}])
+    assert (tmp_path / "out.csv").read_bytes() == b"x\n1\n"
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
