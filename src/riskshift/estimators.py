@@ -1,9 +1,10 @@
 """Ridge-regularized empirical risk minimizers.
 
 ridge_fit solves the normal equations of a whole ridge-weight grid from one X^T X.
-erm_fit runs damped Newton, one weight per call, on the ridge-regularized logistic
-objective with Armijo backtracking; it never raises on slow convergence, it flags
-the result instead.
+erm_fit runs damped Newton on the ridge-regularized logistic objective with Armijo
+backtracking over a whole ridge-weight grid, each weight warm-started from the
+previous one's solution; it never raises on slow convergence, it flags the result
+instead.
 """
 
 from dataclasses import dataclass
@@ -79,71 +80,61 @@ def _logistic_objective(margins, lam, beta):
     return float(np.sum(np.logaddexp(0.0, -margins))) + 0.5 * lam * float(beta @ beta)
 
 
-def erm_fit(x, y, lam, beta0=None):
-    """Damped Newton minimization of the ridge-regularized logistic empirical risk.
+def erm_fit(x, y, lams):
+    """One FittedModel per weight of lams: damped Newton on the ridge-regularized logistic empirical risk.
 
-    Minimizes sum_i log(1 + exp(-y_i x_i^T beta)) + 0.5 * lam * ||beta||^2 and
-    stops when ||grad|| <= 1e-10 * (1 + ||beta||).  After 100 Newton
-    iterations without meeting that rule, the returned model carries
-    converged=False.  beta0 warm-starts the solver.
+    For each lam, in grid order, minimizes sum_i log(1 + exp(-y_i x_i^T beta))
+    + 0.5 * lam * ||beta||^2 and stops when ||grad|| <= 1e-10 * (1 + ||beta||).
+    After 100 Newton iterations without meeting that rule, the model carries
+    converged=False.  The first weight starts from beta = 0, each later one
+    from the previous weight's solution.
 
     Once the descent grad^T step is <= eps * |f(beta)|, the resolution of the
     objective, the Armijo test could only compare rounding noise, so the line
     search takes the full step.
     """
-    x, y, _ = _check_problem(x, y, [lam])
-    d = x.shape[1]
+    x, y, lams = _check_problem(x, y, lams)
     if not np.all(np.abs(y) == 1.0):
         raise NumericInputError("logistic loss requires labels in {-1, +1}")
-    if beta0 is None:
-        beta = np.zeros(d)
-    else:
-        beta = np.array(beta0, dtype=np.float64)
-        if beta.shape != (d,):
-            raise InvalidDimensionError(f"beta0 must have shape ({d},), got {beta.shape}")
-        if not np.all(np.isfinite(beta)):
-            raise NumericInputError("beta0 must be finite")
-
+    beta = np.zeros(x.shape[1])
+    fits = []
     # objective, gradient and Hessian weights all derive from the margins
     # y_i x_i^T beta, so each point the solver visits costs one product x @ beta
-    iterations = 0
-    margins = y * (x @ beta)
-    f = _logistic_objective(margins, lam, beta)
-    while True:
-        tail = _sigmoid(-margins)
-        grad = -x.T @ (y * tail) + lam * beta
-        converged = float(np.linalg.norm(grad)) <= _TOL * (1.0 + float(np.linalg.norm(beta)))
-        if converged or iterations >= _MAX_ITER:
-            break
-        iterations += 1
-        w = _sigmoid(margins) * tail
-        h = (x * w[:, None]).T @ x
-        h[np.diag_indices_from(h)] += lam
-        try:
-            step = np.linalg.solve(h, grad)
-        except np.linalg.LinAlgError:
-            step = grad
-        descent = float(grad @ step)
-        if descent <= 0.0:
-            step = grad
-            descent = float(grad @ grad)
-        t = 1.0
-        while descent > _EPS * abs(f) and t > _MIN_STEP:
-            candidate = beta - t * step
-            cand_margins = y * (x @ candidate)
-            cand_f = _logistic_objective(cand_margins, lam, candidate)
-            if cand_f <= f - _ARMIJO_C * t * descent:
-                beta, margins, f = candidate, cand_margins, cand_f
+    for lam in lams.tolist():
+        iterations = 0
+        margins = y * (x @ beta)
+        f = _logistic_objective(margins, lam, beta)
+        while True:
+            tail = _sigmoid(-margins)
+            grad = -x.T @ (y * tail) + lam * beta
+            converged = float(np.linalg.norm(grad)) <= _TOL * (1.0 + float(np.linalg.norm(beta)))
+            if converged or iterations >= _MAX_ITER:
                 break
-            t *= 0.5
-        else:
-            # full step below the objective's resolution, or t reached _MIN_STEP
-            beta = beta - t * step
-            margins = y * (x @ beta)
-            f = _logistic_objective(margins, lam, beta)
-    return FittedModel(
-        beta_hat=beta,
-        iterations=iterations,
-        converged=bool(converged),
-    )
-
+            iterations += 1
+            w = _sigmoid(margins) * tail
+            h = (x * w[:, None]).T @ x
+            h[np.diag_indices_from(h)] += lam
+            try:
+                step = np.linalg.solve(h, grad)
+            except np.linalg.LinAlgError:
+                step = grad
+            descent = float(grad @ step)
+            if descent <= 0.0:
+                step = grad
+                descent = float(grad @ grad)
+            t = 1.0
+            while descent > _EPS * abs(f) and t > _MIN_STEP:
+                candidate = beta - t * step
+                cand_margins = y * (x @ candidate)
+                cand_f = _logistic_objective(cand_margins, lam, candidate)
+                if cand_f <= f - _ARMIJO_C * t * descent:
+                    beta, margins, f = candidate, cand_margins, cand_f
+                    break
+                t *= 0.5
+            else:
+                # full step below the objective's resolution, or t reached _MIN_STEP
+                beta = beta - t * step
+                margins = y * (x @ beta)
+                f = _logistic_objective(margins, lam, beta)
+        fits.append(FittedModel(beta_hat=beta, iterations=iterations, converged=bool(converged)))
+    return tuple(fits)

@@ -190,10 +190,11 @@ def run_regression_sweep(config):
 def run_classification_sweep(config):
     """Three model families on sign labels, misclassification risks on both laws.
 
-    Families: ridge on noisy signs, logistic ERM on the same labels (warm-started
-    up the lambda grid), and ridge on noiseless linear scores.  Per trial, extra
-    rows tagged model="theory" tabulate the predicted test risk over a fixed
-    train-risk grid using that trial's realized shift parameters.
+    Families: ridge on noisy signs, logistic ERM on the same labels (erm_fit
+    warm-starts each lambda from the previous one), and ridge on noiseless
+    linear scores.  Per trial, extra rows tagged model="theory" tabulate the
+    predicted test risk over a fixed train-risk grid using that trial's
+    realized shift parameters.
 
     Sigma_Q is rebuilt from beta*'s energies on the Sigma_P support.  The risks
     see the shift only through kappa/gamma and mu, which no rescaling of Sigma_Q
@@ -228,13 +229,11 @@ def run_classification_sweep(config):
                 }
             )
 
-        warm = None
         lams = config["lambda_grid"]
-        for lam, beta_sign, beta_clean in zip(lams, ridge_fit(x, y_sign, lams), ridge_fit(x, y_clean, lams)):
+        fits = zip(lams, ridge_fit(x, y_sign, lams), ridge_fit(x, y_clean, lams), erm_fit(x, y_sign, lams))
+        for lam, beta_sign, beta_clean, fit in fits:
             emit("ridge-sign", lam, beta_sign, True)
             emit("ridge-noiseless", lam, beta_clean, True)
-            fit = erm_fit(x, y_sign, lam, beta0=warm)
-            warm = fit.beta_hat
             emit("logistic-sign", lam, fit.beta_hat, fit.converged)
         for risk_p in np.linspace(0.01, 0.49, config["theory_points"]):
             pred = classification_relation(float(risk_p), shift)

@@ -306,14 +306,19 @@ def _hinge_closed_form(l21, l22):
     # 2 phi(0) [s e^{-h^2/2} Phi(delta k) - l21 Phi(k)]; for l21 >= 0 it is
     # written so that neither s e^{-h^2/2} - l21 nor Phi(k) - Phi(delta k)
     # cancels: Phi(delta k) = 1 - Q(|delta| k) and Phi(k) = 1 - Q(k)
-    rise = b * (b / (s + np.abs(a))) + s * em1
     pos = l21 >= 0.0
+    # s e^{-h^2/2} - s = expm1(-h^2/2) / h unscaled, which is -h/2 to within
+    # h^2/4 relative for h < 1e-8; it is added after the scaling back there,
+    # as in units of 2^p it is about -h^2/2 and underflows once h < 1e-154
+    far = h < 1e-8
+    rise = b * (b / (s + np.abs(a))) + np.where(far, 0.0, s * em1)
     tilted = np.where(
         pos,
         rise * (1.0 - q_dk) - a * (q_dk - q_k),
         s * (1.0 + em1) * q_dk - a * (1.0 - q_k),
     )
     value = np.where(pos, erf, 1.0) + np.ldexp(_SQRT_2_OVER_PI * tilted, p)
+    value -= np.where(far & pos, _SQRT_2_OVER_PI * (1.0 - q_dk) * 0.5 * h, 0.0)
     return np.where(zero, 1.0, value)
 
 

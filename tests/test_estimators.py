@@ -5,13 +5,15 @@ import warnings
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 import riskshift.estimators as estimators
 import riskshift.harness.runners as runners
 from riskshift.datagen import LinearGaussian, NoisySign, label, sample_covariates
 from riskshift.errors import InvalidDimensionError, NumericInputError
-from riskshift.estimators import _sigmoid, erm_fit, ridge_fit
+from riskshift.estimators import FittedModel, _sigmoid, erm_fit, ridge_fit
 from riskshift.harness.config import KIND_CLASSIFICATION, config_from_mapping
 from riskshift.shiftmodel import subspace_shift_model
 from riskshift.subspace import SubspacePairSpec
@@ -80,11 +82,14 @@ def test_ridge_fit_grid_rows_are_one_lambda_solves():
             assert np.linalg.norm(beta_hat - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
-@pytest.mark.parametrize("fit, lam", [pytest.param(ridge_fit, [0.1], id="ridge_fit"),
-                                      pytest.param(erm_fit, 0.1, id="erm_fit")])
-def test_fits_validate_their_data(fit, lam):
+_FITS = [pytest.param(ridge_fit, id="ridge_fit"), pytest.param(erm_fit, id="erm_fit")]
+
+
+@pytest.mark.parametrize("fit", _FITS)
+def test_fits_validate_their_data(fit):
     x = np.ones((4, 2))
     y = np.ones(4)
+    lam = [0.1]
     with pytest.raises(InvalidDimensionError):
         fit(x, np.ones(3), lam)
     with pytest.raises(InvalidDimensionError):
@@ -108,18 +113,19 @@ def test_ridge_fit_rejects_a_non_finite_solution():
             ridge_fit(x, np.full(3, 1e300), lams)
 
 
-def test_ridge_fit_requires_positive_lambda():
-    x, y = _ridge_data(20, 4, 0.1, 11)
+@pytest.mark.parametrize("fit", _FITS)
+def test_fits_require_positive_lambda(fit):
+    x, y = _sign_data(20, 4, 11)
     # the grid is a nonempty 1-d sequence: a bare scalar is not one
     for shapeless in ([], 0.1, [[0.1, 1.0]]):
         with pytest.raises(InvalidDimensionError):
-            ridge_fit(x, y, shapeless)
+            fit(x, y, shapeless)
     for lam in (0.0, -1.0, np.nan, np.inf):
         for at in range(3):
             lams = [0.1, 1.0, 10.0]
             lams[at] = lam
             with pytest.raises(NumericInputError, match="ridge weight lam must be a positive finite scalar"):
-                ridge_fit(x, y, lams)
+                fit(x, y, lams)
 
 
 def test_logistic_fit_reaches_stationarity():
@@ -128,7 +134,7 @@ def test_logistic_fit_reaches_stationarity():
     x = rng.standard_normal((n, d)) / np.sqrt(d)
     y = label(x, rng.standard_normal(d) * 3, NoisySign(p=0.9), 14)
     lam = 0.05
-    fit = erm_fit(x, y, lam)
+    (fit,) = erm_fit(x, y, [lam])
     assert fit.converged
     # stationarity of the full objective gradient at the documented tolerance
     m = y * (x @ fit.beta_hat)
@@ -141,7 +147,7 @@ def test_logistic_requires_sign_labels():
     x = rng.standard_normal((30, 3))
     y = rng.standard_normal(30)  # not in {-1, +1}
     with pytest.raises(NumericInputError):
-        erm_fit(x, y, 0.1)
+        erm_fit(x, y, [0.1])
 
 
 def test_logistic_heavy_regularization_shrinks_to_zero():
@@ -149,7 +155,7 @@ def test_logistic_heavy_regularization_shrinks_to_zero():
     x = rng.standard_normal((50, 5))
     y = np.sign(rng.standard_normal(50))
     y[y == 0] = 1.0
-    fit = erm_fit(x, y, 1e6)
+    (fit,) = erm_fit(x, y, [1e6])
     assert np.linalg.norm(fit.beta_hat) <= 1e-3
     assert fit.converged
 
@@ -161,38 +167,66 @@ def _sign_data(n, d, seed):
 
 def test_non_convergence_is_flagged_not_raised(monkeypatch):
     monkeypatch.setattr(estimators, "_MAX_ITER", 1)
-    fit = erm_fit(*_sign_data(120, 20, 17), 0.01)
+    (fit,) = erm_fit(*_sign_data(120, 20, 17), [0.01])
     assert not fit.converged
     assert fit.iterations == 1
 
 
 def test_warm_start_from_converged_fit_takes_no_step():
     x, y = _sign_data(120, 10, 20)
-    fit = erm_fit(x, y, 0.1)
+    fit, again = erm_fit(x, y, [0.1, 0.1])
     assert fit.converged and fit.iterations > 0
-    again = erm_fit(x, y, 0.1, beta0=fit.beta_hat)
     assert again.iterations == 0
     assert again.converged
     assert np.array_equal(again.beta_hat, fit.beta_hat)
 
 
+@st.composite
+def sign_problems(draw):
+    """(x, y, lams): a small design with labels in {-1, +1}, and a positive grid, unsorted and with repeats."""
+    n, d = draw(st.integers(1, 60)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((n, d))
+    y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    weight = st.one_of(st.sampled_from([1e-3, 0.1, 1.0, 100.0]), st.floats(1e-3, 1e3))
+    return x, y, draw(st.lists(weight, min_size=1, max_size=6))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(sign_problems())
+def test_erm_fit_path_rows_follow_the_grid(problem):
+    x, y, lams = problem
+    fits = erm_fit(x, y, lams)
+    assert len(fits) == len(lams)
+    for i, (lam, fit) in enumerate(zip(lams, fits)):
+        assert isinstance(fit, FittedModel)
+        beta = fit.beta_hat
+        if fit.converged:
+            # stationary for its own weight, so the rows are in grid order
+            grad = -(x.T @ (y * expit(-y * (x @ beta)))) + lam * beta
+            assert np.linalg.norm(grad) <= 1e-10 * (1.0 + np.linalg.norm(beta))
+        if i > 0 and lam == lams[i - 1] and fits[i - 1].converged:
+            assert fit.iterations == 0 and fit.converged
+            assert np.array_equal(beta, fits[i - 1].beta_hat)
+
+
 def test_warm_started_classification_fit_takes_full_steps_near_optimum(monkeypatch):
     # trial 0 of the default classification sweep at master_seed 0, warm-started
-    # up the lambda grid by the runner itself: at lambda = 100 the warm start is
-    # so close to the optimum that an Armijo test on roundoff backtracks for
-    # dozens of iterations
-    fits = {}
+    # up the lambda grid: at lambda = 100 the warm start is so close to the
+    # optimum that an Armijo test on roundoff backtracks for dozens of iterations
+    paths = []
 
-    def recording_fit(x, y, lam, beta0=None):
-        fit = erm_fit(x, y, lam, beta0=beta0)
-        fits[lam] = fit
-        return fit
+    def recording_fit(x, y, lams):
+        paths.append(erm_fit(x, y, lams))
+        return paths[-1]
 
     monkeypatch.setattr(runners, "erm_fit", recording_fit)
     config = config_from_mapping(KIND_CLASSIFICATION, {"trials": 1, "master_seed": 0})
     runners.run_classification_sweep(config)
-    assert len(fits) == len(config["lambda_grid"])
-    assert all(fit.converged for fit in fits.values())
+    (path,) = paths
+    fits = dict(zip(config["lambda_grid"], path))
+    assert len(path) == len(fits) == len(config["lambda_grid"])
+    assert all(fit.converged for fit in path)
     assert fits[100.0].iterations <= 8
 
 
@@ -208,26 +242,3 @@ def test_sigmoid_matches_scipy_expit():
         warnings.simplefilter("error")
         tails = _sigmoid(np.array([-800.0, 800.0]))
     assert np.array_equal(tails, [0.0, 1.0])
-
-
-def test_warm_start_rejects_bad_beta0():
-    x, y = _sign_data(40, 6, 21)
-    with pytest.raises(InvalidDimensionError):
-        erm_fit(x, y, 0.1, beta0=np.zeros(5))
-    with pytest.raises(InvalidDimensionError):
-        erm_fit(x, y, 0.1, beta0=np.zeros((6, 1)))
-    bad = np.zeros(6)
-    bad[2] = np.nan
-    with pytest.raises(NumericInputError):
-        erm_fit(x, y, 0.1, beta0=bad)
-    bad[2] = np.inf
-    with pytest.raises(NumericInputError):
-        erm_fit(x, y, 0.1, beta0=bad)
-
-
-def test_erm_fit_requires_positive_lambda():
-    x, y = _sign_data(20, 4, 11)
-    for lam in (0.0, -1.0, np.nan, np.inf):
-        with pytest.raises(NumericInputError):
-            erm_fit(x, y, lam)
-

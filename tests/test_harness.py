@@ -479,21 +479,32 @@ def test_regression_sweep_without_shift_keeps_risk():
 
 
 def test_each_sweep_fits_its_ridge_grid_once_per_label_vector(monkeypatch):
-    calls = []
-    ridge_fit = runners.ridge_fit
+    calls = {"ridge_fit": [], "erm_fit": [], "_check_problem": []}
 
-    def counted(x, y, lams):
-        calls.append(lams)
-        return ridge_fit(x, y, lams)
+    def counted(module, name):
+        original = getattr(module, name)
 
-    monkeypatch.setattr(runners, "ridge_fit", counted)
-    # one label vector per regression trial; noisy signs and noiseless scores per classification trial
-    sweeps = ((KIND_REGRESSION, _SMALL_REGRESSION, 1), (KIND_CLASSIFICATION, _SMALL_SWEEP, 2))
-    for kind, small, per_trial in sweeps:
-        calls.clear()
+        def wrapper(x, y, lams):
+            calls[name].append(lams)
+            return original(x, y, lams)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(runners, "ridge_fit")
+    counted(runners, "erm_fit")
+    counted(riskshift.estimators, "_check_problem")
+    # one label vector per regression trial; noisy signs and noiseless scores
+    # per classification trial, and one logistic path on the noisy signs; the
+    # problem is checked once per fit call
+    sweeps = ((KIND_REGRESSION, _SMALL_REGRESSION, 1, 0), (KIND_CLASSIFICATION, _SMALL_SWEEP, 2, 1))
+    for kind, small, ridge_per_trial, erm_per_trial in sweeps:
+        for made in calls.values():
+            made.clear()
         config = config_from_mapping(kind, dict(small, trials="2"))
         riskshift.harness.RUNNERS[kind](config)
-        assert calls == [config["lambda_grid"]] * (2 * per_trial)
+        assert calls["ridge_fit"] == [config["lambda_grid"]] * (2 * ridge_per_trial)
+        assert calls["erm_fit"] == [config["lambda_grid"]] * (2 * erm_per_trial)
+        assert len(calls["_check_problem"]) == 2 * (ridge_per_trial + erm_per_trial)
 
 
 def test_relation_curves_identity_and_ordering():
@@ -897,7 +908,7 @@ for kind in sorted(RUNNERS, key=lambda k: k not in ("counterexample", "denoise")
 x = rng.standard_normal((20, 3))
 y = np.where(x[:, 0] >= 0.0, 1.0, -1.0)
 riskshift.ridge_fit(x, y, [1.0])
-fit = riskshift.erm_fit(x, y, 1.0)
+fit = riskshift.erm_fit(x, y, [1.0])[0]
 u_p, u_q = riskshift.overlapping_pair(riskshift.SubspacePairSpec(6, 2, 2, 1), 0)
 problem = riskshift.InverseProblem(u_p, u_q, 0.1, 0.1, 0.1)
 sketch = riskshift.sketch_bases(riskshift.gaussian_measurement(10, 6, 0), problem)
@@ -1095,8 +1106,6 @@ def _defaulted_parameters(module):
 def test_every_defaulted_public_parameter_has_a_caller():
     # a default that no caller overrides is a constant; each entry names the caller that sets it
     assert _defaulted_parameters(riskshift) | _defaulted_parameters(riskshift.harness) == {
-        # runners.run_classification_sweep warm-starts each fit from the previous lambda
-        "erm_fit.beta0",
         # config.load_config passes the parsed file; selftest and perfbench/child.py pass {}
         "config_from_mapping.mapping",
         # config.load_config forwards the CLI's --seed and --out; perfbench/child.py

@@ -380,6 +380,16 @@ def test_quad_hinge_matches_aligned_closed_form():
         assert err <= 1e-9
 
 
+def test_quad_hinge_keeps_its_limit_on_a_far_aligned_pair():
+    # E (1 - l21 |g1|)^+ = phi(0) / l21 (1 + O(1 / l21^2)); from l21 = 1e154
+    # on, h = 1 / l21 has a subnormal or zero square
+    l21s = [1e8, 1e150, 1e154, 1e155, 1e160, 1e170, 1e200, 1e300]
+    values, _ = quad_metric_risk([DecisionCov(1.0, l21, 0.0) for l21 in l21s], MetricKind.HINGE)
+    for l21, value in zip(l21s, values):
+        want = 1.0 / (math.sqrt(2.0 * math.pi) * l21)
+        assert abs(value - want) <= 1e-15 * want, (l21, value, want)
+
+
 def _wide_grid():
     # l21 over six decades of either sign, l22 over seven: 220 factors
     l21s = np.concatenate([-np.geomspace(1e-3, 1e3, 7), np.geomspace(1e-3, 1e3, 13)])
