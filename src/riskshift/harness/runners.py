@@ -404,6 +404,13 @@ def _load_matrix(path):
             continue
         if matrix.size == 0:
             raise OSError(f"input file {path} contains no numeric data")
+        bad = np.argwhere(~np.isfinite(matrix))
+        if len(bad):
+            row, col = bad[0]
+            raise NumericInputError(
+                f"input file {path} has the non-finite entry {matrix[row, col]} "
+                f"at data row {row + 1}, column {col + 1}"
+            )
         return matrix
     raise OSError(f"cannot parse a numeric matrix from {path} (whitespace or comma delimited)")
 

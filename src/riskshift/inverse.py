@@ -146,14 +146,15 @@ def sketch_bases(a_matrix, problem):
 def cs_risks(sketch, problem):
     """Exact (risk_P, risk_Q) of the ridge reconstruction x_hat = U_P S B_P^T y at finite n.
 
-    From the sketch B = [B_P B_Q] = A [U_P U_Q] of sketch_bases, with
-    M = B_P^T B_P (symmetrized), N = B_P^T B_Q and
-    S = eta I - eta^2 M (I + eta M)^{-1}, eta = 1/(sigma_P^2 + lam), which
-    simplifies to eta (I + eta M)^{-1}; the inverse is d_P x d_P, never n x n.
+    From the sketch B = [B_P B_Q] = A [U_P U_Q] of sketch_bases, with N = B_P^T B_Q,
+    G = U_P^T U_Q and the d_P x d_P Gram M = B_P^T B_P = V diag(m) V^T (m clipped at 0),
+    S = eta (I + eta M)^{-1} = V diag(eta k) V^T and I - S M = V diag(k) V^T for
+    eta = 1/(sigma_P^2 + lam) and k_i = 1/(1 + eta m_i):
 
-    risk_P = (||I - S M||_F^2 + sigma_P^2 tr(S^T S M)) / d_P;
-    risk_Q = (||U_P^T U_Q - S N||_F^2 - ||U_P^T U_Q||_F^2 + d_Q
-              + sigma_Q^2 tr(S^T S M)) / d_Q.
+    risk_P = sum_i (k_i^2 + sigma_P^2 t_i) / d_P with t_i = eta^2 m_i k_i^2;
+    risk_Q = (||G - V diag(eta k) V^T N||_F^2 - ||G||_F^2 + d_Q + sigma_Q^2 sum_i t_i) / d_Q,
+    where sum_i t_i = tr(S^T S M).  At m = 1 (A orthonormal on the subspaces)
+    k = 1 - alpha and eta k = alpha: denoise_grid's closed forms.
     """
     b = np.asarray(sketch, dtype=np.float64)
     if b.ndim != 2 or b.shape[1] != problem.d_p + problem.d_q:
@@ -176,24 +177,17 @@ def cs_risks(sketch, problem):
         )
     eta = 1.0 / denom
     b_p = b[:, : problem.d_p]
-    m = b_p.T @ b_p
-    m = 0.5 * (m + m.T)
-    i_plus = eta * m
-    i_plus[np.diag_indices_from(i_plus)] += 1.0
-    if not np.all(np.isfinite(i_plus)):
-        raise NumericInputError("eta * M overflows: (I + eta M) is not finite")
-    try:
-        s = eta * np.linalg.inv(i_plus)
-    except np.linalg.LinAlgError as exc:
-        raise NumericInputError(f"(I + eta M) is numerically singular: {exc}") from exc
-    s = 0.5 * (s + s.T)
-    cross = b_p.T @ b[:, problem.d_p :]
-    noise_core = float(np.sum((s @ s) * m))
-    eye_minus = -s @ m
-    eye_minus[np.diag_indices_from(eye_minus)] += 1.0
-    risk_p = (float(np.sum(eye_minus * eye_minus)) + problem.sigma_p_sq * noise_core) / problem.d_p
+    m, v = np.linalg.eigh(b_p.T @ b_p)
+    eta_m = eta * np.maximum(m, 0.0)
+    if not np.all(np.isfinite(eta_m)):
+        raise NumericInputError("eta * M overflows: an eigenvalue of eta M is not finite")
+    k = 1.0 / (1.0 + eta_m)
+    s = eta * k
+    # t = eta^2 m k^2 as (eta m k)(eta k): both factors are finite, eta m k < 1
+    noise_core = float(np.sum(eta_m * k * s))
+    risk_p = (float(np.sum(k * k)) + problem.sigma_p_sq * noise_core) / problem.d_p
     g = problem.u_p.columns.T @ problem.u_q.columns
-    resid = g - s @ cross
+    resid = g - (v * s) @ (v.T @ (b_p.T @ b[:, problem.d_p :]))
     # ||U_P^T U_Q||_F^2 = d_Q a
     risk_q = (
         float(np.sum(resid * resid))

@@ -94,7 +94,7 @@ def decision_cov(beta_star, beta_hat, pair):
         chi = float(np.sum(e * bs * bh)) / d
         l11 = math.sqrt(omega_star)
         # with no energy in b* the factor is (0, 0, |b|)
-        r = bh - chi / omega_star * bs if l11 > 0 else bh
+        r = _residual(bh, chi / omega_star, bs) if l11 > 0 else bh
         l21 = chi / l11 if l11 > 0 else 0.0
         l22 = math.sqrt(float(np.sum(e * r * r)) / d)
         # a factor past the float range is inf here, which DecisionCov refuses
@@ -102,6 +102,34 @@ def decision_cov(beta_star, beta_hat, pair):
             factor = np.ldexp([l11, l21, l22], [ps, ph, ph])
         covs.append(DecisionCov(*factor.tolist()))
     return tuple(covs)
+
+
+# Dekker's splitter 2^27 + 1, and the largest factor it splits without overflow
+_SPLITTER = 134217729.0
+_SPLIT_MAX = 2.0**996
+
+
+def _split(a):
+    """(hi, lo) with a = hi + lo exactly, each with at most 26 significant bits."""
+    t = _SPLITTER * a
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _residual(b, c, b_star):
+    """b - c b_star with each product c b*_j exact (Dekker's TwoProduct), not rounded.
+
+    At a small angle b is close to c b*, so the difference of b and the rounded
+    product is exact and the product's own rounding error would dominate l22.
+    Where c is too large to split, the products are rounded as they are.
+    """
+    product = c * b_star
+    r = b - product
+    if abs(c) >= _SPLIT_MAX:
+        return r
+    (c_hi, c_lo), (b_hi, b_lo) = _split(c), _split(b_star)
+    error = c_lo * b_lo - (((product - c_hi * b_hi) - c_lo * b_hi) - c_hi * b_lo)
+    return r - error
 
 
 def _unit_scaled(b):

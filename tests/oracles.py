@@ -7,8 +7,10 @@ covariance, exact decision moments and angles from rational arithmetic where
 the package rounds, the inverse of the classification relation for a round
 trip, the hinge risk by adaptive quadrature over |g1| where the package takes
 a closed form, the logistic risk by adaptive quadrature against the
-skew-normal density where the package takes the law of |t|, and the dense
-covariance and projector matrices the package never forms.
+skew-normal density where the package takes the law of |t|, the
+compressed-sensing risks from an exact Gauss-Jordan inverse where the package
+takes an eigendecomposition, and the dense covariance and projector matrices
+the package never forms.
 """
 
 import decimal
@@ -199,6 +201,65 @@ def logistic_risk_oracle(l21, l22):
         integrand, -_LOGISTIC_U_MAX, _LOGISTIC_U_MAX, points=points, epsabs=0.0, epsrel=1e-13, limit=500
     )
     return value
+
+
+def _exact_dot(u, v):
+    return sum((x * y for x, y in zip(u, v)), Fraction(0))
+
+
+def _gauss_jordan_solve(a, b):
+    """X with A X = B for square Fraction matrices (lists of rows); A must be nonsingular."""
+    size = len(a)
+    rows = [list(a_row) + list(b_row) for a_row, b_row in zip(a, b)]
+    for col in range(size):
+        pivot = next(r for r in range(col, size) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        lead = rows[col][col]
+        rows[col] = [x / lead for x in rows[col]]
+        for r in range(size):
+            if r != col and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    return [row[size:] for row in rows]
+
+
+def cs_risks_exact(sketch, problem):
+    """(risk_P, risk_Q) of the ridge reconstruction in exact rational arithmetic, rounded once.
+
+    From the float sketch B = [B_P B_Q] and the float bases, M = B_P^T B_P,
+    N = B_P^T B_Q and G = U_P^T U_Q are formed exactly, S = eta (I + eta M)^{-1}
+    for eta = 1/(sigma_P^2 + lam) by Gauss-Jordan elimination of
+    (I + eta M) S = eta I, and
+    risk_P = (||I - S M||_F^2 + sigma_P^2 tr(S^T S M)) / d_P,
+    risk_Q = (||G - S N||_F^2 - ||G||_F^2 + d_Q + sigma_Q^2 tr(S^T S M)) / d_Q.
+    """
+    d_p, d_q = problem.d_p, problem.d_q
+    cols = [[Fraction(x) for x in col] for col in np.asarray(sketch, dtype=np.float64).T.tolist()]
+    b_p, b_q = cols[:d_p], cols[d_p:]
+    m = [[_exact_dot(u, v) for v in b_p] for u in b_p]
+    n = [[_exact_dot(u, v) for v in b_q] for u in b_p]
+    u_p = [[Fraction(x) for x in col] for col in problem.u_p.columns.T.tolist()]
+    u_q = [[Fraction(x) for x in col] for col in problem.u_q.columns.T.tolist()]
+    g = [[_exact_dot(u, v) for v in u_q] for u in u_p]
+    eta = 1 / (Fraction(problem.sigma_p_sq) + Fraction(problem.lam))
+    eye = [[Fraction(int(i == j)) for j in range(d_p)] for i in range(d_p)]
+    s = _gauss_jordan_solve(
+        [[eye[i][j] + eta * m[i][j] for j in range(d_p)] for i in range(d_p)],
+        [[eta * x for x in row] for row in eye],
+    )
+
+    def product(x, y):
+        return [[_exact_dot(row, col) for col in zip(*y)] for row in x]
+
+    s_m, s_n = product(s, m), product(s, n)
+    s_ts = product([list(col) for col in zip(*s)], s)
+    noise = sum((t * u for r, q in zip(s_ts, m) for t, u in zip(r, q)), Fraction(0))
+    fit_p = sum(((eye[i][j] - s_m[i][j]) ** 2 for i in range(d_p) for j in range(d_p)), Fraction(0))
+    fit_q = sum(((g[i][j] - s_n[i][j]) ** 2 for i in range(d_p) for j in range(d_q)), Fraction(0))
+    g_sq = sum((x * x for row in g for x in row), Fraction(0))
+    risk_p = (fit_p + Fraction(problem.sigma_p_sq) * noise) / d_p
+    risk_q = (fit_q - g_sq + d_q + Fraction(problem.sigma_q_sq) * noise) / d_q
+    return float(risk_p), float(risk_q)
 
 
 def sigma_dense(pair, which):

@@ -792,6 +792,27 @@ def test_cli_numeric_failure_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_cli_refuses_a_non_finite_input_entry(tmp_path, capsys, value):
+    # loadtxt parses nan and inf cells; the SVD then failed without naming the file
+    rng = np.random.default_rng(9)
+    path_p = tmp_path / "p.txt"
+    path_q = tmp_path / "q.txt"
+    np.savetxt(path_p, rng.standard_normal((30, 8)))
+    m_q = rng.standard_normal((30, 8))
+    m_q[4, 2] = float(value)
+    np.savetxt(path_q, m_q)
+    out = tmp_path / "out.csv"
+    cfg = _cli_config(
+        tmp_path,
+        f"kind = subspace-analyze\ninput_p = {path_p}\ninput_q = {path_q}\noutput_path = {out}\n",
+    )
+    assert main(["subspace-analyze", "--config", cfg]) == 3
+    err_lines = capsys.readouterr().err.splitlines()
+    assert err_lines == [f"error: input file {path_q} has the non-finite entry {value} at data row 5, column 3"]
+    assert not out.exists()
+
+
 def test_cli_unreachable_shift_ratio_is_numeric_error(tmp_path, capsys):
     # the power family of the Sigma_Q rebuild cannot reach kappa/gamma = 1e9
     out = tmp_path / "out.csv"

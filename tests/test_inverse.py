@@ -5,7 +5,7 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riskshift.errors import InvalidDimensionError, NumericInputError
@@ -27,7 +27,7 @@ from riskshift.subspace import (
     subspace_similarity,
 )
 
-from oracles import principal_angles
+from oracles import cs_risks_exact, principal_angles
 
 
 def _coordinate_problem(d=40, d_p=10, shared=5, d_q=10, **kw):
@@ -312,6 +312,37 @@ def test_cs_risks_validation():
     # a finite eta whose product with M overflows
     with pytest.raises(NumericInputError), np.errstate(over="ignore"):
         _risks(1e5 * np.eye(prob.d), _coordinate_problem(sigma_p_sq=0.0, lam=1e-300))
+
+
+@st.composite
+def small_cs_cases(draw):
+    """(d, d_p, d_q, d_pq, pair seed, n, A seed, sigma_P^2, sigma_Q^2, lam), sigma_P^2 + lam in [1e-3, 1e2]."""
+    d = draw(st.integers(1, 10))
+    d_p = draw(st.integers(1, min(4, d)))
+    d_q = draw(st.integers(1, min(4, d)))
+    d_pq = draw(st.integers(max(0, d_p + d_q - d), min(d_p, d_q)))
+    n = draw(st.integers(2 * max(d_p, d_q), 16))
+    total = draw(st.floats(1e-3, 1e2))
+    sigma_p_sq = total * draw(st.floats(0.0, 1.0))
+    seeds = st.integers(0, 2**32 - 1)
+    return (d, d_p, d_q, d_pq, draw(seeds), n, draw(seeds), sigma_p_sq, draw(st.floats(0.0, 10.0)), total - sigma_p_sq)
+
+
+@_PROPERTY
+@given(small_cs_cases())
+# sum ||I - S M||^2 from an explicit inverse cancels here: 7.1e-13 relative off
+@example((6, 1, 3, 0, 4007042974, 14, 900510677, 0.0, 0.0, 1e-3))
+def test_cs_risks_match_their_exact_rational_definition(case):
+    d, d_p, d_q, d_pq, pair_seed, n, a_seed, sigma_p_sq, sigma_q_sq, lam = case
+    u_p, u_q = overlapping_pair(SubspacePairSpec(d, d_p, d_q, d_pq), pair_seed)
+    prob = InverseProblem(u_p, u_q, sigma_p_sq, sigma_q_sq, lam)
+    sketch = sketch_bases(gaussian_measurement(n, d, a_seed), prob)
+    (risk_p, risk_q), (want_p, want_q) = cs_risks(sketch, prob), cs_risks_exact(sketch, prob)
+    assert abs(risk_p - want_p) <= 1e-13 * want_p
+    # risk_Q adds d_Q - d_Q a to ||G - S N||^2, terms of size d_Q, so it is
+    # exact only to a few ulp of 1: 1.3e-10 relative where U_Q lies in U_P
+    # and risk_Q is 2e-6, and the same with an explicit inverse
+    assert abs(risk_q - want_q) <= 1e-13 * want_q + 4 * np.finfo(float).eps
 
 
 def test_cs_risks_identity_measurement_matches_denoising():

@@ -157,21 +157,37 @@ def test_misclassification_is_the_same_at_extreme_scales():
     assert [misclassification_risk(cov) for cov in tiny] == [misclassification_risk(cov) for cov in unit]
 
 
+def test_decision_cov_stays_finite_where_its_ratio_cannot_be_split():
+    # Sigma_Q weighs only the coordinate where b* is 2^-1021, so chi / omega*
+    # is 2^1020, past the 2^996 at which Dekker's split overflows; the residual
+    # product is rounded there, and the Q factor is (l11, 2^-3 / l11, 0) for
+    # l11 = sqrt(2^-1023)
+    pair = CovariancePair(np.eye(2), np.ones(2), np.array([2.0**1020, 0.0]))
+    cov_p, cov_q = decision_cov(np.array([2.0**-1021, 0.5]), np.array([0.5, 0.5]), pair)
+    assert all(math.isfinite(x) for x in (cov_p.l11, cov_p.l21, cov_p.l22))
+    assert (cov_q.l11, cov_q.l22) == (math.sqrt(2.0**-1023), 0.0)
+    assert cov_q.l21 == 0.125 / math.sqrt(2.0**-1023)
+    assert misclassification_risk(cov_q) == 0.0
+
+
 def test_classification_sweep_noiseless_ridge_risks_match_exact_angle():
     # the default classification sweep's ridge-noiseless fits at its 6 smallest
     # lambdas, drawn as run_classification_sweep draws them: risks near 1e-3,
-    # where an arccos of the score correlation was off by up to 9e-12 relative
-    config = config_from_mapping(KIND_CLASSIFICATION, {})
-    spec = SubspacePairSpec(config["d"], config["d_p"], config["d_p"], config["d_p"])
-    lams = config["lambda_grid"][:6]
-    for t in range(config["trials"]):
-        pair, beta_star, x = _draw_trial(config, t, spec, 1.0, 1.0)
-        pair = task_dependent_model(pair, beta_star, target_ratio=config["kappa_over_gamma"])
-        y = label(x, beta_star, LinearGaussian(0.0), stream(config["master_seed"], t, 3))
-        for beta_hat in ridge_fit(x, y, lams):
-            exact = exact_misclassification_risks(beta_star, beta_hat, pair)
-            for cov, want in zip(decision_cov(beta_star, beta_hat, pair), exact):
-                assert abs(misclassification_risk(cov) - want) <= 1e-15 * want
+    # where an arccos of the score correlation was off by up to 9e-12 relative.
+    # Trial 1 at seed 7 has the smallest angle, where rounding each product of
+    # the residual b - (chi / omega*) b* put risk_P 1.12e-15 off (2 threads)
+    for seed, trials in ((0, None), (7, (1,))):
+        config = config_from_mapping(KIND_CLASSIFICATION, {}, seed_override=seed)
+        spec = SubspacePairSpec(config["d"], config["d_p"], config["d_p"], config["d_p"])
+        lams = config["lambda_grid"][:6]
+        for t in trials or range(config["trials"]):
+            pair, beta_star, x = _draw_trial(config, t, spec, 1.0, 1.0)
+            pair = task_dependent_model(pair, beta_star, target_ratio=config["kappa_over_gamma"])
+            y = label(x, beta_star, LinearGaussian(0.0), stream(seed, t, 3))
+            for beta_hat in ridge_fit(x, y, lams):
+                exact = exact_misclassification_risks(beta_star, beta_hat, pair)
+                for cov, want in zip(decision_cov(beta_star, beta_hat, pair), exact):
+                    assert abs(misclassification_risk(cov) - want) <= 1e-15 * want, (seed, t)
 
 
 def test_std_normal_cdf_matches_ndtr():
