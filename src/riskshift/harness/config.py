@@ -180,7 +180,6 @@ _SCHEMAS = {
         **_SWEEP_GEOMETRY,
         "sign_correct_prob": _Field(_parse_float, 0.8, ((">", 0.5), ("<=", 1))),
         "kappa_over_gamma": _Field(_parse_float, 5.0, _POSITIVE),
-        "theory_points": _Field(_parse_int, 40, _AT_LEAST_TWO),
         "trials": _Field(_parse_int, 3, _POSITIVE),
     }, _require_support),
     KIND_RELATION: _schema(KIND_RELATION, {

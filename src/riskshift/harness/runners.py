@@ -9,7 +9,7 @@ depend on the order in which the configured grids list their values.
 
 CSV columns per kind:
   regression-sweep:     trial,model,lambda,risk_p,risk_q,risk_q_pred,gamma,mu,kappa
-  classification-sweep: trial,model,lambda,risk_p,risk_q,risk_q_pred,converged
+  classification-sweep: trial,model,lambda,risk_p,risk_q,risk_q_pred,converged,gamma,mu,kappa
   relation-curves:      curve,mu,kappa_over_gamma,risk_p,risk_q
   denoise:              a_target,a_realized,snr,lambda,risk_p,risk_q,alpha,residual
   counterexample:       metric,a,risk_p,se_p,risk_q,se_q
@@ -98,16 +98,20 @@ def _format_cell(value):
     return f"{value:.17g}"
 
 
-def _format_column(values):
-    """_format_cell of each value; a column of floats is formatted by one % operation."""
-    if not (values and all(isinstance(v, float) for v in values)):
-        return [_format_cell(v) for v in values]
-    text = ",".join(["%.17g"] * len(values)) % tuple(values)
-    # %.17g writes a finite float with digits, sign, point and exponent only: an n is nan or inf
-    if "n" in text:
+def _format_column(name, values):
+    """_format_cell of each value, one % operation for a column of floats; a refusal names column and row."""
+    if values and all(isinstance(v, float) for v in values):
+        text = ",".join(["%.17g"] * len(values)) % tuple(values)
+        # %.17g writes a finite float with digits, sign, point and exponent only: an n is nan or inf
+        if "n" not in text:
+            return text.split(",")
+    cells = []
+    try:
         for value in values:
-            _format_cell(value)  # raises on the first non-finite value
-    return text.split(",")
+            cells.append(_format_cell(value))
+    except NumericInputError as exc:
+        raise NumericInputError(f"{exc} in column {name!r}, data row {len(cells) + 1}") from None
+    return cells
 
 
 def write_csv(path, header, rows):
@@ -119,7 +123,7 @@ def write_csv(path, header, rows):
     file intact and never a truncated one.  The table is formatted column by
     column (_format_column), then joined row by row.
     """
-    columns = [_format_column([row[name] for row in rows]) for name in header]
+    columns = [_format_column(name, [row[name] for row in rows]) for name in header]
     lines = [",".join(header), *map(",".join, zip(*columns))]
     directory, name = os.path.split(os.path.abspath(path))
     tmp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
@@ -158,7 +162,10 @@ def run_regression_sweep(config):
         # off-support energy under Sigma_Q, so the prediction is free of the
         # O(d^-1/2) ground-truth-norm fluctuation
         b = pair.rotate(beta_star)
-        support_ms = float(np.sum(pair.eigvals_p * b * b)) / pair.d_p
+        with np.errstate(over="ignore"):
+            support_ms = float(np.sum(pair.eigvals_p * b * b)) / pair.d_p
+        if not math.isfinite(support_ms):
+            raise NumericInputError(f"beta*'s mean square on the Sigma_P support is {support_ms}, past the float range")
         shift = shift_parameters(pair, beta_star, support_ms)
         # the affine squared-risk map needs gamma = kappa exactly; for this
         # model class they differ only by finite-d fluctuation, so the
@@ -192,9 +199,8 @@ def run_classification_sweep(config):
 
     Families: ridge on noisy signs, logistic ERM on the same labels (erm_fit
     warm-starts each lambda from the previous one), and ridge on noiseless
-    linear scores.  Per trial, extra rows tagged model="theory" tabulate the
-    predicted test risk over a fixed train-risk grid using that trial's
-    realized shift parameters.
+    linear scores.  Each row carries its trial's shift parameters, from which
+    classification_relation gives its risk_q_pred.
 
     Sigma_Q is rebuilt from beta*'s energies on the Sigma_P support.  The risks
     see the shift only through kappa/gamma and mu, which no rescaling of Sigma_Q
@@ -226,6 +232,9 @@ def run_classification_sweep(config):
                     "risk_q": misclassification_risk(cov_q),
                     "risk_q_pred": classification_relation(risk_p, shift),
                     "converged": converged,
+                    "gamma": shift.gamma,
+                    "mu": shift.mu,
+                    "kappa": shift.kappa,
                 }
             )
 
@@ -235,21 +244,8 @@ def run_classification_sweep(config):
             emit("ridge-sign", lam, beta_sign, True)
             emit("ridge-noiseless", lam, beta_clean, True)
             emit("logistic-sign", lam, fit.beta_hat, fit.converged)
-        for risk_p in np.linspace(0.01, 0.49, config["theory_points"]):
-            pred = classification_relation(float(risk_p), shift)
-            rows.append(
-                {
-                    "trial": t,
-                    "model": "theory",
-                    "lambda": 0.0,
-                    "risk_p": float(risk_p),
-                    "risk_q": pred,
-                    "risk_q_pred": pred,
-                    "converged": True,
-                }
-            )
-    rows.sort(key=lambda r: (r["trial"], r["model"], r["lambda"], r["risk_p"]))
-    header = ["trial", "model", "lambda", "risk_p", "risk_q", "risk_q_pred", "converged"]
+    rows.sort(key=lambda r: (r["trial"], r["model"], r["lambda"]))
+    header = ["trial", "model", "lambda", "risk_p", "risk_q", "risk_q_pred", "converged", "gamma", "mu", "kappa"]
     return header, rows
 
 

@@ -188,16 +188,15 @@ def criterion_2():
     """Classification sweep: three families on the theory curve, families agree."""
     config = config_from_mapping(KIND_CLASSIFICATION, {})
     _, rows = run_classification_sweep(config)
-    measured = [r for r in rows if r["model"] != "theory"]
-    max_gap = max(abs(r["risk_q"] - r["risk_q_pred"]) for r in measured)
+    max_gap = max(abs(r["risk_q"] - r["risk_q_pred"]) for r in rows)
     worst_pair = 0.0
-    for t in sorted({r["trial"] for r in measured}):
-        in_trial = [r for r in measured if r["trial"] == t]
+    for t in sorted({r["trial"] for r in rows}):
+        in_trial = [r for r in rows if r["trial"] == t]
         for r1, r2 in combinations(in_trial, 2):
             if r1["model"] != r2["model"] and abs(r1["risk_p"] - r2["risk_p"]) <= 0.005:
                 worst_pair = max(worst_pair, abs(r1["risk_q"] - r2["risk_q"]))
     return _judge("criterion-2-classification-sweep", [
-        (f"max |risk_q - theory| over {len(measured)} rows", max_gap, "<=", 0.02),
+        (f"max |risk_q - theory| over {len(rows)} rows", max_gap, "<=", 0.02),
         ("worst matched-pair risk_q gap", worst_pair, "<=", 0.01),
     ])
 

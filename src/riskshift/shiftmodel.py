@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from riskshift.errors import InvalidDimensionError, NumericInputError
+from riskshift.risk import _unit_scaled
 from riskshift.subspace import _ORTHO_TOL, SubspacePairSpec, _frozen_array, haar_basis
 
 _RATIO_TOL = 1e-3
@@ -74,11 +75,9 @@ class ShiftParameters:
     sigma_beta_sq: float
 
     def __post_init__(self):
-        if not all(
-            math.isfinite(v)
-            for v in (self.gamma, self.mu, self.kappa, self.r_p, self.sigma_beta_sq)
-        ):
-            raise NumericInputError("shift parameters must be finite")
+        for name in ("gamma", "mu", "kappa", "r_p", "sigma_beta_sq"):
+            if not math.isfinite(getattr(self, name)):
+                raise NumericInputError(f"shift parameter {name} must be finite, got {getattr(self, name)}")
         if self.gamma <= 0 or self.kappa <= 0:
             raise NumericInputError("gamma and kappa must be positive")
         if self.mu < 1.0 - 1e-9:
@@ -121,25 +120,27 @@ def shift_parameters(pair, beta_star, sigma_beta_sq):
         raise NumericInputError("beta_star must be finite")
     if not (math.isfinite(sigma_beta_sq) and sigma_beta_sq > 0):
         raise NumericInputError("sigma_beta_sq must be a positive finite scalar")
-    b = pair.rotate(beta_star)
+    b, p = _unit_scaled(pair.rotate(beta_star))
     s = pair.eigvals_p
     q = pair.eigvals_q
     d_p = pair.d_p
     if d_p == 0:
         raise NumericInputError("Sigma_P support is empty")
     b_sq = b * b
-    support_energy = float(np.sum(q * s * b_sq))
-    total_energy = float(np.sum(q * b_sq))
+    # the energies of b 2^-p scaled back by 2^2p: no square overflows, and a sum
+    # past the float range is inf here (kappa is named by ShiftParameters)
+    with np.errstate(over="ignore"):
+        support_energy, total_energy = np.ldexp([np.sum(q * s * b_sq), np.sum(q * b_sq)], 2 * p).tolist()
+        kappa = float(np.sum(q * s)) / d_p
+    if not math.isfinite(total_energy):
+        raise NumericInputError(f"beta*^T Sigma_Q beta* is {total_energy}, past the float range")
     # relative gate: rotation roundoff leaves O(eps^2) energy on coordinates
     # that are exactly zero in exact arithmetic
     if support_energy <= 1e-20 * max(total_energy, 1e-300):
         raise NumericInputError("beta* carries no Sigma_Q energy on the Sigma_P support")
-    gamma = support_energy / (d_p * sigma_beta_sq)
-    mu = total_energy / support_energy
-    kappa = float(np.sum(q * s)) / d_p
     return ShiftParameters(
-        gamma=gamma,
-        mu=mu,
+        gamma=support_energy / (d_p * sigma_beta_sq),
+        mu=total_energy / support_energy,
         kappa=kappa,
         r_p=d_p / pair.d,
         sigma_beta_sq=float(sigma_beta_sq),

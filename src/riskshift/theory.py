@@ -105,17 +105,21 @@ def regression_relation(risk_p, shift):
 
 
 def classification_relation(risk_p, shift):
-    """Test misclassification risk from the train one.
+    """Test misclassification risk from the train one, for a train risk in [0, 1].
 
     sec^2(pi * risk_q) = (kappa * mu / gamma) * (sec^2(pi * risk_p) - 1) + mu,
     evaluated as tan^2(pi * risk_q) = (kappa * mu / gamma) * tan^2(pi * risk_p)
-    + mu - 1, which does not cancel at small risks.
+    + mu - 1, which does not cancel at small risks.  Above 1/2 it is 1 - (its
+    value at 1 - risk_p): flipping the estimate's sign maps r to 1 - r on both laws.
     """
-    if not (math.isfinite(risk_p) and 0.0 < risk_p < 0.5):
-        raise NumericInputError(f"misclassification risk must lie in (0, 1/2), got {risk_p}")
+    if not (math.isfinite(risk_p) and 0.0 <= risk_p <= 1.0):
+        raise NumericInputError(f"misclassification risk must lie in [0, 1], got {risk_p}")
+    if risk_p >= 0.5:
+        # 1 - risk_p is exact here
+        return 0.5 if risk_p == 0.5 else 1.0 - classification_relation(1.0 - risk_p, shift)
     tan_p = math.tan(math.pi * risk_p)
     tan_sq_q = (shift.kappa * shift.mu / shift.gamma) * tan_p * tan_p + _mu_minus_one(shift)
-    # a huge tan^2 rounds atan to exactly pi / 2; the relation's domain is open at 1/2
+    # a huge tan^2 rounds atan to exactly pi / 2; a train risk below 1/2 keeps its image below 1/2
     return min(math.atan(math.sqrt(tan_sq_q)) / math.pi, _BELOW_HALF)
 
 

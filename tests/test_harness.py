@@ -1,6 +1,7 @@
 """Tests for config parsing, experiment runners, CSV output, and the CLI."""
 
 import ast
+import csv
 import dataclasses
 import functools
 import importlib
@@ -55,7 +56,9 @@ from riskshift.harness.runners import (
 )
 from riskshift.inverse import denoise_grid
 from riskshift.risk import MetricKind
+from riskshift.shiftmodel import ShiftParameters
 from riskshift.subspace import SubspacePairSpec, haar_basis, overlap_coefficient, overlapping_pair
+from riskshift.theory import classification_relation
 
 # the lambda trio gives the grid 0.01, 1.0, 100.0
 _SMALL_SWEEP = {
@@ -201,7 +204,6 @@ _RANGE_EDGES = [
     pytest.param(KIND_CLASSIFICATION, "kappa_over_gamma", 0.0, _TINY, {}, id="classification-sweep-kappa_over_gamma-0.0-5e-324-others15"),
     pytest.param(KIND_CLASSIFICATION, "sign_correct_prob", 0.5, math.nextafter(0.5, 1.0), {}, id="classification-sweep-sign_correct_prob-0.5-0.5000000000000001-others16"),
     pytest.param(KIND_CLASSIFICATION, "sign_correct_prob", _ABOVE_ONE, 1.0, {}, id="classification-sweep-sign_correct_prob-1.0000000000000002-1.0-others17"),
-    pytest.param(KIND_CLASSIFICATION, "theory_points", 1, 2, {}, id="classification-sweep-theory_points-1-2-others18"),
     pytest.param(KIND_CLASSIFICATION, "d", 719, 720, {}, id="classification-sweep-d-719-720-others19"),
     pytest.param(KIND_RELATION, "mu_grid", [_BELOW_ONE], [1.0], {}, id="relation-curves-mu_grid-rejected20-accepted20-others20"),
     pytest.param(KIND_RELATION, "ratio_grid", [0.0], [_TINY], {}, id="relation-curves-ratio_grid-rejected21-accepted21-others21"),
@@ -246,10 +248,12 @@ def test_config_range_edges(kind, key, rejected, accepted, others):
     assert config_from_mapping(kind, {**others, key: accepted})[key] == accepted
 
 
-# the classification sweep's Sigma_Q is always rebuilt from Sigma_Q = Sigma_P, cs-validate
-# always writes its A = I rows, and the sweeps take their lambda grid as a trio
+# the classification sweep's Sigma_Q is always rebuilt from Sigma_Q = Sigma_P and it writes
+# no tabulated theory rows, cs-validate always writes its A = I rows, and the sweeps take
+# their lambda grid as a trio
 _REMOVED_KEYS = [
     *((KIND_CLASSIFICATION, key, "1") for key in ("tau", "d_q", "d_pq", "sigma_beta_sq")),
+    (KIND_CLASSIFICATION, "theory_points", "40"),
     (KIND_CLASSIFICATION, "task_dependent", "true"),
     (KIND_CS, "include_identity", "true"),
     *((kind, "lambda_grid", "0.1, 1.0") for kind in (KIND_REGRESSION, KIND_CLASSIFICATION, KIND_DENOISE)),
@@ -341,6 +345,35 @@ def test_readme_config_keys_name_every_schema_key():
             assert given.keys() == names(first), (kind, first)
             for key, value in given.items():
                 assert value == fields[key].default, (kind, key, value)
+
+
+def test_readme_csv_table_matches_the_runners(tmp_path):
+    section = _readme().split("### Output format", 1)[1].split("\n### ", 1)[0]
+    table = {
+        kind: (columns.split(","), key.strip("()").split(", "))
+        for kind, columns, key in re.findall(r"^\| `([a-z-]+)` \| `([^`]+)` \| `([^`]+)` \|$", section, flags=re.M)
+    }
+    docstring = dict(re.findall(r"^  ([a-z-]+): +(\S+)$", runners.__doc__, flags=re.M))
+    assert sorted(table) == sorted(docstring) == sorted(ALL_KINDS)
+    rng = np.random.default_rng(0)
+    for name in ("p", "q"):
+        np.savetxt(tmp_path / f"{name}.txt", rng.standard_normal((12, 5)))
+    # a few rows of each kind, over more than one value of each grid
+    small = {
+        KIND_REGRESSION: dict(_SMALL_REGRESSION, trials="2"),
+        KIND_CLASSIFICATION: dict(_SMALL_SWEEP, trials="2"),
+        KIND_RELATION: {"risk_p_points": "3"},
+        KIND_DENOISE: {"d": "30", "d_p": "6", "d_q": "6", "lambda_points": "3"},
+        KIND_COUNTEREXAMPLE: {"a_points": "3"},
+        KIND_CS: {"d": "30", "d_p": "6", "d_q": "6", "d_pq": "3", "n_grid": "40, 80", "trials": "2"},
+        KIND_SUBSPACE: {"input_p": str(tmp_path / "p.txt"), "input_q": str(tmp_path / "q.txt")},
+    }
+    for kind, (columns, key) in table.items():
+        header, rows = riskshift.harness.RUNNERS[kind](config_from_mapping(kind, small[kind]))
+        assert header == columns == docstring[kind].split(","), kind
+        # the key orders the rows strictly: it is sorted and names each row once
+        keys = [tuple(row[name] for name in key) for row in rows]
+        assert len(keys) > 1 and keys == sorted(set(keys)), kind
 
 
 def test_write_csv_17_digits_lf(tmp_path):
@@ -437,10 +470,13 @@ def test_write_csv_matches_cell_by_cell_formatting(tmp_path, table):
 @pytest.mark.parametrize("other", [2.0, "label"], ids=["float-column", "mixed-column"])
 @pytest.mark.parametrize("column", ["x", "y"])
 def test_write_csv_refuses_non_finite_cells_in_any_column(tmp_path, bad, other, column):
-    rows = [{"x": 1.0, "y": other}, {"x": 0.5, "y": other}]
+    rows = [{"x": 1.0, "y": other}, {"x": 0.5, "y": other}, {"x": 0.25, "y": other}]
     rows[1][column] = bad
-    with pytest.raises(NumericInputError, match="non-finite"):
+    rows[2][column] = -math.inf
+    with pytest.raises(NumericInputError) as info:
         write_csv(tmp_path / "out.csv", ["x", "y"], rows)
+    # the message names the first refused cell by its column and 1-based data row
+    assert str(info.value) == f"refusing to serialize non-finite value {float(bad)} in column '{column}', data row 2"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -819,13 +855,82 @@ def test_cli_unreachable_shift_ratio_is_numeric_error(tmp_path, capsys):
     cfg = _cli_config(
         tmp_path,
         "kind = classification-sweep\nd = 8\nd_p = 4\nn = 10\ntrials = 1\nlambda_min = 0.1\n"
-        f"lambda_max = 1\nlambda_points = 2\ntheory_points = 2\nkappa_over_gamma = 1e9\n"
+        f"lambda_max = 1\nlambda_points = 2\nkappa_over_gamma = 1e9\n"
         f"output_path = {out}\n",
     )
     assert main(["classification-sweep", "--config", cfg]) == 3
     err_lines = capsys.readouterr().err.splitlines()
     assert len(err_lines) == 1 and err_lines[0].startswith("error: target kappa/gamma 1000000000.0")
     assert "outside reachable band" in err_lines[0]
+    assert not out.exists()
+
+
+def _read_csv(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def _row_shift(row):
+    """A classification row's shift; r_p and sigma_beta_sq do not enter the classification relation."""
+    return ShiftParameters(
+        gamma=float(row["gamma"]), mu=float(row["mu"]), kappa=float(row["kappa"]), r_p=1.0, sigma_beta_sq=1.0
+    )
+
+
+def test_classification_rows_carry_the_shift_of_their_prediction(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    config = "".join(f"{k} = {v}\n" for k, v in dict(_SMALL_SWEEP, trials="2").items())
+    cfg = _cli_config(tmp_path, f"kind = classification-sweep\n{config}output_path = {out}\n")
+    assert main(["classification-sweep", "--config", cfg]) == 0
+    capsys.readouterr()
+    with open(out, encoding="utf-8") as fh:
+        assert fh.readline() == "trial,model,lambda,risk_p,risk_q,risk_q_pred,converged,gamma,mu,kappa\n"
+    rows = _read_csv(out)
+    # measured rows only: 2 trials x 3 families x 3 lambdas
+    assert len(rows) == 18
+    assert {r["model"] for r in rows} == {"ridge-sign", "ridge-noiseless", "logistic-sign"}
+    shifts = {r["trial"]: (r["gamma"], r["mu"], r["kappa"]) for r in rows}
+    assert len(set(shifts.values())) == 2
+    for row in rows:
+        assert (row["gamma"], row["mu"], row["kappa"]) == shifts[row["trial"]]
+        assert classification_relation(float(row["risk_p"]), _row_shift(row)) == float(row["risk_q_pred"])
+
+
+def test_cli_worse_than_chance_fit_keeps_its_rows(tmp_path, capsys):
+    # at this size and label noise some fits score below chance on the train law;
+    # the relation maps a risk r above 1/2 to 1 - (the image of 1 - r)
+    out = tmp_path / "out.csv"
+    cfg = _cli_config(
+        tmp_path,
+        "kind = classification-sweep\nd = 10\nd_p = 7\nn = 25\nlambda_min = 27.985\n"
+        "lambda_max = 1529.96\nlambda_points = 3\ntrials = 1\nsign_correct_prob = 0.51\n"
+        f"kappa_over_gamma = 1\noutput_path = {out}\n",
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["classification-sweep", "--config", cfg]) == 0
+    assert capsys.readouterr().out == f"wrote 9 rows to {out}\n"
+    worse = [r for r in _read_csv(out) if float(r["risk_p"]) > 0.5]
+    assert worse
+    for row in worse:
+        flipped = classification_relation(1.0 - float(row["risk_p"]), _row_shift(row))
+        assert float(row["risk_q_pred"]) == 1.0 - flipped > 0.5
+
+
+@pytest.mark.parametrize("geometry,message", [
+    # d_pq = 0 leaves Sigma_Q no energy on the Sigma_P support, but tau b^2 overflows first
+    ("d_pq = 0\nsigma_beta_sq = 1e150\ntau = 1e300", "beta*^T Sigma_Q beta* is inf, past the float range"),
+    ("d_pq = 1\nsigma_beta_sq = 1.7e308", "beta*'s mean square on the Sigma_P support is inf, past the float range"),
+], ids=["sigma_q-energy", "support-mean-square"])
+def test_cli_names_the_shift_energy_that_overflows(tmp_path, capsys, geometry, message):
+    out = tmp_path / "out.csv"
+    cfg = _cli_config(
+        tmp_path, f"kind = regression-sweep\nd = 6\nd_p = 4\nd_q = 1\nn = 13\n{geometry}\noutput_path = {out}\n"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["regression-sweep", "--config", cfg]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 
@@ -943,7 +1048,7 @@ print(json.dumps({"rows": rows, "converged": fit.converged, "loaded": loaded,
 
 _PROBE_CONFIGS = {
     KIND_REGRESSION: _SMALL_REGRESSION,
-    KIND_CLASSIFICATION: dict(_SMALL_SWEEP, theory_points="3"),
+    KIND_CLASSIFICATION: _SMALL_SWEEP,
     KIND_CS: {"d": "30", "d_p": "6", "d_q": "6", "d_pq": "3", "n_grid": "40, 80", "trials": "1"},
 }
 

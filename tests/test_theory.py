@@ -166,6 +166,23 @@ def test_classification_relation_inverse_round_trip_and_increasing(r1, r2, shift
 
 
 @settings(max_examples=300, deadline=None, database=None)
+@given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), shift_descriptors())
+@example(0.49999999999999994, 0.5, ShiftParameters(gamma=0.5, mu=1.0, kappa=2.0, r_p=0.9, sigma_beta_sq=1.0))
+@example(0.5, 0.5000000000000001, ShiftParameters(gamma=0.5, mu=1.0, kappa=2.0, r_p=0.9, sigma_beta_sq=1.0))
+@example(0.0, 1.0, ShiftParameters(gamma=1.0, mu=3.0, kappa=1.0, r_p=0.9, sigma_beta_sq=1.0))
+def test_classification_relation_extends_to_the_unit_interval(r1, r2, shift):
+    # flipping the estimate's sign maps a risk r to 1 - r on both laws
+    lo, hi = sorted((r1, r2))
+    assert classification_relation(lo, shift) <= classification_relation(hi, shift)
+    for r in (r1, r2):
+        risk_q = classification_relation(r, shift)
+        assert 0.0 <= risk_q <= 1.0
+        if r > 0.5:
+            assert risk_q == 1.0 - classification_relation(1.0 - r, shift)
+    assert classification_relation(0.5, shift) == 0.5
+
+
+@settings(max_examples=300, deadline=None, database=None)
 @given(st.floats(0.5 - 1e-9, 0.5, exclude_max=True), shift_descriptors())
 @example(0.49999999999999994, ShiftParameters(gamma=0.5, mu=1.0, kappa=2.0, r_p=0.9, sigma_beta_sq=1.0))
 def test_classification_relation_stays_below_half(r, shift):
@@ -179,9 +196,11 @@ def test_classification_relation_stays_below_half(r, shift):
 
 def test_classification_relation_domain_errors():
     shift = ShiftParameters(gamma=1.0, mu=1.1, kappa=1.0, r_p=0.9, sigma_beta_sq=1.0)
-    for bad in (0.0, 0.5, -0.2, 0.7, math.nan):
-        with pytest.raises(NumericInputError, match=r"risk must lie in \(0, 1/2\)"):
+    for bad in (-0.2, -5e-324, math.nextafter(1.0, 2.0), math.nan, math.inf, -math.inf):
+        with pytest.raises(NumericInputError, match=r"risk must lie in \[0, 1\]"):
             classification_relation(bad, shift)
+    # the relation's inverse is the oracle's, on (0, 1/2) only
+    for bad in (0.0, 0.5, -0.2, 0.7, math.nan):
         with pytest.raises(NumericInputError, match=r"risk must lie in \(0, 1/2\)"):
             classification_relation_inverse(bad, shift)
     # a risk below the lifted floor has no preimage in (0, 1/2)
@@ -192,9 +211,10 @@ def test_classification_relation_domain_errors():
 def test_relation_identities_of_asymptotic_family():
     # both closed-form relations are algebraic identities of the (a, b, c) covariances
     rng = np.random.default_rng(11)
-    for _ in range(50):
-        # positive alignment keeps the train risk inside the relation's (0, 1/2) domain
-        a = float(rng.uniform(0.05, 2.0))
+    for i in range(50):
+        # a negative alignment puts the train risk above 1/2, where the relation
+        # is extended by the sign flip r -> 1 - r
+        a = float(rng.uniform(0.05, 2.0)) * (-1.0) ** i
         b = float(rng.uniform(0.05, 4.0))
         c = float(rng.uniform(0.05, 4.0))
         shift = ShiftParameters(
