@@ -53,7 +53,7 @@ def sample_covariates(pair, n, seed):
     """n iid rows from N(0, Sigma_P / d)."""
     if int(n) < 1:
         raise InvalidDimensionError(f"sample count must be >= 1, got {n}")
-    v = pair.eigenbasis
+    v = pair.eigenbasis.columns
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((int(n), pair.d))
     return ((g @ v) * np.sqrt(pair.eigvals_p)) @ v.T / math.sqrt(pair.d)

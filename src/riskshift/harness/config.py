@@ -169,7 +169,7 @@ _SCHEMAS = {
         **_lambda_fields(25),
         **_SWEEP_GEOMETRY,
         "d_q": _Field(_parse_int, 640),
-        "d_pq": _Field(_parse_int, 560),
+        "d_pq": _Field(_parse_int, 560, _AT_LEAST_ONE),
         "sigma_beta_sq": _Field(_parse_float, 1.0, _POSITIVE),
         "tau": _Field(_parse_float, 2.0, _POSITIVE),
         "noise_var": _Field(_parse_float, 0.2, _NONNEGATIVE),

@@ -135,7 +135,7 @@ def _block_normalized_beta(pair, seed):
         energy = float(np.sum(b[mask] ** 2))
         if energy > 0.0:
             b[mask] *= math.sqrt(k / energy)
-    return pair.eigenbasis @ b
+    return pair.eigenbasis.columns @ b
 
 
 def _cs_mc_risk(a, problem, which, seed):

@@ -1,10 +1,10 @@
 """Simultaneously diagonalizable covariance pairs and scalar shift descriptors.
 
-A CovariancePair stores one shared eigenbasis V plus two eigenvalue vectors:
-Sigma_P = V diag(eigvals_p) V^T is a projector (binary eigenvalues) and
-Sigma_Q = V diag(eigvals_q) V^T is PSD.  All formulas in this package reduce to
-diagonal arithmetic after rotating vectors into that basis, so covariances are
-never materialized densely.
+A CovariancePair stores one shared eigenbasis V, a square OrthonormalBasis,
+plus two eigenvalue vectors: Sigma_P = V diag(eigvals_p) V^T is a projector
+(binary eigenvalues) and Sigma_Q = V diag(eigvals_q) V^T is PSD.  All formulas
+in this package reduce to diagonal arithmetic after rotating vectors into that
+basis, so covariances are never materialized densely.
 """
 
 import math
@@ -14,7 +14,7 @@ import numpy as np
 
 from riskshift.errors import InvalidDimensionError, NumericInputError
 from riskshift.risk import _unit_scaled
-from riskshift.subspace import _ORTHO_TOL, SubspacePairSpec, _frozen_array, haar_basis
+from riskshift.subspace import OrthonormalBasis, SubspacePairSpec, _frozen_array, haar_basis
 
 _RATIO_TOL = 1e-3
 _GAMMA_TOL = 1e-6
@@ -24,33 +24,29 @@ _GAMMA_TOL = 1e-6
 class CovariancePair:
     """Shared eigenbasis plus eigenvalues of (Sigma_P, Sigma_Q)."""
 
-    eigenbasis: np.ndarray
+    eigenbasis: OrthonormalBasis
     eigvals_p: np.ndarray
     eigvals_q: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.eigenbasis, dtype=np.float64)
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise InvalidDimensionError("eigenbasis must be a square matrix")
-        d = v.shape[0]
-        # written so that a NaN in the basis fails the comparison
-        if not np.max(np.abs(v.T @ v - np.eye(d))) <= _ORTHO_TOL:
-            raise InvalidDimensionError(f"eigenbasis is not orthonormal within {_ORTHO_TOL:g}")
+        v = self.eigenbasis
+        if not isinstance(v, OrthonormalBasis) or v.rank != v.ambient_dim:
+            raise InvalidDimensionError("eigenbasis must be a square OrthonormalBasis")
+        d = v.ambient_dim
         e_p = np.asarray(self.eigvals_p, dtype=np.float64)
         e_q = np.asarray(self.eigvals_q, dtype=np.float64)
         if e_p.shape != (d,) or e_q.shape != (d,):
             raise InvalidDimensionError("eigenvalue vectors must have length d")
         if not np.all((e_p == 0.0) | (e_p == 1.0)):
             raise NumericInputError("eigvals_p must be binary (projector spectrum)")
-        if not (np.all(np.isfinite(e_q)) and np.min(e_q) >= -1e-12):
+        if not (np.all(np.isfinite(e_q)) and np.min(e_q) >= 0.0):
             raise NumericInputError("eigvals_q must be finite and nonnegative")
-        object.__setattr__(self, "eigenbasis", _frozen_array(v))
         object.__setattr__(self, "eigvals_p", _frozen_array(e_p))
-        object.__setattr__(self, "eigvals_q", _frozen_array(np.maximum(e_q, 0.0)))
+        object.__setattr__(self, "eigvals_q", _frozen_array(e_q))
 
     @property
     def d(self):
-        return self.eigenbasis.shape[0]
+        return self.eigenbasis.ambient_dim
 
     @property
     def d_p(self):
@@ -61,7 +57,7 @@ class CovariancePair:
         vec = np.asarray(vec, dtype=np.float64)
         if vec.shape != (self.d,):
             raise InvalidDimensionError(f"expected vector of length {self.d}, got {vec.shape}")
-        return self.eigenbasis.T @ vec
+        return self.eigenbasis.columns.T @ vec
 
 
 @dataclass(frozen=True)
@@ -99,7 +95,7 @@ def subspace_shift_model(spec, tau, seed):
         raise InvalidDimensionError("spec must be a SubspacePairSpec")
     if not (math.isfinite(tau) and tau > 0):
         raise NumericInputError(f"tau must be a positive finite scalar, got {tau}")
-    v = haar_basis(spec.d, spec.d, seed).columns
+    v = haar_basis(spec.d, spec.d, seed)
     e_p = np.zeros(spec.d)
     e_p[: spec.d_p] = 1.0
     e_q = np.zeros(spec.d)

@@ -57,7 +57,7 @@ def population_mc_risk(beta_star, beta_hat, pair, which, metric, n_draws, seed):
     """
     n_draws = _validate_mc_args(metric, n_draws)
     e = _eigvals(pair, which)
-    v = pair.eigenbasis
+    v = pair.eigenbasis.columns
     sqrt_d = math.sqrt(pair.d)
     beta_star = np.asarray(beta_star, dtype=np.float64)
     beta_hat = np.asarray(beta_hat, dtype=np.float64)
@@ -265,7 +265,8 @@ def cs_risks_exact(sketch, problem):
 def sigma_dense(pair, which):
     """Dense d x d covariance of a CovariancePair; for tests and finite-dimensional checks only."""
     e = _eigvals(pair, which)
-    return (pair.eigenbasis * e) @ pair.eigenbasis.T
+    v = pair.eigenbasis.columns
+    return (v * e) @ v.T
 
 
 def projector(basis):

@@ -37,7 +37,7 @@ def test_sample_covariates_live_in_support():
     pair = subspace_shift_model(SubspacePairSpec(30, 12, 9, 6), 2.0, 1)
     x = sample_covariates(pair, 50, 2)
     assert x.shape == (50, 30)
-    rotated = x @ pair.eigenbasis
+    rotated = x @ pair.eigenbasis.columns
     # coordinates outside the P support are exactly zero up to roundoff
     npt.assert_allclose(rotated[:, 12:], 0.0, atol=1e-12)
 

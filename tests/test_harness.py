@@ -236,6 +236,7 @@ _RANGE_EDGES = [
     pytest.param(KIND_DENOISE, "lambda_max", 0.0, _TINY, {"lambda_points": 1}, id="denoise-lambda_max-0.0-5e-324-others48"),
     pytest.param(KIND_REGRESSION, "lambda_max", 0.0, _TINY, {"lambda_points": 1}, id="regression-sweep-lambda_max-0.0-5e-324-others49"),
     pytest.param(KIND_CLASSIFICATION, "lambda_max", 0.0, _TINY, {"lambda_points": 1}, id="classification-sweep-lambda_max-0.0-5e-324-others50"),
+    pytest.param(KIND_REGRESSION, "d_pq", 0, 1, {"d": 1400}, id="regression-sweep-d_pq-0-1-others51"),
 ]
 
 
@@ -918,8 +919,7 @@ def test_cli_worse_than_chance_fit_keeps_its_rows(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("geometry,message", [
-    # d_pq = 0 leaves Sigma_Q no energy on the Sigma_P support, but tau b^2 overflows first
-    ("d_pq = 0\nsigma_beta_sq = 1e150\ntau = 1e300", "beta*^T Sigma_Q beta* is inf, past the float range"),
+    ("d_pq = 1\nsigma_beta_sq = 1e150\ntau = 1e300", "beta*^T Sigma_Q beta* is inf, past the float range"),
     ("d_pq = 1\nsigma_beta_sq = 1.7e308", "beta*'s mean square on the Sigma_P support is inf, past the float range"),
 ], ids=["sigma_q-energy", "support-mean-square"])
 def test_cli_names_the_shift_energy_that_overflows(tmp_path, capsys, geometry, message):
@@ -931,6 +931,18 @@ def test_cli_names_the_shift_energy_that_overflows(tmp_path, capsys, geometry, m
         warnings.simplefilter("error")
         assert main(["regression-sweep", "--config", cfg]) == 3
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_cli_regression_without_a_shared_dimension_is_config_error(tmp_path, capsys):
+    # d_pq = 0 leaves Sigma_Q no eigenvalue on the Sigma_P support, so every trial
+    # would stop in shift_parameters; the config check refuses it before any run
+    out = tmp_path / "out.csv"
+    cfg = _cli_config(
+        tmp_path, f"kind = regression-sweep\nd = 6\nd_p = 4\nd_q = 1\nd_pq = 0\nn = 13\noutput_path = {out}\n"
+    )
+    assert main(["regression-sweep", "--config", cfg]) == 2
+    assert capsys.readouterr().err == "error: key 'd_pq' must be >= 1, got 0\n"
     assert not out.exists()
 
 

@@ -34,7 +34,7 @@ from riskshift.risk import (
     squared_risk,
 )
 from riskshift.shiftmodel import CovariancePair, ShiftParameters, subspace_shift_model, task_dependent_model
-from riskshift.subspace import SubspacePairSpec
+from riskshift.subspace import OrthonormalBasis, SubspacePairSpec
 from riskshift.theory import asymptotic_decision_cov
 
 from oracles import (
@@ -122,7 +122,7 @@ def test_decision_cov_factor_reproduces_exact_moments(beta_star, beta_hat, tau, 
 
 
 def _unit_pair(d):
-    return CovariancePair(np.eye(d), np.ones(d), np.ones(d))
+    return CovariancePair(OrthonormalBasis(np.eye(d)), np.ones(d), np.ones(d))
 
 
 def test_misclassification_is_exact_at_huge_scale():
@@ -162,7 +162,7 @@ def test_decision_cov_stays_finite_where_its_ratio_cannot_be_split():
     # is 2^1020, past the 2^996 at which Dekker's split overflows; the residual
     # product is rounded there, and the Q factor is (l11, 2^-3 / l11, 0) for
     # l11 = sqrt(2^-1023)
-    pair = CovariancePair(np.eye(2), np.ones(2), np.array([2.0**1020, 0.0]))
+    pair = CovariancePair(OrthonormalBasis(np.eye(2)), np.ones(2), np.array([2.0**1020, 0.0]))
     cov_p, cov_q = decision_cov(np.array([2.0**-1021, 0.5]), np.array([0.5, 0.5]), pair)
     assert all(math.isfinite(x) for x in (cov_p.l11, cov_p.l21, cov_p.l22))
     assert (cov_q.l11, cov_q.l22) == (math.sqrt(2.0**-1023), 0.0)

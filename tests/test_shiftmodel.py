@@ -15,7 +15,7 @@ from riskshift.shiftmodel import (
     subspace_shift_model,
     task_dependent_model,
 )
-from riskshift.subspace import SubspacePairSpec, haar_basis
+from riskshift.subspace import OrthonormalBasis, SubspacePairSpec, haar_basis
 
 from oracles import sigma_dense
 
@@ -26,20 +26,27 @@ def _random_beta(d, sigma_beta_sq, seed):
 
 
 def test_covariance_pair_validation():
-    v = haar_basis(6, 6, 0).columns
+    basis = haar_basis(6, 6, 0)
+    v = basis.columns
     p = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
     q = np.array([2.0, 2.0, 0.0, 0.0, 1.0, 0.0])
-    pair = CovariancePair(eigenbasis=v, eigvals_p=p, eigvals_q=q)
+    pair = CovariancePair(eigenbasis=basis, eigvals_p=p, eigvals_q=q)
     assert pair.d == 6 and pair.d_p == 3
 
     with pytest.raises(NumericInputError):
-        CovariancePair(eigenbasis=v, eigvals_p=p * 0.5, eigvals_q=q)  # non-binary
+        CovariancePair(eigenbasis=basis, eigvals_p=p * 0.5, eigvals_q=q)  # non-binary
     with pytest.raises(NumericInputError):
-        CovariancePair(eigenbasis=v, eigvals_p=p, eigvals_q=q - 0.5)  # negative
+        CovariancePair(eigenbasis=basis, eigvals_p=p, eigvals_q=q - 0.5)  # negative
+    # Sigma_Q's spectrum is >= 0 exactly: no rounding slack below 0
+    with pytest.raises(NumericInputError, match="eigvals_q must be finite and nonnegative"):
+        CovariancePair(eigenbasis=basis, eigvals_p=p, eigvals_q=np.where(q > 0, q, -1e-13))
+    # orthonormality is checked once, by OrthonormalBasis, so a raw array is refused
+    with pytest.raises(InvalidDimensionError, match="square OrthonormalBasis"):
+        CovariancePair(eigenbasis=v, eigvals_p=p, eigvals_q=q)
+    with pytest.raises(InvalidDimensionError, match="square OrthonormalBasis"):
+        CovariancePair(eigenbasis=OrthonormalBasis(v[:, :5]), eigvals_p=p, eigvals_q=q)
     with pytest.raises(InvalidDimensionError):
-        CovariancePair(eigenbasis=v[:, :5], eigvals_p=p, eigvals_q=q)
-    with pytest.raises(InvalidDimensionError):
-        CovariancePair(eigenbasis=2 * v, eigvals_p=p, eigvals_q=q)
+        CovariancePair(eigenbasis=OrthonormalBasis(2 * v), eigvals_p=p, eigvals_q=q)
 
 
 @pytest.mark.parametrize(
@@ -53,7 +60,7 @@ def test_covariance_pair_validation():
 )
 def test_covariance_pair_rejects_non_finite_input(basis, eigvals_q, error):
     with pytest.raises(error):
-        CovariancePair(basis, [1.0, 0.0, 0.0], eigvals_q)
+        CovariancePair(OrthonormalBasis(basis), [1.0, 0.0, 0.0], eigvals_q)
 
 
 def test_sigma_dense_and_rotated_quadratic_form_agree():
@@ -115,7 +122,7 @@ def test_shift_parameters_exact_for_block_equal_beta():
 def test_shift_parameters_requires_support_energy():
     pair = subspace_shift_model(SubspacePairSpec(10, 4, 3, 2), 1.0, 7)
     # beta orthogonal to the support: zero support energy
-    beta = pair.eigenbasis @ np.concatenate([np.zeros(4), np.ones(6)])
+    beta = pair.eigenbasis.columns @ np.concatenate([np.zeros(4), np.ones(6)])
     with pytest.raises(NumericInputError, match="no Sigma_Q energy on the Sigma_P support"):
         shift_parameters(pair, beta, 1.0)
 
@@ -145,6 +152,8 @@ def test_task_dependent_hits_ratio_and_gamma():
     base = shift_parameters(pair, beta, 1.0)
     for ratio in (0.3, 2.0, 5.0):
         built = task_dependent_model(pair, beta, target_ratio=ratio)
+        # the rebuild keeps the input's basis object, so its frame is not checked again
+        assert built.eigenbasis is pair.eigenbasis
         shift = shift_parameters(built, beta, 1.0)
         assert shift.kappa / shift.gamma == pytest.approx(ratio, rel=5e-3)
         assert shift.gamma == pytest.approx(base.gamma, rel=1e-6)
@@ -193,4 +202,4 @@ def test_task_dependent_unreachable_ratio():
 def test_rotate_roundtrip():
     pair = subspace_shift_model(SubspacePairSpec(15, 9, 7, 5), 1.2, 61)
     x = np.random.default_rng(2).standard_normal(15)
-    npt.assert_allclose(pair.eigenbasis @ pair.rotate(x), x, atol=1e-12)
+    npt.assert_allclose(pair.eigenbasis.columns @ pair.rotate(x), x, atol=1e-12)

@@ -19,7 +19,7 @@ from riskshift.shiftmodel import (
     subspace_shift_model,
     task_dependent_model,
 )
-from riskshift.subspace import SubspacePairSpec, haar_basis
+from riskshift.subspace import OrthonormalBasis, SubspacePairSpec, haar_basis
 from riskshift.theory import (
     _B_GRID,
     asymptotic_decision_cov,
@@ -272,7 +272,7 @@ def test_covariance_functionals_projector_simplifications():
 def test_covariance_functionals_same_covariance_matches():
     rng = np.random.default_rng(7)
     d = 40
-    v = haar_basis(d, d, seed=2).columns
+    v = haar_basis(d, d, seed=2)
     e_p = (rng.uniform(size=d) < 0.6).astype(np.float64)
     pair = CovariancePair(v, e_p, e_p.copy())
     beta = rng.standard_normal(d)
@@ -323,14 +323,14 @@ def test_monotonicity_regression_task_dependent_fails():
 def test_monotonicity_regression_no_shift_and_errors():
     rng = np.random.default_rng(19)
     d = 30
-    v = haar_basis(d, d, seed=4).columns
+    v = haar_basis(d, d, seed=4)
     e_p = np.ones(d)
     pair = CovariancePair(v, e_p, e_p.copy())
     beta = rng.standard_normal(d)
     verdict = monotonicity_check_regression(pair, beta)
     assert verdict.holds and verdict.rho == pytest.approx(1.0, rel=1e-14)
     # beta confined to the complement of the support has no Gamma_P energy
-    off = CovariancePair(np.eye(4), np.array([1.0, 1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0, 1.0]))
+    off = CovariancePair(OrthonormalBasis(np.eye(4)), np.array([1.0, 1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0, 1.0]))
     with pytest.raises(NumericInputError, match="no energy on the Sigma_P support; ratios"):
         monotonicity_check_regression(off, np.array([0.0, 0.0, 1.0, 1.0]))
 
@@ -355,7 +355,7 @@ def test_monotonicity_classification_subspace_and_task_dependent():
 def test_monotonicity_classification_no_shift():
     rng = np.random.default_rng(29)
     d = 24
-    v = haar_basis(d, d, seed=6).columns
+    v = haar_basis(d, d, seed=6)
     e_p = (rng.uniform(size=d) < 0.7).astype(np.float64)
     pair = CovariancePair(v, e_p, e_p.copy())
     beta = rng.standard_normal(d)
