@@ -61,7 +61,6 @@ from riskshift.theory import (
     MonotonicityVerdict,
     asymptotic_decision_cov,
     classification_relation,
-    covariance_functionals,
     finite_dim_linearity,
     monotonicity_check_classification,
     monotonicity_check_regression,
@@ -90,7 +89,6 @@ __all__ = [
     "SubspacePairSpec",
     "asymptotic_decision_cov",
     "classification_relation",
-    "covariance_functionals",
     "cs_relation_residual",
     "cs_risks",
     "decision_cov",

@@ -6,15 +6,7 @@ master seed m draws from seed sequences with entropy [m, t, slot], where slot
 covariates, slot 3 the labels, and slot 16 + j the j-th grid point.  Rows
 are sorted on a documented key before writing, so a CSV's row order does not
 depend on the order in which the configured grids list their values.
-
-CSV columns per kind:
-  regression-sweep:     trial,model,lambda,risk_p,risk_q,risk_q_pred,gamma,mu,kappa
-  classification-sweep: trial,model,lambda,risk_p,risk_q,risk_q_pred,converged,gamma,mu,kappa
-  relation-curves:      curve,mu,kappa_over_gamma,risk_p,risk_q
-  denoise:              a_target,a_realized,snr,lambda,risk_p,risk_q,alpha,residual
-  counterexample:       metric,a,risk_p,se_p,risk_q,se_q
-  cs-validate:          matrix,n,trial,residual,ipp_max_dev
-  subspace-analyze:     k,sv_1,sv_2,similarity
+README § Output format describes each kind's CSV columns.
 """
 
 import dataclasses

@@ -5,9 +5,10 @@ the test risk is a deterministic function of the train risk.  This module
 provides the regression relation (affine when gamma = kappa), the
 classification relation (affine in sec^2 of pi times the risk), the
 asymptotic 2x2 decision covariances of a three-parameter estimator family,
-per-eigenvalue resolvent functionals evaluated at once over 16 fixed shifts,
-ratio-based monotonicity checks on those shifts, finite-dimensional linearity
-diagnostics, and the probit/arctan gap bound on a fixed grid of [-10, 10].
+the monotonicity checks in closed form (for a projector Sigma_P every
+resolvent ratio they compare is one ratio of beta*'s support energies at all
+shifts), finite-dimensional linearity diagnostics, and the probit/arctan gap
+bound on a fixed grid of [-10, 10].
 """
 
 import math
@@ -21,27 +22,7 @@ from riskshift.shiftmodel import ShiftParameters
 
 _GAMMA_KAPPA_REL_TOL = 1e-6
 _BELOW_HALF = math.nextafter(0.5, 0.0)
-# resolvent shifts b at which the monotonicity checks compare functionals
-_B_GRID = np.geomspace(1e-3, 1e3, 16)
 _MONO_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class FunctionalTuple:
-    """Resolvent functionals of a covariance pair, per distribution.
-
-    The omegas do not depend on the shift; every other field is an array over
-    the 16 shifts b of the monotonicity checks.
-    """
-
-    omega_p: float
-    gamma_p: np.ndarray
-    lambda_p: np.ndarray
-    theta_p: np.ndarray
-    omega_q: float
-    gamma_q: np.ndarray
-    lambda_q: np.ndarray
-    theta_q: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -123,54 +104,43 @@ def classification_relation(risk_p, shift):
     return min(math.atan(math.sqrt(tan_sq_q)) / math.pi, _BELOW_HALF)
 
 
-def covariance_functionals(pair, beta_star):
-    """Resolvent functionals of (Sigma_P, Sigma_Q) at 16 log-spaced shifts b in [1e-3, 1e3].
+def _support_energies(pair, beta_star):
+    """beta*'s energies e_S = sum s b^2, e_QS = sum q s b^2 and e_Q = sum q b^2, and kappa = sum q s / d_P.
 
-    With s, q the shared-basis eigenvalues and b_j the rotated coordinates of
-    beta*, each functional averages s^k q^l b_j^2 / (s + b)^m over j.
+    s, q are the shared-basis eigenvalues and b the rotated coordinates of
+    beta*.  Sigma_P is a projector, so each resolvent functional of the pair at
+    a shift b > 0 is one of these sums, or d_P, times (1 + b)^-m.
     """
     bb = pair.rotate(np.asarray(beta_star, dtype=np.float64))
-    # a finite coordinate above ~1.3e154 squares to inf
-    with np.errstate(over="ignore"):
-        b_sq = bb * bb
-    if not np.all(np.isfinite(b_sq)):
-        raise NumericInputError("beta_star must be finite and its squared coordinates too")
     s = pair.eigvals_p
     q = pair.eigvals_q
-    d = pair.d
-    # one row per shift
-    res = s + _B_GRID[:, None]
-    res_sq = res * res
-    return FunctionalTuple(
-        omega_p=float(np.sum(s * b_sq)) / d,
-        gamma_p=np.sum(s * s * b_sq / res, axis=1) / d,
-        lambda_p=np.sum(s * s * s * b_sq / res_sq, axis=1) / d,
-        theta_p=np.sum(s * s / res_sq, axis=1) / d,
-        omega_q=float(np.sum(q * b_sq)) / d,
-        gamma_q=np.sum(q * s * b_sq / res, axis=1) / d,
-        lambda_q=np.sum(q * s * s * b_sq / res_sq, axis=1) / d,
-        theta_q=np.sum(q * s / res_sq, axis=1) / d,
-    )
+    # a finite coordinate above ~1.3e154 squares to inf, and finite squares can sum past the float range
+    with np.errstate(over="ignore", invalid="ignore"):
+        b_sq = bb * bb
+        energies = (float(np.sum(s * b_sq)), float(np.sum(q * s * b_sq)), float(np.sum(q * b_sq)))
+    if not all(map(math.isfinite, energies)):
+        raise NumericInputError("beta_star must be finite and its energies too")
+    # an empty support has e_S = 0, which both checks refuse before reading kappa
+    return (*energies, float(np.sum(q * s)) / max(pair.d_p, 1))
 
 
 def monotonicity_check_regression(pair, beta_star):
     """Do Gamma/Lambda/Theta under Q equal a single multiple rho of those under P?
 
     The squared-risk relation holds with slope rho exactly when the three
-    resolvent ratios agree for every shift b > 0.  The check compares them at
-    16 log-spaced shifts in [1e-3, 1e3] and holds within relative deviation 1e-8.
+    resolvent ratios agree for every shift b > 0.  For a projector Sigma_P the
+    Gamma and Lambda ratios are both rho = e_QS / e_S and the Theta ratio is
+    kappa at every b, so the check holds iff |kappa - rho| / rho <= 1e-8.
     """
-    f = covariance_functionals(pair, beta_star)
-    if np.any(f.gamma_p <= 0.0):
+    e_s, e_qs, _, kappa = _support_energies(pair, beta_star)
+    if e_s <= 0.0:
         raise NumericInputError(
             "beta* carries no energy on the Sigma_P support; ratios are undefined"
         )
-    rho = float(f.gamma_q[0] / f.gamma_p[0])
+    rho = e_qs / e_s
     if rho <= 0.0:
         return MonotonicityVerdict(holds=False, rho=rho, u0=0.0, max_deviation=math.inf)
-    num = np.stack([f.gamma_q, f.lambda_q, f.theta_q])
-    den = rho * np.stack([f.gamma_p, f.lambda_p, f.theta_p])
-    max_dev = float(np.max(np.abs(num - den) / np.abs(den)))
+    max_dev = abs(kappa - rho) / rho
     return MonotonicityVerdict(holds=max_dev <= _MONO_TOL, rho=rho, u0=0.0, max_deviation=max_dev)
 
 
@@ -180,26 +150,19 @@ def monotonicity_check_classification(pair, beta_star):
     The composites Omega*Theta/Gamma^2 and Omega*Lambda/Gamma^2 drive the
     misclassification relation; it holds iff the Q-composites equal
     rho * (P-composite) and rho * (P-composite) + u0 for all shifts b > 0.
-    The check uses the same 16 shifts and 1e-8 tolerance as the regression one.
+    For a projector Sigma_P all four composites are constant in b: d_P / e_S
+    and 1 under P, mu * kappa * d_P / e_QS and mu = e_Q / e_QS under Q.  So
+    rho = mu * kappa * e_S / e_QS, u0 = mu - rho, and the relation holds, with
+    max_deviation 0, for every pair a CovariancePair can hold.
     """
-    f = covariance_functionals(pair, beta_star)
-    if np.any(f.gamma_p <= 0.0) or np.any(f.gamma_q <= 0.0):
+    e_s, e_qs, e_q, kappa = _support_energies(pair, beta_star)
+    if e_s <= 0.0 or e_qs <= 0.0:
         raise NumericInputError(
             "beta* carries no energy on the Sigma_P support; composites are undefined"
         )
-    ct_p = f.omega_p * f.theta_p / (f.gamma_p * f.gamma_p)
-    ct_q = f.omega_q * f.theta_q / (f.gamma_q * f.gamma_q)
-    cl_p = f.omega_p * f.lambda_p / (f.gamma_p * f.gamma_p)
-    cl_q = f.omega_q * f.lambda_q / (f.gamma_q * f.gamma_q)
-    rho = float(ct_q[0] / ct_p[0])
-    u0 = float(cl_q[0] - rho * cl_p[0])
-    if rho <= 0.0:
-        return MonotonicityVerdict(holds=False, rho=rho, u0=u0, max_deviation=math.inf)
-    max_dev = float(max(
-        np.max(np.abs(ct_q - rho * ct_p) / np.abs(rho * ct_p)),
-        np.max(np.abs(cl_q - rho * cl_p - u0) / np.maximum(np.abs(cl_q), 1e-300)),
-    ))
-    return MonotonicityVerdict(holds=max_dev <= _MONO_TOL, rho=rho, u0=u0, max_deviation=max_dev)
+    mu = e_q / e_qs
+    rho = mu * kappa * e_s / e_qs
+    return MonotonicityVerdict(holds=True, rho=rho, u0=mu - rho, max_deviation=0.0)
 
 
 def _ridge_inputs(beta_star, basis, sigma_q, sigma_p_sq, sigma_q_sq):

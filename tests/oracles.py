@@ -9,8 +9,10 @@ trip, the hinge risk by adaptive quadrature over |g1| where the package takes
 a closed form, the logistic risk by adaptive quadrature against the
 skew-normal density where the package takes the law of |t|, the
 compressed-sensing risks from an exact Gauss-Jordan inverse where the package
-takes an eigendecomposition, and the dense covariance and projector matrices
-the package never forms.
+takes an eigendecomposition, the monotonicity verdicts from the paper's
+resolvent functionals for any eigenvalues at 16 shifts where the package takes
+four support energies of a projector Sigma_P, and the dense covariance and
+projector matrices the package never forms.
 """
 
 import decimal
@@ -24,10 +26,12 @@ from scipy.special import ndtr
 from riskshift.errors import NumericInputError
 from riskshift.risk import _validate_mc_args, chunked_mc, metric_values
 from riskshift.subspace import _check_same_ambient, _frozen_array
-from riskshift.theory import _BELOW_HALF
+from riskshift.theory import _BELOW_HALF, _MONO_TOL, MonotonicityVerdict
 
 # a population draw costs O(d), hence a smaller chunk than mc_metric_risk's
 _POPULATION_MC_CHUNK = 4096
+# the resolvent shifts b at which the reference monotonicity verdicts compare functionals
+_RESOLVENT_SHIFTS = np.geomspace(1e-3, 1e3, 16)
 
 
 def _eigvals(pair, which):
@@ -260,6 +264,63 @@ def cs_risks_exact(sketch, problem):
     risk_p = (fit_p + Fraction(problem.sigma_p_sq) * noise) / d_p
     risk_q = (fit_q - g_sq + d_q + Fraction(problem.sigma_q_sq) * noise) / d_q
     return float(risk_p), float(risk_q)
+
+
+def resolvent_functionals(eigvals_p, eigvals_q, beta_rotated):
+    """The paper's resolvent functionals of (Sigma_P, Sigma_Q) at 16 log-spaced shifts b in [1e-3, 1e3].
+
+    With s, q any nonnegative eigenvalues in the shared basis and b_j the
+    rotated coordinates of beta*, each functional averages
+    s^k q^l b_j^2 / (s + b)^m over j.  The omegas do not depend on the shift;
+    every other entry is an array over the 16 shifts.
+    """
+    s = np.asarray(eigvals_p, dtype=np.float64)
+    q = np.asarray(eigvals_q, dtype=np.float64)
+    b_sq = np.asarray(beta_rotated, dtype=np.float64) ** 2
+    d = s.size
+    # one row per shift
+    res = s + _RESOLVENT_SHIFTS[:, None]
+    res_sq = res * res
+    return {
+        "omega_p": float(np.sum(s * b_sq)) / d,
+        "gamma_p": np.sum(s * s * b_sq / res, axis=1) / d,
+        "lambda_p": np.sum(s * s * s * b_sq / res_sq, axis=1) / d,
+        "theta_p": np.sum(s * s / res_sq, axis=1) / d,
+        "omega_q": float(np.sum(q * b_sq)) / d,
+        "gamma_q": np.sum(q * s * b_sq / res, axis=1) / d,
+        "lambda_q": np.sum(q * s * s * b_sq / res_sq, axis=1) / d,
+        "theta_q": np.sum(q * s / res_sq, axis=1) / d,
+    }
+
+
+def resolvent_regression_verdict(eigvals_p, eigvals_q, beta_rotated):
+    """Do the Gamma, Lambda and Theta ratios equal one rho at all 16 shifts, within 1e-8 relative?"""
+    f = resolvent_functionals(eigvals_p, eigvals_q, beta_rotated)
+    if np.any(f["gamma_p"] <= 0.0):
+        raise NumericInputError("beta* carries no energy on the Sigma_P support; ratios are undefined")
+    rho = float(f["gamma_q"][0] / f["gamma_p"][0])
+    if rho <= 0.0:
+        return MonotonicityVerdict(holds=False, rho=rho, u0=0.0, max_deviation=math.inf)
+    num = np.stack([f["gamma_q"], f["lambda_q"], f["theta_q"]])
+    den = rho * np.stack([f["gamma_p"], f["lambda_p"], f["theta_p"]])
+    max_dev = float(np.max(np.abs(num - den) / np.abs(den)))
+    return MonotonicityVerdict(holds=max_dev <= _MONO_TOL, rho=rho, u0=0.0, max_deviation=max_dev)
+
+
+def resolvent_classification_verdict(eigvals_p, eigvals_q, beta_rotated):
+    """Are the Q composites rho times and rho times plus u0 the P ones at all 16 shifts, within 1e-8?"""
+    f = resolvent_functionals(eigvals_p, eigvals_q, beta_rotated)
+    if np.any(f["gamma_p"] <= 0.0) or np.any(f["gamma_q"] <= 0.0):
+        raise NumericInputError("beta* carries no energy on the Sigma_P support; composites are undefined")
+    ct_p, ct_q = (f[f"omega_{w}"] * f[f"theta_{w}"] / f[f"gamma_{w}"] ** 2 for w in "pq")
+    cl_p, cl_q = (f[f"omega_{w}"] * f[f"lambda_{w}"] / f[f"gamma_{w}"] ** 2 for w in "pq")
+    rho = float(ct_q[0] / ct_p[0])
+    u0 = float(cl_q[0] - rho * cl_p[0])
+    max_dev = float(max(
+        np.max(np.abs(ct_q - rho * ct_p) / np.abs(rho * ct_p)),
+        np.max(np.abs(cl_q - rho * cl_p - u0) / np.maximum(np.abs(cl_q), 1e-300)),
+    ))
+    return MonotonicityVerdict(holds=max_dev <= _MONO_TOL, rho=rho, u0=u0, max_deviation=max_dev)
 
 
 def sigma_dense(pair, which):

@@ -24,7 +24,9 @@ from hypothesis import strategies as st
 import riskshift
 import riskshift.harness
 import riskshift.harness.runners as runners
+from riskshift.datagen import LinearGaussian, label, sample_beta, sample_covariates
 from riskshift.errors import ConfigError, NumericInputError
+from riskshift.estimators import ridge_fit
 from riskshift.harness.cli import main
 from riskshift.harness.config import (
     _REQUIRED,
@@ -56,7 +58,7 @@ from riskshift.harness.runners import (
 )
 from riskshift.inverse import denoise_grid
 from riskshift.risk import MetricKind
-from riskshift.shiftmodel import ShiftParameters
+from riskshift.shiftmodel import ShiftParameters, subspace_shift_model
 from riskshift.subspace import SubspacePairSpec, haar_basis, overlap_coefficient, overlapping_pair
 from riskshift.theory import classification_relation
 
@@ -354,8 +356,7 @@ def test_readme_csv_table_matches_the_runners(tmp_path):
         kind: (columns.split(","), key.strip("()").split(", "))
         for kind, columns, key in re.findall(r"^\| `([a-z-]+)` \| `([^`]+)` \| `([^`]+)` \|$", section, flags=re.M)
     }
-    docstring = dict(re.findall(r"^  ([a-z-]+): +(\S+)$", runners.__doc__, flags=re.M))
-    assert sorted(table) == sorted(docstring) == sorted(ALL_KINDS)
+    assert sorted(table) == sorted(ALL_KINDS)
     rng = np.random.default_rng(0)
     for name in ("p", "q"):
         np.savetxt(tmp_path / f"{name}.txt", rng.standard_normal((12, 5)))
@@ -371,7 +372,7 @@ def test_readme_csv_table_matches_the_runners(tmp_path):
     }
     for kind, (columns, key) in table.items():
         header, rows = riskshift.harness.RUNNERS[kind](config_from_mapping(kind, small[kind]))
-        assert header == columns == docstring[kind].split(","), kind
+        assert header == columns, kind
         # the key orders the rows strictly: it is sorted and names each row once
         keys = [tuple(row[name] for name in key) for row in rows]
         assert len(keys) > 1 and keys == sorted(set(keys)), kind
@@ -513,6 +514,33 @@ def test_regression_sweep_without_shift_keeps_risk():
         assert row["risk_q_pred"] == pytest.approx(row["risk_p"], abs=1e-10)
         assert row["gamma"] == pytest.approx(1.0, abs=1e-12)
         assert row["mu"] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3, 7])
+def test_regression_rows_split_their_gap_exactly(seed):
+    # with e = V^T (beta_hat - beta*), s and q the eigenvalues of Sigma_P and Sigma_Q,
+    # risk_q - risk_q_pred = (sum s e^2 / d) (qbar_e - gamma) for qbar_e = sum q s e^2 / sum s e^2:
+    # the mean of q on the support weighted by the error's energy against gamma, weighted by beta*'s
+    geometry = {"d": "40", "d_p": "30", "d_q": "24", "d_pq": "18", "n": "60", "trials": "3"}
+    config = config_from_mapping(KIND_REGRESSION, geometry, seed_override=seed)
+    _, rows = run_regression_sweep(config)
+    by_cell = {(row["trial"], row["lambda"]): row for row in rows}
+    lams = config["lambda_grid"]
+    assert len(by_cell) == len(rows) == 3 * len(lams)
+    spec = SubspacePairSpec(40, 30, 24, 18)
+    for t in range(3):
+        pair = subspace_shift_model(spec, config["tau"], stream(seed, t, 0))
+        beta_star = sample_beta(spec.d, config["sigma_beta_sq"], stream(seed, t, 1))
+        x = sample_covariates(pair, config["n"], stream(seed, t, 2))
+        y = label(x, beta_star, LinearGaussian(math.sqrt(config["noise_var"])), stream(seed, t, 3))
+        s, q = pair.eigvals_p, pair.eigvals_q
+        for lam, beta_hat in zip(lams, ridge_fit(x, y, lams)):
+            row = by_cell[t, lam]
+            e_sq = pair.rotate(beta_hat - beta_star) ** 2
+            support_energy = float(np.sum(s * e_sq))
+            q_bar = float(np.sum(q * s * e_sq)) / support_energy
+            split = support_energy / pair.d * (q_bar - row["gamma"])
+            assert abs(row["risk_q"] - row["risk_q_pred"] - split) <= 1e-11 * row["risk_q"]
 
 
 def test_each_sweep_fits_its_ridge_grid_once_per_label_vector(monkeypatch):

@@ -21,10 +21,8 @@ from riskshift.shiftmodel import (
 )
 from riskshift.subspace import OrthonormalBasis, SubspacePairSpec, haar_basis
 from riskshift.theory import (
-    _B_GRID,
     asymptotic_decision_cov,
     classification_relation,
-    covariance_functionals,
     finite_dim_linearity,
     monotonicity_check_classification,
     monotonicity_check_regression,
@@ -33,7 +31,11 @@ from riskshift.theory import (
     regression_relation,
 )
 
-from oracles import classification_relation_inverse
+from oracles import (
+    classification_relation_inverse,
+    resolvent_classification_verdict,
+    resolvent_regression_verdict,
+)
 
 
 def _subspace_setup(seed=3, tau=2.0):
@@ -253,51 +255,77 @@ def test_classification_identity_is_relative_exact_at_small_train_risks(mu):
         assert abs(classification_relation(risk_p, shift) - risk_q) <= 1e-12 * risk_q
 
 
-def test_covariance_functionals_projector_simplifications():
-    pair, beta = _subspace_setup(seed=5)
-    shift = shift_parameters(pair, beta, 1.0)
-    r_p = pair.d_p / pair.d
-    f = covariance_functionals(pair, beta)
-    scale = 1.0 + _B_GRID
-    assert f.gamma_p.shape == (16,)
-    npt.assert_allclose(f.gamma_p, f.omega_p / scale, rtol=1e-12)
-    npt.assert_allclose(f.lambda_p, f.omega_p / scale**2, rtol=1e-12)
-    npt.assert_allclose(f.theta_p, r_p / scale**2, rtol=1e-12)
-    # per-coordinate cancellation makes the ratio the plug-in gamma exactly
-    npt.assert_allclose(f.gamma_q / f.gamma_p, shift.gamma, rtol=1e-12)
-    npt.assert_allclose(f.lambda_q / f.lambda_p, shift.gamma, rtol=1e-12)
-    npt.assert_allclose(f.theta_q / f.theta_p, shift.kappa, rtol=1e-12)
+@st.composite
+def checked_pairs(draw):
+    """(pair, beta*) on d <= 30: a subspace pair, random binary Sigma_P with Sigma_Q >= 0, or a task-dependent pair."""
+    kind = draw(st.sampled_from(["subspace", "binary", "task-dependent"]))
+    d = draw(st.integers(2, 30))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if kind == "binary":
+        e_p = (rng.uniform(size=d) < draw(st.floats(0.0, 1.0))).astype(np.float64)
+        # some zero Sigma_Q eigenvalues, or Sigma_Q = Sigma_P
+        e_q = rng.uniform(0.0, 3.0, size=d) * (rng.uniform(size=d) < 0.7)
+        pair = CovariancePair(haar_basis(d, d, seed), e_p, e_p.copy() if draw(st.booleans()) else e_q)
+    else:
+        d_p = draw(st.integers(1, d))
+        d_q = draw(st.integers(1, d))
+        d_pq = draw(st.integers(max(0, d_p + d_q - d), min(d_p, d_q)))
+        pair = subspace_shift_model(SubspacePairSpec(d, d_p, d_q, d_pq), draw(st.floats(0.1, 10.0)), seed)
+    # block-normalized beta* makes the regression relation hold on a subspace pair
+    beta = _block_normalized_beta(pair, seed + 1) if draw(st.booleans()) else rng.standard_normal(d)
+    if kind == "task-dependent":
+        try:
+            pair = task_dependent_model(pair, beta, target_ratio=draw(st.floats(0.5, 5.0)))
+        except NumericInputError:
+            assume(False)
+    # the checks do not see beta*'s scale
+    return pair, beta * 10.0 ** draw(st.floats(-3.0, 3.0))
 
 
-def test_covariance_functionals_same_covariance_matches():
-    rng = np.random.default_rng(7)
-    d = 40
-    v = haar_basis(d, d, seed=2)
-    e_p = (rng.uniform(size=d) < 0.6).astype(np.float64)
-    pair = CovariancePair(v, e_p, e_p.copy())
-    beta = rng.standard_normal(d)
-    f = covariance_functionals(pair, beta)
-    assert f.omega_q == pytest.approx(f.omega_p, rel=1e-12)
-    npt.assert_allclose(f.gamma_q, f.gamma_p, rtol=1e-12)
-    npt.assert_allclose(f.lambda_q, f.lambda_p, rtol=1e-12)
-    npt.assert_allclose(f.theta_q, f.theta_p, rtol=1e-12)
+def _gap(got, want):
+    return 0.0 if got == want else abs(got - want)
 
 
-def test_covariance_functionals_validation():
-    pair, _ = _subspace_setup(seed=9)
-    with pytest.raises(NumericInputError):
-        covariance_functionals(pair, np.full(pair.d, np.nan))
+@settings(max_examples=300, deadline=None, database=None)
+@given(checked_pairs())
+def test_monotonicity_checks_match_the_resolvent_functionals_at_16_shifts(case):
+    # the closed form reads four support energies; the reference evaluates the
+    # functionals for any eigenvalues at 16 shifts b in [1e-3, 1e3]
+    pair, beta = case
+    checks = (
+        # max_deviation is |kappa - rho| / rho, and both routes round kappa - rho
+        (monotonicity_check_regression, resolvent_regression_verdict, lambda v: max(1.0, v.max_deviation)),
+        # the reference rounds composites of size rho / mu that the closed form reads as constants
+        (monotonicity_check_classification, resolvent_classification_verdict, lambda v: max(1.0, v.rho / (v.rho + v.u0))),
+    )
+    for check, reference, deviation_scale in checks:
+        try:
+            want = reference(pair.eigvals_p, pair.eigvals_q, pair.rotate(beta))
+        except NumericInputError:
+            with pytest.raises(NumericInputError, match="no energy on the Sigma_P support"):
+                check(pair, beta)
+            continue
+        got = check(pair, beta)
+        assert got.holds == want.holds
+        assert _gap(got.rho, want.rho) <= 1e-12 * want.rho
+        # u0 = mu - rho cancels to rounding where kappa = gamma: relative to the larger term
+        assert _gap(got.u0, want.u0) <= 1e-12 * max(want.rho, want.rho + want.u0)
+        assert _gap(got.max_deviation, want.max_deviation) <= 1e-12 * deviation_scale(want)
 
 
 def test_monotonicity_checks_reject_a_beta_star_whose_squares_overflow():
     # finite coordinates whose squares are inf would give both verdicts rho = nan
     pair = subspace_shift_model(SubspacePairSpec(20, 12, 10, 6), 2.0, 5)
-    beta = np.full(20, 1e200)
+    # squares of 1e308 each are finite, and their sum over the support is not
+    plain = CovariancePair(OrthonormalBasis(np.eye(4)), np.array([1.0, 1.0, 1.0, 0.0]), np.array([2.0, 2.0, 0.0, 1.0]))
+    cases = ((pair, np.full(20, 1e200)), (pair, np.full(20, np.nan)), (plain, np.full(4, 1e154)))
     # the squares overflow inside the check, which raises its own error, not numpy's
-    with np.errstate(over="raise"):
-        for check in (monotonicity_check_regression, monotonicity_check_classification):
-            with pytest.raises(NumericInputError):
-                check(pair, beta)
+    with np.errstate(over="raise", invalid="raise"):
+        for built, beta in cases:
+            for check in (monotonicity_check_regression, monotonicity_check_classification):
+                with pytest.raises(NumericInputError, match="beta_star must be finite"):
+                    check(built, beta)
 
 
 def test_monotonicity_regression_subspace_model_holds():
@@ -318,6 +346,10 @@ def test_monotonicity_regression_task_dependent_fails():
     assert not verdict_td.holds
     # Theta ratio is kappa while Gamma ratio is gamma: deviation near ratio - 1
     assert verdict_td.max_deviation == pytest.approx(4.0, abs=0.05)
+    # block-normalized beta* carries energy d_p on the support, so rho is the plug-in gamma
+    td_shift = shift_parameters(built, beta, 1.0)
+    assert verdict_td.rho == pytest.approx(td_shift.gamma, rel=1e-12)
+    assert verdict_td.max_deviation == pytest.approx(abs(td_shift.kappa - td_shift.gamma) / td_shift.gamma, rel=1e-12)
 
 
 def test_monotonicity_regression_no_shift_and_errors():
@@ -333,6 +365,12 @@ def test_monotonicity_regression_no_shift_and_errors():
     off = CovariancePair(OrthonormalBasis(np.eye(4)), np.array([1.0, 1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0, 1.0]))
     with pytest.raises(NumericInputError, match="no energy on the Sigma_P support; ratios"):
         monotonicity_check_regression(off, np.array([0.0, 0.0, 1.0, 1.0]))
+    # Sigma_Q vanishes on the support: rho = 0 holds for no kappa, and the composites have no Q scale
+    verdict = monotonicity_check_regression(off, np.ones(4))
+    assert not verdict.holds
+    assert verdict.rho == 0.0 and verdict.max_deviation == math.inf
+    with pytest.raises(NumericInputError, match="composites are undefined"):
+        monotonicity_check_classification(off, np.ones(4))
 
 
 def test_monotonicity_classification_subspace_and_task_dependent():
