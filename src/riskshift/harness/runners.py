@@ -50,6 +50,7 @@ from riskshift.risk import (
 )
 from riskshift.shiftmodel import (
     ShiftParameters,
+    _shift_energies,
     shift_parameters,
     subspace_shift_model,
     task_dependent_model,
@@ -153,11 +154,11 @@ def run_regression_sweep(config):
         # bias amplification and the intercept equals the realized
         # off-support energy under Sigma_Q, so the prediction is free of the
         # O(d^-1/2) ground-truth-norm fluctuation
-        b = pair.rotate(beta_star)
-        with np.errstate(over="ignore"):
-            support_ms = float(np.sum(pair.eigvals_p * b * b)) / pair.d_p
-        if not math.isfinite(support_ms):
-            raise NumericInputError(f"beta*'s mean square on the Sigma_P support is {support_ms}, past the float range")
+        e_s, _, _, p, _ = _shift_energies(pair, beta_star)
+        try:
+            support_ms = math.ldexp(e_s, 2 * p) / pair.d_p
+        except OverflowError:
+            raise NumericInputError("beta*'s mean square on the Sigma_P support is inf, past the float range") from None
         shift = shift_parameters(pair, beta_star, support_ms)
         # the affine squared-risk map needs gamma = kappa exactly; for this
         # model class they differ only by finite-d fluctuation, so the

@@ -103,40 +103,62 @@ def subspace_shift_model(spec, tau, seed):
     return CovariancePair(v, e_p, e_q)
 
 
+def _shift_energies(pair, beta_star):
+    """beta*'s energies e_S = sum s b^2, e_QS = sum q s b^2, e_Q = sum q b^2 in units of 4^p, p, and kappa = sum q s / d_P.
+
+    s, q are the shared-basis eigenvalues and b the rotated coordinates of beta* 2^-p, whose largest |entry| lies
+    in [1/2, 1), so no square (nor the rotation) over- or underflows and the energies' ratios are free of its scale.
+    """
+    beta_star = np.asarray(beta_star, dtype=np.float64)
+    if not np.all(np.isfinite(beta_star)):
+        raise NumericInputError("beta_star must be finite")
+    beta_unit, p = _unit_scaled(beta_star)
+    b = pair.rotate(beta_unit)
+    b_sq = b * b
+    s = pair.eigvals_p
+    q = pair.eigvals_q
+    qs = q * s
+    # b^2 <= d, so only a Sigma_Q eigenvalue near the float range overflows a sum
+    with np.errstate(over="ignore"):
+        sums = np.array([np.sum(s * b_sq), np.sum(qs * b_sq), np.sum(q * b_sq), np.sum(qs)])
+    if not np.all(np.isfinite(sums)):
+        raise NumericInputError("Sigma_Q's eigenvalues put an energy or kappa past the float range at any scale of beta*")
+    e_s, e_qs, e_q, trace = sums.tolist()
+    # an empty support has e_S = 0, which every caller refuses before reading kappa
+    return e_s, e_qs, e_q, p, trace / max(pair.d_p, 1)
+
+
 def shift_parameters(pair, beta_star, sigma_beta_sq):
     """Finite-dimensional plug-in values of the scalar shift descriptors.
 
     gamma = beta_P*^T Sigma_Q beta_P* / (d_p sigma_beta^2),
     mu    = beta*^T Sigma_Q beta* / beta_P*^T Sigma_Q beta_P*,
     kappa = tr(Sigma_Q Pi_P) / d_p,  r_p = d_p / d,
-    with beta_P* the projection of beta* onto the Sigma_P support.
+    with beta_P* the projection of beta* onto the Sigma_P support.  mu and
+    kappa do not depend on beta*'s scale; a gamma that underflows to 0 is
+    refused by name.
     """
-    beta_star = np.asarray(beta_star, dtype=np.float64)
-    if not np.all(np.isfinite(beta_star)):
-        raise NumericInputError("beta_star must be finite")
+    _, e_qs, e_q, p, kappa = _shift_energies(pair, beta_star)
     if not (math.isfinite(sigma_beta_sq) and sigma_beta_sq > 0):
         raise NumericInputError("sigma_beta_sq must be a positive finite scalar")
-    b, p = _unit_scaled(pair.rotate(beta_star))
-    s = pair.eigvals_p
-    q = pair.eigvals_q
     d_p = pair.d_p
     if d_p == 0:
         raise NumericInputError("Sigma_P support is empty")
-    b_sq = b * b
-    # the energies of b 2^-p scaled back by 2^2p: no square overflows, and a sum
-    # past the float range is inf here (kappa is named by ShiftParameters)
+    # the energies scaled back by 2^2p: a sum past the float range is inf here
     with np.errstate(over="ignore"):
-        support_energy, total_energy = np.ldexp([np.sum(q * s * b_sq), np.sum(q * b_sq)], 2 * p).tolist()
-        kappa = float(np.sum(q * s)) / d_p
+        support_energy, total_energy = np.ldexp([e_qs, e_q], 2 * p).tolist()
     if not math.isfinite(total_energy):
         raise NumericInputError(f"beta*^T Sigma_Q beta* is {total_energy}, past the float range")
     # relative gate: rotation roundoff leaves O(eps^2) energy on coordinates
     # that are exactly zero in exact arithmetic
-    if support_energy <= 1e-20 * max(total_energy, 1e-300):
+    if e_qs <= 1e-20 * e_q:
         raise NumericInputError("beta* carries no Sigma_Q energy on the Sigma_P support")
+    gamma = support_energy / (d_p * sigma_beta_sq)
+    if gamma == 0.0:
+        raise NumericInputError(f"gamma underflows to 0 at sigma_beta_sq = {sigma_beta_sq}")
     return ShiftParameters(
-        gamma=support_energy / (d_p * sigma_beta_sq),
-        mu=total_energy / support_energy,
+        gamma=gamma,
+        mu=e_q / e_qs,
         kappa=kappa,
         r_p=d_p / pair.d,
         sigma_beta_sq=float(sigma_beta_sq),

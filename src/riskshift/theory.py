@@ -7,8 +7,8 @@ classification relation (affine in sec^2 of pi times the risk), the
 asymptotic 2x2 decision covariances of a three-parameter estimator family,
 the monotonicity checks in closed form (for a projector Sigma_P every
 resolvent ratio they compare is one ratio of beta*'s support energies at all
-shifts), finite-dimensional linearity diagnostics, and the probit/arctan gap
-bound on a fixed grid of [-10, 10].
+shifts, so no verdict depends on beta*'s scale), finite-dimensional linearity
+diagnostics, and the probit/arctan gap bound on a fixed grid of [-10, 10].
 """
 
 import math
@@ -18,7 +18,7 @@ import numpy as np
 
 from riskshift.errors import InvalidDimensionError, NumericInputError
 from riskshift.risk import DecisionCov, _std_normal_cdf
-from riskshift.shiftmodel import ShiftParameters
+from riskshift.shiftmodel import ShiftParameters, _shift_energies
 
 _GAMMA_KAPPA_REL_TOL = 1e-6
 _BELOW_HALF = math.nextafter(0.5, 0.0)
@@ -104,26 +104,6 @@ def classification_relation(risk_p, shift):
     return min(math.atan(math.sqrt(tan_sq_q)) / math.pi, _BELOW_HALF)
 
 
-def _support_energies(pair, beta_star):
-    """beta*'s energies e_S = sum s b^2, e_QS = sum q s b^2 and e_Q = sum q b^2, and kappa = sum q s / d_P.
-
-    s, q are the shared-basis eigenvalues and b the rotated coordinates of
-    beta*.  Sigma_P is a projector, so each resolvent functional of the pair at
-    a shift b > 0 is one of these sums, or d_P, times (1 + b)^-m.
-    """
-    bb = pair.rotate(np.asarray(beta_star, dtype=np.float64))
-    s = pair.eigvals_p
-    q = pair.eigvals_q
-    # a finite coordinate above ~1.3e154 squares to inf, and finite squares can sum past the float range
-    with np.errstate(over="ignore", invalid="ignore"):
-        b_sq = bb * bb
-        energies = (float(np.sum(s * b_sq)), float(np.sum(q * s * b_sq)), float(np.sum(q * b_sq)))
-    if not all(map(math.isfinite, energies)):
-        raise NumericInputError("beta_star must be finite and its energies too")
-    # an empty support has e_S = 0, which both checks refuse before reading kappa
-    return (*energies, float(np.sum(q * s)) / max(pair.d_p, 1))
-
-
 def monotonicity_check_regression(pair, beta_star):
     """Do Gamma/Lambda/Theta under Q equal a single multiple rho of those under P?
 
@@ -132,11 +112,9 @@ def monotonicity_check_regression(pair, beta_star):
     Gamma and Lambda ratios are both rho = e_QS / e_S and the Theta ratio is
     kappa at every b, so the check holds iff |kappa - rho| / rho <= 1e-8.
     """
-    e_s, e_qs, _, kappa = _support_energies(pair, beta_star)
+    e_s, e_qs, _, _, kappa = _shift_energies(pair, beta_star)
     if e_s <= 0.0:
-        raise NumericInputError(
-            "beta* carries no energy on the Sigma_P support; ratios are undefined"
-        )
+        raise NumericInputError("beta* carries no energy on the Sigma_P support; ratios are undefined")
     rho = e_qs / e_s
     if rho <= 0.0:
         return MonotonicityVerdict(holds=False, rho=rho, u0=0.0, max_deviation=math.inf)
@@ -155,11 +133,9 @@ def monotonicity_check_classification(pair, beta_star):
     rho = mu * kappa * e_S / e_QS, u0 = mu - rho, and the relation holds, with
     max_deviation 0, for every pair a CovariancePair can hold.
     """
-    e_s, e_qs, e_q, kappa = _support_energies(pair, beta_star)
+    e_s, e_qs, e_q, _, kappa = _shift_energies(pair, beta_star)
     if e_s <= 0.0 or e_qs <= 0.0:
-        raise NumericInputError(
-            "beta* carries no energy on the Sigma_P support; composites are undefined"
-        )
+        raise NumericInputError("beta* carries no energy on the Sigma_P support; composites are undefined")
     mu = e_q / e_qs
     rho = mu * kappa * e_s / e_qs
     return MonotonicityVerdict(holds=True, rho=rho, u0=mu - rho, max_deviation=0.0)

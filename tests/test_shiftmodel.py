@@ -108,6 +108,10 @@ def test_shift_parameters_figure_geometry():
     assert abs(shift.gamma - 14 / 9) < 0.2
     assert abs(shift.mu - 8 / 7) < 0.05
     assert shift.mu >= 1.0
+    # beta*'s squares are subnormal here, and mu, kappa are ratios free of its scale
+    tiny = shift_parameters(pair, 1e-160 * beta, 1.0)
+    assert abs(tiny.mu - shift.mu) <= 1e-15 * shift.mu
+    assert abs(tiny.kappa - shift.kappa) <= 1e-15 * shift.kappa
 
 
 def test_shift_parameters_exact_for_block_equal_beta():
@@ -125,6 +129,9 @@ def test_shift_parameters_requires_support_energy():
     beta = pair.eigenbasis.columns @ np.concatenate([np.zeros(4), np.ones(6)])
     with pytest.raises(NumericInputError, match="no Sigma_Q energy on the Sigma_P support"):
         shift_parameters(pair, beta, 1.0)
+    # beta* has support energy, but gamma at sigma_beta_sq = 1 is below the smallest float
+    with pytest.raises(NumericInputError, match="underflows to 0"):
+        shift_parameters(pair, 1e-170 * _random_beta(10, 1.0, 8), 1.0)
 
 
 def test_shift_parameters_invariants_enforced():

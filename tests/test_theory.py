@@ -314,18 +314,30 @@ def test_monotonicity_checks_match_the_resolvent_functionals_at_16_shifts(case):
         assert _gap(got.max_deviation, want.max_deviation) <= 1e-12 * deviation_scale(want)
 
 
-def test_monotonicity_checks_reject_a_beta_star_whose_squares_overflow():
-    # finite coordinates whose squares are inf would give both verdicts rho = nan
+def test_monotonicity_verdicts_do_not_depend_on_beta_star_scale():
+    # both verdicts are ratios of beta*'s energies, which are summed in units of a power of two
     pair = subspace_shift_model(SubspacePairSpec(20, 12, 10, 6), 2.0, 5)
-    # squares of 1e308 each are finite, and their sum over the support is not
     plain = CovariancePair(OrthonormalBasis(np.eye(4)), np.array([1.0, 1.0, 1.0, 0.0]), np.array([2.0, 2.0, 0.0, 1.0]))
-    cases = ((pair, np.full(20, 1e200)), (pair, np.full(20, np.nan)), (plain, np.full(4, 1e154)))
-    # the squares overflow inside the check, which raises its own error, not numpy's
+    # squares of 1e-170 underflow and of 1e200 overflow; squares of 1e154 are finite, their sum is not
+    cases = ((pair, np.random.default_rng(5).standard_normal(20), (1e-170, 1e-160, 1e200)), (plain, np.ones(4), (1e154, 1e300)))
     with np.errstate(over="raise", invalid="raise"):
-        for built, beta in cases:
+        for built, beta, scales in cases:
+            mu = shift_parameters(built, beta, 1.0).mu
             for check in (monotonicity_check_regression, monotonicity_check_classification):
+                ref = check(built, beta)
+                for scale in scales:
+                    got = check(built, scale * beta)
+                    assert got.holds == ref.holds
+                    assert abs(got.rho - ref.rho) <= 1e-15 * ref.rho
+                    assert abs(got.u0 - ref.u0) <= 1e-15 * max(ref.rho, mu)
+                    assert abs(got.max_deviation - ref.max_deviation) <= 1e-15 * max(1.0, ref.max_deviation)
                 with pytest.raises(NumericInputError, match="beta_star must be finite"):
-                    check(built, beta)
+                    check(built, np.full(len(beta), np.nan))
+    # no scale of beta* brings sums over Sigma_Q's own eigenvalues back into range
+    huge = CovariancePair(OrthonormalBasis(np.eye(2)), np.ones(2), np.full(2, 1e308))
+    for check in (monotonicity_check_regression, monotonicity_check_classification):
+        with pytest.raises(NumericInputError, match="past the float range at any scale of beta"):
+            check(huge, np.ones(2))
 
 
 def test_monotonicity_regression_subspace_model_holds():
