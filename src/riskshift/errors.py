@@ -24,9 +24,11 @@ class NumericInputError(RiskshiftError, ValueError):
     input outside a relation's domain: a decision covariance factor with a
     negative diagonal entry or l21 != 0 where l11 = 0, a zero-variance
     decision score, a ground truth with no energy on the train support, a
-    gamma that underflows to 0, a kappa/gamma outside the reachable band of the
-    task-dependent rebuild, the affine squared-risk map at gamma != kappa, and
-    a risk outside the relation's domain.  The message names the condition.
+    gamma that underflows to 0, an energy or mean square past the float range,
+    a kappa/gamma outside the reachable band of the task-dependent rebuild,
+    that band leaving the float range at beta*'s scale or its bisection missing
+    its 1e-10 rule, the affine squared-risk map at gamma != kappa, and a risk
+    outside the relation's domain.  The message names the condition.
     """
 
 

@@ -50,7 +50,7 @@ from riskshift.risk import (
 )
 from riskshift.shiftmodel import (
     ShiftParameters,
-    _shift_energies,
+    _support_mean_square,
     shift_parameters,
     subspace_shift_model,
     task_dependent_model,
@@ -154,11 +154,7 @@ def run_regression_sweep(config):
         # bias amplification and the intercept equals the realized
         # off-support energy under Sigma_Q, so the prediction is free of the
         # O(d^-1/2) ground-truth-norm fluctuation
-        e_s, _, _, p, _ = _shift_energies(pair, beta_star)
-        try:
-            support_ms = math.ldexp(e_s, 2 * p) / pair.d_p
-        except OverflowError:
-            raise NumericInputError("beta*'s mean square on the Sigma_P support is inf, past the float range") from None
+        support_ms = _support_mean_square(pair, beta_star)[0]
         shift = shift_parameters(pair, beta_star, support_ms)
         # the affine squared-risk map needs gamma = kappa exactly; for this
         # model class they differ only by finite-d fluctuation, so the
@@ -195,18 +191,17 @@ def run_classification_sweep(config):
     linear scores.  Each row carries its trial's shift parameters, from which
     classification_relation gives its risk_q_pred.
 
-    Sigma_Q is rebuilt from beta*'s energies on the Sigma_P support.  The risks
-    see the shift only through kappa/gamma and mu, which no rescaling of Sigma_Q
-    or beta* changes, so the input pair is Sigma_Q = Sigma_P and beta* has unit
-    variance.
+    Sigma_Q is rebuilt from beta*'s energies on the Sigma_P support, and the
+    input pair's Sigma_Q (here Sigma_P) is not read; beta* has unit variance,
+    the scale in which the rebuild's eps0 = 1e-8 is set.
     """
     ms = config["master_seed"]
     d_p = config["d_p"]
     spec = SubspacePairSpec(config["d"], d_p, d_p, d_p)
     rows = []
     for t in range(config["trials"]):
-        # the rebuild keeps the eigenbasis and Sigma_P, so x drawn from the input
-        # pair is the x of the rebuilt one
+        # the rebuild keeps the eigenbasis and Sigma_P and reads no Sigma_Q, so x
+        # drawn from the input pair is the x of the rebuilt one
         pair, beta_star, x = _draw_trial(config, t, spec, 1.0, 1.0)
         pair = task_dependent_model(pair, beta_star, target_ratio=config["kappa_over_gamma"])
         shift = shift_parameters(pair, beta_star, 1.0)

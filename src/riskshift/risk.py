@@ -26,7 +26,7 @@ import numpy as np
 import numpy.random  # numpy loads it lazily; load it with the package, not inside a run
 
 from riskshift import _gauss_legendre
-from riskshift.errors import NumericInputError
+from riskshift.errors import InvalidDimensionError, NumericInputError
 
 # order k of the surrogate quadrature; the value uses the rule of order 2k
 _QUAD_ORDER = 150
@@ -80,13 +80,9 @@ def decision_cov(beta_star, beta_hat, pair):
     and l21 = chi / l11 for chi = sum e b* b / d; l22^2 = sum e r^2 / d is taken from the
     residual r = b - (chi / l11^2) b*, so it does not cancel as v - l21^2 would.
     """
-    bs = pair.rotate(np.asarray(beta_star, dtype=np.float64))
-    bh = pair.rotate(np.asarray(beta_hat, dtype=np.float64))
-    if not (np.all(np.isfinite(bs)) and np.all(np.isfinite(bh))):
-        raise NumericInputError("decision vectors must be finite")
-    # each vector is scaled by a power of two to a largest entry in [1/2, 1),
-    # exactly, so that no square under- or overflows; the factor is scaled back
-    (bs, ps), (bh, ph) = _unit_scaled(bs), _unit_scaled(bh)
+    # each vector is scaled by a power of two before it is rotated, so neither
+    # the rotation nor a square under- or overflows; the factor is scaled back
+    (bs, ps), (bh, ph) = (_basis_coordinates(pair, v, "decision vectors") for v in (beta_star, beta_hat))
     d = pair.d
     covs = []
     for e in (pair.eigvals_p, pair.eigvals_q):
@@ -132,11 +128,20 @@ def _residual(b, c, b_star):
     return r - error
 
 
-def _unit_scaled(b):
-    """(b 2^-p, p) with the largest |entry| of b 2^-p in [1/2, 1); p = 0 for b = 0."""
-    top = float(np.max(np.abs(b)))
+def _basis_coordinates(pair, vec, name):
+    """(b, p): coordinates b in pair's shared eigenbasis of vec 2^-p, whose largest |entry| is in [1/2, 1) or 0 (p = 0).
+
+    Shape and finiteness are checked first.  The scaling is exact and a rotation rounds a vector scaled by a power
+    of two as it rounds the vector (no entry subnormal), so b 2^p is the rotated vec wherever that is in range.
+    """
+    vec = np.asarray(vec, dtype=np.float64)
+    if vec.shape != (pair.d,):
+        raise InvalidDimensionError(f"expected vector of length {pair.d}, got {vec.shape}")
+    if not np.all(np.isfinite(vec)):
+        raise NumericInputError(f"{name} must be finite")
+    top = float(np.max(np.abs(vec)))
     p = math.frexp(top)[1] if top > 0 else 0
-    return np.ldexp(b, -p), p
+    return pair.rotate(np.ldexp(vec, -p)), p
 
 
 def squared_risk(cov):

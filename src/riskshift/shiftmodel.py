@@ -13,11 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from riskshift.errors import InvalidDimensionError, NumericInputError
-from riskshift.risk import _unit_scaled
+from riskshift.risk import _basis_coordinates
 from riskshift.subspace import OrthonormalBasis, SubspacePairSpec, _frozen_array, haar_basis
-
-_RATIO_TOL = 1e-3
-_GAMMA_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -109,11 +106,7 @@ def _shift_energies(pair, beta_star):
     s, q are the shared-basis eigenvalues and b the rotated coordinates of beta* 2^-p, whose largest |entry| lies
     in [1/2, 1), so no square (nor the rotation) over- or underflows and the energies' ratios are free of its scale.
     """
-    beta_star = np.asarray(beta_star, dtype=np.float64)
-    if not np.all(np.isfinite(beta_star)):
-        raise NumericInputError("beta_star must be finite")
-    beta_unit, p = _unit_scaled(beta_star)
-    b = pair.rotate(beta_unit)
+    b, p = _basis_coordinates(pair, beta_star, "beta_star")
     b_sq = b * b
     s = pair.eigvals_p
     q = pair.eigvals_q
@@ -165,10 +158,25 @@ def shift_parameters(pair, beta_star, sigma_beta_sq):
     )
 
 
+def _support_mean_square(pair, beta_star):
+    """(m, b, p): beta*'s mean square m on the Sigma_P support, read from Sigma_P alone, and _basis_coordinates' b, p."""
+    b, p = _basis_coordinates(pair, beta_star, "beta_star")
+    e_s = float(np.sum(pair.eigvals_p * (b * b)))
+    # relative gate, as in shift_parameters (rotation roundoff leaves O(eps^2) energy off a span); refuses d_P = 0 too
+    if e_s <= 1e-20 * float(np.sum(b * b)):
+        raise NumericInputError("beta* vanishes on the Sigma_P support")
+    try:
+        return math.ldexp(e_s, 2 * p) / pair.d_p, b, p
+    except OverflowError:
+        raise NumericInputError("beta*'s mean square on the Sigma_P support is inf, past the float range") from None
+
+
 def _ratio_of_exponent(log_v, b_sq_sup, s):
-    # kappa/gamma of the power family q_j = v_j^s restricted to the support
-    w = np.exp(s * log_v)
-    return float(np.sum(w)) / float(np.sum(w * b_sq_sup))
+    # kappa/gamma of the power family q_j = v_j^s on the support; a sum past the
+    # float range or underflowing to 0 gives 0, inf or nan, which callers refuse
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        w = np.exp(s * log_v)
+        return float(np.sum(w) / np.sum(w * b_sq_sup))
 
 
 def task_dependent_model(pair, beta_star, target_ratio):
@@ -179,32 +187,30 @@ def task_dependent_model(pair, beta_star, target_ratio):
     support eigenvalues follow the one-parameter power family
     q_j = (b_j^2 + eps0)^s with eps0 = 1e-8.  The realized kappa/gamma is
     strictly decreasing in s (s < 0 makes the shift harder, kappa > gamma), so
-    bisection on s in [-8, 8] hits target_ratio; a final global scale keeps the
-    input pair's gamma without moving the ratio.
+    bisection on s in [-8, 8] meets target_ratio to within 1e-10 relative; a
+    final global scale sets gamma to beta*'s mean square on the Sigma_P
+    support, the gamma of Sigma_Q = Sigma_P, so the input's Sigma_Q is not read.
     """
     if not (math.isfinite(target_ratio) and target_ratio > 0):
         raise NumericInputError("target_ratio must be a positive finite scalar")
-    # also rejects a non-finite beta_star and an empty Sigma_P support
-    target_gamma = shift_parameters(pair, beta_star, 1.0).gamma
-    beta_star = np.asarray(beta_star, dtype=np.float64)
-    b = pair.rotate(beta_star)
+    # also rejects a non-finite beta_star and one with no energy on the Sigma_P support
+    target_gamma, b_unit, p = _support_mean_square(pair, beta_star)
     sup = pair.eigvals_p == 1.0
-    d_p = pair.d_p
-    b_sq_sup = b[sup] ** 2
-    if float(np.sum(b_sq_sup)) <= 0.0:
-        raise NumericInputError("beta* vanishes on the Sigma_P support")
+    # the mean square is finite, so no square on the support overflows
+    b_sq_sup = np.ldexp(b_unit[sup], p) ** 2
 
     log_v = np.log(b_sq_sup + 1e-8)
     lo, hi = -8.0, 8.0
     # ratio is decreasing in s, so the reachable band is [ratio(hi), ratio(lo)]
     ratio_lo = _ratio_of_exponent(log_v, b_sq_sup, lo)
     ratio_hi = _ratio_of_exponent(log_v, b_sq_sup, hi)
+    if not all(0.0 < r < math.inf for r in (ratio_hi, ratio_lo)):
+        raise NumericInputError("kappa/gamma of the power family leaves the float range at this scale of beta*")
     if not ratio_hi <= target_ratio <= ratio_lo:
         raise NumericInputError(
             f"target kappa/gamma {target_ratio} outside reachable band "
             f"[{ratio_hi:.6g}, {ratio_lo:.6g}] of the power family"
         )
-    s_mid = 0.0
     for _ in range(200):
         s_mid = 0.5 * (lo + hi)
         ratio_mid = _ratio_of_exponent(log_v, b_sq_sup, s_mid)
@@ -214,19 +220,9 @@ def task_dependent_model(pair, beta_star, target_ratio):
             lo = s_mid
         else:
             hi = s_mid
+    else:
+        raise NumericInputError(f"bisection ended at kappa/gamma {ratio_mid!r}, not within 1e-10 of {target_ratio}")
     q_sup = np.exp(s_mid * log_v)
-    gamma_raw = float(np.sum(q_sup * b_sq_sup)) / d_p
-    q_sup *= target_gamma / gamma_raw
-
     e_q = np.zeros(pair.d)
-    e_q[sup] = q_sup
-    out = CovariancePair(pair.eigenbasis, pair.eigvals_p, e_q)
-    realized = shift_parameters(out, beta_star, 1.0)
-    ratio_err = abs(realized.kappa / realized.gamma - target_ratio) / target_ratio
-    gamma_err = abs(realized.gamma - target_gamma) / target_gamma
-    if ratio_err > _RATIO_TOL or gamma_err > _GAMMA_TOL:
-        raise NumericInputError(
-            f"construction missed targets: kappa/gamma off by {ratio_err:.3g} rel, "
-            f"gamma off by {gamma_err:.3g} rel"
-        )
-    return out
+    e_q[sup] = q_sup * (target_gamma / (float(np.sum(q_sup * b_sq_sup)) / pair.d_p))
+    return CovariancePair(pair.eigenbasis, pair.eigvals_p, e_q)

@@ -1119,19 +1119,23 @@ def test_package_import_and_closed_form_runners_load_no_scipy(tmp_path):
     assert probe["imported"][KIND_DENOISE] == []
 
 
-def test_no_module_under_src_imports_scipy():
+def _package_trees():
+    """(path, parsed module) of every .py file under the riskshift package."""
     package = os.path.dirname(riskshift.__file__)
-    modules = [
-        os.path.join(root, name)
-        for root, _, names in os.walk(package)
-        for name in names
-        if name.endswith(".py")
-    ]
-    assert len(modules) >= 15
+    trees = []
+    for root, _, names in os.walk(package):
+        for name in names:
+            if name.endswith(".py"):
+                path = os.path.join(root, name)
+                with open(path, encoding="utf-8") as fh:
+                    trees.append((path, ast.parse(fh.read(), filename=path)))
+    assert len(trees) >= 15
+    return trees
+
+
+def test_no_module_under_src_imports_scipy():
     offenders = []
-    for path in modules:
-        with open(path, encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), filename=path)
+    for path, tree in _package_trees():
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
@@ -1141,6 +1145,24 @@ def test_no_module_under_src_imports_scipy():
                 continue
             offenders += [(path, n) for n in names if n.split(".")[0] == "scipy"]
     assert offenders == []
+
+
+def test_only_one_function_under_src_rotates_into_the_shared_basis():
+    # every vector reaches the shared eigenbasis scaled by a power of two first,
+    # through risk._basis_coordinates; a second .rotate( call would bypass it
+    callers = []
+
+    def visit(node, module, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "rotate":
+            callers.append((module, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, owner)
+
+    for path, tree in _package_trees():
+        visit(tree, os.path.basename(path), None)
+    assert callers == [("risk.py", "_basis_coordinates")]
 
 
 def _public_members(module):

@@ -157,6 +157,20 @@ def test_misclassification_is_the_same_at_extreme_scales():
     assert [misclassification_risk(cov) for cov in tiny] == [misclassification_risk(cov) for cov in unit]
 
 
+def test_decision_cov_scales_before_it_rotates():
+    # b-hat = 2^1023 u lies close to the basis's first column v0, so its first
+    # rotated coordinate is past the float range though every entry is finite;
+    # scaled first, it is rotated as u is, and the risks are u's bit for bit
+    pair = subspace_shift_model(SubspacePairSpec(40, 30, 24, 18), 2.0, 3)
+    beta_star = np.random.default_rng(4).standard_normal(40)
+    v0 = pair.eigenbasis.columns[:, 0]
+    u = v0 / np.max(np.abs(v0)) + 0.01 * beta_star / np.max(np.abs(beta_star))
+    u /= np.max(np.abs(u))
+    want = [misclassification_risk(cov) for cov in decision_cov(beta_star, u, pair)]
+    got = [misclassification_risk(cov) for cov in decision_cov(beta_star, np.ldexp(u, 1023), pair)]
+    assert got == want
+
+
 def test_decision_cov_stays_finite_where_its_ratio_cannot_be_split():
     # Sigma_Q weighs only the coordinate where b* is 2^-1021, so chi / omega*
     # is 2^1020, past the 2^996 at which Dekker's split overflows; the residual

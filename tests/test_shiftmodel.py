@@ -7,7 +7,7 @@ import pytest
 from riskshift.datagen import sample_beta
 from riskshift.errors import InvalidDimensionError, NumericInputError
 from riskshift.harness.selftest import _block_normalized_beta
-from riskshift.risk import decision_cov, misclassification_risk
+from riskshift.risk import decision_cov
 from riskshift.shiftmodel import (
     CovariancePair,
     ShiftParameters,
@@ -16,6 +16,7 @@ from riskshift.shiftmodel import (
     task_dependent_model,
 )
 from riskshift.subspace import OrthonormalBasis, SubspacePairSpec, haar_basis
+from riskshift.theory import monotonicity_check_classification, monotonicity_check_regression
 
 from oracles import sigma_dense
 
@@ -129,6 +130,9 @@ def test_shift_parameters_requires_support_energy():
     beta = pair.eigenbasis.columns @ np.concatenate([np.zeros(4), np.ones(6)])
     with pytest.raises(NumericInputError, match="no Sigma_Q energy on the Sigma_P support"):
         shift_parameters(pair, beta, 1.0)
+    # the rebuild reads no Sigma_Q, so it gates beta*'s energy on the support itself
+    with pytest.raises(NumericInputError, match="vanishes on the Sigma_P support"):
+        task_dependent_model(pair, beta, 1.0)
     # beta* has support energy, but gamma at sigma_beta_sq = 1 is below the smallest float
     with pytest.raises(NumericInputError, match="underflows to 0"):
         shift_parameters(pair, 1e-170 * _random_beta(10, 1.0, 8), 1.0)
@@ -156,47 +160,77 @@ def test_task_dependent_ratio_one_is_task_independent():
 def test_task_dependent_hits_ratio_and_gamma():
     pair = subspace_shift_model(SubspacePairSpec(300, 240, 200, 160), 2.0, 41)
     beta = _random_beta(300, 1.0, 42)
-    base = shift_parameters(pair, beta, 1.0)
+    # gamma is beta*'s mean square on the Sigma_P support, the gamma of Sigma_Q = Sigma_P
+    support_ms = float(np.sum(pair.rotate(beta)[:240] ** 2)) / 240
     for ratio in (0.3, 2.0, 5.0):
         built = task_dependent_model(pair, beta, target_ratio=ratio)
         # the rebuild keeps the input's basis object, so its frame is not checked again
         assert built.eigenbasis is pair.eigenbasis
         shift = shift_parameters(built, beta, 1.0)
-        assert shift.kappa / shift.gamma == pytest.approx(ratio, rel=5e-3)
-        assert shift.gamma == pytest.approx(base.gamma, rel=1e-6)
+        # the bisection stops within 1e-10 relative, and the plug-in rounds a few eps more
+        assert shift.kappa / shift.gamma == pytest.approx(ratio, rel=1e-10 + 1e-14)
+        assert shift.gamma == pytest.approx(support_ms, rel=1e-12)
         # same train-side law
         npt.assert_array_equal(built.eigvals_p, pair.eigvals_p)
         # Q-weights confined to the support
         assert np.all(built.eigvals_q[built.eigvals_p == 0.0] == 0.0)
 
 
-def test_task_dependent_rebuild_sees_the_input_pair_only_through_its_scale():
-    # why the classification sweep has no tau, d_q, d_pq or sigma_beta_sq: from the
-    # default regression pair or from Sigma_Q = Sigma_P, the rebuilt Sigma_Q differs
-    # by one factor, which kappa/gamma, mu and misclassification risk do not see
+def test_task_dependent_rebuild_reads_no_sigma_q():
+    # why the classification sweep has no tau, d_q, d_pq or sigma_beta_sq: pairs that
+    # share the eigenbasis and Sigma_P rebuild the same Sigma_Q, bit for bit, whatever
+    # their own Sigma_Q, even one that is 0 or whose energies pass the float range
     beta = sample_beta(800, 1.0, 1)
-    shifted, plain = (
-        task_dependent_model(subspace_shift_model(SubspacePairSpec(800, 720, d_q, d_pq), tau, 0), beta, 5.0)
-        for d_q, d_pq, tau in ((640, 560, 2.0), (720, 720, 1.0))
+    base = subspace_shift_model(SubspacePairSpec(800, 720, 640, 560), 2.0, 0)
+    sigma_qs = (
+        base.eigvals_q,
+        base.eigvals_p,
+        np.random.default_rng(2).uniform(0.0, 10.0, 800),
+        np.zeros(800),
+        np.full(800, 1e308),
     )
-    npt.assert_array_equal(shifted.eigvals_p, plain.eigvals_p)
-    scale = shifted.eigvals_q[0] / plain.eigvals_q[0]
-    npt.assert_allclose(shifted.eigvals_q, scale * plain.eigvals_q, rtol=1e-12, atol=0.0)
-    a, b = shift_parameters(shifted, beta, 1.0), shift_parameters(plain, beta, 1.0)
-    assert a.kappa / a.gamma == pytest.approx(b.kappa / b.gamma, rel=1e-12)
-    assert a.mu == pytest.approx(b.mu, rel=1e-12)
-    rng = np.random.default_rng(2)
-    # a wide angle and a tiny one: the risk is the angle atan2(l22, l21) / pi, which
-    # the common factor of Sigma_Q's rebuild moves by rounding only
-    for spread in (1.0, 1e-6):
-        beta_hat = beta + spread * rng.standard_normal(800)
-        (p_shifted, q_shifted), (p_plain, q_plain) = (
-            decision_cov(beta, beta_hat, pair) for pair in (shifted, plain)
-        )
-        assert p_shifted == p_plain
-        assert misclassification_risk(q_shifted) == pytest.approx(
-            misclassification_risk(q_plain), rel=8 * np.finfo(np.float64).eps
-        )
+    built = [
+        task_dependent_model(CovariancePair(base.eigenbasis, base.eigvals_p, e_q), beta, 5.0).eigvals_q
+        for e_q in sigma_qs
+    ]
+    for eigvals_q in built[1:]:
+        npt.assert_array_equal(eigvals_q, built[0])
+
+
+def test_task_dependent_at_every_scale_of_beta_star_meets_its_target_or_names_its_refusal():
+    # eps0 = 1e-8 is in unit-variance units, so the reachable band moves with beta*'s
+    # scale; from 1e-160 to 1e300 the rebuild either meets kappa/gamma = 5 or refuses
+    # by name, with no bare exception or numpy warning (warnings are errors here)
+    pair = subspace_shift_model(SubspacePairSpec(40, 30, 24, 18), 2.0, 3)
+    beta = np.random.default_rng(4).standard_normal(40)
+    causes = ("outside reachable band", "leaves the float range", "past the float range")
+    met = []
+    for k in range(-160, 301):
+        scaled = 10.0**k * beta
+        try:
+            built = task_dependent_model(pair, scaled, 5.0)
+        except NumericInputError as exc:
+            assert any(cause in str(exc) for cause in causes), (k, str(exc))
+            continue
+        shift = shift_parameters(built, scaled, 1.0)
+        assert shift.kappa / shift.gamma == pytest.approx(5.0, rel=1e-10 + 1e-14), k
+        met.append(k)
+    assert 0 in met
+    # the scales that meet the target form one run around 1
+    assert met == list(range(met[0], met[-1] + 1))
+
+
+@pytest.mark.parametrize("entry", [
+    lambda pair, beta: shift_parameters(pair, beta, 1.0),
+    monotonicity_check_regression,
+    monotonicity_check_classification,
+    lambda pair, beta: task_dependent_model(pair, beta, 2.0),
+    lambda pair, beta: decision_cov(beta, np.ones(pair.d), pair),
+], ids=["shift_parameters", "check_regression", "check_classification", "task_dependent_model", "decision_cov"])
+def test_empty_beta_star_is_a_shape_error(entry):
+    pair = subspace_shift_model(SubspacePairSpec(10, 6, 5, 3), 2.0, 5)
+    with pytest.raises(InvalidDimensionError, match="expected vector of length 10"):
+        entry(pair, np.array([]))
 
 
 def test_task_dependent_unreachable_ratio():
