@@ -2,15 +2,15 @@
 
 One key per line, `#` starts a comment, unknown or duplicate keys are hard
 errors.  Every kind accepts `kind` (must match the subcommand), `master_seed`,
-and `output_path`.  Kinds with a regularization sweep take its log-spaced
-grid as the trio `lambda_min` / `lambda_max` / `lambda_points` and resolve it
-to the list `values["lambda_grid"]`.
+and `output_path`.  Each swept grid is the trio `<name>_min` / `<name>_max` /
+`<name>_points` (`lambda`, `a` or `risk_p`), resolved under one rule to the
+strictly increasing float list `values["<name>_grid"]`.
 
 Each key declares its parser, its default and its range: (comparison, limit)
 bounds met by the value, or by each entry of a list.  Every given value is
 parsed first, then `--seed` / `--out` replace theirs, then each final value is
-checked against its key's range, then the lambda grid is built and the kind's
-one rule across keys (subspace dimensions, ordered grid ends) runs.
+checked against its key's range, then each trio's grid is resolved and the
+kind's one rule across keys (subspace dimensions) runs.
 """
 
 import math
@@ -141,19 +141,13 @@ def _require_support(values):
 
 
 def _require_overlaps(values):
-    for a in values["a_grid"]:
+    # the overlap dimension of each target, kept for the runner as values["d_pq_grid"]
+    values["d_pq_grid"] = [int(round(a * values["d_q"])) for a in values["a_grid"]]
+    for a, d_pq in zip(values["a_grid"], values["d_pq_grid"]):
         try:
-            SubspacePairSpec(values["d"], values["d_p"], values["d_q"], int(round(a * values["d_q"])))
+            SubspacePairSpec(values["d"], values["d_p"], values["d_q"], d_pq)
         except InvalidDimensionError as exc:
             raise ConfigError(f"a_grid entry {a} gives invalid dimensions: {exc}") from exc
-
-
-def _require_increasing(low, high):
-    def rule(values):
-        if not values[low] < values[high]:
-            raise ConfigError(f"{low} must be < {high}")
-
-    return rule
 
 
 def _require_cs(values):
@@ -189,7 +183,7 @@ _SCHEMAS = {
         "risk_p_min": _Field(_parse_float, 0.01, _POSITIVE),
         "risk_p_max": _Field(_parse_float, 0.49, (("<", 0.5),)),
         "risk_p_points": _Field(_parse_int, 99, _AT_LEAST_TWO),
-    }, _require_increasing("risk_p_min", "risk_p_max")),
+    }),
     KIND_DENOISE: _schema(KIND_DENOISE, {
         **_lambda_fields(50),
         **_HAAR_GEOMETRY,
@@ -207,7 +201,7 @@ _SCHEMAS = {
         "a_min": _Field(_parse_float, 0.05, _POSITIVE),
         "a_max": _Field(_parse_float, 30.0),
         "a_points": _Field(_parse_int, 40, _AT_LEAST_TWO),
-    }, _require_increasing("a_min", "a_max")),
+    }),
     KIND_CS: _schema(KIND_CS, {
         **_HAAR_GEOMETRY,
         "d_pq": _Field(_parse_int, 20),
@@ -245,15 +239,24 @@ def _check_range(key, field, value):
                 raise ConfigError(f"key '{key}' must be {bound}, got {item}")
 
 
-def _build_lambda_grid(values):
-    lo, hi, points = values["lambda_min"], values["lambda_max"], values["lambda_points"]
-    if points > 1 and not lo < hi:
-        raise ConfigError("lambda_min must be < lambda_max")
-    arr = np.geomspace(lo, hi, points)
-    # ends a few ulps apart give a grid with repeated values
-    if arr.size > 1 and np.min(np.diff(arr)) <= 0:
-        raise ConfigError("lambda grid must be strictly increasing")
-    values["lambda_grid"] = [float(t) for t in arr]
+_TRIO_SPACING = {"lambda": np.geomspace, "a": np.geomspace, "risk_p": np.linspace}
+
+
+def _resolve_trios(values):
+    """values["<name>_grid"] of each trio the kind has: a strictly increasing float list."""
+    for name, spacing in _TRIO_SPACING.items():
+        if f"{name}_points" not in values:
+            continue
+        lo, hi, points = values[f"{name}_min"], values[f"{name}_max"], values[f"{name}_points"]
+        if points > 1 and not lo < hi:
+            raise ConfigError(f"{name}_min must be < {name}_max")
+        # geomspace's last power may round past the largest float; it then sets that end to hi
+        with np.errstate(over="ignore"):
+            arr = spacing(lo, hi, points)
+        # ends a few ulps apart give a grid with repeated values
+        if arr.size > 1 and np.min(np.diff(arr)) <= 0:
+            raise ConfigError(f"{name} grid must be strictly increasing")
+        values[f"{name}_grid"] = [float(t) for t in arr]
 
 
 def parse_config_text(text):
@@ -309,7 +312,6 @@ def config_from_mapping(kind, mapping=None, seed_override=None, out_override=Non
         values["output_path"] = _parse_str("output_path", out_override)
     for key, field in fields.items():
         _check_range(key, field, values[key])
-    if "lambda_points" in fields:
-        _build_lambda_grid(values)
+    _resolve_trios(values)
     rule(values)
     return ExperimentConfig(kind=kind, values=values)

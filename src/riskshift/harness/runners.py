@@ -243,20 +243,19 @@ def run_relation_curves(config):
     The classification relation reads only gamma, mu and kappa; r_p and
     sigma_beta_sq are fixed placeholders.
     """
-    grid = np.linspace(config["risk_p_min"], config["risk_p_max"], config["risk_p_points"])
     curves = [("mu", mu, 1.0) for mu in config["mu_grid"]]
     curves += [("ratio", config["mu_fixed"], ratio) for ratio in config["ratio_grid"]]
     rows = []
     for curve, mu, ratio in curves:
         shift = ShiftParameters(gamma=1.0, mu=mu, kappa=ratio, r_p=1.0, sigma_beta_sq=1.0)
-        for risk_p in grid:
+        for risk_p in config["risk_p_grid"]:
             rows.append(
                 {
                     "curve": curve,
                     "mu": mu,
                     "kappa_over_gamma": ratio,
-                    "risk_p": float(risk_p),
-                    "risk_q": classification_relation(float(risk_p), shift),
+                    "risk_p": risk_p,
+                    "risk_q": classification_relation(risk_p, shift),
                 }
             )
     rows.sort(key=lambda r: (r["curve"], r["mu"], r["kappa_over_gamma"], r["risk_p"]))
@@ -276,8 +275,7 @@ def run_denoising(config):
     noise = np.array([[1.0 / snr] for snr in snrs])
     lam = np.array(config["lambda_grid"])
     overlaps, grids = [], []
-    for i, a_target in enumerate(a_grid):
-        d_pq = int(round(a_target * d_q))
+    for i, d_pq in enumerate(config["d_pq_grid"]):
         u_p, u_q = overlapping_pair(SubspacePairSpec(d, d_p, d_q, d_pq), stream(ms, 0, _GRID_SLOT_BASE + i))
         overlaps.append(overlap_coefficient(u_p, u_q))
         grids.append(denoise_grid(overlaps[-1], d_p, d_q, noise, noise, lam))
@@ -310,7 +308,7 @@ def run_counterexample(config):
         r_p=config["r_p"],
         sigma_beta_sq=config["sigma_beta_sq"],
     )
-    a_grid = np.geomspace(config["a_min"], config["a_max"], config["a_points"]).tolist()
+    a_grid = config["a_grid"]
     covs = [asymptotic_decision_cov(a, config["b"], config["c"], shift) for a in a_grid]
     rows = [
         {

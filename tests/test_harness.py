@@ -150,23 +150,38 @@ def test_config_text_one_point_nonpositive_lambda_max(kind, lambda_max):
     _fails_only_with_config_error(kind, f"lambda_points = 1\nlambda_max = {lambda_max}\n")
 
 
-def test_config_lambda_grid_is_built_from_the_trio():
-    cfg = config_from_mapping(
-        KIND_DENOISE, {"lambda_min": "0.1", "lambda_max": "1.0", "lambda_points": "2"}
-    )
-    assert cfg["lambda_grid"] == [0.1, 1.0]
-    trio = config_from_mapping(
-        KIND_DENOISE, {"lambda_min": "0.1", "lambda_max": "10", "lambda_points": "3"}
-    )
-    np.testing.assert_allclose(trio["lambda_grid"], [0.1, 1.0, 10.0], rtol=1e-12)
-    with pytest.raises(ConfigError, match="lambda_min must be < lambda_max"):
-        config_from_mapping(KIND_DENOISE, {"lambda_min": "1.0", "lambda_max": "0.1"})
-    # ends one ulp apart: np.geomspace repeats a value
-    one_ulp = repr(math.nextafter(0.1, 1.0))
-    with pytest.raises(ConfigError, match="strictly increasing"):
-        config_from_mapping(
-            KIND_DENOISE, {"lambda_min": "0.1", "lambda_max": one_ulp, "lambda_points": "5"}
-        )
+# (kind, trio, its spacing, ends and point count, the grid they give)
+_TRIOS = [
+    pytest.param(KIND_DENOISE, "lambda", np.geomspace, 0.1, 10.0, 3, [0.1, 1.0, 10.0], id="denoise-lambda"),
+    pytest.param(KIND_COUNTEREXAMPLE, "a", np.geomspace, 0.25, 4.0, 3, [0.25, 1.0, 4.0], id="counterexample-a"),
+    pytest.param(KIND_RELATION, "risk_p", np.linspace, 0.1, 0.4, 4, [0.1, 0.2, 0.3, 0.4], id="relation-curves-risk_p"),
+]
+
+
+@pytest.mark.parametrize("kind,name,spacing,low,high,points,grid", _TRIOS)
+def test_config_grid_is_built_from_the_trio(kind, name, spacing, low, high, points, grid):
+    def trio(low, high, points):
+        return {f"{name}_min": repr(low), f"{name}_max": repr(high), f"{name}_points": str(points)}
+
+    built = config_from_mapping(kind, trio(low, high, points))[f"{name}_grid"]
+    assert built == [float(t) for t in spacing(low, high, points)]
+    assert all(type(t) is float for t in built)
+    np.testing.assert_allclose(built, grid, rtol=1e-12)
+    assert config_from_mapping(kind, trio(low, high, 2))[f"{name}_grid"] == [low, high]
+    with pytest.raises(ConfigError, match=f"^{name}_min must be < {name}_max$"):
+        config_from_mapping(kind, trio(high, low, points))
+    # ends one ulp apart: the spacing repeats a value
+    with pytest.raises(ConfigError, match=f"^{name} grid must be strictly increasing$"):
+        config_from_mapping(kind, trio(low, math.nextafter(low, 1.0), 5))
+
+
+# the largest float as an end once raised geomspace's overflow warning
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind,name", [(KIND_DENOISE, "lambda"), (KIND_COUNTEREXAMPLE, "a")])
+def test_config_geometric_grid_may_end_at_the_largest_float(kind, name):
+    grid = config_from_mapping(kind, {f"{name}_max": repr(sys.float_info.max)})[f"{name}_grid"]
+    assert grid[-1] == sys.float_info.max
+    assert all(map(math.isfinite, grid)) and grid == sorted(set(grid))
 
 
 def test_config_overrides_and_defaults(tmp_path):
@@ -211,7 +226,7 @@ _RANGE_EDGES = [
     pytest.param(KIND_RELATION, "ratio_grid", [0.0], [_TINY], {}, id="relation-curves-ratio_grid-rejected21-accepted21-others21"),
     pytest.param(KIND_RELATION, "mu_fixed", _BELOW_ONE, 1.0, {}, id="relation-curves-mu_fixed-0.9999999999999999-1.0-others22"),
     pytest.param(KIND_RELATION, "risk_p_min", 0.0, _TINY, {}, id="relation-curves-risk_p_min-0.0-5e-324-others23"),
-    pytest.param(KIND_RELATION, "risk_p_min", 0.49, math.nextafter(0.49, 0.0), {}, id="relation-curves-risk_p_min-0.49-0.48999999999999994-others24"),
+    pytest.param(KIND_RELATION, "risk_p_min", 0.49, math.nextafter(0.49, 0.0), {"risk_p_points": 2}, id="relation-curves-risk_p_min-0.49-0.48999999999999994-others24"),
     pytest.param(KIND_RELATION, "risk_p_max", 0.5, math.nextafter(0.5, 0.0), {}, id="relation-curves-risk_p_max-0.5-0.49999999999999994-others25"),
     pytest.param(KIND_RELATION, "risk_p_points", 1, 2, {}, id="relation-curves-risk_p_points-1-2-others26"),
     pytest.param(KIND_DENOISE, "a_grid", [-0.1], [0.0], {}, id="denoise-a_grid-rejected27-accepted27-others27"),
@@ -227,7 +242,7 @@ _RANGE_EDGES = [
     pytest.param(KIND_COUNTEREXAMPLE, "c", 0.0, _TINY, {}, id="counterexample-c-0.0-5e-324-others37"),
     pytest.param(KIND_COUNTEREXAMPLE, "mu", _BELOW_ONE, 1.0, {}, id="counterexample-mu-0.9999999999999999-1.0-others38"),
     pytest.param(KIND_COUNTEREXAMPLE, "a_min", 0.0, _TINY, {}, id="counterexample-a_min-0.0-5e-324-others39"),
-    pytest.param(KIND_COUNTEREXAMPLE, "a_min", 30.0, math.nextafter(30.0, 0.0), {}, id="counterexample-a_min-30.0-29.999999999999996-others40"),
+    pytest.param(KIND_COUNTEREXAMPLE, "a_min", 30.0, math.nextafter(30.0, 0.0), {"a_points": 2}, id="counterexample-a_min-30.0-29.999999999999996-others40"),
     pytest.param(KIND_COUNTEREXAMPLE, "a_points", 1, 2, {}, id="counterexample-a_points-1-2-others41"),
     pytest.param(KIND_CS, "snr", 0.0, _TINY, {}, id="cs-validate-snr-0.0-5e-324-others42"),
     pytest.param(KIND_CS, "trials", 0, 1, {}, id="cs-validate-trials-0-1-others43"),
@@ -986,9 +1001,10 @@ def test_cli_one_point_zero_lambda_max_is_config_error(tmp_path, capsys):
 
 
 # 1e14 float64 entries (728 TiB) exceed any address space, so numpy refuses the
-# allocation at once: in config validation for the lambda grid, in the runner
-# for the alignment grid
-@pytest.mark.parametrize("kind,key", [("denoise", "lambda_points"), ("counterexample", "a_points")])
+# allocation at once; every grid is allocated in config validation
+@pytest.mark.parametrize(
+    "kind,key", [("denoise", "lambda_points"), ("counterexample", "a_points"), ("relation-curves", "risk_p_points")]
+)
 def test_cli_unallocatable_config_is_numeric_error(tmp_path, capsys, kind, key):
     out = tmp_path / "out.csv"
     cfg = _cli_config(tmp_path, f"kind = {kind}\n{key} = 100000000000000\noutput_path = {out}\n")
@@ -1163,6 +1179,24 @@ def test_only_one_function_under_src_rotates_into_the_shared_basis():
     for path, tree in _package_trees():
         visit(tree, os.path.basename(path), None)
     assert callers == [("risk.py", "_basis_coordinates")]
+
+
+def test_runners_build_no_grid():
+    # every swept grid is resolved once, in config, and a runner reads the resolved list
+    called = {
+        node.func.attr for node in ast.walk(ast.parse(inspect.getsource(runners)))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+    }
+    assert "lexsort" in called
+    assert called.isdisjoint({"geomspace", "linspace"})
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_default_config_values_are_json(kind):
+    # perfbench writes config.values into its record with json.dumps
+    paths = {"input_p": "p.txt", "input_q": "q.txt"} if kind == KIND_SUBSPACE else {}
+    values = config_from_mapping(kind, paths).values
+    assert json.loads(json.dumps(values)) == values
 
 
 def _public_members(module):

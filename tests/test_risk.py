@@ -494,8 +494,8 @@ def _counterexample_covs():
     )
     return [
         cov
-        for a in np.geomspace(cfg["a_min"], cfg["a_max"], cfg["a_points"])
-        for cov in asymptotic_decision_cov(float(a), cfg["b"], cfg["c"], shift)
+        for a in cfg["a_grid"]
+        for cov in asymptotic_decision_cov(a, cfg["b"], cfg["c"], shift)
     ]
 
 
