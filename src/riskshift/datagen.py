@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from riskshift.errors import InvalidDimensionError, NumericInputError
-from riskshift.subspace import _frozen_array
+from riskshift.subspace import _checked_array, _frozen_array
 
 
 @dataclass(frozen=True)
@@ -61,18 +61,8 @@ def sample_covariates(pair, n, seed):
 
 def label(x, beta_star, kind, seed):
     """Labels for the rows of x under the requested generator, with ground truth beta_star."""
-    beta_star = np.asarray(beta_star, dtype=np.float64)
-    if beta_star.ndim != 1 or beta_star.size == 0:
-        raise InvalidDimensionError("beta_star must be a nonempty 1-d vector")
-    if not np.all(np.isfinite(beta_star)):
-        raise NumericInputError("beta_star must be finite")
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != beta_star.size:
-        raise InvalidDimensionError(
-            f"x must be a matrix with {beta_star.size} columns, got shape {x.shape}"
-        )
-    if not np.all(np.isfinite(x)):
-        raise NumericInputError("x must be finite")
+    beta_star = _checked_array("beta_star", beta_star, (None,))
+    x = _checked_array("x", x, (None, beta_star.size))
     z = x @ beta_star
     rng = np.random.default_rng(seed)
     if isinstance(kind, LinearGaussian):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from riskshift.errors import InvalidDimensionError, NumericInputError
-from riskshift.subspace import _frozen_array
+from riskshift.subspace import _checked_array, _frozen_array
 
 _ARMIJO_C = 1e-4
 _MIN_STEP = 1e-12
@@ -30,11 +30,7 @@ class FittedModel:
     converged: bool
 
     def __post_init__(self):
-        beta = np.asarray(self.beta_hat, dtype=np.float64)
-        if beta.ndim != 1:
-            raise InvalidDimensionError("beta_hat must be a 1-d vector")
-        if not np.all(np.isfinite(beta)):
-            raise NumericInputError("beta_hat must be finite")
+        beta = _checked_array("beta_hat", self.beta_hat, (None,))
         object.__setattr__(self, "beta_hat", _frozen_array(beta))
 
 
@@ -45,15 +41,8 @@ def _check_problem(x, y, lams):
         raise InvalidDimensionError(f"lams must be a nonempty 1-d grid, got shape {lams.shape}")
     if not np.all(np.isfinite(lams) & (lams > 0)):
         raise NumericInputError("ridge weight lam must be a positive finite scalar")
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 2 or x.size == 0:
-        raise InvalidDimensionError(f"x must be a nonempty matrix, got shape {x.shape}")
-    if y.shape != (x.shape[0],):
-        raise InvalidDimensionError(f"y must have one entry per row of x: {y.shape} vs {x.shape}")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise NumericInputError("x and y must be finite")
-    return x, y, lams
+    x = _checked_array("x", x, (None, None))
+    return x, _checked_array("y", y, (x.shape[0],)), lams
 
 
 def ridge_fit(x, y, lams):

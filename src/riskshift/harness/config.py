@@ -4,7 +4,8 @@ One key per line, `#` starts a comment, unknown or duplicate keys are hard
 errors.  Every kind accepts `kind` (must match the subcommand), `master_seed`,
 and `output_path`.  Each swept grid is the trio `<name>_min` / `<name>_max` /
 `<name>_points` (`lambda`, `a` or `risk_p`), resolved under one rule to the
-strictly increasing float list `values["<name>_grid"]`.
+strictly increasing float list `values["<name>_grid"]`; a list-valued grid
+repeats no entry.
 
 Each key declares its parser, its default and its range: (comparison, limit)
 bounds met by the value, or by each entry of a list.  Every given value is
@@ -66,7 +67,7 @@ def _parse_str(key, value):
 
 
 def _list_of(parse_item):
-    """Parser of a nonempty comma-separated list (or sequence) of parse_item values."""
+    """Parser of a nonempty comma-separated list (or sequence) of distinct parse_item values."""
 
     def parse(key, value):
         if isinstance(value, (list, tuple, np.ndarray)):
@@ -75,7 +76,10 @@ def _list_of(parse_item):
             items = [t for t in str(value).split(",") if t.strip()]
         if not items:
             raise ConfigError(f"key '{key}' must be a nonempty comma-separated list")
-        return [parse_item(key, item) for item in items]
+        parsed = [parse_item(key, item) for item in items]
+        if len(set(parsed)) < len(parsed):
+            raise ConfigError(f"key '{key}' must not repeat an entry, got {parsed}")
+        return parsed
 
     return parse
 

@@ -18,7 +18,7 @@ from riskshift.errors import (
     InvalidDimensionError,
     NumericInputError,
 )
-from riskshift.subspace import OrthonormalBasis, overlap_coefficient
+from riskshift.subspace import OrthonormalBasis, _checked_array, overlap_coefficient
 
 
 @dataclass(frozen=True)
@@ -130,16 +130,10 @@ def gaussian_measurement(n, d, seed):
 def sketch_bases(a_matrix, problem):
     """B = A [U_P U_Q], the n x (d_P + d_Q) image of both bases under A.
 
-    It is the only product with A that cs_risks needs, and, with the
-    stacked bases, all that inner_product_preservation_stats needs.
+    It is the only product with A that cs_risks and
+    inner_product_preservation_stats need.
     """
-    a_matrix = np.asarray(a_matrix, dtype=np.float64)
-    if a_matrix.ndim != 2 or a_matrix.shape[1] != problem.d:
-        raise InvalidDimensionError(
-            f"A must have {problem.d} columns, got shape {a_matrix.shape}"
-        )
-    if not np.all(np.isfinite(a_matrix)):
-        raise NumericInputError("A must be finite")
+    a_matrix = _checked_array("A", a_matrix, (None, problem.d))
     return a_matrix @ np.hstack([problem.u_p.columns, problem.u_q.columns])
 
 
@@ -156,13 +150,7 @@ def cs_risks(sketch, problem):
     where sum_i t_i = tr(S^T S M).  At m = 1 (A orthonormal on the subspaces)
     k = 1 - alpha and eta k = alpha: denoise_grid's closed forms.
     """
-    b = np.asarray(sketch, dtype=np.float64)
-    if b.ndim != 2 or b.shape[1] != problem.d_p + problem.d_q:
-        raise InvalidDimensionError(
-            f"the sketch A [U_P U_Q] must have {problem.d_p + problem.d_q} columns, got shape {b.shape}"
-        )
-    if not np.all(np.isfinite(b)):
-        raise NumericInputError("the sketch A [U_P U_Q] must be finite")
+    b = _checked_array("the sketch A [U_P U_Q]", sketch, (None, problem.d_p + problem.d_q))
     n = b.shape[0]
     if problem.d_p > n or problem.d_q > n:
         raise InvalidDimensionError(
@@ -209,23 +197,13 @@ def cs_relation_residual(sketch, problem):
     )
 
 
-def inner_product_preservation_stats(sketch, vectors):
-    """Max |<Au, Av> - <u, v>| over all pairs of columns of vectors, each a unit vector.
+def inner_product_preservation_stats(sketch, problem):
+    """Max |<Au, Av> - <u, v>| over all pairs of columns u, v of [U_P U_Q].
 
-    sketch is the product A @ vectors, e.g. the output of sketch_bases with
-    vectors = [U_P U_Q].
+    sketch is the product A [U_P U_Q], the output of sketch_bases.
     """
-    au = np.asarray(sketch, dtype=np.float64)
-    u = np.asarray(vectors, dtype=np.float64)
-    if u.ndim != 2 or u.shape[1] == 0:
-        raise InvalidDimensionError("vectors must be a matrix with one unit vector per column, at least one")
-    if au.ndim != 2 or au.shape[1] != u.shape[1]:
-        raise InvalidDimensionError(
-            f"the sketch A @ vectors must be a matrix with {u.shape[1]} columns, got shape {au.shape}"
-        )
-    norms = np.linalg.norm(u, axis=0)
-    if np.max(np.abs(norms - 1.0)) > 1e-8:
-        raise NumericInputError("all vectors must be unit norm")
+    u = np.hstack([problem.u_p.columns, problem.u_q.columns])
+    au = _checked_array("the sketch A [U_P U_Q]", sketch, (None, u.shape[1]))
     gram_before = u.T @ u
     gram_after = au.T @ au
     return float(np.max(np.abs(gram_after - gram_before)))

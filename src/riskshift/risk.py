@@ -26,7 +26,8 @@ import numpy as np
 import numpy.random  # numpy loads it lazily; load it with the package, not inside a run
 
 from riskshift import _gauss_legendre
-from riskshift.errors import InvalidDimensionError, NumericInputError
+from riskshift.errors import NumericInputError
+from riskshift.subspace import _checked_array
 
 # order k of the surrogate quadrature; the value uses the rule of order 2k
 _QUAD_ORDER = 150
@@ -134,14 +135,10 @@ def _basis_coordinates(pair, vec, name):
     Shape and finiteness are checked first.  The scaling is exact and a rotation rounds a vector scaled by a power
     of two as it rounds the vector (no entry subnormal), so b 2^p is the rotated vec wherever that is in range.
     """
-    vec = np.asarray(vec, dtype=np.float64)
-    if vec.shape != (pair.d,):
-        raise InvalidDimensionError(f"expected vector of length {pair.d}, got {vec.shape}")
-    if not np.all(np.isfinite(vec)):
-        raise NumericInputError(f"{name} must be finite")
+    vec = _checked_array(name, vec, (pair.d,))
     top = float(np.max(np.abs(vec)))
     p = math.frexp(top)[1] if top > 0 else 0
-    return pair.rotate(np.ldexp(vec, -p)), p
+    return pair.eigenbasis.columns.T @ np.ldexp(vec, -p), p
 
 
 def squared_risk(cov):

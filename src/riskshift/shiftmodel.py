@@ -14,7 +14,7 @@ import numpy as np
 
 from riskshift.errors import InvalidDimensionError, NumericInputError
 from riskshift.risk import _basis_coordinates
-from riskshift.subspace import OrthonormalBasis, SubspacePairSpec, _frozen_array, haar_basis
+from riskshift.subspace import OrthonormalBasis, SubspacePairSpec, _checked_array, _frozen_array, haar_basis
 
 
 @dataclass(frozen=True)
@@ -30,13 +30,11 @@ class CovariancePair:
         if not isinstance(v, OrthonormalBasis) or v.rank != v.ambient_dim:
             raise InvalidDimensionError("eigenbasis must be a square OrthonormalBasis")
         d = v.ambient_dim
-        e_p = np.asarray(self.eigvals_p, dtype=np.float64)
-        e_q = np.asarray(self.eigvals_q, dtype=np.float64)
-        if e_p.shape != (d,) or e_q.shape != (d,):
-            raise InvalidDimensionError("eigenvalue vectors must have length d")
+        e_p = _checked_array("eigvals_p", self.eigvals_p, (d,))
+        e_q = _checked_array("eigvals_q", self.eigvals_q, (d,))
         if not np.all((e_p == 0.0) | (e_p == 1.0)):
             raise NumericInputError("eigvals_p must be binary (projector spectrum)")
-        if not (np.all(np.isfinite(e_q)) and np.min(e_q) >= 0.0):
+        if np.min(e_q) < 0.0:
             raise NumericInputError("eigvals_q must be finite and nonnegative")
         object.__setattr__(self, "eigvals_p", _frozen_array(e_p))
         object.__setattr__(self, "eigvals_q", _frozen_array(e_q))
@@ -48,13 +46,6 @@ class CovariancePair:
     @property
     def d_p(self):
         return int(round(float(np.sum(self.eigvals_p))))
-
-    def rotate(self, vec):
-        """Coordinates of a length-d vector in the shared eigenbasis."""
-        vec = np.asarray(vec, dtype=np.float64)
-        if vec.shape != (self.d,):
-            raise InvalidDimensionError(f"expected vector of length {self.d}, got {vec.shape}")
-        return self.eigenbasis.columns.T @ vec
 
 
 @dataclass(frozen=True)

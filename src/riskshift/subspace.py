@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from riskshift.errors import InvalidDimensionError
+from riskshift.errors import InvalidDimensionError, NumericInputError
 
 _ORTHO_TOL = 1e-10
 
@@ -22,6 +22,17 @@ _ORTHO_TOL = 1e-10
 def _frozen_array(values, dtype=np.float64):
     arr = np.array(values, dtype=dtype)
     arr.flags.writeable = False
+    return arr
+
+
+def _checked_array(name, value, shape):
+    """value as a nonempty finite float64 array of the given shape; a None entry of shape is any length >= 1."""
+    arr = np.asarray(value, dtype=np.float64)
+    if arr.ndim != len(shape) or arr.size == 0 or any(n not in (None, m) for n, m in zip(shape, arr.shape)):
+        want = ", ".join("*" if n is None else str(n) for n in shape) + ("," if len(shape) == 1 else "")
+        raise InvalidDimensionError(f"{name} must have shape ({want}), got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise NumericInputError(f"{name} must be finite")
     return arr
 
 
@@ -54,11 +65,7 @@ class OrthonormalBasis:
 
     def project(self, vec):
         """Project a length-d vector onto the subspace."""
-        vec = np.asarray(vec, dtype=np.float64)
-        if vec.shape != (self.ambient_dim,):
-            raise InvalidDimensionError(
-                f"expected vector of length {self.ambient_dim}, got shape {vec.shape}"
-            )
+        vec = _checked_array("vec", vec, (self.ambient_dim,))
         return self.columns @ (self.columns.T @ vec)
 
 

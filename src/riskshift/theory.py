@@ -16,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from riskshift.errors import InvalidDimensionError, NumericInputError
+from riskshift.errors import NumericInputError
 from riskshift.risk import DecisionCov, _std_normal_cdf
 from riskshift.shiftmodel import ShiftParameters, _shift_energies
+from riskshift.subspace import _checked_array
 
 _GAMMA_KAPPA_REL_TOL = 1e-6
 _BELOW_HALF = math.nextafter(0.5, 0.0)
@@ -143,15 +144,9 @@ def monotonicity_check_classification(pair, beta_star):
 
 def _ridge_inputs(beta_star, basis, sigma_q, sigma_p_sq, sigma_q_sq):
     """beta* and Sigma_Q as float64 arrays, checked for shape and finiteness with both noise variances."""
-    beta_star = np.asarray(beta_star, dtype=np.float64)
-    sigma_q = np.asarray(sigma_q, dtype=np.float64)
     d = basis.ambient_dim
-    if beta_star.shape != (d,):
-        raise InvalidDimensionError(f"beta_star must have shape ({d},)")
-    if sigma_q.shape != (d, d):
-        raise InvalidDimensionError(f"sigma_q must have shape ({d}, {d})")
-    if not (np.all(np.isfinite(beta_star)) and np.all(np.isfinite(sigma_q))):
-        raise NumericInputError("inputs must be finite")
+    beta_star = _checked_array("beta_star", beta_star, (d,))
+    sigma_q = _checked_array("sigma_q", sigma_q, (d, d))
     for name, noise_var in (("sigma_p_sq", sigma_p_sq), ("sigma_q_sq", sigma_q_sq)):
         if not (math.isfinite(noise_var) and noise_var >= 0):
             raise NumericInputError(f"{name} must be finite and >= 0")

@@ -83,8 +83,8 @@ def exact_decision_moments(beta_star, beta_hat, pair):
     Each is the exact sum of e * b* * b* (or b* * b, b * b) / d over the float
     eigenvalues e and the float rotated coordinates, with no rounding at all.
     """
-    bs = [Fraction(t) for t in pair.rotate(beta_star).tolist()]
-    bh = [Fraction(t) for t in pair.rotate(beta_hat).tolist()]
+    bs = [Fraction(t) for t in (pair.eigenbasis.columns.T @ beta_star).tolist()]
+    bh = [Fraction(t) for t in (pair.eigenbasis.columns.T @ beta_hat).tolist()]
     moments = []
     for e in (pair.eigvals_p, pair.eigvals_q):
         terms = [(Fraction(w), s, h) for w, s, h in zip(e.tolist(), bs, bh) if w != 0.0]

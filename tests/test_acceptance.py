@@ -150,3 +150,22 @@ def test_criterion_6_fails_when_one_surrogate_stays_monotone(monkeypatch):
     monkeypatch.setattr(selftest, "run_counterexample", lambda config: (["metric"], rows))
     violated = _only_violated_bound(selftest.criterion_6())
     assert violated == "logistic violations = 0 (violates >= 1)"
+
+
+def test_criterion_7_fails_when_the_regression_rho_drifts(monkeypatch):
+    check = selftest.monotonicity_check_regression
+
+    def drifted(pair, beta):
+        verdict = check(pair, beta)
+        return dataclasses.replace(verdict, rho=verdict.rho * (1.0 + 1e-7))
+
+    monkeypatch.setattr(selftest, "monotonicity_check_regression", drifted)
+    violated = _only_violated_bound(selftest.criterion_7())
+    assert violated.startswith("subspace: regression rho relative gap = ")
+
+
+def test_criterion_10_fails_when_one_identity_is_off_by_1e_8(monkeypatch):
+    relation = selftest.regression_relation
+    monkeypatch.setattr(selftest, "regression_relation", lambda risk_p, shift: relation(risk_p, shift) + 1e-8)
+    violated = _only_violated_bound(selftest.criterion_10())
+    assert violated.startswith("max identity residual over 100 random tuples = ")

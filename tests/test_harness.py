@@ -551,7 +551,7 @@ def test_regression_rows_split_their_gap_exactly(seed):
         s, q = pair.eigvals_p, pair.eigvals_q
         for lam, beta_hat in zip(lams, ridge_fit(x, y, lams)):
             row = by_cell[t, lam]
-            e_sq = pair.rotate(beta_hat - beta_star) ** 2
+            e_sq = (pair.eigenbasis.columns.T @ (beta_hat - beta_star)) ** 2
             support_energy = float(np.sum(s * e_sq))
             q_bar = float(np.sum(q * s * e_sq)) / support_energy
             split = support_energy / pair.d * (q_bar - row["gamma"])
@@ -709,7 +709,7 @@ def test_default_denoise_rows_equal_their_one_point_problems(seed):
 
 @st.composite
 def denoise_configs(draw):
-    """Small denoise configs: d <= 16, unsorted a and snr grids with repeats, any lambda trio."""
+    """Small denoise configs: d <= 16, unsorted a and snr grids of distinct entries, any lambda trio."""
     d = draw(st.integers(1, 16))
     d_p = draw(st.integers(1, d))
     d_q = draw(st.integers(1, d))
@@ -718,9 +718,9 @@ def denoise_configs(draw):
         "d": d,
         "d_p": d_p,
         "d_q": d_q,
-        "a_grid": draw(st.lists(shared.map(lambda d_pq: d_pq / d_q), min_size=1, max_size=3)),
+        "a_grid": draw(st.lists(shared.map(lambda d_pq: d_pq / d_q), min_size=1, max_size=3, unique=True)),
         "snr_grid": draw(st.lists(st.sampled_from([1e-3, 0.5, 1.0, 100.0]) | st.floats(1e-3, 1e3),
-                                  min_size=1, max_size=3)),
+                                  min_size=1, max_size=3, unique=True)),
     }
     # ends at least 0.1% apart, so no grid of up to 4 points repeats a value
     lambda_min = draw(st.floats(1e-6, 1e3))
@@ -1014,6 +1014,23 @@ def test_cli_unallocatable_config_is_numeric_error(tmp_path, capsys, kind, key):
     assert not out.exists()
 
 
+# a repeated entry would give a CSV two rows per documented sort key
+@pytest.mark.parametrize("kind,key,value", [
+    (KIND_RELATION, "mu_grid", "1.0, 1.0"),
+    (KIND_RELATION, "ratio_grid", "0.5, 2, 0.5"),
+    (KIND_DENOISE, "a_grid", "0.5, 0.5"),
+    (KIND_DENOISE, "snr_grid", "1, 1.0"),
+    (KIND_CS, "n_grid", "500, 500"),
+])
+def test_cli_repeated_list_grid_entry_is_config_error(tmp_path, capsys, kind, key, value):
+    out = tmp_path / "out.csv"
+    cfg = _cli_config(tmp_path, f"kind = {kind}\n{key} = {value}\noutput_path = {out}\n")
+    assert main([kind, "--config", cfg]) == 2
+    err_lines = capsys.readouterr().err.splitlines()
+    assert len(err_lines) == 1 and err_lines[0].startswith(f"error: key '{key}' must not repeat an entry")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("content", [None, "", "1.0 2.0\nthree 4.0\n"], ids=["missing", "empty", "non-numeric"])
 def test_cli_unreadable_matrix_is_io_error(tmp_path, capsys, content):
     good = tmp_path / "good.txt"
@@ -1165,20 +1182,32 @@ def test_no_module_under_src_imports_scipy():
 
 def test_only_one_function_under_src_rotates_into_the_shared_basis():
     # every vector reaches the shared eigenbasis scaled by a power of two first,
-    # through risk._basis_coordinates; a second .rotate( call would bypass it
-    callers = []
+    # through risk._basis_coordinates: nothing calls .rotate(, and no other
+    # function multiplies by eigenbasis.columns.T
+    rotate_calls, products = [], []
+
+    def is_basis_transpose(node):
+        return (
+            isinstance(node, ast.Attribute) and node.attr == "T"
+            and isinstance(node.value, ast.Attribute) and node.value.attr == "columns"
+            and isinstance(node.value.value, ast.Attribute) and node.value.value.attr == "eigenbasis"
+        )
 
     def visit(node, module, owner):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner = node.name
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "rotate":
-            callers.append((module, owner))
+            rotate_calls.append((module, owner))
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+            if is_basis_transpose(node.left) or is_basis_transpose(node.right):
+                products.append((module, owner))
         for child in ast.iter_child_nodes(node):
             visit(child, module, owner)
 
     for path, tree in _package_trees():
         visit(tree, os.path.basename(path), None)
-    assert callers == [("risk.py", "_basis_coordinates")]
+    assert rotate_calls == []
+    assert products == [("risk.py", "_basis_coordinates")]
 
 
 def test_runners_build_no_grid():
@@ -1265,7 +1294,7 @@ def test_every_public_name_has_a_caller():
     # same name, does not count as a reader.
     readers = _source_readers()
     exported = _public_members(riskshift) | _public_members(riskshift.harness)
-    assert {"CovariancePair.rotate", "InverseProblem.overlap", "DecisionCov.l21"} <= exported
+    assert {"CovariancePair.d_p", "InverseProblem.overlap", "DecisionCov.l21"} <= exported
 
     def is_read(name):
         if "." in name:

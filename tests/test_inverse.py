@@ -384,40 +384,38 @@ def test_cs_relation_residual_shrinks_with_measurements():
     assert res_large < res_small
 
 
+def _pair_problem(spec, seed):
+    u_p, u_q = overlapping_pair(spec, seed)
+    return InverseProblem(u_p, u_q, 0.01, 0.01, 0.1)
+
+
 def test_inner_product_preservation():
-    rng = np.random.default_rng(37)
     d = 60
-    # an orthogonal map preserves every inner product
-    q = haar_basis(d, d, seed=41).columns
-    u = haar_basis(d, 20, seed=43).columns
-    assert inner_product_preservation_stats(q @ u, u) <= 1e-12
-    with pytest.raises(NumericInputError):
-        inner_product_preservation_stats(q @ (2.0 * u), 2.0 * u)
+    # an orthogonal map preserves every inner product of [U_P U_Q]'s 20 columns
+    prob = _pair_problem(SubspacePairSpec(d, 12, 8, 3), 43)
+    sketch = sketch_bases(haar_basis(d, d, seed=41).columns, prob)
+    assert inner_product_preservation_stats(sketch, prob) <= 1e-12
     with pytest.raises(InvalidDimensionError):
-        inner_product_preservation_stats(q @ u[:, :-1], u)
+        inner_product_preservation_stats(sketch[:, :-1], prob)
     with pytest.raises(InvalidDimensionError):
-        inner_product_preservation_stats(q @ u[:, 0], u[:, 0])
+        inner_product_preservation_stats(sketch[:, 0], prob)
     with pytest.raises(InvalidDimensionError):
-        inner_product_preservation_stats(np.zeros((5, 0)), np.zeros((3, 0)))
-    # Gaussian sketches preserve 20 vectors within 0.2 in at least 95 of 100 seeds
-    vecs = rng.standard_normal((d, 20))
-    vecs /= np.linalg.norm(vecs, axis=0)
+        inner_product_preservation_stats(sketch[:0], prob)
+    # Gaussian sketches preserve them within 0.2 in at least 95 of 100 seeds
     hits = sum(
-        inner_product_preservation_stats(gaussian_measurement(2000, d, seed) @ vecs, vecs) <= 0.2
+        inner_product_preservation_stats(sketch_bases(gaussian_measurement(2000, d, seed), prob), prob) <= 0.2
         for seed in range(100)
     )
     assert hits >= 95
 
 
 def test_inner_product_preservation_scales_with_measurements():
-    rng = np.random.default_rng(47)
     d = 60
-    vecs = rng.standard_normal((d, 10))
-    vecs /= np.linalg.norm(vecs, axis=0)
+    prob = _pair_problem(SubspacePairSpec(d, 6, 4, 2), 47)
     medians = []
     for n in (500, 8000):
         devs = [
-            inner_product_preservation_stats(gaussian_measurement(n, d, 1000 + s) @ vecs, vecs)
+            inner_product_preservation_stats(sketch_bases(gaussian_measurement(n, d, 1000 + s), prob), prob)
             for s in range(20)
         ]
         medians.append(float(np.median(devs)))

@@ -7,7 +7,7 @@ import pytest
 from riskshift.datagen import sample_beta
 from riskshift.errors import InvalidDimensionError, NumericInputError
 from riskshift.harness.selftest import _block_normalized_beta
-from riskshift.risk import decision_cov
+from riskshift.risk import _basis_coordinates, decision_cov
 from riskshift.shiftmodel import (
     CovariancePair,
     ShiftParameters,
@@ -67,7 +67,7 @@ def test_covariance_pair_rejects_non_finite_input(basis, eigvals_q, error):
 def test_sigma_dense_and_rotated_quadratic_form_agree():
     pair = subspace_shift_model(SubspacePairSpec(12, 8, 6, 4), 1.5, 9)
     x = np.random.default_rng(1).standard_normal(12)
-    xr = pair.rotate(x)
+    xr = pair.eigenbasis.columns.T @ x
     for which, e in (("P", pair.eigvals_p), ("Q", pair.eigvals_q)):
         dense = sigma_dense(pair, which)
         npt.assert_allclose(np.sum(e * xr * xr), x @ dense @ x, rtol=1e-12)
@@ -161,7 +161,7 @@ def test_task_dependent_hits_ratio_and_gamma():
     pair = subspace_shift_model(SubspacePairSpec(300, 240, 200, 160), 2.0, 41)
     beta = _random_beta(300, 1.0, 42)
     # gamma is beta*'s mean square on the Sigma_P support, the gamma of Sigma_Q = Sigma_P
-    support_ms = float(np.sum(pair.rotate(beta)[:240] ** 2)) / 240
+    support_ms = float(np.sum((pair.eigenbasis.columns.T @ beta)[:240] ** 2)) / 240
     for ratio in (0.3, 2.0, 5.0):
         built = task_dependent_model(pair, beta, target_ratio=ratio)
         # the rebuild keeps the input's basis object, so its frame is not checked again
@@ -229,7 +229,7 @@ def test_task_dependent_at_every_scale_of_beta_star_meets_its_target_or_names_it
 ], ids=["shift_parameters", "check_regression", "check_classification", "task_dependent_model", "decision_cov"])
 def test_empty_beta_star_is_a_shape_error(entry):
     pair = subspace_shift_model(SubspacePairSpec(10, 6, 5, 3), 2.0, 5)
-    with pytest.raises(InvalidDimensionError, match="expected vector of length 10"):
+    with pytest.raises(InvalidDimensionError, match=r"must have shape \(10,\), got \(0,\)"):
         entry(pair, np.array([]))
 
 
@@ -241,6 +241,9 @@ def test_task_dependent_unreachable_ratio():
 
 
 def test_rotate_roundtrip():
+    # the one way into the shared basis scales by 2^-p and rotates; rotating back and scaling by 2^p gives the input
     pair = subspace_shift_model(SubspacePairSpec(15, 9, 7, 5), 1.2, 61)
     x = np.random.default_rng(2).standard_normal(15)
-    npt.assert_allclose(pair.eigenbasis.columns @ pair.rotate(x), x, atol=1e-12)
+    for scale in (1e-300, 1.0, 1e300):
+        b, p = _basis_coordinates(pair, scale * x, "x")
+        npt.assert_allclose(pair.eigenbasis.columns @ np.ldexp(b, p), scale * x, rtol=0, atol=1e-12 * scale)

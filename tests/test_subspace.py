@@ -4,7 +4,18 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from riskshift.errors import InvalidDimensionError
+from riskshift.datagen import LinearGaussian, NoisySign, label, sample_covariates
+from riskshift.errors import InvalidDimensionError, NumericInputError
+from riskshift.estimators import FittedModel, erm_fit, ridge_fit
+from riskshift.inverse import (
+    InverseProblem,
+    cs_risks,
+    gaussian_measurement,
+    inner_product_preservation_stats,
+    sketch_bases,
+)
+from riskshift.risk import decision_cov
+from riskshift.shiftmodel import CovariancePair, shift_parameters, subspace_shift_model
 from riskshift.subspace import (
     OrthonormalBasis,
     SubspacePairSpec,
@@ -13,6 +24,7 @@ from riskshift.subspace import (
     overlapping_pair,
     subspace_similarity,
 )
+from riskshift.theory import finite_dim_linearity, population_ridge_risks
 
 from oracles import principal_angles, projector
 
@@ -161,3 +173,74 @@ def test_mismatched_ambient_dimensions_rejected():
     for fn in (principal_angles, overlap_coefficient, subspace_similarity):
         with pytest.raises(InvalidDimensionError):
             fn(u_p, u_q)
+
+
+def _refusal_cases():
+    """{id: (call, good, axis)}: call passes its one array argument to a public entry, good is accepted, and
+    axis is the one whose length the other arguments pin (None if no length is pinned)."""
+    pair = subspace_shift_model(SubspacePairSpec(6, 4, 3, 2), 2.0, 0)
+    beta = np.linspace(-1.0, 1.0, 6)
+    x = sample_covariates(pair, 8, 1)
+    y = label(x, beta, LinearGaussian(0.0), 2)
+    signs = label(x, beta, NoisySign(1.0), 2)
+    u_p, u_q = overlapping_pair(SubspacePairSpec(6, 3, 2, 1), 3)
+    problem = InverseProblem(u_p, u_q, 0.1, 0.1, 0.1)
+    a_matrix = gaussian_measurement(8, 6, 4)
+    sketch = sketch_bases(a_matrix, problem)
+    sigma_q = np.eye(6)
+    return {
+        "label-x": (lambda v: label(v, beta, LinearGaussian(0.0), 0), x, 1),
+        "label-beta_star": (lambda v: label(x, v, LinearGaussian(0.0), 0), beta, 0),
+        "ridge_fit-x": (lambda v: ridge_fit(v, y, [1.0]), x, 0),
+        "ridge_fit-y": (lambda v: ridge_fit(x, v, [1.0]), y, 0),
+        "erm_fit-x": (lambda v: erm_fit(v, signs, [1.0]), x, 0),
+        "erm_fit-y": (lambda v: erm_fit(x, v, [1.0]), signs, 0),
+        "FittedModel": (lambda v: FittedModel(v, 1, True), beta, None),
+        "sketch_bases": (lambda v: sketch_bases(v, problem), a_matrix, 1),
+        "cs_risks": (lambda v: cs_risks(v, problem), sketch, 1),
+        "inner_product_preservation_stats": (lambda v: inner_product_preservation_stats(v, problem), sketch, 1),
+        "decision_cov-beta_star": (lambda v: decision_cov(v, beta, pair), beta, 0),
+        "decision_cov-beta_hat": (lambda v: decision_cov(beta, v, pair), beta, 0),
+        "shift_parameters": (lambda v: shift_parameters(pair, v, 1.0), beta, 0),
+        "CovariancePair-eigvals_p": (lambda v: CovariancePair(pair.eigenbasis, v, pair.eigvals_q), pair.eigvals_p, 0),
+        "CovariancePair-eigvals_q": (lambda v: CovariancePair(pair.eigenbasis, pair.eigvals_p, v), pair.eigvals_q, 0),
+        "OrthonormalBasis.project": (u_p.project, beta, 0),
+        "finite_dim_linearity-beta_star": (lambda v: finite_dim_linearity(v, u_p, sigma_q, 0.1, 0.1), beta, 0),
+        "finite_dim_linearity-sigma_q": (lambda v: finite_dim_linearity(beta, u_p, v, 0.1, 0.1), sigma_q, 1),
+        "population_ridge_risks-beta_star": (
+            lambda v: population_ridge_risks(v, u_p, sigma_q, 0.1, 0.1, 1.0), beta, 0),
+        "population_ridge_risks-sigma_q": (lambda v: population_ridge_risks(beta, u_p, v, 0.1, 0.1, 1.0), sigma_q, 1),
+    }
+
+
+_REFUSAL_CASES = _refusal_cases()
+
+
+def _with_entry(good, value):
+    bad = np.array(good, dtype=np.float64)
+    bad.flat[-1] = value
+    return bad
+
+
+# each fault: (bad array from (good, axis), the class that refuses it)
+_FAULTS = {
+    "ndim": (lambda good, axis: good[None], InvalidDimensionError),
+    "length": (lambda good, axis: np.delete(good, -1, axis), InvalidDimensionError),
+    "empty": (lambda good, axis: good[:0], InvalidDimensionError),
+    "nan": (lambda good, axis: _with_entry(good, np.nan), NumericInputError),
+    "inf": (lambda good, axis: _with_entry(good, -np.inf), NumericInputError),
+}
+
+
+@pytest.mark.parametrize("case, fault", [
+    pytest.param(case, fault, id=f"{case}-{fault}")
+    for case, (_, _, axis) in _REFUSAL_CASES.items()
+    for fault in _FAULTS
+    if fault != "length" or axis is not None
+])
+def test_every_array_argument_is_refused_by_class(case, fault):
+    call, good, axis = _REFUSAL_CASES[case]
+    make_bad, error = _FAULTS[fault]
+    call(good)
+    with pytest.raises(error):
+        call(make_bad(good, axis))
