@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from riskshift.errors import InvalidDimensionError, NumericInputError
-from riskshift.subspace import _checked_array, _frozen_array
+from riskshift.errors import NumericInputError
+from riskshift.subspace import _checked_array, _checked_count, _frozen_array
 
 
 @dataclass(frozen=True)
@@ -41,21 +41,19 @@ class NoisySign:
 
 def sample_beta(d, sigma_beta_sq, seed):
     """Read-only ground truth beta* with iid N(0, sigma_beta_sq) coordinates."""
-    if int(d) < 1:
-        raise InvalidDimensionError(f"dimension must be >= 1, got {d}")
+    d = _checked_count("d", d, 1)
     if not (math.isfinite(sigma_beta_sq) and sigma_beta_sq > 0):
         raise NumericInputError("sigma_beta_sq must be a positive finite scalar")
     rng = np.random.default_rng(seed)
-    return _frozen_array(math.sqrt(sigma_beta_sq) * rng.standard_normal(int(d)))
+    return _frozen_array(math.sqrt(sigma_beta_sq) * rng.standard_normal(d))
 
 
 def sample_covariates(pair, n, seed):
     """n iid rows from N(0, Sigma_P / d)."""
-    if int(n) < 1:
-        raise InvalidDimensionError(f"sample count must be >= 1, got {n}")
+    n = _checked_count("n", n, 1)
     v = pair.eigenbasis.columns
     rng = np.random.default_rng(seed)
-    g = rng.standard_normal((int(n), pair.d))
+    g = rng.standard_normal((n, pair.d))
     return ((g @ v) * np.sqrt(pair.eigvals_p)) @ v.T / math.sqrt(pair.d)
 
 

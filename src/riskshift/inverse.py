@@ -18,7 +18,7 @@ from riskshift.errors import (
     InvalidDimensionError,
     NumericInputError,
 )
-from riskshift.subspace import OrthonormalBasis, _checked_array, overlap_coefficient
+from riskshift.subspace import OrthonormalBasis, _checked_array, _checked_count, overlap_coefficient
 
 
 @dataclass(frozen=True)
@@ -120,9 +120,7 @@ def denoise_grid(a, d_p, d_q, sigma_p_sq, sigma_q_sq, lam):
 
 def gaussian_measurement(n, d, seed):
     """n x d matrix with iid N(0, 1/n) entries."""
-    n, d = int(n), int(d)
-    if n < 1 or d < 1:
-        raise InvalidDimensionError(f"measurement shape must be positive, got ({n}, {d})")
+    n, d = _checked_count("n", n, 1), _checked_count("d", d, 1)
     rng = np.random.default_rng(seed)
     return rng.standard_normal((n, d)) / math.sqrt(n)
 

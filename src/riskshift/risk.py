@@ -27,7 +27,7 @@ import numpy.random  # numpy loads it lazily; load it with the package, not insi
 
 from riskshift import _gauss_legendre
 from riskshift.errors import NumericInputError
-from riskshift.subspace import _checked_array
+from riskshift.subspace import _checked_array, _checked_count
 
 # order k of the surrogate quadrature; the value uses the rule of order 2k
 _QUAD_ORDER = 150
@@ -176,9 +176,7 @@ def metric_values(z_star, z, metric):
 def _validate_mc_args(metric, n_draws):
     if not isinstance(metric, MetricKind):
         raise NumericInputError(f"metric must be a MetricKind member, got {metric!r}")
-    if int(n_draws) < 100:
-        raise NumericInputError(f"n_draws must be >= 100, got {n_draws}")
-    return int(n_draws)
+    return _checked_count("n_draws", n_draws, 100, NumericInputError)
 
 
 def chunked_mc(draw, n_draws, seed, chunk_size):

@@ -66,6 +66,8 @@ class ShiftParameters:
             raise NumericInputError("gamma and kappa must be positive")
         if self.mu < 1.0 - 1e-9:
             raise NumericInputError(f"mu must be >= 1, got {self.mu}")
+        # a mu within the slack is stored as 1, so every formula reads mu - 1 >= 0
+        object.__setattr__(self, "mu", max(self.mu, 1.0))
         if not 0.0 < self.r_p <= 1.0:
             raise NumericInputError(f"r_p must lie in (0, 1], got {self.r_p}")
         if self.sigma_beta_sq <= 0:
@@ -91,25 +93,48 @@ def subspace_shift_model(spec, tau, seed):
     return CovariancePair(v, e_p, e_q)
 
 
+# rotation roundoff leaves O(eps^2) of beta*'s energy on a coordinate that is 0 in exact arithmetic
+_ZERO_ENERGY_SHARE = 1e-20
+
+
+def _support_energy(pair, beta_star):
+    """(e_S, b_sq, b, p): beta*'s energy e_S = sum s b^2 on the Sigma_P support, refused if 0, read from Sigma_P alone.
+
+    b, p are _basis_coordinates'; b_sq is b^2 with each square <= _ZERO_ENERGY_SHARE sum b^2 set to 0, the one zero rule.
+    """
+    b, p = _basis_coordinates(pair, beta_star, "beta_star")
+    b_sq = b * b
+    b_sq[b_sq <= _ZERO_ENERGY_SHARE * np.sum(b_sq)] = 0.0
+    e_s = float(np.sum(pair.eigvals_p * b_sq))
+    if e_s == 0.0:
+        raise NumericInputError("beta* carries no energy on the Sigma_P support")
+    return e_s, b_sq, b, p
+
+
 def _shift_energies(pair, beta_star):
     """beta*'s energies e_S = sum s b^2, e_QS = sum q s b^2, e_Q = sum q b^2 in units of 4^p, p, and kappa = sum q s / d_P.
 
     s, q are the shared-basis eigenvalues and b the rotated coordinates of beta* 2^-p, whose largest |entry| lies
     in [1/2, 1), so no square (nor the rotation) over- or underflows and the energies' ratios are free of its scale.
+    Each energy reads _support_energy's squares; e_S > 0, so d_P >= 1.
     """
-    b, p = _basis_coordinates(pair, beta_star, "beta_star")
-    b_sq = b * b
-    s = pair.eigvals_p
+    e_s, b_sq, _, p = _support_energy(pair, beta_star)
     q = pair.eigvals_q
-    qs = q * s
+    qs = q * pair.eigvals_p
     # b^2 <= d, so only a Sigma_Q eigenvalue near the float range overflows a sum
     with np.errstate(over="ignore"):
-        sums = np.array([np.sum(s * b_sq), np.sum(qs * b_sq), np.sum(q * b_sq), np.sum(qs)])
+        sums = np.array([np.sum(qs * b_sq), np.sum(q * b_sq), np.sum(qs)])
     if not np.all(np.isfinite(sums)):
         raise NumericInputError("Sigma_Q's eigenvalues put an energy or kappa past the float range at any scale of beta*")
-    e_s, e_qs, e_q, trace = sums.tolist()
-    # an empty support has e_S = 0, which every caller refuses before reading kappa
-    return e_s, e_qs, e_q, p, trace / max(pair.d_p, 1)
+    e_qs, e_q, trace = sums.tolist()
+    return e_s, e_qs, e_q, p, trace / pair.d_p
+
+
+def _task_factor(e_qs, e_q):
+    """mu = e_Q / e_QS, refused where e_QS = 0."""
+    if e_qs == 0.0:
+        raise NumericInputError("beta* carries no Sigma_Q energy on the Sigma_P support")
+    return e_q / e_qs
 
 
 def shift_parameters(pair, beta_star, sigma_beta_sq):
@@ -125,37 +150,21 @@ def shift_parameters(pair, beta_star, sigma_beta_sq):
     _, e_qs, e_q, p, kappa = _shift_energies(pair, beta_star)
     if not (math.isfinite(sigma_beta_sq) and sigma_beta_sq > 0):
         raise NumericInputError("sigma_beta_sq must be a positive finite scalar")
-    d_p = pair.d_p
-    if d_p == 0:
-        raise NumericInputError("Sigma_P support is empty")
     # the energies scaled back by 2^2p: a sum past the float range is inf here
     with np.errstate(over="ignore"):
         support_energy, total_energy = np.ldexp([e_qs, e_q], 2 * p).tolist()
     if not math.isfinite(total_energy):
         raise NumericInputError(f"beta*^T Sigma_Q beta* is {total_energy}, past the float range")
-    # relative gate: rotation roundoff leaves O(eps^2) energy on coordinates
-    # that are exactly zero in exact arithmetic
-    if e_qs <= 1e-20 * e_q:
-        raise NumericInputError("beta* carries no Sigma_Q energy on the Sigma_P support")
-    gamma = support_energy / (d_p * sigma_beta_sq)
+    mu = _task_factor(e_qs, e_q)
+    gamma = support_energy / (pair.d_p * sigma_beta_sq)
     if gamma == 0.0:
         raise NumericInputError(f"gamma underflows to 0 at sigma_beta_sq = {sigma_beta_sq}")
-    return ShiftParameters(
-        gamma=gamma,
-        mu=e_q / e_qs,
-        kappa=kappa,
-        r_p=d_p / pair.d,
-        sigma_beta_sq=float(sigma_beta_sq),
-    )
+    return ShiftParameters(gamma=gamma, mu=mu, kappa=kappa, r_p=pair.d_p / pair.d, sigma_beta_sq=float(sigma_beta_sq))
 
 
 def _support_mean_square(pair, beta_star):
     """(m, b, p): beta*'s mean square m on the Sigma_P support, read from Sigma_P alone, and _basis_coordinates' b, p."""
-    b, p = _basis_coordinates(pair, beta_star, "beta_star")
-    e_s = float(np.sum(pair.eigvals_p * (b * b)))
-    # relative gate, as in shift_parameters (rotation roundoff leaves O(eps^2) energy off a span); refuses d_P = 0 too
-    if e_s <= 1e-20 * float(np.sum(b * b)):
-        raise NumericInputError("beta* vanishes on the Sigma_P support")
+    e_s, _, b, p = _support_energy(pair, beta_star)
     try:
         return math.ldexp(e_s, 2 * p) / pair.d_p, b, p
     except OverflowError:

@@ -36,6 +36,15 @@ def _checked_array(name, value, shape):
     return arr
 
 
+def _checked_count(name, value, least, error=InvalidDimensionError):
+    """value as an int >= least; a bool, a float (6.0 too) or any other non-integer raises error, as a smaller one does."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise error(f"{name} must be >= {least}, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class OrthonormalBasis:
     """Column-orthonormal d x k matrix spanning a rank-k subspace of R^d."""
@@ -79,15 +88,10 @@ class SubspacePairSpec:
     d_pq: int
 
     def __post_init__(self):
-        for name in ("d", "d_p", "d_q", "d_pq"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise InvalidDimensionError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if self.d_p < 1 or self.d_q < 1:
-            raise InvalidDimensionError("d_p and d_q must be at least 1")
-        if self.d_pq < 0 or self.d_pq > min(self.d_p, self.d_q):
-            raise InvalidDimensionError("need 0 <= d_pq <= min(d_p, d_q)")
+        for name, least in (("d", 1), ("d_p", 1), ("d_q", 1), ("d_pq", 0)):
+            object.__setattr__(self, name, _checked_count(name, getattr(self, name), least))
+        if self.d_pq > min(self.d_p, self.d_q):
+            raise InvalidDimensionError("need d_pq <= min(d_p, d_q)")
         if self.d_p + self.d_q - self.d_pq > self.d:
             raise InvalidDimensionError("d_p + d_q - d_pq exceeds the ambient dimension")
 
@@ -112,7 +116,8 @@ def _sign_fixed_qr(g):
 
 def haar_basis(d, k, seed):
     """Haar-distributed orthonormal d x k basis, deterministic per seed."""
-    if k < 1 or k > d:
+    d, k = _checked_count("d", d, 1), _checked_count("k", k, 1)
+    if k > d:
         raise InvalidDimensionError(f"need 1 <= k <= d, got k={k}, d={d}")
     rng = np.random.default_rng(seed)
     return OrthonormalBasis(_sign_fixed_qr(rng.standard_normal((d, k))))

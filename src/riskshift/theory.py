@@ -18,7 +18,7 @@ import numpy as np
 
 from riskshift.errors import NumericInputError
 from riskshift.risk import DecisionCov, _std_normal_cdf
-from riskshift.shiftmodel import ShiftParameters, _shift_energies
+from riskshift.shiftmodel import _ZERO_ENERGY_SHARE, ShiftParameters, _shift_energies, _task_factor
 from riskshift.subspace import _checked_array
 
 _GAMMA_KAPPA_REL_TOL = 1e-6
@@ -57,18 +57,13 @@ def asymptotic_decision_cov(a, b, c, shift):
         l22=math.sqrt(c * shift.r_p) / scale,
     )
     # a^2 gamma base (1 - 1/mu): the signal part of Var z that l21 does not carry
-    tilted = a * a * shift.gamma * base * _mu_minus_one(shift) / shift.mu
+    tilted = a * a * shift.gamma * base * (shift.mu - 1.0) / shift.mu
     cov_q = DecisionCov(
         l11=math.sqrt(shift.gamma * shift.mu * base),
         l21=a * math.sqrt(shift.gamma * base / shift.mu) / scale,
         l22=math.sqrt(tilted + c * shift.kappa * shift.r_p) / scale,
     )
     return cov_p, cov_q
-
-
-def _mu_minus_one(shift):
-    # a mu inside ShiftParameters' tolerance below 1 counts as 1
-    return max(shift.mu - 1.0, 0.0)
 
 
 def regression_relation(risk_p, shift):
@@ -100,7 +95,7 @@ def classification_relation(risk_p, shift):
         # 1 - risk_p is exact here
         return 0.5 if risk_p == 0.5 else 1.0 - classification_relation(1.0 - risk_p, shift)
     tan_p = math.tan(math.pi * risk_p)
-    tan_sq_q = (shift.kappa * shift.mu / shift.gamma) * tan_p * tan_p + _mu_minus_one(shift)
+    tan_sq_q = (shift.kappa * shift.mu / shift.gamma) * tan_p * tan_p + (shift.mu - 1.0)
     # a huge tan^2 rounds atan to exactly pi / 2; a train risk below 1/2 keeps its image below 1/2
     return min(math.atan(math.sqrt(tan_sq_q)) / math.pi, _BELOW_HALF)
 
@@ -114,12 +109,9 @@ def monotonicity_check_regression(pair, beta_star):
     kappa at every b, so the check holds iff |kappa - rho| / rho <= 1e-8.
     """
     e_s, e_qs, _, _, kappa = _shift_energies(pair, beta_star)
-    if e_s <= 0.0:
-        raise NumericInputError("beta* carries no energy on the Sigma_P support; ratios are undefined")
     rho = e_qs / e_s
-    if rho <= 0.0:
-        return MonotonicityVerdict(holds=False, rho=rho, u0=0.0, max_deviation=math.inf)
-    max_dev = abs(kappa - rho) / rho
+    # rho = 0 (Sigma_Q vanishes on beta*'s support energy) matches no kappa
+    max_dev = abs(kappa - rho) / rho if rho > 0.0 else math.inf
     return MonotonicityVerdict(holds=max_dev <= _MONO_TOL, rho=rho, u0=0.0, max_deviation=max_dev)
 
 
@@ -135,22 +127,20 @@ def monotonicity_check_classification(pair, beta_star):
     max_deviation 0, for every pair a CovariancePair can hold.
     """
     e_s, e_qs, e_q, _, kappa = _shift_energies(pair, beta_star)
-    if e_s <= 0.0 or e_qs <= 0.0:
-        raise NumericInputError("beta* carries no energy on the Sigma_P support; composites are undefined")
-    mu = e_q / e_qs
+    mu = _task_factor(e_qs, e_q)
     rho = mu * kappa * e_s / e_qs
     return MonotonicityVerdict(holds=True, rho=rho, u0=mu - rho, max_deviation=0.0)
 
 
 def _ridge_inputs(beta_star, basis, sigma_q, sigma_p_sq, sigma_q_sq):
-    """beta* and Sigma_Q as float64 arrays, checked for shape and finiteness with both noise variances."""
+    """(beta*, its projection beta_P* onto basis, Sigma_Q), checked for shape and finiteness with both noise variances."""
     d = basis.ambient_dim
     beta_star = _checked_array("beta_star", beta_star, (d,))
     sigma_q = _checked_array("sigma_q", sigma_q, (d, d))
     for name, noise_var in (("sigma_p_sq", sigma_p_sq), ("sigma_q_sq", sigma_q_sq)):
         if not (math.isfinite(noise_var) and noise_var >= 0):
             raise NumericInputError(f"{name} must be finite and >= 0")
-    return beta_star, sigma_q
+    return beta_star, basis.columns @ (basis.columns.T @ beta_star), sigma_q
 
 
 def finite_dim_linearity(beta_star, basis, sigma_q, sigma_p_sq, sigma_q_sq):
@@ -164,12 +154,11 @@ def finite_dim_linearity(beta_star, basis, sigma_q, sigma_p_sq, sigma_q_sq):
     exactness, and intercept = beta*^T Sigma_Q beta* - slope * ||beta_P*||^2
     + sigma_q_sq - slope * sigma_p_sq.
     """
-    beta_star, sigma_q = _ridge_inputs(beta_star, basis, sigma_q, sigma_p_sq, sigma_q_sq)
-    b_p = basis.project(beta_star)
+    beta_star, b_p, sigma_q = _ridge_inputs(beta_star, basis, sigma_q, sigma_p_sq, sigma_q_sq)
     b_perp = beta_star - b_p
     denom = float(b_p @ b_p)
-    # projection roundoff leaves O(eps^2) energy even for orthogonal inputs
-    if denom <= 1e-20 * max(float(beta_star @ beta_star), 1e-300):
+    # projection roundoff leaves O(eps^2) energy even for orthogonal inputs, as rotation roundoff does
+    if denom <= _ZERO_ENERGY_SHARE * max(float(beta_star @ beta_star), 1e-300):
         raise NumericInputError("beta* has no energy in the projector range")
     sq_bp = sigma_q @ b_p
     slope = float(b_p @ sq_bp) / denom
@@ -188,9 +177,8 @@ def population_ridge_risks(beta_star, basis, sigma_q, sigma_p_sq, sigma_q_sq, la
     """
     if not (math.isfinite(lam) and lam >= 0):
         raise NumericInputError("lam must be finite and >= 0")
-    beta_star, sigma_q = _ridge_inputs(beta_star, basis, sigma_q, sigma_p_sq, sigma_q_sq)
+    beta_star, b_p, sigma_q = _ridge_inputs(beta_star, basis, sigma_q, sigma_p_sq, sigma_q_sq)
     alpha = 1.0 / (1.0 + lam)
-    b_p = basis.project(beta_star)
     b_perp = beta_star - b_p
     shrink = 1.0 - alpha
     risk_p = shrink * shrink * float(b_p @ b_p) + sigma_p_sq

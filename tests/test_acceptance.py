@@ -3,13 +3,17 @@
 Every criterion function states each of its bounds once, in the table it
 hands to selftest._judge; this suite runs each criterion, prints a single
 PASS/FAIL line listing every bound with its measured value, and asserts the
-verdict.  The last tests feed criteria 1, 2, 3 and 6 values that break exactly
-one bound, and criterion 4 closed-form risks at a wrong ridge weight that break
-both of its Monte Carlo bounds, so none of those checks passes vacuously.
+verdict.  The last tests feed every criterion a fault: criteria 1, 2, 3, 5,
+6, 7, 8 and 10 values that break exactly one bound, criterion 4
+closed-form risks at a wrong ridge weight that break both of its Monte Carlo
+bounds, and criterion 9 curved ridge risks that break both exact-affine
+residual bounds, so none of those checks passes vacuously.
 """
 
 import dataclasses
+import math
 
+from riskshift import theory
 from riskshift.harness import selftest
 from riskshift.harness.config import KIND_COUNTEREXAMPLE, config_from_mapping
 from riskshift.shiftmodel import ShiftParameters
@@ -131,6 +135,13 @@ def test_criterion_4_fails_when_its_closed_form_uses_another_lambda(monkeypatch)
     assert violated == ["MC gap P / s.e.", "MC gap Q / s.e."], result.detail
 
 
+def test_criterion_5_fails_when_the_closed_form_angle_is_off_by_0_01(monkeypatch):
+    risk = selftest.misclassification_risk
+    monkeypatch.setattr(selftest, "misclassification_risk", lambda cov: risk(cov) + 0.01)
+    violated = _only_violated_bound(selftest.criterion_5())
+    assert violated.startswith("worst |MC - closed| / s.e. over 50 instances = ")
+
+
 def test_criterion_6_fails_when_one_surrogate_stays_monotone(monkeypatch):
     config = config_from_mapping(KIND_COUNTEREXAMPLE, {})
     shift = ShiftParameters(
@@ -162,6 +173,29 @@ def test_criterion_7_fails_when_the_regression_rho_drifts(monkeypatch):
     monkeypatch.setattr(selftest, "monotonicity_check_regression", drifted)
     violated = _only_violated_bound(selftest.criterion_7())
     assert violated.startswith("subspace: regression rho relative gap = ")
+
+
+def test_criterion_8_fails_when_the_probit_curve_drops_its_sqrt_2(monkeypatch):
+    # the gap reads the probit curve through theory's normal CDF; Phi(u) for Phi(u / sqrt 2) is 0.037 off arctan
+    cdf = theory._std_normal_cdf
+    monkeypatch.setattr(theory, "_std_normal_cdf", lambda x: cdf(x * math.sqrt(2.0)))
+    violated = _only_violated_bound(selftest.criterion_8())
+    assert violated.startswith("max gap on [-10, 10] at spacing 0.01 = ")
+
+
+def test_criterion_9_fails_when_the_ridge_risks_are_not_affine(monkeypatch):
+    # a 1e-6 risk_p^2 term in the test risk leaves both exact regimes 5e-5 off their affine fits
+    risks = selftest.population_ridge_risks
+
+    def curved(*args):
+        risk_p, risk_q = risks(*args)
+        return risk_p, risk_q + 1e-6 * risk_p * risk_p
+
+    monkeypatch.setattr(selftest, "population_ridge_risks", curved)
+    result = selftest.criterion_9()
+    assert not result.passed
+    violated = [part.split(" = ")[0] for part in result.detail.split("; ") if "violates" in part]
+    assert violated == ["nested affine residual", "in-subspace affine residual"], result.detail
 
 
 def test_criterion_10_fails_when_one_identity_is_off_by_1e_8(monkeypatch):

@@ -1,5 +1,7 @@
 """Tests for covariance pairs, plug-in shift parameters, and the task-dependent model."""
 
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -11,6 +13,7 @@ from riskshift.risk import _basis_coordinates, decision_cov
 from riskshift.shiftmodel import (
     CovariancePair,
     ShiftParameters,
+    _support_mean_square,
     shift_parameters,
     subspace_shift_model,
     task_dependent_model,
@@ -126,16 +129,59 @@ def test_shift_parameters_exact_for_block_equal_beta():
 
 def test_shift_parameters_requires_support_energy():
     pair = subspace_shift_model(SubspacePairSpec(10, 4, 3, 2), 1.0, 7)
-    # beta orthogonal to the support: zero support energy
+    # beta orthogonal to the support: zero support energy, refused by the one rule before Sigma_Q is read
     beta = pair.eigenbasis.columns @ np.concatenate([np.zeros(4), np.ones(6)])
-    with pytest.raises(NumericInputError, match="no Sigma_Q energy on the Sigma_P support"):
+    with pytest.raises(NumericInputError, match="no energy on the Sigma_P support"):
         shift_parameters(pair, beta, 1.0)
-    # the rebuild reads no Sigma_Q, so it gates beta*'s energy on the support itself
-    with pytest.raises(NumericInputError, match="vanishes on the Sigma_P support"):
+    with pytest.raises(NumericInputError, match="no energy on the Sigma_P support"):
         task_dependent_model(pair, beta, 1.0)
     # beta* has support energy, but gamma at sigma_beta_sq = 1 is below the smallest float
     with pytest.raises(NumericInputError, match="underflows to 0"):
         shift_parameters(pair, 1e-170 * _random_beta(10, 1.0, 8), 1.0)
+
+
+_ENERGY_READERS = {
+    "shift_parameters": lambda pair, beta: shift_parameters(pair, beta, 1.0),
+    "check_regression": monotonicity_check_regression,
+    "check_classification": monotonicity_check_classification,
+    "task_dependent_model": lambda pair, beta: task_dependent_model(pair, beta, 2.0),
+    "support_mean_square": _support_mean_square,
+}
+
+
+def _noise_probe(columns):
+    # beta* spanned by some of the shared eigenvectors: its other rotated coordinates are rotation roundoff
+    pair = subspace_shift_model(SubspacePairSpec(40, 30, 24, 18), 2.0, 1)
+    v = pair.eigenbasis.columns[:, columns]
+    return pair, v @ np.random.default_rng(3).standard_normal(v.shape[1])
+
+
+@pytest.mark.parametrize("reader", _ENERGY_READERS.values(), ids=_ENERGY_READERS.keys())
+def test_rounding_noise_on_the_support_is_no_energy(reader):
+    # beta* orthogonal to the Sigma_P support leaves O(eps^2) energy there, which counts as 0 for every reader
+    pair, beta = _noise_probe(slice(30, 40))
+    with pytest.raises(NumericInputError, match=r"^beta\* carries no energy on the Sigma_P support$"):
+        reader(pair, beta)
+
+
+def test_rounding_noise_under_sigma_q_is_no_energy():
+    # beta* on the support but orthogonal to Sigma_Q: e_QS is 0, not a ratio of rounding errors
+    pair, beta = _noise_probe(slice(18, 30))
+    for reader in (_ENERGY_READERS["shift_parameters"], monotonicity_check_classification):
+        with pytest.raises(NumericInputError, match="no Sigma_Q energy on the Sigma_P support"):
+            reader(pair, beta)
+    verdict = monotonicity_check_regression(pair, beta)
+    assert not verdict.holds and verdict.rho == 0.0 and verdict.max_deviation == math.inf
+    # the rebuild reads no Sigma_Q, so it still has the support energy it needs
+    task_dependent_model(pair, beta, 2.0)
+
+
+def test_a_small_sigma_q_eigenvalue_is_a_genuine_energy():
+    # the zero rule is on beta*'s squares, not on Sigma_Q's weights: e_QS = 2e-30 is kept
+    pair = CovariancePair(OrthonormalBasis(np.eye(4)), [1.0, 1.0, 0.0, 0.0], [1e-30, 1e-30, 1.0, 1.0])
+    shift = shift_parameters(pair, np.ones(4), 1.0)
+    assert shift.mu == pytest.approx(1e30, rel=1e-12) and shift.gamma == pytest.approx(1e-30, rel=1e-12)
+    assert monotonicity_check_classification(pair, np.ones(4)).rho == pytest.approx(1e30, rel=1e-12)
 
 
 def test_shift_parameters_invariants_enforced():

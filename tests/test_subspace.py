@@ -1,10 +1,12 @@
 """Tests for orthonormal bases, overlapping pairs, and principal angles."""
 
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from riskshift.datagen import LinearGaussian, NoisySign, label, sample_covariates
+from riskshift.datagen import LinearGaussian, NoisySign, label, sample_beta, sample_covariates
 from riskshift.errors import InvalidDimensionError, NumericInputError
 from riskshift.estimators import FittedModel, erm_fit, ridge_fit
 from riskshift.inverse import (
@@ -14,7 +16,7 @@ from riskshift.inverse import (
     inner_product_preservation_stats,
     sketch_bases,
 )
-from riskshift.risk import decision_cov
+from riskshift.risk import DecisionCov, MetricKind, decision_cov, mc_metric_risk
 from riskshift.shiftmodel import CovariancePair, shift_parameters, subspace_shift_model
 from riskshift.subspace import (
     OrthonormalBasis,
@@ -244,3 +246,26 @@ def test_every_array_argument_is_refused_by_class(case, fault):
     call(good)
     with pytest.raises(error):
         call(make_bad(good, axis))
+
+
+_PAIR = subspace_shift_model(SubspacePairSpec(6, 4, 3, 2), 2.0, 0)
+# each count argument: (call on the count, a count it accepts, the class that refuses a non-integer)
+_COUNT_CASES = {
+    "SubspacePairSpec": (lambda n: SubspacePairSpec(n, 3, 2, 1), 6, InvalidDimensionError),
+    "haar_basis": (lambda n: haar_basis(n, 2, 0), 4, InvalidDimensionError),
+    "gaussian_measurement": (lambda n: gaussian_measurement(n, 5, 0), 3, InvalidDimensionError),
+    "sample_beta": (lambda n: sample_beta(n, 1.0, 0), 4, InvalidDimensionError),
+    "sample_covariates": (lambda n: sample_covariates(_PAIR, n, 0), 3, InvalidDimensionError),
+    "mc_metric_risk": (
+        lambda n: mc_metric_risk(DecisionCov(1.0, 0.5, 0.5), MetricKind.SQUARED_ERROR, n, 0), 1000, NumericInputError),
+}
+
+
+@pytest.mark.parametrize("case", _COUNT_CASES)
+def test_every_count_argument_refuses_a_non_integer(case):
+    # a float count was truncated (2.7 rows gave 2) or failed with a bare TypeError
+    call, count, error = _COUNT_CASES[case]
+    call(np.int64(count))
+    for bad in (float(count), count + 0.7, True):
+        with pytest.raises(error, match=re.escape(f"must be an integer, got {bad!r}")):
+            call(bad)

@@ -110,6 +110,19 @@ def test_regression_relation_requires_matching_curvature():
         regression_relation(-0.1, dataclasses.replace(shift, kappa=shift.gamma))
 
 
+def test_mu_within_its_slack_below_one_is_stored_as_one():
+    # one rule for mu - 1: the relations and the asymptotic factors all read the stored mu = 1,
+    # so no squared risk comes out negative and l22 sees the same mu as l11 and l21
+    near = ShiftParameters(gamma=1.0, mu=1.0 - 5e-10, kappa=1.0, r_p=1.0, sigma_beta_sq=1.0)
+    one = dataclasses.replace(near, mu=1.0)
+    assert near.mu == 1.0
+    assert regression_relation(0.0, near) == 0.0
+    assert classification_relation(0.2, near) == classification_relation(0.2, one)
+    assert asymptotic_decision_cov(0.7, 1.0, 1.0, near) == asymptotic_decision_cov(0.7, 1.0, 1.0, one)
+    with pytest.raises(NumericInputError, match="mu must be >= 1"):
+        dataclasses.replace(near, mu=1.0 - 2e-9)
+
+
 def test_classification_relation_identity_and_limits():
     none = ShiftParameters(gamma=1.0, mu=1.0, kappa=1.0, r_p=0.9, sigma_beta_sq=1.0)
     for r in (0.01, 0.25, 0.49):
@@ -303,7 +316,8 @@ def test_monotonicity_checks_match_the_resolvent_functionals_at_16_shifts(case):
         try:
             want = reference(pair.eigvals_p, pair.eigvals_q, pair.eigenbasis.columns.T @ beta)
         except NumericInputError:
-            with pytest.raises(NumericInputError, match="no energy on the Sigma_P support"):
+            # the reference refuses e_S = 0 and, for the composites, e_QS = 0
+            with pytest.raises(NumericInputError, match="no (Sigma_Q )?energy on the Sigma_P support"):
                 check(pair, beta)
             continue
         got = check(pair, beta)
@@ -375,13 +389,13 @@ def test_monotonicity_regression_no_shift_and_errors():
     assert verdict.holds and verdict.rho == pytest.approx(1.0, rel=1e-14)
     # beta confined to the complement of the support has no Gamma_P energy
     off = CovariancePair(OrthonormalBasis(np.eye(4)), np.array([1.0, 1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0, 1.0]))
-    with pytest.raises(NumericInputError, match="no energy on the Sigma_P support; ratios"):
+    with pytest.raises(NumericInputError, match="no energy on the Sigma_P support"):
         monotonicity_check_regression(off, np.array([0.0, 0.0, 1.0, 1.0]))
     # Sigma_Q vanishes on the support: rho = 0 holds for no kappa, and the composites have no Q scale
     verdict = monotonicity_check_regression(off, np.ones(4))
     assert not verdict.holds
     assert verdict.rho == 0.0 and verdict.max_deviation == math.inf
-    with pytest.raises(NumericInputError, match="composites are undefined"):
+    with pytest.raises(NumericInputError, match="no Sigma_Q energy on the Sigma_P support"):
         monotonicity_check_classification(off, np.ones(4))
 
 
