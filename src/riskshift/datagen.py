@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from riskshift.errors import NumericInputError
-from riskshift.subspace import _checked_array, _checked_count, _frozen_array
+from riskshift.subspace import _checked_array, _checked_count, _checked_real, _frozen_array
 
 
 @dataclass(frozen=True)
@@ -24,8 +24,7 @@ class LinearGaussian:
     sigma: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.sigma) and self.sigma >= 0):
-            raise NumericInputError("noise level sigma must be finite and >= 0")
+        object.__setattr__(self, "sigma", _checked_real("sigma", self.sigma, (">=", 0)))
 
 
 @dataclass(frozen=True)
@@ -35,15 +34,13 @@ class NoisySign:
     p: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.p) and 0.5 < self.p <= 1.0):
-            raise NumericInputError(f"sign-correct probability must lie in (1/2, 1], got {self.p}")
+        object.__setattr__(self, "p", _checked_real("p", self.p, (">", 0.5), ("<=", 1)))
 
 
 def sample_beta(d, sigma_beta_sq, seed):
     """Read-only ground truth beta* with iid N(0, sigma_beta_sq) coordinates."""
     d = _checked_count("d", d, 1)
-    if not (math.isfinite(sigma_beta_sq) and sigma_beta_sq > 0):
-        raise NumericInputError("sigma_beta_sq must be a positive finite scalar")
+    sigma_beta_sq = _checked_real("sigma_beta_sq", sigma_beta_sq, (">", 0))
     rng = np.random.default_rng(seed)
     return _frozen_array(math.sqrt(sigma_beta_sq) * rng.standard_normal(d))
 

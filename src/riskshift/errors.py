@@ -20,15 +20,15 @@ class InvalidDimensionError(RiskshiftError, ValueError):
 class NumericInputError(RiskshiftError, ValueError):
     """Inputs are numerically unusable.
 
-    Besides non-finite entries and out-of-range parameters, this covers every input
-    outside a relation's domain: a decision covariance factor with a negative diagonal
-    entry or l21 != 0 where l11 = 0, a zero-variance decision score, a ground truth
-    with no energy on the train support or none under Sigma_Q there, a gamma that
-    underflows to 0, an energy or mean square past the float range, a kappa/gamma
-    outside the reachable band of the task-dependent rebuild, that band leaving the
-    float range at beta*'s scale or its bisection missing its 1e-10 rule, the affine
-    squared-risk map at gamma != kappa, and a risk outside the relation's domain.  The
-    message names the condition.
+    An argument that is not a real number, not finite, or past a (comparison, limit)
+    bound of its domain reads "<name> must be a real number / finite / <comparison>
+    <limit>, got <value>".  Beyond single arguments: l21 != 0 where l11 = 0, a
+    zero-variance decision score, a ground truth with no energy on the train support
+    or none under Sigma_Q there, a gamma that underflows to 0, an energy or mean
+    square past the float range, a kappa/gamma outside the reachable band of the
+    task-dependent rebuild, that band leaving the float range at beta*'s scale or its
+    bisection missing its 1e-10 rule, and the affine squared-risk map at gamma !=
+    kappa.  The message names the condition.
     """
 
 

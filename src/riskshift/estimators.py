@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from riskshift.errors import InvalidDimensionError, NumericInputError
+from riskshift.errors import NumericInputError
 from riskshift.subspace import _checked_array, _frozen_array
 
 _ARMIJO_C = 1e-4
@@ -35,12 +35,8 @@ class FittedModel:
 
 
 def _check_problem(x, y, lams):
-    """x, y and lams as float arrays, once lams is a grid of positive finite weights and x, y are finite."""
-    lams = np.asarray(lams, dtype=np.float64)
-    if lams.ndim != 1 or lams.size == 0:
-        raise InvalidDimensionError(f"lams must be a nonempty 1-d grid, got shape {lams.shape}")
-    if not np.all(np.isfinite(lams) & (lams > 0)):
-        raise NumericInputError("ridge weight lam must be a positive finite scalar")
+    """x, y and lams as float arrays, once lams is a nonempty 1-d grid of positive weights and all are finite."""
+    lams = _checked_array("lams", lams, (None,), (">", 0))
     x = _checked_array("x", x, (None, None))
     return x, _checked_array("y", y, (x.shape[0],)), lams
 
@@ -54,9 +50,7 @@ def ridge_fit(x, y, lams):
         h = gram.copy()
         h[np.diag_indices_from(h)] += lam
         betas[i] = np.linalg.solve(h, xty)
-    if not np.all(np.isfinite(betas)):
-        raise NumericInputError("beta_hat must be finite")
-    return _frozen_array(betas)
+    return _frozen_array(_checked_array("beta_hat", betas, betas.shape))
 
 
 def _sigmoid(t):

@@ -15,13 +15,12 @@ kind's one rule across keys (subspace dimensions) runs.
 """
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from riskshift.errors import ConfigError, InvalidDimensionError
-from riskshift.subspace import SubspacePairSpec
+from riskshift.subspace import _COMPARISONS, SubspacePairSpec
 
 _REQUIRED = object()
 
@@ -95,7 +94,6 @@ class _Field:
     bounds: tuple = ()
 
 
-_COMPARISONS = {"<=": operator.le, ">=": operator.ge, "<": operator.lt, ">": operator.gt, "==": operator.eq}
 _POSITIVE = ((">", 0),)
 _NONNEGATIVE = ((">=", 0),)
 _AT_LEAST_ONE = ((">=", 1),)

@@ -22,7 +22,6 @@ from riskshift.harness.config import (
     KIND_COUNTEREXAMPLE,
     KIND_CS,
     KIND_REGRESSION,
-    _COMPARISONS,
     config_from_mapping,
 )
 from riskshift.harness.runners import (
@@ -52,7 +51,7 @@ from riskshift.shiftmodel import (
     subspace_shift_model,
     task_dependent_model,
 )
-from riskshift.subspace import SubspacePairSpec, haar_basis, overlap_coefficient, overlapping_pair
+from riskshift.subspace import _COMPARISONS, SubspacePairSpec, haar_basis, overlap_coefficient, overlapping_pair
 from riskshift.theory import (
     asymptotic_decision_cov,
     classification_relation,

@@ -27,7 +27,7 @@ import numpy.random  # numpy loads it lazily; load it with the package, not insi
 
 from riskshift import _gauss_legendre
 from riskshift.errors import NumericInputError
-from riskshift.subspace import _checked_array, _checked_count
+from riskshift.subspace import _checked_array, _checked_count, _checked_real
 
 # order k of the surrogate quadrature; the value uses the rule of order 2k
 _QUAD_ORDER = 150
@@ -65,10 +65,9 @@ class DecisionCov:
     l22: float
 
     def __post_init__(self):
-        if not all(math.isfinite(t) for t in (self.l11, self.l21, self.l22)):
-            raise NumericInputError("decision covariance entries must be finite")
-        if self.l11 < 0 or self.l22 < 0:
-            raise NumericInputError("factor diagonal l11, l22 must be nonnegative")
+        object.__setattr__(self, "l11", _checked_real("l11", self.l11, (">=", 0)))
+        object.__setattr__(self, "l21", _checked_real("l21", self.l21))
+        object.__setattr__(self, "l22", _checked_real("l22", self.l22, (">=", 0)))
         if self.l11 == 0 and self.l21 != 0:
             raise NumericInputError("l21 must be 0 where l11 = 0")
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from riskshift.errors import InvalidDimensionError, NumericInputError
 from riskshift.risk import _basis_coordinates
-from riskshift.subspace import OrthonormalBasis, SubspacePairSpec, _checked_array, _frozen_array, haar_basis
+from riskshift.subspace import OrthonormalBasis, SubspacePairSpec, _checked_array, _checked_real, _frozen_array, haar_basis
 
 
 @dataclass(frozen=True)
@@ -31,11 +31,9 @@ class CovariancePair:
             raise InvalidDimensionError("eigenbasis must be a square OrthonormalBasis")
         d = v.ambient_dim
         e_p = _checked_array("eigvals_p", self.eigvals_p, (d,))
-        e_q = _checked_array("eigvals_q", self.eigvals_q, (d,))
+        e_q = _checked_array("eigvals_q", self.eigvals_q, (d,), (">=", 0))
         if not np.all((e_p == 0.0) | (e_p == 1.0)):
             raise NumericInputError("eigvals_p must be binary (projector spectrum)")
-        if np.min(e_q) < 0.0:
-            raise NumericInputError("eigvals_q must be finite and nonnegative")
         object.__setattr__(self, "eigvals_p", _frozen_array(e_p))
         object.__setattr__(self, "eigvals_q", _frozen_array(e_q))
 
@@ -48,9 +46,14 @@ class CovariancePair:
         return int(round(float(np.sum(self.eigvals_p))))
 
 
+# each field's bounds; mu has a 1e-9 slack below 1
+_SHIFT_BOUNDS = {"gamma": ((">", 0),), "mu": ((">=", 1.0 - 1e-9),), "kappa": ((">", 0),), "r_p": ((">", 0), ("<=", 1)),
+                 "sigma_beta_sq": ((">", 0),)}
+
+
 @dataclass(frozen=True)
 class ShiftParameters:
-    """Scalar shift descriptors: slope gamma, task factor mu, trace factor kappa."""
+    """Scalar shift descriptors: slope gamma, task factor mu, trace factor kappa, rank share r_p, beta*'s variance."""
 
     gamma: float
     mu: float
@@ -59,19 +62,10 @@ class ShiftParameters:
     sigma_beta_sq: float
 
     def __post_init__(self):
-        for name in ("gamma", "mu", "kappa", "r_p", "sigma_beta_sq"):
-            if not math.isfinite(getattr(self, name)):
-                raise NumericInputError(f"shift parameter {name} must be finite, got {getattr(self, name)}")
-        if self.gamma <= 0 or self.kappa <= 0:
-            raise NumericInputError("gamma and kappa must be positive")
-        if self.mu < 1.0 - 1e-9:
-            raise NumericInputError(f"mu must be >= 1, got {self.mu}")
+        for name, bounds in _SHIFT_BOUNDS.items():
+            object.__setattr__(self, name, _checked_real(name, getattr(self, name), *bounds))
         # a mu within the slack is stored as 1, so every formula reads mu - 1 >= 0
         object.__setattr__(self, "mu", max(self.mu, 1.0))
-        if not 0.0 < self.r_p <= 1.0:
-            raise NumericInputError(f"r_p must lie in (0, 1], got {self.r_p}")
-        if self.sigma_beta_sq <= 0:
-            raise NumericInputError("sigma_beta_sq must be positive")
 
 
 def subspace_shift_model(spec, tau, seed):
@@ -83,8 +77,7 @@ def subspace_shift_model(spec, tau, seed):
     """
     if not isinstance(spec, SubspacePairSpec):
         raise InvalidDimensionError("spec must be a SubspacePairSpec")
-    if not (math.isfinite(tau) and tau > 0):
-        raise NumericInputError(f"tau must be a positive finite scalar, got {tau}")
+    tau = _checked_real("tau", tau, (">", 0))
     v = haar_basis(spec.d, spec.d, seed)
     e_p = np.zeros(spec.d)
     e_p[: spec.d_p] = 1.0
@@ -148,8 +141,7 @@ def shift_parameters(pair, beta_star, sigma_beta_sq):
     refused by name.
     """
     _, e_qs, e_q, p, kappa = _shift_energies(pair, beta_star)
-    if not (math.isfinite(sigma_beta_sq) and sigma_beta_sq > 0):
-        raise NumericInputError("sigma_beta_sq must be a positive finite scalar")
+    sigma_beta_sq = _checked_real("sigma_beta_sq", sigma_beta_sq, (">", 0))
     # the energies scaled back by 2^2p: a sum past the float range is inf here
     with np.errstate(over="ignore"):
         support_energy, total_energy = np.ldexp([e_qs, e_q], 2 * p).tolist()
@@ -159,7 +151,7 @@ def shift_parameters(pair, beta_star, sigma_beta_sq):
     gamma = support_energy / (pair.d_p * sigma_beta_sq)
     if gamma == 0.0:
         raise NumericInputError(f"gamma underflows to 0 at sigma_beta_sq = {sigma_beta_sq}")
-    return ShiftParameters(gamma=gamma, mu=mu, kappa=kappa, r_p=pair.d_p / pair.d, sigma_beta_sq=float(sigma_beta_sq))
+    return ShiftParameters(gamma=gamma, mu=mu, kappa=kappa, r_p=pair.d_p / pair.d, sigma_beta_sq=sigma_beta_sq)
 
 
 def _support_mean_square(pair, beta_star):
@@ -191,8 +183,7 @@ def task_dependent_model(pair, beta_star, target_ratio):
     final global scale sets gamma to beta*'s mean square on the Sigma_P
     support, the gamma of Sigma_Q = Sigma_P, so the input's Sigma_Q is not read.
     """
-    if not (math.isfinite(target_ratio) and target_ratio > 0):
-        raise NumericInputError("target_ratio must be a positive finite scalar")
+    target_ratio = _checked_real("target_ratio", target_ratio, (">", 0))
     # also rejects a non-finite beta_star and one with no energy on the Sigma_P support
     target_gamma, b_unit, p = _support_mean_square(pair, beta_star)
     sup = pair.eigvals_p == 1.0

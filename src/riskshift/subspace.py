@@ -8,8 +8,14 @@ columns it uses: those are exactly the leading columns of the full rotation
 subspaces is summarized by sum_i cos^2 theta_i over their principal angles,
 which equals ||U_P^T U_Q||_F^2 (Bjorck & Golub 1973), so the similarity
 sqrt(sum cos^2 / k) and the overlap coefficient sum cos^2 / d_Q need no SVD.
+
+It also holds the package's argument checks: _checked_array, _checked_count
+and _checked_real, whose (comparison, limit) bounds read _COMPARISONS, the
+vocabulary that the harness's config keys and acceptance criteria share.
 """
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +23,7 @@ import numpy as np
 from riskshift.errors import InvalidDimensionError, NumericInputError
 
 _ORTHO_TOL = 1e-10
+_COMPARISONS = {"<=": operator.le, ">=": operator.ge, "<": operator.lt, ">": operator.gt, "==": operator.eq}
 
 
 def _frozen_array(values, dtype=np.float64):
@@ -25,15 +32,37 @@ def _frozen_array(values, dtype=np.float64):
     return arr
 
 
-def _checked_array(name, value, shape):
-    """value as a nonempty finite float64 array of the given shape; a None entry of shape is any length >= 1."""
+def _checked_array(name, value, shape, *bounds):
+    """value as a nonempty finite float64 array of the given shape (None is any length >= 1) within its bounds."""
     arr = np.asarray(value, dtype=np.float64)
     if arr.ndim != len(shape) or arr.size == 0 or any(n not in (None, m) for n, m in zip(shape, arr.shape)):
         want = ", ".join("*" if n is None else str(n) for n in shape) + ("," if len(shape) == 1 else "")
         raise InvalidDimensionError(f"{name} must have shape ({want}), got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise NumericInputError(f"{name} must be finite")
+    for comparison, limit in bounds:
+        held = _COMPARISONS[comparison](arr, limit)
+        if not np.all(held):
+            _checked_real(name, arr[~held].flat[0], (comparison, limit))  # refuses the first entry past it
     return arr
+
+
+def _checked_real(name, value, *bounds):
+    """value as a finite float within each (comparison, limit) bound; an int or numpy scalar is real, a bool is not."""
+    # a float, the common case, skips the type tests
+    if type(value) is not float:
+        if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+            raise NumericInputError(f"{name} must be a real number, got {value!r}")
+        try:
+            value = float(value)
+        except OverflowError:  # an int past the float range
+            value = math.inf if value > 0 else -math.inf
+    if not math.isfinite(value):
+        raise NumericInputError(f"{name} must be finite, got {value}")
+    for comparison, limit in bounds:
+        if not _COMPARISONS[comparison](value, limit):
+            raise NumericInputError(f"{name} must be {comparison} {limit}, got {value}")
+    return value
 
 
 def _checked_count(name, value, least, error=InvalidDimensionError):

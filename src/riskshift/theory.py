@@ -19,7 +19,7 @@ import numpy as np
 from riskshift.errors import NumericInputError
 from riskshift.risk import DecisionCov, _std_normal_cdf
 from riskshift.shiftmodel import _ZERO_ENERGY_SHARE, ShiftParameters, _shift_energies, _task_factor
-from riskshift.subspace import _checked_array
+from riskshift.subspace import _checked_array, _checked_real
 
 _GAMMA_KAPPA_REL_TOL = 1e-6
 _BELOW_HALF = math.nextafter(0.5, 0.0)
@@ -43,10 +43,7 @@ def asymptotic_decision_cov(a, b, c, shift):
     (a * beta_j + noise) / (1 + b) per eigendirection: a is the alignment,
     b the resolvent shift and c the variance of the noise energy per direction.
     """
-    if not all(math.isfinite(t) for t in (a, b, c)):
-        raise NumericInputError("asymptotic parameters must be finite")
-    if b <= 0 or c <= 0:
-        raise NumericInputError("b and c must be positive")
+    a, b, c = _checked_real("a", a), _checked_real("b", b, (">", 0)), _checked_real("c", c, (">", 0))
     if not isinstance(shift, ShiftParameters):
         raise NumericInputError("shift must be a ShiftParameters")
     base = shift.r_p * shift.sigma_beta_sq
@@ -71,8 +68,7 @@ def regression_relation(risk_p, shift):
 
     risk_q = gamma * risk_p + gamma * r_p * sigma_beta_sq * (mu - 1).
     """
-    if not (math.isfinite(risk_p) and risk_p >= 0):
-        raise NumericInputError(f"squared risk must be finite and >= 0, got {risk_p}")
+    risk_p = _checked_real("risk_p", risk_p, (">=", 0))
     rel_gap = abs(shift.gamma - shift.kappa) / shift.gamma
     if rel_gap > _GAMMA_KAPPA_REL_TOL:
         raise NumericInputError(
@@ -89,8 +85,7 @@ def classification_relation(risk_p, shift):
     + mu - 1, which does not cancel at small risks.  Above 1/2 it is 1 - (its
     value at 1 - risk_p): flipping the estimate's sign maps r to 1 - r on both laws.
     """
-    if not (math.isfinite(risk_p) and 0.0 <= risk_p <= 1.0):
-        raise NumericInputError(f"misclassification risk must lie in [0, 1], got {risk_p}")
+    risk_p = _checked_real("risk_p", risk_p, (">=", 0), ("<=", 1))
     if risk_p >= 0.5:
         # 1 - risk_p is exact here
         return 0.5 if risk_p == 0.5 else 1.0 - classification_relation(1.0 - risk_p, shift)
@@ -133,14 +128,13 @@ def monotonicity_check_classification(pair, beta_star):
 
 
 def _ridge_inputs(beta_star, basis, sigma_q, sigma_p_sq, sigma_q_sq):
-    """(beta*, its projection beta_P* onto basis, Sigma_Q), checked for shape and finiteness with both noise variances."""
+    """(beta*, its projection beta_P* onto basis, Sigma_Q, sigma_p_sq, sigma_q_sq), each checked."""
     d = basis.ambient_dim
     beta_star = _checked_array("beta_star", beta_star, (d,))
     sigma_q = _checked_array("sigma_q", sigma_q, (d, d))
-    for name, noise_var in (("sigma_p_sq", sigma_p_sq), ("sigma_q_sq", sigma_q_sq)):
-        if not (math.isfinite(noise_var) and noise_var >= 0):
-            raise NumericInputError(f"{name} must be finite and >= 0")
-    return beta_star, basis.columns @ (basis.columns.T @ beta_star), sigma_q
+    sigma_p_sq = _checked_real("sigma_p_sq", sigma_p_sq, (">=", 0))
+    sigma_q_sq = _checked_real("sigma_q_sq", sigma_q_sq, (">=", 0))
+    return beta_star, basis.columns @ (basis.columns.T @ beta_star), sigma_q, sigma_p_sq, sigma_q_sq
 
 
 def finite_dim_linearity(beta_star, basis, sigma_q, sigma_p_sq, sigma_q_sq):
@@ -154,7 +148,7 @@ def finite_dim_linearity(beta_star, basis, sigma_q, sigma_p_sq, sigma_q_sq):
     exactness, and intercept = beta*^T Sigma_Q beta* - slope * ||beta_P*||^2
     + sigma_q_sq - slope * sigma_p_sq.
     """
-    beta_star, b_p, sigma_q = _ridge_inputs(beta_star, basis, sigma_q, sigma_p_sq, sigma_q_sq)
+    beta_star, b_p, sigma_q, sigma_p_sq, sigma_q_sq = _ridge_inputs(beta_star, basis, sigma_q, sigma_p_sq, sigma_q_sq)
     b_perp = beta_star - b_p
     denom = float(b_p @ b_p)
     # projection roundoff leaves O(eps^2) energy even for orthogonal inputs, as rotation roundoff does
@@ -175,9 +169,8 @@ def population_ridge_risks(beta_star, basis, sigma_q, sigma_p_sq, sigma_q_sq, la
     under the projector covariance with noise sigma_p_sq, test risk under
     sigma_q with noise sigma_q_sq.  Both include the label-noise floor.
     """
-    if not (math.isfinite(lam) and lam >= 0):
-        raise NumericInputError("lam must be finite and >= 0")
-    beta_star, b_p, sigma_q = _ridge_inputs(beta_star, basis, sigma_q, sigma_p_sq, sigma_q_sq)
+    lam = _checked_real("lam", lam, (">=", 0))
+    beta_star, b_p, sigma_q, sigma_p_sq, sigma_q_sq = _ridge_inputs(beta_star, basis, sigma_q, sigma_p_sq, sigma_q_sq)
     alpha = 1.0 / (1.0 + lam)
     b_perp = beta_star - b_p
     shrink = 1.0 - alpha

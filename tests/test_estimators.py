@@ -124,7 +124,7 @@ def test_fits_require_positive_lambda(fit):
         for at in range(3):
             lams = [0.1, 1.0, 10.0]
             lams[at] = lam
-            with pytest.raises(NumericInputError, match="ridge weight lam must be a positive finite scalar"):
+            with pytest.raises(NumericInputError, match="lams must be (> 0, got|finite)"):
                 fit(x, y, lams)
 
 

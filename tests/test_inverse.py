@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from riskshift.errors import InvalidDimensionError, NumericInputError
 from riskshift.inverse import (
+    _OVERLAP_SLACK,
     InverseProblem,
     cs_relation_residual,
     cs_risks,
@@ -82,17 +83,19 @@ def test_inverse_problem_validation():
         InverseProblem(u_p, u_q, 0.1, 0.1, np.inf)
     prob = InverseProblem(u_p, u_q, 0.1, 0.2, 0.3)
     assert (prob.d, prob.d_p, prob.d_q) == (20, 5, 7)
-    # each weight is one problem's value; grids of weights go to denoise_grid
+    # each weight is one problem's real number; grids of weights go to denoise_grid
     for weights, name in [
         ((np.array([0.1, 0.2]), 0.1, 0.1), "sigma_p_sq"),
         ((0.1, np.array([[0.1]]), 0.1), "sigma_q_sq"),
         ((0.1, 0.1, [0.1]), "lam"),
+        ((0.1, np.array(0.2), 0.3), "sigma_q_sq"),
     ]:
-        with pytest.raises(NumericInputError, match=f"{name} must be a scalar"):
+        with pytest.raises(NumericInputError, match=f"{name} must be a real number"):
             InverseProblem(u_p, u_q, *weights)
-    # a zero-dimensional array is a scalar
-    zero_dim = InverseProblem(u_p, u_q, np.float64(0.1), np.array(0.2), 0.3)
-    assert _risks(np.eye(20), zero_dim) == _risks(np.eye(20), prob)
+    # a numpy scalar is stored as its float
+    scalars = InverseProblem(u_p, u_q, np.float64(0.1), np.float64(0.2), 0.3)
+    assert type(scalars.sigma_p_sq) is float
+    assert _risks(np.eye(20), scalars) == _risks(np.eye(20), prob)
 
 
 def test_denoise_risks_hand_values():
@@ -207,16 +210,35 @@ def test_denoise_grid_validates_every_weight():
     snr_column = np.array([[0.1], [0.2]])
     lams = np.array([0.0, 1.0])
     # the first entry that is negative or not finite is named, in a grid as in a problem
-    with pytest.raises(NumericInputError, match="sigma_p_sq must be finite and >= 0, got -0.1"):
+    with pytest.raises(NumericInputError, match="sigma_p_sq must be >= 0, got -0.1"):
         denoise_grid(0.5, 10, 10, np.array([[0.1], [-0.1]]), snr_column, lams)
-    with pytest.raises(NumericInputError, match="sigma_q_sq must be finite and >= 0, got inf"):
+    with pytest.raises(NumericInputError, match="sigma_q_sq must be finite, got inf"):
         denoise_grid(0.5, 10, 10, snr_column, np.array([[math.inf], [0.1]]), lams)
-    with pytest.raises(NumericInputError, match="lam must be finite and >= 0, got nan"):
+    with pytest.raises(NumericInputError, match="lam must be finite, got nan"):
         denoise_grid(0.5, 10, 10, snr_column, snr_column, np.array([1.0, math.nan]))
-    with pytest.raises(NumericInputError, match="lam must be finite and >= 0, got nan"):
+    with pytest.raises(NumericInputError, match="lam must be finite, got nan"):
         _coordinate_problem(lam=math.nan)
     risk_p, risk_q, alpha, residual = denoise_grid(0.5, 10, 10, snr_column, snr_column, lams)
     assert risk_p.shape == risk_q.shape == alpha.shape == residual.shape == (2, 2)
+
+
+def test_denoise_grid_refuses_ranks_and_overlaps_outside_their_domain():
+    # a zero rank divided by zero, and a negative rank, an overlap of 1.7 (risk_q < 0) or nan gave risks
+    for d_p, d_q in [(3, 0), (-3, 3), (3.5, 3), (3, True)]:
+        with pytest.raises(InvalidDimensionError, match="^d_[pq] must be"):
+            denoise_grid(0.5, d_p, d_q, 0.1, 0.1, 0.1)
+    for a in (1.7, math.nextafter(1.0 + _OVERLAP_SLACK, 2.0), -5e-324, math.nan, math.inf):
+        with pytest.raises(NumericInputError, match="^a must be"):
+            denoise_grid(a, 3, 3, 0.1, 0.1, 0.1)
+    # a nested pair's realized overlap rounds past 1 (the default denoise run has 1.0000000000000002)
+    rng = np.random.default_rng(39)
+    for _ in range(200):
+        d = int(rng.integers(1, 61))
+        d_p = int(rng.integers(1, d + 1))
+        d_q = int(rng.integers(1, d_p + 1))
+        u_p, u_q = overlapping_pair(SubspacePairSpec(d, d_p, d_q, d_q), rng)
+        residual = denoise_grid(overlap_coefficient(u_p, u_q), d_p, d_q, 0.1, 0.1, 0.1)[3]
+        assert residual <= 1e-12
 
 
 def test_denoise_curve_linearity_depends_on_snr():

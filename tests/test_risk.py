@@ -72,13 +72,13 @@ def test_decision_cov_quadratic_forms():
 
 def test_decision_cov_rejects_psd_violations():
     # a lower factor with a nonnegative diagonal is PSD; nothing else is accepted
-    with pytest.raises(NumericInputError, match="factor diagonal l11, l22 must be nonnegative"):
+    with pytest.raises(NumericInputError, match="l11 must be >= 0, got -1.0"):
         DecisionCov(-1.0, 0.0, 1.0)
-    with pytest.raises(NumericInputError, match="factor diagonal l11, l22 must be nonnegative"):
+    with pytest.raises(NumericInputError, match="l22 must be >= 0, got -1e-300"):
         DecisionCov(1.0, 0.5, -1e-300)
     with pytest.raises(NumericInputError, match="l21 must be 0 where l11 = 0"):
         DecisionCov(0.0, 5e-324, 1.0)
-    with pytest.raises(NumericInputError, match="entries must be finite"):
+    with pytest.raises(NumericInputError, match="l21 must be finite, got inf"):
         DecisionCov(1.0, math.inf, 1.0)
     DecisionCov(0.0, 0.0, 0.0)
     DecisionCov(0.0, -0.0, 1.0)

@@ -42,7 +42,7 @@ def test_covariance_pair_validation():
     with pytest.raises(NumericInputError):
         CovariancePair(eigenbasis=basis, eigvals_p=p, eigvals_q=q - 0.5)  # negative
     # Sigma_Q's spectrum is >= 0 exactly: no rounding slack below 0
-    with pytest.raises(NumericInputError, match="eigvals_q must be finite and nonnegative"):
+    with pytest.raises(NumericInputError, match="eigvals_q must be >= 0, got -1e-13"):
         CovariancePair(eigenbasis=basis, eigvals_p=p, eigvals_q=np.where(q > 0, q, -1e-13))
     # orthonormality is checked once, by OrthonormalBasis, so a raw array is refused
     with pytest.raises(InvalidDimensionError, match="square OrthonormalBasis"):

@@ -1,5 +1,7 @@
 """Tests for orthonormal bases, overlapping pairs, and principal angles."""
 
+import math
+import pickle
 import re
 
 import numpy as np
@@ -10,14 +12,22 @@ from riskshift.datagen import LinearGaussian, NoisySign, label, sample_beta, sam
 from riskshift.errors import InvalidDimensionError, NumericInputError
 from riskshift.estimators import FittedModel, erm_fit, ridge_fit
 from riskshift.inverse import (
+    _OVERLAP_SLACK,
     InverseProblem,
     cs_risks,
+    denoise_grid,
     gaussian_measurement,
     inner_product_preservation_stats,
     sketch_bases,
 )
 from riskshift.risk import DecisionCov, MetricKind, decision_cov, mc_metric_risk
-from riskshift.shiftmodel import CovariancePair, shift_parameters, subspace_shift_model
+from riskshift.shiftmodel import (
+    CovariancePair,
+    ShiftParameters,
+    shift_parameters,
+    subspace_shift_model,
+    task_dependent_model,
+)
 from riskshift.subspace import (
     OrthonormalBasis,
     SubspacePairSpec,
@@ -26,7 +36,13 @@ from riskshift.subspace import (
     overlapping_pair,
     subspace_similarity,
 )
-from riskshift.theory import finite_dim_linearity, population_ridge_risks
+from riskshift.theory import (
+    asymptotic_decision_cov,
+    classification_relation,
+    finite_dim_linearity,
+    population_ridge_risks,
+    regression_relation,
+)
 
 from oracles import principal_angles, projector
 
@@ -269,3 +285,101 @@ def test_every_count_argument_refuses_a_non_integer(case):
     for bad in (float(count), count + 0.7, True):
         with pytest.raises(error, match=re.escape(f"must be an integer, got {bad!r}")):
             call(bad)
+
+
+_POSITIVE, _NONNEGATIVE = ((">", 0),), ((">=", 0),)
+
+
+def _real_cases():
+    """{id: (call on one real argument of a public entry, the argument's name, its (comparison, limit) bounds, a
+    value in range that float32 holds exactly)}."""
+    spec = SubspacePairSpec(6, 4, 3, 2)
+    pair = subspace_shift_model(spec, 2.0, 0)
+    beta = np.linspace(-1.0, 1.0, 6)
+    u_p, u_q = overlapping_pair(SubspacePairSpec(6, 3, 2, 1), 3)
+    sigma_q = np.eye(6)
+    fields = dict(gamma=1.0, mu=1.5, kappa=2.0, r_p=0.5, sigma_beta_sq=1.0)
+    shift = ShiftParameters(**fields)
+    weights = dict(sigma_p_sq=0.1, sigma_q_sq=0.2, lam=0.3)
+    cases = {
+        "LinearGaussian-sigma": (LinearGaussian, "sigma", _NONNEGATIVE, 0.5),
+        "NoisySign-p": (NoisySign, "p", ((">", 0.5), ("<=", 1)), 0.75),
+        "sample_beta-sigma_beta_sq": (lambda v: sample_beta(4, v, 0), "sigma_beta_sq", _POSITIVE, 2.0),
+        "subspace_shift_model-tau": (lambda v: subspace_shift_model(spec, v, 0), "tau", _POSITIVE, 2.0),
+        # beta* at 2^-530 keeps gamma finite down to the least positive sigma_beta_sq
+        "shift_parameters-sigma_beta_sq": (
+            lambda v: shift_parameters(pair, np.ldexp(beta, -530), v), "sigma_beta_sq", _POSITIVE, 2.0),
+        "task_dependent_model-target_ratio": (
+            lambda v: task_dependent_model(pair, beta, v), "target_ratio", _POSITIVE, 1.5),
+        "asymptotic_decision_cov-a": (lambda v: asymptotic_decision_cov(v, 1.0, 1.0, shift), "a", (), -2.0),
+        "asymptotic_decision_cov-b": (lambda v: asymptotic_decision_cov(0.5, v, 1.0, shift), "b", _POSITIVE, 0.5),
+        "asymptotic_decision_cov-c": (lambda v: asymptotic_decision_cov(0.5, 1.0, v, shift), "c", _POSITIVE, 3.0),
+        "regression_relation-risk_p": (
+            lambda v: regression_relation(v, ShiftParameters(**{**fields, "kappa": 1.0})), "risk_p", _NONNEGATIVE,
+            0.25),
+        "classification_relation-risk_p": (
+            lambda v: classification_relation(v, shift), "risk_p", ((">=", 0), ("<=", 1)), 0.25),
+        "population_ridge_risks-lam": (
+            lambda v: population_ridge_risks(beta, u_p, sigma_q, 0.1, 0.1, v), "lam", _NONNEGATIVE, 0.5),
+        "DecisionCov-l11": (lambda v: DecisionCov(v, 0.0, 1.0), "l11", _NONNEGATIVE, 0.5),
+        "DecisionCov-l21": (lambda v: DecisionCov(1.0, v, 1.0), "l21", (), -0.5),
+        "DecisionCov-l22": (lambda v: DecisionCov(1.0, 0.5, v), "l22", _NONNEGATIVE, 0.5),
+        "denoise_grid-a": (
+            lambda v: denoise_grid(v, 3, 2, 0.1, 0.1, 0.1), "a", ((">=", 0), ("<=", 1.0 + _OVERLAP_SLACK)), 0.5),
+    }
+    for name, bounds in [("gamma", _POSITIVE), ("mu", ((">=", 1.0 - 1e-9),)), ("kappa", _POSITIVE),
+                         ("r_p", ((">", 0), ("<=", 1))), ("sigma_beta_sq", _POSITIVE)]:
+        cases[f"ShiftParameters-{name}"] = (
+            lambda v, name=name: ShiftParameters(**{**fields, name: v}), name, bounds, 1.25 if name == "mu" else 0.5)
+    for name in ("sigma_p_sq", "sigma_q_sq"):
+        noise = lambda v, name=name: {"sigma_p_sq": 0.1, "sigma_q_sq": 0.1, name: v}
+        cases[f"finite_dim_linearity-{name}"] = (
+            lambda v, noise=noise: finite_dim_linearity(beta, u_p, sigma_q, **noise(v)), name, _NONNEGATIVE, 0.5)
+        cases[f"population_ridge_risks-{name}"] = (
+            lambda v, noise=noise: population_ridge_risks(beta, u_p, sigma_q, **noise(v), lam=1.0), name, _NONNEGATIVE,
+            0.5)
+    for name in weights:
+        cases[f"InverseProblem-{name}"] = (
+            lambda v, name=name: InverseProblem(u_p, u_q, **{**weights, name: v}), name, _NONNEGATIVE, 0.5)
+    return cases
+
+
+_REAL_CASES = _real_cases()
+
+
+def _past_and_inside(comparison, limit):
+    """(values just past the bound, the value just inside it), as floats."""
+    limit = float(limit)
+    below, above = math.nextafter(limit, -math.inf), math.nextafter(limit, math.inf)
+    return {">": ([limit, below], above), ">=": ([below], limit), "<=": ([above], limit)}[comparison]
+
+
+@pytest.mark.parametrize("case", _REAL_CASES)
+def test_every_real_argument_is_refused_by_one_message_form(case):
+    # True was accepted as 1 and a string, None or an array escaped as a bare TypeError; each message was its own
+    call, name, bounds, _ = _REAL_CASES[case]
+    not_real = [True, np.bool_(False), "1", None, np.array([1.0, 2.0]), np.array(0.5)]
+    # an int past the float range is the infinity of its sign
+    not_finite = [(math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"), (10**400, "inf"), (-(10**400), "-inf")]
+    for bad, message in [(v, f"must be a real number, got {v!r}") for v in not_real] + [
+            (v, f"must be finite, got {shown}") for v, shown in not_finite]:
+        with pytest.raises(NumericInputError, match=f"^{re.escape(f'{name} {message}')}$"):
+            call(bad)
+    for comparison, limit in bounds:
+        past, inside = _past_and_inside(comparison, limit)
+        for bad in past:
+            message = f"{name} must be {comparison} {limit}, got {bad}"
+            with pytest.raises(NumericInputError, match=f"^{re.escape(message)}$"):
+                call(bad)
+        # a later check of the result may refuse the edge (task_dependent_model's reachable band), this one does not
+        try:
+            call(inside)
+        except NumericInputError as exc:
+            assert not str(exc).startswith(f"{name} must be"), exc
+
+
+@pytest.mark.parametrize("case", _REAL_CASES)
+def test_numpy_scalars_in_range_give_the_float_result_bit_for_bit(case):
+    call, _, _, good = _REAL_CASES[case]
+    for scalar, plain in [(np.float32(good), good), (np.int64(1), 1.0), (1, 1.0)]:
+        assert pickle.dumps(call(scalar)) == pickle.dumps(call(plain)), scalar
