@@ -39,7 +39,7 @@ class NoisySign:
 
 def sample_beta(d, sigma_beta_sq, seed):
     """Read-only ground truth beta* with iid N(0, sigma_beta_sq) coordinates."""
-    d = _checked_count("d", d, 1)
+    d = _checked_count("d", d, (">=", 1))
     sigma_beta_sq = _checked_real("sigma_beta_sq", sigma_beta_sq, (">", 0))
     rng = np.random.default_rng(seed)
     return _frozen_array(math.sqrt(sigma_beta_sq) * rng.standard_normal(d))
@@ -47,7 +47,7 @@ def sample_beta(d, sigma_beta_sq, seed):
 
 def sample_covariates(pair, n, seed):
     """n iid rows from N(0, Sigma_P / d)."""
-    n = _checked_count("n", n, 1)
+    n = _checked_count("n", n, (">=", 1))
     v = pair.eigenbasis.columns
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((n, pair.d))

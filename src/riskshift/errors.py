@@ -14,7 +14,8 @@ class RiskshiftError(Exception):
 
 
 class InvalidDimensionError(RiskshiftError, ValueError):
-    """Shape or dimension constraints violated (rank > ambient dim, mismatched lengths, a non-integer count, ...)."""
+    """Shape or dimension constraints violated (rank > ambient dim, mismatched lengths, a ragged or empty array,
+    a non-integer count: "<name> must have shape (...) / be a rectangular array / be an integer, got ...")."""
 
 
 class NumericInputError(RiskshiftError, ValueError):
@@ -22,7 +23,9 @@ class NumericInputError(RiskshiftError, ValueError):
 
     An argument that is not a real number, not finite, or past a (comparison, limit)
     bound of its domain reads "<name> must be a real number / finite / <comparison>
-    <limit>, got <value>".  Beyond single arguments: l21 != 0 where l11 = 0, a
+    <limit>, got <value>"; an array entry is judged by the same rule, and an array
+    of a bool, string or object dtype reads "<name> must hold real numbers, got dtype
+    <dtype>".  Beyond single arguments: l21 != 0 where l11 = 0, a
     zero-variance decision score, a ground truth with no energy on the train support
     or none under Sigma_Q there, a gamma that underflows to 0, an energy or mean
     square past the float range, a kappa/gamma outside the reachable band of the
@@ -33,4 +36,7 @@ class NumericInputError(RiskshiftError, ValueError):
 
 
 class ConfigError(RiskshiftError, ValueError):
-    """Experiment configuration is malformed: unknown keys, bad values, missing requirements."""
+    """Experiment configuration is malformed: unknown keys, bad values, missing requirements.
+
+    A number key is checked as a library argument is, with that message after "key '<name>'".
+    """

@@ -8,19 +8,21 @@ strictly increasing float list `values["<name>_grid"]`; a list-valued grid
 repeats no entry.
 
 Each key declares its parser, its default and its range: (comparison, limit)
-bounds met by the value, or by each entry of a list.  Every given value is
-parsed first, then `--seed` / `--out` replace theirs, then each final value is
+bounds met by the value, or by each entry of a list.  A number's text becomes an
+int or a float here, and subspace._checked_count or _checked_real, as for every
+library argument, decides whether it is a number within those bounds (a
+ConfigError whose message begins `key '<name>'`).  Every given value is parsed
+first, then `--seed` / `--out` replace theirs, then each final value is
 checked against its key's range, then each trio's grid is resolved and the
 kind's one rule across keys (subspace dimensions) runs.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from riskshift.errors import ConfigError, InvalidDimensionError
-from riskshift.subspace import _COMPARISONS, SubspacePairSpec
+from riskshift.subspace import SubspacePairSpec, _checked_count, _checked_real
 
 _REQUIRED = object()
 
@@ -32,33 +34,25 @@ KIND_COUNTEREXAMPLE = "counterexample"
 KIND_CS = "cs-validate"
 KIND_SUBSPACE = "subspace-analyze"
 
-def _parse_int(key, value):
-    if isinstance(value, bool):
-        raise ConfigError(f"key '{key}' expects an integer, got a boolean")
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    try:
-        return int(str(value).strip())
-    except ValueError as exc:
-        raise ConfigError(f"key '{key}' expects an integer, got {value!r}") from exc
+def _number(check, from_text):
+    """Parser of one number: text becomes from_text(text), and check, a subspace helper, decides what is a number."""
+
+    def parse(key, value, *bounds):
+        if isinstance(value, str):
+            try:
+                value = from_text(value.strip())
+            except ValueError:
+                pass  # check refuses the text itself
+        return check(f"key '{key}'", value, *bounds, error=ConfigError)
+
+    return parse
 
 
-def _parse_float(key, value):
-    if isinstance(value, bool):
-        raise ConfigError(f"key '{key}' expects a number, got a boolean")
-    if isinstance(value, (int, float, np.integer, np.floating)):
-        out = float(value)
-    else:
-        try:
-            out = float(str(value).strip())
-        except ValueError as exc:
-            raise ConfigError(f"key '{key}' expects a number, got {value!r}") from exc
-    if not math.isfinite(out):
-        raise ConfigError(f"key '{key}' must be finite, got {out}")
-    return out
+_parse_int = _number(_checked_count, int)
+_parse_float = _number(_checked_real, float)
 
 
-def _parse_str(key, value):
+def _parse_str(key, value, *bounds):
     text = str(value).strip()
     if not text:
         raise ConfigError(f"key '{key}' must be a nonempty string")
@@ -66,16 +60,18 @@ def _parse_str(key, value):
 
 
 def _list_of(parse_item):
-    """Parser of a nonempty comma-separated list (or sequence) of distinct parse_item values."""
+    """Parser of a nonempty comma-separated list (or a list or tuple) of distinct parse_item values."""
 
-    def parse(key, value):
-        if isinstance(value, (list, tuple, np.ndarray)):
+    def parse(key, value, *bounds):
+        if isinstance(value, str):
+            items = [t for t in value.split(",") if t.strip()]
+        elif isinstance(value, (list, tuple)):
             items = list(value)
         else:
-            items = [t for t in str(value).split(",") if t.strip()]
+            items = [value]  # one entry, which parse_item judges
         if not items:
             raise ConfigError(f"key '{key}' must be a nonempty comma-separated list")
-        parsed = [parse_item(key, item) for item in items]
+        parsed = [parse_item(key, item, *bounds) for item in items]
         if len(set(parsed)) < len(parsed):
             raise ConfigError(f"key '{key}' must not repeat an entry, got {parsed}")
         return parsed
@@ -130,16 +126,12 @@ _HAAR_GEOMETRY = {
 }
 
 
-def _require_subspace_spec(values):
+def _require_subspace_spec(values, d_q="d_q", d_pq="d_pq"):
+    """The pair the runner builds; the classification sweep's is SubspacePairSpec(d, d_p, d_p, d_p)."""
     try:
-        SubspacePairSpec(values["d"], values["d_p"], values["d_q"], values["d_pq"])
+        SubspacePairSpec(values["d"], values["d_p"], values[d_q], values[d_pq])
     except InvalidDimensionError as exc:
         raise ConfigError(f"invalid subspace dimensions: {exc}") from exc
-
-
-def _require_support(values):
-    if not 1 <= values["d_p"] <= values["d"]:
-        raise ConfigError(f"d_p must lie in [1, d] = [1, {values['d']}], got {values['d_p']}")
 
 
 def _require_overlaps(values):
@@ -177,7 +169,7 @@ _SCHEMAS = {
         "sign_correct_prob": _Field(_parse_float, 0.8, ((">", 0.5), ("<=", 1))),
         "kappa_over_gamma": _Field(_parse_float, 5.0, _POSITIVE),
         "trials": _Field(_parse_int, 3, _POSITIVE),
-    }, _require_support),
+    }, lambda values: _require_subspace_spec(values, "d_p", "d_p")),
     KIND_RELATION: _schema(KIND_RELATION, {
         "mu_grid": _Field(_parse_floats, [1.0, 1.05, 1.1, 1.2, 1.5], _AT_LEAST_ONE),
         "ratio_grid": _Field(_parse_floats, [0.2, 0.5, 1.0, 2.0, 5.0], _POSITIVE),
@@ -231,14 +223,6 @@ class ExperimentConfig:
 
     def __getitem__(self, key):
         return self.values[key]
-
-
-def _check_range(key, field, value):
-    for item in value if isinstance(value, list) else [value]:
-        for comparison, limit in field.bounds:
-            if not _COMPARISONS[comparison](item, limit):
-                bound = "positive" if (comparison, limit) == (">", 0) else f"{comparison} {limit}"
-                raise ConfigError(f"key '{key}' must be {bound}, got {item}")
 
 
 _TRIO_SPACING = {"lambda": np.geomspace, "a": np.geomspace, "risk_p": np.linspace}
@@ -313,7 +297,7 @@ def config_from_mapping(kind, mapping=None, seed_override=None, out_override=Non
     if out_override is not None:
         values["output_path"] = _parse_str("output_path", out_override)
     for key, field in fields.items():
-        _check_range(key, field, values[key])
+        values[key] = field.parse(key, values[key], *field.bounds)
     _resolve_trios(values)
     rule(values)
     return ExperimentConfig(kind=kind, values=values)

@@ -12,6 +12,7 @@ README § Output format describes each kind's CSV columns.
 import dataclasses
 import math
 import os
+import warnings
 
 import numpy as np
 
@@ -380,7 +381,10 @@ def run_cs_validation(config):
 def _load_matrix(path):
     for kwargs in ({}, {"delimiter": ","}):
         try:
-            matrix = np.loadtxt(path, ndmin=2, **kwargs)
+            with warnings.catch_warnings():
+                # a file with no data rows is refused below by its size, not by numpy's warning
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                matrix = np.loadtxt(path, ndmin=2, **kwargs)
         except ValueError:
             continue
         if matrix.size == 0:

@@ -68,15 +68,6 @@ class InverseProblem:
         return _shrinkage(self.sigma_p_sq, self.lam)
 
 
-def _check_weights(**weights):
-    """Refuses the first entry of a noise variance or ridge weight, a float or an array, that _checked_real would."""
-    for name, value in weights.items():
-        value = np.asarray(value)
-        bad = ~(np.isfinite(value) & (value >= 0))
-        if np.any(bad):
-            _checked_real(name, value[bad].flat[0], (">=", 0))
-
-
 # The closed forms below are elementwise expressions that take floats or numpy
 # arrays alike.  They use only +, -, *, / and abs, each rounded correctly in
 # Python and in numpy, so an array cell equals the same point computed from
@@ -101,12 +92,15 @@ def denoise_grid(a, d_p, d_q, sigma_p_sq, sigma_q_sq, lam):
     risk_Q = 1 + (alpha^2 - 2 alpha) a + alpha^2 sigma_Q^2 d_P / d_Q,
     with a the subspace overlap coefficient of a pair of ranks d_P and d_Q, and
     residual the gap of the affine train/test relation, exact up to roundoff.
-    The weights are floats or arrays that broadcast against each other, so one
-    call evaluates a whole (noise, lambda) grid of a subspace pair.
+    The weights are reals or nonempty arrays of any shape that broadcast against
+    each other, so one call evaluates a whole (noise, lambda) grid of a subspace pair.
     """
-    d_p, d_q = _checked_count("d_p", d_p, 1), _checked_count("d_q", d_q, 1)
+    d_p, d_q = _checked_count("d_p", d_p, (">=", 1)), _checked_count("d_q", d_q, (">=", 1))
     a = _checked_real("a", a, (">=", 0), ("<=", 1.0 + _OVERLAP_SLACK))
-    _check_weights(sigma_p_sq=sigma_p_sq, sigma_q_sq=sigma_q_sq, lam=lam)
+    weights = [_checked_array(name, value, None, (">=", 0))
+               for name, value in (("sigma_p_sq", sigma_p_sq), ("sigma_q_sq", sigma_q_sq), ("lam", lam))]
+    # a 0-d weight is a float again, so a call on floats returns floats
+    sigma_p_sq, sigma_q_sq, lam = (w if w.ndim else float(w) for w in weights)
     # IEEE arithmetic as with floats: a non-finite cell is refused when it is written
     with np.errstate(over="ignore", invalid="ignore"):
         alpha = _shrinkage(sigma_p_sq, lam)
@@ -119,7 +113,7 @@ def denoise_grid(a, d_p, d_q, sigma_p_sq, sigma_q_sq, lam):
 
 def gaussian_measurement(n, d, seed):
     """n x d matrix with iid N(0, 1/n) entries."""
-    n, d = _checked_count("n", n, 1), _checked_count("d", d, 1)
+    n, d = _checked_count("n", n, (">=", 1)), _checked_count("d", d, (">=", 1))
     rng = np.random.default_rng(seed)
     return rng.standard_normal((n, d)) / math.sqrt(n)
 

@@ -175,7 +175,7 @@ def metric_values(z_star, z, metric):
 def _validate_mc_args(metric, n_draws):
     if not isinstance(metric, MetricKind):
         raise NumericInputError(f"metric must be a MetricKind member, got {metric!r}")
-    return _checked_count("n_draws", n_draws, 100, NumericInputError)
+    return _checked_count("n_draws", n_draws, (">=", 100), error=NumericInputError)
 
 
 def chunked_mc(draw, n_draws, seed, chunk_size):

@@ -9,9 +9,9 @@ subspaces is summarized by sum_i cos^2 theta_i over their principal angles,
 which equals ||U_P^T U_Q||_F^2 (Bjorck & Golub 1973), so the similarity
 sqrt(sum cos^2 / k) and the overlap coefficient sum cos^2 / d_Q need no SVD.
 
-It also holds the package's argument checks: _checked_array, _checked_count
-and _checked_real, whose (comparison, limit) bounds read _COMPARISONS, the
-vocabulary that the harness's config keys and acceptance criteria share.
+It also holds the only checks of what a usable number is, for library arguments
+and config keys alike: _checked_array, _checked_count and _checked_real, whose
+(comparison, limit) bounds read _COMPARISONS, applied by the one loop _within.
 """
 
 import math
@@ -33,45 +33,57 @@ def _frozen_array(values, dtype=np.float64):
 
 
 def _checked_array(name, value, shape, *bounds):
-    """value as a nonempty finite float64 array of the given shape (None is any length >= 1) within its bounds."""
-    arr = np.asarray(value, dtype=np.float64)
+    """value as a nonempty finite float64 array of the given shape (None is any length >= 1, a shape of None any
+    number of axes) within its bounds; an integer or floating dtype only, and _checked_real refuses a bad entry."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # numpy refuses a ragged nesting
+        raise InvalidDimensionError(f"{name} must be a rectangular array, got a ragged nesting") from None
+    if arr.dtype.kind not in "iuf":
+        raise NumericInputError(f"{name} must hold real numbers, got dtype {arr.dtype}")
+    arr = arr.astype(np.float64, copy=False)
+    shape = (None,) * arr.ndim if shape is None else shape
     if arr.ndim != len(shape) or arr.size == 0 or any(n not in (None, m) for n, m in zip(shape, arr.shape)):
         want = ", ".join("*" if n is None else str(n) for n in shape) + ("," if len(shape) == 1 else "")
         raise InvalidDimensionError(f"{name} must have shape ({want}), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise NumericInputError(f"{name} must be finite")
+    held = np.isfinite(arr)
     for comparison, limit in bounds:
-        held = _COMPARISONS[comparison](arr, limit)
-        if not np.all(held):
-            _checked_real(name, arr[~held].flat[0], (comparison, limit))  # refuses the first entry past it
+        held &= _COMPARISONS[comparison](arr, limit)
+    if not np.all(held):
+        _checked_real(name, arr[~held].flat[0], *bounds)
     return arr
 
 
-def _checked_real(name, value, *bounds):
+def _within(name, value, bounds, error):
+    """value, if it meets each (comparison, limit) bound; else error names the first it misses."""
+    for comparison, limit in bounds:
+        if not _COMPARISONS[comparison](value, limit):
+            raise error(f"{name} must be {comparison} {limit}, got {value}")
+    return value
+
+
+def _checked_real(name, value, *bounds, error=NumericInputError):
     """value as a finite float within each (comparison, limit) bound; an int or numpy scalar is real, a bool is not."""
     # a float, the common case, skips the type tests
     if type(value) is not float:
         if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-            raise NumericInputError(f"{name} must be a real number, got {value!r}")
+            raise error(f"{name} must be a real number, got {value!r}")
         try:
             value = float(value)
         except OverflowError:  # an int past the float range
             value = math.inf if value > 0 else -math.inf
     if not math.isfinite(value):
-        raise NumericInputError(f"{name} must be finite, got {value}")
-    for comparison, limit in bounds:
-        if not _COMPARISONS[comparison](value, limit):
-            raise NumericInputError(f"{name} must be {comparison} {limit}, got {value}")
-    return value
+        raise error(f"{name} must be finite, got {value}")
+    return _within(name, value, bounds, error)
 
 
-def _checked_count(name, value, least, error=InvalidDimensionError):
-    """value as an int >= least; a bool, a float (6.0 too) or any other non-integer raises error, as a smaller one does."""
+def _checked_count(name, value, *bounds, error=InvalidDimensionError):
+    """value as an int within each (comparison, limit) bound; a bool, a float (6.0 too) or any other non-integer
+    raises error, as an int past the float range does."""
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise error(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise error(f"{name} must be >= {least}, got {value}")
-    return int(value)
+    _checked_real(name, value, error=error)
+    return _within(name, int(value), bounds, error)
 
 
 @dataclass(frozen=True)
@@ -81,14 +93,12 @@ class OrthonormalBasis:
     columns: np.ndarray
 
     def __post_init__(self):
-        u = np.asarray(self.columns, dtype=np.float64)
-        if u.ndim != 2:
-            raise InvalidDimensionError("basis columns must form a 2-d array")
+        u = _checked_array("basis columns", self.columns, (None, None))
         d, k = u.shape
-        if k < 1 or k > d:
+        if k > d:
             raise InvalidDimensionError(f"need 1 <= rank <= ambient dim, got rank {k} in dim {d}")
         gram = u.T @ u
-        # written so that a NaN in the columns fails the comparison
+        # written so that a NaN in the Gram (inf - inf from huge columns) fails the comparison
         if not np.max(np.abs(gram - np.eye(k))) <= _ORTHO_TOL:
             raise InvalidDimensionError(f"columns are not orthonormal within {_ORTHO_TOL:g}")
         object.__setattr__(self, "columns", _frozen_array(u))
@@ -118,11 +128,11 @@ class SubspacePairSpec:
 
     def __post_init__(self):
         for name, least in (("d", 1), ("d_p", 1), ("d_q", 1), ("d_pq", 0)):
-            object.__setattr__(self, name, _checked_count(name, getattr(self, name), least))
+            object.__setattr__(self, name, _checked_count(name, getattr(self, name), (">=", least)))
         if self.d_pq > min(self.d_p, self.d_q):
-            raise InvalidDimensionError("need d_pq <= min(d_p, d_q)")
+            raise InvalidDimensionError(f"need d_pq <= min(d_p, d_q), got d_pq = {self.d_pq}")
         if self.d_p + self.d_q - self.d_pq > self.d:
-            raise InvalidDimensionError("d_p + d_q - d_pq exceeds the ambient dimension")
+            raise InvalidDimensionError(f"need d_p + d_q - d_pq <= d = {self.d}, got {self.d_p + self.d_q - self.d_pq}")
 
     @property
     def q_coords(self):
@@ -145,7 +155,7 @@ def _sign_fixed_qr(g):
 
 def haar_basis(d, k, seed):
     """Haar-distributed orthonormal d x k basis, deterministic per seed."""
-    d, k = _checked_count("d", d, 1), _checked_count("k", k, 1)
+    d, k = _checked_count("d", d, (">=", 1)), _checked_count("k", k, (">=", 1))
     if k > d:
         raise InvalidDimensionError(f"need 1 <= k <= d, got k={k}, d={d}")
     rng = np.random.default_rng(seed)

@@ -104,7 +104,7 @@ def test_config_rejects_unknown_keys_and_kind_mismatch():
         config_from_mapping(KIND_DENOISE, {"kind": KIND_RELATION})
     with pytest.raises(ConfigError, match="missing required"):
         config_from_mapping(KIND_SUBSPACE, {"input_p": "x.txt"})
-    with pytest.raises(ConfigError, match="expects an integer"):
+    with pytest.raises(ConfigError, match="^key 'd' must be an integer, got 'ten'$"):
         config_from_mapping(KIND_DENOISE, {"d": "ten"})
     with pytest.raises(ConfigError, match="invalid subspace dimensions"):
         config_from_mapping(KIND_REGRESSION, {"d_pq": "700"})
@@ -297,6 +297,58 @@ def test_config_checks_ranges_after_overrides():
         config_from_mapping(KIND_CS, {"master_seed": "x"}, seed_override=3)
     # the range is checked on the final value, so the override replaces a bad seed
     assert config_from_mapping(KIND_CS, {"master_seed": "-1"}, seed_override=3)["master_seed"] == 3
+
+
+# (kind, key, the other entries of a list key or None for a scalar key, the word for the key's number)
+_NUMBER_KEYS = [
+    pytest.param(KIND_DENOISE, "d", None, "an integer", id="int-scalar"),
+    pytest.param(KIND_CS, "n_grid", [500], "an integer", id="int-list-entry"),
+    pytest.param(KIND_COUNTEREXAMPLE, "gamma", None, "a real number", id="float-scalar"),
+    pytest.param(KIND_DENOISE, "snr_grid", [1.0], "a real number", id="float-list-entry"),
+]
+
+
+@pytest.mark.parametrize("kind,key,others,number", _NUMBER_KEYS)
+def test_config_keys_refuse_what_the_library_refuses(kind, key, others, number):
+    # 10**400 raised a bare OverflowError (or was taken as an int), a 0-d array was taken as a number, and
+    # each refusal had config's own message form
+    for bad, shown in [(True, f"must be {number}, got True"), (10**400, "must be finite, got inf"),
+                       (np.array(1.0), f"must be {number}, got array(1.)"),
+                       ("abc", f"must be {number}, got 'abc'"), (None, f"must be {number}, got None")]:
+        value = bad if others is None else [*others, bad]
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'key {key!r} {shown}')}$"):
+            config_from_mapping(kind, {key: value})
+
+
+def test_cli_refuses_a_non_number_with_one_line(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    cfg = _cli_config(tmp_path, f"kind = counterexample\ngamma = abc\noutput_path = {out}\n")
+    assert main(["counterexample", "--config", cfg]) == 2
+    assert capsys.readouterr().err == "error: key 'gamma' must be a real number, got 'abc'\n"
+    assert not out.exists()
+
+
+def test_number_checks_are_made_only_by_the_subspace_helpers():
+    # config keys, selftest's criteria and library arguments read one (comparison, limit) vocabulary, and only
+    # the subspace helpers and selftest's verdicts apply it; config decides no number type of its own
+    subscripts, bool_tests = [], []
+
+    def visit(node, module, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name) and node.value.id == "_COMPARISONS":
+            subscripts.append((module, owner))
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance"
+                and "bool" in {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}):
+            bool_tests.append((module, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, owner)
+
+    for path, tree in _package_trees():
+        visit(tree, os.path.basename(path), None)
+    assert {module for module, _ in subscripts} == {"subspace.py", "selftest.py"}
+    assert {owner for module, owner in subscripts if module == "selftest.py"} == {"_judge"}
+    assert [module for module, _ in bool_tests if module == "config.py"] == []
 
 
 def _readme():
@@ -996,7 +1048,7 @@ def test_cli_one_point_zero_lambda_max_is_config_error(tmp_path, capsys):
     )
     assert main(["denoise", "--config", cfg]) == 2
     err_lines = capsys.readouterr().err.splitlines()
-    assert err_lines == ["error: key 'lambda_max' must be positive, got 0.0"]
+    assert err_lines == ["error: key 'lambda_max' must be > 0, got 0.0"]
     assert not out.exists()
 
 
@@ -1043,11 +1095,11 @@ def test_cli_unreadable_matrix_is_io_error(tmp_path, capsys, content):
         tmp_path,
         f"kind = subspace-analyze\ninput_p = {good}\ninput_q = {bad}\noutput_path = {out}\n",
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # numpy warns on a file with no data
-        assert main(["subspace-analyze", "--config", cfg]) == 4
+    # numpy's warning on a file with no data once escaped main
+    assert main(["subspace-analyze", "--config", cfg]) == 4
     assert not out.exists()
-    assert "error:" in capsys.readouterr().err
+    err_lines = capsys.readouterr().err.splitlines()
+    assert len(err_lines) == 1 and err_lines[0].startswith("error:"), err_lines
 
 
 def test_cli_seed_and_out_overrides(tmp_path, capsys):

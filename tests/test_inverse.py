@@ -220,6 +220,15 @@ def test_denoise_grid_validates_every_weight():
         _coordinate_problem(lam=math.nan)
     risk_p, risk_q, alpha, residual = denoise_grid(0.5, 10, 10, snr_column, snr_column, lams)
     assert risk_p.shape == risk_q.shape == alpha.shape == residual.shape == (2, 2)
+    # True was taken as 1, a string or None escaped as a bare TypeError, and an empty grid gave empty risks
+    for bad, message in [(True, "must hold real numbers, got dtype bool"), ("0.1", "must hold real numbers"),
+                         (None, "must hold real numbers, got dtype object")]:
+        with pytest.raises(NumericInputError, match=f"^sigma_p_sq {message}"):
+            denoise_grid(0.5, 3, 3, bad, 0.1, 0.1)
+    with pytest.raises(InvalidDimensionError, match=r"^lam must have shape \(\*,\), got \(0,\)$"):
+        denoise_grid(0.5, 3, 3, 0.1, 0.1, np.array([]))
+    # one point on floats gives floats
+    assert all(type(v) is float for v in denoise_grid(0.5, 3, 3, 0.1, 0.1, 0.1))
 
 
 def test_denoise_grid_refuses_ranks_and_overlaps_outside_their_domain():

@@ -58,7 +58,8 @@ def test_covariance_pair_validation():
     [
         (np.eye(3), [np.nan, 0.0, 0.0], NumericInputError),
         (np.eye(3), [np.inf, 0.0, 0.0], NumericInputError),
-        (np.full((3, 3), np.nan), [1.0, 0.0, 0.0], InvalidDimensionError),
+        # a NaN basis entry is a non-finite value, as in every array argument
+        (np.full((3, 3), np.nan), [1.0, 0.0, 0.0], NumericInputError),
     ],
     ids=["nan-eigvals-q", "inf-eigvals-q", "nan-eigenbasis"],
 )

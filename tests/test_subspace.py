@@ -81,7 +81,8 @@ def test_orthonormal_basis_validates_columns():
 
 
 def test_orthonormal_basis_rejects_nan_columns():
-    with pytest.raises(InvalidDimensionError):
+    # a NaN entry is a non-finite value, as in every array argument
+    with pytest.raises(NumericInputError, match="^basis columns must be finite, got nan$"):
         OrthonormalBasis(np.full((3, 2), np.nan))
 
 
@@ -195,7 +196,7 @@ def test_mismatched_ambient_dimensions_rejected():
 
 def _refusal_cases():
     """{id: (call, good, axis)}: call passes its one array argument to a public entry, good is accepted, and
-    axis is the one whose length the other arguments pin (None if no length is pinned)."""
+    axis is the one whose length the other arguments pin (None if no length is pinned, ... if any shape is taken)."""
     pair = subspace_shift_model(SubspacePairSpec(6, 4, 3, 2), 2.0, 0)
     beta = np.linspace(-1.0, 1.0, 6)
     x = sample_covariates(pair, 8, 1)
@@ -211,6 +212,7 @@ def _refusal_cases():
         "label-beta_star": (lambda v: label(x, v, LinearGaussian(0.0), 0), beta, 0),
         "ridge_fit-x": (lambda v: ridge_fit(v, y, [1.0]), x, 0),
         "ridge_fit-y": (lambda v: ridge_fit(x, v, [1.0]), y, 0),
+        "ridge_fit-lams": (lambda v: ridge_fit(x, y, v), np.array([0.5, 1.0]), None),
         "erm_fit-x": (lambda v: erm_fit(v, signs, [1.0]), x, 0),
         "erm_fit-y": (lambda v: erm_fit(x, v, [1.0]), signs, 0),
         "FittedModel": (lambda v: FittedModel(v, 1, True), beta, None),
@@ -228,33 +230,49 @@ def _refusal_cases():
         "population_ridge_risks-beta_star": (
             lambda v: population_ridge_risks(v, u_p, sigma_q, 0.1, 0.1, 1.0), beta, 0),
         "population_ridge_risks-sigma_q": (lambda v: population_ridge_risks(beta, u_p, v, 0.1, 0.1, 1.0), sigma_q, 1),
+        "OrthonormalBasis": (OrthonormalBasis, u_p.columns, None),
+        # a weight broadcasts against the others, so it takes any shape
+        "denoise_grid-sigma_p_sq": (lambda v: denoise_grid(0.5, 3, 2, v, 0.1, 0.1), np.array([0.1, 0.2]), ...),
+        "denoise_grid-sigma_q_sq": (lambda v: denoise_grid(0.5, 3, 2, 0.1, v, 0.1), np.array([0.1, 0.2]), ...),
+        "denoise_grid-lam": (lambda v: denoise_grid(0.5, 3, 2, 0.1, 0.1, v), np.array([0.1, 0.2]), ...),
     }
 
 
 _REFUSAL_CASES = _refusal_cases()
 
 
-def _with_entry(good, value):
-    bad = np.array(good, dtype=np.float64)
+def _with_entry(good, value, dtype=np.float64):
+    bad = np.array(good, dtype=dtype)
     bad.flat[-1] = value
     return bad
 
 
-# each fault: (bad array from (good, axis), the class that refuses it)
+# each fault: (bad array from (good, axis), the class that refuses it); the last five were taken as numbers
+# (True as 1, "1" as 1.0) or escaped as a bare ValueError or TypeError
 _FAULTS = {
     "ndim": (lambda good, axis: good[None], InvalidDimensionError),
     "length": (lambda good, axis: np.delete(good, -1, axis), InvalidDimensionError),
     "empty": (lambda good, axis: good[:0], InvalidDimensionError),
     "nan": (lambda good, axis: _with_entry(good, np.nan), NumericInputError),
     "inf": (lambda good, axis: _with_entry(good, -np.inf), NumericInputError),
+    "bool": (lambda good, axis: np.full(good.shape, True), NumericInputError),
+    "text": (lambda good, axis: np.full(good.shape, "1"), NumericInputError),
+    "none": (lambda good, axis: None, NumericInputError),
+    "ragged": (lambda good, axis: [*good[:-1], np.append(good[-1], 0.0)], InvalidDimensionError),
+    "object": (lambda good, axis: _with_entry(good, {1: 2}, object), NumericInputError),
 }
+
+
+def _applies(fault, axis):
+    """An argument of any shape has no ndim or length fault, and one with no pinned length no length fault."""
+    return fault not in ("ndim", "length") if axis is ... else fault != "length" or axis is not None
 
 
 @pytest.mark.parametrize("case, fault", [
     pytest.param(case, fault, id=f"{case}-{fault}")
     for case, (_, _, axis) in _REFUSAL_CASES.items()
     for fault in _FAULTS
-    if fault != "length" or axis is not None
+    if _applies(fault, axis)
 ])
 def test_every_array_argument_is_refused_by_class(case, fault):
     call, good, axis = _REFUSAL_CASES[case]
