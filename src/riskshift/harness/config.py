@@ -34,8 +34,8 @@ KIND_COUNTEREXAMPLE = "counterexample"
 KIND_CS = "cs-validate"
 KIND_SUBSPACE = "subspace-analyze"
 
-def _number(check, from_text):
-    """Parser of one number: text becomes from_text(text), and check, a subspace helper, decides what is a number."""
+def _number(check, from_text, *limits):
+    """Parser of one number: text becomes from_text(text), and check, a subspace helper, judges it by bounds and limits."""
 
     def parse(key, value, *bounds):
         if isinstance(value, str):
@@ -43,12 +43,14 @@ def _number(check, from_text):
                 value = from_text(value.strip())
             except ValueError:
                 pass  # check refuses the text itself
-        return check(f"key '{key}'", value, *bounds, error=ConfigError)
+        return check(f"key '{key}'", value, *bounds, *limits, error=ConfigError)
 
     return parse
 
 
-_parse_int = _number(_checked_count, int)
+_parse_seed = _number(_checked_count, int)
+# a size or count past numpy's index range escapes numpy as a bare IndexError or ValueError
+_parse_count = _number(_checked_count, int, ("<=", np.iinfo(np.intp).max))
 _parse_float = _number(_checked_real, float)
 
 
@@ -100,7 +102,7 @@ def _schema(kind, fields, rule=lambda values: None):
     """(fields, rule): the common keys then the kind's, and the kind's check across keys."""
     common = {
         "kind": _Field(_parse_str, kind),
-        "master_seed": _Field(_parse_int, 0, _NONNEGATIVE),
+        "master_seed": _Field(_parse_seed, 0, _NONNEGATIVE),
         "output_path": _Field(_parse_str, f"{kind}.csv"),
     }
     return {**common, **fields}, rule
@@ -110,19 +112,19 @@ def _lambda_fields(points):
     return {
         "lambda_min": _Field(_parse_float, 1e-3, _POSITIVE),
         "lambda_max": _Field(_parse_float, 1e2, _POSITIVE),
-        "lambda_points": _Field(_parse_int, points, _AT_LEAST_ONE),
+        "lambda_points": _Field(_parse_count, points, _AT_LEAST_ONE),
     }
 
 
 _SWEEP_GEOMETRY = {
-    "d": _Field(_parse_int, 800),
-    "n": _Field(_parse_int, 1000, _POSITIVE),
-    "d_p": _Field(_parse_int, 720),
+    "d": _Field(_parse_count, 800),
+    "n": _Field(_parse_count, 1000, _POSITIVE),
+    "d_p": _Field(_parse_count, 720),
 }
 _HAAR_GEOMETRY = {
-    "d": _Field(_parse_int, 200),
-    "d_p": _Field(_parse_int, 40),
-    "d_q": _Field(_parse_int, 40),
+    "d": _Field(_parse_count, 200),
+    "d_p": _Field(_parse_count, 40),
+    "d_q": _Field(_parse_count, 40),
 }
 
 
@@ -156,19 +158,19 @@ _SCHEMAS = {
     KIND_REGRESSION: _schema(KIND_REGRESSION, {
         **_lambda_fields(25),
         **_SWEEP_GEOMETRY,
-        "d_q": _Field(_parse_int, 640),
-        "d_pq": _Field(_parse_int, 560, _AT_LEAST_ONE),
+        "d_q": _Field(_parse_count, 640),
+        "d_pq": _Field(_parse_count, 560, _AT_LEAST_ONE),
         "sigma_beta_sq": _Field(_parse_float, 1.0, _POSITIVE),
         "tau": _Field(_parse_float, 2.0, _POSITIVE),
         "noise_var": _Field(_parse_float, 0.2, _NONNEGATIVE),
-        "trials": _Field(_parse_int, 5, _POSITIVE),
+        "trials": _Field(_parse_count, 5, _POSITIVE),
     }, _require_subspace_spec),
     KIND_CLASSIFICATION: _schema(KIND_CLASSIFICATION, {
         **_lambda_fields(25),
         **_SWEEP_GEOMETRY,
         "sign_correct_prob": _Field(_parse_float, 0.8, ((">", 0.5), ("<=", 1))),
         "kappa_over_gamma": _Field(_parse_float, 5.0, _POSITIVE),
-        "trials": _Field(_parse_int, 3, _POSITIVE),
+        "trials": _Field(_parse_count, 3, _POSITIVE),
     }, lambda values: _require_subspace_spec(values, "d_p", "d_p")),
     KIND_RELATION: _schema(KIND_RELATION, {
         "mu_grid": _Field(_parse_floats, [1.0, 1.05, 1.1, 1.2, 1.5], _AT_LEAST_ONE),
@@ -176,7 +178,7 @@ _SCHEMAS = {
         "mu_fixed": _Field(_parse_float, 1.0, _AT_LEAST_ONE),
         "risk_p_min": _Field(_parse_float, 0.01, _POSITIVE),
         "risk_p_max": _Field(_parse_float, 0.49, (("<", 0.5),)),
-        "risk_p_points": _Field(_parse_int, 99, _AT_LEAST_TWO),
+        "risk_p_points": _Field(_parse_count, 99, _AT_LEAST_TWO),
     }),
     KIND_DENOISE: _schema(KIND_DENOISE, {
         **_lambda_fields(50),
@@ -194,20 +196,20 @@ _SCHEMAS = {
         "c": _Field(_parse_float, 1.0, _POSITIVE),
         "a_min": _Field(_parse_float, 0.05, _POSITIVE),
         "a_max": _Field(_parse_float, 30.0),
-        "a_points": _Field(_parse_int, 40, _AT_LEAST_TWO),
+        "a_points": _Field(_parse_count, 40, _AT_LEAST_TWO),
     }),
     KIND_CS: _schema(KIND_CS, {
         **_HAAR_GEOMETRY,
-        "d_pq": _Field(_parse_int, 20),
+        "d_pq": _Field(_parse_count, 20),
         "snr": _Field(_parse_float, 100.0, _POSITIVE),
         "lambda": _Field(_parse_float, 8.0, _NONNEGATIVE),
-        "n_grid": _Field(_list_of(_parse_int), [500, 2000, 8000]),
-        "trials": _Field(_parse_int, 20, _POSITIVE),
+        "n_grid": _Field(_list_of(_parse_count), [500, 2000, 8000]),
+        "trials": _Field(_parse_count, 20, _POSITIVE),
     }, _require_cs),
     KIND_SUBSPACE: _schema(KIND_SUBSPACE, {
         "input_p": _Field(_parse_str, _REQUIRED),
         "input_q": _Field(_parse_str, _REQUIRED),
-        "k_max": _Field(_parse_int, 0, _NONNEGATIVE),
+        "k_max": _Field(_parse_count, 0, _NONNEGATIVE),
     }),
 }
 
@@ -293,7 +295,7 @@ def config_from_mapping(kind, mapping=None, seed_override=None, out_override=Non
         raise ConfigError(f"config kind '{values['kind']}' does not match subcommand '{kind}'")
     # the overrides replace parsed file values, and the ranges apply to what results
     if seed_override is not None:
-        values["master_seed"] = _parse_int("master_seed", seed_override)
+        values["master_seed"] = _parse_seed("master_seed", seed_override)
     if out_override is not None:
         values["output_path"] = _parse_str("output_path", out_override)
     for key, field in fields.items():

@@ -1,11 +1,10 @@
 """Experiment runners: seeded sweeps that return (header, rows) tables.
 
 RNG stream derivation (stable across versions): trial t of an experiment with
-master seed m draws from seed sequences with entropy [m, t, slot], where slot
-0 seeds the shift model / subspace pair, slot 1 the ground truth, slot 2 the
-covariates, slot 3 the labels, and slot 16 + j the j-th grid point.  Rows
-are sorted on a documented key before writing, so a CSV's row order does not
-depend on the order in which the configured grids list their values.
+master seed m draws from seed sequences with entropy [m, t, slot]; README §
+Determinism tables each slot and the function that draws it.  Rows are sorted
+on a documented key before writing, so a CSV's row order does not depend on
+the order in which the configured grids list their values.
 README § Output format describes each kind's CSV columns.
 """
 
@@ -73,7 +72,7 @@ _GRID_SLOT_BASE = 16
 
 
 def stream(master_seed, trial, slot):
-    """Seed sequence for (trial, slot); see the module docstring for the slot table."""
+    """Seed sequence for (trial, slot); README § Determinism tables the slots and the functions that draw them."""
     return np.random.SeedSequence([int(master_seed), int(trial), int(slot)])
 
 
@@ -134,22 +133,40 @@ def write_csv(path, header, rows):
 
 
 def _draw_trial(config, t, spec, tau, sigma_beta_sq):
-    """(pair, beta_star, x) of trial t, from stream slots 0, 1 and 2."""
+    """(pair, beta_star, x, labels) of trial t: draws from slots 0, 1 and 2, and slot 3's sequence for each label law."""
     ms = config["master_seed"]
     pair = subspace_shift_model(spec, tau, stream(ms, t, 0))
     beta_star = sample_beta(spec.d, sigma_beta_sq, stream(ms, t, 1))
     x = sample_covariates(pair, config["n"], stream(ms, t, 2))
-    return pair, beta_star, x
+    return pair, beta_star, x, stream(ms, t, 3)
+
+
+def regression_trial(config, t):
+    """(pair, beta_star, x, y) of the regression sweep's trial t; y has additive Gaussian noise."""
+    spec = SubspacePairSpec(config["d"], config["d_p"], config["d_q"], config["d_pq"])
+    pair, beta_star, x, labels = _draw_trial(config, t, spec, config["tau"], config["sigma_beta_sq"])
+    return pair, beta_star, x, label(x, beta_star, LinearGaussian(math.sqrt(config["noise_var"])), labels)
+
+
+def classification_trial(config, t):
+    """(pair, beta_star, x, y_sign, y_clean) of the classification sweep's trial t: noisy signs and noiseless scores.
+
+    Sigma_Q is rebuilt from beta*'s energies on the Sigma_P support (beta* has unit variance, the scale in which
+    the rebuild's eps0 = 1e-8 is set).  The rebuild keeps the eigenbasis and Sigma_P and reads no Sigma_Q, so x
+    drawn from the input pair (whose Sigma_Q is Sigma_P) is the x of the rebuilt one.
+    """
+    d_p = config["d_p"]
+    pair, beta_star, x, labels = _draw_trial(config, t, SubspacePairSpec(config["d"], d_p, d_p, d_p), 1.0, 1.0)
+    pair = task_dependent_model(pair, beta_star, target_ratio=config["kappa_over_gamma"])
+    y_sign = label(x, beta_star, NoisySign(config["sign_correct_prob"]), labels)
+    return pair, beta_star, x, y_sign, label(x, beta_star, LinearGaussian(0.0), labels)
 
 
 def run_regression_sweep(config):
     """Ridge sweeps under additive-noise labels, squared risks on both laws."""
-    ms = config["master_seed"]
-    spec = SubspacePairSpec(config["d"], config["d_p"], config["d_q"], config["d_pq"])
-    noise_sigma = math.sqrt(config["noise_var"])
     rows = []
     for t in range(config["trials"]):
-        pair, beta_star, x = _draw_trial(config, t, spec, config["tau"], config["sigma_beta_sq"])
+        pair, beta_star, x, y = regression_trial(config, t)
         # scale the plug-ins by the realized support energy rather than the
         # nominal per-coordinate variance: gamma then matches the realized
         # bias amplification and the intercept equals the realized
@@ -161,7 +178,6 @@ def run_regression_sweep(config):
         # model class they differ only by finite-d fluctuation, so the
         # prediction uses the gamma plug-in for both
         shift_pred = dataclasses.replace(shift, kappa=shift.gamma)
-        y = label(x, beta_star, LinearGaussian(noise_sigma), stream(ms, t, 3))
         for lam, beta_hat in zip(config["lambda_grid"], ridge_fit(x, y, config["lambda_grid"])):
             cov_p, cov_q = decision_cov(beta_star, beta_hat, pair)
             risk_p = squared_risk(cov_p)
@@ -191,23 +207,11 @@ def run_classification_sweep(config):
     warm-starts each lambda from the previous one), and ridge on noiseless
     linear scores.  Each row carries its trial's shift parameters, from which
     classification_relation gives its risk_q_pred.
-
-    Sigma_Q is rebuilt from beta*'s energies on the Sigma_P support, and the
-    input pair's Sigma_Q (here Sigma_P) is not read; beta* has unit variance,
-    the scale in which the rebuild's eps0 = 1e-8 is set.
     """
-    ms = config["master_seed"]
-    d_p = config["d_p"]
-    spec = SubspacePairSpec(config["d"], d_p, d_p, d_p)
     rows = []
     for t in range(config["trials"]):
-        # the rebuild keeps the eigenbasis and Sigma_P and reads no Sigma_Q, so x
-        # drawn from the input pair is the x of the rebuilt one
-        pair, beta_star, x = _draw_trial(config, t, spec, 1.0, 1.0)
-        pair = task_dependent_model(pair, beta_star, target_ratio=config["kappa_over_gamma"])
+        pair, beta_star, x, y_sign, y_clean = classification_trial(config, t)
         shift = shift_parameters(pair, beta_star, 1.0)
-        y_sign = label(x, beta_star, NoisySign(config["sign_correct_prob"]), stream(ms, t, 3))
-        y_clean = label(x, beta_star, LinearGaussian(0.0), stream(ms, t, 3))
 
         def emit(model, lam, beta_hat, converged):
             cov_p, cov_q = decision_cov(beta_star, beta_hat, pair)
@@ -264,20 +268,24 @@ def run_relation_curves(config):
     return header, rows
 
 
+def denoise_pair(config, i):
+    """(u_p, u_q) of denoise grid point i: overlap dimension d_pq_grid[i], from slot 16 + i of trial 0."""
+    spec = SubspacePairSpec(config["d"], config["d_p"], config["d_q"], config["d_pq_grid"][i])
+    return overlapping_pair(spec, stream(config["master_seed"], 0, _GRID_SLOT_BASE + i))
+
+
 def run_denoising(config):
     """Closed-form denoising risk trajectories over lambda, with identity residuals.
 
     Each subspace pair's snr x lambda grid is one denoise_grid evaluation.
     """
-    ms = config["master_seed"]
-    d, d_p, d_q = config["d"], config["d_p"], config["d_q"]
-    a_grid, snrs = config["a_grid"], config["snr_grid"]
+    d_p, d_q, a_grid, snrs = config["d_p"], config["d_q"], config["a_grid"], config["snr_grid"]
     # noise variances as a column against the lambda row
     noise = np.array([[1.0 / snr] for snr in snrs])
     lam = np.array(config["lambda_grid"])
     overlaps, grids = [], []
-    for i, d_pq in enumerate(config["d_pq_grid"]):
-        u_p, u_q = overlapping_pair(SubspacePairSpec(d, d_p, d_q, d_pq), stream(ms, 0, _GRID_SLOT_BASE + i))
+    for i in range(len(a_grid)):
+        u_p, u_q = denoise_pair(config, i)
         overlaps.append(overlap_coefficient(u_p, u_q))
         grids.append(denoise_grid(overlaps[-1], d_p, d_q, noise, noise, lam))
     # one array per column over (pair, snr, lambda)

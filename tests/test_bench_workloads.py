@@ -1,8 +1,9 @@
 """The benchmark's own check of every gated workload, run at the seeds a benchmark run may draw.
 
-perfbench/workloads.py is imported from its file as it stands; each workload in
-BENCHMARK.json runs its runner at the default config, writes its CSV and must
-pass the same check_csv verdict a benchmark repetition reports.
+perfbench/workloads.py and perfbench/spans.py are imported from their files as
+they stand; each workload in BENCHMARK.json runs its runner at the default
+config, writes its CSV and must pass the same check_csv verdict a benchmark
+repetition reports, and a traced run must record the layer calls its runner makes.
 """
 
 import importlib.util
@@ -11,20 +12,22 @@ from pathlib import Path
 
 import pytest
 
-from riskshift.harness.config import config_from_mapping
+import riskshift.harness.runners as runners
+from riskshift.harness.config import KIND_DENOISE, KIND_REGRESSION, config_from_mapping
 from riskshift.harness.runners import RUNNERS, write_csv
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _workloads_module():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+def _perfbench_module(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-_WORKLOADS = _workloads_module()
+_WORKLOADS = _perfbench_module("workloads")
+_SPANS = _perfbench_module("spans")
 _GATED = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]]
 
 
@@ -37,3 +40,30 @@ def test_gated_workload_passes_its_benchmark_check(tmp_path, name, seed):
     write_csv(config["output_path"], header, rows)
     verdict = _WORKLOADS.check_csv(workload, config["output_path"], config)
     assert verdict.passed, verdict.detail
+
+
+def _traced_calls(monkeypatch, kind, keys):
+    """{span name: calls} of one run of kind's runner under perfbench's tracer, and the tracer's metrics."""
+    tracer = _SPANS.Tracer()
+    with monkeypatch.context() as patch:
+        for attr, value in list(vars(runners).items()):
+            patch.setattr(runners, attr, value)
+        patch.setitem(RUNNERS, kind, RUNNERS[kind])
+        tracer.instrument(runners, kind)
+        RUNNERS[kind](config_from_mapping(kind, keys))
+    return {name: span.calls for name, span in tracer.spans.items()}, tracer.metrics()
+
+
+def test_tracer_records_the_layer_calls_of_the_trial_draws(monkeypatch):
+    # the tracer wraps the layer functions in the runners module's namespace, so a draw
+    # that moved out of it would silently zero its traced metrics
+    namespace, runner_table = dict(vars(runners)), dict(RUNNERS)
+    calls, metrics = _traced_calls(monkeypatch, KIND_DENOISE, {})
+    assert calls["subspace.overlapping_pair"] == calls["inverse.denoise_grid"] == 3
+    assert metrics["subspace.overlapping_pair.self_s"] > 0 and metrics["inverse.self_s"] > 0
+    small = {"d": "60", "n": "120", "d_p": "40", "d_q": "30", "d_pq": "20", "trials": "2", "lambda_points": "3"}
+    calls, _ = _traced_calls(monkeypatch, KIND_REGRESSION, small)
+    for name in ("shiftmodel.subspace_shift_model", "datagen.sample_covariates", "datagen.label"):
+        assert calls[name] == 2, name
+    # and every attribute the tracer replaced is restored
+    assert dict(vars(runners)) == namespace and dict(RUNNERS) == runner_table

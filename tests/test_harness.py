@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 import riskshift
 import riskshift.harness
 import riskshift.harness.runners as runners
-from riskshift.datagen import LinearGaussian, label, sample_beta, sample_covariates
 from riskshift.errors import ConfigError, NumericInputError
 from riskshift.estimators import ridge_fit
 from riskshift.harness.cli import main
@@ -44,8 +43,9 @@ from riskshift.harness.config import (
     parse_config_text,
 )
 from riskshift.harness.runners import (
-    _GRID_SLOT_BASE,
     _format_cell,
+    denoise_pair,
+    regression_trial,
     run_and_write,
     run_counterexample,
     run_cs_validation,
@@ -53,13 +53,12 @@ from riskshift.harness.runners import (
     run_regression_sweep,
     run_relation_curves,
     run_subspace_analyze,
-    stream,
     write_csv,
 )
 from riskshift.inverse import denoise_grid
 from riskshift.risk import MetricKind
-from riskshift.shiftmodel import ShiftParameters, subspace_shift_model
-from riskshift.subspace import SubspacePairSpec, haar_basis, overlap_coefficient, overlapping_pair
+from riskshift.shiftmodel import ShiftParameters
+from riskshift.subspace import haar_basis, overlap_coefficient
 from riskshift.theory import classification_relation
 
 # the lambda trio gives the grid 0.01, 1.0, 100.0
@@ -594,12 +593,8 @@ def test_regression_rows_split_their_gap_exactly(seed):
     by_cell = {(row["trial"], row["lambda"]): row for row in rows}
     lams = config["lambda_grid"]
     assert len(by_cell) == len(rows) == 3 * len(lams)
-    spec = SubspacePairSpec(40, 30, 24, 18)
     for t in range(3):
-        pair = subspace_shift_model(spec, config["tau"], stream(seed, t, 0))
-        beta_star = sample_beta(spec.d, config["sigma_beta_sq"], stream(seed, t, 1))
-        x = sample_covariates(pair, config["n"], stream(seed, t, 2))
-        y = label(x, beta_star, LinearGaussian(math.sqrt(config["noise_var"])), stream(seed, t, 3))
+        pair, beta_star, x, y = regression_trial(config, t)
         s, q = pair.eigvals_p, pair.eigvals_q
         for lam, beta_hat in zip(lams, ridge_fit(x, y, lams)):
             row = by_cell[t, lam]
@@ -725,9 +720,7 @@ def _denoise_rows_by_point(config):
     rows = []
     d_p, d_q = config["d_p"], config["d_q"]
     for i, a_target in enumerate(config["a_grid"]):
-        spec = SubspacePairSpec(config["d"], d_p, d_q, int(round(a_target * d_q)))
-        u_p, u_q = overlapping_pair(spec, stream(config["master_seed"], 0, _GRID_SLOT_BASE + i))
-        a = overlap_coefficient(u_p, u_q)
+        a = overlap_coefficient(*denoise_pair(config, i))
         for snr in config["snr_grid"]:
             for lam in config["lambda_grid"]:
                 risk_p, risk_q, alpha, residual = denoise_grid(a, d_p, d_q, 1.0 / snr, 1.0 / snr, lam)
@@ -1066,6 +1059,24 @@ def test_cli_unallocatable_config_is_numeric_error(tmp_path, capsys, kind, key):
     assert not out.exists()
 
 
+# a count at 2**63 passed config and escaped numpy as a bare IndexError (geomspace) or
+# ValueError ("Maximum allowed dimension exceeded"); a seed takes any nonnegative int
+@pytest.mark.parametrize("kind,key,value", [("denoise", "lambda_points", 2**63), ("cs-validate", "n_grid", f"500, {2**63}")])
+def test_cli_count_past_the_index_range_is_config_error(tmp_path, capsys, kind, key, value):
+    out = tmp_path / "out.csv"
+    cfg = _cli_config(tmp_path, f"kind = {kind}\n{key} = {value}\noutput_path = {out}\n")
+    assert main([kind, "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"error: key '{key}' must be <= {2**63 - 1}, got {2**63}\n"
+    assert not out.exists()
+
+
+def test_cli_seed_past_the_index_range_runs(tmp_path):
+    out = tmp_path / "out.csv"
+    cfg = _cli_config(tmp_path, f"kind = denoise\nmaster_seed = {2**64}\noutput_path = {out}\n")
+    assert main(["denoise", "--config", cfg]) == 0
+    assert out.exists()
+
+
 # a repeated entry would give a CSV two rows per documented sort key
 @pytest.mark.parametrize("kind,key,value", [
     (KIND_RELATION, "mu_grid", "1.0, 1.0"),
@@ -1260,6 +1271,30 @@ def test_only_one_function_under_src_rotates_into_the_shared_basis():
         visit(tree, os.path.basename(path), None)
     assert rotate_calls == []
     assert products == [("risk.py", "_basis_coordinates")]
+
+
+def test_only_the_runners_module_lays_out_the_stream_slots():
+    # a test or study replays a trial through regression_trial, classification_trial or denoise_pair,
+    # so the slot layout is written once: no test imports it, and no other module under src/ seeds a stream
+    layout = {"stream", "_GRID_SLOT_BASE", "_draw_trial"}
+    tests = os.path.dirname(os.path.abspath(__file__))
+    imports = []
+    for base, _, names in os.walk(tests):
+        for name in (n for n in names if n.endswith(".py")):
+            with open(os.path.join(base, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            imports += [
+                (name, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "riskshift.harness.runners"
+                for alias in node.names if alias.name in layout
+            ]
+    assert imports == []
+    callers = {
+        os.path.relpath(path, os.path.dirname(riskshift.__file__))
+        for path, tree in _package_trees() for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and "stream" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    }
+    assert callers == {os.path.join("harness", "runners.py")}
 
 
 def test_runners_build_no_grid():

@@ -15,10 +15,9 @@ from scipy.special import ndtr
 
 from riskshift import _gauss_legendre
 from riskshift.errors import NumericInputError
-from riskshift.datagen import LinearGaussian, label
 from riskshift.estimators import ridge_fit
 from riskshift.harness.config import KIND_CLASSIFICATION, KIND_COUNTEREXAMPLE, config_from_mapping
-from riskshift.harness.runners import _draw_trial, stream
+from riskshift.harness.runners import classification_trial
 from riskshift.risk import (
     DecisionCov,
     _QUAD_BLOCK,
@@ -33,7 +32,7 @@ from riskshift.risk import (
     quad_metric_risk,
     squared_risk,
 )
-from riskshift.shiftmodel import CovariancePair, ShiftParameters, subspace_shift_model, task_dependent_model
+from riskshift.shiftmodel import CovariancePair, ShiftParameters, subspace_shift_model
 from riskshift.subspace import OrthonormalBasis, SubspacePairSpec
 from riskshift.theory import asymptotic_decision_cov
 
@@ -192,12 +191,9 @@ def test_classification_sweep_noiseless_ridge_risks_match_exact_angle():
     # the residual b - (chi / omega*) b* put risk_P 1.12e-15 off (2 threads)
     for seed, trials in ((0, None), (7, (1,))):
         config = config_from_mapping(KIND_CLASSIFICATION, {}, seed_override=seed)
-        spec = SubspacePairSpec(config["d"], config["d_p"], config["d_p"], config["d_p"])
         lams = config["lambda_grid"][:6]
         for t in trials or range(config["trials"]):
-            pair, beta_star, x = _draw_trial(config, t, spec, 1.0, 1.0)
-            pair = task_dependent_model(pair, beta_star, target_ratio=config["kappa_over_gamma"])
-            y = label(x, beta_star, LinearGaussian(0.0), stream(seed, t, 3))
+            pair, beta_star, x, _, y = classification_trial(config, t)
             for beta_hat in ridge_fit(x, y, lams):
                 exact = exact_misclassification_risks(beta_star, beta_hat, pair)
                 for cov, want in zip(decision_cov(beta_star, beta_hat, pair), exact):
