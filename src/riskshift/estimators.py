@@ -3,8 +3,10 @@
 ridge_fit solves the normal equations of a whole ridge-weight grid from one X^T X.
 erm_fit runs damped Newton on the ridge-regularized logistic objective with Armijo
 backtracking over a whole ridge-weight grid, each weight warm-started from the
-previous one's solution; it never raises on slow convergence, it flags the result
-instead.
+previous one's solution.  One comparison decides when a fit is done: the Newton
+decrement grad^T H^-1 grad at most 1e-9 times the objective, both unchanged when
+x is scaled by c and the weight by c^2.  It never raises on slow convergence, it
+flags the result instead.
 """
 
 from dataclasses import dataclass
@@ -16,8 +18,8 @@ from riskshift.subspace import _checked_array, _frozen_array
 
 _ARMIJO_C = 1e-4
 _MIN_STEP = 1e-12
-_EPS = float(np.finfo(np.float64).eps)
-_TOL = 1e-10
+# a fit whose Newton decrement is at most this share of its objective takes the full step and is done
+_DECREMENT = 1e-9
 _MAX_ITER = 100
 
 
@@ -66,15 +68,13 @@ def _logistic_objective(margins, lam, beta):
 def erm_fit(x, y, lams):
     """One FittedModel per weight of lams: damped Newton on the ridge-regularized logistic empirical risk.
 
-    For each lam, in grid order, minimizes sum_i log(1 + exp(-y_i x_i^T beta))
-    + 0.5 * lam * ||beta||^2 and stops when ||grad|| <= 1e-10 * (1 + ||beta||).
-    After 100 Newton iterations without meeting that rule, the model carries
-    converged=False.  The first weight starts from beta = 0, each later one
-    from the previous weight's solution.
-
-    Once the descent grad^T step is <= eps * |f(beta)|, the resolution of the
-    objective, the Armijo test could only compare rounding noise, so the line
-    search takes the full step.
+    For each lam, in grid order, minimizes f(beta) = sum_i log(1 + exp(-y_i x_i^T beta))
+    + 0.5 * lam * ||beta||^2.  Each iteration solves H step = grad; once the
+    Newton decrement grad^T step is <= 1e-9 * f(beta), it takes the full step
+    and the fit is converged, and otherwise it backtracks from the full step
+    until the Armijo test holds.  After 100 iterations (Hessian solves) without
+    that, the model carries converged=False.  The first weight starts from
+    beta = 0, each later one from the previous weight's solution.
     """
     x, y, lams = _check_problem(x, y, lams)
     if not np.all(np.abs(y) == 1.0):
@@ -84,16 +84,13 @@ def erm_fit(x, y, lams):
     # objective, gradient and Hessian weights all derive from the margins
     # y_i x_i^T beta, so each point the solver visits costs one product x @ beta
     for lam in lams.tolist():
-        iterations = 0
+        iterations, converged = 0, False
         margins = y * (x @ beta)
         f = _logistic_objective(margins, lam, beta)
-        while True:
+        while not converged and iterations < _MAX_ITER:
+            iterations += 1
             tail = _sigmoid(-margins)
             grad = -x.T @ (y * tail) + lam * beta
-            converged = float(np.linalg.norm(grad)) <= _TOL * (1.0 + float(np.linalg.norm(beta)))
-            if converged or iterations >= _MAX_ITER:
-                break
-            iterations += 1
             w = _sigmoid(margins) * tail
             h = (x * w[:, None]).T @ x
             h[np.diag_indices_from(h)] += lam
@@ -105,8 +102,9 @@ def erm_fit(x, y, lams):
             if descent <= 0.0:
                 step = grad
                 descent = float(grad @ grad)
+            converged = descent <= _DECREMENT * f
             t = 1.0
-            while descent > _EPS * abs(f) and t > _MIN_STEP:
+            while not converged and t > _MIN_STEP:
                 candidate = beta - t * step
                 cand_margins = y * (x @ candidate)
                 cand_f = _logistic_objective(cand_margins, lam, candidate)
@@ -115,9 +113,9 @@ def erm_fit(x, y, lams):
                     break
                 t *= 0.5
             else:
-                # full step below the objective's resolution, or t reached _MIN_STEP
+                # the full step of a converged fit, or t reached _MIN_STEP
                 beta = beta - t * step
                 margins = y * (x @ beta)
                 f = _logistic_objective(margins, lam, beta)
-        fits.append(FittedModel(beta_hat=beta, iterations=iterations, converged=bool(converged)))
+        fits.append(FittedModel(beta_hat=beta, iterations=iterations, converged=converged))
     return tuple(fits)

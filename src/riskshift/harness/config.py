@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from riskshift.errors import ConfigError, InvalidDimensionError
-from riskshift.subspace import SubspacePairSpec, _checked_count, _checked_real
+from riskshift.subspace import _MAX_ENTRIES, SubspacePairSpec, _checked_count, _checked_real, _within
 
 _REQUIRED = object()
 
@@ -238,6 +238,7 @@ def _resolve_trios(values):
         lo, hi, points = values[f"{name}_min"], values[f"{name}_max"], values[f"{name}_points"]
         if points > 1 and not lo < hi:
             raise ConfigError(f"{name}_min must be < {name}_max")
+        _within(f"key '{name}_points'", points, (("<=", _MAX_ENTRIES),), ConfigError)
         # geomspace's last power may round past the largest float; it then sets that end to hi
         with np.errstate(over="ignore"):
             arr = spacing(lo, hi, points)

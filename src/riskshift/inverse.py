@@ -15,7 +15,14 @@ from functools import cached_property
 import numpy as np
 
 from riskshift.errors import InvalidDimensionError, NumericInputError
-from riskshift.subspace import OrthonormalBasis, _checked_array, _checked_count, _checked_real, overlap_coefficient
+from riskshift.subspace import (
+    _MAX_ENTRIES,
+    OrthonormalBasis,
+    _checked_array,
+    _checked_count,
+    _checked_real,
+    overlap_coefficient,
+)
 
 # overlap_coefficient of a nested pair, 1 in exact arithmetic, exceeded 1 by at most 3.1e-15 over 22,200 random
 # nested pairs with d <= 800; denoise_grid accepts an overlap up to 1 plus this slack, 300 times that excess
@@ -113,7 +120,8 @@ def denoise_grid(a, d_p, d_q, sigma_p_sq, sigma_q_sq, lam):
 
 def gaussian_measurement(n, d, seed):
     """n x d matrix with iid N(0, 1/n) entries."""
-    n, d = _checked_count("n", n, (">=", 1)), _checked_count("d", d, (">=", 1))
+    d = _checked_count("d", d, (">=", 1))
+    n = _checked_count("n", n, (">=", 1), ("<=", _MAX_ENTRIES // d))
     rng = np.random.default_rng(seed)
     return rng.standard_normal((n, d)) / math.sqrt(n)
 

@@ -23,6 +23,8 @@ import numpy as np
 from riskshift.errors import InvalidDimensionError, NumericInputError
 
 _ORTHO_TOL = 1e-10
+# the most float64 entries one numpy array can hold: past it numpy raises a bare ValueError ("array is too big")
+_MAX_ENTRIES = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
 _COMPARISONS = {"<=": operator.le, ">=": operator.ge, "<": operator.lt, ">": operator.gt, "==": operator.eq}
 
 

@@ -172,13 +172,65 @@ def test_non_convergence_is_flagged_not_raised(monkeypatch):
     assert fit.iterations == 1
 
 
-def test_warm_start_from_converged_fit_takes_no_step():
+def _newton_step(x, y, lam, beta):
+    """The full Newton step of the lam-regularized logistic objective at beta, from scipy's expit."""
+    margins = y * (x @ beta)
+    tail = expit(-margins)
+    grad = -(x.T @ (y * tail)) + lam * beta
+    h = (x * (expit(margins) * tail)[:, None]).T @ x + lam * np.eye(x.shape[1])
+    return np.linalg.solve(h, grad)
+
+
+def _assert_near_optimum(x, y, lam, beta):
+    # scale-free stationarity: one more full Newton step moves beta by at most 1e-7 relative.  The stopping rule
+    # bounds the decrement, not this distance, which reached 1.5e-8 on small separable problems at lam = 1e-3
+    # (the worst of 140,000 random fits; the typical fit is below 1e-9)
+    assert np.linalg.norm(_newton_step(x, y, lam, beta)) <= 1e-7 * np.linalg.norm(beta)
+
+
+def _assert_close(beta, reference, rel):
+    assert np.linalg.norm(beta - reference) <= rel * np.linalg.norm(reference)
+
+
+def test_warm_start_from_converged_fit_takes_one_certifying_iteration():
+    # the Hessian solve that certifies convergence counts as an iteration, and its full step barely moves beta_hat
     x, y = _sign_data(120, 10, 20)
     fit, again = erm_fit(x, y, [0.1, 0.1])
     assert fit.converged and fit.iterations > 0
-    assert again.iterations == 0
+    assert again.iterations == 1
     assert again.converged
-    assert np.array_equal(again.beta_hat, fit.beta_hat)
+    _assert_close(again.beta_hat, fit.beta_hat, 1e-8)
+
+
+def test_a_loose_decrement_threshold_fails_the_stationarity_check(monkeypatch):
+    # the must-fail twin of _assert_near_optimum: a fit stopped at a decrement of 1e-3 of its objective is caught
+    x, y = _sign_data(120, 10, 20)
+    _assert_near_optimum(x, y, 0.1, erm_fit(x, y, [0.1])[0].beta_hat)
+    monkeypatch.setattr(estimators, "_DECREMENT", 1e-3)
+    (fit,) = erm_fit(x, y, [0.1])
+    assert fit.converged
+    with pytest.raises(AssertionError):
+        _assert_near_optimum(x, y, 0.1, fit.beta_hat)
+
+
+@pytest.mark.parametrize("c", [1e-8, 1e-4, 1e8, 1e150])
+def test_erm_fit_does_not_depend_on_the_units_of_x(c):
+    # x -> c x with lam -> c^2 lam scales the optimum by exactly 1/c
+    x, y = _sign_data(200, 50, 30)
+    lams = np.geomspace(1e-3, 1e2, 6)
+    for fit, scaled in zip(erm_fit(x, y, lams), erm_fit(c * x, y, c * c * lams)):
+        assert fit.converged
+        assert (scaled.converged, scaled.iterations) == (fit.converged, fit.iterations)
+        _assert_close(c * scaled.beta_hat, fit.beta_hat, 1e-12)
+
+
+def test_erm_fit_takes_a_ridge_weight_at_the_float_maximum():
+    # warm-started from the lam = 10 fit, the gradient lam * beta_hat is near the float maximum, so its square overflows
+    x, y = _sign_data(23, 4, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fits = erm_fit(x, y, [10.0, np.finfo(np.float64).max])
+    assert all(fit.converged for fit in fits)
 
 
 @st.composite
@@ -203,11 +255,11 @@ def test_erm_fit_path_rows_follow_the_grid(problem):
         beta = fit.beta_hat
         if fit.converged:
             # stationary for its own weight, so the rows are in grid order
-            grad = -(x.T @ (y * expit(-y * (x @ beta)))) + lam * beta
-            assert np.linalg.norm(grad) <= 1e-10 * (1.0 + np.linalg.norm(beta))
+            _assert_near_optimum(x, y, lam, beta)
         if i > 0 and lam == lams[i - 1] and fits[i - 1].converged:
-            assert fit.iterations == 0 and fit.converged
-            assert np.array_equal(beta, fits[i - 1].beta_hat)
+            # the certifying full step is the step _assert_near_optimum bounds
+            assert fit.iterations == 1 and fit.converged
+            _assert_close(beta, fits[i - 1].beta_hat, 1e-7)
 
 
 def test_warm_started_classification_fit_takes_full_steps_near_optimum(monkeypatch):

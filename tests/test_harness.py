@@ -1070,6 +1070,21 @@ def test_cli_count_past_the_index_range_is_config_error(tmp_path, capsys, kind, 
     assert not out.exists()
 
 
+# numpy holds at most 2**60 - 1 float64 entries in one array; past that it refused a grid
+# or a measurement with a bare ValueError ("array is too big") or, in geomspace, an IndexError
+@pytest.mark.parametrize("kind,key,value,code,message", [
+    ("denoise", "lambda_points", 2**60, 2, f"key 'lambda_points' must be <= {2**60 - 1}, got {2**60}"),
+    ("denoise", "lambda_points", 2**63 - 1, 2, f"key 'lambda_points' must be <= {2**60 - 1}, got {2**63 - 1}"),
+    ("cs-validate", "n_grid", f"500, {2**62}", 3, f"n must be <= {(2**60 - 1) // 200}, got {2**62}"),
+])
+def test_cli_count_past_the_largest_array_is_refused_by_name(tmp_path, capsys, kind, key, value, code, message):
+    out = tmp_path / "out.csv"
+    cfg = _cli_config(tmp_path, f"kind = {kind}\n{key} = {value}\noutput_path = {out}\n")
+    assert main([kind, "--config", cfg]) == code
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_cli_seed_past_the_index_range_runs(tmp_path):
     out = tmp_path / "out.csv"
     cfg = _cli_config(tmp_path, f"kind = denoise\nmaster_seed = {2**64}\noutput_path = {out}\n")
